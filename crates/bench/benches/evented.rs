@@ -1,18 +1,16 @@
-//! Text/thread-pool vs binary/evented transport A/B, plus WAL group
-//! commit (PR 6).
+//! Text vs binary over the one evented server, plus WAL group commit.
 //!
 //! Three cuts:
 //!
-//! * `evented_pipeline` — 512 commands per measurement: the text client
-//!   pays one blocking round-trip each; the binary client writes all 512
-//!   frames in one send and drains 512 responses (`call_pipelined`).
-//!   `ping_512` isolates pure transport cost; `rank_512` carries a real
-//!   query, whose execution (identical on both paths) dilutes the ratio.
-//! * `evented_density` — one `PING` round-trip while hundreds of idle
-//!   connections sit parked on the same server. The text server cannot
-//!   enter this regime at all: its thread pool is clamped to 64
-//!   connections, so its arm parks 60 (just under the cap) while the
-//!   evented arm parks 512 on a single loop thread.
+//! * `evented_pipeline` — 512 commands per measurement against one
+//!   `serve_evented` port: the text client paying one blocking round-trip
+//!   each (`text_sequential`), then writing all 512 in one send and
+//!   draining 512 replies (`text_pipelined`), and the binary client doing
+//!   the same (`binary_pipelined`). `ping_512` isolates pure transport
+//!   cost; `rank_512` carries a real query, whose execution (identical on
+//!   every arm) dilutes the ratios.
+//! * `evented_density` — one `PING` round-trip while 512 idle connections
+//!   sit parked on the same single-loop server.
 //! * `group_commit` — 16 writers × 16 `ADDB` each against an
 //!   fsync-enabled service, with fsync coalescing on vs off. The
 //!   fsyncs-per-append ratio for BENCH.md is printed after the timing.
@@ -22,10 +20,8 @@ use std::sync::Arc;
 
 use req_bench::bench_items;
 use req_core::OrdF64;
-use req_evented::{serve_evented, ReqBinClient};
-use req_service::{
-    serve, ClientApi, QuantileService, ReqClient, Request, ServiceConfig, TenantConfig,
-};
+use req_evented::{serve_evented, Client, ReqBinClient};
+use req_service::{ClientApi, QuantileService, Request, ServiceConfig, TenantConfig, Text};
 
 const PIPELINE_DEPTH: usize = 512;
 
@@ -54,10 +50,16 @@ fn bench_pipeline(c: &mut Criterion) {
     let dir = req_service::tempdir::TempDir::new("bench-pipe").unwrap();
     let service = open_service(dir.path());
     warm_tenant(&service, "t");
-    let text_handle = serve(Arc::clone(&service), "127.0.0.1:0", 2).unwrap();
-    let bin_handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
+    let handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
+    let ranks: Vec<Request> = (0..PIPELINE_DEPTH)
+        .map(|i| Request::Rank {
+            key: "t".into(),
+            value: i as f64 * 39.0,
+        })
+        .collect();
+    let pings: Vec<Request> = (0..PIPELINE_DEPTH).map(|_| Request::Ping).collect();
 
-    let mut text_client = ReqClient::connect(text_handle.addr()).unwrap();
+    let mut text_client = Client::<Text>::connect(handle.addr()).unwrap();
     group.bench_function("ping_512/text_sequential", |b| {
         b.iter(|| {
             for _ in 0..PIPELINE_DEPTH {
@@ -74,64 +76,47 @@ fn bench_pipeline(c: &mut Criterion) {
             black_box(last)
         })
     });
-
-    let mut bin_client = ReqBinClient::connect(bin_handle.addr()).unwrap();
-    let reqs: Vec<Request> = (0..PIPELINE_DEPTH)
-        .map(|i| Request::Rank {
-            key: "t".into(),
-            value: i as f64 * 39.0,
-        })
-        .collect();
-    group.bench_function("rank_512/binary_pipelined", |b| {
-        b.iter(|| black_box(bin_client.call_pipelined(black_box(&reqs)).unwrap()))
+    group.bench_function("rank_512/text_pipelined", |b| {
+        b.iter(|| black_box(text_client.call_pipelined(black_box(&ranks)).unwrap()))
     });
-    let pings: Vec<Request> = (0..PIPELINE_DEPTH).map(|_| Request::Ping).collect();
+    group.bench_function("ping_512/text_pipelined", |b| {
+        b.iter(|| black_box(text_client.call_pipelined(black_box(&pings)).unwrap()))
+    });
+
+    let mut bin_client = ReqBinClient::connect(handle.addr()).unwrap();
+    group.bench_function("rank_512/binary_pipelined", |b| {
+        b.iter(|| black_box(bin_client.call_pipelined(black_box(&ranks)).unwrap()))
+    });
     group.bench_function("ping_512/binary_pipelined", |b| {
         b.iter(|| black_box(bin_client.call_pipelined(black_box(&pings)).unwrap()))
     });
 
     group.finish();
     drop((text_client, bin_client));
-    text_handle.shutdown();
-    bin_handle.shutdown();
+    handle.shutdown();
 }
 
 fn bench_density(c: &mut Criterion) {
     let mut group = c.benchmark_group("evented_density");
 
-    // Text arm: park as many idle connections as the 64-thread cap
-    // permits while keeping a few workers free to answer.
+    // 512 parked connections on ONE loop thread, and latency holds.
     let dir = req_service::tempdir::TempDir::new("bench-dense").unwrap();
     let service = open_service(dir.path());
-    let text_handle = serve(Arc::clone(&service), "127.0.0.1:0", 64).unwrap();
-    let parked_text: Vec<ReqClient> = (0..60)
-        .map(|_| ReqClient::connect(text_handle.addr()).unwrap())
+    let handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
+    let mut parked: Vec<ReqBinClient> = (0..512)
+        .map(|_| ReqBinClient::connect(handle.addr()).unwrap())
         .collect();
-    let mut probe = ReqClient::connect(text_handle.addr()).unwrap();
-    group.bench_function("ping/text_60_idle_conns", |b| {
-        b.iter(|| probe.ping().unwrap())
-    });
-    drop(probe);
-    drop(parked_text);
-    text_handle.shutdown();
-
-    // Evented arm: 512 parked connections on ONE loop thread — 8x past
-    // the text server's structural limit — and latency holds.
-    let bin_handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
-    let mut parked_bin: Vec<ReqBinClient> = (0..512)
-        .map(|_| ReqBinClient::connect(bin_handle.addr()).unwrap())
-        .collect();
-    for conn in parked_bin.iter_mut() {
+    for conn in parked.iter_mut() {
         conn.ping().unwrap(); // fully registered, not just SYN-accepted
     }
-    let mut probe = ReqBinClient::connect(bin_handle.addr()).unwrap();
+    let mut probe = ReqBinClient::connect(handle.addr()).unwrap();
     group.bench_function("ping/binary_512_idle_conns", |b| {
         b.iter(|| probe.ping().unwrap())
     });
     group.finish();
     drop(probe);
-    drop(parked_bin);
-    bin_handle.shutdown();
+    drop(parked);
+    handle.shutdown();
 }
 
 fn bench_group_commit(c: &mut Criterion) {

@@ -10,8 +10,8 @@
 //!   sketch (the service path adds registry lookup + cached merged
 //!   snapshot).
 //! * `service_tcp` — full loopback round-trips (`RANK`, 1k-value `ADDB`)
-//!   against a live `req-server`, measuring the wire + parse + dispatch
-//!   overhead per request.
+//!   from a text client against a live `serve_evented` server, measuring
+//!   the wire + parse + execute overhead per request.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,8 +19,9 @@ use std::sync::Arc;
 
 use req_bench::bench_items;
 use req_core::{OrdF64, QuantileSketch, RankAccuracy, ReqSketch};
+use req_evented::{serve_evented, Client};
 use req_service::tempdir::TempDir;
-use req_service::{serve, ClientApi, QuantileService, ReqClient, ServiceConfig, TenantConfig};
+use req_service::{ClientApi, QuantileService, ServiceConfig, TenantConfig, Text};
 
 const N: usize = 100_000;
 const BATCH: usize = 1_000;
@@ -117,17 +118,17 @@ fn bench_tcp(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_tcp");
     let dir = TempDir::new("bench-tcp").unwrap();
     let service = Arc::new(open_service(dir.path(), 0));
-    let handle = serve(Arc::clone(&service), "127.0.0.1:0", 2).unwrap();
+    let handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
     let key = fresh_key(&service);
     let items: Vec<f64> = bench_items(N, 13).into_iter().map(|v| v as f64).collect();
     {
-        let mut c = ReqClient::connect(handle.addr()).unwrap();
+        let mut c = Client::<Text>::connect(handle.addr()).unwrap();
         for chunk in items.chunks(BATCH) {
             c.add_batch(&key, chunk).unwrap();
         }
     }
 
-    let mut client = ReqClient::connect(handle.addr()).unwrap();
+    let mut client = Client::<Text>::connect(handle.addr()).unwrap();
     group.bench_function("roundtrip/rank", |b| {
         b.iter(|| black_box(client.rank(&key, black_box(1e18)).unwrap()))
     });

@@ -9,12 +9,12 @@
 //! ```
 //!
 //! against one victim service whose WAL writes are deterministically torn
-//! by a [`FaultPlane`] and whose evented listener additionally suffers
-//! socket read/write faults. Half the clients speak the text protocol
-//! (thread-pool server), half the binary one (evented server); all carry
-//! idempotency tokens and a [`RetryPolicy`], so every transport error —
-//! torn response, dropped connection, failed append — is retried until
-//! the batch is acknowledged exactly once.
+//! by a [`FaultPlane`] and whose one listener additionally suffers socket
+//! read/write faults. Half the clients speak the text codec, half the
+//! binary one, all to the same faulted server; all carry idempotency
+//! tokens and a [`RetryPolicy`], so every transport error — torn
+//! response, dropped connection, failed append — is retried until the
+//! batch is acknowledged exactly once.
 //!
 //! Each client owns its own tenant, which makes per-tenant ingest order
 //! deterministic even though clients interleave freely on the shared WAL.
@@ -31,11 +31,11 @@
 //!   it back to read-write.
 
 use req_core::OrdF64;
-use req_evented::{serve_evented_with, EventedOptions, ReqBinClient};
+use req_evented::{serve_evented_with, Client, EventedOptions, ReqBinClient};
 use req_service::tempdir::TempDir;
 use req_service::{
-    ClientApi, FaultKind, FaultPlane, FaultSite, QuantileService, ReqClient, RetryPolicy,
-    ServiceConfig, TenantConfig,
+    ClientApi, FaultKind, FaultPlane, FaultSite, QuantileService, RetryPolicy, ServiceConfig,
+    TenantConfig, Text,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -115,32 +115,32 @@ fn chaos_policy(seed: u64) -> RetryPolicy {
 }
 
 /// One client's work for one round: ingest every batch through either
-/// transport, retrying until acknowledged. Returns the values acked.
+/// codec, retrying until acknowledged. Returns the values acked.
 fn run_client(
     cfg: &Config,
     seed: u64,
     client: usize,
     round: usize,
-    text_addr: std::net::SocketAddr,
-    bin_addr: std::net::SocketAddr,
+    addr: std::net::SocketAddr,
 ) -> u64 {
-    let key = tenant_name(client);
     let policy = chaos_policy(seed ^ (client as u64) << 8 ^ round as u64);
-    let mut acked = 0u64;
     if client.is_multiple_of(2) {
-        let mut c = ReqClient::connect_with(text_addr, policy).expect("text connect");
-        for b in 0..cfg.batches_per_client {
-            let values = batch_values(cfg, client, round, b);
-            acked += c.add_batch(&key, &values).expect("text add_batch acked");
-        }
+        let c = Client::<Text>::connect_with(addr, policy).expect("text connect");
+        ingest_round(cfg, c, client, round)
     } else {
-        let mut c = ReqBinClient::connect_with(bin_addr, policy).expect("bin connect");
-        for b in 0..cfg.batches_per_client {
-            let values = batch_values(cfg, client, round, b);
-            acked += c.add_batch(&key, &values).expect("bin add_batch acked");
-        }
+        let c = ReqBinClient::connect_with(addr, policy).expect("bin connect");
+        ingest_round(cfg, c, client, round)
     }
-    acked
+}
+
+fn ingest_round(cfg: &Config, mut c: impl ClientApi, client: usize, round: usize) -> u64 {
+    let key = tenant_name(client);
+    (0..cfg.batches_per_client)
+        .map(|b| {
+            let values = batch_values(cfg, client, round, b);
+            c.add_batch(&key, &values).expect("add_batch acked")
+        })
+        .sum()
 }
 
 /// Post-chaos degraded-mode pass: reopen the victim with a fault schedule
@@ -236,9 +236,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
                         .expect("victim create");
                 }
             }
-            let text = req_service::serve(Arc::clone(&service), "127.0.0.1:0", cfg.clients)
-                .expect("text server");
-            let evented = serve_evented_with(
+            let server = serve_evented_with(
                 Arc::clone(&service),
                 "127.0.0.1:0",
                 EventedOptions {
@@ -251,24 +249,21 @@ pub fn run(cfg: &Config) -> Vec<Table> {
             wal_plane.set_armed(true);
             sock_plane.set_armed(true);
 
-            let (text_addr, bin_addr) = (text.addr(), evented.addr());
+            let addr = server.addr();
             acked_total += std::thread::scope(|scope| {
                 (0..cfg.clients)
-                    .map(|c| {
-                        scope.spawn(move || run_client(cfg, seed, c, round, text_addr, bin_addr))
-                    })
+                    .map(|c| scope.spawn(move || run_client(cfg, seed, c, round, addr)))
                     .collect::<Vec<_>>()
                     .into_iter()
                     .map(|h| h.join().expect("client thread"))
                     .sum::<u64>()
             });
 
-            // Crash: stop both transports, then drop the service with no
+            // Crash: stop the server, then drop the service with no
             // shutdown hook — exactly a process kill from disk's view.
             sock_plane.set_armed(false);
             wal_plane.set_armed(false);
-            text.shutdown();
-            evented.shutdown();
+            server.shutdown();
             drop(service);
         }
 
@@ -307,7 +302,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     }
     t.note(
         "`n err` = acknowledged values − recovered count: 0 means no acked batch was lost and \
-         no retried batch double-ingested, across crashes and both transports; `mismatches` = \
+         no retried batch double-ingested, across crashes and both codecs; `mismatches` = \
          rank/quantile probes where the recovered victim differs from an unfaulted twin fed the \
          identical per-tenant batches (value-identity ⇒ 0); `poisoned`/`healed` = the degraded \
          read-only mode engaged on a poisoned WAL writer and cleared after the next snapshot \

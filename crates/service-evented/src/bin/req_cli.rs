@@ -20,13 +20,18 @@
 //! req-cli ADDB api.latency 12.5 100.25 7.5
 //! req-cli QUANTILE api.latency 0.99
 //! req-cli STATS api.latency
+//! req-cli metrics
 //! ```
+//!
+//! Each command line is parsed locally with the text codec and sent as a
+//! typed request. A reply prints as its text payload without the `OK`
+//! (`METRICS` and `EVENTS` print their decoded lines); a failure prints
+//! `error: …` to stderr and, for a one-shot command, exits 1.
 
-// The CLI is a raw-line pass-through by design; it stays on the
-// deprecated string round-trip until the text shim is removed.
-#![allow(deprecated)]
-
-use req_service::{ClientApi, ReqClient, RetryPolicy};
+use req_core::ReqError;
+use req_evented::Client;
+use req_service::protocol::text;
+use req_service::{ClientApi, Response, RetryPolicy, Text};
 use std::io::BufRead;
 use std::time::Duration;
 
@@ -35,12 +40,32 @@ fn usage() -> ! {
         "usage: req-cli [--addr HOST:PORT] [--connect-timeout SECS] [--timeout SECS]\n\
          \x20              [--retries N] CMD [ARGS...]\n\
          \x20      req-cli [same options] repl\n\
-         \x20      req-cli [same options] metrics\n\
-         \x20      req-cli [same options] events [N]\n\
          commands: CREATE ADD ADDB RANK QUANTILE CDF STATS LIST SNAPSHOT DROP PING\n\
-         \x20         METRICS EVENTS"
+         \x20         METRICS EVENTS [N]"
     );
     std::process::exit(2);
+}
+
+/// Parse one command line, send it, and print the reply.
+fn run(client: &mut Client<Text>, line: &str) -> Result<(), ReqError> {
+    let req = text::decode_request(line)?;
+    match client.call(&req)?.into_result()? {
+        Response::MetricsText(exposition) => print!("{exposition}"),
+        Response::Events(lines) => {
+            for line in lines {
+                println!("{line}");
+            }
+        }
+        resp => {
+            let line = text::encode_response(&resp);
+            let payload = line.strip_prefix("OK").unwrap_or(&line);
+            match payload.strip_prefix(' ').unwrap_or(payload) {
+                "" => println!("OK"),
+                payload => println!("{payload}"),
+            }
+        }
+    }
+    Ok(())
 }
 
 fn main() {
@@ -71,7 +96,7 @@ fn main() {
         usage();
     }
 
-    let mut client = match ReqClient::connect_with(&addr, policy) {
+    let mut client = match Client::<Text>::connect_with(&addr, policy) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("req-cli: cannot connect to {addr}: {e}");
@@ -79,64 +104,21 @@ fn main() {
         }
     };
 
-    // Telemetry verbs get typed handling: their payloads are hex-armored
-    // multi-line blobs on the text wire, so the raw pass-through below
-    // would print unreadable hex. Decode and print the real thing.
-    if args[0].eq_ignore_ascii_case("metrics") && args.len() == 1 {
-        match client.metrics() {
-            Ok(text) => print!("{text}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if args[0].eq_ignore_ascii_case("events") && args.len() <= 2 {
-        let max: u32 = args
-            .get(1)
-            .map(|v| v.parse().unwrap_or_else(|_| usage()))
-            .unwrap_or(64);
-        match client.events(max) {
-            Ok(lines) => {
-                for line in lines {
-                    println!("{line}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
     if args.len() == 1 && args[0] == "repl" {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break,
-            };
+        for line in std::io::stdin().lock().lines() {
+            let Ok(line) = line else { break };
             if line.trim().is_empty() {
                 continue;
             }
-            match client.roundtrip(line.trim()) {
-                Ok(payload) if payload.is_empty() => println!("OK"),
-                Ok(payload) => println!("{payload}"),
-                Err(e) => eprintln!("error: {e}"),
+            if let Err(e) = run(&mut client, &line) {
+                eprintln!("error: {e}");
             }
         }
         return;
     }
 
-    let line = args.join(" ");
-    match client.roundtrip(&line) {
-        Ok(payload) if payload.is_empty() => println!("OK"),
-        Ok(payload) => println!("{payload}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = run(&mut client, &args.join(" ")) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }

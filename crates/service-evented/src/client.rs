@@ -1,70 +1,81 @@
-//! Blocking binary-protocol client.
+//! The one client: [`Client<C>`] speaks either codec to the server.
 //!
-//! [`ReqBinClient`] speaks the length-prefixed binary codec to either
-//! server (the evented loop here, or any future binary listener). It
-//! implements [`ClientApi`], so the whole typed method surface —
-//! `create`, `add_batch`, `rank`, … — works unchanged; only the bytes
-//! on the wire differ from [`req_service::ReqClient`].
+//! Dialing and reconnecting, the [`RetryPolicy`] loop, `(client_id, seq)`
+//! idempotency stamping and request pipelining are written once here; the
+//! codec parameter ([`Text`](req_service::Text) or [`Binary`]) only
+//! decides the bytes. [`ReqBinClient`] names the binary instance. Either
+//! instance implements [`ClientApi`], so the typed method surface —
+//! `create`, `add_batch`, `rank`, … — is the same on both.
 //!
-//! The extra capability over the text client is
-//! [`ReqBinClient::call_pipelined`]: write a whole batch of request
-//! frames in one send, then collect the responses in order. With the
-//! evented server each wake-up serves every complete frame it finds, so
-//! a pipelined batch costs ~one round-trip instead of one per command.
+//! [`Client::call_pipelined`] writes a whole batch of requests in one
+//! send, then collects the responses in order. The server answers every
+//! complete message it finds per wake-up, so a pipelined batch costs
+//! ~one round-trip instead of one per command, over either codec.
 
+use bytes::BytesMut;
 use req_core::ReqError;
 use req_service::client::{attach_token, fresh_client_id, is_retryable};
-use req_service::protocol::binary;
-use req_service::{ClientApi, ErrorKind, Request, Response, RetryPolicy};
-use std::io::Write;
+use req_service::{
+    Binary, ClientApi, Codec, ErrorKind, Request, RequestKind, Response, RetryPolicy,
+};
+use std::collections::VecDeque;
+use std::io::{BufReader, Write};
+use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
-/// A blocking client for the binary framed protocol, with the same
-/// [`RetryPolicy`]-driven resilience as `req_service::ReqClient`:
-/// connect/read/write timeouts, reconnect-and-retry with deterministic
-/// jittered backoff, and idempotency tokens auto-stamped onto mutations
-/// so an ambiguous retry applies exactly once server-side.
+/// The binary-codec client.
+pub type ReqBinClient = Client<Binary>;
+
+/// A blocking client over codec `C`, with [`RetryPolicy`]-driven
+/// resilience: connect/read/write timeouts, reconnect-and-retry with
+/// deterministic jittered backoff, and idempotency tokens auto-stamped
+/// onto mutations so an ambiguous retry applies exactly once server-side.
 #[derive(Debug)]
-pub struct ReqBinClient {
-    stream: Option<TcpStream>,
+pub struct Client<C: Codec> {
+    /// Reads are buffered; writes go straight to the socket. `None` after
+    /// a transport failure, until the next send redials.
+    conn: Option<BufReader<TcpStream>>,
+    /// Kinds of the requests sent but not yet answered, oldest first
+    /// (a text reply decodes by the kind of request it answers).
+    in_flight: VecDeque<RequestKind>,
     addr: SocketAddr,
     policy: RetryPolicy,
     client_id: u64,
     next_seq: u64,
+    codec: PhantomData<C>,
 }
 
-impl ReqBinClient {
-    /// Connect to a binary-protocol server at `addr` (e.g.
-    /// `"127.0.0.1:7878"`) with the default [`RetryPolicy`].
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<ReqBinClient, ReqError> {
+impl<C: Codec> Client<C> {
+    /// Connect to the server at `addr` (e.g. `"127.0.0.1:7878"`) with the
+    /// default [`RetryPolicy`].
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ReqError> {
         Self::connect_with(addr, RetryPolicy::default())
     }
 
     /// Connect with an explicit policy.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        policy: RetryPolicy,
-    ) -> Result<ReqBinClient, ReqError> {
+    pub fn connect_with(addr: impl ToSocketAddrs, policy: RetryPolicy) -> Result<Self, ReqError> {
         let addr = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| ReqError::InvalidParameter("address resolved to nothing".into()))?;
-        let stream = Self::dial(&addr, &policy)?;
-        Ok(ReqBinClient {
-            stream: Some(stream),
+        let conn = Self::dial(&addr, &policy)?;
+        Ok(Client {
+            conn: Some(conn),
+            in_flight: VecDeque::new(),
             addr,
             policy,
             client_id: fresh_client_id(),
             next_seq: 1,
+            codec: PhantomData,
         })
     }
 
-    fn dial(addr: &SocketAddr, policy: &RetryPolicy) -> Result<TcpStream, ReqError> {
+    fn dial(addr: &SocketAddr, policy: &RetryPolicy) -> Result<BufReader<TcpStream>, ReqError> {
         let stream = TcpStream::connect_timeout(addr, policy.connect_timeout)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(policy.read_timeout))?;
         stream.set_write_timeout(Some(policy.write_timeout))?;
-        Ok(stream)
+        Ok(BufReader::new(stream))
     }
 
     /// The id stamped into this client's idempotency tokens.
@@ -77,29 +88,22 @@ impl ReqBinClient {
         &self.policy
     }
 
-    fn stream(&mut self) -> Result<&mut TcpStream, ReqError> {
-        if self.stream.is_none() {
-            self.stream = Some(Self::dial(&self.addr, &self.policy)?);
-        }
-        Ok(self.stream.as_mut().expect("just ensured"))
-    }
-
-    /// Send one request frame without waiting for the response.
-    /// Pair with [`ReqBinClient::read_response`] to drain replies later.
+    /// Send one request without waiting for the response, exactly as
+    /// given (no token is stamped). Pair with [`Client::read_response`].
     pub fn send(&mut self, req: &Request) -> Result<(), ReqError> {
-        let frame = binary::encode_request(req);
-        let result = self.stream()?.write_all(&frame).map_err(ReqError::from);
-        if result.is_err() {
-            self.stream = None;
-        }
-        result
+        self.send_all(std::slice::from_ref(req))
     }
 
-    /// Block until one response frame arrives and decode it.
+    /// Block until the response to the oldest unanswered request arrives.
     pub fn read_response(&mut self) -> Result<Response, ReqError> {
-        let result = binary::read_frame_blocking(self.stream()?).and_then(binary::decode_response);
+        let (Some(kind), Some(conn)) = (self.in_flight.pop_front(), self.conn.as_mut()) else {
+            return Err(ReqError::InvalidParameter(
+                "no request is awaiting a response".into(),
+            ));
+        };
+        let result = C::read_response(conn, kind);
         if result.is_err() {
-            self.stream = None;
+            self.disconnect();
         }
         result
     }
@@ -112,25 +116,39 @@ impl ReqBinClient {
     /// same batch and the server dedups whatever already applied.
     pub fn call_pipelined(&mut self, reqs: &[Request]) -> Result<Vec<Response>, ReqError> {
         let mut stamped = reqs.to_vec();
-        let mut batch = Vec::new();
         for req in &mut stamped {
             attach_token(req, self.client_id, &mut self.next_seq);
-            batch.extend_from_slice(&binary::encode_request(req));
         }
-        let write = self.stream()?.write_all(&batch).map_err(ReqError::from);
-        if let Err(e) = write {
-            self.stream = None;
-            return Err(e);
+        self.send_all(&stamped)?;
+        reqs.iter().map(|_| self.read_response()).collect()
+    }
+
+    /// Encode `reqs` into one buffer and write it, redialing first if the
+    /// last attempt dropped the connection.
+    fn send_all(&mut self, reqs: &[Request]) -> Result<(), ReqError> {
+        let mut out = BytesMut::new();
+        for req in reqs {
+            C::write_request(&mut out, req)?;
         }
-        let mut out = Vec::with_capacity(reqs.len());
-        for _ in reqs {
-            out.push(self.read_response()?);
+        if self.conn.is_none() {
+            self.conn = Some(Self::dial(&self.addr, &self.policy)?);
         }
-        Ok(out)
+        let conn = self.conn.as_mut().expect("just dialed");
+        if let Err(e) = conn.get_mut().write_all(&out) {
+            self.disconnect();
+            return Err(e.into());
+        }
+        self.in_flight.extend(reqs.iter().map(Request::kind));
+        Ok(())
+    }
+
+    fn disconnect(&mut self) {
+        self.conn = None;
+        self.in_flight.clear();
     }
 }
 
-impl ClientApi for ReqBinClient {
+impl<C: Codec> ClientApi for Client<C> {
     fn call(&mut self, req: &Request) -> Result<Response, ReqError> {
         let mut req = req.clone();
         attach_token(&mut req, self.client_id, &mut self.next_seq);
@@ -155,6 +173,8 @@ impl ClientApi for ReqBinClient {
                     msg: _,
                 }) if retryable && !give_up => {}
                 Ok(resp) => return Ok(resp),
+                // Transport-level Io failures are equally ambiguous; the
+                // token (or natural idempotence) makes the re-send safe.
                 Err(ReqError::Io(_)) if retryable && !give_up => {}
                 Err(e) => return Err(e),
             }

@@ -1,30 +1,27 @@
-//! # `req-evented` — event-driven binary front-end for the quantile service
+//! # `req-evented` — the network front-end of the quantile service
 //!
-//! A sibling of `req_service`'s thread-per-connection text server, sharing
-//! every core underneath (registry, WAL + group commit, snapshots, and the
-//! typed [`req_service::Request`]/[`req_service::Response`] protocol): this
-//! crate only swaps the *transport*. Readiness-driven event loops over
-//! non-blocking sockets (via the vendored `polling` epoll shim) hold
-//! thousands of idle connections per thread — a parked connection costs a
-//! registry entry and two buffers, not a parked OS thread — and the
-//! length-prefixed binary codec ([`req_service::protocol::binary`]) makes
-//! request **pipelining** natural: a client writes any number of frames
-//! without waiting, the server answers each in arrival order on the same
-//! connection.
+//! The one server and the one client over `req_service`'s cores
+//! (registry, WAL + group commit, snapshots, and the typed
+//! [`req_service::Request`]/[`req_service::Response`] protocol).
 //!
-//! ```text
-//!   text + thread pool (PR 5)        binary + evented (this crate)
-//!   ─────────────────────────        ─────────────────────────────
-//!   1 thread per connection          N loops (default: 1), each owning
-//!   blocking read_line per request   many connections' state machines
-//!   1 in-flight request per conn     full-pipeline: k frames in flight
-//!   ≤64 concurrent connections       fd-limit-bound connection density
-//! ```
+//! * **[`server`]** — readiness-driven event loops over non-blocking
+//!   sockets (via the vendored `polling` epoll shim). One port serves
+//!   both codecs: each connection picks text or binary from its fourth
+//!   byte, then runs the same read → parse every complete message →
+//!   [`req_service::execute()`] → flush loop, so either codec gets request
+//!   **pipelining** and fd-limit-bound connection density. A parked
+//!   connection costs a registry entry and two buffers, not an OS thread.
+//! * **[`client`]** — [`Client<C>`] over either codec
+//!   ([`req_service::Text`], [`req_service::Binary`]): dial and redial,
+//!   the [`req_service::RetryPolicy`] loop, idempotency-token stamping and
+//!   pipelined calls, written once. [`ReqBinClient`] is the binary one.
 //!
-//! Both servers funnel every request through
-//! [`req_service::server::execute`], so a command behaves identically on
-//! either transport — the cross-codec equivalence tests in `req-service`
-//! pin that down.
+//! The crate also ships the `req-server` binary (this server over a data
+//! directory) and `req-cli` (a text [`Client`] for the shell).
+//!
+//! Every request on either codec funnels through
+//! [`req_service::execute()`], so a command behaves identically whichever
+//! codec carried it; `tests/cross_codec.rs` pins that on live servers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,5 +29,5 @@
 pub mod client;
 pub mod server;
 
-pub use client::ReqBinClient;
+pub use client::{Client, ReqBinClient};
 pub use server::{serve_evented, serve_evented_with, EventedHandle, EventedOptions};

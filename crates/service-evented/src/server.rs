@@ -5,17 +5,29 @@
 //! and a map of connections. A connection is two buffers and a cursor
 //! pair: bytes read but not yet parsed, bytes rendered but not yet
 //! written. One readiness wake-up drains the socket, parses every
-//! complete frame (that is the pipelining — many requests per wake-up),
-//! executes them through [`req_service::server::execute`], appends the
-//! response frames, and flushes until the socket pushes back.
+//! complete message (that is the pipelining — many requests per
+//! wake-up), executes them through [`req_service::execute()`], appends the
+//! responses, and flushes until the socket pushes back.
+//!
+//! Both codecs share one port. A connection picks its codec once, from
+//! its fourth byte: a binary frame's little-endian length is capped at
+//! [`binary::MAX_MESSAGE_PAYLOAD`] (8 MiB), so its high byte is zero,
+//! while every text verb line has a nonzero fourth byte. Until four bytes
+//! arrive the connection waits; after the choice both codecs run the same
+//! loop.
 //!
 //! Fault taxonomy, by layer:
 //!
-//! * **Transport fault** (unframeable stream: oversized length prefix or
-//!   CRC mismatch) — the server answers with one typed `corrupt` error
-//!   frame and closes; nothing after the damage can be trusted.
-//! * **Request fault** (valid frame, undecodable or failing payload) — a
-//!   typed [`Response::Err`] for *that* frame; the connection lives on.
+//! * **Transport fault** (binary: an oversized length prefix or a CRC
+//!   mismatch; text: a line over [`text::MAX_LINE_BYTES`]) — the server
+//!   answers with one typed error and closes; nothing after the damage
+//!   can be trusted.
+//! * **Request fault** (a whole frame or line that fails to decode, or a
+//!   request that fails) — a typed [`Response::Err`] for *that* message;
+//!   the connection lives on.
+//!
+//! A message exists only whole: at EOF, complete messages are still
+//! answered and an unterminated tail is discarded, never executed.
 //!
 //! Backpressure: while a connection's pending write buffer exceeds
 //! [`MAX_WRITE_BACKLOG`], the loop stops arming its read side — a client
@@ -25,9 +37,8 @@
 use polling::{Event, Events, Poller};
 use req_core::ReqError;
 use req_service::faults::{Fault, FaultPlane, FaultSite};
-use req_service::protocol::binary;
-use req_service::server::execute;
-use req_service::{QuantileService, Request, Response};
+use req_service::protocol::{binary, text};
+use req_service::{execute, QuantileService, Request, Response};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -38,12 +49,6 @@ use std::time::{Duration, Instant};
 /// Pending response bytes above which a connection's read side is parked
 /// until the client drains responses (16 MiB).
 pub const MAX_WRITE_BACKLOG: usize = 16 * 1024 * 1024;
-
-/// Read buffer bytes above which an unparseable stream is treated as
-/// hostile: one frame (header + payload) can legitimately reach
-/// [`binary::MAX_MESSAGE_PAYLOAD`]; anything beyond that with no
-/// complete frame is garbage.
-const MAX_READ_BUFFER: usize = binary::MAX_MESSAGE_PAYLOAD + 64;
 
 const LISTENER_KEY: usize = 0;
 
@@ -94,13 +99,39 @@ pub struct EventedOptions {
     pub write_stall_timeout: Option<Duration>,
 }
 
+/// The codec a connection speaks, picked once from its fourth byte.
+#[derive(Clone, Copy)]
+enum Wire {
+    Text,
+    Binary,
+}
+
+/// One step of framing a connection's read buffer.
+enum Next {
+    /// No complete message is buffered yet.
+    More,
+    /// A blank text line: consumed, not answered.
+    Blank,
+    /// One whole message: its request, or the error it failed to decode
+    /// with (answered; the connection lives).
+    Message(Result<Request, ReqError>),
+    /// The stream cannot be framed past here: answer, then close.
+    Fatal(ReqError),
+}
+
 /// One connection's state machine.
 struct Conn {
     stream: TcpStream,
+    /// `None` until four bytes have arrived.
+    wire: Option<Wire>,
     /// Bytes received; `[parsed..]` is the unconsumed tail.
     read_buf: Vec<u8>,
     /// Offset of the first unparsed byte in `read_buf`.
     parsed: usize,
+    /// Text only: `read_buf[parsed..scanned]` holds no `\n`, so each
+    /// wake-up scans just the new bytes and a multi-MiB line arriving in
+    /// pieces costs linear time, not quadratic.
+    scanned: usize,
     /// Response bytes not yet accepted by the socket.
     write_buf: Vec<u8>,
     /// Offset of the first unwritten byte in `write_buf`.
@@ -120,8 +151,10 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
+            wire: None,
             read_buf: Vec::new(),
             parsed: 0,
+            scanned: 0,
             write_buf: Vec::new(),
             written: 0,
             close_after_flush: false,
@@ -132,6 +165,70 @@ impl Conn {
 
     fn pending_write(&self) -> usize {
         self.write_buf.len() - self.written
+    }
+
+    /// Frame the next message out of the read buffer.
+    fn next_message(&mut self) -> Next {
+        let wire = match (self.wire, self.read_buf.get(3)) {
+            (Some(wire), _) => wire,
+            (None, None) => return Next::More,
+            (None, Some(0)) => *self.wire.insert(Wire::Binary),
+            (None, Some(_)) => *self.wire.insert(Wire::Text),
+        };
+        match wire {
+            Wire::Binary => match binary::try_deframe(&self.read_buf, self.parsed) {
+                Ok(Some((payload, used))) => {
+                    self.parsed += used;
+                    Next::Message(binary::decode_request(payload))
+                }
+                Ok(None) => Next::More,
+                Err(e) => Next::Fatal(e),
+            },
+            Wire::Text => self.next_line(),
+        }
+    }
+
+    fn next_line(&mut self) -> Next {
+        let too_long = || {
+            Next::Fatal(ReqError::InvalidParameter(format!(
+                "request line exceeds {} bytes",
+                text::MAX_LINE_BYTES
+            )))
+        };
+        let start = self.scanned.max(self.parsed);
+        let Some(newline) = self.read_buf[start..].iter().position(|&b| b == b'\n') else {
+            self.scanned = self.read_buf.len();
+            if self.read_buf.len() - self.parsed >= text::MAX_LINE_BYTES {
+                return too_long();
+            }
+            return Next::More;
+        };
+        let end = start + newline + 1;
+        let line = &self.read_buf[self.parsed..end];
+        self.parsed = end;
+        if line.len() > text::MAX_LINE_BYTES {
+            return too_long();
+        }
+        match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => Next::Blank,
+            Ok(line) => Next::Message(text::decode_request(line)),
+            Err(_) => Next::Message(Err(ReqError::InvalidParameter(
+                "request line is not UTF-8".into(),
+            ))),
+        }
+    }
+
+    fn push_response(&mut self, resp: &Response) {
+        match self.wire {
+            Some(Wire::Text) => {
+                self.write_buf
+                    .extend_from_slice(text::encode_response(resp).as_bytes());
+                self.write_buf.push(b'\n');
+            }
+            _ => self
+                .write_buf
+                .extend_from_slice(&binary::encode_response(resp)),
+        }
     }
 }
 
@@ -181,7 +278,7 @@ impl Drop for EventedHandle {
     }
 }
 
-/// Bind `addr` and serve `service` over the binary protocol on `loops`
+/// Bind `addr` and serve `service` over both codecs on `loops`
 /// event-loop threads (clamped to `1..=8`; one loop drives thousands of
 /// connections, more only help past one saturated core).
 pub fn serve_evented(
@@ -401,10 +498,13 @@ fn drive(
             Fault::Delay(ms) => std::thread::sleep(Duration::from_millis(u64::from(ms))),
             Fault::None => {}
         }
-        if !fill(conn) {
-            return conn.pending_write() > 0; // keep only to flush a tail
-        }
+        let open = fill(conn);
+        // Messages completed before EOF are still answered; an
+        // unterminated tail is dropped with the connection.
         *frames += parse_and_execute(conn, service);
+        if !open {
+            conn.close_after_flush = true;
+        }
     }
     if !flush(conn, faults) {
         return false;
@@ -418,83 +518,52 @@ fn fill(conn: &mut Conn) -> bool {
     let mut chunk = [0u8; 64 * 1024];
     loop {
         match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.close_after_flush = true;
-                return false;
-            }
+            Ok(0) => return false,
             Ok(n) => conn.read_buf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.close_after_flush = true;
-                return false;
-            }
+            Err(_) => return false,
         }
     }
 }
 
-/// Parse every complete frame in the read buffer and execute it; this
+/// Parse every complete message in the read buffer and execute it; this
 /// loop is where pipelined requests all get served off one wake-up.
-/// Returns the number of complete frames handled (the per-wakeup
-/// pipelining width the telemetry histograms record).
+/// Returns the number of messages handled (the per-wakeup pipelining
+/// width the telemetry histograms record).
 fn parse_and_execute(conn: &mut Conn, service: &QuantileService) -> u64 {
     let mut handled = 0u64;
-    loop {
-        match binary::try_deframe(&conn.read_buf, conn.parsed) {
-            Ok(Some((payload, used))) => {
-                conn.parsed += used;
-                handled += 1;
-                let resp;
-                match binary::decode_request(payload) {
-                    Ok(req) => {
-                        let quit = matches!(req, Request::Quit);
-                        resp = execute(service, req);
-                        if quit {
-                            conn.close_after_flush = true;
-                        }
-                    }
-                    // Frame intact, payload bad: a request-level fault —
-                    // answer it, keep the connection.
-                    Err(e) => resp = Response::from_error(&e),
-                }
-                push_response(conn, &resp);
-                if conn.close_after_flush {
-                    break;
-                }
-            }
-            Ok(None) => {
-                // Incomplete — but an over-large buffer with no frame in
-                // it is not a slow client, it is garbage without a
-                // parseable length. Same treatment as a CRC fault.
-                if conn.read_buf.len() - conn.parsed > MAX_READ_BUFFER {
-                    let fault = ReqError::CorruptBytes(format!(
-                        "no complete frame in {MAX_READ_BUFFER} buffered bytes"
-                    ));
-                    push_response(conn, &Response::from_error(&fault));
-                    conn.close_after_flush = true;
-                }
-                break;
-            }
-            // Transport fault: answer with the typed corruption error,
-            // then drop the connection once it flushes.
-            Err(e) => {
-                push_response(conn, &Response::from_error(&e));
+    while !conn.close_after_flush {
+        let resp = match conn.next_message() {
+            Next::More => break,
+            Next::Blank => continue,
+            // Transport fault: answer with the typed error, then drop
+            // the connection once it flushes.
+            Next::Fatal(e) => {
                 conn.close_after_flush = true;
-                break;
+                Response::from_error(&e)
             }
-        }
+            Next::Message(Ok(req)) => {
+                handled += 1;
+                conn.close_after_flush = matches!(req, Request::Quit);
+                execute(service, req)
+            }
+            // A whole message with a bad payload: a request-level fault —
+            // answer it, keep the connection.
+            Next::Message(Err(e)) => {
+                handled += 1;
+                Response::from_error(&e)
+            }
+        };
+        conn.push_response(&resp);
     }
     // Reclaim the consumed prefix once it dominates the buffer.
     if conn.parsed > 4096 && conn.parsed * 2 >= conn.read_buf.len() {
         conn.read_buf.drain(..conn.parsed);
+        conn.scanned = conn.scanned.saturating_sub(conn.parsed);
         conn.parsed = 0;
     }
     handled
-}
-
-fn push_response(conn: &mut Conn, resp: &Response) {
-    let frame = binary::encode_response(resp);
-    conn.write_buf.extend_from_slice(&frame);
 }
 
 /// Write until `WouldBlock` or drained. Returns `false` on a dead socket.

@@ -1,14 +1,14 @@
-//! Cross-codec equivalence, live: the same request script driven through
-//! the PR 5 text/thread-pool server and through the evented binary
-//! server must produce response-for-response identical results. Both
-//! transports funnel into `req_service::server::execute`, and this test
+//! Cross-codec equivalence, live: the same request script driven over
+//! the text codec and over the binary codec, each through its own
+//! `serve_evented` server, must produce response-for-response identical
+//! results. Both codecs funnel into `req_service::execute`, and this test
 //! pins that the codecs on either side of it are lossless.
 
-use req_evented::{serve_evented, ReqBinClient};
+use req_evented::{serve_evented, Client, ReqBinClient};
 use req_service::client::attach_token;
 use req_service::tempdir::TempDir;
 use req_service::{
-    serve, ClientApi, QuantileService, ReqClient, Request, ServiceConfig, TenantConfig,
+    ClientApi, QuantileService, Request, Response, ServiceConfig, TenantConfig, Text,
 };
 use std::sync::Arc;
 
@@ -127,45 +127,53 @@ fn text_and_binary_transports_answer_identically() {
     let text_dir = TempDir::new("cross-text").unwrap();
     let text_service =
         Arc::new(QuantileService::open(ServiceConfig::new(text_dir.path())).unwrap());
-    let text_handle = serve(Arc::clone(&text_service), "127.0.0.1:0", 2).unwrap();
-    let mut text_client = ReqClient::connect(text_handle.addr()).unwrap();
+    let text_handle = serve_evented(Arc::clone(&text_service), "127.0.0.1:0", 1).unwrap();
+    let mut text_client = Client::<Text>::connect(text_handle.addr()).unwrap();
 
     let bin_dir = TempDir::new("cross-bin").unwrap();
     let bin_service = Arc::new(QuantileService::open(ServiceConfig::new(bin_dir.path())).unwrap());
     let bin_handle = serve_evented(Arc::clone(&bin_service), "127.0.0.1:0", 1).unwrap();
     let mut bin_client = ReqBinClient::connect(bin_handle.addr()).unwrap();
 
+    let mut tailed_bytes = 0;
     for (i, req) in script.iter().enumerate() {
         let via_text = text_client.call(req);
         let via_binary = bin_client.call(req);
         match (via_text, via_binary) {
-            (Ok(t), Ok(b)) => assert_eq!(t, b, "step {i} ({req:?}) diverged"),
+            (Ok(t), Ok(b)) => {
+                if let (Response::Tailed(t), Response::Tailed(b)) = (&t, &b) {
+                    assert_eq!(t.frames, b.frames, "step {i}: TAIL segments differ");
+                    tailed_bytes += t.frames.len();
+                }
+                assert_eq!(t, b, "step {i} ({req:?}) diverged")
+            }
             (t, b) => panic!("step {i} ({req:?}): transport-level failure {t:?} vs {b:?}"),
         }
         if matches!(req, Request::Quit) {
             break;
         }
     }
+    assert!(tailed_bytes > 0, "the script never shipped a WAL frame");
 
     // Beyond the wire: the two services hold identical durable state.
     assert_eq!(
         text_service.stats("a").unwrap().n,
         bin_service.stats("a").unwrap().n
     );
-    drop(text_handle);
+    text_handle.shutdown();
     bin_handle.shutdown();
 }
 
 /// Err responses never collapse into strings anywhere on either path:
-/// the kind survives to the client as the right `ReqError` variant.
+/// the kind survives to the client as the right `ReqError` variant. Both
+/// codecs dial the same address.
 #[test]
 fn error_kinds_survive_both_transports() {
     let dir = TempDir::new("cross-err").unwrap();
     let service = Arc::new(QuantileService::open(ServiceConfig::new(dir.path())).unwrap());
-    let text_handle = serve(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
-    let bin_handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
-    let mut tc = ReqClient::connect(text_handle.addr()).unwrap();
-    let mut bc = ReqBinClient::connect(bin_handle.addr()).unwrap();
+    let handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
+    let mut tc = Client::<Text>::connect(handle.addr()).unwrap();
+    let mut bc = ReqBinClient::connect(handle.addr()).unwrap();
 
     let req = Request::Rank {
         key: "missing".into(),

@@ -1,14 +1,22 @@
-//! End-to-end tests for the evented binary server: the full typed command
-//! surface, deep pipelining on one connection, durability across restarts,
-//! idle-connection density far beyond the text server's thread cap, and
-//! fault handling at both protocol layers.
+//! End-to-end tests for the one server: the full typed command surface
+//! over both codecs, deep pipelining on one connection, durability across
+//! restarts, idle-connection density, per-connection codec sniffing, and
+//! fault handling at both protocol layers of both codecs.
+//!
+//! A codec-independent test is one generic body, run once per codec.
 
 use req_core::ReqError;
-use req_evented::{serve_evented, EventedHandle, ReqBinClient};
+use req_evented::{serve_evented, Client, EventedHandle, ReqBinClient};
+use req_service::protocol::{binary, text};
 use req_service::tempdir::TempDir;
-use req_service::{ClientApi, CreateOptions, QuantileService, Request, Response, ServiceConfig};
-use std::io::{Read, Write};
+use req_service::{
+    Binary, ClientApi, Codec, CreateOptions, QuantileService, Request, Response, RetryPolicy,
+    ServiceConfig, Text,
+};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn start(dir: &std::path::Path, loops: usize) -> (Arc<QuantileService>, EventedHandle) {
     let service = Arc::new(QuantileService::open(ServiceConfig::new(dir)).unwrap());
@@ -16,11 +24,26 @@ fn start(dir: &std::path::Path, loops: usize) -> (Arc<QuantileService>, EventedH
     (service, handle)
 }
 
-#[test]
-fn full_command_surface_roundtrips_over_binary() {
+/// Instantiate a codec-generic test body once per codec, under its
+/// binary and text test names.
+macro_rules! per_codec {
+    ($body:ident: $binary:ident, $text:ident) => {
+        #[test]
+        fn $binary() {
+            $body::<Binary>();
+        }
+
+        #[test]
+        fn $text() {
+            $body::<Text>();
+        }
+    };
+}
+
+fn full_command_surface<C: Codec>() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
-    let mut c = ReqBinClient::connect(handle.addr()).unwrap();
+    let mut c = Client::<C>::connect(handle.addr()).unwrap();
 
     c.ping().unwrap();
     c.create(
@@ -51,6 +74,7 @@ fn full_command_surface_roundtrips_over_binary() {
     assert_eq!(stats.n, 10_001);
     assert_eq!(stats.shards, 2);
     assert!(stats.hra);
+    assert!(stats.retained > 0);
     assert_eq!(c.list().unwrap(), vec!["lat".to_string()]);
 
     assert_eq!(c.snapshot().unwrap(), 1);
@@ -61,13 +85,17 @@ fn full_command_surface_roundtrips_over_binary() {
     handle.shutdown();
 }
 
-/// The satellite requirement: 1 000 commands in flight on ONE connection,
-/// written before any response is read, answered in order.
-#[test]
-fn thousand_pipelined_commands_on_one_connection() {
+per_codec!(
+    full_command_surface: full_command_surface_roundtrips_over_binary,
+    full_command_surface_roundtrips_over_text
+);
+
+/// 1 000 commands in flight on ONE connection, written before any
+/// response is read, answered in order.
+fn thousand_pipelined<C: Codec>() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
-    let mut c = ReqBinClient::connect(handle.addr()).unwrap();
+    let mut c = Client::<C>::connect(handle.addr()).unwrap();
     c.create("p", &CreateOptions::default()).unwrap();
 
     let mut reqs = Vec::with_capacity(1_000);
@@ -116,11 +144,15 @@ fn thousand_pipelined_commands_on_one_connection() {
     assert!(matches!(resps[999], Response::Pong));
 }
 
-#[test]
-fn errors_keep_their_kind_and_the_connection_survives() {
+per_codec!(
+    thousand_pipelined: thousand_pipelined_commands_on_one_connection,
+    thousand_pipelined_commands_on_one_connection_over_text
+);
+
+fn errors_keep_their_kind<C: Codec>() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
-    let mut c = ReqBinClient::connect(handle.addr()).unwrap();
+    let mut c = Client::<C>::connect(handle.addr()).unwrap();
 
     let err = c.rank("ghost", 1.0).unwrap_err();
     match err {
@@ -147,13 +179,40 @@ fn errors_keep_their_kind_and_the_connection_survives() {
     c.ping().unwrap();
 }
 
+per_codec!(
+    errors_keep_their_kind: errors_keep_their_kind_and_the_connection_survives,
+    errors_keep_their_kind_and_the_connection_survives_over_text
+);
+
+/// The text twin of a bad payload in a valid frame: a whole line that
+/// fails to decode gets `ERR …` and the connection lives; blank lines get
+/// no reply at all.
+#[test]
+fn undecodable_text_lines_get_an_error_and_the_connection_lives() {
+    let dir = TempDir::new("evented").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.write_all(b"WHAT even\n\n   \r\nADDB t\nRANK t \xff\nPING\n")
+        .unwrap();
+    let mut replies = BufReader::new(raw).lines();
+    let mut next = || replies.next().unwrap().unwrap();
+    for want in ["unknown command", "at least one value", "not UTF-8"] {
+        let reply = next();
+        assert!(
+            reply.starts_with("ERR invalid") && reply.contains(want),
+            "got `{reply}`, want an error about {want}"
+        );
+    }
+    assert_eq!(next(), "OK pong");
+}
+
 #[test]
 fn corrupt_frames_get_a_typed_error_then_eof() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
 
     // Frame with a deliberately wrong CRC: length says 4, CRC is garbage.
-    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
     let mut bad = Vec::new();
     bad.extend_from_slice(&4u32.to_le_bytes());
     bad.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
@@ -161,8 +220,8 @@ fn corrupt_frames_get_a_typed_error_then_eof() {
     raw.write_all(&bad).unwrap();
 
     // The server answers with one typed `corrupt` error frame…
-    let payload = req_service::protocol::binary::read_frame_blocking(&mut raw).unwrap();
-    let resp = req_service::protocol::binary::decode_response(payload).unwrap();
+    let payload = binary::read_frame_blocking(&mut raw).unwrap();
+    let resp = binary::decode_response(payload).unwrap();
     match resp {
         Response::Err { kind, .. } => {
             assert_eq!(kind, req_service::ErrorKind::Corrupt)
@@ -178,13 +237,48 @@ fn corrupt_frames_get_a_typed_error_then_eof() {
     c.ping().unwrap();
 }
 
+/// The text twin of the corrupt-frame test: a line past
+/// [`text::MAX_LINE_BYTES`] gets one `invalid … exceeds` error, then EOF.
 #[test]
-fn state_survives_a_server_restart() {
+fn oversized_text_lines_get_a_typed_error_then_eof() {
+    let dir = TempDir::new("evented").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    // A legitimate large-but-bounded batch works.
+    let mut c = Client::<Text>::connect(handle.addr()).unwrap();
+    c.create("t", &CreateOptions::default()).unwrap();
+    let big: Vec<f64> = (0..100_000).map(|i| i as f64).collect();
+    assert_eq!(c.add_batch("t", &big).unwrap(), 100_000);
+
+    // Exactly MAX_LINE_BYTES with no newline: the server consumes every
+    // byte before it gives up, so its close is a clean FIN after the
+    // error line, never a reset that could swallow it.
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.write_all(&vec![b'x'; text::MAX_LINE_BYTES]).unwrap();
+    let mut reader = BufReader::new(raw);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(
+        reply.starts_with("ERR invalid") && reply.contains("exceeds"),
+        "got `{reply}`"
+    );
+    let mut tail = [0u8; 16];
+    assert_eq!(
+        reader.read(&mut tail).unwrap(),
+        0,
+        "expected EOF after fault"
+    );
+
+    // The server keeps serving other clients.
+    c.ping().unwrap();
+    assert_eq!(c.stats("t").unwrap().n, 100_000);
+}
+
+fn state_survives_a_restart<C: Codec>() {
     let dir = TempDir::new("evented").unwrap();
     let probes: Vec<f64> = (0..50).map(|i| i as f64 * 199.0).collect();
     let want: Vec<u64> = {
         let (_service, handle) = start(dir.path(), 1);
-        let mut c = ReqBinClient::connect(handle.addr()).unwrap();
+        let mut c = Client::<C>::connect(handle.addr()).unwrap();
         c.create(
             "t",
             &CreateOptions {
@@ -198,25 +292,30 @@ fn state_survives_a_server_restart() {
             c.add_batch("t", chunk).unwrap();
         }
         probes.iter().map(|&p| c.rank("t", p).unwrap()).collect()
+        // handle dropped: server stops; service dropped: "process exit"
     };
     let (service, handle) = start(dir.path(), 1);
     assert!(service.recovery_report().records_replayed > 0);
-    let mut c = ReqBinClient::connect(handle.addr()).unwrap();
+    let mut c = Client::<C>::connect(handle.addr()).unwrap();
     let got: Vec<u64> = probes.iter().map(|&p| c.rank("t", p).unwrap()).collect();
     assert_eq!(got, want, "recovered server must answer identically");
     assert_eq!(c.stats("t").unwrap().n, 8_000);
 }
 
-/// The density claim: the text server is structurally capped at 64
-/// concurrent connections (one thread each); the evented server holds an
-/// order of magnitude more — on ONE loop thread — and every single one
-/// still answers.
+per_codec!(
+    state_survives_a_restart: state_survives_a_server_restart,
+    state_survives_a_server_restart_over_text
+);
+
+/// The density claim: one loop thread holds hundreds of idle connections
+/// — each costs two buffers, not an OS thread — and every one still
+/// answers.
 #[test]
 fn holds_640_plus_idle_connections_on_one_thread() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
 
-    const CONNS: usize = 700; // >10x the text server's 64-thread cap
+    const CONNS: usize = 700;
     let mut clients = Vec::with_capacity(CONNS);
     for _ in 0..CONNS {
         clients.push(ReqBinClient::connect(handle.addr()).unwrap());
@@ -241,12 +340,11 @@ fn holds_640_plus_idle_connections_on_one_thread() {
     handle.shutdown();
 }
 
-#[test]
-fn quit_closes_only_that_connection() {
+fn quit_closes_only_its_connection<C: Codec>() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
-    let mut a = ReqBinClient::connect(handle.addr()).unwrap();
-    let b = ReqBinClient::connect(handle.addr()).unwrap();
+    let mut a = Client::<C>::connect(handle.addr()).unwrap();
+    let b = Client::<C>::connect(handle.addr()).unwrap();
     a.ping().unwrap();
     b.quit().unwrap();
     a.ping().unwrap();
@@ -259,6 +357,89 @@ fn quit_closes_only_that_connection() {
     assert!(matches!(resps[2], Response::Bye));
 }
 
+per_codec!(
+    quit_closes_only_its_connection: quit_closes_only_that_connection,
+    quit_closes_only_that_connection_over_text
+);
+
+/// One port, both codecs: each connection sniffs its own codec from its
+/// fourth byte, and waits while it has sent fewer than four.
+#[test]
+fn text_and_binary_connections_share_one_port() {
+    let dir = TempDir::new("evented-sniff").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut t = Client::<Text>::connect(handle.addr()).unwrap();
+    let mut b = ReqBinClient::connect(handle.addr()).unwrap();
+    t.create("s", &CreateOptions::default()).unwrap();
+    for i in 0..10 {
+        let batch = [i as f64, i as f64 + 0.5];
+        if i % 2 == 0 {
+            t.add_batch("s", &batch).unwrap();
+        } else {
+            b.add_batch("s", &batch).unwrap();
+        }
+    }
+    assert_eq!(t.stats("s").unwrap().n, 20);
+    assert_eq!(b.stats("s").unwrap(), t.stats("s").unwrap());
+    assert_eq!(b.quantile("s", 0.5).unwrap(), t.quantile("s", 0.5).unwrap());
+
+    // A text verb split before its fourth byte.
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.write_all(b"PI").unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    raw.write_all(b"NG\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(&raw).read_line(&mut reply).unwrap();
+    assert_eq!(reply, "OK pong\n");
+
+    // A binary frame split before its fourth byte.
+    let frame = binary::encode_request(&Request::Ping);
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.write_all(&frame[..3]).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    raw.write_all(&frame[3..]).unwrap();
+    let payload = binary::read_frame_blocking(&mut raw).unwrap();
+    assert_eq!(binary::decode_response(payload).unwrap(), Response::Pong);
+}
+
+/// A reply exists only with its newline. A server that writes `OK 6` and
+/// closes has not answered a 64-value `ADDB` with 6: the client must
+/// report a transport error (retried only under a token), not `Ok(6)`.
+#[test]
+fn torn_text_reply_is_a_transport_error_not_an_answer() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut request = String::new();
+        reader.read_line(&mut request).unwrap();
+        reader.get_mut().write_all(b"OK 6").unwrap();
+        request
+    });
+    let mut c = Client::<Text>::connect_with(addr, RetryPolicy::no_retries()).unwrap();
+    let got = c.add_batch("t", &[1.5; 64]);
+    assert!(matches!(got, Err(ReqError::Io(_))), "got {got:?}");
+    assert!(server.join().unwrap().starts_with("ADDB t 1.5"));
+}
+
+/// The server side of the same rule: an unterminated final line is
+/// discarded at EOF, never executed. `TOKEN=` is the *last* field of a
+/// text `ADDB`, so a torn prefix would apply without its token and the
+/// retry would double-ingest.
+#[test]
+fn torn_text_request_at_eof_is_discarded_not_applied() {
+    let dir = TempDir::new("evented-torn").unwrap();
+    let (service, handle) = start(dir.path(), 1);
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.write_all(b"CREATE t\nADDB t 1 2 3").unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut replies = String::new();
+    raw.read_to_string(&mut replies).unwrap();
+    assert_eq!(replies, "OK created\n");
+    assert_eq!(service.stats("t").unwrap().n, 0);
+}
+
 /// The write-backlog satellite: a client that pipelines huge responses
 /// and never reads them cannot pin the server. The loop parks the
 /// connection's read side once [`MAX_WRITE_BACKLOG`] is queued, and the
@@ -269,7 +450,7 @@ fn quit_closes_only_that_connection() {
 fn never_draining_reader_is_evicted_after_the_stall_timeout() {
     use req_evented::server::MAX_WRITE_BACKLOG;
     use req_evented::{serve_evented_with, EventedOptions};
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     let dir = TempDir::new("evented-stall").unwrap();
     let service = Arc::new(QuantileService::open(ServiceConfig::new(dir.path())).unwrap());
@@ -295,16 +476,16 @@ fn never_draining_reader_is_evicted_after_the_stall_timeout() {
     // fill() hits `WouldBlock` and re-arms between bursts — that re-arm
     // is where the >16 MiB backlog parks the connection's read interest,
     // after which the kernel buffers jam and our writes time out.
-    let frame = req_service::protocol::binary::encode_request(&Request::Cdf {
+    let frame = binary::encode_request(&Request::Cdf {
         key: "t".into(),
         points: vec![2.0; 65_536],
     });
-    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
     raw.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
     let mut written = 0usize;
     let jam_bound = 8 * MAX_WRITE_BACKLOG;
     while written < jam_bound {
-        match std::io::Write::write_all(&mut raw, &frame) {
+        match raw.write_all(&frame) {
             Ok(()) => written += frame.len(),
             Err(_) => break, // jammed (or already evicted) — both are the point
         }
@@ -339,11 +520,9 @@ fn never_draining_reader_is_evicted_after_the_stall_timeout() {
 /// still lands every batch exactly once — torn responses and dropped
 /// connections surface as transport errors, never as duplicated or lost
 /// ingest.
-#[test]
-fn injected_socket_faults_never_duplicate_or_lose_acked_batches() {
+fn socket_faults_are_exactly_once<C: Codec>() {
     use req_evented::{serve_evented_with, EventedOptions};
-    use req_service::{FaultKind, FaultPlane, FaultSite, RetryPolicy};
-    use std::time::Duration;
+    use req_service::{FaultKind, FaultPlane, FaultSite};
 
     for seed in [1u64, 2, 3] {
         let dir = TempDir::new("evented-chaos").unwrap();
@@ -372,11 +551,13 @@ fn injected_socket_faults_never_duplicate_or_lose_acked_batches() {
             seed,
             ..RetryPolicy::default()
         };
-        let mut c = ReqBinClient::connect_with(handle.addr(), policy).unwrap();
+        let mut c = Client::<C>::connect_with(handle.addr(), policy).unwrap();
         c.create("t", &CreateOptions::default()).unwrap();
         let mut expected = 0u64;
         for i in 0..60u64 {
-            let batch: Vec<f64> = (0..1 + i % 7).map(|j| (i * 10 + j) as f64).collect();
+            // Up to 16 values, so a torn text count (`OK 1` of `OK 12`)
+            // would show as a wrong answer rather than pass unnoticed.
+            let batch: Vec<f64> = (0..1 + i % 16).map(|j| (i * 10 + j) as f64).collect();
             assert_eq!(
                 c.add_batch("t", &batch).unwrap(),
                 batch.len() as u64,
@@ -395,18 +576,22 @@ fn injected_socket_faults_never_duplicate_or_lose_acked_batches() {
     }
 }
 
-#[test]
-fn concurrent_binary_clients_share_one_tenant() {
+per_codec!(
+    socket_faults_are_exactly_once: injected_socket_faults_never_duplicate_or_lose_acked_batches,
+    injected_socket_faults_never_duplicate_or_lose_acked_batches_over_text
+);
+
+fn concurrent_clients_share_a_tenant<C: Codec>() {
     let dir = TempDir::new("evented").unwrap();
     let (service, handle) = start(dir.path(), 2);
     let addr = handle.addr();
-    let mut c = ReqBinClient::connect(addr).unwrap();
+    let mut c = Client::<C>::connect(addr).unwrap();
     c.create("shared", &CreateOptions::default()).unwrap();
 
     std::thread::scope(|scope| {
         for t in 0..4u64 {
             scope.spawn(move || {
-                let mut c = ReqBinClient::connect(addr).unwrap();
+                let mut c = Client::<C>::connect(addr).unwrap();
                 let values: Vec<f64> = (0..5_000).map(|i| (t * 5_000 + i) as f64).collect();
                 for chunk in values.chunks(250) {
                     c.add_batch("shared", chunk).unwrap();
@@ -415,9 +600,17 @@ fn concurrent_binary_clients_share_one_tenant() {
         }
     });
     assert_eq!(c.stats("shared").unwrap().n, 20_000);
+    let r = c.rank("shared", 10_000.0).unwrap();
+    assert!((r as f64 - 10_001.0).abs() / 10_001.0 < 0.2, "rank {r}");
     handle.shutdown();
     drop(service);
 
+    // Everything the concurrent clients wrote is durable.
     let (service, _handle) = start(dir.path(), 1);
     assert_eq!(service.stats("shared").unwrap().n, 20_000);
 }
+
+per_codec!(
+    concurrent_clients_share_a_tenant: concurrent_binary_clients_share_one_tenant,
+    concurrent_text_clients_share_one_tenant
+);

@@ -1,13 +1,12 @@
-//! Typed clients for the service's wire API.
+//! The typed client surface for the service's wire API.
 //!
 //! [`ClientApi`] is the transport-independent surface: one required
 //! method ([`ClientApi::call`]) sends a typed [`Request`] and returns the
 //! typed [`Response`]; every command gets a typed convenience method
 //! (`rank()`, `quantile()`, `add_batch()`, …) as a default on the trait.
-//! [`ReqClient`] implements it over the text codec (one line per
-//! message); `req_evented::ReqBinClient` implements the same trait over
-//! CRC32-framed binary messages — callers swap transports without
-//! touching call sites.
+//! `req_evented::Client` implements it once for both codecs, and the
+//! cluster router implements it over a ring of nodes — callers swap
+//! transports without touching call sites.
 //!
 //! Remote failures come back as the same [`ReqError`] variants the server
 //! raised (the error kind round-trips through [`Response::Err`]), so
@@ -15,23 +14,22 @@
 //!
 //! ## Resilience
 //!
-//! [`ReqClient`] carries a [`RetryPolicy`]: connect/read/write timeouts,
-//! plus capped exponential backoff with deterministic jitter. Mutations
+//! Clients carry a [`RetryPolicy`]: connect/read/write timeouts, plus
+//! capped exponential backoff with deterministic jitter. Mutations
 //! (`CREATE`/`ADDB`/`DROP`) are stamped with an idempotency token
-//! (`client_id:seq`) before the first send, so a retry after an ambiguous
-//! timeout re-sends the *same* token and the server's dedup window applies
-//! it exactly once — even across a server crash and recovery. Queries are
-//! naturally idempotent and retry freely; a plain `ADD` carries no token
-//! and is never auto-retried.
+//! (`client_id:seq`, see [`attach_token`]) before the first send, so a
+//! retry after an ambiguous timeout re-sends the *same* token and the
+//! server's dedup window applies it exactly once — even across a server
+//! crash and recovery. Queries are naturally idempotent and retry freely;
+//! a plain `ADD` carries no token and is never auto-retried
+//! ([`is_retryable`]).
 
 use req_core::ReqError;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::config::TenantConfig;
 use crate::faults::mix;
-use crate::protocol::{text, IdemToken, Request, Response, TailSegment};
+use crate::protocol::{IdemToken, Request, Response, TailSegment};
 use crate::service::TenantStats;
 
 /// Timeouts and retry/backoff settings for resilient clients.
@@ -402,161 +400,4 @@ pub fn fresh_client_id() -> u64 {
     mix(nanos)
         ^ mix(u64::from(std::process::id()).wrapping_shl(32))
         ^ mix(COUNTER.fetch_add(1, Ordering::Relaxed))
-}
-
-/// A connected text-protocol client (one line per message) with
-/// reconnect-and-retry resilience (see the module docs).
-#[derive(Debug)]
-pub struct ReqClient {
-    conn: Option<TextConn>,
-    addr: SocketAddr,
-    policy: RetryPolicy,
-    client_id: u64,
-    next_seq: u64,
-}
-
-#[derive(Debug)]
-struct TextConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl TextConn {
-    fn dial(addr: &SocketAddr, policy: &RetryPolicy) -> Result<Self, ReqError> {
-        let stream = TcpStream::connect_timeout(addr, policy.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(policy.read_timeout))?;
-        stream.set_write_timeout(Some(policy.write_timeout))?;
-        let writer = stream.try_clone()?;
-        Ok(TextConn {
-            reader: BufReader::new(stream),
-            writer,
-        })
-    }
-
-    /// Send one raw line, return the raw response line (unparsed).
-    fn send_line(&mut self, line: &str) -> Result<String, ReqError> {
-        // One write per request (see server.rs on TCP_NODELAY packets).
-        let mut framed = String::with_capacity(line.len() + 1);
-        framed.push_str(line);
-        framed.push('\n');
-        self.writer.write_all(framed.as_bytes())?;
-        self.writer.flush()?;
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(ReqError::Io("server closed the connection".into()));
-        }
-        while response.ends_with('\n') || response.ends_with('\r') {
-            response.pop();
-        }
-        Ok(response)
-    }
-}
-
-impl ReqClient {
-    /// Connect to a running `req-server` with the default [`RetryPolicy`].
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ReqError> {
-        Self::connect_with(addr, RetryPolicy::default())
-    }
-
-    /// Connect with an explicit policy.
-    pub fn connect_with(addr: impl ToSocketAddrs, policy: RetryPolicy) -> Result<Self, ReqError> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| ReqError::InvalidParameter("address resolved to nothing".into()))?;
-        let conn = TextConn::dial(&addr, &policy)?;
-        Ok(ReqClient {
-            conn: Some(conn),
-            addr,
-            policy,
-            client_id: fresh_client_id(),
-            next_seq: 1,
-        })
-    }
-
-    /// The id stamped into this client's idempotency tokens.
-    pub fn client_id(&self) -> u64 {
-        self.client_id
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    fn conn(&mut self) -> Result<&mut TextConn, ReqError> {
-        if self.conn.is_none() {
-            self.conn = Some(TextConn::dial(&self.addr, &self.policy)?);
-        }
-        Ok(self.conn.as_mut().expect("just ensured"))
-    }
-
-    /// Send one raw line, reconnecting first if the previous attempt
-    /// dropped the connection. Transport failures poison the connection
-    /// so the next call redials.
-    fn send_line(&mut self, line: &str) -> Result<String, ReqError> {
-        if line.contains('\n') || line.contains('\r') {
-            return Err(ReqError::InvalidParameter(
-                "request must be a single line".into(),
-            ));
-        }
-        let result = self.conn()?.send_line(line);
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
-    }
-
-    /// Send one raw request line and return the response payload string.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ClientApi::call` with a typed `Request` (this shim \
-                survives one release for `req-cli` pass-through)"
-    )]
-    pub fn roundtrip(&mut self, line: &str) -> Result<String, ReqError> {
-        let response = self.send_line(line)?;
-        #[allow(deprecated)]
-        crate::protocol::parse_response(&response)
-    }
-}
-
-impl ClientApi for ReqClient {
-    fn call(&mut self, req: &Request) -> Result<Response, ReqError> {
-        let mut req = req.clone();
-        attach_token(&mut req, self.client_id, &mut self.next_seq);
-        let retryable = is_retryable(&req);
-        let line = text::encode_request(&req);
-        let mut attempt = 0u32;
-        loop {
-            let result = self
-                .send_line(&line)
-                .and_then(|resp| text::decode_response(&resp, req.kind()));
-            let give_up = attempt >= self.policy.max_retries;
-            match result {
-                // `Busy` (shed) and `Unavailable` (read-only) replies had
-                // no side effect — back off and retry even without a
-                // token; read-only heals on the next snapshot rotation.
-                Ok(Response::Err {
-                    kind: crate::protocol::ErrorKind::Busy | crate::protocol::ErrorKind::Unavailable,
-                    msg: _,
-                }) if !give_up => {}
-                // A server-side Io reply is ambiguous (the record may or
-                // may not have reached the WAL) — only the token's dedup
-                // window makes re-sending safe.
-                Ok(Response::Err {
-                    kind: crate::protocol::ErrorKind::Io,
-                    msg: _,
-                }) if retryable && !give_up => {}
-                Ok(resp) => return Ok(resp),
-                // Transport-level Io failures are equally ambiguous; the
-                // token (or natural idempotence) makes the re-send safe.
-                Err(ReqError::Io(_)) if retryable && !give_up => {}
-                Err(e) => return Err(e),
-            }
-            std::thread::sleep(self.policy.backoff(attempt));
-            attempt += 1;
-        }
-    }
 }

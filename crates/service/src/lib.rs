@@ -1,8 +1,8 @@
 //! # `req-service` — a durable, multi-tenant quantile service
 //!
-//! The serving layer over [`req_core`]: a process that **owns** named REQ
-//! sketches, **survives restarts**, and **answers queries over TCP**. It
-//! is built from three layers, each usable on its own:
+//! The serving layer over [`req_core`]: a service that **owns** named REQ
+//! sketches, **survives restarts**, and **answers typed requests**. It is
+//! built from three layers, each usable on its own:
 //!
 //! * **[`registry`]** — a keyed map of tenants (`HashMap<String,
 //!   ConcurrentReqSketch<OrdF64>>` behind sharded locks), each with its
@@ -12,12 +12,15 @@
 //!   snapshot store (binary format v3 inside [`req_core::frame`] frames)
 //!   periodically folds the log down, rotating it. Crash recovery = load
 //!   the latest valid snapshot, replay the WAL tail ([`service`]);
-//! * **[`server`] + [`client`] + [`protocol`]** — the wire API as typed
+//! * **[`protocol`] + [`execute()`] + [`client`]** — the wire API as typed
 //!   [`Request`]/[`Response`] enums with two codecs (one-line text,
-//!   CRC32-framed binary), a `std::net` TCP server (thread-per-connection
-//!   over a small pool) speaking the text codec, and the typed client the
-//!   `req-cli` binary uses. The `req-evented` crate serves the binary
-//!   codec from an event loop on these same cores.
+//!   CRC32-framed binary), the [`execute()`] funnel that answers one
+//!   request, and the transport-independent [`ClientApi`] with its
+//!   [`RetryPolicy`].
+//!
+//! This crate has no socket code. The `req-evented` crate serves both
+//! codecs on one port from an event loop, holds the one client type, and
+//! ships the `req-server` and `req-cli` binaries.
 //!
 //! The recovery guarantee is deliberately stronger than "within the
 //! sketch's ε": because snapshots checkpoint each tenant *onto its own
@@ -43,23 +46,23 @@
 
 pub mod client;
 pub mod config;
+pub mod execute;
 pub mod faults;
 pub mod protocol;
 pub mod registry;
-pub mod server;
 pub mod service;
 pub mod snapshot;
 pub mod tempdir;
 pub mod wal;
 
-pub use client::{ClientApi, CreateOptions, ReqClient, RetryPolicy};
+pub use client::{ClientApi, CreateOptions, RetryPolicy};
 pub use config::{stable_key_hash, Accuracy, ServiceConfig, TenantConfig};
+pub use execute::execute;
 pub use faults::{FaultKind, FaultPlane, FaultSite};
-#[allow(deprecated)]
-pub use protocol::Command;
-pub use protocol::{ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment};
+pub use protocol::{
+    Binary, Codec, ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment, Text,
+};
 pub use registry::{Registry, Tenant};
-pub use server::{execute, serve, ServerHandle};
 pub use service::{QuantileService, RecoveryReport, Snapshotter, TenantStats};
 pub use snapshot::{AppliedOutcome, DedupClientSnapshot, SnapshotData, TenantSnapshot};
 pub use wal::{WalRecord, WalReplay, WalWriter};

@@ -24,15 +24,17 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use req_core::binary::Packable;
 use req_core::frame::{crc32, write_frame, FRAME_HEADER_LEN};
 use req_core::ReqError;
-use std::io::Read;
+use std::io::{BufRead, Read};
 
-use super::{ErrorKind, IdemToken, Request, Response, TailSegment};
+use super::{Binary, Codec, ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment};
 use crate::config::TenantConfig;
 use crate::service::TenantStats;
 
-/// Largest accepted frame payload — matches the text transport's
-/// [`crate::server::MAX_LINE_BYTES`] bound so neither protocol lets one
-/// hostile message exhaust memory.
+/// Largest accepted frame payload — matches the text codec's
+/// [`MAX_LINE_BYTES`](super::text::MAX_LINE_BYTES) bound so neither
+/// protocol lets one hostile message exhaust memory. It also keeps the
+/// length prefix's high byte zero, which is how a server tells a frame
+/// from a text line by its fourth byte.
 pub const MAX_MESSAGE_PAYLOAD: usize = 8 * 1024 * 1024;
 
 fn need(input: &Bytes, n: usize) -> Result<(), ReqError> {
@@ -586,6 +588,17 @@ pub fn try_deframe(buf: &[u8], offset: usize) -> Result<Option<(Bytes, usize)>, 
         Bytes::copy_from_slice(payload),
         FRAME_HEADER_LEN + len,
     )))
+}
+
+impl Codec for Binary {
+    fn write_request(out: &mut BytesMut, req: &Request) -> Result<(), ReqError> {
+        write_request(out, req);
+        Ok(())
+    }
+
+    fn read_response<R: BufRead>(r: &mut R, _kind: RequestKind) -> Result<Response, ReqError> {
+        decode_response(read_frame_blocking(r)?)
+    }
 }
 
 #[cfg(test)]

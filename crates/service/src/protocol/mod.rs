@@ -22,11 +22,17 @@
 //! Errors cross the wire with their kind: [`Response::Err`] carries an
 //! [`ErrorKind`] that maps 1:1 onto [`ReqError`] variants, so clients
 //! match on the variant instead of sniffing string prefixes.
+//!
+//! [`Codec`] is the part of each codec a client needs — write a request,
+//! read the reply to it — implemented by the marker types [`Text`] and
+//! [`Binary`], so one generic client serves both.
 
 pub mod binary;
 pub mod text;
 
+use bytes::BytesMut;
 use req_core::ReqError;
+use std::io::BufRead;
 
 use crate::config::TenantConfig;
 use crate::service::TenantStats;
@@ -256,13 +262,28 @@ impl Request {
             Request::Events { .. } => RequestKind::Events,
         }
     }
-
-    /// Parse one text request line.
-    #[deprecated(since = "0.1.0", note = "use `protocol::text::decode_request`")]
-    pub fn parse(line: &str) -> Result<Request, ReqError> {
-        text::decode_request(line)
-    }
 }
+
+/// One codec as a client drives it over a byte stream. [`Text`] and
+/// [`Binary`] are the two implementations.
+pub trait Codec {
+    /// Append `req` as one whole message: a frame, or a `\n`-terminated
+    /// line. Fails only when the request cannot be encoded as one message.
+    fn write_request(out: &mut BytesMut, req: &Request) -> Result<(), ReqError>;
+
+    /// Read one whole reply from `r`; `kind` names the request it answers
+    /// (text replies are positional). A reply cut short by the peer
+    /// closing is a [`ReqError::Io`], never a decoded answer.
+    fn read_response<R: BufRead>(r: &mut R, kind: RequestKind) -> Result<Response, ReqError>;
+}
+
+/// The line codec ([`text`]) as a [`Codec`].
+#[derive(Debug, Clone, Copy)]
+pub struct Text;
+
+/// The framed codec ([`binary`]) as a [`Codec`].
+#[derive(Debug, Clone, Copy)]
+pub struct Binary;
 
 /// The [`ReqError`] variant an error response carries — round-tripped
 /// through both codecs so a remote failure is indistinguishable (by type)
@@ -409,43 +430,6 @@ impl Response {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated line-oriented shims (one release): the PR 5 stringly surface,
-// kept as thin wrappers over the typed API + text codec.
-// ---------------------------------------------------------------------------
-
-/// The pre-typed-API name for [`Request`].
-#[deprecated(since = "0.1.0", note = "use `protocol::Request`")]
-pub type Command = Request;
-
-/// Render a stringly handler result as one response line.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `protocol::text::encode_response` with a typed `Response`"
-)]
-pub fn format_response(result: &Result<String, ReqError>) -> String {
-    match result {
-        Ok(payload) if payload.is_empty() => "OK".to_string(),
-        Ok(payload) => format!("OK {payload}"),
-        Err(e) => text::encode_response(&Response::from_error(e)),
-    }
-}
-
-/// Parse a response line back into the stringly handler result.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `protocol::text::decode_response` for a typed `Response`"
-)]
-pub fn parse_response(line: &str) -> Result<String, ReqError> {
-    if let Some(payload) = line.strip_prefix("OK") {
-        return Ok(payload.strip_prefix(' ').unwrap_or(payload).to_string());
-    }
-    match text::decode_error_line(line) {
-        Some((kind, msg)) => Err(kind.into_error(msg)),
-        None => Err(ReqError::Io(format!("unparseable response: {line}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,28 +518,6 @@ mod tests {
         ] {
             assert!(text::decode_request(line).is_err(), "`{line}` accepted");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_stringly_shims_still_roundtrip() {
-        for result in [
-            Ok(String::new()),
-            Ok("42".to_string()),
-            Ok("1 2 3".to_string()),
-            Err(ReqError::InvalidParameter("no such key `x`".into())),
-            Err(ReqError::IncompatibleMerge("different k".into())),
-            Err(ReqError::CorruptBytes("checksum".into())),
-            Err(ReqError::Io("broken pipe".into())),
-        ] {
-            let line = format_response(&result);
-            assert!(!line.contains('\n'));
-            let back = parse_response(&line);
-            assert_eq!(back, result, "through `{line}`");
-        }
-        // The deprecated alias still names the same enum.
-        let cmd: Command = Command::parse("PING").unwrap();
-        assert_eq!(cmd, Request::Ping);
     }
 
     #[test]

@@ -40,11 +40,24 @@
 //! and `ADDB`. [`decode_response`] therefore takes the [`RequestKind`] of
 //! the request being answered. (The [`binary`](super::binary) codec tags
 //! every response and needs no such context.)
+//!
+//! A message exists only with its `\n`. An unterminated tail — the
+//! prefix a peer leaves when it closes mid-message — is never decoded:
+//! the server discards it and the client reports a transport error. A
+//! torn `ADDB` line would otherwise apply a prefix of its values without
+//! the trailing `TOKEN=` that makes the retry safe.
 
+use bytes::{BufMut, BytesMut};
 use req_core::ReqError;
+use std::io::BufRead;
 
-use super::{ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment};
+use super::{Codec, ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment, Text};
 use crate::config::TenantConfig;
+
+/// Longest accepted request line, newline included (an `ADDB` of ~400k
+/// values). A longer line gets an `invalid` error and the connection
+/// closes.
+pub const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 fn to_hex(bytes: &[u8]) -> String {
     if bytes.is_empty() {
@@ -317,7 +330,7 @@ pub fn encode_response(resp: &Response) -> String {
 
 /// Parse an `ERR kind msg` line into its typed parts; `None` when the
 /// line is not a well-formed error response.
-pub fn decode_error_line(line: &str) -> Option<(ErrorKind, String)> {
+fn decode_error_line(line: &str) -> Option<(ErrorKind, String)> {
     let rest = line.strip_prefix("ERR ")?;
     let (kind, msg) = rest.split_once(' ').unwrap_or((rest, ""));
     Some((ErrorKind::from_token(kind)?, msg.to_string()))
@@ -421,6 +434,36 @@ pub fn decode_response(line: &str, kind: RequestKind) -> Result<Response, ReqErr
             Response::Events(lines)
         }
     })
+}
+
+impl Codec for Text {
+    fn write_request(out: &mut BytesMut, req: &Request) -> Result<(), ReqError> {
+        let line = encode_request(req);
+        // A key carrying a line break would split into two requests.
+        if line.contains(['\n', '\r']) {
+            return Err(ReqError::InvalidParameter(
+                "request must be a single line".into(),
+            ));
+        }
+        out.put_slice(line.as_bytes());
+        out.put_u8(b'\n');
+        Ok(())
+    }
+
+    fn read_response<R: BufRead>(r: &mut R, kind: RequestKind) -> Result<Response, ReqError> {
+        let mut line = Vec::new();
+        let n = r.read_until(b'\n', &mut line)?;
+        if line.last() != Some(&b'\n') {
+            return Err(ReqError::Io(if n == 0 {
+                "server closed the connection".into()
+            } else {
+                format!("server closed the connection after {n} bytes of a reply")
+            }));
+        }
+        let line =
+            String::from_utf8(line).map_err(|_| ReqError::Io("reply is not UTF-8".into()))?;
+        decode_response(line.trim_end_matches(['\r', '\n']), kind)
+    }
 }
 
 #[cfg(test)]
@@ -651,6 +694,16 @@ mod tests {
         for bad in ["", "a", "g0", "0G", "--"] {
             assert!(from_hex(bad).is_err(), "`{bad}` accepted");
         }
+    }
+
+    #[test]
+    fn multi_line_requests_are_refused() {
+        let req = Request::Stats {
+            key: "a\nPING".into(),
+        };
+        let mut out = BytesMut::new();
+        assert!(Text::write_request(&mut out, &req).is_err());
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -448,8 +448,9 @@ impl ServiceTelemetry {
     }
 }
 
-/// The durable, multi-tenant quantile service (in-process core; the TCP
-/// layer in [`crate::server`] is a thin shell over this).
+/// The durable, multi-tenant quantile service (in-process core; requests
+/// reach it through [`crate::execute()`], which the `req-evented` server
+/// calls for every message).
 #[derive(Debug)]
 pub struct QuantileService {
     cfg: ServiceConfig,
