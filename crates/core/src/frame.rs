@@ -21,6 +21,18 @@
 //! prefix is implicitly covered because a wrong length misaligns the
 //! payload window and fails the checksum with probability `1 − 2⁻³²`.
 //!
+//! Every frame user — the binary wire codec in both directions, WAL
+//! append and recovery, snapshots, `TAIL` validation and follower replay
+//! — checksums every byte it moves, so [`crc32`] runs *slicing-by-16*:
+//! sixteen 256-entry tables, built at compile time, where table `j` maps
+//! a byte to the CRC contribution it makes when `j` zero bytes follow
+//! it. One step folds the running CRC into the first four input bytes
+//! and XORs sixteen independent lookups, consuming 16 bytes per step
+//! instead of one; the sub-16-byte remainder takes the classic
+//! byte-at-a-time loop over table 0. It is plain safe Rust (no SIMD, no
+//! CPU detection) and computes exactly the same CRC-32/ISO-HDLC values,
+//! so the on-disk (WAL, snapshot) and wire formats are unchanged.
+//!
 //! [`ReqSketch::to_bytes_framed`]/[`ReqSketch::from_bytes_framed`] wrap the
 //! versioned sketch encoding in one frame — the unit both the snapshot
 //! store and any file-backed sketch cache persist.
@@ -38,9 +50,12 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// against allocating an attacker-chosen length from a corrupt header.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 30;
 
-/// CRC-32/ISO-HDLC lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 lookup tables for CRC-32/ISO-HDLC, built at compile
+/// time: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[j][b]` is the CRC register after byte `b` and then `j`
+/// zero bytes.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -53,17 +68,50 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 };
 
-/// CRC-32/ISO-HDLC (the zlib `crc32`) of `data`.
+/// CRC-32/ISO-HDLC (the zlib `crc32`) of `data`, 16 bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let b: &[u8; 16] = block.try_into().expect("16-byte block");
+        let head = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        // Byte `i` of the block is followed by `15 - i` more bytes.
+        crc = t[15][(head & 0xFF) as usize]
+            ^ t[14][((head >> 8) & 0xFF) as usize]
+            ^ t[13][((head >> 16) & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &byte in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -104,15 +152,23 @@ pub fn frame(payload: &[u8]) -> Bytes {
 /// consumes nothing if the frame is invalid, so the caller can recover
 /// the byte offset of the last *valid* frame (WAL truncation point).
 pub fn read_frame(input: &mut Bytes) -> Result<Bytes, ReqError> {
-    if input.remaining() < FRAME_HEADER_LEN {
+    // Peek without consuming: on any failure the caller must still see
+    // the stream positioned at the bad frame's start.
+    let len = frame_payload(input.chunk())?.len();
+    input.advance(FRAME_HEADER_LEN);
+    Ok(input.copy_to_bytes(len))
+}
+
+/// Verify the frame at the front of `input` in place and borrow its
+/// payload; the frame occupies `FRAME_HEADER_LEN + payload.len()` bytes.
+/// Same checks and errors as [`read_frame`], without copying.
+pub fn frame_payload(input: &[u8]) -> Result<&[u8], ReqError> {
+    let Some(head) = input.get(..FRAME_HEADER_LEN) else {
         return Err(ReqError::CorruptBytes(format!(
             "frame header needs {FRAME_HEADER_LEN} bytes, have {}",
-            input.remaining()
+            input.len()
         )));
-    }
-    // Peek the header without consuming: on any failure the caller must
-    // still see the stream positioned at the bad frame's start.
-    let head = &input.chunk()[..FRAME_HEADER_LEN];
+    };
     let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
     let want_crc = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
     if len > MAX_FRAME_PAYLOAD {
@@ -120,20 +176,19 @@ pub fn read_frame(input: &mut Bytes) -> Result<Bytes, ReqError> {
             "frame claims {len} payload bytes (max {MAX_FRAME_PAYLOAD})"
         )));
     }
-    if input.remaining() < FRAME_HEADER_LEN + len {
+    let Some(payload) = input.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len) else {
         return Err(ReqError::CorruptBytes(format!(
             "frame claims {len} payload bytes, only {} remain",
-            input.remaining() - FRAME_HEADER_LEN
+            input.len() - FRAME_HEADER_LEN
         )));
-    }
-    let got_crc = crc32(&input.chunk()[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len]);
+    };
+    let got_crc = crc32(payload);
     if got_crc != want_crc {
         return Err(ReqError::CorruptBytes(format!(
             "frame checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
         )));
     }
-    input.advance(FRAME_HEADER_LEN);
-    Ok(input.copy_to_bytes(len))
+    Ok(payload)
 }
 
 impl<T: Ord + Clone + Packable> ReqSketch<T> {
@@ -165,7 +220,60 @@ mod tests {
     use super::*;
     use crate::params::ParamPolicy;
     use crate::RankAccuracy;
+    use proptest::prelude::*;
     use sketch_traits::QuantileSketch;
+
+    /// The byte-at-a-time kernel [`crc32`] ran before slicing-by-16, with
+    /// its table rebuilt bit by bit: the oracle the fast kernel must match.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let table: Vec<u32> = (0..256u32)
+            .map(|i| {
+                (0..8).fold(i, |crc, _| {
+                    if crc & 1 == 1 {
+                        (crc >> 1) ^ 0xEDB8_8320
+                    } else {
+                        crc >> 1
+                    }
+                })
+            })
+            .collect();
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any length up to 4 KiB at any of the 16 start offsets inside a
+        /// larger buffer: whole 16-byte blocks, every remainder length and
+        /// every misalignment.
+        #[test]
+        fn crc32_matches_bytewise_reference(
+            buf in proptest::collection::vec(any::<u8>(), 4_096 + 16),
+            len in 0usize..=4_096,
+            start in 0usize..16,
+        ) {
+            let data = &buf[start..start + len];
+            prop_assert_eq!(crc32(data), crc32_bytewise(data), "len {} at {}", len, start);
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_on_every_short_shape() {
+        // Exhaustive over the lengths where block/remainder splits differ
+        // (0..=64 covers 0–4 blocks with every remainder) at every offset.
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 167 + 13) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "len {len} at {start}");
+            }
+        }
+        assert_eq!(crc32(&[0xFF; 4_099]), crc32_bytewise(&[0xFF; 4_099]));
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -37,6 +37,11 @@ use crate::service::TenantStats;
 /// from a text line by its fourth byte.
 pub const MAX_MESSAGE_PAYLOAD: usize = 8 * 1024 * 1024;
 
+/// Payload bytes a [`Response::Tailed`] reply adds around the WAL frames
+/// it ships: tag, `gen`, `offset`, `sealed`, `latest_gen` and the frames'
+/// length prefix.
+pub const TAIL_REPLY_ENVELOPE: usize = 1 + 8 + 8 + 1 + 8 + 4;
+
 fn need(input: &Bytes, n: usize) -> Result<(), ReqError> {
     if input.remaining() < n {
         Err(ReqError::CorruptBytes(format!(
@@ -760,6 +765,19 @@ mod tests {
             let back = decode_response(payload).unwrap();
             assert_eq!(encode_response(&back), encode_response(&resp));
         }
+    }
+
+    #[test]
+    fn tail_reply_envelope_matches_the_encoding() {
+        let mut framed = encode_response(&Response::Tailed(TailSegment {
+            gen: 1,
+            offset: 8,
+            sealed: false,
+            latest_gen: 1,
+            frames: vec![7; 5],
+        }));
+        let payload = read_frame(&mut framed).unwrap();
+        assert_eq!(payload.len(), TAIL_REPLY_ENVELOPE + 5);
     }
 
     #[test]

@@ -36,8 +36,9 @@
 //! replay never re-executes the lost checkpoint's RNG swap, so answers
 //! are then merely within-guarantee rather than bit-identical.)
 
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
+use req_core::frame::FRAME_HEADER_LEN;
 use req_core::{ConcurrentReqSketch, OrdF64, ReqError};
 use sketch_traits::SpaceUsage;
 use std::collections::{BTreeMap, HashMap};
@@ -49,6 +50,7 @@ use std::time::Duration;
 
 use crate::config::{validate_key, Accuracy, ServiceConfig, TenantConfig};
 use crate::faults::{faulted_op, FaultSite};
+use crate::protocol::binary::{MAX_MESSAGE_PAYLOAD, TAIL_REPLY_ENVELOPE};
 use crate::protocol::{IdemToken, TailSegment};
 use crate::registry::{Registry, Tenant};
 use crate::snapshot::{
@@ -56,7 +58,8 @@ use crate::snapshot::{
     DedupClientSnapshot, TenantSnapshot,
 };
 use crate::wal::{
-    encode_add_batch, encode_create, encode_drop, read_wal, WalRecord, WalWriter, WAL_MAGIC,
+    encode_add_batch, encode_create, encode_drop, read_wal, WalRecord, WalWriter,
+    ADD_BATCH_MAX_OVERHEAD, WAL_MAGIC,
 };
 
 /// Holds the data directory's `LOCK` file; removed on drop. See
@@ -127,11 +130,16 @@ fn acquire_dir_lock(dir: &std::path::Path) -> Result<DirLock, ReqError> {
     )))
 }
 
-/// Most values one `AddBatch` record may carry: its 8-byte-per-value
-/// payload (plus key/tag overhead) must stay within one
-/// [`req_core::frame::MAX_FRAME_PAYLOAD`] frame, or recovery could never
-/// read the record back.
-pub const MAX_BATCH_VALUES: usize = (req_core::frame::MAX_FRAME_PAYLOAD - 256) / 8;
+/// Most values one `AddBatch` record may carry. Every record the primary
+/// logs must be one a standby can fetch: a [`QuantileService::tail`]
+/// reply carrying the record alone — [`TAIL_REPLY_ENVELOPE`] plus the
+/// framed record, at most [`ADD_BATCH_MAX_OVERHEAD`] plus 8 bytes per
+/// value — must fit one [`MAX_MESSAGE_PAYLOAD`] binary message, or the
+/// shipper could never deframe it and would retry forever. (This also
+/// keeps the record far inside the [`req_core::frame::MAX_FRAME_PAYLOAD`]
+/// recovery reads.)
+pub const MAX_BATCH_VALUES: usize =
+    (MAX_MESSAGE_PAYLOAD - TAIL_REPLY_ENVELOPE - ADD_BATCH_MAX_OVERHEAD) / 8;
 
 /// What [`QuantileService::open`] found on disk.
 #[derive(Debug, Clone, Default)]
@@ -943,9 +951,9 @@ impl QuantileService {
     }
 
     /// Ingest a batch into `key`, returning how many values landed.
-    /// Empty batches are a no-op (nothing logged); batches too large for
-    /// one WAL frame are rejected (chunk them) rather than encoded into a
-    /// frame the recovery reader would refuse.
+    /// Empty batches are a no-op (nothing logged); batches over
+    /// [`MAX_BATCH_VALUES`] are rejected (chunk them) rather than logged
+    /// as a record no standby could fetch in one `TAIL` reply.
     pub fn add_batch(&self, key: &str, values: &[OrdF64]) -> Result<u64, ReqError> {
         self.add_batch_with_token(key, values, None)
     }
@@ -1321,15 +1329,19 @@ impl QuantileService {
     /// stream. A torn or rolled-back tail is *never* shipped: the
     /// follower sees exactly the bytes crash recovery would replay.
     ///
-    /// Reads the file without the service gate — an append racing this
-    /// read can only make the tail's last frame incomplete, and
-    /// incomplete frames are excluded the same way recovery excludes
-    /// them. `sealed` reports whether `gen` has been rotated away (its
-    /// file is final); the follower then mirrors the rotation via
-    /// [`Self::rotate_generation`] and resumes from `gen + 1`.
+    /// Reads only the window it ships — `[start, start + max(budget, 8))`
+    /// clipped to the file, extended just far enough to hold the first
+    /// frame when that frame alone is longer — so a poll costs
+    /// O(budget), not O(generation). It reads without the service gate:
+    /// an append racing this read can only make the window's last frame
+    /// incomplete, and incomplete frames are excluded the same way
+    /// recovery excludes them. `sealed` reports whether `gen` has been
+    /// rotated away (its file is final); the follower then mirrors the
+    /// rotation via [`Self::rotate_generation`] and resumes from
+    /// `gen + 1`.
     pub fn tail(&self, gen: u64, offset: u64, max_bytes: u32) -> Result<TailSegment, ReqError> {
-        let raw = match std::fs::read(wal_path(&self.cfg.data_dir, gen)) {
-            Ok(raw) => raw,
+        let file = match std::fs::File::open(wal_path(&self.cfg.data_dir, gen)) {
+            Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Err(ReqError::InvalidParameter(format!(
                     "WAL generation {gen} is not on disk (pruned or never written); \
@@ -1338,7 +1350,9 @@ impl QuantileService {
             }
             Err(e) => return Err(e.into()),
         };
-        if raw.len() < WAL_MAGIC.len() || raw[..WAL_MAGIC.len()] != WAL_MAGIC[..] {
+        let file_len = file.metadata()?.len();
+        let mut magic = [0u8; WAL_MAGIC.len()];
+        if read_at_most(&file, &mut magic, 0)? < magic.len() || magic != *WAL_MAGIC {
             return Err(ReqError::CorruptBytes(format!(
                 "WAL generation {gen} has no valid magic header"
             )));
@@ -1348,26 +1362,39 @@ impl QuantileService {
         } else {
             offset
         };
-        if start < WAL_MAGIC.len() as u64 || start > raw.len() as u64 {
+        if start < WAL_MAGIC.len() as u64 || start > file_len {
             return Err(ReqError::InvalidParameter(format!(
-                "tail offset {offset} outside generation {gen}'s {} bytes",
-                raw.len()
+                "tail offset {offset} outside generation {gen}'s {file_len} bytes"
             )));
         }
-        let mut input = Bytes::copy_from_slice(&raw[start as usize..]);
-        let budget = (max_bytes as usize).min(crate::protocol::binary::MAX_MESSAGE_PAYLOAD - 4096);
+        let avail = file_len - start;
+        let budget = (max_bytes as usize).min(MAX_MESSAGE_PAYLOAD - 4096);
+        // At least one frame header, so even a tiny budget can see how
+        // long the first frame is.
+        let window = budget.max(FRAME_HEADER_LEN) as u64;
+        let mut buf = vec![0u8; window.min(avail) as usize];
+        let got = read_at_most(&file, &mut buf, start)?;
+        buf.truncate(got);
+        // The first frame ships whole even past the budget: read the rest
+        // of it if the file holds it.
+        if let Some(head) = buf.get(..4) {
+            let first = (FRAME_HEADER_LEN as u64)
+                + u64::from(u32::from_le_bytes(head.try_into().expect("4 bytes")));
+            if first > buf.len() as u64 && first <= avail {
+                let have = buf.len();
+                buf.resize(first as usize, 0);
+                let got = read_at_most(&file, &mut buf[have..], start + have as u64)?;
+                buf.truncate(have + got);
+            }
+        }
         let mut shipped = 0usize;
-        loop {
-            let before = input.remaining();
-            // Mirror recovery's stop conditions exactly: a frame must be
-            // length-complete, CRC-clean, *and* decode to a record.
-            let Ok(payload) = req_core::frame::read_frame(&mut input) else {
-                break;
-            };
-            if WalRecord::decode(payload).is_err() {
+        // Mirror recovery's stop conditions exactly: a frame must be
+        // length-complete, CRC-clean, *and* decode to a record.
+        while let Ok(payload) = req_core::frame::frame_payload(&buf[shipped..]) {
+            if WalRecord::decode(Bytes::copy_from_slice(payload)).is_err() {
                 break;
             }
-            let consumed = before - input.remaining();
+            let consumed = FRAME_HEADER_LEN + payload.len();
             if shipped > 0 && shipped + consumed > budget {
                 break;
             }
@@ -1376,6 +1403,7 @@ impl QuantileService {
                 break;
             }
         }
+        buf.truncate(shipped);
         // Load the live generation *after* reading the file: if a
         // rotation raced us, the file we read was already final.
         let latest_gen = self.gen.load(Ordering::Relaxed);
@@ -1384,7 +1412,7 @@ impl QuantileService {
             offset: start,
             sealed: gen < latest_gen,
             latest_gen,
-            frames: raw[start as usize..start as usize + shipped].to_vec(),
+            frames: buf,
         })
     }
 
@@ -1407,16 +1435,13 @@ impl QuantileService {
             ));
         }
         let _gate = self.gate.read();
-        let mut input = Bytes::copy_from_slice(frames);
-        let mut consumed_total = 0usize;
+        let mut at = 0usize;
         let mut applied = 0u64;
-        while input.has_remaining() {
-            let before = input.remaining();
-            let payload = req_core::frame::read_frame(&mut input)?;
-            let rec = WalRecord::decode(payload)?;
-            let consumed = before - input.remaining();
-            let frame_bytes = &frames[consumed_total..consumed_total + consumed];
-            consumed_total += consumed;
+        while at < frames.len() {
+            let payload = req_core::frame::frame_payload(&frames[at..])?;
+            let rec = WalRecord::decode(Bytes::copy_from_slice(payload))?;
+            let frame_bytes = &frames[at..at + FRAME_HEADER_LEN + payload.len()];
+            at += frame_bytes.len();
             // Same contract as the primary's mutation path: even when the
             // fsync outcome is unknown, a frame that reached the file
             // must be applied before the error surfaces, or the durable
@@ -1446,6 +1471,23 @@ impl QuantileService {
             .map(|b| b.to_vec())
             .collect())
     }
+}
+
+/// Fill `buf` from `file` at byte `pos` until it is full or the file
+/// ends; returns how many bytes were read. A file that shrank since it
+/// was measured (a rolled-back torn append) reads short, not as an error.
+fn read_at_most(file: &std::fs::File, buf: &mut [u8], pos: u64) -> std::io::Result<usize> {
+    use std::os::unix::fs::FileExt;
+    let mut got = 0;
+    while got < buf.len() {
+        match file.read_at(&mut buf[got..], pos + got as u64) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
 }
 
 /// Handle to the background snapshotter thread; stops it on drop.
@@ -1616,11 +1658,27 @@ mod tests {
 
     #[test]
     fn oversized_batches_are_rejected_before_logging() {
-        // Not an actual giant allocation: just over the limit in length
-        // terms via a zero-copy check is impossible, so assert the
-        // constant's envelope arithmetic instead and the rejection using
-        // a slice we can afford is covered by the limit comparison.
-        assert!(MAX_BATCH_VALUES as u64 * 8 + 256 <= req_core::frame::MAX_FRAME_PAYLOAD as u64);
+        // The bound is exactly what one TAIL reply can carry around the
+        // largest record.
+        let reply = |n: usize| TAIL_REPLY_ENVELOPE + ADD_BATCH_MAX_OVERHEAD + 8 * n;
+        assert!(reply(MAX_BATCH_VALUES) <= MAX_MESSAGE_PAYLOAD);
+        assert!(reply(MAX_BATCH_VALUES + 1) > MAX_MESSAGE_PAYLOAD);
+        let dir = TempDir::new("svc").unwrap();
+        let s = svc(dir.path());
+        s.create("t", TenantConfig::for_key("t")).unwrap();
+        let before = s.wal_watermark();
+        let token = Some(IdemToken {
+            client_id: 3,
+            seq: 1,
+        });
+        let err = s
+            .add_batch_with_token("t", &batch(0..MAX_BATCH_VALUES as u64 + 1), token)
+            .unwrap_err();
+        assert!(matches!(err, ReqError::InvalidParameter(_)), "{err:?}");
+        assert_eq!(s.wal_watermark(), before, "nothing logged");
+        // Nor was the token recorded: its first accepted use applies.
+        assert_eq!(s.add_batch_with_token("t", &batch(0..3), token).unwrap(), 3);
+        assert_eq!(s.stats("t").unwrap().n, 3);
     }
 
     #[test]

@@ -42,19 +42,24 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use req_core::binary::Packable;
-use req_core::frame::{frame, read_frame};
+use req_core::frame::{frame, read_frame, FRAME_HEADER_LEN};
 use req_core::{OrdF64, ReqError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::config::TenantConfig;
+use crate::config::{TenantConfig, MAX_KEY_LEN};
 use crate::faults::{faulted_op, faulted_write, FaultPlane, FaultSite};
 use crate::protocol::IdemToken;
 use std::sync::Arc;
 
 /// File magic; the trailing newline makes `head -c8` output readable.
 pub const WAL_MAGIC: &[u8; 8] = b"REQWAL1\n";
+
+/// Largest framed `AddBatch` record minus its values: frame header, tag,
+/// idempotency token, a [`MAX_KEY_LEN`]-byte key with its length prefix,
+/// and the value count. The record adds 8 bytes per value.
+pub const ADD_BATCH_MAX_OVERHEAD: usize = FRAME_HEADER_LEN + 1 + 16 + 4 + MAX_KEY_LEN + 4;
 
 const TAG_CREATE: u8 = 1;
 const TAG_ADD_BATCH: u8 = 2;
@@ -526,6 +531,20 @@ mod tests {
         let payload_t = read_frame(&mut framed).unwrap();
         assert_eq!(payload_t[0], 5);
         assert_eq!(&payload_t[17..], &want[1..]);
+    }
+
+    #[test]
+    fn add_batch_overhead_bounds_the_largest_record() {
+        let key = "k".repeat(MAX_KEY_LEN);
+        let token = Some(IdemToken {
+            client_id: 1,
+            seq: 2,
+        });
+        let values = [OrdF64(1.0); 3];
+        assert_eq!(
+            encode_add_batch(&key, &values, &token).len(),
+            ADD_BATCH_MAX_OVERHEAD + 8 * values.len()
+        );
     }
 
     #[test]
