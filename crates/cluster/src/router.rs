@@ -28,7 +28,7 @@ use std::net::SocketAddr;
 use req_core::{merge_wire_parts, OrdF64, ReqError, ReqSketch};
 use req_evented::ReqBinClient;
 use req_service::client::{attach_token, fresh_client_id};
-use req_service::{ClientApi, Request, Response, RetryPolicy, TenantConfig};
+use req_service::{check_quantile_rank, ClientApi, Request, Response, RetryPolicy, TenantConfig};
 
 use crate::ring::HashRing;
 
@@ -303,8 +303,11 @@ impl Router {
         Ok(self.merged_sketch(key)?.rank_f64(value))
     }
 
-    /// Quantile of the union stream, via [`Router::merged_sketch`].
+    /// Quantile of the union stream, via [`Router::merged_sketch`]. A
+    /// rank outside `[0, 1]` is refused, as a routed `QUANTILE` is,
+    /// before any `MERGE` is sent.
     pub fn merged_quantile(&mut self, key: &str, q: f64) -> Result<Option<f64>, ReqError> {
+        check_quantile_rank(q)?;
         Ok(self.merged_sketch(key)?.quantile_f64(q))
     }
 }

@@ -15,13 +15,20 @@
 //!   partitions tenants but never changes any tenant's answers, because
 //!   a key's whole stream lands on one node and tenant seeds derive
 //!   from the key, not the host.
+//! * **Scatter/gather validation** — `Router::merged_quantile` refuses
+//!   the quantile ranks a routed `QUANTILE` refuses, with the node's
+//!   message, before any `MERGE` is sent.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use req_cluster::{Cluster, HashRing};
+use req_core::ReqError;
 use req_evented::{serve_evented, ReqBinClient};
 use req_service::tempdir::TempDir;
-use req_service::{ClientApi, QuantileService, Request, RetryPolicy, ServiceConfig, TenantConfig};
+use req_service::{
+    ClientApi, ErrorKind, QuantileService, Request, Response, RetryPolicy, ServiceConfig,
+    TenantConfig,
+};
 use std::sync::Arc;
 
 fn names(n: usize) -> Vec<String> {
@@ -174,5 +181,37 @@ proptest! {
             }
         }
         handle.shutdown();
+    }
+}
+
+#[test]
+fn merged_quantile_refuses_the_ranks_a_routed_quantile_refuses() {
+    let mut cluster = Cluster::start(&["a", "b", "c"], RetryPolicy::default()).unwrap();
+    let router = cluster.router();
+    router
+        .create_spread("spread", TenantConfig::for_key("spread"))
+        .unwrap();
+    let values: Vec<f64> = (1..=1000).map(f64::from).collect();
+    assert_eq!(router.spread_add_batch("spread", &values).unwrap(), 1000);
+    assert!(router.merged_quantile("spread", 0.5).unwrap().is_some());
+
+    for q in [1.5, -0.5, f64::NAN] {
+        let routed = router
+            .call(&Request::Quantile {
+                key: "spread".into(),
+                q,
+            })
+            .unwrap();
+        let Response::Err {
+            kind: ErrorKind::Invalid,
+            msg,
+        } = routed
+        else {
+            panic!("routed QUANTILE {q} answered {routed:?}");
+        };
+        let refused = Err(ReqError::InvalidParameter(msg));
+        assert_eq!(router.merged_quantile("spread", q), refused, "q = {q}");
+        // The rank is checked before the key is looked up anywhere.
+        assert_eq!(router.merged_quantile("no-such-key", q), refused, "q = {q}");
     }
 }

@@ -108,7 +108,7 @@ impl Packable for u8 {
 
 impl Packable for OrdF64 {
     fn pack(&self, out: &mut BytesMut) {
-        out.put_u64_le(self.0.to_bits());
+        out.put_u64_le(self.get().to_bits());
     }
     fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
         need(input, 8)?;

@@ -145,7 +145,7 @@ impl ReqSketchBuilder {
         Ok(sketch)
     }
 
-    /// Build a sketch over `f64` values (via [`OrdF64`]).
+    /// Build a sketch over `f64` values (via [`OrdF64`](struct@OrdF64)).
     pub fn build_f64(self) -> Result<ReqSketch<OrdF64>, ReqError> {
         self.build::<OrdF64>()
     }

@@ -46,10 +46,13 @@
 //!
 //! The sketch is generic over any `T: Ord + Clone`, and the ingest hot path
 //! specializes per type: for types without drop glue (`u64`, `i32`,
-//! [`OrdF32`], [`OrdF64`], …) compaction runs through the arena's branchless
-//! merge/emit kernels with zero per-item allocation. Integers and other
-//! naturally ordered types need **no wrapper at all** — `OrdF64` is only for
-//! `f64`, whose `NaN` breaks `Ord`:
+//! [`OrdF32`], [`OrdF64`](struct@OrdF64), …) compaction runs through the
+//! arena's branchless merge/emit kernels with zero per-item allocation.
+//! Integers and other naturally ordered types need **no wrapper at all** —
+//! `OrdF64` is only for `f64`, whose `NaN` breaks `Ord`. It stores the
+//! `f64::total_cmp` key, so an `OrdF64` compares as a plain `i64` and rides
+//! the integer lane at integer speed, while its encodings still carry the
+//! raw `f64` bits:
 //!
 //! ```
 //! use req_core::{QuantileSketch, RankAccuracy, ReqSketch};

@@ -26,7 +26,7 @@ use crate::sketch::ReqSketch;
 impl Serialize for OrdF64 {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         // `#[serde(transparent)]`: an OrdF64 is exactly its f64.
-        self.0.serialize(serializer)
+        self.get().serialize(serializer)
     }
 }
 

@@ -769,7 +769,7 @@ impl ReqF64 {
 
     /// Quantile as a raw `f64`.
     pub fn quantile_f64(&self, q: f64) -> Option<f64> {
-        self.quantile(q).map(|v| v.0)
+        self.quantile(q).map(|v| v.get())
     }
 }
 

@@ -4,13 +4,20 @@
 //! after canonicalization — from the retained `SortOnCompact` oracle, across
 //! rank-accuracy modes, `k`, stream shapes, both compaction schedules, and
 //! through merge and serde round-trips. The fast-lane tests pin the same
-//! property for the monomorphized `u64`/`f32` lanes.
+//! property for the monomorphized `u64`/`f32` lanes, and the `OrdF64`
+//! tests pin its stored integer key to a reference that compares with
+//! `f64::total_cmp` on every call.
 
+use std::cmp::Ordering;
+
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use req_core::binary::Packable;
 use req_core::{
-    CompactionMode, CompactionSchedule, OrdF32, QuantileSketch, RankAccuracy, ReqSketch,
+    CompactionMode, CompactionSchedule, ConcurrentReqSketch, OrdF32, OrdF64, QuantileSketch,
+    RankAccuracy, ReqError, ReqSketch, ReqSketchBuilder,
 };
 
 fn k_strategy() -> impl Strategy<Value = u32> {
@@ -220,6 +227,212 @@ proptest! {
         fast.canonicalize();
         oracle.canonicalize();
         prop_assert_eq!(fast.to_bytes(), oracle.to_bytes());
+    }
+}
+
+/// `OrdF64` as it was before it stored its key: the raw `f64`, ordered by
+/// `f64::total_cmp` on every comparison and packed as its bits.
+#[derive(Debug, Clone, Copy)]
+struct RefF64(f64);
+
+impl PartialEq for RefF64 {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for RefF64 {}
+
+impl PartialOrd for RefF64 {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for RefF64 {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+impl Packable for RefF64 {
+    fn pack(&self, out: &mut BytesMut) {
+        out.put_u64_le(self.0.to_bits());
+    }
+    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+        if input.remaining() < 8 {
+            return Err(ReqError::CorruptBytes("truncated f64".into()));
+        }
+        Ok(RefF64(f64::from_bits(input.get_u64_le())))
+    }
+}
+
+/// Values at every edge of the total order: ±0, ±∞, NaNs of both signs
+/// with nonzero payloads, subnormals, `MIN_POSITIVE` and `MAX`.
+const SPECIAL_BITS: [u64; 12] = [
+    0,
+    1 << 63,
+    0x7ff0_0000_0000_0000,
+    0xfff0_0000_0000_0000,
+    0x7ff8_0000_0000_0000,
+    0x7ff0_0000_0000_0001,
+    0xfff8_dead_beef_0001,
+    0xffff_ffff_ffff_ffff,
+    1,
+    0x800f_ffff_ffff_ffff,
+    0x0010_0000_0000_0000,
+    0x7fef_ffff_ffff_ffff,
+];
+
+/// Raw bit patterns (shaped by [`shape_stream`]) as `f64`s, with about a
+/// quarter of them replaced by [`SPECIAL_BITS`] so ties and every edge of
+/// the order recur.
+fn f64_stream(shape: usize, raw: Vec<u64>) -> Vec<f64> {
+    shape_stream(shape, raw)
+        .into_iter()
+        .map(|b| {
+            if b % 4 == 0 {
+                f64::from_bits(SPECIAL_BITS[(b >> 8) as usize % SPECIAL_BITS.len()])
+            } else {
+                f64::from_bits(b)
+            }
+        })
+        .collect()
+}
+
+fn keyed(xs: &[f64]) -> Vec<OrdF64> {
+    xs.iter().copied().map(OrdF64).collect()
+}
+
+fn reference(xs: &[f64]) -> Vec<RefF64> {
+    xs.iter().copied().map(RefF64).collect()
+}
+
+fn f64_builder(
+    k: u32,
+    acc: RankAccuracy,
+    sched: CompactionSchedule,
+    seed: u64,
+) -> ReqSketchBuilder {
+    ReqSketch::<u64>::builder()
+        .k(k)
+        .rank_accuracy(acc)
+        .schedule(sched)
+        .seed(seed)
+}
+
+fn build_f64_pair(
+    k: u32,
+    acc: RankAccuracy,
+    sched: CompactionSchedule,
+    seed: u64,
+) -> (ReqSketch<OrdF64>, ReqSketch<RefF64>) {
+    let builder = f64_builder(k, acc, sched, seed);
+    (
+        builder.clone().build().expect("valid params"),
+        builder.build().expect("valid params"),
+    )
+}
+
+/// Same bytes (full state, including the RNG draw `to_bytes` makes on
+/// both) and bit-equal answers at every rank probe and quantile.
+fn assert_same_f64_sketch(a: &mut ReqSketch<OrdF64>, b: &mut ReqSketch<RefF64>, probes: &[f64]) {
+    assert_eq!(a.to_bytes(), b.to_bytes());
+    for &x in probes {
+        assert_eq!(a.rank(&OrdF64(x)), b.rank(&RefF64(x)), "rank({x:?})");
+    }
+    for q in [0.0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0] {
+        let (qa, qb) = (a.quantile(q), b.quantile(q));
+        assert_eq!(
+            qa.map(|v| v.get().to_bits()),
+            qb.map(|v| v.0.to_bits()),
+            "quantile({q})"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `ReqSketch<OrdF64>` (integer key) and `ReqSketch<RefF64>`
+    /// (`total_cmp` per comparison) stay byte-identical with bit-equal
+    /// answers through per-item ingest, batch ingest, a merge, and a
+    /// `from_bytes` round trip followed by more ingest.
+    #[test]
+    fn ordf64_key_lane_matches_total_cmp_reference(
+        k in k_strategy(),
+        acc in accuracy_strategy(),
+        sched in schedule_strategy(),
+        seed in any::<u64>(),
+        shape in 0usize..4,
+        raw in vec(any::<u64>(), 0..2500),
+        more in vec(any::<u64>(), 0..800),
+    ) {
+        let items = f64_stream(shape, raw);
+        let more = f64_stream(0, more);
+        let probes: Vec<f64> = items
+            .iter()
+            .take(48)
+            .chain(&more)
+            .take(64)
+            .copied()
+            .chain(SPECIAL_BITS.iter().map(|&b| f64::from_bits(b)))
+            .collect();
+        let (mut a, mut b) = build_f64_pair(k, acc, sched, seed);
+
+        let split = items.len() / 3;
+        for &x in &items[..split] {
+            a.update(OrdF64(x));
+            b.update(RefF64(x));
+        }
+        assert_same_f64_sketch(&mut a, &mut b, &probes);
+        a.update_batch(&keyed(&items[split..]));
+        b.update_batch(&reference(&items[split..]));
+        assert_same_f64_sketch(&mut a, &mut b, &probes);
+
+        let (mut a2, mut b2) = build_f64_pair(k, acc, sched, seed ^ 0x9e3779b97f4a7c15);
+        a2.update_batch(&keyed(&more));
+        b2.update_batch(&reference(&more));
+        a.try_merge(a2).expect("same accuracy");
+        b.try_merge(b2).expect("same accuracy");
+        assert_same_f64_sketch(&mut a, &mut b, &probes);
+
+        let mut a = ReqSketch::<OrdF64>::from_bytes(&a.to_bytes()).expect("round-trip");
+        let mut b = ReqSketch::<RefF64>::from_bytes(&b.to_bytes()).expect("round-trip");
+        a.update_batch(&keyed(&items[..split]));
+        b.update_batch(&reference(&items[..split]));
+        prop_assert_eq!(a.len(), (items.len() + more.len() + split) as u64);
+        assert_same_f64_sketch(&mut a, &mut b, &probes);
+    }
+
+    /// A 4-shard tenant of each type gives the same `encode_shards()`
+    /// (the `MERGE` payload) and `checkpoint()` (the snapshot payload).
+    #[test]
+    fn ordf64_concurrent_payloads_match_total_cmp_reference(
+        k in k_strategy(),
+        acc in accuracy_strategy(),
+        sched in schedule_strategy(),
+        seed in any::<u64>(),
+        shape in 0usize..4,
+        raw in vec(any::<u64>(), 0..2500),
+    ) {
+        let items = f64_stream(shape, raw);
+        let builder = f64_builder(k, acc, sched, seed);
+        let a = ConcurrentReqSketch::<OrdF64>::new(builder.clone(), 4).expect("valid params");
+        let b = ConcurrentReqSketch::<RefF64>::new(builder, 4).expect("valid params");
+        let cut = items.len() / 2;
+        for chunk in items[..cut].chunks(97) {
+            a.update_batch(&keyed(chunk));
+            b.update_batch(&reference(chunk));
+        }
+        prop_assert_eq!(a.encode_shards(), b.encode_shards());
+        prop_assert_eq!(a.checkpoint().expect("encode"), b.checkpoint().expect("encode"));
+        for chunk in items[cut..].chunks(61) {
+            a.update_batch(&keyed(chunk));
+            b.update_batch(&reference(chunk));
+        }
+        prop_assert_eq!(a.encode_shards(), b.encode_shards());
+        prop_assert_eq!(a.checkpoint().expect("encode"), b.checkpoint().expect("encode"));
     }
 }
 

@@ -63,6 +63,6 @@ pub use protocol::{
     Binary, Codec, ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment, Text,
 };
 pub use registry::{Registry, Tenant};
-pub use service::{QuantileService, RecoveryReport, Snapshotter, TenantStats};
+pub use service::{check_quantile_rank, QuantileService, RecoveryReport, Snapshotter, TenantStats};
 pub use snapshot::{AppliedOutcome, DedupClientSnapshot, SnapshotData, TenantSnapshot};
 pub use wal::{WalRecord, WalReplay, WalWriter};

@@ -84,7 +84,22 @@ fn get_f64s(input: &mut Bytes) -> Result<Vec<f64>, ReqError> {
     // 8 bytes per value must already be present — a huge declared count
     // with a short payload is corrupt, not an allocation request.
     need(input, count.saturating_mul(8))?;
-    (0..count).map(|_| get_f64(input)).collect()
+    Ok(take_f64s(input, count, f64::from))
+}
+
+/// Read `count` little-endian `f64`s, each passed through `wrap`, in one
+/// pass over the buffer: an exact-capacity `Vec` and one cursor advance.
+///
+/// # Panics
+/// Panics if fewer than `8 * count` bytes remain; callers check first.
+pub(crate) fn take_f64s<T>(input: &mut Bytes, count: usize, wrap: impl Fn(f64) -> T) -> Vec<T> {
+    let len = count * 8;
+    let values = input.chunk()[..len]
+        .chunks_exact(8)
+        .map(|b| wrap(f64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
+        .collect();
+    input.advance(len);
+    values
 }
 
 fn put_bytes(out: &mut BytesMut, bytes: &[u8]) {

@@ -141,6 +141,20 @@ fn acquire_dir_lock(dir: &std::path::Path) -> Result<DirLock, ReqError> {
 pub const MAX_BATCH_VALUES: usize =
     (MAX_MESSAGE_PAYLOAD - TAIL_REPLY_ENVELOPE - ADD_BATCH_MAX_OVERHEAD) / 8;
 
+/// Refuse a quantile rank outside `[0, 1]` (NaN included) with the error
+/// a served `QUANTILE` replies with. Every quantile entry point calls it
+/// before touching a tenant, so a bad rank is reported before an unknown
+/// key.
+pub fn check_quantile_rank(q: f64) -> Result<(), ReqError> {
+    if (0.0..=1.0).contains(&q) {
+        Ok(())
+    } else {
+        Err(ReqError::InvalidParameter(format!(
+            "quantile rank {q} outside [0, 1]"
+        )))
+    }
+}
+
 /// What [`QuantileService::open`] found on disk.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
@@ -1074,12 +1088,8 @@ impl QuantileService {
 
     /// Estimated `q`-quantile for tenant `key`; `None` while empty.
     pub fn quantile(&self, key: &str, q: f64) -> Result<Option<f64>, ReqError> {
-        if !(0.0..=1.0).contains(&q) {
-            return Err(ReqError::InvalidParameter(format!(
-                "quantile rank {q} outside [0, 1]"
-            )));
-        }
-        Ok(self.tenant(key)?.sketch.quantile(q)?.map(|v| v.0))
+        check_quantile_rank(q)?;
+        Ok(self.tenant(key)?.sketch.quantile(q)?.map(OrdF64::get))
     }
 
     /// Normalized CDF of tenant `key` at ascending `points`.

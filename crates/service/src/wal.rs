@@ -50,6 +50,7 @@ use std::path::{Path, PathBuf};
 
 use crate::config::{TenantConfig, MAX_KEY_LEN};
 use crate::faults::{faulted_op, faulted_write, FaultPlane, FaultSite};
+use crate::protocol::binary::take_f64s;
 use crate::protocol::IdemToken;
 use std::sync::Arc;
 
@@ -151,7 +152,7 @@ pub fn encode_add_batch(key: &str, values: &[OrdF64], token: &Option<IdemToken>)
     pack_key(key, &mut out);
     out.put_u32_le(values.len() as u32);
     for v in values {
-        out.put_u64_le(v.0.to_bits());
+        out.put_u64_le(v.get().to_bits());
     }
     frame(&out)
 }
@@ -207,10 +208,7 @@ impl WalRecord {
                         input.remaining()
                     )));
                 }
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    values.push(OrdF64(f64::from_bits(input.get_u64_le())));
-                }
+                let values = take_f64s(&mut input, count, OrdF64);
                 WalRecord::AddBatch { key, values, token }
             }
             TAG_DROP | TAG_DROP_T => WalRecord::Drop {
