@@ -15,6 +15,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use req_core::compactor::{RankAccuracy, RelativeCompactor};
+use req_core::view::LevelSet;
 use req_core::{LevelArena, SortedView};
 use sketch_traits::{QuantileSketch, SpaceUsage};
 
@@ -102,7 +103,11 @@ impl<T: Ord + Clone> HalvingSketch<T> {
     /// Weighted sorted snapshot for batched queries — a k-way merge of the
     /// per-level sorted runs.
     pub fn sorted_view(&self) -> SortedView<T> {
-        SortedView::from_levels(&self.levels, &self.arena, self.accuracy)
+        SortedView::from_levels(&[LevelSet {
+            levels: &self.levels,
+            arena: &self.arena,
+            accuracy: self.accuracy,
+        }])
     }
 
     /// Total weight (equals `n`).

@@ -25,6 +25,7 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 
+use req_core::union::{decode_parts, Union};
 use req_core::{merge_wire_parts, OrdF64, ReqError, ReqSketch};
 use req_evented::ReqBinClient;
 use req_service::client::{attach_token, fresh_client_id};
@@ -281,6 +282,11 @@ impl Router {
     /// rank/quantile queries over the **union** of all node-local
     /// streams with the merged sketch's ε guarantee.
     pub fn merged_sketch(&mut self, key: &str) -> Result<ReqSketch<OrdF64>, ReqError> {
+        merge_wire_parts(&self.gather_parts(key)?)
+    }
+
+    /// Every node's serialized shard sketches for `key` (one `MERGE` each).
+    fn gather_parts(&mut self, key: &str) -> Result<Vec<Vec<u8>>, ReqError> {
         let req = Request::Merge {
             key: key.to_string(),
         };
@@ -295,20 +301,26 @@ impl Router {
                 }
             }
         }
-        merge_wire_parts(&parts)
+        Ok(parts)
     }
 
-    /// Rank of `value` in the union stream, via [`Router::merged_sketch`].
+    /// Rank of `value` in the union stream: Algorithm 2's sum over every
+    /// gathered part's levels ([`req_core::union`]), with no merge.
+    /// Mismatched parts fail with [`ReqError::IncompatibleMerge`].
     pub fn merged_rank(&mut self, key: &str, value: f64) -> Result<u64, ReqError> {
-        Ok(self.merged_sketch(key)?.rank_f64(value))
+        let parts = decode_parts::<OrdF64, _>(&self.gather_parts(key)?)?;
+        let parts: Vec<&ReqSketch<OrdF64>> = parts.iter().collect();
+        Ok(Union::new(&parts).rank(&OrdF64(value)))
     }
 
-    /// Quantile of the union stream, via [`Router::merged_sketch`]. A
-    /// rank outside `[0, 1]` is refused, as a routed `QUANTILE` is,
-    /// before any `MERGE` is sent.
+    /// Quantile of the union stream, selected across every gathered part's
+    /// levels ([`req_core::union`]) with no merge. A rank outside `[0, 1]`
+    /// is refused, as a routed `QUANTILE` is, before any `MERGE` is sent.
     pub fn merged_quantile(&mut self, key: &str, q: f64) -> Result<Option<f64>, ReqError> {
         check_quantile_rank(q)?;
-        Ok(self.merged_sketch(key)?.quantile_f64(q))
+        let parts = decode_parts::<OrdF64, _>(&self.gather_parts(key)?)?;
+        let parts: Vec<&ReqSketch<OrdF64>> = parts.iter().collect();
+        Ok(Union::new(&parts).quantile(q).map(OrdF64::get))
     }
 }
 

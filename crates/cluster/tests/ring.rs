@@ -22,7 +22,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use req_cluster::{Cluster, HashRing};
-use req_core::ReqError;
+use req_core::{QuantileSketch, ReqError};
 use req_evented::{serve_evented, ReqBinClient};
 use req_service::tempdir::TempDir;
 use req_service::{
@@ -182,6 +182,38 @@ proptest! {
         }
         handle.shutdown();
     }
+}
+
+#[test]
+fn merged_reads_answer_over_every_gathered_part() {
+    // 1,000 values spread over 3 nodes × 4 shards stay uncompacted, so the
+    // union of the gathered parts answers exactly: a read that missed a
+    // part, or double-counted one, would be off.
+    let mut cluster = Cluster::start(&["a", "b", "c"], RetryPolicy::default()).unwrap();
+    let router = cluster.router();
+    router
+        .create_spread("spread", TenantConfig::for_key("spread"))
+        .unwrap();
+    let values: Vec<f64> = (1..=1000).map(f64::from).collect();
+    assert_eq!(router.spread_add_batch("spread", &values).unwrap(), 1000);
+    for v in [0.5, 1.0, 250.0, 999.5, 1000.0, 5000.0] {
+        let want = values.iter().filter(|&&x| x <= v).count() as u64;
+        assert_eq!(router.merged_rank("spread", v).unwrap(), want, "rank {v}");
+    }
+    for (q, want) in [
+        (0.0, 1.0),
+        (0.001, 1.0),
+        (0.5, 500.0),
+        (0.9995, 1000.0),
+        (1.0, 1000.0),
+    ] {
+        assert_eq!(
+            router.merged_quantile("spread", q).unwrap(),
+            Some(want),
+            "q {q}"
+        );
+    }
+    assert_eq!(router.merged_sketch("spread").unwrap().len(), 1000);
 }
 
 #[test]

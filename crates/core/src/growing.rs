@@ -19,6 +19,7 @@ use crate::compactor::RankAccuracy;
 use crate::error::ReqError;
 use crate::params::ParamPolicy;
 use crate::sketch::ReqSketch;
+use crate::union::Union;
 use crate::view::SortedView;
 
 /// Unknown-`n` REQ sketch per §5: a list of closed-out summaries plus one
@@ -92,20 +93,16 @@ impl<T: Ord + Clone> GrowingReqSketch<T> {
         self.current_estimate = next;
     }
 
-    /// Combined weighted view over all summaries, for batched queries.
-    ///
-    /// Each summary's view is served from its epoch cache (closed-out
-    /// summaries never mutate, so theirs are built exactly once) and the
-    /// per-summary views are combined by k-way merge — no re-sorting.
+    /// Combined weighted view over all summaries, for batched queries: one
+    /// loser tree over every summary's runs.
     pub fn sorted_view(&self) -> SortedView<T> {
-        let views: Vec<_> = self
-            .closed
-            .iter()
-            .chain(std::iter::once(&self.active))
-            .map(|summary| summary.cached_view())
-            .collect();
-        let refs: Vec<&SortedView<T>> = views.iter().map(|v| v.as_ref()).collect();
-        SortedView::merge_views(&refs)
+        let sets: Vec<_> = self.summaries().map(|s| s.level_set()).collect();
+        SortedView::from_levels(&sets)
+    }
+
+    /// The closed-out summaries, oldest first, then the active one.
+    pub fn summaries(&self) -> impl Iterator<Item = &ReqSketch<T>> {
+        self.closed.iter().chain(std::iter::once(&self.active))
     }
 }
 
@@ -147,27 +144,11 @@ impl<T: Ord + Clone> QuantileSketch<T> for GrowingReqSketch<T> {
         self.closed.iter().map(|s| s.rank(y)).sum::<u64>() + self.active.rank(y)
     }
 
+    /// Selected across all summaries' levels at once ([`crate::union`]), with
+    /// exact endpoints from the per-summary tracked extremes.
     fn quantile(&self, q: f64) -> Option<T> {
-        // Exact endpoints from the per-summary tracked extremes.
-        if q.is_nan() || q <= 0.0 {
-            return self
-                .closed
-                .iter()
-                .chain(std::iter::once(&self.active))
-                .filter_map(|s| s.min_item())
-                .min()
-                .cloned();
-        }
-        if q >= 1.0 {
-            return self
-                .closed
-                .iter()
-                .chain(std::iter::once(&self.active))
-                .filter_map(|s| s.max_item())
-                .max()
-                .cloned();
-        }
-        self.sorted_view().quantile(q).cloned()
+        let summaries: Vec<&ReqSketch<T>> = self.summaries().collect();
+        Union::new(&summaries).quantile(q)
     }
 }
 

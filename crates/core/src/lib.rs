@@ -88,12 +88,16 @@
 //! * [`growing`] — the literal §5 unknown-`n` construction;
 //! * [`view`] — sorted weighted snapshots + the epoch-invalidated query
 //!   cache behind `rank`/`quantile`/`cdf`;
+//! * [`union`] — Algorithm 2 over several sketches' levels at once, with no
+//!   view built: the read path of sharded sketches, cluster `MERGE` reads
+//!   and the §5 growing sketch;
 //! * [`quantiles_ext`] — rank bounds, batch ranks/quantiles, weighted
 //!   updates;
 //! * [`binary`] — versioned compact binary serialization;
 //! * [`frame`] — checksummed length-prefixed framing (WAL/snapshot files);
-//! * [`concurrent`] — sharded multi-writer ingestion (batched) with a
-//!   memoized merged snapshot for read-heavy monitoring;
+//! * [`concurrent`] — sharded multi-writer ingestion (batched), read
+//!   straight off the shards, with a union view cached once repeated reads
+//!   have paid for it;
 //! * [`ordf64`] / [`ordf32`] — total-order float wrappers ([`ReqF64`],
 //!   [`ReqF32`]).
 
@@ -123,12 +127,13 @@ pub mod schedule;
 pub mod serde_impl;
 pub mod sketch;
 pub mod stats;
+pub mod union;
 pub mod view;
 
 pub use arena::LevelArena;
 pub use builder::ReqSketchBuilder;
 pub use compactor::{CompactionMode, RankAccuracy};
-pub use concurrent::ConcurrentReqSketch;
+pub use concurrent::{ConcurrentReqSketch, ReadCacheStats};
 pub use error::ReqError;
 pub use growing::GrowingReqSketch;
 pub use merge::{merge_balanced, merge_linear, merge_random_tree, merge_wire_parts};

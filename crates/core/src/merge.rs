@@ -126,7 +126,10 @@ pub(crate) fn merge_into<T: Ord + Clone>(
     Ok(())
 }
 
-fn check_compatible<T: Ord + Clone>(a: &ReqSketch<T>, b: &ReqSketch<T>) -> Result<(), ReqError> {
+pub(crate) fn check_compatible<T: Ord + Clone>(
+    a: &ReqSketch<T>,
+    b: &ReqSketch<T>,
+) -> Result<(), ReqError> {
     if a.policy != b.policy {
         return Err(ReqError::IncompatibleMerge(format!(
             "parameter policies differ: {:?} vs {:?}",
@@ -227,13 +230,10 @@ where
     T: Ord + Clone + crate::binary::Packable,
     B: AsRef<[u8]>,
 {
-    let mut iter = parts.iter();
-    let first = iter
-        .next()
-        .ok_or_else(|| ReqError::InvalidParameter("no sketch parts to merge".into()))?;
-    let mut target = ReqSketch::from_bytes(first.as_ref())?;
-    for part in iter {
-        target.try_merge(ReqSketch::from_bytes(part.as_ref())?)?;
+    let mut sketches = crate::union::decode_parts(parts)?.into_iter();
+    let mut target = sketches.next().expect("decode_parts rejects an empty list");
+    for part in sketches {
+        target.try_merge(part)?;
     }
     Ok(target)
 }

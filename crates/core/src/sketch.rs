@@ -35,7 +35,7 @@ use crate::compactor::{CompactionMode, RankAccuracy, RelativeCompactor};
 use crate::error::ReqError;
 use crate::params::{ParamPolicy, Params};
 use crate::schedule::CompactionSchedule;
-use crate::view::{SortedView, ViewCache};
+use crate::view::{LevelSet, SortedView, ViewCache};
 
 /// The Relative Error Quantiles sketch of Cormode, Karnin, Liberty, Thaler
 /// and Veselý (PODS 2021).
@@ -324,7 +324,17 @@ impl<T: Ord + Clone> ReqSketch<T> {
     /// callers that want a view detached from the sketch's cache (and for
     /// verifying the cache against ground truth).
     pub fn sorted_view(&self) -> SortedView<T> {
-        SortedView::from_levels(&self.levels, &self.arena, self.accuracy)
+        SortedView::from_levels(&[self.level_set()])
+    }
+
+    /// The compactor levels, their arena and orientation, as the view
+    /// builder and the union selection ([`crate::union`]) read them.
+    pub fn level_set(&self) -> LevelSet<'_, T> {
+        LevelSet {
+            levels: &self.levels,
+            arena: &self.arena,
+            accuracy: self.accuracy,
+        }
     }
 
     /// The memoized sorted view backing `rank`/`quantile`/`cdf`/`pmf`.
@@ -334,9 +344,7 @@ impl<T: Ord + Clone> ReqSketch<T> {
     /// growth) bumps the dirty [`Self::epoch`]. Cheap to clone (`Arc`);
     /// hold it across a probe batch to keep queries `O(log retained)`.
     pub fn cached_view(&self) -> Arc<SortedView<T>> {
-        self.cache.get_or_build(self.epoch, || {
-            SortedView::from_levels(&self.levels, &self.arena, self.accuracy)
-        })
+        self.cache.get_or_build(self.epoch, || self.sorted_view())
     }
 
     /// Monotone mutation counter; two equal epochs on the same sketch imply

@@ -1,0 +1,359 @@
+//! Algorithm 2 over a union of sketches, answered in place.
+//!
+//! The paper's estimator `R̂(y) = Σ_h 2^h·|{x ∈ B_h : x ≤ y}|` is a plain
+//! sum, and §5 answers over several summaries by adding their estimates.
+//! A set of compatible sketches (a sharded sketch's shards, the parts a
+//! cluster `MERGE` gathers, the §5 growing sketch's summaries) can therefore
+//! be queried as the union of all their levels: the per-sketch errors add
+//! (Theorem 3), so the answer stays within `ε·R(y)` with no merge-compaction
+//! error on top, and nothing is cloned, merged or built per read.
+//!
+//! * [`Union::rank`] is `Σ` [`ReqSketch::rank_direct`]: a binary search per
+//!   sorted run plus a scan of each small raw tail.
+//! * [`Union::quantile`] is a multi-sequence selection over every level's
+//!   cold run, warm run and a *sorted copy* of its raw tail (an item at level
+//!   `h` weighs `2^h`; `HighRank` runs are read back to front). Each round
+//!   pivots on the window-length-weighted median of the windows' middle
+//!   items and binary-searches only inside the windows, so a quarter of the
+//!   remaining window items drop out per round.
+//!
+//! Answers are bit-for-bit those of the union view
+//! ([`SortedView::from_levels`] over every sketch): the smallest retained
+//! `x` with `R̂(x) ≥ clamp(⌈q·W⌉, 1, W)`, where `W` is the summed
+//! [`ReqSketch::total_weight`]. At `q ≤ 0` or NaN a quantile is the exact
+//! minimum over the sketches, and at `q ≥ 1` the exact maximum, as
+//! [`QuantileSketch::quantile`](sketch_traits::QuantileSketch::quantile)
+//! answers on one sketch.
+//!
+//! A read never mutates a sketch: no tail is folded in place and no cached
+//! view is touched, so serialized bytes and epochs stay put.
+
+use std::cell::{Cell, OnceCell};
+
+use crate::binary::Packable;
+use crate::error::ReqError;
+use crate::sketch::ReqSketch;
+use crate::view::{runs, sorted_tails, LevelSet, Run, SortedView};
+use sketch_traits::SpaceUsage;
+
+/// Comparisons to binary-search (or sort) a span of `len` items: `⌈log₂(len + 1)⌉`.
+fn log2_ceil(len: usize) -> u64 {
+    u64::from(usize::BITS - len.leading_zeros())
+}
+
+/// A borrowed set of sketches queried as the union of their levels.
+///
+/// Building one costs nothing; raw tails are copied and sorted on the
+/// first quantile only. Every direct read adds the
+/// comparisons it made to [`Union::comparisons`], which is how
+/// [`crate::ConcurrentReqSketch`] prices its reads against a view build.
+///
+/// ```
+/// use req_core::union::Union;
+/// use req_core::ReqSketch;
+/// use sketch_traits::QuantileSketch;
+///
+/// let mut a = ReqSketch::<u64>::builder().k(12).seed(1).build().unwrap();
+/// let mut b = ReqSketch::<u64>::builder().k(12).seed(2).build().unwrap();
+/// a.update_batch(&(0..1_000u64).collect::<Vec<_>>());
+/// b.update_batch(&(1_000..2_000u64).collect::<Vec<_>>());
+/// let parts = [&a, &b];
+/// let union = Union::new(&parts);
+/// assert_eq!(union.total_weight(), 2_000);
+/// assert_eq!(union.rank(&999), a.rank(&999) + b.rank(&999));
+/// assert_eq!(union.quantile(1.0), Some(1_999));
+/// ```
+#[derive(Debug)]
+pub struct Union<'a, T> {
+    sketches: &'a [&'a ReqSketch<T>],
+    total: OnceCell<u64>,
+    /// Comparisons of one [`Union::rank`]: a binary search per sorted run
+    /// plus every raw-tail item.
+    rank_cost: OnceCell<u64>,
+    /// Sorted copies of every raw tail, made on the first quantile.
+    tails: OnceCell<Vec<(Vec<T>, u64)>>,
+    comparisons: Cell<u64>,
+}
+
+impl<'a, T: Ord + Clone> Union<'a, T> {
+    /// Query `sketches` as one weighted set. The caller is responsible for
+    /// their compatibility (same item domain; see [`decode_parts`] for the
+    /// check a merge would make).
+    pub fn new(sketches: &'a [&'a ReqSketch<T>]) -> Self {
+        Union {
+            sketches,
+            total: OnceCell::new(),
+            rank_cost: OnceCell::new(),
+            tails: OnceCell::new(),
+            comparisons: Cell::new(0),
+        }
+    }
+
+    /// `W`: the summed total weight of every retained item.
+    pub fn total_weight(&self) -> u64 {
+        *self
+            .total
+            .get_or_init(|| self.sketches.iter().map(|s| s.total_weight()).sum())
+    }
+
+    /// Retained items across all sketches.
+    pub fn retained(&self) -> usize {
+        self.sketches.iter().map(|s| s.retained()).sum()
+    }
+
+    /// Comparisons spent by direct reads on this union so far.
+    pub fn comparisons(&self) -> u64 {
+        self.comparisons.get()
+    }
+
+    fn charge(&self, comparisons: u64) {
+        self.comparisons.set(self.comparisons.get() + comparisons);
+    }
+
+    /// Exact smallest item seen by any sketch.
+    pub fn min_item(&self) -> Option<&'a T> {
+        self.sketches.iter().filter_map(|s| s.min_item()).min()
+    }
+
+    /// Exact largest item seen by any sketch.
+    pub fn max_item(&self) -> Option<&'a T> {
+        self.sketches.iter().filter_map(|s| s.max_item()).max()
+    }
+
+    /// `R̂(y)`: the weight of retained items `≤ y`, summed over sketches.
+    pub fn rank(&self, y: &T) -> u64 {
+        self.charge(*self.rank_cost.get_or_init(|| {
+            let mut cost = 0;
+            for set in self.level_sets() {
+                for level in set.levels {
+                    let cold = level.run_len(set.arena);
+                    let raw = level.len(set.arena) - cold - level.warm_len();
+                    cost += log2_ceil(cold) + log2_ceil(level.warm_len()) + raw as u64;
+                }
+            }
+            cost
+        }));
+        self.sketches.iter().map(|s| s.rank_direct(y)).sum()
+    }
+
+    /// `R̂(y) / W`, or 0 while empty — a CDF point.
+    pub fn normalized_rank(&self, y: &T) -> f64 {
+        match self.total_weight() {
+            0 => 0.0,
+            total => self.rank(y) as f64 / total as f64,
+        }
+    }
+
+    /// The `q`-quantile of the union; `None` only when every sketch is empty.
+    pub fn quantile(&self, q: f64) -> Option<T> {
+        if q.is_nan() || q <= 0.0 {
+            return self.min_item().cloned();
+        }
+        if q >= 1.0 {
+            return self.max_item().cloned();
+        }
+        let total = self.total_weight();
+        if total == 0 {
+            return None;
+        }
+        let target = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let tails = self.tails.get_or_init(|| {
+            let tails = sorted_tails(&self.level_sets());
+            let cost = tails
+                .iter()
+                .map(|(t, _)| t.len() as u64 * (1 + log2_ceil(t.len())))
+                .sum();
+            self.charge(cost);
+            tails
+        });
+        let runs = runs(&self.level_sets(), tails);
+        let mut comparisons = 0;
+        let answer = select(&runs, target, &mut comparisons).cloned();
+        self.charge(comparisons);
+        answer
+    }
+
+    /// Build the union view: one loser tree over every sketch's runs.
+    pub fn view(&self) -> SortedView<T> {
+        SortedView::from_levels(&self.level_sets())
+    }
+
+    fn level_sets(&self) -> Vec<LevelSet<'a, T>> {
+        self.sketches.iter().map(|s| s.level_set()).collect()
+    }
+}
+
+/// The smallest item `x` of `runs` with `Σ_r w_r·|{y ∈ r : y ≤ x}| ≥ target`
+/// (`1 ≤ target ≤` the runs' total weight), by multi-sequence selection.
+///
+/// Run `r`'s window is its ascending positions `lo[r]..hi[r]`; items before
+/// a window are below the answer and `below` is their weight, items after it
+/// are above. Each round counts the items `< p` and `≤ p` inside every window
+/// for a pivot `p` drawn from the windows: either `p` is the answer, or every
+/// copy of `p` leaves the windows on the side it belongs to. Pivoting on the
+/// window-length-weighted median of the window middles removes at least a
+/// quarter of the window items per round.
+fn select<'r, T: Ord>(runs: &[Run<'r, T>], target: u64, comparisons: &mut u64) -> Option<&'r T> {
+    let mut lo = vec![0usize; runs.len()];
+    let mut hi: Vec<usize> = runs.iter().map(Run::len).collect();
+    let mut lt = vec![0usize; runs.len()];
+    let mut le = vec![0usize; runs.len()];
+    let mut below = 0u64;
+    let mut middles: Vec<(&'r T, usize)> = Vec::with_capacity(runs.len());
+    loop {
+        middles.clear();
+        let mut window_items = 0;
+        for (r, run) in runs.iter().enumerate() {
+            let len = hi[r] - lo[r];
+            if len > 0 {
+                middles.push((run.get(lo[r] + len / 2), len));
+                window_items += len;
+            }
+        }
+        if middles.is_empty() {
+            return None;
+        }
+        middles.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        *comparisons += middles.len() as u64 * log2_ceil(middles.len());
+        let mut seen = 0;
+        let pivot = middles
+            .iter()
+            .find(|(_, len)| {
+                seen += len;
+                2 * seen >= window_items
+            })
+            .map(|(p, _)| *p)
+            .expect("the weights sum to window_items");
+
+        let (mut weight_lt, mut weight_le) = (below, below);
+        for (r, run) in runs.iter().enumerate() {
+            if lo[r] == hi[r] {
+                (lt[r], le[r]) = (0, 0);
+                continue;
+            }
+            lt[r] = run.count_in(lo[r], hi[r], pivot, false);
+            le[r] = lt[r] + run.count_in(lo[r] + lt[r], hi[r], pivot, true);
+            *comparisons += log2_ceil(hi[r] - lo[r]) + log2_ceil(hi[r] - lo[r] - lt[r]);
+            weight_lt += run.weight * lt[r] as u64;
+            weight_le += run.weight * le[r] as u64;
+        }
+        if weight_le < target {
+            // Every item ≤ pivot is below the answer.
+            for r in 0..runs.len() {
+                lo[r] += le[r];
+            }
+            below = weight_le;
+        } else if weight_lt >= target {
+            // The answer is below the pivot.
+            for r in 0..runs.len() {
+                hi[r] = lo[r] + lt[r];
+            }
+        } else {
+            return Some(pivot);
+        }
+    }
+}
+
+/// Decode wire-serialized sketches ([`ReqSketch::to_bytes`] payloads, as a
+/// cluster `MERGE` gathers them) for a union read or a merge, checking that
+/// they belong together: parts with differing policy, orientation or
+/// schedule fail with [`ReqError::IncompatibleMerge`], corrupt bytes with
+/// [`ReqError::CorruptBytes`], and an empty part list with
+/// [`ReqError::InvalidParameter`].
+pub fn decode_parts<T, B>(parts: &[B]) -> Result<Vec<ReqSketch<T>>, ReqError>
+where
+    T: Ord + Clone + Packable,
+    B: AsRef<[u8]>,
+{
+    if parts.is_empty() {
+        return Err(ReqError::InvalidParameter(
+            "no sketch parts to merge".into(),
+        ));
+    }
+    let sketches = parts
+        .iter()
+        .map(|p| ReqSketch::from_bytes(p.as_ref()))
+        .collect::<Result<Vec<ReqSketch<T>>, ReqError>>()?;
+    for other in &sketches[1..] {
+        crate::merge::check_compatible(&sketches[0], other)?;
+    }
+    Ok(sketches)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compactor::RankAccuracy;
+    use sketch_traits::QuantileSketch;
+
+    fn sketch(acc: RankAccuracy, seed: u64, items: &[u64]) -> ReqSketch<u64> {
+        let mut s = ReqSketch::<u64>::builder()
+            .k(4)
+            .rank_accuracy(acc)
+            .seed(seed)
+            .build()
+            .unwrap();
+        for chunk in items.chunks(37) {
+            s.update_batch(chunk);
+        }
+        s
+    }
+
+    #[test]
+    fn selection_equals_the_union_view_at_every_target() {
+        for acc in [RankAccuracy::LowRank, RankAccuracy::HighRank] {
+            let a = sketch(
+                acc,
+                1,
+                &(0..3_000u64).map(|i| i * 7 % 1_003).collect::<Vec<_>>(),
+            );
+            let b = sketch(acc, 2, &(0..1_234u64).map(|i| i % 17).collect::<Vec<_>>());
+            let c = sketch(acc, 3, &[]);
+            let parts = [&a, &b, &c];
+            let union = Union::new(&parts);
+            let view = union.view();
+            assert_eq!(view.total_weight(), union.total_weight());
+            for i in 1..200 {
+                let q = f64::from(i) / 200.0;
+                assert_eq!(
+                    union.quantile(q).as_ref(),
+                    view.quantile(q),
+                    "{acc:?} q {q}"
+                );
+            }
+            for y in (0..1_100u64).step_by(13) {
+                assert_eq!(union.rank(&y), view.rank(&y), "{acc:?} y {y}");
+            }
+            assert_eq!(union.quantile(0.0), Some(0));
+            assert_eq!(union.quantile(f64::NAN), Some(0));
+            assert_eq!(union.quantile(1.0), Some(1_002));
+        }
+    }
+
+    #[test]
+    fn reads_count_their_comparisons() {
+        let a = sketch(RankAccuracy::LowRank, 1, &(0..5_000u64).collect::<Vec<_>>());
+        let parts = [&a];
+        let union = Union::new(&parts);
+        assert_eq!(union.comparisons(), 0);
+        union.rank(&10);
+        let after_rank = union.comparisons();
+        assert!(after_rank > 0);
+        union.quantile(0.5);
+        assert!(union.comparisons() > after_rank);
+    }
+
+    #[test]
+    fn empty_union_answers_nothing() {
+        let empty: [&ReqSketch<u64>; 0] = [];
+        let union = Union::new(&empty);
+        assert_eq!(union.quantile(0.5), None);
+        assert_eq!(union.quantile(0.0), None);
+        assert_eq!(union.rank(&3), 0);
+        assert_eq!(union.normalized_rank(&3), 0.0);
+        assert!(matches!(
+            decode_parts::<u64, Vec<u8>>(&[]),
+            Err(ReqError::InvalidParameter(_))
+        ));
+    }
+}

@@ -5,11 +5,13 @@
 //! `2^h`. This module materializes that set once, sorted, with cumulative
 //! weights, so that batches of rank/quantile/CDF queries cost one build plus
 //! `O(log(retained))` per query. Because each compactor keeps its buffer as
-//! a sorted run (+ small tail), the build is a **loser-tree k-way merge** of
-//! the per-level runs — `O(retained·log(levels))` comparisons plus sorting
-//! only the tails — instead of the `O(retained·log(retained))` full sort a
-//! flat item dump would need. Equal adjacent items coalesce into one entry
-//! with summed weight, shrinking the probe binary searches on
+//! sorted runs (+ small tail), the build is a **loser-tree k-way merge** of
+//! the per-level runs — `O(retained·log(runs))` comparisons plus sorting
+//! copies of only the tails — instead of the `O(retained·log(retained))`
+//! full sort a flat item dump would need. The same builder takes several
+//! sketches' levels at once and builds their union view, which
+//! [`crate::union`] answers without building. Equal adjacent items coalesce
+//! into one entry with summed weight, shrinking the probe binary searches on
 //! duplicate-heavy streams.
 
 use std::cmp::Ordering;
@@ -48,43 +50,14 @@ impl<T: Ord + Clone> SortedView<T> {
         }
     }
 
-    /// Build from compactor levels by loser-tree k-way merge of the
-    /// per-level sorted runs (each weighted `2^h`); only the small unsorted
-    /// tails are sorted. `acc` tells which direction the runs are ordered
-    /// internally (descending externally under `HighRank`).
-    pub fn from_levels(
-        levels: &[RelativeCompactor<T>],
-        arena: &LevelArena<T>,
-        acc: RankAccuracy,
-    ) -> Self {
-        // Tails are unsorted; snapshot and sort each (they are small — raw
-        // appends since the owning level's last ordering operation).
-        let tails: Vec<(usize, Vec<T>)> = levels
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.run_len(arena) < l.len(arena))
-            .map(|(h, l)| {
-                let mut t = l.items(arena)[l.run_len(arena)..].to_vec();
-                t.sort_unstable();
-                (h, t)
-            })
-            .collect();
-        let mut cursors: Vec<Cursor<'_, T>> = Vec::with_capacity(levels.len() + tails.len());
-        for (h, level) in levels.iter().enumerate() {
-            let run = &level.items(arena)[..level.run_len(arena)];
-            if !run.is_empty() {
-                // Runs are sorted by the internal comparator: ascending
-                // external order means reading HighRank runs back to front.
-                cursors.push(match acc {
-                    RankAccuracy::LowRank => Cursor::forward(run, 1u64 << h),
-                    RankAccuracy::HighRank => Cursor::reverse(run, 1u64 << h),
-                });
-            }
-        }
-        for (h, tail) in &tails {
-            cursors.push(Cursor::forward(tail, 1u64 << *h));
-        }
-        Self::from_sorted_entries(kway_merge_coalesce(cursors))
+    /// Build from one or more sketches' compactor levels by one loser-tree
+    /// k-way merge of every level's sorted runs (each item weighted `2^h`);
+    /// only copies of the small raw tails are sorted. One set is a single
+    /// sketch's view; several sets are the union view Algorithm 2 sums over
+    /// (the §5 growing sketch's summaries, a sharded sketch's shards).
+    pub fn from_levels(sets: &[LevelSet<'_, T>]) -> Self {
+        let tails = sorted_tails(sets);
+        Self::from_sorted_entries(kway_merge_coalesce(runs(sets, &tails)))
     }
 
     /// Build directly from `(item, weight)` pairs — used by baseline
@@ -100,18 +73,6 @@ impl<T: Ord + Clone> SortedView<T> {
             }
         }
         Self::from_sorted_entries(entries)
-    }
-
-    /// Combine several already-built views into one by loser-tree k-way
-    /// merge — no re-sorting. Used by the §5 growing sketch to answer
-    /// queries across its closed-out summaries.
-    pub fn merge_views(views: &[&SortedView<T>]) -> Self {
-        let cursors: Vec<Cursor<'_, T>> = views
-            .iter()
-            .filter(|v| !v.is_empty())
-            .map(|v| Cursor::weighted(&v.entries))
-            .collect();
-        Self::from_sorted_entries(kway_merge_coalesce(cursors))
     }
 
     /// Total weight (≈ `n`; exactly `n` unless odd-sized merge compactions
@@ -208,73 +169,132 @@ impl<T: Ord + Clone> SortedView<T> {
     }
 }
 
-/// One sorted input stream of a k-way merge: a run slice read forward or
-/// backward at a fixed weight, or already-weighted view entries.
-enum Cursor<'a, T> {
-    /// Slice ascending in external order; fixed per-item weight.
-    Forward {
-        items: &'a [T],
-        pos: usize,
-        weight: u64,
-    },
-    /// Slice descending in external order (a `HighRank` run), read from the
-    /// back; fixed per-item weight.
-    Reverse {
-        items: &'a [T],
-        left: usize,
-        weight: u64,
-    },
-    /// Ascending `(item, weight)` entries of an existing view.
-    Weighted { entries: &'a [(T, u64)], pos: usize },
+/// One sketch's compactor levels as the view builder and the union
+/// selection ([`crate::union`]) read them: the levels, the arena backing
+/// them, and the orientation their runs are sorted in.
+#[derive(Debug)]
+pub struct LevelSet<'a, T> {
+    /// The compactors, level `h` at index `h` (items weighted `2^h`).
+    pub levels: &'a [RelativeCompactor<T>],
+    /// The arena holding every level's buffer.
+    pub arena: &'a LevelArena<T>,
+    /// Internal run order: runs are descending externally under `HighRank`.
+    pub accuracy: RankAccuracy,
 }
 
-impl<'a, T> Cursor<'a, T> {
-    fn forward(items: &'a [T], weight: u64) -> Self {
-        Cursor::Forward {
-            items,
-            pos: 0,
-            weight,
+/// Sorted copies of every level's raw tail (the appends after its cold and
+/// warm runs), each with its level weight. A read never sorts a tail in
+/// place: `run_len` is serialized, so folding a tail would change the
+/// sketch's bytes.
+pub(crate) fn sorted_tails<T: Ord + Clone>(sets: &[LevelSet<'_, T>]) -> Vec<(Vec<T>, u64)> {
+    let mut tails = Vec::new();
+    for set in sets {
+        for (h, level) in set.levels.iter().enumerate() {
+            let raw = &level.items(set.arena)[level.run_len(set.arena) + level.warm_len()..];
+            if !raw.is_empty() {
+                let mut t = raw.to_vec();
+                t.sort_unstable();
+                tails.push((t, 1u64 << h));
+            }
+        }
+    }
+    tails
+}
+
+/// Every non-empty sorted run of `sets` in ascending external order: each
+/// level's cold and warm runs (read back to front under `HighRank`), then
+/// the sorted `tails` from [`sorted_tails`].
+pub(crate) fn runs<'a, T>(sets: &[LevelSet<'a, T>], tails: &'a [(Vec<T>, u64)]) -> Vec<Run<'a, T>> {
+    let mut out = Vec::new();
+    for set in sets {
+        let reverse = set.accuracy == RankAccuracy::HighRank;
+        for (h, level) in set.levels.iter().enumerate() {
+            let items = level.items(set.arena);
+            let cold = level.run_len(set.arena);
+            let warm = cold + level.warm_len();
+            for run in [&items[..cold], &items[cold..warm]] {
+                if !run.is_empty() {
+                    out.push(Run {
+                        items: run,
+                        reverse,
+                        weight: 1u64 << h,
+                    });
+                }
+            }
+        }
+    }
+    out.extend(tails.iter().map(|(t, w)| Run {
+        items: t,
+        reverse: false,
+        weight: *w,
+    }));
+    out
+}
+
+/// A sorted run read in ascending external order at a fixed per-item
+/// weight: a slice read forward, or back to front (a `HighRank` run).
+/// Positions are logical: `get(0)` is the run's smallest item.
+#[derive(Debug)]
+pub(crate) struct Run<'a, T> {
+    pub(crate) items: &'a [T],
+    pub(crate) reverse: bool,
+    pub(crate) weight: u64,
+}
+
+impl<'a, T: Ord> Run<'a, T> {
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// The item at ascending position `i`.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &'a T {
+        if self.reverse {
+            &self.items[self.items.len() - 1 - i]
+        } else {
+            &self.items[i]
         }
     }
 
-    fn reverse(items: &'a [T], weight: u64) -> Self {
-        Cursor::Reverse {
-            items,
-            left: items.len(),
-            weight,
+    /// Items in ascending positions `lo..hi` that are `≤ p` (`inclusive`)
+    /// or `< p`, by binary search.
+    pub(crate) fn count_in(&self, lo: usize, hi: usize, p: &T, inclusive: bool) -> usize {
+        let below = |x: &T| if inclusive { x <= p } else { x < p };
+        if self.reverse {
+            let s = &self.items[self.items.len() - hi..self.items.len() - lo];
+            s.len() - s.partition_point(|x| !below(x))
+        } else {
+            self.items[lo..hi].partition_point(below)
         }
     }
+}
 
-    fn weighted(entries: &'a [(T, u64)]) -> Self {
-        Cursor::Weighted { entries, pos: 0 }
-    }
+/// One input of the k-way merge: a run and how far it has been consumed.
+struct Cursor<'a, T> {
+    run: Run<'a, T>,
+    pos: usize,
+}
 
+impl<'a, T: Ord> Cursor<'a, T> {
     /// Current smallest unconsumed item and its weight, if any.
     fn head(&self) -> Option<(&'a T, u64)> {
-        match self {
-            Cursor::Forward { items, pos, weight } => items.get(*pos).map(|x| (x, *weight)),
-            Cursor::Reverse {
-                items,
-                left,
-                weight,
-            } => left.checked_sub(1).map(|i| (&items[i], *weight)),
-            Cursor::Weighted { entries, pos } => entries.get(*pos).map(|(x, w)| (x, *w)),
-        }
+        (self.pos < self.run.len()).then(|| (self.run.get(self.pos), self.run.weight))
     }
 
     fn advance(&mut self) {
-        match self {
-            Cursor::Forward { pos, .. } | Cursor::Weighted { pos, .. } => *pos += 1,
-            Cursor::Reverse { left, .. } => *left -= 1,
-        }
+        self.pos += 1;
     }
 }
 
-/// Loser-tree k-way merge of ascending cursors, coalescing equal adjacent
+/// Loser-tree k-way merge of ascending runs, coalescing equal adjacent
 /// items into one entry with summed weight. `O(total·log(k))` comparisons;
 /// ties are broken by cursor index so the output is deterministic.
-fn kway_merge_coalesce<T: Ord + Clone>(mut cursors: Vec<Cursor<'_, T>>) -> Vec<(T, u64)> {
-    cursors.retain(|c| c.head().is_some());
+fn kway_merge_coalesce<T: Ord + Clone>(runs: Vec<Run<'_, T>>) -> Vec<(T, u64)> {
+    let mut cursors: Vec<Cursor<'_, T>> = runs
+        .into_iter()
+        .filter(|r| !r.items.is_empty())
+        .map(|run| Cursor { run, pos: 0 })
+        .collect();
     let m = cursors.len();
     let mut entries: Vec<(T, u64)> = Vec::new();
     let emit = |entries: &mut Vec<(T, u64)>, item: &T, w: u64| match entries.last_mut() {

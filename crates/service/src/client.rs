@@ -304,9 +304,9 @@ pub trait ClientApi {
         }
     }
 
-    /// `MERGE key` — the tenant's serialized per-shard sketches, for
-    /// scatter/gather merging at a router via
-    /// [`req_core::merge_wire_parts`].
+    /// `MERGE key` — the tenant's serialized per-shard sketches, for a
+    /// scatter/gather router to answer over ([`req_core::union`]) or merge
+    /// ([`req_core::merge_wire_parts`]).
     fn merge_parts(&mut self, key: &str) -> Result<Vec<Vec<u8>>, ReqError> {
         let req = Request::Merge {
             key: key.to_string(),

@@ -160,8 +160,8 @@ pub enum Request {
         max_bytes: u32,
     },
     /// `MERGE key` — scatter/gather: the tenant's serialized per-shard
-    /// sketches (binary v3 `to_bytes`), for merging at a router via
-    /// [`req_core::merge_wire_parts`].
+    /// sketches (binary v3 `to_bytes`), for a router to answer over
+    /// ([`req_core::union`]) or merge ([`req_core::merge_wire_parts`]).
     Merge {
         /// Tenant key.
         key: String,

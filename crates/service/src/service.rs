@@ -1103,7 +1103,9 @@ impl QuantileService {
         self.tenant(key)?.sketch.cdf(&split)
     }
 
-    /// Live statistics for tenant `key`.
+    /// Live statistics for tenant `key`. `retained`, `bytes` and `k`
+    /// describe the shards' merged snapshot, so this is the one served read
+    /// that still merges (memoized until a shard changes).
     pub fn stats(&self, key: &str) -> Result<TenantStats, ReqError> {
         let tenant = self.tenant(key)?;
         let merged = tenant.sketch.cached_snapshot()?;

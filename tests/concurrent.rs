@@ -136,18 +136,76 @@ fn batched_parallel_ingest_matches_oracle() {
 fn cached_snapshot_tracks_mutations_under_read_heavy_polling() {
     let shared = ConcurrentReqSketch::<u64>::new(builder(12, 6), 4).unwrap();
     shared.update_batch(&(0..100_000u64).collect::<Vec<_>>());
-    // Poll repeatedly without writes: one build, then hits.
+    // Poll repeatedly without writes: the reads build the union view at most
+    // once and never a merged snapshot.
     for _ in 0..10 {
         let p99 = shared.quantile(0.99).unwrap().unwrap();
         assert!((p99 as f64 - 99_000.0).abs() < 5_000.0, "p99 {p99}");
     }
-    let (hits, builds) = shared.snapshot_cache_stats();
-    assert_eq!(builds, 1);
-    assert_eq!(hits, 9);
+    let stats = shared.read_cache_stats();
+    assert!(stats.builds <= 1, "{stats:?}");
+    assert_eq!(stats.direct + stats.cached, 10);
+    assert_eq!(shared.snapshot_cache_stats(), (0, 0));
     // A write invalidates; polling picks up the new data.
     shared.update(7);
-    assert_eq!(shared.cached_snapshot().unwrap().len(), 100_001);
-    assert_eq!(shared.snapshot_cache_stats().1, 2);
+    assert_eq!(shared.rank(&u64::MAX).unwrap(), 100_001);
+    assert_eq!(shared.snapshot_cache_stats(), (0, 0));
+}
+
+#[test]
+fn reads_writes_and_checkpoints_interleave_without_deadlock() {
+    // Writers, readers and a thread cycling the snapshot cache, checkpoint
+    // and read-only encoding share one sketch for about a second. Reads lock
+    // every shard in index order and then the read cache; nothing may
+    // deadlock, and no item may be lost.
+    let shared = ConcurrentReqSketch::<u64>::new(builder(12, 8), 4).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    let sent: u64 = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..3u64)
+            .map(|t| {
+                let shared = &shared;
+                scope.spawn(move || {
+                    let mut sent = 0u64;
+                    let mut i = 0u64;
+                    while std::time::Instant::now() < deadline {
+                        let batch: Vec<u64> = (0..257).map(|j| (i * 257 + j) * (t + 1)).collect();
+                        shared.update_batch_in_shard(t as usize, &batch);
+                        shared.update(i);
+                        sent += batch.len() as u64 + 1;
+                        i += 1;
+                    }
+                    sent
+                })
+            })
+            .collect();
+        for r in 0..2u64 {
+            let shared = &shared;
+            scope.spawn(move || {
+                let mut i = 0u64;
+                while std::time::Instant::now() < deadline {
+                    let total = shared.rank(&u64::MAX).unwrap();
+                    assert!(total <= shared.len(), "union weight ahead of len");
+                    shared.quantile((i % 100) as f64 / 100.0).unwrap();
+                    let cdf = shared.cdf(&[1_000, 100_000, 10_000_000]).unwrap();
+                    assert!(cdf.windows(2).all(|w| w[0] <= w[1]), "cdf {cdf:?}");
+                    i += r + 1;
+                }
+            });
+        }
+        {
+            let shared = &shared;
+            scope.spawn(move || {
+                while std::time::Instant::now() < deadline {
+                    shared.cached_snapshot().unwrap();
+                    shared.checkpoint().unwrap();
+                    assert_eq!(shared.encode_shards().len(), 4);
+                }
+            });
+        }
+        writers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    assert_eq!(shared.len(), sent);
+    assert_eq!(shared.rank(&u64::MAX).unwrap(), sent);
 }
 
 #[test]

@@ -410,24 +410,32 @@ proptest! {
     }
 
     #[test]
-    fn merge_views_matches_flat_build(
-        groups in vec(vec((0u64..500, 1u64..8), 0..200), 0..5),
+    fn union_view_matches_flat_build(
+        groups in vec(vec(0u64..500, 0..400), 0..5),
+        hra in any::<bool>(),
+        k in k_strategy(),
         probes in vec(0u64..600, 0..20),
     ) {
-        // Combining per-summary views by k-way merge must equal one flat
+        // One loser tree over several sketches' levels must equal one flat
         // build over the concatenated weighted items.
-        let views: Vec<SortedView<u64>> = groups
+        let sketches: Vec<ReqSketch<u64>> = groups
             .iter()
-            .map(|g| SortedView::from_weighted_items(g.clone()))
+            .enumerate()
+            .map(|(i, g)| build_req(g, k, hra, i as u64))
             .collect();
-        let refs: Vec<&SortedView<u64>> = views.iter().collect();
-        let merged = SortedView::merge_views(&refs);
-        let flat = SortedView::from_weighted_items(groups.concat());
-        prop_assert_eq!(merged.total_weight(), flat.total_weight());
-        prop_assert_eq!(merged.num_entries(), flat.num_entries());
+        let sets: Vec<_> = sketches.iter().map(|s| s.level_set()).collect();
+        let union = SortedView::from_levels(&sets);
+        let flat = SortedView::from_weighted_items(
+            sketches
+                .iter()
+                .flat_map(|s| s.retained_items().map(|(x, w)| (*x, w)))
+                .collect(),
+        );
+        prop_assert_eq!(union.total_weight(), flat.total_weight());
+        prop_assert_eq!(union.num_entries(), flat.num_entries());
         for p in probes {
-            prop_assert_eq!(merged.rank(&p), flat.rank(&p));
-            prop_assert_eq!(merged.rank_exclusive(&p), flat.rank_exclusive(&p));
+            prop_assert_eq!(union.rank(&p), flat.rank(&p));
+            prop_assert_eq!(union.rank_exclusive(&p), flat.rank_exclusive(&p));
         }
     }
 
