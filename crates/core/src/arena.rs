@@ -35,8 +35,9 @@
 //!
 //! The hot inner loops are branchless `unsafe` kernels over raw element
 //! pointers: a backward in-place run merge (`merge_hi` — conditional-move
-//! select, one element copy, no per-element `Vec` bookkeeping), a strided
-//! every-other compaction emitter, and prefix append/remove primitives.
+//! select, one element copy, no per-element `Vec` bookkeeping), the
+//! compaction extractor `compact_top` (a strided every-other emitter over
+//! the tops of three sorted regions), and prefix append/remove primitives.
 //! They are only ever invoked for types with no drop glue
 //! (`!std::mem::needs_drop::<T>()`, a const-folded gate in the compactor):
 //! for such types every slot position stays bitwise-initialized through
@@ -597,39 +598,6 @@ impl<T> LevelArena<T> {
         s.run_len = ri;
         (ri, wi, ti, emitted)
     }
-
-    /// Emit every other item of the (sorted) region `items[protect..]` —
-    /// starting at `protect + offset`, stride 2 — onto `out`, then truncate
-    /// the slot to `protect`. Returns the emitted count.
-    pub fn emit_every_other(
-        &mut self,
-        h: usize,
-        protect: usize,
-        offset: usize,
-        out: &mut Vec<T>,
-    ) -> usize {
-        assert!(!std::mem::needs_drop::<T>());
-        let s = self.slots[h];
-        debug_assert!(protect <= s.len && offset <= 1);
-        let m = s.len - protect;
-        let emitted = m.saturating_sub(offset).div_ceil(2);
-        out.reserve(emitted);
-        // SAFETY: strided bit-copies move ownership of the emitted items to
-        // `out`; the whole region is forgotten by the len cut below (no-drop
-        // T, so the skipped half needs no drops).
-        unsafe {
-            let src = self.base(s.off).add(protect + offset);
-            let dst = out.as_mut_ptr().add(out.len());
-            for j in 0..emitted {
-                ptr::copy_nonoverlapping(src.add(2 * j), dst.add(j), 1);
-            }
-            out.set_len(out.len() + emitted);
-        }
-        let s = &mut self.slots[h];
-        s.len = protect;
-        s.run_len = s.run_len.min(protect);
-        emitted
-    }
 }
 
 /// Backward in-place merge dispatch: merge the sorted `a[..a_len]` (in
@@ -942,22 +910,6 @@ mod tests {
         assert_eq!((r, w, t, emitted), (0, 0, 4, 2));
         assert_eq!(out, vec![5, 7]);
         assert_eq!(a.items(h), &[0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn emit_every_other_emits_and_truncates() {
-        let mut a = LevelArena::<u64>::new();
-        let h = a.add_level(8);
-        for x in 0..8u64 {
-            a.push(h, x);
-        }
-        a.set_run_len(h, 8);
-        let mut out = Vec::new();
-        let e = a.emit_every_other(h, 4, 1, &mut out);
-        assert_eq!(e, 2);
-        assert_eq!(out, vec![5, 7]);
-        assert_eq!(a.items(h), &[0, 1, 2, 3]);
-        assert_eq!(a.run_len(h), 4);
     }
 
     #[test]

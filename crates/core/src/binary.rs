@@ -1,35 +1,36 @@
 //! Versioned compact binary serialization.
 //!
-//! Layout (all integers little-endian):
+//! Layout of version 3, the only version written or read (all integers
+//! little-endian):
 //!
 //! ```text
-//! magic "REQ1" | version u8
-//! flags u8 (bit0 = high-rank accuracy, bit1 = adaptive schedule (v3+))
+//! magic "REQ1" | version u8 = 3
+//! flags u8 (bit0 = high-rank accuracy, bit1 = adaptive schedule)
 //! policy tag u8 + policy payload
 //! n u64 | max_n u64 | k u32 | num_sections u32 | reseed u64
 //! min item (tag u8 + payload) | max item (tag u8 + payload)
 //! num_levels u32
 //! per level: state u64 | compactions u64 | special u64
-//!            | num_sections u32 (v3+) | absorbed u64 (v3+)
-//!            | run_len u32 (v2+) | len u32 | items
+//!            | num_sections u32 | absorbed u64
+//!            | run_len u32 | len u32 | items
 //! ```
 //!
-//! Version 2 added `run_len`, the sorted-run prefix of each level buffer
+//! `run_len` is the sorted-run prefix of each level buffer
 //! (`items[..run_len]` is sorted by the internal comparator), so a
 //! deserialized sketch resumes merge-maintained compactions without
-//! re-sorting. Version-1 bytes are still accepted: they carry no run
-//! information, so every level loads as all-tail (`run_len = 0`) and the
-//! first ordering operation re-establishes the invariant. Untrusted v2
-//! input is validated — a declared run that is not actually sorted is
-//! rejected as corrupt rather than silently mis-answering rank queries.
+//! re-sorting. Flags bit 1 records the [`crate::CompactionSchedule`], and
+//! each level carries its *own* section count (adaptive levels diverge from
+//! the header's floor, arXiv:2511.17396) plus its lifetime absorbed item
+//! count, which is what the adaptive schedule re-plans geometry from.
+//! Versions 1 and 2 predate the service and no deployment wrote them; their
+//! bytes fail with [`ReqError::CorruptBytes`].
 //!
-//! Version 3 added the adaptive-compactor state (arXiv:2511.17396): flags
-//! bit 1 records the [`crate::CompactionSchedule`], and each level carries
-//! its *own* section count (adaptive levels diverge from the header's
-//! floor) plus its lifetime absorbed item count, which is what the adaptive
-//! schedule re-plans geometry from. v1/v2 bytes load as standard-schedule
-//! sketches with every level on the header geometry and zero absorbed
-//! weight (such sketches never consult it).
+//! Untrusted input is validated before anything is sized from it: a
+//! declared run that is not actually sorted, a header `k` other than the
+//! one the decoded policy assigns to `max_n`, or a section count above 65
+//! (the most any schedule plans for a `u64` stream) is rejected as corrupt
+//! rather than mis-answering rank queries or reserving an attacker-chosen
+//! buffer.
 //!
 //! The RNG's in-flight state is not serialized; a fresh seed (`reseed`,
 //! drawn from the sketch's RNG at serialization time) is stored instead.
@@ -52,10 +53,12 @@ use crate::schedule::{CompactionSchedule, CompactionState};
 use crate::sketch::ReqSketch;
 
 const MAGIC: &[u8; 4] = b"REQ1";
-/// Current write version. See the module docs for the version deltas.
+/// The one version written and read. See the module docs.
 const VERSION: u8 = 3;
-/// Oldest version `from_bytes` still reads.
-const MIN_VERSION: u8 = 1;
+/// The most sections any level can plan for a `u64` stream: `⌈log₂ n⌉ + 1`
+/// (what [`crate::schedule::adaptive_num_sections`] and
+/// [`ParamPolicy::params_for`] can return). A larger count is corruption.
+const MAX_SECTIONS: u32 = 65;
 
 /// Item types that can be encoded into the binary sketch format.
 pub trait Packable: Sized {
@@ -113,16 +116,6 @@ impl Packable for OrdF64 {
     fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
         need(input, 8)?;
         Ok(OrdF64(f64::from_bits(input.get_u64_le())))
-    }
-}
-
-impl Packable for crate::ordf32::OrdF32 {
-    fn pack(&self, out: &mut BytesMut) {
-        out.put_u32_le(self.0.to_bits());
-    }
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
-        need(input, 4)?;
-        Ok(crate::ordf32::OrdF32(f32::from_bits(input.get_u32_le())))
     }
 }
 
@@ -287,7 +280,7 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
             return Err(ReqError::CorruptBytes("bad magic".into()));
         }
         let version = input.get_u8();
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(ReqError::CorruptBytes(format!(
                 "unsupported version {version}"
             )));
@@ -298,8 +291,7 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
         } else {
             RankAccuracy::LowRank
         };
-        // Pre-v3 writers had no schedule concept: everything was standard.
-        let schedule = if version >= 3 && flags & 2 == 2 {
+        let schedule = if flags & 2 == 2 {
             CompactionSchedule::Adaptive
         } else {
             CompactionSchedule::Standard
@@ -309,9 +301,13 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
         let max_n = u64::unpack(&mut input)?;
         let k = u32::unpack(&mut input)?;
         let num_sections = u32::unpack(&mut input)?;
-        if k < 4 || k % 2 != 0 || num_sections == 0 {
+        // Every writer moves `k` together with `max_n` (construction,
+        // growth, merge), so any other `k` is corruption — and would size
+        // every level's reservation.
+        let policy_k = policy.params_for(max_n).k;
+        if k != policy_k || num_sections == 0 || num_sections > MAX_SECTIONS {
             return Err(ReqError::CorruptBytes(format!(
-                "invalid geometry k={k} sections={num_sections}"
+                "invalid geometry k={k} (policy gives {policy_k}) sections={num_sections}"
             )));
         }
         let reseed = u64::unpack(&mut input)?;
@@ -329,26 +325,14 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
             let state = u64::unpack(&mut input)?;
             let compactions = u64::unpack(&mut input)?;
             let special = u64::unpack(&mut input)?;
-            // Pre-v3 levels all share the header geometry and carry no
-            // absorbed-weight history.
-            let (level_sections, absorbed) = if version >= 3 {
-                let s = u32::unpack(&mut input)?;
-                if s == 0 {
-                    return Err(ReqError::CorruptBytes(
-                        "level declares zero sections".into(),
-                    ));
-                }
-                (s, u64::unpack(&mut input)?)
-            } else {
-                (num_sections, 0)
-            };
-            // v1 bytes carry no run information: load as all-tail and let
-            // the first ordering operation rebuild the invariant.
-            let run_len = if version >= 2 {
-                u32::unpack(&mut input)? as usize
-            } else {
-                0
-            };
+            let level_sections = u32::unpack(&mut input)?;
+            if level_sections == 0 || level_sections > MAX_SECTIONS {
+                return Err(ReqError::CorruptBytes(format!(
+                    "level declares {level_sections} sections"
+                )));
+            }
+            let absorbed = u64::unpack(&mut input)?;
+            let run_len = u32::unpack(&mut input)? as usize;
             let len = u32::unpack(&mut input)? as usize;
             if run_len > len {
                 return Err(ReqError::CorruptBytes(format!(
@@ -560,8 +544,7 @@ mod tests {
 
     /// Walk the fixed-size header of `FixedK` u64 sketch bytes, returning
     /// the offset of the `num_levels` field (magic, version, flags, policy,
-    /// n, max_n, k, num_sections, reseed, min/max options — the layout is
-    /// identical across v1–v3).
+    /// n, max_n, k, num_sections, reseed, min/max options).
     fn num_levels_offset(bytes: &[u8]) -> usize {
         let mut off = 4 + 1 + 1; // magic, version, flags
         off += 1 + 4; // FixedK policy tag + k payload
@@ -577,95 +560,11 @@ mod tests {
         off
     }
 
-    /// Rewrite v3 bytes of a `FixedK` u64 sketch into the v2 layout (no
-    /// per-level `num_sections`/`absorbed`, no schedule flag) — exactly what
-    /// a pre-adaptive writer produced.
-    fn downgrade_to_v2(v3: &[u8]) -> Vec<u8> {
-        let mut out = v3.to_vec();
-        out[4] = 2; // version byte
-        out[5] &= !2; // clear the (v3-only) schedule flag
-        let mut off = num_levels_offset(&out);
-        let num_levels = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        for _ in 0..num_levels {
-            off += 8 * 3; // state, compactions, special
-            out.drain(off..off + 12); // drop num_sections + absorbed
-            off += 4; // run_len
-            let len = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-            off += 4 + len * 8;
-        }
-        out
-    }
-
-    /// Rewrite v2 bytes into the v1 layout (no per-level `run_len`), exactly
-    /// what a pre-sorted-run writer produced.
-    fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
-        let mut out = v2.to_vec();
-        out[4] = 1; // version byte
-        let mut off = num_levels_offset(&out);
-        let num_levels = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        for _ in 0..num_levels {
-            off += 8 * 3; // state, compactions, special
-            out.drain(off..off + 4); // drop run_len
-            let len = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-            off += 4 + len * 8;
-        }
-        out
-    }
-
-    #[test]
-    fn version2_bytes_load_on_header_geometry() {
-        let mut s = sample_sketch();
-        let expectations: Vec<(u64, u64)> = (0..1_000_003u64)
-            .step_by(40_009)
-            .map(|y| (y, s.rank(&y)))
-            .collect();
-        let v2 = downgrade_to_v2(&s.to_bytes());
-        let t = ReqSketch::<u64>::from_bytes(&v2).unwrap();
-        assert_eq!(t.len(), s.len());
-        assert_eq!(t.compaction_schedule(), crate::CompactionSchedule::Standard);
-        // No absorbed history in v2; levels all on the header geometry.
-        let stats = t.stats();
-        assert!(stats.levels.iter().all(|l| l.absorbed == 0));
-        assert!(stats
-            .levels
-            .iter()
-            .all(|l| l.num_sections == t.num_sections()));
-        for (y, want) in &expectations {
-            assert_eq!(t.rank(y), *want, "rank mismatch at {y}");
-        }
-    }
-
-    #[test]
-    fn version1_bytes_load_as_all_tail_and_reestablish_invariant() {
-        let mut s = sample_sketch();
-        let expectations: Vec<(u64, u64)> = (0..1_000_003u64)
-            .step_by(40_009)
-            .map(|y| (y, s.rank(&y)))
-            .collect();
-        let v1 = downgrade_to_v1(&downgrade_to_v2(&s.to_bytes()));
-        let mut t = ReqSketch::<u64>::from_bytes(&v1).unwrap();
-        assert_eq!(t.len(), s.len());
-        // No run information in v1: every level arrives as all-tail.
-        assert!(t.stats().levels.iter().all(|l| l.run_len == 0));
-        for (y, want) in &expectations {
-            assert_eq!(t.rank(y), *want, "rank mismatch at {y}");
-        }
-        // Continued ingest re-establishes the sorted-run invariant.
-        for i in 0..100_000u64 {
-            t.update(i);
-        }
-        assert!(t.stats().levels.iter().any(|l| l.run_len > 0));
-        assert_eq!(t.len(), 200_000);
-    }
-
     #[test]
     fn lying_run_len_is_rejected() {
         let mut s = sample_sketch();
         let good = s.to_bytes().to_vec();
-        // Locate the first level's run_len field with the same offset walk
-        // as the downgrade helpers.
+        // Locate the first level's run_len field.
         let mut off = num_levels_offset(&good);
         off += 4; // num_levels
         off += 8 * 3 + 4 + 8; // first level's counters, num_sections, absorbed
@@ -759,6 +658,71 @@ mod tests {
         off += 8 * 3; // first level's counters
         let mut bad = good.clone();
         bad[off..off + 4].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            ReqSketch::<u64>::from_bytes(&bad),
+            Err(ReqError::CorruptBytes(_))
+        ));
+    }
+
+    #[test]
+    fn pre_v3_versions_are_refused() {
+        let mut s = sample_sketch();
+        let mut bytes = s.to_bytes().to_vec();
+        for version in [1u8, 2] {
+            bytes[4] = version;
+            match ReqSketch::<u64>::from_bytes(&bytes) {
+                Err(ReqError::CorruptBytes(msg)) => {
+                    assert!(msg.contains("unsupported version"), "{msg}")
+                }
+                other => panic!("v{version} bytes: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_geometry_is_rejected() {
+        // `from_parts` reserves `2·k·s` slots per level up front, so each
+        // of these must fail before it: a 2^31 `k` or a `u32::MAX` section
+        // count would ask for terabytes.
+        let mut s = sample_sketch();
+        let good = s.to_bytes().to_vec();
+        // magic, version, flags, FixedK policy tag + k, n, max_n
+        let header_k = 4 + 1 + 1 + (1 + 4) + 8 + 8;
+        assert_eq!(good[header_k..header_k + 4], 12u32.to_le_bytes());
+        // num_levels, then the first level's state, compactions, special
+        let first_level_sections = num_levels_offset(&good) + 4 + 8 * 3;
+        for (at, value) in [
+            (header_k, 3u32),
+            (header_k, 1 << 31),
+            (header_k + 4, u32::MAX),
+            (first_level_sections, u32::MAX),
+            (first_level_sections, MAX_SECTIONS + 1),
+        ] {
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            assert!(
+                matches!(
+                    ReqSketch::<u64>::from_bytes(&bad),
+                    Err(ReqError::CorruptBytes(_))
+                ),
+                "value {value} at offset {at} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn subnormal_epsilon_is_rejected_not_panicking() {
+        // `params_for` on a decoded policy whose ε passes validation but
+        // makes `1/ε` infinite must neither overflow nor match the header.
+        let mut s = ReqSketch::<u64>::with_policy(
+            ParamPolicy::deterministic(0.1, 1 << 20).unwrap(),
+            RankAccuracy::LowRank,
+            1,
+        );
+        s.update(7);
+        let mut bad = s.to_bytes().to_vec();
+        let eps = 4 + 1 + 1 + 1; // magic, version, flags, policy tag
+        bad[eps..eps + 8].copy_from_slice(&f64::from_bits(1).to_le_bytes());
         assert!(matches!(
             ReqSketch::<u64>::from_bytes(&bad),
             Err(ReqError::CorruptBytes(_))

@@ -2,7 +2,7 @@
 
 use rand::RngCore;
 
-use crate::compactor::{CompactionMode, RankAccuracy};
+use crate::compactor::RankAccuracy;
 use crate::error::ReqError;
 use crate::ordf64::OrdF64;
 use crate::params::ParamPolicy;
@@ -45,7 +45,6 @@ pub struct ReqSketchBuilder {
     policy: Result<ParamPolicy, ReqError>,
     accuracy: RankAccuracy,
     seed: Option<u64>,
-    mode: CompactionMode,
     schedule: CompactionSchedule,
 }
 
@@ -62,7 +61,6 @@ impl ReqSketchBuilder {
             policy: ParamPolicy::fixed_k(12),
             accuracy: RankAccuracy::HighRank,
             seed: None,
-            mode: CompactionMode::SortedRuns,
             schedule: CompactionSchedule::Standard,
         }
     }
@@ -112,16 +110,6 @@ impl ReqSketchBuilder {
         self
     }
 
-    /// Select how compactors establish order. The default
-    /// [`CompactionMode::SortedRuns`] maintains each buffer as a sorted run
-    /// plus a small unsorted tail and merges instead of re-sorting;
-    /// [`CompactionMode::SortOnCompact`] is the retained reference path for
-    /// A/B benchmarking and the equivalence proptests.
-    pub fn compaction_mode(mut self, mode: CompactionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Select how per-level geometry evolves. The default
     /// [`CompactionSchedule::Standard`] follows the paper's estimate-driven
     /// schedule (square `N`, special-compact); with
@@ -139,22 +127,17 @@ impl ReqSketchBuilder {
     pub fn build<T: Ord + Clone>(self) -> Result<ReqSketch<T>, ReqError> {
         let policy = self.policy?;
         let seed = self.seed.unwrap_or_else(|| rand::thread_rng().next_u64());
-        let mut sketch =
-            ReqSketch::with_policy_scheduled(policy, self.accuracy, seed, self.schedule);
-        sketch.set_compaction_mode(self.mode);
-        Ok(sketch)
+        Ok(ReqSketch::with_policy_scheduled(
+            policy,
+            self.accuracy,
+            seed,
+            self.schedule,
+        ))
     }
 
     /// Build a sketch over `f64` values (via [`OrdF64`](struct@OrdF64)).
     pub fn build_f64(self) -> Result<ReqSketch<OrdF64>, ReqError> {
         self.build::<OrdF64>()
-    }
-
-    /// Build a sketch over `f32` values (via [`crate::OrdF32`]) — the
-    /// single-precision fast lane: 4-byte `Copy` items, half the arena
-    /// traffic of the `f64` path.
-    pub fn build_f32(self) -> Result<ReqSketch<crate::OrdF32>, ReqError> {
-        self.build::<crate::OrdF32>()
     }
 }
 

@@ -35,11 +35,10 @@
 //! sorting — the merge-based compaction maintenance of Ivkin, Liberty,
 //! Lang, Karnin and Braverman (*Streaming Quantiles Algorithms with Small
 //! Space and Update Time*), which drops the amortized per-update comparison
-//! cost to `O(log(1/ε))`. The previous sort-on-compact behaviour is
-//! retained behind [`CompactionMode::SortOnCompact`] as a reference
-//! implementation: both modes compact the exact same item multisets with
-//! the same coin flips, a property the equivalence proptests assert
-//! byte-for-byte.
+//! cost to `O(log(1/ε))`. The plain sort-and-halve compactor of Algorithm 1
+//! survives only as a test oracle (`RefCompactor` in this crate's test
+//! support): both compact the exact same item multisets with the same coin
+//! flips, which the differential and byte-identity proptests assert.
 //!
 //! # Absorbed weight
 //!
@@ -87,20 +86,6 @@ impl RankAccuracy {
     }
 }
 
-/// How a compactor establishes order at compaction time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CompactionMode {
-    /// Maintain the buffer as a sorted run + unsorted tail; sort only the
-    /// tail and merge. The production default.
-    #[default]
-    SortedRuns,
-    /// Re-sort the compacted range on every compaction (the pre-sorted-run
-    /// behaviour). Kept as the reference implementation for the equivalence
-    /// proptests and the old-vs-new benchmarks; compacts the exact same item
-    /// multisets as [`CompactionMode::SortedRuns`].
-    SortOnCompact,
-}
-
 /// Result of one compaction operation, for weight bookkeeping and stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionOutcome {
@@ -125,7 +110,6 @@ pub struct RelativeCompactor<T> {
     /// Index of this buffer's slot in the arena it was created in. Every
     /// item method must be passed *that* arena.
     slot: usize,
-    mode: CompactionMode,
     state: CompactionState,
     section_size: u32,
     num_sections: u32,
@@ -142,8 +126,8 @@ pub struct RelativeCompactor<T> {
     /// Times [`RelativeCompactor::maybe_adapt`] grew the section count.
     /// Stats only, not serialized.
     num_adaptations: u64,
-    /// Items that went through a comparison sort (tail sorts, or whole
-    /// compacted ranges in the reference mode). Stats only, not serialized.
+    /// Items that went through a comparison sort (tail sorts). Stats only,
+    /// not serialized.
     items_sorted: u64,
     /// Items placed by run merges instead of sorting. Stats only.
     items_merge_moved: u64,
@@ -155,8 +139,8 @@ pub struct RelativeCompactor<T> {
     /// compactions extract the top of all three regions directly
     /// ([`LevelArena::compact_top`]), so the cold run — which holds the
     /// protected items — is rewritten only when the warm run outgrows
-    /// `B/4` and is flushed into it. Always 0 for types with drop glue and
-    /// in [`CompactionMode::SortOnCompact`]. Not serialized: on load the
+    /// `B/4` and is flushed into it. Always 0 for types with drop glue. Not
+    /// serialized: on load the
     /// warm items are indistinguishable from raw appends and the first
     /// ordering operation rebuilds the invariant.
     warm_len: usize,
@@ -165,31 +149,14 @@ pub struct RelativeCompactor<T> {
 
 impl<T> RelativeCompactor<T> {
     /// Fresh compactor with section size `k` (even, >= 4) and `s` sections,
-    /// backed by a new slot in `arena`, in the default
-    /// [`CompactionMode::SortedRuns`].
+    /// backed by a new slot in `arena`.
     pub fn new(arena: &mut LevelArena<T>, section_size: u32, num_sections: u32) -> Self {
-        Self::new_with_mode(
-            arena,
-            section_size,
-            num_sections,
-            CompactionMode::SortedRuns,
-        )
-    }
-
-    /// Fresh compactor with an explicit [`CompactionMode`].
-    pub fn new_with_mode(
-        arena: &mut LevelArena<T>,
-        section_size: u32,
-        num_sections: u32,
-        mode: CompactionMode,
-    ) -> Self {
         debug_assert!(section_size >= 4 && section_size.is_multiple_of(2));
         debug_assert!(num_sections >= 1);
         let cap = 2 * section_size as usize * num_sections as usize;
         let slot = arena.add_level(cap);
         RelativeCompactor {
             slot,
-            mode,
             state: CompactionState::new(),
             section_size,
             num_sections,
@@ -243,17 +210,6 @@ impl<T> RelativeCompactor<T> {
     /// The schedule state `C`.
     pub fn state(&self) -> CompactionState {
         self.state
-    }
-
-    /// The active [`CompactionMode`].
-    pub fn mode(&self) -> CompactionMode {
-        self.mode
-    }
-
-    /// Switch compaction mode. Run bookkeeping stays valid: an existing
-    /// sorted prefix is still sorted, and the reference mode ignores it.
-    pub fn set_mode(&mut self, mode: CompactionMode) {
-        self.mode = mode;
     }
 
     /// Scheduled compactions performed by this buffer.
@@ -383,7 +339,6 @@ impl<T> RelativeCompactor<T> {
         );
         RelativeCompactor {
             slot,
-            mode: CompactionMode::SortedRuns,
             state,
             section_size,
             num_sections,
@@ -564,9 +519,9 @@ impl<T: Ord> RelativeCompactor<T> {
             .all(|w| acc.icmp(&w[0], &w[1]) != Ordering::Greater));
         let len = arena.len(self.slot);
         let run = arena.run_len(self.slot);
-        if run + self.warm_len < len || self.mode == CompactionMode::SortOnCompact {
-            // Raw appends present (or reference mode, which never maintains
-            // runs): plain append; the next ordering operation folds all.
+        if run + self.warm_len < len {
+            // Raw appends present: plain append; the next ordering operation
+            // folds all.
             arena.append_vec_prefix(self.slot, incoming, count);
             return;
         }
@@ -648,10 +603,9 @@ impl<T: Ord> RelativeCompactor<T> {
     /// Absorb a same-level buffer from another sketch (Algorithm 3 lines
     /// 16–18): schedule states combine by bitwise OR; item multisets combine.
     /// The other buffer arrives as its metadata plus its items taken out of
-    /// *its* arena ([`LevelArena::take_level`]). In
-    /// [`CompactionMode::SortedRuns`] the two sorted runs are merged (and
-    /// the tails concatenated) so the invariant — and the avoided sort work —
-    /// survives the merge.
+    /// *its* arena ([`LevelArena::take_level`]). The two sorted runs are
+    /// merged (and the tails concatenated) so the invariant — and the
+    /// avoided sort work — survives the merge.
     pub fn absorb(
         &mut self,
         arena: &mut LevelArena<T>,
@@ -671,7 +625,7 @@ impl<T: Ord> RelativeCompactor<T> {
         // changing buffers now — set directly, overriding the per-run
         // counting the merge below would do.
         let combined_absorbed = self.absorbed + other.absorbed;
-        if self.mode == CompactionMode::SortOnCompact || other_run_len == 0 {
+        if other_run_len == 0 {
             let n = other_items.len();
             arena.append_vec_prefix(self.slot, &mut other_items, n);
         } else {
@@ -759,14 +713,12 @@ impl<T: Ord> RelativeCompactor<T> {
     /// the rest, emit every other one (offset chosen by `coin`), drop the
     /// rest.
     ///
-    /// In [`CompactionMode::SortedRuns`] (no drop glue) this is the hot
-    /// lane: only the raw appends are sorted, then
-    /// [`LevelArena::compact_top`] extracts the top `m` items straight out
-    /// of the three sorted regions — the protected prefix of the cold run
-    /// is never rewritten. Types with drop glue canonicalize first
-    /// ([`RelativeCompactor::ensure_sorted`]) and emit on the safe `Vec`
-    /// lane; the reference mode keeps the original `O(B + m log m)`
-    /// partition+sort. All lanes compact the same multiset and emit the
+    /// For types without drop glue this is the hot lane: only the raw
+    /// appends are sorted, then [`LevelArena::compact_top`] extracts the top
+    /// `m` items straight out of the three sorted regions — the protected
+    /// prefix of the cold run is never rewritten. Types with drop glue
+    /// canonicalize first ([`RelativeCompactor::ensure_sorted`]) and emit on
+    /// the safe `Vec` lane. Both lanes compact the same multiset and emit the
     /// same sorted item sequence.
     fn compact_above(
         &mut self,
@@ -785,7 +737,7 @@ impl<T: Ord> RelativeCompactor<T> {
         debug_assert_eq!((len - protect) % 2, 0, "compacted range must be even");
         let compacted = len - protect;
         let offset = usize::from(coin);
-        if self.mode == CompactionMode::SortedRuns && !std::mem::needs_drop::<T>() {
+        if !std::mem::needs_drop::<T>() {
             let run = arena.run_len(self.slot);
             let warm = self.warm_len;
             let rw = run + warm;
@@ -831,42 +783,18 @@ impl<T: Ord> RelativeCompactor<T> {
                 sections,
             };
         }
-        match self.mode {
-            CompactionMode::SortedRuns => {
-                // Drop-glue lane: the whole buffer becomes one sorted run;
-                // the compacted slice items[protect..] is then in order.
-                self.ensure_sorted(arena, acc);
-            }
-            CompactionMode::SortOnCompact => {
-                let items = arena.items_mut(self.slot);
-                if protect > 0 {
-                    // Partition: items[..protect] = the `protect` smallest
-                    // (internal order), items[protect..] = the compactable.
-                    items.select_nth_unstable_by(protect - 1, |a, b| acc.icmp(a, b));
-                }
-                items[protect..].sort_unstable_by(|a, b| acc.icmp(a, b));
-                self.items_sorted += (len - protect) as u64;
-                arena.set_run_len(self.slot, 0);
-                self.warm_len = 0;
-            }
-        }
-        let emitted = if std::mem::needs_drop::<T>() {
-            let (mut buf, run) = arena.take_level(self.slot);
-            let before = out.len();
-            out.extend(
-                buf.drain(protect..)
-                    .enumerate()
-                    .filter_map(|(i, x)| (i % 2 == offset).then_some(x)),
-            );
-            let emitted = out.len() - before;
-            arena.restore_level(self.slot, buf, run.min(protect));
-            emitted
-        } else {
-            arena.emit_every_other(self.slot, protect, offset, out)
-        };
-        if self.mode == CompactionMode::SortedRuns {
-            arena.set_run_len(self.slot, protect);
-        }
+        // Drop-glue lane: the whole buffer becomes one sorted run; the
+        // compacted slice items[protect..] is then in order.
+        self.ensure_sorted(arena, acc);
+        let (mut buf, _) = arena.take_level(self.slot);
+        let before = out.len();
+        out.extend(
+            buf.drain(protect..)
+                .enumerate()
+                .filter_map(|(i, x)| (i % 2 == offset).then_some(x)),
+        );
+        let emitted = out.len() - before;
+        arena.restore_level(self.slot, buf, protect);
         CompactionOutcome {
             compacted,
             emitted,
@@ -1340,50 +1268,6 @@ mod tests {
     }
 
     #[test]
-    fn reference_mode_emits_identical_multisets() {
-        // The same stream through both modes: every compaction emits the
-        // same (sorted) output and leaves the same retained multiset.
-        for acc in [RankAccuracy::LowRank, RankAccuracy::HighRank] {
-            let mut ar_f = LevelArena::new();
-            let mut fast = RelativeCompactor::<u64>::new(&mut ar_f, 6, 3);
-            let mut ar_r = LevelArena::new();
-            let mut refc = RelativeCompactor::<u64>::new_with_mode(
-                &mut ar_r,
-                6,
-                3,
-                CompactionMode::SortOnCompact,
-            );
-            let mut x = 0x9E3779B97F4A7C15u64;
-            for round in 0..60u64 {
-                while !fast.is_at_capacity(&ar_f) {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(round);
-                    fast.push(&mut ar_f, x % 512);
-                    refc.push(&mut ar_r, x % 512);
-                }
-                let coin = round % 3 == 0;
-                let mut out_fast = Vec::new();
-                let mut out_ref = Vec::new();
-                let of = fast.compact_scheduled(&mut ar_f, acc, coin, &mut out_fast);
-                let or = refc.compact_scheduled(&mut ar_r, acc, coin, &mut out_ref);
-                assert_eq!(of, or);
-                assert_eq!(out_fast, out_ref, "emitted runs diverged");
-                let mut a = fast.items(&ar_f).to_vec();
-                let mut b = refc.items(&ar_r).to_vec();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "retained multisets diverged");
-            }
-            assert_eq!(refc.run_len(&ar_r), 0);
-            assert!(fast.items_merge_moved() > 0);
-            // At a single level fed raw pushes both modes sort roughly the
-            // compacted count per fill; the run mode's saving shows at the
-            // upper levels of a full sketch (asserted in stats tests). Here
-            // the reference must never report merge-maintenance work.
-            assert_eq!(refc.items_merge_moved(), 0);
-        }
-    }
-
-    #[test]
     fn weight_is_conserved_by_even_compactions() {
         // Streaming compactions always compact an even count; the emitted
         // half at doubled weight carries exactly the removed weight.
@@ -1489,23 +1373,19 @@ mod tests {
     }
 
     #[test]
-    fn absorb_adds_absorbed_weights_in_both_modes() {
-        for mode in [CompactionMode::SortedRuns, CompactionMode::SortOnCompact] {
-            let mut ar_a = LevelArena::new();
-            let mut a = RelativeCompactor::<u64>::new_with_mode(&mut ar_a, 4, 3, mode);
-            let mut ar_b = LevelArena::new();
-            let mut b = RelativeCompactor::<u64>::new_with_mode(&mut ar_b, 4, 3, mode);
-            for i in 0..24 {
-                a.push(&mut ar_a, i);
-                b.push(&mut ar_b, 100 + i);
-            }
-            let mut out = Vec::new();
-            a.compact_scheduled(&mut ar_a, RankAccuracy::LowRank, false, &mut out);
-            b.compact_scheduled(&mut ar_b, RankAccuracy::LowRank, true, &mut out);
-            let (b_items, b_run) = ar_b.take_level(b.slot());
-            a.absorb(&mut ar_a, &b, b_items, b_run, RankAccuracy::LowRank);
-            assert_eq!(a.absorbed(), 48, "mode {mode:?}");
+    fn absorb_adds_absorbed_weights() {
+        let (mut ar_a, mut a) = new_c(4, 3);
+        let (mut ar_b, mut b) = new_c(4, 3);
+        for i in 0..24 {
+            a.push(&mut ar_a, i);
+            b.push(&mut ar_b, 100 + i);
         }
+        let mut out = Vec::new();
+        a.compact_scheduled(&mut ar_a, RankAccuracy::LowRank, false, &mut out);
+        b.compact_scheduled(&mut ar_b, RankAccuracy::LowRank, true, &mut out);
+        let (b_items, b_run) = ar_b.take_level(b.slot());
+        a.absorb(&mut ar_a, &b, b_items, b_run, RankAccuracy::LowRank);
+        assert_eq!(a.absorbed(), 48);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! ordinary sketch.
 //!
 //! All shards are derived from one builder configuration (policy,
-//! orientation, [`crate::CompactionMode`], and
-//! [`crate::CompactionSchedule`]) with distinct seeds, so snapshot merges
-//! are always compatible. A sharded writer is also where the *adaptive*
+//! orientation and [`crate::CompactionSchedule`]) with distinct seeds, so
+//! snapshot merges are always compatible. A sharded writer is also where
+//! the *adaptive*
 //! schedule earns its keep: every `snapshot()` is a merge, and with
 //! weight-adaptive compactors the merged snapshot sits at the same
 //! space–accuracy point as a single sketch of the union stream — no
@@ -150,24 +150,20 @@ impl<T: Ord + Clone> ConcurrentReqSketch<T> {
             ));
         }
         // Resolve the base configuration once so every shard shares the
-        // policy, schedule, and mode (merge compatibility) while seeds
-        // differ.
+        // policy and schedule (merge compatibility) while seeds differ.
         let base: ReqSketch<T> = builder.clone().build()?;
         let policy = base.policy();
         let accuracy = base.rank_accuracy();
         let schedule = base.compaction_schedule();
-        let mode = base.compaction_mode();
         let base_seed = base.seed();
         let shards = (0..num_shards)
             .map(|i| {
-                let mut shard = ReqSketch::with_policy_scheduled(
+                Mutex::new(ReqSketch::with_policy_scheduled(
                     policy,
                     accuracy,
                     base_seed.wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(i as u64 + 1)),
                     schedule,
-                );
-                shard.set_compaction_mode(mode);
-                Mutex::new(shard)
+                ))
             })
             .collect();
         Ok(ConcurrentReqSketch {
@@ -423,11 +419,7 @@ impl<T: Ord + Clone + Packable> ConcurrentReqSketch<T> {
         for shard in &self.shards {
             let mut guard = shard.lock();
             let bytes = guard.to_bytes();
-            let mut reloaded = ReqSketch::from_bytes(&bytes)?;
-            // The binary format does not record the compaction mode;
-            // preserve the live shard's setting across the swap.
-            reloaded.set_compaction_mode(guard.compaction_mode());
-            *guard = reloaded;
+            *guard = ReqSketch::from_bytes(&bytes)?;
             parts.push(bytes);
         }
         let mut cache = self.snapshot_cache.lock();
@@ -457,28 +449,15 @@ impl<T: Ord + Clone + Packable> ConcurrentReqSketch<T> {
 
     /// Rebuild a sharded sketch from [`Self::checkpoint`] output: one
     /// serialized shard per element of `parts`, plus the routing
-    /// [`Self::rotation`] captured with them. Shards restore on the
-    /// default [`crate::CompactionMode`]; a sketch checkpointed on a
-    /// non-default mode (which the binary format does not record, but
-    /// [`Self::checkpoint`] preserves on the live side) should restore
-    /// through [`Self::from_checkpoint_with_mode`] to match its twin.
+    /// [`Self::rotation`] captured with them. The restored sketch is the
+    /// live one's twin: replaying the same later operations on both lands
+    /// on byte-identical shards (see [`Self::checkpoint`]).
     ///
     /// Shards are validated to share one configuration (policy, rank
     /// orientation, schedule) — per-shard payloads from different sketches
     /// are rejected as [`ReqError::CorruptBytes`] rather than silently
     /// producing a front-end whose snapshots can never merge.
     pub fn from_checkpoint<B: AsRef<[u8]>>(parts: &[B], rotation: u64) -> Result<Self, ReqError> {
-        Self::from_checkpoint_with_mode(parts, rotation, crate::CompactionMode::default())
-    }
-
-    /// [`Self::from_checkpoint`] with every restored shard set to `mode` —
-    /// the mirror of the mode preservation [`Self::checkpoint`] performs
-    /// on the live sketch.
-    pub fn from_checkpoint_with_mode<B: AsRef<[u8]>>(
-        parts: &[B],
-        rotation: u64,
-        mode: crate::CompactionMode,
-    ) -> Result<Self, ReqError> {
         if parts.is_empty() {
             return Err(ReqError::CorruptBytes(
                 "checkpoint carries zero shards".into(),
@@ -486,11 +465,7 @@ impl<T: Ord + Clone + Packable> ConcurrentReqSketch<T> {
         }
         let shards: Vec<ReqSketch<T>> = parts
             .iter()
-            .map(|p| {
-                let mut shard = ReqSketch::from_bytes(p.as_ref())?;
-                shard.set_compaction_mode(mode);
-                Ok(shard)
-            })
+            .map(|p| ReqSketch::from_bytes(p.as_ref()))
             .collect::<Result<_, ReqError>>()?;
         let first = &shards[0];
         for (i, s) in shards.iter().enumerate().skip(1) {
@@ -837,46 +812,6 @@ mod tests {
         // Post-checkpoint answers stay within the sketch's (loose) envelope.
         let r = c.rank(&20_000).unwrap();
         assert!((r as f64 - 20_001.0).abs() / 20_001.0 < 0.2, "rank {r}");
-    }
-
-    #[test]
-    fn from_checkpoint_with_mode_restores_the_live_mode() {
-        use crate::CompactionMode;
-        let live = ConcurrentReqSketch::<u64>::new(
-            ReqSketch::<u64>::builder()
-                .k(12)
-                .seed(42)
-                .compaction_mode(CompactionMode::SortOnCompact),
-            2,
-        )
-        .unwrap();
-        live.update_batch(&(0..20_000u64).collect::<Vec<_>>());
-        let parts = live.checkpoint().unwrap();
-        // checkpoint preserved the non-default mode on the live side...
-        for shard in &live.shards {
-            assert_eq!(
-                shard.lock().compaction_mode(),
-                CompactionMode::SortOnCompact
-            );
-        }
-        // ...and the mode-aware restore mirrors it, while the plain
-        // restore lands on the default.
-        let twin = ConcurrentReqSketch::<u64>::from_checkpoint_with_mode(
-            &parts,
-            live.rotation(),
-            CompactionMode::SortOnCompact,
-        )
-        .unwrap();
-        for shard in &twin.shards {
-            assert_eq!(
-                shard.lock().compaction_mode(),
-                CompactionMode::SortOnCompact
-            );
-        }
-        let plain = ConcurrentReqSketch::<u64>::from_checkpoint(&parts, live.rotation()).unwrap();
-        for shard in &plain.shards {
-            assert_eq!(shard.lock().compaction_mode(), CompactionMode::SortedRuns);
-        }
     }
 
     #[test]

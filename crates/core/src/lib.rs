@@ -46,8 +46,9 @@
 //!
 //! The sketch is generic over any `T: Ord + Clone`, and the ingest hot path
 //! specializes per type: for types without drop glue (`u64`, `i32`,
-//! [`OrdF32`], [`OrdF64`](struct@OrdF64), …) compaction runs through the
-//! arena's branchless merge/emit kernels with zero per-item allocation.
+//! [`OrdF64`](struct@OrdF64), …) compaction runs through the arena's
+//! branchless merge/emit kernels with zero per-item allocation; types with
+//! drop glue (`String`, …) take a safe `Vec` lane with identical results.
 //! Integers and other naturally ordered types need **no wrapper at all** —
 //! `OrdF64` is only for `f64`, whose `NaN` breaks `Ord`. It stores the
 //! `f64::total_cmp` key, so an `OrdF64` compares as a plain `i64` and rides
@@ -70,8 +71,8 @@
 //! assert!((980_000..=1_000_000).contains(&p99));
 //! ```
 //!
-//! For floats, [`ReqF32`]/[`ReqF64`] (via `build_f32`/`build_f64`) wrap the
-//! same machinery behind `update_f32`/`quantile_f32`-style accessors.
+//! For `f64` streams, [`ReqF64`] (via `build_f64`) wraps the same machinery
+//! behind `update_f64`/`quantile_f64`-style accessors.
 //!
 //! ## Module map
 //!
@@ -93,13 +94,12 @@
 //!   and the §5 growing sketch;
 //! * [`quantiles_ext`] — rank bounds, batch ranks/quantiles, weighted
 //!   updates;
-//! * [`binary`] — versioned compact binary serialization;
+//! * [`binary`] — compact binary serialization (format v3);
 //! * [`frame`] — checksummed length-prefixed framing (WAL/snapshot files);
 //! * [`concurrent`] — sharded multi-writer ingestion (batched), read
 //!   straight off the shards, with a union view cached once repeated reads
 //!   have paid for it;
-//! * [`ordf64`] / [`ordf32`] — total-order float wrappers ([`ReqF64`],
-//!   [`ReqF32`]).
+//! * [`ordf64`] — the total-order `f64` wrapper ([`ReqF64`]).
 
 // Unsafe is denied everywhere except the arena module, whose branchless
 // merge/emit kernels are the one place raw-pointer work buys the ingest
@@ -118,13 +118,10 @@ pub mod error;
 pub mod frame;
 pub mod growing;
 pub mod merge;
-pub mod ordf32;
 pub mod ordf64;
 pub mod params;
 pub mod quantiles_ext;
 pub mod schedule;
-#[cfg(feature = "serde")]
-pub mod serde_impl;
 pub mod sketch;
 pub mod stats;
 pub mod union;
@@ -132,16 +129,15 @@ pub mod view;
 
 pub use arena::LevelArena;
 pub use builder::ReqSketchBuilder;
-pub use compactor::{CompactionMode, RankAccuracy};
+pub use compactor::RankAccuracy;
 pub use concurrent::{ConcurrentReqSketch, ReadCacheStats};
 pub use error::ReqError;
 pub use growing::GrowingReqSketch;
 pub use merge::{merge_balanced, merge_linear, merge_random_tree, merge_wire_parts};
-pub use ordf32::OrdF32;
 pub use ordf64::OrdF64;
 pub use params::{ParamPolicy, Params};
 pub use schedule::CompactionSchedule;
-pub use sketch::{ReqF32, ReqF64, ReqSketch};
+pub use sketch::{ReqF64, ReqSketch};
 pub use stats::{LevelStats, SketchStats};
 pub use view::SortedView;
 

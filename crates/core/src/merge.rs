@@ -56,15 +56,9 @@ pub(crate) fn merge_into<T: Ord + Clone>(
         return Ok(());
     }
 
-    // Phase 1: make `target` the taller sketch (S' in Algorithm 3). The
-    // target's compaction mode governs the merged sketch; re-apply it in
-    // case the swap brought levels configured differently.
+    // Phase 1: make `target` the taller sketch (S' in Algorithm 3).
     if other.levels.len() > target.levels.len() {
         swap_contents(target, &mut other);
-        let mode = target.mode;
-        for level in &mut target.levels {
-            level.set_mode(mode);
-        }
     }
 
     // Phase 2: parameter reconciliation. Adaptive sketches skip the special
@@ -152,14 +146,10 @@ pub(crate) fn check_compatible<T: Ord + Clone>(
 }
 
 /// Replace an empty target's content with `other`'s (keeping the target's
-/// RNG and compaction mode).
+/// RNG).
 fn adopt<T: Ord + Clone>(target: &mut ReqSketch<T>, other: ReqSketch<T>) {
     target.arena = other.arena;
     target.levels = other.levels;
-    let mode = target.mode;
-    for level in &mut target.levels {
-        level.set_mode(mode);
-    }
     target.n = other.n;
     target.max_n = other.max_n;
     target.k = other.k;

@@ -17,7 +17,7 @@
 //! is bit equality (`-0.0 != +0.0`, a NaN equals the same NaN).
 //!
 //! Every encoder writes [`OrdF64::get`]`().to_bits()`, so sketch bytes,
-//! WAL records, snapshots, `MERGE` parts and serde output hold the raw
+//! WAL records, snapshots and `MERGE` parts hold the raw
 //! `f64` bits, exactly as they did when the type stored the `f64` itself;
 //! no format or version changed with the key.
 //!
@@ -49,10 +49,6 @@ use std::fmt;
 /// docs](crate::ordf64)), so comparisons are integer compares; build one
 /// with [`OrdF64(v)`](fn@OrdF64) or [`OrdF64::new`] and read the `f64`
 /// back with [`OrdF64::get`]. The default is `+0.0`, whose key is `0`.
-///
-/// With `--features serde` it serializes transparently as a plain `f64`
-/// (manual impls in [`crate::serde_impl`]; the offline serde stand-in has
-/// no derive macro).
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct OrdF64 {
     key: i64,

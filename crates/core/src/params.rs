@@ -92,9 +92,10 @@ pub enum ParamPolicy {
 /// Round `x` up to an even integer, at least `min` (which must be even).
 fn even_at_least(x: f64, min: u32) -> u32 {
     debug_assert_eq!(min % 2, 0);
-    let c = x.max(0.0).ceil() as u64;
-    let c = c + (c & 1);
-    c.clamp(min as u64, (u32::MAX - 1) as u64) as u32
+    // Clamp before rounding up: an infinite `x` (a decoded policy with a
+    // subnormal ε) must not overflow.
+    let c = x.max(0.0).ceil().min(f64::from(u32::MAX - 1)) as u32;
+    (c + (c & 1)).max(min)
 }
 
 /// `⌈log₂(x)⌉` clamped below at `min`.

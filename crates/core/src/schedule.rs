@@ -42,9 +42,8 @@
 
 /// How a sketch plans per-level buffer geometry over its lifetime.
 ///
-/// Orthogonal to [`crate::CompactionMode`] (which picks *how* order is
-/// established inside one buffer): the schedule decides *how many sections*
-/// each buffer has and how that number evolves under growth and merging.
+/// The schedule decides *how many sections* each buffer has and how that
+/// number evolves under growth and merging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CompactionSchedule {
     /// The paper's fixed schedule: every level shares the policy-derived

@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use sketch_traits::{MergeableSketch, QuantileSketch, SpaceUsage};
 
 use crate::arena::LevelArena;
-use crate::compactor::{CompactionMode, RankAccuracy, RelativeCompactor};
+use crate::compactor::{RankAccuracy, RelativeCompactor};
 use crate::error::ReqError;
 use crate::params::{ParamPolicy, Params};
 use crate::schedule::CompactionSchedule;
@@ -80,12 +80,9 @@ pub struct ReqSketch<T> {
     pub(crate) max_item: Option<T>,
     pub(crate) rng: SmallRng,
     pub(crate) seed: u64,
-    /// How compactors establish order (sorted-run maintenance vs the
-    /// reference sort-on-compact path). Not serialized.
-    pub(crate) mode: CompactionMode,
     /// How per-level geometry evolves: the paper's fixed estimate-driven
     /// schedule, or weight-adaptive compactors (arXiv:2511.17396).
-    /// Structural state — serialized (binary v3+, serde).
+    /// Structural state — serialized (binary v3).
     pub(crate) schedule: CompactionSchedule,
     /// Dirty epoch: bumped by every mutation, validates [`Self::cached_view`].
     pub(crate) epoch: u64,
@@ -134,14 +131,13 @@ impl<T: Ord + Clone> ReqSketch<T> {
             max_item: None,
             rng: SmallRng::seed_from_u64(seed),
             seed,
-            mode: CompactionMode::SortedRuns,
             schedule,
             epoch: 0,
             cache: ViewCache::new(),
         }
     }
 
-    /// Construct deserialized state; `pub(crate)` glue for `binary`/`serde`.
+    /// Construct deserialized state; `pub(crate)` glue for `binary`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         policy: ParamPolicy,
@@ -171,9 +167,6 @@ impl<T: Ord + Clone> ReqSketch<T> {
             max_item,
             rng: SmallRng::seed_from_u64(seed),
             seed,
-            // The mode is transient tuning state: deserialized sketches run
-            // the production sorted-run path.
-            mode: CompactionMode::SortedRuns,
             schedule,
             // Deserialized sketches start with a cold cache (the cache is
             // derived state; serialization soundly drops it).
@@ -192,11 +185,6 @@ impl<T: Ord + Clone> ReqSketch<T> {
         self.accuracy
     }
 
-    /// The active [`CompactionMode`] (sorted-run maintenance by default).
-    pub fn compaction_mode(&self) -> CompactionMode {
-        self.mode
-    }
-
     /// The active [`CompactionSchedule`] (standard estimate-driven geometry
     /// by default; fixed at construction — see
     /// [`crate::ReqSketchBuilder::schedule`]).
@@ -204,21 +192,13 @@ impl<T: Ord + Clone> ReqSketch<T> {
         self.schedule
     }
 
-    /// Switch every level (and future levels) to `mode`. Intended for the
-    /// old-vs-new benchmarks and the equivalence proptests; production
-    /// sketches should stay on the default [`CompactionMode::SortedRuns`].
-    pub fn set_compaction_mode(&mut self, mode: CompactionMode) {
-        self.mode = mode;
-        for level in &mut self.levels {
-            level.set_mode(mode);
-        }
-    }
-
     /// Normalize every level into one sorted run (tails merged in). Queries
     /// and serialized state are unaffected semantically; this makes the
     /// per-level item order — and therefore [`Self::to_bytes`] output —
     /// canonical for a given retained multiset, which is what the
-    /// equivalence proptests compare across compaction modes.
+    /// byte-identity proptests compare across item lanes (the arena
+    /// kernels of `ReqSketch<u64>` against the safe `Vec` lane every type
+    /// with drop glue takes).
     pub fn canonicalize(&mut self) {
         self.mark_dirty();
         let acc = self.accuracy;
@@ -405,11 +385,10 @@ impl<T: Ord + Clone> ReqSketch<T> {
 
     pub(crate) fn ensure_level(&mut self, h: usize) {
         while self.levels.len() <= h {
-            self.levels.push(RelativeCompactor::new_with_mode(
+            self.levels.push(RelativeCompactor::new(
                 &mut self.arena,
                 self.k,
                 self.num_sections,
-                self.mode,
             ));
             debug_assert_eq!(self.levels.last().unwrap().slot(), self.levels.len() - 1);
         }
@@ -778,28 +757,6 @@ impl ReqF64 {
     /// Quantile as a raw `f64`.
     pub fn quantile_f64(&self, q: f64) -> Option<f64> {
         self.quantile(q).map(|v| v.get())
-    }
-}
-
-/// REQ sketch over `f32` values via the total-order wrapper — the
-/// single-precision fast lane (4-byte `Copy` items, half the memory traffic
-/// of [`ReqF64`], full arena-kernel ingest path).
-pub type ReqF32 = ReqSketch<crate::ordf32::OrdF32>;
-
-impl ReqF32 {
-    /// Update with a raw `f32`.
-    pub fn update_f32(&mut self, value: f32) {
-        self.update(crate::ordf32::OrdF32(value));
-    }
-
-    /// Estimated inclusive rank of a raw `f32`.
-    pub fn rank_f32(&self, value: f32) -> u64 {
-        self.rank(&crate::ordf32::OrdF32(value))
-    }
-
-    /// Quantile as a raw `f32`.
-    pub fn quantile_f32(&self, q: f64) -> Option<f32> {
-        self.quantile(q).map(|v| v.0)
     }
 }
 

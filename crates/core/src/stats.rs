@@ -38,8 +38,8 @@ pub struct LevelStats {
     /// (process-lifetime; always 0 under the standard schedule).
     pub num_adaptations: u64,
     /// Items that went through a comparison sort in this buffer
-    /// (process-lifetime; tail sorts, or full compacted ranges in the
-    /// reference `SortOnCompact` mode).
+    /// (process-lifetime; the raw tails sorted before a merge or a
+    /// compaction).
     pub items_sorted: u64,
     /// Items placed by sorted-run merges instead of sorting
     /// (process-lifetime) — the work the merge maintenance does *instead of*

@@ -1,12 +1,13 @@
-//! Sketch-level byte-identity properties: the arena fast path
-//! (`CompactionMode::SortedRuns`, warm-run maintenance, branchless kernels)
-//! must be observationally indistinguishable — down to the serialized bytes
-//! after canonicalization — from the retained `SortOnCompact` oracle, across
-//! rank-accuracy modes, `k`, stream shapes, both compaction schedules, and
-//! through merge and serde round-trips. The fast-lane tests pin the same
-//! property for the monomorphized `u64`/`f32` lanes, and the `OrdF64`
-//! tests pin its stored integer key to a reference that compares with
-//! `f64::total_cmp` on every call.
+//! Sketch-level byte-identity properties: the arena fast path of
+//! `ReqSketch<u64>` (warm-run maintenance, branchless kernels) must be
+//! observationally indistinguishable — down to the serialized bytes after
+//! canonicalization — from `ReqSketch<Boxed>`, whose drop glue sends it down
+//! the compactor's safe `Vec` lane, across rank-accuracy modes, `k`, stream
+//! shapes, both compaction schedules, and through merges and binary round
+//! trips. The `OrdF64` tests pin its stored integer key to a reference that
+//! compares with `f64::total_cmp` on every call.
+
+mod support;
 
 use std::cmp::Ordering;
 
@@ -16,9 +17,10 @@ use proptest::prelude::*;
 
 use req_core::binary::Packable;
 use req_core::{
-    CompactionMode, CompactionSchedule, ConcurrentReqSketch, OrdF32, OrdF64, QuantileSketch,
-    RankAccuracy, ReqError, ReqSketch, ReqSketchBuilder,
+    CompactionSchedule, ConcurrentReqSketch, OrdF64, QuantileSketch, RankAccuracy, ReqError,
+    ReqSketch, ReqSketchBuilder,
 };
+use support::{boxed, Boxed};
 
 fn k_strategy() -> impl Strategy<Value = u32> {
     prop_oneof![Just(4u32), Just(12), Just(32)]
@@ -59,29 +61,26 @@ fn shape_stream(shape: usize, mut v: Vec<u64>) -> Vec<u64> {
     }
 }
 
+/// One configuration for every sketch a case compares.
+fn builder(k: u32, acc: RankAccuracy, sched: CompactionSchedule, seed: u64) -> ReqSketchBuilder {
+    ReqSketch::<u64>::builder()
+        .k(k)
+        .rank_accuracy(acc)
+        .schedule(sched)
+        .seed(seed)
+}
+
 fn build_pair(
     k: u32,
     acc: RankAccuracy,
     sched: CompactionSchedule,
     seed: u64,
-) -> (ReqSketch<u64>, ReqSketch<u64>) {
-    let fast = ReqSketch::<u64>::builder()
-        .k(k)
-        .rank_accuracy(acc)
-        .schedule(sched)
-        .seed(seed)
-        .compaction_mode(CompactionMode::SortedRuns)
-        .build()
-        .expect("valid params");
-    let oracle = ReqSketch::<u64>::builder()
-        .k(k)
-        .rank_accuracy(acc)
-        .schedule(sched)
-        .seed(seed)
-        .compaction_mode(CompactionMode::SortOnCompact)
-        .build()
-        .expect("valid params");
-    (fast, oracle)
+) -> (ReqSketch<u64>, ReqSketch<Boxed>) {
+    let builder = builder(k, acc, sched, seed);
+    (
+        builder.clone().build().expect("valid params"),
+        builder.build().expect("valid params"),
+    )
 }
 
 /// Canonicalize both sketches and require identical serialized bytes.
@@ -89,7 +88,7 @@ fn build_pair(
 /// and every retained item, so byte equality is full state equality (the
 /// RNG reseed draw matches because both sketches flipped coins at the same
 /// points).
-fn assert_same_bytes(a: &mut ReqSketch<u64>, b: &mut ReqSketch<u64>) {
+fn assert_same_bytes(a: &mut ReqSketch<u64>, b: &mut ReqSketch<Boxed>) {
     a.canonicalize();
     b.canonicalize();
     assert_eq!(a.to_bytes(), b.to_bytes());
@@ -98,8 +97,9 @@ fn assert_same_bytes(a: &mut ReqSketch<u64>, b: &mut ReqSketch<u64>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Straight ingest: arena path vs oracle, byte-identical, and rank
-    /// queries agree on every distinct item even before canonicalization.
+    /// Straight ingest, per item and then in chunks of any size:
+    /// byte-identical, and rank queries agree on every distinct item even
+    /// before canonicalization.
     #[test]
     fn arena_path_matches_oracle(
         k in k_strategy(),
@@ -108,19 +108,21 @@ proptest! {
         seed in any::<u64>(),
         shape in 0usize..4,
         raw in vec(any::<u64>(), 0..2500),
+        chunk in 1usize..600,
     ) {
         let items = shape_stream(shape, raw);
         let (mut fast, mut oracle) = build_pair(k, acc, sched, seed);
-        // Mix per-item and batched ingest: both must land on the same state.
         let split = items.len() / 3;
         for &x in &items[..split] {
             fast.update(x);
-            oracle.update(x);
+            oracle.update(Boxed::new(x));
         }
-        fast.update_batch(&items[split..]);
-        oracle.update_batch(&items[split..]);
+        for piece in items[split..].chunks(chunk) {
+            fast.update_batch(piece);
+            oracle.update_batch(&boxed(piece));
+        }
         for &x in items.iter().take(64) {
-            prop_assert_eq!(fast.rank(&x), oracle.rank(&x));
+            prop_assert_eq!(fast.rank(&x), oracle.rank(&Boxed::new(x)));
         }
         assert_same_bytes(&mut fast, &mut oracle);
     }
@@ -140,18 +142,20 @@ proptest! {
         let (mut fast_a, mut oracle_a) = build_pair(k, acc, sched, seed);
         let (mut fast_b, mut oracle_b) = build_pair(k, acc, sched, seed ^ 0x9e3779b97f4a7c15);
         fast_a.update_batch(&items[..cut]);
-        oracle_a.update_batch(&items[..cut]);
+        oracle_a.update_batch(&boxed(&items[..cut]));
         fast_b.update_batch(&items[cut..]);
-        oracle_b.update_batch(&items[cut..]);
+        oracle_b.update_batch(&boxed(&items[cut..]));
         fast_a.try_merge(fast_b).expect("same accuracy");
         oracle_a.try_merge(oracle_b).expect("same accuracy");
         prop_assert_eq!(fast_a.len(), oracle_a.len());
         assert_same_bytes(&mut fast_a, &mut oracle_a);
     }
 
-    /// Serde round-trip: equal bytes deserialize to sketches that keep
-    /// evolving identically — resume one on the fast path and one on the
-    /// oracle path and they still converge to the same bytes.
+    /// A serialize/deserialize round trip through the binary codec
+    /// mid-stream, a merge, then more ingest. Neither side is canonicalized
+    /// before the round trip, so the two lanes resume from different
+    /// per-level layouts of the same multisets and must still converge to
+    /// the same bytes.
     #[test]
     fn serde_roundtrip_matches_oracle(
         k in k_strategy(),
@@ -163,70 +167,24 @@ proptest! {
         more in vec(any::<u64>(), 0..800),
     ) {
         let items = shape_stream(shape, raw);
+        let more = shape_stream(shape, more);
         let (mut fast, mut oracle) = build_pair(k, acc, sched, seed);
         fast.update_batch(&items);
-        oracle.update_batch(&items);
-        fast.canonicalize();
-        oracle.canonicalize();
-        let bytes_fast = fast.to_bytes();
-        let bytes_oracle = oracle.to_bytes();
-        prop_assert_eq!(&bytes_fast, &bytes_oracle);
+        oracle.update_batch(&boxed(&items));
 
-        let mut resumed_fast = ReqSketch::<u64>::from_bytes(&bytes_fast).expect("round-trip");
-        let mut resumed_oracle = ReqSketch::<u64>::from_bytes(&bytes_oracle).expect("round-trip");
-        resumed_oracle.set_compaction_mode(CompactionMode::SortOnCompact);
-        resumed_fast.update_batch(&more);
-        resumed_oracle.update_batch(&more);
-        prop_assert_eq!(resumed_fast.len(), (items.len() + more.len()) as u64);
-        assert_same_bytes(&mut resumed_fast, &mut resumed_oracle);
-    }
+        let mut fast = ReqSketch::<u64>::from_bytes(&fast.to_bytes()).expect("round-trip");
+        let mut oracle = ReqSketch::<Boxed>::from_bytes(&oracle.to_bytes()).expect("round-trip");
 
-    /// The `f32` fast lane (no-drop `OrdF32`, monomorphized kernels) obeys
-    /// the same byte-identity contract as the `u64` lane.
-    #[test]
-    fn f32_lane_matches_oracle(
-        k in k_strategy(),
-        acc in accuracy_strategy(),
-        seed in any::<u64>(),
-        bits in vec(any::<u32>(), 0..1500),
-    ) {
-        // Map raw u32 draws onto finite f32s (NaN/inf excluded, both signs,
-        // wide exponent range, plenty of exact ties from the modulo).
-        let items: Vec<f32> = bits
-            .iter()
-            .map(|&b| {
-                let mag = (b % 1_000_003) as f32 / 64.0;
-                if b & 1 == 0 {
-                    mag
-                } else {
-                    -mag
-                }
-            })
-            .collect();
-        let mut fast = ReqSketch::<OrdF32>::builder()
-            .k(k)
-            .rank_accuracy(acc)
-            .seed(seed)
-            .compaction_mode(CompactionMode::SortedRuns)
-            .build_f32()
-            .expect("valid params");
-        let mut oracle = ReqSketch::<OrdF32>::builder()
-            .k(k)
-            .rank_accuracy(acc)
-            .seed(seed)
-            .compaction_mode(CompactionMode::SortOnCompact)
-            .build_f32()
-            .expect("valid params");
-        for &x in &items {
-            fast.update_f32(x);
-            oracle.update_f32(x);
-        }
-        for &x in items.iter().take(64) {
-            prop_assert_eq!(fast.rank_f32(x), oracle.rank_f32(x));
-        }
-        fast.canonicalize();
-        oracle.canonicalize();
-        prop_assert_eq!(fast.to_bytes(), oracle.to_bytes());
+        let (mut fast_b, mut oracle_b) = build_pair(k, acc, sched, seed.wrapping_add(1));
+        fast_b.update_batch(&more);
+        oracle_b.update_batch(&boxed(&more));
+        fast.try_merge(fast_b).expect("same accuracy");
+        oracle.try_merge(oracle_b).expect("same accuracy");
+
+        fast.update_batch(&items);
+        oracle.update_batch(&boxed(&items));
+        prop_assert_eq!(fast.len(), (2 * items.len() + more.len()) as u64);
+        assert_same_bytes(&mut fast, &mut oracle);
     }
 }
 
@@ -308,26 +266,13 @@ fn reference(xs: &[f64]) -> Vec<RefF64> {
     xs.iter().copied().map(RefF64).collect()
 }
 
-fn f64_builder(
-    k: u32,
-    acc: RankAccuracy,
-    sched: CompactionSchedule,
-    seed: u64,
-) -> ReqSketchBuilder {
-    ReqSketch::<u64>::builder()
-        .k(k)
-        .rank_accuracy(acc)
-        .schedule(sched)
-        .seed(seed)
-}
-
 fn build_f64_pair(
     k: u32,
     acc: RankAccuracy,
     sched: CompactionSchedule,
     seed: u64,
 ) -> (ReqSketch<OrdF64>, ReqSketch<RefF64>) {
-    let builder = f64_builder(k, acc, sched, seed);
+    let builder = builder(k, acc, sched, seed);
     (
         builder.clone().build().expect("valid params"),
         builder.build().expect("valid params"),
@@ -417,7 +362,7 @@ proptest! {
         raw in vec(any::<u64>(), 0..2500),
     ) {
         let items = f64_stream(shape, raw);
-        let builder = f64_builder(k, acc, sched, seed);
+        let builder = builder(k, acc, sched, seed);
         let a = ConcurrentReqSketch::<OrdF64>::new(builder.clone(), 4).expect("valid params");
         let b = ConcurrentReqSketch::<RefF64>::new(builder, 4).expect("valid params");
         let cut = items.len() / 2;
@@ -471,56 +416,4 @@ fn u64_fast_lane_rank_accuracy() {
             "p{p}: rank({v}) = {est}, true {truth}, tail-rel err {err}"
         );
     }
-}
-
-/// `OrdF32` values route through the same no-drop fast lane as plain
-/// integers; spot-check the wrapper agrees with a `u64` sketch fed the
-/// bit-equivalent monotone mapping.
-#[test]
-fn f32_lane_accuracy_matches_monotone_u64_image() {
-    let mut sf = ReqSketch::<OrdF32>::builder()
-        .k(16)
-        .rank_accuracy(RankAccuracy::HighRank)
-        .seed(11)
-        .build_f32()
-        .expect("valid params");
-    let mut su = ReqSketch::<u64>::builder()
-        .k(16)
-        .rank_accuracy(RankAccuracy::HighRank)
-        .seed(11)
-        .build()
-        .expect("valid params");
-    // Positive finite f32s ordered identically to their bit patterns.
-    let mut x: u32 = 0x9e3779b9;
-    for _ in 0..50_000 {
-        x ^= x << 13;
-        x ^= x >> 17;
-        x ^= x << 5;
-        let v = (x % 1_000_000) as f32 / 8.0;
-        sf.update_f32(v);
-        su.update(v.to_bits() as u64);
-    }
-    for q in [0.25, 0.5, 0.9, 0.99] {
-        let qf = sf.quantile_f32(q).expect("nonempty");
-        let qu = su.quantile(q).expect("nonempty");
-        assert_eq!(qf.to_bits() as u64, qu, "q={q}");
-    }
-    assert_eq!(sf.rank_f32(1000.0), su.rank(&1000.0f32.to_bits().into()));
-}
-
-/// `OrdF32` round-trips through the sketch without ever constructing an
-/// `OrdF64` — the typed lanes are independent.
-#[test]
-fn ordf32_is_self_contained() {
-    let mut s = ReqSketch::<OrdF32>::builder()
-        .k(8)
-        .seed(3)
-        .build()
-        .expect("valid params");
-    for i in 0..5000 {
-        s.update(OrdF32::new(i as f32));
-    }
-    assert_eq!(s.len(), 5000);
-    let q = s.quantile(0.5).expect("nonempty");
-    assert!((f32::from(q) - 2500.0).abs() < 300.0);
 }

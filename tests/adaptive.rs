@@ -1,12 +1,12 @@
 //! Property-based tests for the adaptive compaction schedule (PR 4):
-//! state-soundness through ingest, arbitrary merge trees, and both codecs.
+//! state-soundness through ingest, arbitrary merge trees, and the binary
+//! codec.
 //!
 //! Deterministic invariants only (no statistical assertions): absorbed
 //! weights are exact and additive, per-level geometry is the planned
 //! function of absorbed weight, the adaptive schedule never
-//! special-compacts, and serialized state survives binary v3 and serde
-//! round-trips byte-identically (modulo the documented RNG reseed field)
-//! while v2-layout payloads still load.
+//! special-compacts, and serialized state survives binary v3 round-trips
+//! byte-identically (modulo the documented RNG reseed field).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -66,33 +66,6 @@ fn zero_reseed(bytes: &[u8]) -> Vec<u8> {
     // num_sections(4) => reseed at 35..43.
     let mut out = bytes.to_vec();
     out[35..43].fill(0);
-    out
-}
-
-/// Rewrite v3 bytes of a *standard-schedule* FixedK u64 sketch into the v2
-/// layout a PR 3-era writer produced.
-fn downgrade_to_v2(v3: &[u8]) -> Vec<u8> {
-    let mut out = v3.to_vec();
-    out[4] = 2; // version
-    out[5] &= !2; // clear the schedule flag
-    let mut off = 43; // fixed header for FixedK (see zero_reseed)
-    for _ in 0..2 {
-        // min/max options with u64 payloads
-        let tag = out[off];
-        off += 1;
-        if tag == 1 {
-            off += 8;
-        }
-    }
-    let num_levels = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-    off += 4;
-    for _ in 0..num_levels {
-        off += 8 * 3; // state, compactions, special
-        out.drain(off..off + 12); // num_sections + absorbed
-        off += 4; // run_len
-        let len = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-        off += 4 + len * 8;
-    }
     out
 }
 
@@ -162,7 +135,7 @@ proptest! {
     }
 
     /// Binary v3 round-trips byte-identically (modulo the reseed field),
-    /// including through merge history; serde round-trips value-identically.
+    /// including through merge history.
     #[test]
     fn adaptive_codecs_roundtrip_byte_identically(
         items_a in vec(any::<u64>(), 1..2500),
@@ -185,39 +158,5 @@ proptest! {
         let b2 = t.to_bytes();
         prop_assert_eq!(zero_reseed(&b1), zero_reseed(&b2));
         assert_state_sound(&t, "binary roundtrip");
-
-        // Serde: the value tree survives a full round-trip unchanged.
-        let v1 = serde::value::to_value(&s).unwrap();
-        let u: ReqSketch<u64> = serde::value::from_value(v1.clone()).unwrap();
-        let v2 = serde::value::to_value(&u).unwrap();
-        prop_assert_eq!(v1, v2);
-        assert_state_sound(&u, "serde roundtrip");
-    }
-
-    /// v2-layout payloads (no schedule flag, no per-level geometry) still
-    /// load and answer identically, on the header geometry.
-    #[test]
-    fn v2_payloads_still_load(
-        items in vec(any::<u64>(), 1..3000),
-        k in k_strategy(),
-        seed in any::<u64>(),
-        probes in vec(any::<u64>(), 1..20),
-    ) {
-        // v2 writers only ever produced standard-schedule sketches.
-        let mut s = ReqSketch::<u64>::builder()
-            .k(k)
-            .high_rank_accuracy(false)
-            .seed(seed)
-            .build()
-            .unwrap();
-        s.update_batch(&items);
-        let v2 = downgrade_to_v2(&s.to_bytes());
-        let t = ReqSketch::<u64>::from_bytes(&v2).unwrap();
-        prop_assert_eq!(t.compaction_schedule(), CompactionSchedule::Standard);
-        prop_assert_eq!(t.len(), s.len());
-        prop_assert_eq!(t.total_weight(), s.total_weight());
-        for p in &probes {
-            prop_assert_eq!(t.rank(p), s.rank(p), "rank({}) diverged", p);
-        }
     }
 }

@@ -3,11 +3,16 @@
 //! hold **deterministically** for every input, so proptest gets to hunt for
 //! counterexamples in earnest.
 
+// The core crate's test oracles; these tests use `Boxed`.
+#[path = "../crates/core/tests/support/mod.rs"]
+mod support;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use baselines::{GkSketch, KllSketch};
-use req_core::{CompactionMode, QuantileSketch, ReqSketch, SortedView, SpaceUsage};
+use req_core::{QuantileSketch, ReqSketch, SortedView, SpaceUsage};
+use support::{boxed, Boxed};
 
 fn build_req(items: &[u64], k: u32, hra: bool, seed: u64) -> ReqSketch<u64> {
     let mut s = ReqSketch::<u64>::builder()
@@ -27,7 +32,7 @@ fn k_strategy() -> impl Strategy<Value = u32> {
     prop_oneof![Just(4u32), Just(6), Just(8), Just(12), Just(16)]
 }
 
-/// Section sizes for the mode-equivalence suite (ISSUE 3: k ∈ {4, 12, 32}).
+/// Section sizes for the lane-equivalence tests: k ∈ {4, 12, 32}.
 fn equivalence_k_strategy() -> impl Strategy<Value = u32> {
     prop_oneof![Just(4u32), Just(12), Just(32)]
 }
@@ -223,9 +228,9 @@ proptest! {
         probes in vec(any::<u64>(), 1..16),
         qs in vec(0.001f64..0.999, 1..6),
     ) {
-        // Satellite invariant: after ANY interleaving of `update_batch`,
-        // `merge`, and serde/binary round-trips, every answer served off the
-        // cached view is byte-identical to one computed from a freshly built
+        // After ANY interleaving of `update_batch`, `merge`, binary
+        // round-trips and `canonicalize`, every answer served off the cached
+        // view is byte-identical to one computed from a freshly built
         // SortedView.
         let mut s = ReqSketch::<u64>::builder()
             .k(k)
@@ -259,10 +264,7 @@ proptest! {
                     let bytes = s.to_bytes();
                     s = ReqSketch::<u64>::from_bytes(&bytes).unwrap();
                 }
-                _ => {
-                    let value = serde::value::to_value(&s).unwrap();
-                    s = serde::value::from_value(value).unwrap();
-                }
+                _ => s.canonicalize(),
             }
             // Interleave queries so the cache is warm (and possibly stale if
             // invalidation were broken) at every step.
@@ -322,29 +324,26 @@ proptest! {
         chunk in 1usize..600,
         seed in any::<u64>(),
     ) {
-        // The tentpole's safety net: the same stream (random / sorted /
-        // reversed / duplicate-heavy), ingested with the same seed through
-        // the sorted-run compactor and the retained sort-on-compact
-        // reference, must land in byte-identical sketch state — same n,
-        // params, schedule states, per-level multisets AND the same RNG
-        // position (compactions fired at the same points with the same
-        // coins). `canonicalize` merges the tails so the per-level item
-        // order is comparable.
+        // The same stream (random / sorted / reversed / duplicate-heavy),
+        // ingested in chunks with the same seed by `ReqSketch<u64>` (sorted
+        // runs, warm run, arena kernels) and by `ReqSketch<Boxed>` (drop
+        // glue, so the safe `Vec` lane), must land in byte-identical sketch
+        // state — same n, params, schedule states, per-level multisets AND
+        // the same RNG position (compactions fired at the same points with
+        // the same coins). The sort-on-compact reference itself is the core
+        // crate's `RefCompactor`, which pins a single compactor; `Boxed` is
+        // the reference lane at sketch level. `canonicalize` merges the
+        // tails so the per-level item order is comparable.
         let items = shape_stream(raw, order);
-        let build = |mode: CompactionMode| {
-            ReqSketch::<u64>::builder()
-                .k(k)
-                .high_rank_accuracy(hra)
-                .seed(seed)
-                .compaction_mode(mode)
-                .build()
-                .unwrap()
-        };
-        let mut fast = build(CompactionMode::SortedRuns);
-        let mut reference = build(CompactionMode::SortOnCompact);
+        let builder = ReqSketch::<u64>::builder()
+            .k(k)
+            .high_rank_accuracy(hra)
+            .seed(seed);
+        let mut fast: ReqSketch<u64> = builder.clone().build().unwrap();
+        let mut reference: ReqSketch<Boxed> = builder.build().unwrap();
         for piece in items.chunks(chunk) {
             fast.update_batch(piece);
-            reference.update_batch(piece);
+            reference.update_batch(&boxed(piece));
         }
         fast.canonicalize();
         reference.canonicalize();
@@ -360,49 +359,44 @@ proptest! {
         hra in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        // Same equivalence across the merge path and binary + serde
-        // round-trips taken mid-stream. Round-trips reseed the RNG from the
-        // same draw on both sides, so the executions stay in lockstep; the
-        // reference sketch's mode is transient (not serialized) and is
-        // re-applied after each round-trip.
+        // Same equivalence across the merge path and binary round trips
+        // taken mid-stream. Neither side is canonicalized before a round
+        // trip, so the two lanes resume from different per-level layouts of
+        // the same multisets; round trips reseed the RNG from the same draw
+        // on both sides, so the executions stay in lockstep.
         let items_a = shape_stream(raw_a, order);
         let items_b = shape_stream(raw_b, order);
-        let build = |mode: CompactionMode, s: u64| {
+        let builder = |s: u64| {
             ReqSketch::<u64>::builder()
                 .k(k)
                 .high_rank_accuracy(hra)
                 .seed(s)
-                .compaction_mode(mode)
-                .build()
-                .unwrap()
         };
-        let mut fast = build(CompactionMode::SortedRuns, seed);
-        let mut reference = build(CompactionMode::SortOnCompact, seed);
+        let mut fast: ReqSketch<u64> = builder(seed).build().unwrap();
+        let mut reference: ReqSketch<Boxed> = builder(seed).build().unwrap();
         fast.update_batch(&items_a);
-        reference.update_batch(&items_a);
+        reference.update_batch(&boxed(&items_a));
 
-        // Binary round-trip mid-stream (re-establishes the run invariant
-        // from bytes on the fast side; all-tail state on the reference).
+        // Round trip mid-stream (re-establishes the run invariant from
+        // bytes on both lanes).
         fast = ReqSketch::<u64>::from_bytes(&fast.to_bytes()).unwrap();
-        reference = ReqSketch::<u64>::from_bytes(&reference.to_bytes()).unwrap();
-        reference.set_compaction_mode(CompactionMode::SortOnCompact);
+        reference = ReqSketch::<Boxed>::from_bytes(&reference.to_bytes()).unwrap();
 
         // Merge in a second pair built from the other stream.
-        let mut other_fast = build(CompactionMode::SortedRuns, seed.wrapping_add(1));
-        let mut other_ref = build(CompactionMode::SortOnCompact, seed.wrapping_add(1));
+        let mut other_fast: ReqSketch<u64> = builder(seed.wrapping_add(1)).build().unwrap();
+        let mut other_ref: ReqSketch<Boxed> = builder(seed.wrapping_add(1)).build().unwrap();
         other_fast.update_batch(&items_b);
-        other_ref.update_batch(&items_b);
+        other_ref.update_batch(&boxed(&items_b));
         fast.try_merge(other_fast).unwrap();
         reference.try_merge(other_ref).unwrap();
 
-        // Serde round-trip after the merge.
-        fast = serde::value::from_value(serde::value::to_value(&fast).unwrap()).unwrap();
-        reference = serde::value::from_value(serde::value::to_value(&reference).unwrap()).unwrap();
-        reference.set_compaction_mode(CompactionMode::SortOnCompact);
+        // Round trip again after the merge.
+        fast = ReqSketch::<u64>::from_bytes(&fast.to_bytes()).unwrap();
+        reference = ReqSketch::<Boxed>::from_bytes(&reference.to_bytes()).unwrap();
 
         // Keep streaming a little so post-round-trip compactions run too.
         fast.update_batch(&items_a);
-        reference.update_batch(&items_a);
+        reference.update_batch(&boxed(&items_a));
 
         fast.canonicalize();
         reference.canonicalize();
