@@ -12,8 +12,9 @@
 //! * `evented_density` — one `PING` round-trip while 512 idle connections
 //!   sit parked on the same single-loop server.
 //! * `group_commit` — 16 writers × 16 `ADDB` each against an
-//!   fsync-enabled service, with fsync coalescing on vs off. The
-//!   fsyncs-per-append ratio for BENCH.md is printed after the timing.
+//!   fsync-enabled service, whose WAL fsyncs go through group commit.
+//!   The fsyncs-per-append ratio for BENCH.md is printed after the
+//!   timing.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
@@ -125,46 +126,37 @@ fn bench_group_commit(c: &mut Criterion) {
     const BATCHES: usize = 16;
     group.throughput(Throughput::Elements((WRITERS * BATCHES * 16) as u64));
 
-    let mut ratios = Vec::new();
-    for (label, coalesce) in [("addb/grouped", true), ("addb/fsync_each", false)] {
-        let dir = req_service::tempdir::TempDir::new("bench-gc").unwrap();
-        let mut cfg = ServiceConfig::new(dir.path());
-        cfg.fsync = true;
-        cfg.group_commit = coalesce;
-        let service = Arc::new(QuantileService::open(cfg).unwrap());
-        for w in 0..WRITERS {
-            let key = format!("t{w}");
-            let tokens = ["K=16", "SHARDS=1"];
-            service
-                .create(&key, TenantConfig::parse(&key, &tokens).unwrap())
-                .unwrap();
-        }
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                std::thread::scope(|scope| {
-                    for w in 0..WRITERS {
-                        let service = &service;
-                        scope.spawn(move || {
-                            let key = format!("t{w}");
-                            let vals: Vec<OrdF64> =
-                                (0..16).map(|v| OrdF64((w * 16 + v) as f64)).collect();
-                            for _ in 0..BATCHES {
-                                service.add_batch(&key, &vals).unwrap();
-                            }
-                        });
-                    }
-                });
-            })
-        });
-        ratios.push((
-            label,
-            service.wal_syncs() as f64 / service.wal_appends() as f64,
-        ));
+    let dir = req_service::tempdir::TempDir::new("bench-gc").unwrap();
+    let mut cfg = ServiceConfig::new(dir.path());
+    cfg.fsync = true;
+    let service = Arc::new(QuantileService::open(cfg).unwrap());
+    for w in 0..WRITERS {
+        let key = format!("t{w}");
+        let tokens = ["K=16", "SHARDS=1"];
+        service
+            .create(&key, TenantConfig::parse(&key, &tokens).unwrap())
+            .unwrap();
     }
+    group.bench_function("addb/grouped", |b| {
+        b.iter(|| {
+            std::thread::scope(|scope| {
+                for w in 0..WRITERS {
+                    let service = &service;
+                    scope.spawn(move || {
+                        let key = format!("t{w}");
+                        let vals: Vec<OrdF64> =
+                            (0..16).map(|v| OrdF64((w * 16 + v) as f64)).collect();
+                        for _ in 0..BATCHES {
+                            service.add_batch(&key, &vals).unwrap();
+                        }
+                    });
+                }
+            });
+        })
+    });
     group.finish();
-    for (label, ratio) in ratios {
-        println!("{label}: {ratio:.3} fsyncs per ADDB ({WRITERS} concurrent writers)");
-    }
+    let ratio = service.wal_syncs() as f64 / service.wal_appends() as f64;
+    println!("addb/grouped: {ratio:.3} fsyncs per ADDB ({WRITERS} concurrent writers)");
 }
 
 criterion_group! {

@@ -57,9 +57,8 @@ fn metrics_and_events_are_live_over_the_wire_under_load() {
     let pdir = TempDir::new("tel-p").unwrap();
     let fdir = TempDir::new("tel-f").unwrap();
     let mut pcfg = ServiceConfig::new(pdir.path());
-    // The coalesce series only exists where fsync group commit runs.
+    // The coalesce series only exists where WAL fsyncs run.
     pcfg.fsync = true;
-    pcfg.group_commit = true;
     let primary = Arc::new(QuantileService::open(pcfg).unwrap());
     let follower = Arc::new(QuantileService::open(ServiceConfig::new(fdir.path())).unwrap());
     follower.set_follower(true);

@@ -259,25 +259,18 @@ impl fmt::Display for TenantConfig {
 pub struct ServiceConfig {
     /// Directory holding `snap-*.snap` and `wal-*.log`. Created on open.
     pub data_dir: PathBuf,
-    /// Lock-shard count of the tenant registry (keys hash across these).
-    pub registry_shards: usize,
     /// Write a snapshot (and rotate the WAL) automatically once this many
     /// records accumulate in the live WAL generation. `0` disables the
     /// record-count trigger — snapshots then happen only via
     /// `SNAPSHOT`/`snapshot_now` or the background snapshotter.
     pub snapshot_every_records: u64,
-    /// `fsync` snapshot files and WAL rotations (crash-of-OS durability).
-    /// Off by default: the service always flushes each WAL record to the
-    /// OS, which survives a crash of the *process* — the failure mode the
-    /// recovery proof (E16) targets.
+    /// `fsync` every WAL append and snapshot file (crash-of-OS
+    /// durability). Off by default: the service always flushes each WAL
+    /// record to the OS, which survives a crash of the *process* — the
+    /// failure mode the recovery proof (E16) targets. WAL fsyncs go
+    /// through group commit: no append is acknowledged before a successful
+    /// fsync covers it, and concurrent appenders share one fsync.
     pub fsync: bool,
-    /// Coalesce concurrent WAL fsyncs into one (`fsync: true` only): an
-    /// appender whose record an in-flight `fsync` already covers waits
-    /// for that result instead of issuing its own. Durability semantics
-    /// are unchanged — no append is acknowledged before a successful
-    /// fsync covering it — only the number of `fsync` calls drops. On by
-    /// default; turn off to force one fsync per record (A/B benchmarks).
-    pub group_commit: bool,
     /// Per-client idempotency dedup window: how many of a client's most
     /// recent sequence numbers the service remembers (and persists through
     /// WAL + snapshots) to make tokened retries exactly-once. Retries
@@ -299,10 +292,8 @@ impl ServiceConfig {
     pub fn new(data_dir: impl Into<PathBuf>) -> Self {
         ServiceConfig {
             data_dir: data_dir.into(),
-            registry_shards: 16,
             snapshot_every_records: 0,
             fsync: false,
-            group_commit: true,
             dedup_window: 64,
             max_inflight_mutations: 0,
             faults: None,

@@ -46,8 +46,10 @@
 
 pub mod client;
 pub mod config;
+mod dedup;
 pub mod execute;
 pub mod faults;
+mod follower;
 pub mod protocol;
 pub mod registry;
 pub mod service;
@@ -63,6 +65,8 @@ pub use protocol::{
     Binary, Codec, ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment, Text,
 };
 pub use registry::{Registry, Tenant};
-pub use service::{check_quantile_rank, QuantileService, RecoveryReport, Snapshotter, TenantStats};
-pub use snapshot::{AppliedOutcome, DedupClientSnapshot, SnapshotData, TenantSnapshot};
+pub use service::{check_quantile_rank, QuantileService, RecoveryReport, TenantStats};
+pub use snapshot::{
+    AppliedOutcome, DedupClientSnapshot, SnapshotData, Snapshotter, TenantSnapshot,
+};
 pub use wal::{WalRecord, WalReplay, WalWriter};

@@ -1,8 +1,8 @@
 //! Keyed, multi-tenant sketch registry behind sharded locks.
 //!
-//! Tenant lookups and mutations hash the key onto one of
-//! `registry_shards` independent `RwLock<HashMap>`s, so traffic to
-//! different tenants never contends on one lock. Each tenant *value* is an
+//! Tenant lookups and mutations hash the key onto one of 16 independent
+//! `RwLock<HashMap>`s, so traffic to different tenants never contends on
+//! one lock. Each tenant *value* is an
 //! [`Arc<Tenant>`]: a lookup clones the `Arc` and releases the map lock
 //! immediately — ingest and queries then synchronize only on the tenant's
 //! own locks (its sketch's internal shard locks, plus the `op_lock` that
@@ -66,21 +66,19 @@ impl Tenant {
     }
 }
 
+/// Independent lock shards of a [`Registry`] (keys hash across these).
+const LOCK_SHARDS: usize = 16;
+
 /// Sharded-lock map of tenants.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Registry {
-    shards: Vec<RwLock<HashMap<String, Arc<Tenant>>>>,
+    shards: [RwLock<HashMap<String, Arc<Tenant>>>; LOCK_SHARDS],
 }
 
 impl Registry {
-    /// A registry with `lock_shards` independent lock shards.
-    pub fn new(lock_shards: usize) -> Self {
-        let lock_shards = lock_shards.max(1);
-        Registry {
-            shards: (0..lock_shards)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-        }
+    /// An empty registry.
+    pub fn new() -> Self {
+        Registry::default()
     }
 
     fn shard_for(&self, key: &str) -> &RwLock<HashMap<String, Arc<Tenant>>> {
@@ -195,7 +193,7 @@ mod tests {
 
     #[test]
     fn create_get_drop_cycle() {
-        let r = Registry::new(4);
+        let r = Registry::new();
         assert!(r.is_empty());
         r.create_with("a", cfg(), || Ok(())).unwrap();
         r.create_with("b", cfg(), || Ok(())).unwrap();
@@ -212,7 +210,7 @@ mod tests {
 
     #[test]
     fn duplicate_create_and_missing_drop_fail_without_logging() {
-        let r = Registry::new(4);
+        let r = Registry::new();
         r.create_with("a", cfg(), || Ok(())).unwrap();
         let mut logged = false;
         let err = r.create_with("a", cfg(), || {
@@ -231,7 +229,7 @@ mod tests {
 
     #[test]
     fn failed_log_aborts_creation() {
-        let r = Registry::new(4);
+        let r = Registry::new();
         let err: Result<(), _> =
             r.create_with("a", cfg(), || Err(ReqError::Io("disk full".into())));
         assert!(matches!(err, Err(ReqError::Io(_))));
@@ -240,7 +238,7 @@ mod tests {
 
     #[test]
     fn concurrent_creates_agree_on_one_winner() {
-        let r = std::sync::Arc::new(Registry::new(4));
+        let r = std::sync::Arc::new(Registry::new());
         let wins: usize = std::thread::scope(|scope| {
             (0..8)
                 .map(|_| {

@@ -2,21 +2,25 @@
 //!
 //! ## Write path
 //!
-//! Every mutation holds three things, in order: the service **gate**
-//! (shared/read side — lets the snapshotter quiesce writers), the tenant's
-//! **op lock** (keeps WAL order equal to apply order per tenant), and
-//! briefly the **WAL appender**. The record is durable *before* the
-//! in-memory sketch sees it — a crash between the two replays the record
-//! on recovery, landing on the same state.
+//! `CREATE`, `ADDB` and `DROP` all pass one funnel, which holds in order:
+//! an in-flight permit, the service **gate** (shared/read side — lets the
+//! snapshotter quiesce writers), and for a tokened mutation its client's
+//! **dedup window**, which answers a retry with the recorded outcome. Only
+//! then does the verb log and apply: `ADDB` under the tenant's **op lock**
+//! (keeps WAL order equal to apply order per tenant), `CREATE` and `DROP`
+//! under the registry's map lock, each briefly holding the **WAL
+//! appender**. The record is durable *before* the in-memory sketch sees it
+//! — a crash between the two replays the record on recovery, landing on
+//! the same state.
 //!
 //! ## Snapshot = checkpoint + rotate
 //!
 //! [`QuantileService::snapshot_now`] takes the gate exclusively (waiting
-//! out in-flight mutations), checkpoints every tenant
-//! ([`req_core::ConcurrentReqSketch::checkpoint`] — which *swaps the live
-//! shards onto their own serialization*, unifying durable and in-memory
-//! state), writes `snap-<g+1>.snap` atomically, rotates to
-//! `wal-<g+1>.log`, and deletes older generations. Queries keep running
+//! out in-flight mutations), creates `wal-<g+1>.log`, checkpoints every
+//! tenant ([`req_core::ConcurrentReqSketch::checkpoint`] — which *swaps
+//! the live shards onto their own serialization*, unifying durable and
+//! in-memory state), writes `snap-<g+1>.snap` atomically, switches appends
+//! to the new WAL, and deletes older generations. Queries keep running
 //! throughout; only writers pause.
 //!
 //! ## Recovery = latest valid snapshot + WAL tail
@@ -35,99 +39,53 @@
 //! replays both WAL files forward: no data is lost, but the fallback
 //! replay never re-executes the lost checkpoint's RNG swap, so answers
 //! are then merely within-guarantee rather than bit-identical.)
+//!
+//! ## Module map
+//!
+//! Here: the service type, recovery, the write funnel and the reads. The
+//! WAL's fsync policy lives in [`crate::wal`], the dedup windows in
+//! `dedup`, replication (`TAIL`, frame replay) in `follower`, and snapshot
+//! orchestration beside the format in [`crate::snapshot`].
 
-use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
-use req_core::frame::FRAME_HEADER_LEN;
+use parking_lot::RwLock;
 use req_core::{ConcurrentReqSketch, OrdF64, ReqError};
 use sketch_traits::SpaceUsage;
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::Duration;
+use std::sync::Arc;
 
 use crate::config::{validate_key, Accuracy, ServiceConfig, TenantConfig};
-use crate::faults::{faulted_op, FaultSite};
+use crate::dedup::{ClientWindow, DedupCheck, DedupTable};
 use crate::protocol::binary::{MAX_MESSAGE_PAYLOAD, TAIL_REPLY_ENVELOPE};
-use crate::protocol::{IdemToken, TailSegment};
+use crate::protocol::IdemToken;
 use crate::registry::{Registry, Tenant};
-use crate::snapshot::{
-    latest_valid, snapshot_gens, snapshot_path, wal_gens, wal_path, write_snapshot, AppliedOutcome,
-    DedupClientSnapshot, TenantSnapshot,
-};
+use crate::snapshot::{latest_valid, wal_gens, wal_path, AppliedOutcome};
 use crate::wal::{
-    encode_add_batch, encode_create, encode_drop, read_wal, WalRecord, WalWriter,
+    encode_add_batch, encode_create, encode_drop, read_wal, LogOutcome, Wal, WalRecord, WalWriter,
     ADD_BATCH_MAX_OVERHEAD, WAL_MAGIC,
 };
 
-/// Holds the data directory's `LOCK` file; removed on drop. See
-/// [`acquire_dir_lock`].
-#[derive(Debug)]
-struct DirLock {
-    path: std::path::PathBuf,
-}
-
-impl Drop for DirLock {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+/// Take the data dir's exclusive OS lock on its `LOCK` file. Two live
+/// services on one dir would tear each other's WAL frames and silently
+/// lose acknowledged writes. The kernel drops the lock when its holder
+/// exits, however it exits, so a restart never trips over the remains of
+/// a crash, whatever pid it gets.
+fn acquire_dir_lock(dir: &std::path::Path) -> Result<std::fs::File, ReqError> {
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(dir.join("LOCK"))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(std::fs::TryLockError::WouldBlock) => Err(ReqError::Io(format!(
+            "data dir {} is locked by a live service — a second service on the same \
+             directory would corrupt the WAL",
+            dir.display()
+        ))),
+        Err(std::fs::TryLockError::Error(e)) => Err(e.into()),
     }
-}
-
-/// Guard against two live services sharing one data dir — each would
-/// truncate and append the other's WAL through independent fds, tearing
-/// frames and silently discarding acknowledged writes. The lock file
-/// records the holder's pid; a crash leaves it behind, so acquisition
-/// treats a lock whose pid is no longer alive (checked via `/proc`; on
-/// systems without `/proc` a leftover lock is assumed stale) as
-/// reclaimable — a crash-recovery service must never refuse to restart
-/// over its own remains.
-fn acquire_dir_lock(dir: &std::path::Path) -> Result<DirLock, ReqError> {
-    use std::io::Write as _;
-    let path = dir.join("LOCK");
-    for _ in 0..2 {
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut f) => {
-                let _ = write!(f, "{}", std::process::id());
-                return Ok(DirLock { path });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                let holder: Option<u32> = std::fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|s| s.trim().parse().ok());
-                let ours = std::process::id();
-                let alive = match holder {
-                    // Our own pid: another live instance in this very
-                    // process (drop releases the lock, so a same-pid
-                    // leftover is never stale).
-                    Some(pid) if pid == ours => true,
-                    Some(pid) if std::path::Path::new("/proc").is_dir() => {
-                        std::path::Path::new(&format!("/proc/{pid}")).exists()
-                    }
-                    _ => false,
-                };
-                if alive {
-                    return Err(ReqError::Io(format!(
-                        "data dir {} is locked by live process {} — a second service on \
-                         the same directory would corrupt the WAL",
-                        dir.display(),
-                        holder.unwrap_or(0)
-                    )));
-                }
-                let _ = std::fs::remove_file(&path); // stale; retry
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Err(ReqError::Io(format!(
-        "could not acquire lock in {}",
-        dir.display()
-    )))
 }
 
 /// Most values one `AddBatch` record may carry. Every record the primary
@@ -177,7 +135,8 @@ pub struct TenantStats {
     pub n: u64,
     /// Items retained across shards' merged snapshot.
     pub retained: u64,
-    /// Serialized size estimate of the merged snapshot, bytes.
+    /// Heap footprint of the merged snapshot, bytes
+    /// ([`SpaceUsage::size_bytes`]).
     pub bytes: u64,
     /// Section size `k` of the merged snapshot.
     pub k: u32,
@@ -286,138 +245,6 @@ impl FromStr for TenantStats {
     }
 }
 
-/// Group-commit bookkeeping (under a `std` mutex — its condvar pairs
-/// with it; the vendored `parking_lot` has no condvar).
-#[derive(Debug, Default)]
-struct SyncState {
-    /// Highest append sequence a successful fsync has covered.
-    synced: u64,
-    /// Highest append sequence a *failed* fsync attempt covered — those
-    /// appends' durability is unknown, so their waiters must error.
-    failed_through: u64,
-    /// An fsync leader is in flight; later appenders wait instead of
-    /// issuing their own fsync.
-    leader: bool,
-}
-
-/// What [`QuantileService::append_wal`] achieved. `Logged` means the
-/// record is durable per the config. `LoggedUnsynced` means the frame is
-/// *fully in the WAL file* but the fsync failed — its durability across a
-/// power cut is unknown, yet within this process (and after any crash
-/// that preserves the written bytes) recovery replays it. The mutation
-/// therefore **must still apply** and record its idempotency outcome
-/// before surfacing the error, or a client retry would double-ingest.
-#[derive(Debug)]
-enum LogOutcome {
-    Logged,
-    LoggedUnsynced(ReqError),
-}
-
-/// How a token fared against its client's dedup window.
-#[derive(Debug)]
-enum DedupCheck {
-    /// Never seen: apply it, then record.
-    Fresh,
-    /// Already applied: answer with the recorded outcome, do nothing.
-    Duplicate(AppliedOutcome),
-    /// Below the window: it may or may not have been applied long ago —
-    /// refusing is the only answer that never double-applies.
-    Stale,
-}
-
-/// One client's sliding idempotency window: the highest sequence seen and
-/// the outcomes of every applied sequence within `window` of it.
-#[derive(Debug, Default)]
-struct ClientWindow {
-    hi: u64,
-    applied: BTreeMap<u64, AppliedOutcome>,
-}
-
-impl ClientWindow {
-    fn check(&self, seq: u64, window: u64) -> DedupCheck {
-        if let Some(outcome) = self.applied.get(&seq) {
-            return DedupCheck::Duplicate(*outcome);
-        }
-        if self.hi >= window && seq <= self.hi - window {
-            return DedupCheck::Stale;
-        }
-        DedupCheck::Fresh
-    }
-
-    fn record(&mut self, seq: u64, outcome: AppliedOutcome, window: u64) {
-        self.applied.insert(seq, outcome);
-        self.hi = self.hi.max(seq);
-        // Evict sequences that fell below the window.
-        while let Some((&lo, _)) = self.applied.first_key_value() {
-            if self.hi >= window && lo <= self.hi - window {
-                self.applied.remove(&lo);
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-/// All clients' windows. The outer map lock is held only for the probe;
-/// each window's own mutex is then held across the client's whole
-/// `[check → append → apply → record]` so two racing retries of the same
-/// `(client_id, seq)` serialize instead of both passing the check.
-#[derive(Debug)]
-struct DedupTable {
-    window: u64,
-    clients: Mutex<HashMap<u64, Arc<Mutex<ClientWindow>>>>,
-}
-
-impl DedupTable {
-    fn new(window: u64) -> Self {
-        DedupTable {
-            window: window.max(1),
-            clients: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn window_for(&self, client_id: u64) -> Arc<Mutex<ClientWindow>> {
-        Arc::clone(self.clients.lock().entry(client_id).or_default())
-    }
-
-    /// Replay/recovery path: record without checking (the WAL is truth).
-    fn record_replayed(&self, token: IdemToken, outcome: AppliedOutcome) {
-        let win = self.window_for(token.client_id);
-        let mut win = win.lock();
-        win.record(token.seq, outcome, self.window);
-    }
-
-    /// Deterministic (client-id-sorted) dump for the snapshot's dedup
-    /// frame. Called under the exclusive service gate — no window moves.
-    fn to_snapshot(&self) -> Vec<DedupClientSnapshot> {
-        let mut out: Vec<DedupClientSnapshot> = self
-            .clients
-            .lock()
-            .iter()
-            .map(|(&client_id, win)| {
-                let win = win.lock();
-                DedupClientSnapshot {
-                    client_id,
-                    entries: win.applied.iter().map(|(&s, &o)| (s, o)).collect(),
-                }
-            })
-            .filter(|c| !c.entries.is_empty())
-            .collect();
-        out.sort_by_key(|c| c.client_id);
-        out
-    }
-
-    fn restore(&self, snapshot: &[DedupClientSnapshot]) {
-        for client in snapshot {
-            let win = self.window_for(client.client_id);
-            let mut win = win.lock();
-            for &(seq, outcome) in &client.entries {
-                win.record(seq, outcome, self.window);
-            }
-        }
-    }
-}
-
 /// Releases one in-flight-mutation slot on drop (no-op when shedding is
 /// disabled).
 struct InflightPermit<'a> {
@@ -433,41 +260,16 @@ impl Drop for InflightPermit<'_> {
 }
 
 /// Cached handles into the global telemetry registry. Registration takes
-/// the registry's name-table lock, so it happens once here (cold path);
-/// the hot paths below touch only the handles' atomics/shard locks.
+/// the registry's name-table lock, so it happens once, in
+/// [`QuantileService::open`] (cold path); the hot paths touch only the
+/// handles' atomics/shard locks. The WAL's own series live on [`Wal`].
 #[derive(Debug)]
-struct ServiceTelemetry {
-    wal_append_micros: req_telemetry::Histogram,
-    /// Monotonic tick driving 1-in-8 sampling of the append span: timing
-    /// every append puts two clock reads and a sketch insert on the
-    /// hottest path in the tree, and a uniform sample estimates the same
-    /// latency distribution (counters elsewhere stay exact).
-    append_ticks: AtomicU64,
-    wal_fsync_micros: req_telemetry::Histogram,
-    /// Appends acknowledged per leader fsync — the group-commit win.
-    group_commit_coalesce: req_telemetry::Histogram,
-    snapshot_micros: req_telemetry::Histogram,
+pub(crate) struct ServiceTelemetry {
+    pub(crate) snapshot_micros: req_telemetry::Histogram,
     mutations_shed: req_telemetry::Counter,
     dedup_hits: req_telemetry::Counter,
     dedup_misses: req_telemetry::Counter,
     dedup_stale: req_telemetry::Counter,
-}
-
-impl ServiceTelemetry {
-    fn new() -> ServiceTelemetry {
-        let t = req_telemetry::global();
-        ServiceTelemetry {
-            wal_append_micros: t.histogram("service_wal_append_micros"),
-            append_ticks: AtomicU64::new(0),
-            wal_fsync_micros: t.histogram("service_wal_fsync_micros"),
-            group_commit_coalesce: t.histogram("service_wal_group_commit_coalesce"),
-            snapshot_micros: t.histogram("service_snapshot_micros"),
-            mutations_shed: t.counter("service_mutations_shed_total"),
-            dedup_hits: t.counter("service_dedup_hits_total"),
-            dedup_misses: t.counter("service_dedup_misses_total"),
-            dedup_stale: t.counter("service_dedup_stale_rejects_total"),
-        }
-    }
 }
 
 /// The durable, multi-tenant quantile service (in-process core; requests
@@ -475,35 +277,27 @@ impl ServiceTelemetry {
 /// calls for every message).
 #[derive(Debug)]
 pub struct QuantileService {
-    cfg: ServiceConfig,
-    registry: Registry,
+    pub(crate) cfg: ServiceConfig,
+    pub(crate) registry: Registry,
     /// Writers hold `read()`, the snapshotter holds `write()` while it
     /// checkpoints + rotates — so a snapshot never splits a mutation's
     /// `[append → apply]` window.
-    gate: RwLock<()>,
-    wal: Mutex<WalWriter>,
-    /// Monotonic append counter (never resets, even across WAL
-    /// rotations); incremented under the `wal` lock, so sequence order
-    /// equals file order.
-    append_seq: AtomicU64,
-    /// Physical `fsync` calls on the WAL — the group-commit win is
-    /// `wal_appends() / wal_syncs()`.
-    wal_syncs: AtomicU64,
-    sync_state: StdMutex<SyncState>,
-    sync_cond: Condvar,
-    gen: AtomicU64,
+    pub(crate) gate: RwLock<()>,
+    /// The live generation's appender and its fsync policy.
+    pub(crate) wal: Wal,
+    pub(crate) gen: AtomicU64,
     /// Records in the live WAL generation (replayed + appended) — the
     /// deterministic trigger for `snapshot_every_records`.
-    records_in_gen: AtomicU64,
-    snapshots_written: AtomicU64,
-    snapshot_failures: AtomicU64,
+    pub(crate) records_in_gen: AtomicU64,
+    pub(crate) snapshots_written: AtomicU64,
+    pub(crate) snapshot_failures: AtomicU64,
     /// Per-client idempotency windows (persisted via snapshot + WAL
     /// tokens, so retries dedup across crash recovery).
-    dedup: DedupTable,
+    pub(crate) dedup: DedupTable,
     /// Serving in read-only degraded mode (WAL writer poisoned)?
     /// Mutations get `Unavailable`; queries keep answering. Cleared when
     /// a snapshot rotation installs a fresh WAL writer.
-    read_only: AtomicBool,
+    pub(crate) read_only: AtomicBool,
     /// Times the WAL writer poisoned (read-only entries, cumulative).
     wal_poisoned: AtomicU64,
     /// In-flight mutations right now (only tracked when shedding is on).
@@ -514,11 +308,11 @@ pub struct QuantileService {
     /// `Unavailable` while [`Self::replicate_frames`] keeps applying the
     /// primary's shipped WAL frames; queries answer (bounded-lag reads).
     /// Promotion flips it off and the node starts accepting writes.
-    follower: AtomicBool,
+    pub(crate) follower: AtomicBool,
     recovery: RecoveryReport,
-    telemetry: ServiceTelemetry,
-    /// Exclusive hold on the data dir; released (file removed) on drop.
-    _dir_lock: DirLock,
+    pub(crate) telemetry: ServiceTelemetry,
+    /// The data dir's OS lock, held while this file stays open.
+    _dir_lock: std::fs::File,
 }
 
 impl QuantileService {
@@ -541,7 +335,7 @@ impl QuantileService {
                 let _ = std::fs::remove_file(&path);
             }
         }
-        let registry = Registry::new(cfg.registry_shards);
+        let registry = Registry::new();
         let dedup = DedupTable::new(cfg.dedup_window);
         let mut report = RecoveryReport::default();
 
@@ -569,10 +363,22 @@ impl QuantileService {
         let mut live_gen = base_gen;
         let mut live_valid_len = 0u64;
         let mut live_records = 0u64;
-        let gens: Vec<u64> = wal_gens(&cfg.data_dir)?
+        let mut gens: Vec<u64> = wal_gens(&cfg.data_dir)?
             .into_iter()
             .filter(|&g| g >= base_gen)
             .collect();
+        // A rotation interrupted between creating `wal-<g+1>` and writing
+        // `snap-<g+1>` leaves that WAL empty above the snapshot point. It
+        // holds no record; kept, it would make a torn `wal-<g>` tail look
+        // like damage mid-history.
+        while let Some(&g) = gens.last() {
+            let path = wal_path(&cfg.data_dir, g);
+            if g == base_gen || std::fs::metadata(&path)?.len() > WAL_MAGIC.len() as u64 {
+                break;
+            }
+            let _ = std::fs::remove_file(&path);
+            gens.pop();
+        }
         for (i, &g) in gens.iter().enumerate() {
             let replay = read_wal(&wal_path(&cfg.data_dir, g))?;
             // Damage in the *final* generation is the expected torn tail
@@ -607,15 +413,12 @@ impl QuantileService {
         };
         writer.set_faults(cfg.faults.clone());
 
+        let t = req_telemetry::global();
         let service = QuantileService {
             registry,
             dedup,
             gate: RwLock::new(()),
-            wal: Mutex::new(writer),
-            append_seq: AtomicU64::new(0),
-            wal_syncs: AtomicU64::new(0),
-            sync_state: StdMutex::new(SyncState::default()),
-            sync_cond: Condvar::new(),
+            wal: Wal::new(writer, cfg.fsync),
             gen: AtomicU64::new(live_gen),
             records_in_gen: AtomicU64::new(live_records),
             snapshots_written: AtomicU64::new(0),
@@ -626,7 +429,13 @@ impl QuantileService {
             shed: AtomicU64::new(0),
             follower: AtomicBool::new(false),
             recovery: report,
-            telemetry: ServiceTelemetry::new(),
+            telemetry: ServiceTelemetry {
+                snapshot_micros: t.histogram("service_snapshot_micros"),
+                mutations_shed: t.counter("service_mutations_shed_total"),
+                dedup_hits: t.counter("service_dedup_hits_total"),
+                dedup_misses: t.counter("service_dedup_misses_total"),
+                dedup_stale: t.counter("service_dedup_stale_rejects_total"),
+            },
             cfg,
             _dir_lock: dir_lock,
         };
@@ -641,7 +450,11 @@ impl QuantileService {
     /// Replay-side application of one WAL record (no logging, no gate).
     /// Tokens found on replayed records are re-recorded into the dedup
     /// windows, so a client retrying across the crash still dedups.
-    fn apply(registry: &Registry, dedup: &DedupTable, rec: WalRecord) -> Result<(), ReqError> {
+    pub(crate) fn apply(
+        registry: &Registry,
+        dedup: &DedupTable,
+        rec: WalRecord,
+    ) -> Result<(), ReqError> {
         let token = rec.token();
         let outcome = match rec {
             WalRecord::Create { key, config, .. } => {
@@ -686,68 +499,18 @@ impl QuantileService {
         self.records_in_gen.load(Ordering::Relaxed)
     }
 
-    fn tenant(&self, key: &str) -> Result<Arc<Tenant>, ReqError> {
+    pub(crate) fn tenant(&self, key: &str) -> Result<Arc<Tenant>, ReqError> {
         self.registry
             .get(key)
             .ok_or_else(|| ReqError::InvalidParameter(format!("no such key `{key}`")))
     }
 
-    /// Append one record and make it durable per the config. Callers hold
-    /// the service gate (shared) for the whole `[append → apply]` window,
-    /// which is what lets group commit fsync through a cloned fd without
-    /// racing a WAL rotation — rotation takes the gate exclusively.
-    ///
-    /// `Err` means the frame is **not** in the file (a failed write rolls
-    /// the file back; a failed rollback poisons the writer and trips
-    /// read-only mode, and the torn bytes are exactly what recovery's
-    /// torn-tail truncation discards). [`LogOutcome::LoggedUnsynced`]
-    /// means the frame **is** in the file but its fsync failed — the
-    /// caller must apply-and-record before surfacing the error.
-    fn append_wal(&self, frame: &[u8]) -> Result<LogOutcome, ReqError> {
-        if self.telemetry.append_ticks.fetch_add(1, Ordering::Relaxed) & 7 != 0 {
-            return self.append_wal_inner(frame);
-        }
-        let timer = self.telemetry.wal_append_micros.begin();
-        let result = self.append_wal_inner(frame);
-        self.telemetry.wal_append_micros.finish(timer);
-        result
-    }
-
-    fn append_wal_inner(&self, frame: &[u8]) -> Result<LogOutcome, ReqError> {
-        let seq;
-        {
-            let mut wal = self.wal.lock();
-            if let Err(e) = wal.append(frame) {
-                if wal.poisoned() {
-                    self.enter_read_only();
-                }
-                return Err(e);
-            }
-            // Under the wal lock: sequence order equals file order.
-            seq = self.append_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            if !self.cfg.fsync {
-                return Ok(LogOutcome::Logged);
-            }
-            if !self.cfg.group_commit {
-                self.wal_syncs.fetch_add(1, Ordering::Relaxed);
-                let fsync_timer = self.telemetry.wal_fsync_micros.begin();
-                let synced = wal.sync();
-                self.telemetry.wal_fsync_micros.finish(fsync_timer);
-                return Ok(match synced {
-                    Ok(()) => LogOutcome::Logged,
-                    Err(e) => LogOutcome::LoggedUnsynced(e),
-                });
-            }
-        }
-        Ok(match self.group_commit(seq) {
-            Ok(()) => LogOutcome::Logged,
-            Err(e) => LogOutcome::LoggedUnsynced(e),
-        })
-    }
-
-    /// Trip read-only degraded mode (idempotent; counts first entries).
-    fn enter_read_only(&self) {
-        if !self.read_only.swap(true, Ordering::SeqCst) {
+    /// Log one frame through the [`Wal`]. A failed append that poisoned
+    /// the writer trips read-only degraded mode (idempotent; counts first
+    /// entries) until a rotation installs a fresh writer.
+    pub(crate) fn append_wal(&self, frame: &[u8]) -> Result<LogOutcome, ReqError> {
+        let logged = self.wal.append(frame);
+        if logged.is_err() && self.wal.poisoned() && !self.read_only.swap(true, Ordering::SeqCst) {
             self.wal_poisoned.fetch_add(1, Ordering::Relaxed);
             req_telemetry::global().event(
                 "wal_poisoned",
@@ -757,92 +520,19 @@ impl QuantileService {
                 ),
             );
         }
-    }
-
-    /// Wait until a successful fsync covers append sequence `seq`,
-    /// becoming the fsync leader if nobody is. One leader syncs on behalf
-    /// of every record appended before its watermark snapshot — under 16
-    /// concurrent writers, one `fsync` typically acknowledges many
-    /// appends (measured in BENCH.md).
-    fn group_commit(&self, seq: u64) -> Result<(), ReqError> {
-        let mut state = self.sync_state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            // Failure first: a failed attempt that covered us means our
-            // record's durability is unknown — erring is the only honest
-            // answer even if a later sync succeeds.
-            if state.failed_through >= seq {
-                return Err(ReqError::Io(
-                    "WAL fsync failed; this append's durability is unknown".into(),
-                ));
-            }
-            if state.synced >= seq {
-                return Ok(());
-            }
-            if state.leader {
-                state = self
-                    .sync_cond
-                    .wait(state)
-                    .unwrap_or_else(|p| p.into_inner());
-                continue;
-            }
-            state.leader = true;
-            drop(state);
-            // A one-scheduler-pass commit window: let concurrently
-            // running appenders land their records before the watermark
-            // snapshot, so one fsync acknowledges them all. Costs one
-            // yield (~µs) when nobody else is runnable; multiplies
-            // coalescing when writers overlap.
-            std::thread::yield_now();
-            // Snapshot the watermark *before* syncing: every append with
-            // seq ≤ covered is in the file (both were serialized by the
-            // wal lock), so one sync_data on the cloned fd covers them
-            // all. Appends that land after this point simply wait for the
-            // next leader.
-            let (covered, handle) = {
-                let wal = self.wal.lock();
-                (self.append_seq.load(Ordering::Relaxed), wal.sync_handle())
-            };
-            // The cloned-fd leader sync bypasses `WalWriter::sync`, so it
-            // carries its own injection point for the WalSync fault site.
-            let fsync_timer = self.telemetry.wal_fsync_micros.begin();
-            let result = handle.and_then(|file| {
-                faulted_op(self.cfg.faults.as_deref(), FaultSite::WalSync)
-                    .map_err(ReqError::from)?;
-                file.sync_data().map_err(ReqError::from)
-            });
-            self.telemetry.wal_fsync_micros.finish(fsync_timer);
-            self.wal_syncs.fetch_add(1, Ordering::Relaxed);
-            state = self.sync_state.lock().unwrap_or_else(|p| p.into_inner());
-            state.leader = false;
-            match &result {
-                Ok(()) => {
-                    if covered > state.synced {
-                        self.telemetry
-                            .group_commit_coalesce
-                            .observe(covered - state.synced);
-                    }
-                    state.synced = state.synced.max(covered);
-                }
-                Err(_) => state.failed_through = state.failed_through.max(covered),
-            }
-            self.sync_cond.notify_all();
-            // Our own seq ≤ covered (we appended before snapshotting the
-            // watermark), so the next loop iteration resolves us.
-            result?;
-        }
+        logged
     }
 
     /// Total WAL records appended by this instance (all generations).
     pub fn wal_appends(&self) -> u64 {
-        self.append_seq.load(Ordering::Relaxed)
+        self.wal.appends()
     }
 
     /// Physical WAL `fsync` calls issued by this instance. With
-    /// `fsync: true` and group commit, this trails [`Self::wal_appends`]
-    /// under concurrency; without group commit the two advance in
-    /// lockstep.
+    /// `fsync: true`, group commit lets this trail [`Self::wal_appends`]
+    /// when writers overlap; a lone writer pays one per append.
     pub fn wal_syncs(&self) -> u64 {
-        self.wal_syncs.load(Ordering::Relaxed)
+        self.wal.syncs()
     }
 
     /// Admission control for mutations: refuse in read-only mode, shed
@@ -917,6 +607,52 @@ impl QuantileService {
         }
     }
 
+    /// The one exactly-once write path. In order: an in-flight permit, the
+    /// gate (shared), and for a tokened mutation its client's dedup
+    /// window, locked until the outcome is recorded so a racing retry of
+    /// the same seq serializes behind it and then sees the duplicate. A
+    /// duplicate answers with the recorded outcome if it was recorded for
+    /// this verb (`outcome`'s variant; `Added(n)` echoes the recorded `n`)
+    /// and fails otherwise. A fresh mutation runs `log_and_apply` — the
+    /// verb's WAL append and in-memory apply — and records `outcome`; an
+    /// append whose fsync failed is applied and recorded before its error
+    /// surfaces, so the client's retry dedups. The gate and the window are
+    /// released before the snapshot trigger: rotation takes the gate
+    /// exclusively and locks every window, and neither lock is reentrant.
+    fn exactly_once(
+        &self,
+        token: Option<IdemToken>,
+        outcome: AppliedOutcome,
+        log_and_apply: impl FnOnce() -> Result<LogOutcome, ReqError>,
+    ) -> Result<AppliedOutcome, ReqError> {
+        let _permit = self.mutation_permit()?;
+        let log = {
+            let _gate = self.gate.read();
+            let win = token.map(|t| self.dedup.window_for(t.client_id));
+            let mut win = win.as_ref().map(|w| w.lock());
+            if let Some(recorded) = self.dedup_check(win.as_deref(), token)? {
+                if std::mem::discriminant(&recorded) != std::mem::discriminant(&outcome) {
+                    return Err(ReqError::InvalidParameter(format!(
+                        "idempotency token {} was used for a different operation ({recorded:?})",
+                        token.expect("dup implies token")
+                    )));
+                }
+                return Ok(recorded);
+            }
+            let log = log_and_apply()?;
+            self.records_in_gen.fetch_add(1, Ordering::Relaxed);
+            if let (Some(win), Some(token)) = (win.as_deref_mut(), token) {
+                win.record(token.seq, outcome, self.dedup.window);
+            }
+            log
+        };
+        self.maybe_snapshot();
+        match log {
+            LogOutcome::Logged => Ok(outcome),
+            LogOutcome::LoggedUnsynced(e) => Err(e),
+        }
+    }
+
     /// Create tenant `key`. Fails if it exists; the configuration is
     /// validated, logged, and only then applied.
     pub fn create(&self, key: &str, config: TenantConfig) -> Result<(), ReqError> {
@@ -933,35 +669,11 @@ impl QuantileService {
         token: Option<IdemToken>,
     ) -> Result<AppliedOutcome, ReqError> {
         validate_key(key)?;
-        let _permit = self.mutation_permit()?;
-        let log = {
-            let _gate = self.gate.read();
-            let win = token.map(|t| self.dedup.window_for(t.client_id));
-            let mut win = win.as_ref().map(|w| w.lock());
-            if let Some(outcome) = self.dedup_check(win.as_deref(), token)? {
-                return match outcome {
-                    AppliedOutcome::Created => Ok(outcome),
-                    other => Err(ReqError::InvalidParameter(format!(
-                        "idempotency token {} was used for a different operation ({other:?})",
-                        token.expect("dup implies token")
-                    ))),
-                };
-            }
+        self.exactly_once(token, AppliedOutcome::Created, || {
             let frame = encode_create(key, &config, &token);
-            let log = self
-                .registry
-                .create_with(key, config, || self.append_wal(&frame))?;
-            self.records_in_gen.fetch_add(1, Ordering::Relaxed);
-            if let (Some(win), Some(token)) = (win.as_deref_mut(), token) {
-                win.record(token.seq, AppliedOutcome::Created, self.dedup.window);
-            }
-            log
-        };
-        self.maybe_snapshot();
-        match log {
-            LogOutcome::Logged => Ok(AppliedOutcome::Created),
-            LogOutcome::LoggedUnsynced(e) => Err(e),
-        }
+            self.registry
+                .create_with(key, config, || self.append_wal(&frame))
+        })
     }
 
     /// Ingest a batch into `key`, returning how many values landed.
@@ -991,20 +703,8 @@ impl QuantileService {
                 values.len()
             )));
         }
-        let _permit = self.mutation_permit()?;
-        let log = {
-            let _gate = self.gate.read();
-            let win = token.map(|t| self.dedup.window_for(t.client_id));
-            let mut win = win.as_ref().map(|w| w.lock());
-            if let Some(outcome) = self.dedup_check(win.as_deref(), token)? {
-                return match outcome {
-                    AppliedOutcome::Added(n) => Ok(n),
-                    other => Err(ReqError::InvalidParameter(format!(
-                        "idempotency token {} was used for a different operation ({other:?})",
-                        token.expect("dup implies token")
-                    ))),
-                };
-            }
+        let added = AppliedOutcome::Added(values.len() as u64);
+        let AppliedOutcome::Added(n) = self.exactly_once(token, added, || {
             let tenant = self.tenant(key)?;
             let _op = tenant.op_lock.lock();
             // Re-check under the op lock: a concurrent DROP may have
@@ -1016,21 +716,12 @@ impl QuantileService {
             }
             let log = self.append_wal(&encode_add_batch(key, values, &token))?;
             tenant.sketch.update_batch(values);
-            self.records_in_gen.fetch_add(1, Ordering::Relaxed);
-            if let (Some(win), Some(token)) = (win.as_deref_mut(), token) {
-                win.record(
-                    token.seq,
-                    AppliedOutcome::Added(values.len() as u64),
-                    self.dedup.window,
-                );
-            }
-            log
+            Ok(log)
+        })?
+        else {
+            unreachable!("the funnel answers ADDB only with `Added`");
         };
-        self.maybe_snapshot();
-        match log {
-            LogOutcome::Logged => Ok(values.len() as u64),
-            LogOutcome::LoggedUnsynced(e) => Err(e),
-        }
+        Ok(n)
     }
 
     /// Ingest one value (logged as a one-element batch; the sketch's batch
@@ -1052,33 +743,10 @@ impl QuantileService {
         key: &str,
         token: Option<IdemToken>,
     ) -> Result<AppliedOutcome, ReqError> {
-        let _permit = self.mutation_permit()?;
-        let log = {
-            let _gate = self.gate.read();
-            let win = token.map(|t| self.dedup.window_for(t.client_id));
-            let mut win = win.as_ref().map(|w| w.lock());
-            if let Some(outcome) = self.dedup_check(win.as_deref(), token)? {
-                return match outcome {
-                    AppliedOutcome::Dropped => Ok(outcome),
-                    other => Err(ReqError::InvalidParameter(format!(
-                        "idempotency token {} was used for a different operation ({other:?})",
-                        token.expect("dup implies token")
-                    ))),
-                };
-            }
+        self.exactly_once(token, AppliedOutcome::Dropped, || {
             let frame = encode_drop(key, &token);
-            let log = self.registry.drop_with(key, || self.append_wal(&frame))?;
-            self.records_in_gen.fetch_add(1, Ordering::Relaxed);
-            if let (Some(win), Some(token)) = (win.as_deref_mut(), token) {
-                win.record(token.seq, AppliedOutcome::Dropped, self.dedup.window);
-            }
-            log
-        };
-        self.maybe_snapshot();
-        match log {
-            LogOutcome::Logged => Ok(AppliedOutcome::Dropped),
-            LogOutcome::LoggedUnsynced(e) => Err(e),
-        }
+            self.registry.drop_with(key, || self.append_wal(&frame))
+        })
     }
 
     /// Estimated rank `|{x ≤ v}|` for tenant `key`.
@@ -1144,380 +812,6 @@ impl QuantileService {
     pub fn list(&self) -> Vec<String> {
         self.registry.keys_sorted()
     }
-
-    /// Take the record-count trigger if it is due — best-effort, like the
-    /// background snapshotter. The mutation that tripped the trigger has
-    /// already durably succeeded; surfacing a transient snapshot I/O error
-    /// as *its* result would invite the client to retry (and double-ingest)
-    /// an op that landed. A failed snapshot leaves the record counter at or
-    /// above the threshold, so the next mutation retries it; failures are
-    /// counted in [`Self::snapshot_failures`].
-    fn maybe_snapshot(&self) {
-        let every = self.cfg.snapshot_every_records;
-        if every > 0
-            && self.records_in_gen.load(Ordering::Relaxed) >= every
-            && self.snapshot_now().is_err()
-        {
-            self.snapshot_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot attempts (record-count trigger) that failed; the explicit
-    /// `SNAPSHOT` command still surfaces its error to the caller.
-    pub fn snapshot_failures(&self) -> u64 {
-        self.snapshot_failures.load(Ordering::Relaxed)
-    }
-
-    /// Checkpoint every tenant, write `snap-<g+1>.snap`, rotate to
-    /// `wal-<g+1>.log`, and delete generations older than the previous
-    /// one. Returns the new generation.
-    pub fn snapshot_now(&self) -> Result<u64, ReqError> {
-        self.rotate(false)
-    }
-
-    /// [`Self::snapshot_now`] without the empty-generation early return:
-    /// the rotation happens even when nothing new landed. A replication
-    /// follower mirrors its primary's generation seals with this — the
-    /// checkpoint's shard swap then executes at the *same record index*
-    /// on both sides, which is what keeps follower state byte-identical
-    /// to the primary across a primary snapshot rotation.
-    pub fn rotate_generation(&self) -> Result<u64, ReqError> {
-        self.rotate(true)
-    }
-
-    fn rotate(&self, force: bool) -> Result<u64, ReqError> {
-        // Dropping the token (early return, error) records nothing.
-        let timer = self.telemetry.snapshot_micros.begin();
-        let new_gen;
-        {
-            let _gate = self.gate.write(); // quiesce writers
-                                           // Another racer may have snapshotted while we waited; if the
-                                           // live generation has no records, there is nothing to fold in.
-                                           // (Unless we are read-only: then the rotation itself is the
-                                           // point — it installs a fresh, unpoisoned WAL writer. A forced
-                                           // rotation — a follower mirroring a seal — always proceeds.)
-            if !force
-                && self.records_in_gen.load(Ordering::Relaxed) == 0
-                && self.snapshots_written.load(Ordering::Relaxed) > 0
-                && !self.read_only.load(Ordering::SeqCst)
-            {
-                return Ok(self.gen.load(Ordering::Relaxed));
-            }
-            new_gen = self.gen.load(Ordering::Relaxed) + 1;
-            let tenants: Vec<TenantSnapshot> = self
-                .registry
-                .tenants_sorted()
-                .iter()
-                .map(|t| -> Result<TenantSnapshot, ReqError> {
-                    Ok(TenantSnapshot {
-                        key: t.name.clone(),
-                        config: t.config.clone(),
-                        rotation: t.sketch.rotation(),
-                        shards: t
-                            .sketch
-                            .checkpoint()?
-                            .into_iter()
-                            .map(|b| b.to_vec())
-                            .collect(),
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            write_snapshot(
-                &self.cfg.data_dir,
-                new_gen,
-                &tenants,
-                &self.dedup.to_snapshot(),
-                self.cfg.fsync,
-                self.cfg.faults.as_deref(),
-            )?;
-            let mut writer = WalWriter::create(&wal_path(&self.cfg.data_dir, new_gen))?;
-            writer.set_faults(self.cfg.faults.clone());
-            *self.wal.lock() = writer;
-            self.gen.store(new_gen, Ordering::Relaxed);
-            self.records_in_gen.store(0, Ordering::Relaxed);
-            self.snapshots_written.fetch_add(1, Ordering::Relaxed);
-            let micros = self.telemetry.snapshot_micros.finish(timer);
-            let telemetry = req_telemetry::global();
-            telemetry.event("snapshot_rotated", format!("gen={new_gen} micros={micros}"));
-            // The fresh writer is unpoisoned and the snapshot holds every
-            // applied record — safe to exit read-only degraded mode.
-            if self.read_only.swap(false, Ordering::SeqCst) {
-                telemetry.event("wal_healed", format!("gen={new_gen} read-write restored"));
-            }
-        }
-        // Generations before the *previous* one are now doubly shadowed;
-        // delete them best-effort. The immediately-previous snapshot and
-        // WAL are deliberately retained: if the snapshot just written
-        // ever fails its checksums (bit rot), recovery falls back to
-        // generation `new_gen - 1` and replays forward — without this,
-        // one bad file would silently erase every snapshotted tenant.
-        for g in snapshot_gens(&self.cfg.data_dir).unwrap_or_default() {
-            if g + 1 < new_gen {
-                let _ = std::fs::remove_file(snapshot_path(&self.cfg.data_dir, g));
-            }
-        }
-        for g in wal_gens(&self.cfg.data_dir).unwrap_or_default() {
-            if g + 1 < new_gen {
-                let _ = std::fs::remove_file(wal_path(&self.cfg.data_dir, g));
-            }
-        }
-        Ok(new_gen)
-    }
-
-    /// Spawn a background thread snapshotting every `interval` (when the
-    /// live generation has records). The returned handle stops and joins
-    /// the thread on drop.
-    pub fn spawn_snapshotter(self: &Arc<Self>, interval: Duration) -> Snapshotter {
-        let service = Arc::clone(self);
-        let signal = Arc::new((StdMutex::new(false), Condvar::new()));
-        let thread_signal = Arc::clone(&signal);
-        let handle = std::thread::spawn(move || {
-            let (stop, wake) = &*thread_signal;
-            let mut stopped = stop.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                let (guard, _timeout) = wake
-                    .wait_timeout(stopped, interval)
-                    .unwrap_or_else(|p| p.into_inner());
-                stopped = guard;
-                if *stopped {
-                    return;
-                }
-                if service.records_in_generation() > 0 {
-                    // Best-effort: an I/O error here must not kill the
-                    // thread; the next tick retries.
-                    let _ = service.snapshot_now();
-                }
-            }
-        });
-        Snapshotter {
-            signal,
-            handle: Some(handle),
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Replication: WAL-tail shipping (primary side) and frame replay
-    // (follower side). See docs/ARCHITECTURE.md "Cluster layer".
-    // -----------------------------------------------------------------
-
-    /// Switch follower mode on or off. A follower refuses client
-    /// mutations with `Unavailable` (they belong on the primary) while
-    /// [`Self::replicate_frames`] keeps applying shipped records; queries
-    /// keep answering — that is the bounded-lag follower read. Promotion
-    /// after a primary failure is `set_follower(false)`.
-    pub fn set_follower(&self, follower: bool) {
-        if self.follower.swap(follower, Ordering::SeqCst) != follower {
-            req_telemetry::global().event(
-                if follower {
-                    "follower_entered"
-                } else {
-                    "follower_left"
-                },
-                format!("gen={}", self.gen.load(Ordering::Relaxed)),
-            );
-        }
-    }
-
-    /// Is this node currently a replication follower?
-    pub fn is_follower(&self) -> bool {
-        self.follower.load(Ordering::SeqCst)
-    }
-
-    /// The live WAL generation and the byte length of its valid prefix —
-    /// the exact position a fully caught-up follower's [`Self::tail`]
-    /// cursor points at. Taken under the shared gate so the pair is never
-    /// split by a rotation.
-    pub fn wal_watermark(&self) -> (u64, u64) {
-        let _gate = self.gate.read();
-        let wal = self.wal.lock();
-        (self.gen.load(Ordering::Relaxed), wal.valid_len())
-    }
-
-    /// Serve one slice of generation `gen`'s WAL for a replication
-    /// follower: whole, CRC-valid, decodable frames starting at byte
-    /// `offset` (0 resolves to the first frame after the file magic), at
-    /// most `max_bytes` of them — but always at least one frame when one
-    /// is available, so a frame larger than the budget cannot wedge the
-    /// stream. A torn or rolled-back tail is *never* shipped: the
-    /// follower sees exactly the bytes crash recovery would replay.
-    ///
-    /// Reads only the window it ships — `[start, start + max(budget, 8))`
-    /// clipped to the file, extended just far enough to hold the first
-    /// frame when that frame alone is longer — so a poll costs
-    /// O(budget), not O(generation). It reads without the service gate:
-    /// an append racing this read can only make the window's last frame
-    /// incomplete, and incomplete frames are excluded the same way
-    /// recovery excludes them. `sealed` reports whether `gen` has been
-    /// rotated away (its file is final); the follower then mirrors the
-    /// rotation via [`Self::rotate_generation`] and resumes from
-    /// `gen + 1`.
-    pub fn tail(&self, gen: u64, offset: u64, max_bytes: u32) -> Result<TailSegment, ReqError> {
-        let file = match std::fs::File::open(wal_path(&self.cfg.data_dir, gen)) {
-            Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(ReqError::InvalidParameter(format!(
-                    "WAL generation {gen} is not on disk (pruned or never written); \
-                     re-seed the follower from a snapshot"
-                )));
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let file_len = file.metadata()?.len();
-        let mut magic = [0u8; WAL_MAGIC.len()];
-        if read_at_most(&file, &mut magic, 0)? < magic.len() || magic != *WAL_MAGIC {
-            return Err(ReqError::CorruptBytes(format!(
-                "WAL generation {gen} has no valid magic header"
-            )));
-        }
-        let start = if offset == 0 {
-            WAL_MAGIC.len() as u64
-        } else {
-            offset
-        };
-        if start < WAL_MAGIC.len() as u64 || start > file_len {
-            return Err(ReqError::InvalidParameter(format!(
-                "tail offset {offset} outside generation {gen}'s {file_len} bytes"
-            )));
-        }
-        let avail = file_len - start;
-        let budget = (max_bytes as usize).min(MAX_MESSAGE_PAYLOAD - 4096);
-        // At least one frame header, so even a tiny budget can see how
-        // long the first frame is.
-        let window = budget.max(FRAME_HEADER_LEN) as u64;
-        let mut buf = vec![0u8; window.min(avail) as usize];
-        let got = read_at_most(&file, &mut buf, start)?;
-        buf.truncate(got);
-        // The first frame ships whole even past the budget: read the rest
-        // of it if the file holds it.
-        if let Some(head) = buf.get(..4) {
-            let first = (FRAME_HEADER_LEN as u64)
-                + u64::from(u32::from_le_bytes(head.try_into().expect("4 bytes")));
-            if first > buf.len() as u64 && first <= avail {
-                let have = buf.len();
-                buf.resize(first as usize, 0);
-                let got = read_at_most(&file, &mut buf[have..], start + have as u64)?;
-                buf.truncate(have + got);
-            }
-        }
-        let mut shipped = 0usize;
-        // Mirror recovery's stop conditions exactly: a frame must be
-        // length-complete, CRC-clean, *and* decode to a record.
-        while let Ok(payload) = req_core::frame::frame_payload(&buf[shipped..]) {
-            if WalRecord::decode(Bytes::copy_from_slice(payload)).is_err() {
-                break;
-            }
-            let consumed = FRAME_HEADER_LEN + payload.len();
-            if shipped > 0 && shipped + consumed > budget {
-                break;
-            }
-            shipped += consumed;
-            if shipped >= budget {
-                break;
-            }
-        }
-        buf.truncate(shipped);
-        // Load the live generation *after* reading the file: if a
-        // rotation raced us, the file we read was already final.
-        let latest_gen = self.gen.load(Ordering::Relaxed);
-        Ok(TailSegment {
-            gen,
-            offset: start,
-            sealed: gen < latest_gen,
-            latest_gen,
-            frames: buf,
-        })
-    }
-
-    /// Follower-side replay of a [`TailSegment`]'s frames: append each
-    /// frame to the local WAL **byte-for-byte** and apply its record, in
-    /// the primary's `[append → apply]` order. Tokens on replicated
-    /// records re-populate the dedup windows, so a client retrying a
-    /// mutation against this node *after promotion* still dedups.
-    /// Returns how many records were applied.
-    ///
-    /// The walk validates each frame before touching anything; it stops
-    /// at the first invalid one with an error. Everything applied before
-    /// the stop is durable and consistent — re-shipping from the local
-    /// [`Self::wal_watermark`] resumes cleanly, so a torn or corrupted
-    /// replication stream can delay convergence but never corrupt state.
-    pub fn replicate_frames(&self, frames: &[u8]) -> Result<u64, ReqError> {
-        if !self.is_follower() {
-            return Err(ReqError::InvalidParameter(
-                "replicate_frames on a non-follower node; demote it explicitly first".into(),
-            ));
-        }
-        let _gate = self.gate.read();
-        let mut at = 0usize;
-        let mut applied = 0u64;
-        while at < frames.len() {
-            let payload = req_core::frame::frame_payload(&frames[at..])?;
-            let rec = WalRecord::decode(Bytes::copy_from_slice(payload))?;
-            let frame_bytes = &frames[at..at + FRAME_HEADER_LEN + payload.len()];
-            at += frame_bytes.len();
-            // Same contract as the primary's mutation path: even when the
-            // fsync outcome is unknown, a frame that reached the file
-            // must be applied before the error surfaces, or the durable
-            // and in-memory states would diverge.
-            let log = self.append_wal(frame_bytes)?;
-            Self::apply(&self.registry, &self.dedup, rec)?;
-            self.records_in_gen.fetch_add(1, Ordering::Relaxed);
-            applied += 1;
-            if let LogOutcome::LoggedUnsynced(e) = log {
-                return Err(e);
-            }
-        }
-        Ok(applied)
-    }
-
-    /// The tenant's serialized per-shard sketches (binary v3), for
-    /// scatter/gather `MERGE` at a router. Encodes *clones* of the live
-    /// shards — byte-identical to what a checkpoint would write, while
-    /// the live RNGs and epochs stay untouched, so serving merge queries
-    /// never perturbs replication byte-identity.
-    pub fn sketch_parts(&self, key: &str) -> Result<Vec<Vec<u8>>, ReqError> {
-        Ok(self
-            .tenant(key)?
-            .sketch
-            .encode_shards()
-            .into_iter()
-            .map(|b| b.to_vec())
-            .collect())
-    }
-}
-
-/// Fill `buf` from `file` at byte `pos` until it is full or the file
-/// ends; returns how many bytes were read. A file that shrank since it
-/// was measured (a rolled-back torn append) reads short, not as an error.
-fn read_at_most(file: &std::fs::File, buf: &mut [u8], pos: u64) -> std::io::Result<usize> {
-    use std::os::unix::fs::FileExt;
-    let mut got = 0;
-    while got < buf.len() {
-        match file.read_at(&mut buf[got..], pos + got as u64) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(got)
-}
-
-/// Handle to the background snapshotter thread; stops it on drop.
-#[derive(Debug)]
-pub struct Snapshotter {
-    signal: Arc<(StdMutex<bool>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for Snapshotter {
-    fn drop(&mut self) {
-        let (stop, wake) = &*self.signal;
-        *stop.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        wake.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 /// Free helper: an accuracy envelope for test assertions — the ε the
@@ -1532,7 +826,9 @@ pub fn accuracy_epsilon(config: &TenantConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::snapshot_path;
     use crate::tempdir::TempDir;
+    use std::time::Duration;
 
     fn svc(dir: &std::path::Path) -> QuantileService {
         QuantileService::open(ServiceConfig::new(dir)).unwrap()
@@ -1666,6 +962,12 @@ mod tests {
         std::fs::write(dir.path().join("LOCK"), "999999999").unwrap();
         let fourth = QuantileService::open(ServiceConfig::new(dir.path()));
         assert!(fourth.is_ok(), "stale lock must not brick recovery");
+        drop(fourth);
+        // A restart that got its predecessor's pid (PID 1 in a container)
+        // finds its own pid in the leftover file.
+        std::fs::write(dir.path().join("LOCK"), std::process::id().to_string()).unwrap();
+        let fifth = QuantileService::open(ServiceConfig::new(dir.path()));
+        assert!(fifth.is_ok(), "own-pid leftover must not brick recovery");
     }
 
     #[test]

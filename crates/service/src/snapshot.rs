@@ -25,6 +25,11 @@
 //!
 //! Writes go through a `*.tmp` + atomic-rename dance, so a crash mid-write
 //! never shadows the previous good snapshot.
+//!
+//! The [`QuantileService`] methods that take snapshots live here too: the
+//! record-count trigger, [`QuantileService::snapshot_now`], the follower's
+//! [`QuantileService::rotate_generation`] and the background
+//! [`Snapshotter`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use req_core::binary::Packable;
@@ -33,9 +38,14 @@ use req_core::ReqError;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::time::Duration;
 
 use crate::config::TenantConfig;
 use crate::faults::{faulted_op, faulted_write, FaultPlane, FaultSite};
+use crate::service::QuantileService;
+use crate::wal::WalWriter;
 
 /// Snapshot file magic.
 pub const SNAP_MAGIC: &[u8; 8] = b"REQSNAP1";
@@ -339,6 +349,192 @@ pub fn latest_valid(dir: &Path) -> Result<(Option<SnapshotData>, Vec<u64>), ReqE
         }
     }
     Ok((None, skipped))
+}
+
+impl QuantileService {
+    /// Take the record-count trigger if it is due — best-effort, like the
+    /// background snapshotter. The mutation that tripped the trigger has
+    /// already durably succeeded; surfacing a transient snapshot I/O error
+    /// as *its* result would invite the client to retry (and double-ingest)
+    /// an op that landed. A failed snapshot leaves the record counter at or
+    /// above the threshold, so the next mutation retries it; failures are
+    /// counted in [`Self::snapshot_failures`].
+    pub(crate) fn maybe_snapshot(&self) {
+        let every = self.cfg.snapshot_every_records;
+        if every > 0
+            && self.records_in_gen.load(Ordering::Relaxed) >= every
+            && self.snapshot_now().is_err()
+        {
+            self.snapshot_failures.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Snapshot attempts (record-count trigger) that failed; the explicit
+    /// `SNAPSHOT` command still surfaces its error to the caller.
+    pub fn snapshot_failures(&self) -> u64 {
+        self.snapshot_failures.load(Ordering::Relaxed)
+    }
+
+    /// Create `wal-<g+1>.log`, checkpoint every tenant into
+    /// `snap-<g+1>.snap`, rotate to the new WAL, and delete generations
+    /// older than the previous one. Returns the new generation.
+    pub fn snapshot_now(&self) -> Result<u64, ReqError> {
+        self.rotate(false)
+    }
+
+    /// [`Self::snapshot_now`] without the empty-generation early return:
+    /// the rotation happens even when nothing new landed. A replication
+    /// follower mirrors its primary's generation seals with this — the
+    /// checkpoint's shard swap then executes at the *same record index*
+    /// on both sides, which is what keeps follower state byte-identical
+    /// to the primary across a primary snapshot rotation.
+    pub fn rotate_generation(&self) -> Result<u64, ReqError> {
+        self.rotate(true)
+    }
+
+    fn rotate(&self, force: bool) -> Result<u64, ReqError> {
+        // Dropping the token (early return, error) records nothing.
+        let timer = self.telemetry.snapshot_micros.begin();
+        let new_gen;
+        {
+            // Quiesce writers. Another racer may have snapshotted while we
+            // waited; if the live generation has no records, there is
+            // nothing to fold in. (Unless we are read-only: then the
+            // rotation itself is the point — it installs a fresh,
+            // unpoisoned WAL writer. A forced rotation — a follower
+            // mirroring a seal — always proceeds.)
+            let _gate = self.gate.write();
+            if !force
+                && self.records_in_gen.load(Ordering::Relaxed) == 0
+                && self.snapshots_written.load(Ordering::Relaxed) > 0
+                && !self.read_only.load(Ordering::SeqCst)
+            {
+                return Ok(self.gen.load(Ordering::Relaxed));
+            }
+            new_gen = self.gen.load(Ordering::Relaxed) + 1;
+            // The WAL comes first: `snap-<g+1>` sends recovery to
+            // `wal-<g+1>` onward, so a snapshot whose WAL then failed would
+            // strand later writes in `wal-<g>`. A failed snapshot keeps
+            // `wal-<g>` live and removes the empty new one.
+            let wal_file = wal_path(&self.cfg.data_dir, new_gen);
+            let mut writer = WalWriter::create(&wal_file)?;
+            writer.set_faults(self.cfg.faults.clone());
+            if let Err(e) = self.checkpoint_to(new_gen) {
+                let _ = std::fs::remove_file(&wal_file);
+                return Err(e);
+            }
+            self.wal.install(writer);
+            self.gen.store(new_gen, Ordering::Relaxed);
+            self.records_in_gen.store(0, Ordering::Relaxed);
+            self.snapshots_written.fetch_add(1, Ordering::Relaxed);
+            let micros = self.telemetry.snapshot_micros.finish(timer);
+            let telemetry = req_telemetry::global();
+            telemetry.event("snapshot_rotated", format!("gen={new_gen} micros={micros}"));
+            // The fresh writer is unpoisoned and the snapshot holds every
+            // applied record — safe to exit read-only degraded mode.
+            if self.read_only.swap(false, Ordering::SeqCst) {
+                telemetry.event("wal_healed", format!("gen={new_gen} read-write restored"));
+            }
+        }
+        // Generations before the *previous* one are now doubly shadowed;
+        // delete them best-effort. The immediately-previous snapshot and
+        // WAL are deliberately retained: if the snapshot just written
+        // ever fails its checksums (bit rot), recovery falls back to
+        // generation `new_gen - 1` and replays forward — without this,
+        // one bad file would silently erase every snapshotted tenant.
+        for g in snapshot_gens(&self.cfg.data_dir).unwrap_or_default() {
+            if g + 1 < new_gen {
+                let _ = std::fs::remove_file(snapshot_path(&self.cfg.data_dir, g));
+            }
+        }
+        for g in wal_gens(&self.cfg.data_dir).unwrap_or_default() {
+            if g + 1 < new_gen {
+                let _ = std::fs::remove_file(wal_path(&self.cfg.data_dir, g));
+            }
+        }
+        Ok(new_gen)
+    }
+
+    /// Checkpoint every tenant and write them, with the dedup windows, as
+    /// `snap-<gen>.snap`. Runs under the exclusive gate.
+    fn checkpoint_to(&self, gen: u64) -> Result<(), ReqError> {
+        let tenants: Vec<TenantSnapshot> = self
+            .registry
+            .tenants_sorted()
+            .iter()
+            .map(|t| -> Result<TenantSnapshot, ReqError> {
+                Ok(TenantSnapshot {
+                    key: t.name.clone(),
+                    config: t.config.clone(),
+                    rotation: t.sketch.rotation(),
+                    shards: t
+                        .sketch
+                        .checkpoint()?
+                        .into_iter()
+                        .map(|b| b.to_vec())
+                        .collect(),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        write_snapshot(
+            &self.cfg.data_dir,
+            gen,
+            &tenants,
+            &self.dedup.to_snapshot(),
+            self.cfg.fsync,
+            self.cfg.faults.as_deref(),
+        )?;
+        Ok(())
+    }
+
+    /// Spawn a background thread snapshotting every `interval` (when the
+    /// live generation has records). The returned handle stops and joins
+    /// the thread on drop.
+    pub fn spawn_snapshotter(self: &Arc<Self>, interval: Duration) -> Snapshotter {
+        let service = Arc::clone(self);
+        let signal = Arc::new((StdMutex::new(false), Condvar::new()));
+        let thread_signal = Arc::clone(&signal);
+        let handle = std::thread::spawn(move || {
+            let (stop, wake) = &*thread_signal;
+            let mut stopped = stop.lock().unwrap_or_else(|p| p.into_inner());
+            loop {
+                let (guard, _timeout) = wake
+                    .wait_timeout(stopped, interval)
+                    .unwrap_or_else(|p| p.into_inner());
+                stopped = guard;
+                if *stopped {
+                    return;
+                }
+                if service.records_in_generation() > 0 {
+                    // Best-effort: an I/O error here must not kill the
+                    // thread; the next tick retries.
+                    let _ = service.snapshot_now();
+                }
+            }
+        });
+        Snapshotter {
+            signal,
+            handle: Some(handle),
+        }
+    }
+}
+
+/// Handle to the background snapshotter thread; stops it on drop.
+#[derive(Debug)]
+pub struct Snapshotter {
+    signal: Arc<(StdMutex<bool>, Condvar)>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for Snapshotter {
+    fn drop(&mut self) {
+        let (stop, wake) = &*self.signal;
+        *stop.lock().unwrap_or_else(|p| p.into_inner()) = true;
+        wake.notify_all();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
 }
 
 #[cfg(test)]

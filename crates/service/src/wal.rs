@@ -39,8 +39,16 @@
 //!
 //! Records carry `f64` *bit patterns*, not rounded text, so replayed
 //! ingest is exactly the original ingest.
+//!
+//! ## Durability
+//!
+//! Every append is flushed to the OS, which survives a crash of the
+//! process. With the service's `fsync` setting on, an append counts as
+//! logged only once an `fsync` covers it, and concurrent appenders share
+//! one (group commit, the only fsync path).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use parking_lot::Mutex;
 use req_core::binary::Packable;
 use req_core::frame::{frame, read_frame, FRAME_HEADER_LEN};
 use req_core::{OrdF64, ReqError};
@@ -52,7 +60,8 @@ use crate::config::{TenantConfig, MAX_KEY_LEN};
 use crate::faults::{faulted_op, faulted_write, FaultPlane, FaultSite};
 use crate::protocol::binary::take_f64s;
 use crate::protocol::IdemToken;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 /// File magic; the trailing newline makes `head -c8` output readable.
 pub const WAL_MAGIC: &[u8; 8] = b"REQWAL1\n";
@@ -304,7 +313,6 @@ pub fn read_wal(path: &Path) -> Result<WalReplay, ReqError> {
 pub struct WalWriter {
     file: File,
     path: PathBuf,
-    records: u64,
     /// Bytes of whole, successfully appended frames (incl. magic) — the
     /// rollback point when an append fails partway.
     len: u64,
@@ -326,7 +334,6 @@ impl WalWriter {
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
-            records: 0,
             len: WAL_MAGIC.len() as u64,
             poisoned: false,
             faults: None,
@@ -346,7 +353,6 @@ impl WalWriter {
         let mut writer = WalWriter {
             file,
             path: path.to_path_buf(),
-            records: 0,
             len: valid_len,
             poisoned: false,
             faults: None,
@@ -365,8 +371,8 @@ impl WalWriter {
     /// Append one encoded frame and flush it to the OS. A single
     /// `write_all` of the whole frame keeps the torn-write window to one
     /// record; flushing (not fsyncing) makes the record survive a crash of
-    /// the *process* — the OS-crash window is closed by [`Self::sync`] or
-    /// the `fsync` service setting.
+    /// the *process* — the OS-crash window is closed by the `fsync`
+    /// service setting, through [`Self::sync_handle`].
     ///
     /// A failed append (e.g. `ENOSPC` after a partial write) is rolled
     /// back by truncating to the last whole frame; if even the rollback
@@ -390,7 +396,6 @@ impl WalWriter {
         match result {
             Ok(()) => {
                 self.len += encoded.len() as u64;
-                self.records += 1;
                 Ok(())
             }
             Err(e) => {
@@ -405,13 +410,6 @@ impl WalWriter {
         }
     }
 
-    /// `fsync` the file.
-    pub fn sync(&self) -> Result<(), ReqError> {
-        faulted_op(self.faults.as_deref(), FaultSite::WalSync)?;
-        self.file.sync_data()?;
-        Ok(())
-    }
-
     /// Has an unrecoverable append failure poisoned this writer? Once
     /// true, every append fails until the WAL is rotated (a snapshot
     /// starts a fresh generation) — the service surfaces this as
@@ -424,15 +422,9 @@ impl WalWriter {
     /// appender lock: `sync_data` on the clone flushes every byte already
     /// written through the original fd (both share one kernel file
     /// description), so a group-commit leader can fsync a watermark while
-    /// other appenders keep appending. See
-    /// [`crate::service::QuantileService`]'s group commit.
+    /// other appenders keep appending.
     pub fn sync_handle(&self) -> Result<File, ReqError> {
         Ok(self.file.try_clone()?)
-    }
-
-    /// Records appended through this writer (excludes pre-existing ones).
-    pub fn records_appended(&self) -> u64 {
-        self.records
     }
 
     /// Byte length of the file's valid prefix (magic + whole appended
@@ -440,10 +432,217 @@ impl WalWriter {
     pub fn valid_len(&self) -> u64 {
         self.len
     }
+}
 
-    /// The file this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
+/// Group-commit bookkeeping (under a `std` mutex — its condvar pairs
+/// with it; the vendored `parking_lot` has no condvar).
+#[derive(Debug, Default)]
+struct SyncState {
+    /// Highest append sequence a successful fsync has covered.
+    synced: u64,
+    /// Highest append sequence a *failed* fsync attempt covered — those
+    /// appends' durability is unknown, so their waiters must error.
+    failed_through: u64,
+    /// An fsync leader is in flight; later appenders wait instead of
+    /// issuing their own fsync.
+    leader: bool,
+}
+
+/// What [`Wal::append`] achieved. `Logged` means the
+/// record is durable per the config. `LoggedUnsynced` means the frame is
+/// *fully in the WAL file* but the fsync failed — its durability across a
+/// power cut is unknown, yet within this process (and after any crash
+/// that preserves the written bytes) recovery replays it. The mutation
+/// therefore **must still apply** and record its idempotency outcome
+/// before surfacing the error, or a client retry would double-ingest.
+#[derive(Debug)]
+pub(crate) enum LogOutcome {
+    Logged,
+    LoggedUnsynced(ReqError),
+}
+
+/// The live WAL generation's appender with the service's one durability
+/// policy. Every append is flushed to the OS. With `fsync` on, an append
+/// is logged only once an `fsync` covers it, and concurrent appenders
+/// share those fsyncs (group commit): one leader syncs on behalf of
+/// everything appended before it took its watermark, while the others
+/// wait for its result. One writer alone still pays one fsync per append.
+#[derive(Debug)]
+pub(crate) struct Wal {
+    writer: Mutex<WalWriter>,
+    fsync: bool,
+    /// Monotonic append counter (never resets, even across WAL
+    /// rotations); incremented under the `writer` lock, so sequence order
+    /// equals file order.
+    appends: AtomicU64,
+    /// Physical `fsync` calls on the WAL — the group-commit win is
+    /// `appends / syncs`.
+    syncs: AtomicU64,
+    sync_state: StdMutex<SyncState>,
+    sync_cond: Condvar,
+    append_micros: req_telemetry::Histogram,
+    /// Monotonic tick driving 1-in-8 sampling of the append span: timing
+    /// every append puts two clock reads and a sketch insert on the
+    /// hottest path in the tree, and a uniform sample estimates the same
+    /// latency distribution (counters elsewhere stay exact).
+    append_ticks: AtomicU64,
+    fsync_micros: req_telemetry::Histogram,
+    /// Appends acknowledged per leader fsync — the group-commit win.
+    coalesce: req_telemetry::Histogram,
+}
+
+impl Wal {
+    /// Take over `writer` as the live generation; `fsync` is
+    /// [`crate::ServiceConfig::fsync`].
+    pub(crate) fn new(writer: WalWriter, fsync: bool) -> Self {
+        let t = req_telemetry::global();
+        Wal {
+            writer: Mutex::new(writer),
+            fsync,
+            appends: AtomicU64::new(0),
+            syncs: AtomicU64::new(0),
+            sync_state: StdMutex::new(SyncState::default()),
+            sync_cond: Condvar::new(),
+            append_micros: t.histogram("service_wal_append_micros"),
+            append_ticks: AtomicU64::new(0),
+            fsync_micros: t.histogram("service_wal_fsync_micros"),
+            coalesce: t.histogram("service_wal_group_commit_coalesce"),
+        }
+    }
+
+    /// Append one record and make it durable per the policy. Callers hold
+    /// the service gate (shared) for the whole `[append → apply]` window,
+    /// which is what lets group commit fsync through a cloned fd without
+    /// racing a WAL rotation — rotation takes the gate exclusively.
+    ///
+    /// `Err` means the frame is **not** in the file (a failed write rolls
+    /// the file back; a failed rollback poisons the writer — see
+    /// [`Self::poisoned`] — and the torn bytes are exactly what recovery's
+    /// torn-tail truncation discards). [`LogOutcome::LoggedUnsynced`]
+    /// means the frame **is** in the file but its fsync failed — the
+    /// caller must apply-and-record before surfacing the error.
+    pub(crate) fn append(&self, frame: &[u8]) -> Result<LogOutcome, ReqError> {
+        if self.append_ticks.fetch_add(1, Ordering::Relaxed) & 7 != 0 {
+            return self.append_inner(frame);
+        }
+        let timer = self.append_micros.begin();
+        let result = self.append_inner(frame);
+        self.append_micros.finish(timer);
+        result
+    }
+
+    fn append_inner(&self, frame: &[u8]) -> Result<LogOutcome, ReqError> {
+        let seq;
+        {
+            let mut wal = self.writer.lock();
+            wal.append(frame)?;
+            // Under the writer lock: sequence order equals file order.
+            seq = self.appends.fetch_add(1, Ordering::Relaxed) + 1;
+            if !self.fsync {
+                return Ok(LogOutcome::Logged);
+            }
+        }
+        Ok(match self.group_commit(seq) {
+            Ok(()) => LogOutcome::Logged,
+            Err(e) => LogOutcome::LoggedUnsynced(e),
+        })
+    }
+
+    /// Wait until a successful fsync covers append sequence `seq`,
+    /// becoming the fsync leader if nobody is. One leader syncs on behalf
+    /// of every record appended before its watermark snapshot — under 16
+    /// concurrent writers, one `fsync` typically acknowledges many
+    /// appends (measured in BENCH.md).
+    fn group_commit(&self, seq: u64) -> Result<(), ReqError> {
+        let mut state = self.sync_state.lock().unwrap_or_else(|p| p.into_inner());
+        loop {
+            // Failure first: a failed attempt that covered us means our
+            // record's durability is unknown — erring is the only honest
+            // answer even if a later sync succeeds.
+            if state.failed_through >= seq {
+                return Err(ReqError::Io(
+                    "WAL fsync failed; this append's durability is unknown".into(),
+                ));
+            }
+            if state.synced >= seq {
+                return Ok(());
+            }
+            if state.leader {
+                state = self
+                    .sync_cond
+                    .wait(state)
+                    .unwrap_or_else(|p| p.into_inner());
+                continue;
+            }
+            state.leader = true;
+            drop(state);
+            // A one-scheduler-pass commit window: let concurrently
+            // running appenders land their records before the watermark
+            // snapshot, so one fsync acknowledges them all. Costs one
+            // yield (~µs) when nobody else is runnable; multiplies
+            // coalescing when writers overlap.
+            std::thread::yield_now();
+            // Snapshot the watermark *before* syncing: every append with
+            // seq ≤ covered is in the file (both were serialized by the
+            // wal lock), so one sync_data on the cloned fd covers them
+            // all. Appends that land after this point simply wait for the
+            // next leader.
+            let (covered, handle, faults) = {
+                let wal = self.writer.lock();
+                let covered = self.appends.load(Ordering::Relaxed);
+                (covered, wal.sync_handle(), wal.faults.clone())
+            };
+            let fsync_timer = self.fsync_micros.begin();
+            let result = handle.and_then(|file| {
+                faulted_op(faults.as_deref(), FaultSite::WalSync).map_err(ReqError::from)?;
+                file.sync_data().map_err(ReqError::from)
+            });
+            self.fsync_micros.finish(fsync_timer);
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+            state = self.sync_state.lock().unwrap_or_else(|p| p.into_inner());
+            state.leader = false;
+            match &result {
+                Ok(()) => {
+                    if covered > state.synced {
+                        self.coalesce.observe(covered - state.synced);
+                    }
+                    state.synced = state.synced.max(covered);
+                }
+                Err(_) => state.failed_through = state.failed_through.max(covered),
+            }
+            self.sync_cond.notify_all();
+            // Our own seq ≤ covered (we appended before snapshotting the
+            // watermark), so the next loop iteration resolves us.
+            result?;
+        }
+    }
+
+    /// Switch appends to the next generation's writer. Rotation calls
+    /// this under the exclusive service gate, so no append or fsync
+    /// leader is in flight on the old file.
+    pub(crate) fn install(&self, writer: WalWriter) {
+        *self.writer.lock() = writer;
+    }
+
+    /// Has a failed append poisoned the live writer? See
+    /// [`WalWriter::poisoned`].
+    pub(crate) fn poisoned(&self) -> bool {
+        self.writer.lock().poisoned()
+    }
+
+    /// Byte length of the live generation's valid prefix.
+    pub(crate) fn valid_len(&self) -> u64 {
+        self.writer.lock().valid_len()
+    }
+
+    /// Records appended since open (all generations).
+    pub(crate) fn appends(&self) -> u64 {
+        self.appends.load(Ordering::Relaxed)
+    }
+
+    /// Physical `fsync` calls since open.
+    pub(crate) fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
     }
 }
 
@@ -607,7 +806,6 @@ mod tests {
         for rec in &records {
             w.append(&rec.encode()).unwrap();
         }
-        assert_eq!(w.records_appended(), records.len() as u64);
         let replay = read_wal(&path).unwrap();
         assert_eq!(replay.records, records);
         assert_eq!(replay.damaged_bytes, 0);

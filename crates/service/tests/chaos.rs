@@ -29,8 +29,8 @@ use req_core::{OrdF64, ReqError};
 use req_service::tempdir::TempDir;
 use req_service::wal::{read_wal, WalWriter};
 use req_service::{
-    FaultKind, FaultPlane, FaultSite, IdemToken, QuantileService, RetryPolicy, ServiceConfig,
-    TenantConfig, WalRecord,
+    AppliedOutcome, FaultKind, FaultPlane, FaultSite, IdemToken, QuantileService, RetryPolicy,
+    ServiceConfig, TenantConfig, WalRecord,
 };
 use std::sync::Arc;
 
@@ -218,32 +218,122 @@ proptest! {
     }
 }
 
-/// A token replayed against the wrong operation kind is rejected rather
-/// than answered with a nonsensical outcome.
+/// The three tokened verbs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verb {
+    Create,
+    Addb,
+    Drop,
+}
+
+impl Verb {
+    /// The key this verb succeeds on in [`exactly_once_service`]'s state
+    /// whatever the verb under test did: `w` is never created there, `s`
+    /// is never dropped.
+    fn spare_key(self) -> &'static str {
+        match self {
+            Verb::Create => "w",
+            Verb::Addb | Verb::Drop => "s",
+        }
+    }
+
+    fn run(
+        self,
+        service: &QuantileService,
+        key: &str,
+        seq: u64,
+    ) -> Result<AppliedOutcome, ReqError> {
+        let token = tok(3, seq);
+        match self {
+            Verb::Create => service.create_with_token(
+                key,
+                TenantConfig::parse(key, &["K=8", "SHARDS=2"]).unwrap(),
+                token,
+            ),
+            Verb::Addb => service
+                .add_batch_with_token(key, &[OrdF64(1.0), OrdF64(2.0)], token)
+                .map(AppliedOutcome::Added),
+            Verb::Drop => service.drop_key_with_token(key, token),
+        }
+    }
+}
+
+/// Tenants `t` and `s` exist (created untokened); `u` and `w` do not.
+fn exactly_once_service(dir: &TempDir) -> QuantileService {
+    let service = QuantileService::open(cfg(dir)).unwrap();
+    create_t(&service);
+    service
+        .create("s", TenantConfig::parse("s", &["K=8", "SHARDS=2"]).unwrap())
+        .unwrap();
+    service
+}
+
+/// Everything a wrongly applied mutation would move: the key set, the
+/// spare tenant's count, and the WAL's end.
+fn observable(service: &QuantileService) -> (Vec<String>, u64, (u64, u64)) {
+    (
+        service.list(),
+        service.stats("s").unwrap().n,
+        service.wal_watermark(),
+    )
+}
+
+/// The exactly-once contract, verb by verb over CREATE/ADDB/DROP: an
+/// in-window retry echoes the recorded outcome without re-applying; the
+/// token reused for another verb fails with `InvalidParameter`; once the
+/// window has moved past it, the token is stale for every verb. Each
+/// refused call targets a key it would succeed on if applied, so only
+/// the dedup window can be what refuses it.
 #[test]
 fn token_reuse_across_operation_kinds_is_rejected() {
-    let dir = TempDir::new("chaos-kinds").unwrap();
-    let service = QuantileService::open(cfg(&dir)).unwrap();
-    service
-        .create_with_token(
-            "t",
-            TenantConfig::parse("t", &["K=8", "SHARDS=2"]).unwrap(),
-            tok(3, 1),
-        )
-        .unwrap();
-    // Same (client, seq) re-issued as an ADDB: duplicate, but of a CREATE.
-    let err = service
-        .add_batch_with_token("t", &[OrdF64(1.0)], tok(3, 1))
-        .unwrap_err();
-    assert!(matches!(err, ReqError::InvalidParameter(_)), "{err:?}");
-    // And the honest retry of the CREATE echoes `Created`.
-    service
-        .create_with_token(
-            "t",
-            TenantConfig::parse("t", &["K=8", "SHARDS=2"]).unwrap(),
-            tok(3, 1),
-        )
-        .unwrap();
+    let verbs = [Verb::Create, Verb::Addb, Verb::Drop];
+    for verb in verbs {
+        let dir = TempDir::new("chaos-kinds").unwrap();
+        let service = exactly_once_service(&dir);
+        let (key, outcome) = match verb {
+            Verb::Create => ("u", AppliedOutcome::Created),
+            Verb::Addb => ("t", AppliedOutcome::Added(2)),
+            Verb::Drop => ("t", AppliedOutcome::Dropped),
+        };
+        assert_eq!(verb.run(&service, key, 1).unwrap(), outcome, "{verb:?}");
+        let after = observable(&service);
+        let n_t = service.stats("t").map(|s| s.n).ok();
+
+        // In-window retry: the recorded outcome, nothing re-applied.
+        assert_eq!(
+            verb.run(&service, key, 1).unwrap(),
+            outcome,
+            "{verb:?} retry"
+        );
+        assert_eq!(observable(&service), after, "{verb:?} retry re-applied");
+        assert_eq!(service.stats("t").map(|s| s.n).ok(), n_t);
+
+        // The same token on any other verb is refused.
+        for other in verbs.into_iter().filter(|&v| v != verb) {
+            let err = other.run(&service, other.spare_key(), 1).unwrap_err();
+            assert!(
+                matches!(err, ReqError::InvalidParameter(_)),
+                "{verb:?} token reused as {other:?}: {err:?}"
+            );
+            assert_eq!(observable(&service), after, "{verb:?} as {other:?}");
+        }
+
+        // Fresh seqs 2..=9 push seq 1 below the 8-op window.
+        for seq in 2..=9 {
+            service
+                .add_batch_with_token("s", &[OrdF64(seq as f64)], tok(3, seq))
+                .unwrap();
+        }
+        let moved = observable(&service);
+        for any in verbs {
+            let err = any.run(&service, any.spare_key(), 1).unwrap_err();
+            assert!(
+                matches!(err, ReqError::InvalidParameter(_)),
+                "stale {verb:?} token as {any:?}: {err:?}"
+            );
+            assert_eq!(observable(&service), moved, "stale {verb:?} as {any:?}");
+        }
+    }
 }
 
 // ------------------------------------------------------- wal v4 roundtrip
@@ -311,7 +401,6 @@ fn failed_fsync_after_append_applies_exactly_once() {
     plane.set_armed(false);
     let mut svc_cfg = cfg(&dir);
     svc_cfg.fsync = true;
-    svc_cfg.group_commit = false;
     svc_cfg.faults = Some(plane.clone());
     let service = QuantileService::open(svc_cfg).unwrap();
     create_t(&service);
@@ -338,7 +427,6 @@ fn failed_fsync_after_append_applies_exactly_once() {
     drop(service);
     let mut reopen_cfg = cfg(&dir);
     reopen_cfg.fsync = true;
-    reopen_cfg.group_commit = false;
     let service = QuantileService::open(reopen_cfg).unwrap();
     assert_eq!(n_of(&service), 3);
     assert_eq!(

@@ -1,11 +1,11 @@
 //! Group commit: concurrent appenders coalesce onto shared fsyncs
 //! without weakening durability.
 //!
-//! The contract under test: with `fsync: true, group_commit: true`, (a)
-//! no acknowledged append is lost across a restart (value-identity of
-//! answers, same as the non-grouped path), and (b) the number of
-//! physical `fsync` calls is a small fraction of the number of appends
-//! when writers overlap — ≥4x fewer under 16 concurrent writers, per the
+//! The contract under test: with `fsync: true` (WAL fsyncs always go
+//! through group commit), (a) no acknowledged append is lost across a
+//! restart (value-identity of answers), and (b) the number of physical
+//! `fsync` calls is a small fraction of the number of appends when
+//! writers overlap — ≥4x fewer under 16 concurrent writers, per the
 //! acceptance bar.
 
 use req_core::OrdF64;
@@ -13,10 +13,9 @@ use req_service::tempdir::TempDir;
 use req_service::{QuantileService, ServiceConfig, TenantConfig};
 use std::sync::Arc;
 
-fn open(dir: &std::path::Path, fsync: bool, group_commit: bool) -> QuantileService {
+fn open(dir: &std::path::Path) -> QuantileService {
     let mut cfg = ServiceConfig::new(dir);
-    cfg.fsync = fsync;
-    cfg.group_commit = group_commit;
+    cfg.fsync = true;
     QuantileService::open(cfg).unwrap()
 }
 
@@ -39,7 +38,7 @@ fn hammer(service: &QuantileService, writers: u64, tenants: u64, batches_per_wri
 #[test]
 fn sixteen_writers_share_fsyncs_at_least_4x() {
     let dir = TempDir::new("gc").unwrap();
-    let service = open(dir.path(), true, true);
+    let service = open(dir.path());
     // One tenant per writer: the per-tenant op lock serializes appends
     // within a tenant, so distinct tenants are what lets 16 appends be
     // in flight for one fsync to cover.
@@ -48,6 +47,8 @@ fn sixteen_writers_share_fsyncs_at_least_4x() {
             .create(&format!("t{t}"), TenantConfig::for_key("t"))
             .unwrap();
     }
+    // One writer at a time has no one to share an fsync with.
+    assert_eq!(service.wal_syncs(), service.wal_appends());
     let before_appends = service.wal_appends();
     let before_syncs = service.wal_syncs();
     hammer(&service, 16, 16, 64);
@@ -61,39 +62,12 @@ fn sixteen_writers_share_fsyncs_at_least_4x() {
 }
 
 #[test]
-fn without_group_commit_every_append_syncs() {
-    let dir = TempDir::new("gc").unwrap();
-    let service = open(dir.path(), true, false);
-    service.create("t0", TenantConfig::for_key("t")).unwrap();
-    let before = service.wal_syncs();
-    for b in 0..32u64 {
-        let values: Vec<OrdF64> = (0..8).map(|i| OrdF64((b * 8 + i) as f64)).collect();
-        service.add_batch("t0", &values).unwrap();
-    }
-    assert_eq!(service.wal_syncs() - before, 32, "one fsync per append");
-}
-
-#[test]
 fn grouped_commits_recover_value_identical() {
-    // Same ingest, grouped vs non-grouped fsync; after restart both
-    // services must answer every probe identically — group commit may
-    // only change *when* fsyncs happen, never what is durable once
-    // acknowledged.
+    // Grouped fsyncs over four tenants, then a restart: every probe must
+    // answer as before — group commit may only change *when* fsyncs
+    // happen, never what is durable once acknowledged.
     let probes: Vec<f64> = (0..64).map(|i| i as f64 * 257.0).collect();
-    let mut answers: Vec<Vec<u64>> = Vec::new();
-    for group_commit in [true, false] {
-        let dir = TempDir::new("gc").unwrap();
-        {
-            let service = open(dir.path(), true, group_commit);
-            for t in 0..4 {
-                service
-                    .create(&format!("t{t}"), TenantConfig::for_key("t"))
-                    .unwrap();
-            }
-            hammer(&service, 8, 4, 32);
-        } // dropped without snapshot: recovery is pure WAL replay
-        let service = open(dir.path(), true, group_commit);
-        assert!(service.recovery_report().records_replayed > 0);
+    let answers = |service: &QuantileService| -> Vec<u64> {
         let mut got = Vec::new();
         for t in 0..4 {
             let key = format!("t{t}");
@@ -102,12 +76,22 @@ fn grouped_commits_recover_value_identical() {
                 got.push(service.rank(&key, p).unwrap());
             }
         }
-        answers.push(got);
-    }
-    // Writer interleaving differs run to run, so per-tenant *totals* and
-    // rank bounds are the stable part; spot-check totals matched above
-    // and that both runs produced full answer vectors.
-    assert_eq!(answers[0].len(), answers[1].len());
+        got
+    };
+    let dir = TempDir::new("gc").unwrap();
+    let want = {
+        let service = open(dir.path());
+        for t in 0..4 {
+            service
+                .create(&format!("t{t}"), TenantConfig::for_key("t"))
+                .unwrap();
+        }
+        hammer(&service, 8, 4, 32);
+        answers(&service)
+    }; // dropped without snapshot: recovery is pure WAL replay
+    let service = open(dir.path());
+    assert!(service.recovery_report().records_replayed > 0);
+    assert_eq!(answers(&service), want);
 }
 
 #[test]
@@ -117,7 +101,7 @@ fn grouped_restart_is_value_identical_to_itself() {
     let dir = TempDir::new("gc").unwrap();
     let probes: Vec<f64> = (0..64).map(|i| i as f64 * 199.0).collect();
     let want: Vec<u64> = {
-        let service = open(dir.path(), true, true);
+        let service = open(dir.path());
         service.create("t", TenantConfig::for_key("t")).unwrap();
         std::thread::scope(|scope| {
             for w in 0..8u64 {
@@ -137,7 +121,7 @@ fn grouped_restart_is_value_identical_to_itself() {
             .map(|&p| service.rank("t", p).unwrap())
             .collect()
     };
-    let service = open(dir.path(), true, true);
+    let service = open(dir.path());
     let got: Vec<u64> = probes
         .iter()
         .map(|&p| service.rank("t", p).unwrap())
@@ -152,7 +136,7 @@ fn group_commit_interleaves_with_snapshots() {
     // under shared gate holds; hammering both must neither deadlock nor
     // lose records.
     let dir = TempDir::new("gc").unwrap();
-    let service = Arc::new(open(dir.path(), true, true));
+    let service = Arc::new(open(dir.path()));
     service.create("t0", TenantConfig::for_key("t")).unwrap();
     service.create("t1", TenantConfig::for_key("t")).unwrap();
     std::thread::scope(|scope| {
@@ -177,7 +161,7 @@ fn group_commit_interleaves_with_snapshots() {
     let total = service.stats("t0").unwrap().n + service.stats("t1").unwrap().n;
     assert_eq!(total, 8 * 24 * 8);
     drop(service);
-    let service = open(dir.path(), true, true);
+    let service = open(dir.path());
     let total = service.stats("t0").unwrap().n + service.stats("t1").unwrap().n;
     assert_eq!(total, 8 * 24 * 8, "snapshot+WAL recovery lost records");
 }

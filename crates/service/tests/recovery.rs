@@ -1,6 +1,6 @@
 //! Crash-recovery properties.
 //!
-//! Two claims, proptested:
+//! Two claims, proptested, plus probes of interrupted WAL rotations:
 //!
 //! 1. **WAL prefix integrity** — a WAL whose tail is truncated at an
 //!    arbitrary byte, or corrupted by an arbitrary bit flip, replays to
@@ -17,10 +17,14 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use std::io::Write as _;
+use std::sync::Arc;
+
 use req_core::OrdF64;
+use req_service::snapshot::{wal_gens, wal_path};
 use req_service::tempdir::TempDir;
 use req_service::wal::{read_wal, WalRecord, WalWriter, WAL_MAGIC};
-use req_service::{QuantileService, ServiceConfig, TenantConfig};
+use req_service::{FaultKind, FaultPlane, FaultSite, QuantileService, ServiceConfig, TenantConfig};
 
 fn records_from(batches: &[Vec<u64>]) -> Vec<WalRecord> {
     let mut records = vec![WalRecord::Create {
@@ -263,4 +267,68 @@ proptest! {
             reference.stats("t").unwrap()
         );
     }
+}
+
+/// A rotation that cannot create its new WAL generation must not strand
+/// the writes acknowledged after it: a `snap-<g+1>` on disk would send
+/// recovery past `wal-<g>`, where those writes land.
+#[test]
+fn failed_rotation_loses_no_acknowledged_write() {
+    let dir = TempDir::new("rotate-fail").unwrap();
+    {
+        let service = QuantileService::open(ServiceConfig::new(dir.path())).unwrap();
+        service.create("t", TenantConfig::for_key("t")).unwrap();
+        service.add_batch("t", &[OrdF64(1.0), OrdF64(2.0)]).unwrap();
+        // A directory where the next generation's WAL file goes.
+        std::fs::create_dir(wal_path(dir.path(), 1)).unwrap();
+        assert!(service.snapshot_now().is_err());
+        assert_eq!(service.generation(), 0);
+        let more = [OrdF64(3.0), OrdF64(4.0), OrdF64(5.0)];
+        assert_eq!(service.add_batch("t", &more).unwrap(), 3);
+    }
+    std::fs::remove_dir(wal_path(dir.path(), 1)).unwrap();
+    let service = QuantileService::open(ServiceConfig::new(dir.path())).unwrap();
+    assert_eq!(service.stats("t").unwrap().n, 5);
+}
+
+/// A rotation that fails *after* creating its new WAL (here: the snapshot
+/// write) leaves no generation that outranks the live one, and a crash in
+/// that same window — an empty `wal-<g+1>` on disk, no `snap-<g+1>` —
+/// recovers every record even when `wal-<g>` ends in torn bytes.
+#[test]
+fn interrupted_rotation_recovers_everything() {
+    let dir = TempDir::new("rotate-interrupted").unwrap();
+    let plane = Arc::new(FaultPlane::new(1).with(FaultSite::SnapWrite, FaultKind::Error, 1, 1));
+    plane.set_armed(false);
+    let mut cfg = ServiceConfig::new(dir.path());
+    cfg.faults = Some(Arc::clone(&plane));
+    {
+        let service = QuantileService::open(cfg).unwrap();
+        service.create("t", TenantConfig::for_key("t")).unwrap();
+        service.add_batch("t", &[OrdF64(1.0), OrdF64(2.0)]).unwrap();
+        plane.set_armed(true);
+        assert!(service.snapshot_now().is_err());
+        plane.set_armed(false);
+        assert_eq!(service.generation(), 0);
+        assert_eq!(wal_gens(dir.path()).unwrap(), vec![0]);
+        service.add_batch("t", &[OrdF64(3.0)]).unwrap();
+    }
+    // The crash variant: a torn frame ends wal-0, and wal-1 holds only
+    // its magic.
+    let mut wal0 = std::fs::OpenOptions::new()
+        .append(true)
+        .open(wal_path(dir.path(), 0))
+        .unwrap();
+    wal0.write_all(&[64, 0, 0, 0, 0xDE, 0xAD]).unwrap();
+    drop(wal0);
+    std::fs::write(wal_path(dir.path(), 1), WAL_MAGIC).unwrap();
+
+    let service = QuantileService::open(ServiceConfig::new(dir.path())).unwrap();
+    assert_eq!(service.stats("t").unwrap().n, 3);
+    assert_eq!(service.recovery_report().damaged_bytes, 6);
+    service.add_batch("t", &[OrdF64(4.0)]).unwrap();
+    drop(service);
+    let service = QuantileService::open(ServiceConfig::new(dir.path())).unwrap();
+    assert_eq!(service.stats("t").unwrap().n, 4);
+    assert_eq!(service.recovery_report().damaged_bytes, 0);
 }

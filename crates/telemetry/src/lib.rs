@@ -17,9 +17,8 @@
 //!    name lookup happens — is a cold path; call sites cache handles.
 //! 2. **Disabled means almost free.** Every handle shares the owning
 //!    registry's `enabled` flag; when it is off, `observe`/`inc`/`event`
-//!    return after a single relaxed load. The `timers` cargo feature is the
-//!    compile-time kill switch: without it, timing tokens are zero-sized
-//!    and no `Instant` is ever taken.
+//!    return after a single relaxed load, and a span begun while disabled
+//!    takes no `Instant`.
 //! 3. **Exposition is deterministic.** [`Registry::render`] walks names in
 //!    sorted order and prints Prometheus-style text, so golden tests can
 //!    pin it byte-for-byte.
@@ -34,7 +33,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-#[cfg(feature = "timers")]
 use std::time::Instant;
 
 /// Shards per histogram: concurrent writers spread across this many
@@ -169,13 +167,10 @@ struct HistInner {
     enabled: Arc<AtomicBool>,
 }
 
-/// Opaque timing token from [`Histogram::begin`]. With the `timers`
-/// feature off this is zero-sized and [`Histogram::finish`] is a no-op.
+/// Opaque timing token from [`Histogram::begin`]; it holds no `Instant`
+/// when the span began while recording was disabled.
 #[must_use = "finish() records the span; dropping the token records nothing"]
-pub struct Timed(
-    #[cfg(feature = "timers")] Option<Instant>,
-    #[cfg(not(feature = "timers"))] (),
-);
+pub struct Timed(Option<Instant>);
 
 impl Histogram {
     /// Record one observation (microseconds for latency series).
@@ -191,22 +186,13 @@ impl Histogram {
     }
 
     /// Start a timing span. Returns a token for [`Histogram::finish`].
-    #[cfg(feature = "timers")]
     #[inline]
     pub fn begin(&self) -> Timed {
         Timed(self.0.enabled.load(Ordering::Relaxed).then(Instant::now))
     }
 
-    /// Start a timing span (no-op build: `timers` feature disabled).
-    #[cfg(not(feature = "timers"))]
-    #[inline]
-    pub fn begin(&self) -> Timed {
-        Timed(())
-    }
-
     /// End a span begun with [`Histogram::begin`], recording elapsed
     /// microseconds. Returns the recorded value (0 when disabled).
-    #[cfg(feature = "timers")]
     #[inline]
     pub fn finish(&self, token: Timed) -> u64 {
         match token.0 {
@@ -217,13 +203,6 @@ impl Histogram {
             }
             None => 0,
         }
-    }
-
-    /// End a span (no-op build: `timers` feature disabled).
-    #[cfg(not(feature = "timers"))]
-    #[inline]
-    pub fn finish(&self, _token: Timed) -> u64 {
-        0
     }
 
     /// Observations recorded so far.
@@ -304,7 +283,6 @@ enum Metric {
 /// [`global()`] instance; tests construct their own.
 pub struct Registry {
     enabled: Arc<AtomicBool>,
-    #[cfg(feature = "timers")]
     start: Instant,
     metrics: Mutex<BTreeMap<String, Metric>>,
     journal: Journal,
@@ -327,7 +305,6 @@ impl Registry {
     pub fn with_event_capacity(capacity: usize) -> Self {
         Registry {
             enabled: Arc::new(AtomicBool::new(true)),
-            #[cfg(feature = "timers")]
             start: Instant::now(),
             metrics: Mutex::new(BTreeMap::new()),
             journal: Journal {
@@ -413,10 +390,7 @@ impl Registry {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        #[cfg(feature = "timers")]
         let micros = self.start.elapsed().as_micros() as u64;
-        #[cfg(not(feature = "timers"))]
-        let micros = 0;
         let mut ring = self.journal.ring.lock();
         let seq = ring.next_seq;
         ring.next_seq += 1;
@@ -564,13 +538,8 @@ mod tests {
         let t = h.begin();
         std::thread::sleep(std::time::Duration::from_millis(2));
         let recorded = h.finish(t);
-        if cfg!(feature = "timers") {
-            assert!(recorded >= 1_000, "recorded {recorded}us");
-            assert_eq!(h.count(), 1);
-        } else {
-            assert_eq!(recorded, 0);
-            assert_eq!(h.count(), 0);
-        }
+        assert!(recorded >= 1_000, "recorded {recorded}us");
+        assert_eq!(h.count(), 1);
     }
 
     #[test]
