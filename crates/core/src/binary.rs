@@ -27,10 +27,11 @@
 //!
 //! Untrusted input is validated before anything is sized from it: a
 //! declared run that is not actually sorted, a header `k` other than the
-//! one the decoded policy assigns to `max_n`, or a section count above 65
-//! (the most any schedule plans for a `u64` stream) is rejected as corrupt
-//! rather than mis-answering rank queries or reserving an attacker-chosen
-//! buffer.
+//! one the decoded policy assigns to `max_n`, a section count above 65
+//! (the most any schedule plans for a `u64` stream), or a header `n` other
+//! than the levels' weight `Σ_h 2^h·len_h` (every writer keeps the two
+//! equal) is rejected as corrupt rather than mis-answering rank queries or
+//! reserving an attacker-chosen buffer.
 //!
 //! The RNG's in-flight state is not serialized; a fresh seed (`reseed`,
 //! drawn from the sketch's RNG at serialization time) is stored instead.
@@ -38,9 +39,9 @@
 //! sketch would have drawn, which is immaterial to the guarantee — any coin
 //! sequence satisfies Theorems 1/3.
 //!
-//! The query-view cache (`ReqSketch::cached_view`) is derived state and is
+//! The read cache (`ReqSketch::read_cache_stats`) is derived state and is
 //! **soundly dropped**: a deserialized sketch starts with a cold cache and a
-//! fresh dirty epoch, and rebuilds the view lazily on its first query.
+//! fresh dirty epoch, and its first reads go straight off the levels.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::Rng;
@@ -321,7 +322,8 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
         }
         let mut arena = crate::arena::LevelArena::new();
         let mut levels = Vec::with_capacity(num_levels);
-        for _ in 0..num_levels {
+        let mut weight = 0u128;
+        for h in 0..num_levels {
             let state = u64::unpack(&mut input)?;
             let compactions = u64::unpack(&mut input)?;
             let special = u64::unpack(&mut input)?;
@@ -369,6 +371,12 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
                 ));
             }
             levels.push(level);
+            weight += (len as u128) << h;
+        }
+        if weight != u128::from(n) {
+            return Err(ReqError::CorruptBytes(format!(
+                "levels weigh {weight}, header n is {n}"
+            )));
         }
         if input.has_remaining() {
             return Err(ReqError::CorruptBytes(format!(
@@ -430,12 +438,17 @@ mod tests {
     fn roundtrip_drops_cache_soundly_and_answers_match() {
         let mut s = sample_sketch();
         // Warm the cache before serializing; the bytes must not carry it.
-        let warm_rank = s.rank(&500_000);
+        let warm_rank = s.ranks(&[500_000; 1_000])[0];
+        assert_eq!(s.read_cache_stats().builds, 1, "the view is cached");
         let bytes = s.to_bytes();
         let t = ReqSketch::<u64>::from_bytes(&bytes).unwrap();
-        assert_eq!(t.view_cache_stats(), (0, 0), "cache must arrive cold");
+        let cold = crate::ReadCacheStats::default();
+        assert_eq!(t.read_cache_stats(), cold, "cache must arrive cold");
         assert_eq!(t.rank(&500_000), warm_rank);
-        assert_eq!(t.view_cache_stats().1, 1);
+        assert_eq!(
+            t.read_cache_stats(),
+            crate::ReadCacheStats { direct: 1, ..cold }
+        );
     }
 
     #[test]
@@ -687,25 +700,31 @@ mod tests {
         let mut s = sample_sketch();
         let good = s.to_bytes().to_vec();
         // magic, version, flags, FixedK policy tag + k, n, max_n
-        let header_k = 4 + 1 + 1 + (1 + 4) + 8 + 8;
+        let header_n = 4 + 1 + 1 + (1 + 4);
+        let header_k = header_n + 8 + 8;
+        assert_eq!(good[header_n..header_n + 8], 100_000u64.to_le_bytes());
         assert_eq!(good[header_k..header_k + 4], 12u32.to_le_bytes());
         // num_levels, then the first level's state, compactions, special
         let first_level_sections = num_levels_offset(&good) + 4 + 8 * 3;
+        let le32 = |v: u32| v.to_le_bytes().to_vec();
         for (at, value) in [
-            (header_k, 3u32),
-            (header_k, 1 << 31),
-            (header_k + 4, u32::MAX),
-            (first_level_sections, u32::MAX),
-            (first_level_sections, MAX_SECTIONS + 1),
+            (header_k, le32(3)),
+            (header_k, le32(1 << 31)),
+            (header_k + 4, le32(u32::MAX)),
+            (first_level_sections, le32(u32::MAX)),
+            (first_level_sections, le32(MAX_SECTIONS + 1)),
+            // A header `n` the levels do not weigh.
+            (header_n, 99_999u64.to_le_bytes().to_vec()),
+            (header_n, 100_001u64.to_le_bytes().to_vec()),
         ] {
             let mut bad = good.clone();
-            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            bad[at..at + value.len()].copy_from_slice(&value);
             assert!(
                 matches!(
                     ReqSketch::<u64>::from_bytes(&bad),
                     Err(ReqError::CorruptBytes(_))
                 ),
-                "value {value} at offset {at} accepted"
+                "value {value:?} at offset {at} accepted"
             );
         }
     }

@@ -10,9 +10,9 @@
 //! shard's levels ([`crate::union`]) under the shard locks: the per-shard
 //! errors add, and nothing is cloned or built per read. Repeated reads of an
 //! unchanged sketch switch to a cached union view once they have spent what
-//! building it costs (a ski-rental rule, see [`ReadCacheStats`]). A merged
-//! [`ConcurrentReqSketch::snapshot`] remains for callers that want one
-//! ordinary sketch.
+//! building it costs (the ski-rental rule every sketch reads under, see
+//! [`ReadCacheStats`]). A merged [`ConcurrentReqSketch::snapshot`] remains
+//! for callers that want one ordinary sketch.
 //!
 //! All shards are derived from one builder configuration (policy,
 //! orientation and [`crate::CompactionSchedule`]) with distinct seeds, so
@@ -36,68 +36,8 @@ use crate::error::ReqError;
 use crate::merge::merge_balanced;
 use crate::sketch::ReqSketch;
 use crate::union::Union;
-use crate::view::SortedView;
+use crate::view::{ReadCache, ReadCacheStats};
 use sketch_traits::QuantileSketch;
-
-/// Price of building the union view, in comparisons per retained entry — the
-/// unit a direct read is charged in ([`Union::comparisons`]). Calibration:
-/// on a 4-shard tenant of 4M values (28,480 retained entries, 2-vCPU
-/// x86-64 VM) one view build took 2.4–2.7 ms, while the direct quantiles
-/// before it averaged 7,000 comparisons in 37–39 µs each. At 16 the build is
-/// priced at about 65 such quantiles (about 2.4 ms of them) or about 125
-/// direct ranks.
-const VIEW_PRICE_PER_ENTRY: u64 = 16;
-
-/// Lifetime counters of a sharded sketch's read cache.
-///
-/// Each direct read is charged the comparisons it made since the last
-/// mutation. A batch counts its remaining points up front: before each
-/// point, the charges plus the previous point's cost times the points
-/// left are compared with the price of one union-view build. Once they
-/// reach it, the view is built, kept with the shard epochs, and answers
-/// every read until an epoch changes. As far as comparisons price time,
-/// that spends at most about twice what the better of "always direct" and
-/// "always build" would on any read/write mix. Prices use no clock and no
-/// configuration, and direct and cached answers are bit-equal, so the
-/// policy never changes an answer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadCacheStats {
-    /// Points answered straight off the shards' levels.
-    pub direct: u64,
-    /// Points answered from a cached union view.
-    pub cached: u64,
-    /// Union views built.
-    pub builds: u64,
-}
-
-/// The read cache's state: what direct reads spent since the shards were
-/// last seen at `epochs`, and the union view once that paid for it.
-#[derive(Debug)]
-struct ReadCache<T> {
-    epochs: Vec<u64>,
-    charged: u64,
-    view: Option<Arc<SortedView<T>>>,
-    stats: ReadCacheStats,
-}
-
-impl<T> ReadCache<T> {
-    fn new() -> Self {
-        ReadCache {
-            epochs: Vec::new(),
-            charged: 0,
-            view: None,
-            stats: ReadCacheStats::default(),
-        }
-    }
-
-    /// Forget the charges and the view (the shards changed, or their epochs
-    /// were reset by a checkpoint and could collide with `epochs`).
-    fn clear(&mut self) {
-        self.epochs.clear();
-        self.charged = 0;
-        self.view = None;
-    }
-}
 
 /// Memoized merged snapshot, keyed by the per-shard epochs it was built at.
 #[derive(Debug)]
@@ -137,7 +77,7 @@ pub struct ConcurrentReqSketch<T> {
     next: AtomicUsize,
     snapshot_cache: Mutex<SnapshotCache<T>>,
     /// Locked after the shard locks, never before one.
-    read_cache: Mutex<ReadCache<T>>,
+    read_cache: ReadCache<T>,
 }
 
 impl<T: Ord + Clone> ConcurrentReqSketch<T> {
@@ -175,7 +115,7 @@ impl<T: Ord + Clone> ConcurrentReqSketch<T> {
                 hits: 0,
                 builds: 0,
             }),
-            read_cache: Mutex::new(ReadCache::new()),
+            read_cache: ReadCache::new(),
         })
     }
 
@@ -306,7 +246,7 @@ impl<T: Ord + Clone> ConcurrentReqSketch<T> {
 
     /// Lifetime counters of the read cache behind `rank`/`quantile`/`cdf`.
     pub fn read_cache_stats(&self) -> ReadCacheStats {
-        self.read_cache.lock().stats
+        self.read_cache.stats()
     }
 
     /// Rank estimate `Σ_shards R̂(y)` over the union of the shards' levels.
@@ -322,76 +262,28 @@ impl<T: Ord + Clone> ConcurrentReqSketch<T> {
 
     /// Batch rank estimates (`ys` need not be sorted).
     pub fn ranks(&self, ys: &[T]) -> Result<Vec<u64>, ReqError> {
-        Ok(self.read(ys.len(), |i, union, view| match view {
-            Some(view) => view.rank(&ys[i]),
-            None => union.rank(&ys[i]),
-        }))
+        Ok(self.read(ys.len(), |i, union| union.rank(&ys[i])))
     }
 
     /// Batch quantile estimates (`qs` need not be sorted).
     pub fn quantiles(&self, qs: &[f64]) -> Result<Vec<Option<T>>, ReqError> {
-        Ok(self.read(qs.len(), |i, union, view| {
-            let q = qs[i];
-            match view {
-                Some(view) if q > 0.0 && q < 1.0 => view.quantile(q).cloned(),
-                _ => union.quantile(q),
-            }
-        }))
+        Ok(self.read(qs.len(), |i, union| union.quantile(qs[i])))
     }
 
     /// Normalized CDF at ascending `split_points`.
     pub fn cdf(&self, split_points: &[T]) -> Result<Vec<f64>, ReqError> {
         debug_assert!(split_points.windows(2).all(|w| w[0] <= w[1]));
-        Ok(self.read(split_points.len(), |i, union, view| match view {
-            Some(view) => view.normalized_rank(&split_points[i]),
-            None => union.normalized_rank(&split_points[i]),
+        Ok(self.read(split_points.len(), |i, union| {
+            union.normalized_rank(&split_points[i])
         }))
     }
 
-    /// Answer `m` points under every shard lock (taken in index order, then
-    /// the read cache), directly off the shards' levels or from the cached
-    /// union view, as the ski-rental rule of [`ReadCacheStats`] decides.
-    /// `answer(i, union, view)` answers point `i`; with a view it must give
-    /// the same answer as without.
-    fn read<R>(
-        &self,
-        m: usize,
-        mut answer: impl FnMut(usize, &Union<'_, T>, Option<&SortedView<T>>) -> R,
-    ) -> Vec<R> {
+    /// Answer `m` points over the union of the shards under every shard
+    /// lock (taken in index order, then the read cache's).
+    fn read<R>(&self, m: usize, answer: impl FnMut(usize, &Union<'_, T>) -> R) -> Vec<R> {
         let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         let shards: Vec<&ReqSketch<T>> = guards.iter().map(|g| &**g).collect();
-        let union = Union::new(&shards);
-        let mut cache = self.read_cache.lock();
-        if !cache
-            .epochs
-            .iter()
-            .copied()
-            .eq(shards.iter().map(|s| s.epoch()))
-        {
-            cache.clear();
-            cache.epochs.extend(shards.iter().map(|s| s.epoch()));
-        }
-        let price = || VIEW_PRICE_PER_ENTRY * union.retained() as u64;
-        let mut out = Vec::with_capacity(m);
-        let mut per_point = 0;
-        for i in 0..m {
-            if cache.view.is_none() && cache.charged + (m - i) as u64 * per_point >= price() {
-                cache.view = Some(Arc::new(union.view()));
-                cache.stats.builds += 1;
-            }
-            if let Some(view) = cache.view.clone() {
-                cache.stats.cached += (m - i) as u64;
-                drop(cache);
-                out.extend((i..m).map(|j| answer(j, &union, Some(&view))));
-                return out;
-            }
-            let before = union.comparisons();
-            out.push(answer(i, &union, None));
-            per_point = union.comparisons() - before;
-            cache.charged += per_point;
-            cache.stats.direct += 1;
-        }
-        out
+        self.read_cache.read(&shards, m, answer)
     }
 }
 
@@ -426,7 +318,7 @@ impl<T: Ord + Clone + Packable> ConcurrentReqSketch<T> {
         cache.snapshot = None;
         cache.epochs.clear();
         drop(cache);
-        self.read_cache.lock().clear();
+        self.read_cache.clear();
         Ok(parts)
     }
 
@@ -487,7 +379,7 @@ impl<T: Ord + Clone + Packable> ConcurrentReqSketch<T> {
                 hits: 0,
                 builds: 0,
             }),
-            read_cache: Mutex::new(ReadCache::new()),
+            read_cache: ReadCache::new(),
         })
     }
 }

@@ -20,7 +20,7 @@ use crate::error::ReqError;
 use crate::params::ParamPolicy;
 use crate::sketch::ReqSketch;
 use crate::union::Union;
-use crate::view::SortedView;
+use crate::view::{ReadCache, ReadCacheStats, SortedView};
 
 /// Unknown-`n` REQ sketch per §5: a list of closed-out summaries plus one
 /// active summary, each a known-`n` sketch for estimate `Nᵢ`, `Nᵢ₊₁ = Nᵢ²`.
@@ -36,6 +36,8 @@ pub struct GrowingReqSketch<T> {
     /// Current estimate `Nᵢ` (capacity of `active`).
     current_estimate: u64,
     seed: u64,
+    /// The read cache over all summaries.
+    cache: ReadCache<T>,
 }
 
 impl<T: Ord + Clone> GrowingReqSketch<T> {
@@ -53,6 +55,7 @@ impl<T: Ord + Clone> GrowingReqSketch<T> {
             active: ReqSketch::with_policy(policy, accuracy, seed),
             current_estimate: n0,
             seed,
+            cache: ReadCache::new(),
         })
     }
 
@@ -104,6 +107,18 @@ impl<T: Ord + Clone> GrowingReqSketch<T> {
     pub fn summaries(&self) -> impl Iterator<Item = &ReqSketch<T>> {
         self.closed.iter().chain(std::iter::once(&self.active))
     }
+
+    /// Lifetime counters of the read cache behind `rank`/`quantile`/`cdf`.
+    pub fn read_cache_stats(&self) -> ReadCacheStats {
+        self.cache.stats()
+    }
+
+    /// Answer `m` points over the union of the summaries, through the read
+    /// cache.
+    fn read<R>(&self, m: usize, answer: impl FnMut(usize, &Union<'_, T>) -> R) -> Vec<R> {
+        let summaries: Vec<&ReqSketch<T>> = self.summaries().collect();
+        self.cache.read(&summaries, m, answer)
+    }
 }
 
 impl<T: Ord + Clone> QuantileSketch<T> for GrowingReqSketch<T> {
@@ -141,14 +156,13 @@ impl<T: Ord + Clone> QuantileSketch<T> for GrowingReqSketch<T> {
 
     /// `R̂(y) = Σᵢ R̂ᵢ(y)` over all summaries (§5).
     fn rank(&self, y: &T) -> u64 {
-        self.closed.iter().map(|s| s.rank(y)).sum::<u64>() + self.active.rank(y)
+        self.read(1, |_, union| union.rank(y)).remove(0)
     }
 
     /// Selected across all summaries' levels at once ([`crate::union`]), with
     /// exact endpoints from the per-summary tracked extremes.
     fn quantile(&self, q: f64) -> Option<T> {
-        let summaries: Vec<&ReqSketch<T>> = self.summaries().collect();
-        Union::new(&summaries).quantile(q)
+        self.read(1, |_, union| union.quantile(q)).remove(0)
     }
 }
 

@@ -87,18 +87,18 @@
 //! * [`params`] — every parameterization the paper proves a theorem for;
 //! * [`merge`] — Algorithm 3 (full mergeability) + merge-tree helpers;
 //! * [`growing`] — the literal §5 unknown-`n` construction;
-//! * [`view`] — sorted weighted snapshots + the epoch-invalidated query
-//!   cache behind `rank`/`quantile`/`cdf`;
-//! * [`union`] — Algorithm 2 over several sketches' levels at once, with no
-//!   view built: the read path of sharded sketches, cluster `MERGE` reads
-//!   and the §5 growing sketch;
+//! * [`view`] — sorted weighted snapshots, and the read cache every
+//!   sketch's `rank`/`quantile`/`cdf` goes through: direct reads until
+//!   repeated reads have paid for a cached union view (a ski-rental rule);
+//! * [`union`] — Algorithm 2 over the union of sketches' levels, with no
+//!   view built: the one read path of a single sketch, a sharded sketch's
+//!   shards, the §5 growing sketch's summaries and cluster `MERGE` reads;
 //! * [`quantiles_ext`] — rank bounds, batch ranks/quantiles, weighted
 //!   updates;
 //! * [`binary`] — compact binary serialization (format v3);
 //! * [`frame`] — checksummed length-prefixed framing (WAL/snapshot files);
-//! * [`concurrent`] — sharded multi-writer ingestion (batched), read
-//!   straight off the shards, with a union view cached once repeated reads
-//!   have paid for it;
+//! * [`concurrent`] — sharded multi-writer ingestion (batched), read as
+//!   the union of the shards;
 //! * [`ordf64`] — the total-order `f64` wrapper ([`ReqF64`]).
 
 // Unsafe is denied everywhere except the arena module, whose branchless
@@ -130,7 +130,7 @@ pub mod view;
 pub use arena::LevelArena;
 pub use builder::ReqSketchBuilder;
 pub use compactor::RankAccuracy;
-pub use concurrent::{ConcurrentReqSketch, ReadCacheStats};
+pub use concurrent::ConcurrentReqSketch;
 pub use error::ReqError;
 pub use growing::GrowingReqSketch;
 pub use merge::{merge_balanced, merge_linear, merge_random_tree, merge_wire_parts};
@@ -139,7 +139,7 @@ pub use params::{ParamPolicy, Params};
 pub use schedule::CompactionSchedule;
 pub use sketch::{ReqF64, ReqSketch};
 pub use stats::{LevelStats, SketchStats};
-pub use view::SortedView;
+pub use view::{ReadCacheStats, SortedView};
 
 // Re-export the shared traits so downstream users need only this crate.
 pub use sketch_traits::{ErrorGuarantee, MergeableSketch, QuantileSketch, SpaceUsage};

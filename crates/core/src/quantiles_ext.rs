@@ -10,6 +10,7 @@ use sketch_traits::QuantileSketch;
 
 use crate::params::ParamPolicy;
 use crate::sketch::ReqSketch;
+use crate::view::pmf_of_ranks;
 
 /// Empirical constant from experiment E13: worst-case relative error of a
 /// `FixedK` sketch is about `0.014–0.033·√log₂(n)/k` across the full rank
@@ -86,48 +87,32 @@ impl<T: Ord + Clone> ReqSketch<T> {
         }
     }
 
-    /// Batch rank queries off the cached view (`ys` need not be sorted):
-    /// at most one view build for the whole probe set, `O(log retained)`
-    /// per probe afterwards.
+    /// Batch rank queries through the read cache (`ys` need not be
+    /// sorted): a long batch pays for one view build and answers the rest
+    /// in `O(log retained)` each.
     pub fn ranks(&self, ys: &[T]) -> Vec<u64> {
-        if ys.is_empty() {
-            return Vec::new();
-        }
-        let view = self.cached_view();
-        ys.iter().map(|y| view.rank(y)).collect()
+        self.read(ys.len(), |i, union| union.rank(&ys[i]))
     }
 
-    /// Batch quantile queries off the cached view (`qs` need not be
-    /// sorted). `None` entries only for an empty sketch. Endpoint queries
-    /// (`q ≤ 0`, `q ≥ 1`) return the exactly tracked extremes, matching
-    /// [`QuantileSketch::quantile`].
+    /// Batch quantile queries through the read cache (`qs` need not be
+    /// sorted), answered as [`QuantileSketch::quantile`] answers each.
     pub fn quantiles(&self, qs: &[f64]) -> Vec<Option<T>> {
-        if self.is_empty() {
-            return vec![None; qs.len()];
-        }
-        let view = self.cached_view();
-        qs.iter()
-            .map(|&q| {
-                if q.is_nan() || q <= 0.0 {
-                    self.min_item().cloned()
-                } else if q >= 1.0 {
-                    self.max_item().cloned()
-                } else {
-                    view.quantile(q).cloned()
-                }
-            })
-            .collect()
+        self.read(qs.len(), |i, union| union.quantile(qs[i]))
     }
 
-    /// Normalized CDF at ascending `split_points` (cached view).
+    /// Normalized CDF at ascending `split_points` (read cache).
     pub fn cdf(&self, split_points: &[T]) -> Vec<f64> {
-        self.cached_view().cdf(split_points)
+        debug_assert!(split_points.windows(2).all(|w| w[0] <= w[1]));
+        self.read(split_points.len(), |i, union| {
+            union.normalized_rank(&split_points[i])
+        })
     }
 
     /// Normalized PMF over the intervals induced by ascending
-    /// `split_points` (length `split_points.len() + 1`; cached view).
+    /// `split_points` (length `split_points.len() + 1`; read cache).
     pub fn pmf(&self, split_points: &[T]) -> Vec<f64> {
-        self.cached_view().pmf(split_points)
+        debug_assert!(split_points.windows(2).all(|w| w[0] <= w[1]));
+        pmf_of_ranks(&self.ranks(split_points), self.total_weight())
     }
 
     /// Iterate over retained `(item, weight)` pairs, level by level
@@ -280,8 +265,15 @@ mod tests {
         for (y, r) in probes.iter().zip(&batch) {
             assert_eq!(*r, s.rank(y));
         }
-        let (_, builds) = s.view_cache_stats();
-        assert_eq!(builds, 1, "501 queries must share one view build");
+        assert_eq!(
+            s.read_cache_stats(),
+            crate::ReadCacheStats {
+                direct: 1,
+                cached: 999,
+                builds: 1
+            },
+            "1,000 queries must share one view build"
+        );
         assert!(s.ranks(&[]).is_empty());
     }
 

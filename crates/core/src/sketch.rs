@@ -35,7 +35,8 @@ use crate::compactor::{RankAccuracy, RelativeCompactor};
 use crate::error::ReqError;
 use crate::params::{ParamPolicy, Params};
 use crate::schedule::CompactionSchedule;
-use crate::view::{LevelSet, SortedView, ViewCache};
+use crate::union::Union;
+use crate::view::{LevelSet, ReadCache, ReadCacheStats, SortedView};
 
 /// The Relative Error Quantiles sketch of Cormode, Karnin, Liberty, Thaler
 /// and Veselý (PODS 2021).
@@ -84,10 +85,10 @@ pub struct ReqSketch<T> {
     /// schedule, or weight-adaptive compactors (arXiv:2511.17396).
     /// Structural state — serialized (binary v3).
     pub(crate) schedule: CompactionSchedule,
-    /// Dirty epoch: bumped by every mutation, validates [`Self::cached_view`].
+    /// Dirty epoch: bumped by every mutation, validates the read cache.
     pub(crate) epoch: u64,
-    /// Memoized sorted view serving `rank`/`quantile`/`cdf` between mutations.
-    pub(crate) cache: ViewCache<T>,
+    /// The read cache every `rank`/`quantile`/`cdf`/`pmf` goes through.
+    pub(crate) cache: ReadCache<T>,
 }
 
 impl<T: Ord + Clone> ReqSketch<T> {
@@ -133,7 +134,7 @@ impl<T: Ord + Clone> ReqSketch<T> {
             seed,
             schedule,
             epoch: 0,
-            cache: ViewCache::new(),
+            cache: ReadCache::new(),
         }
     }
 
@@ -171,7 +172,7 @@ impl<T: Ord + Clone> ReqSketch<T> {
             // Deserialized sketches start with a cold cache (the cache is
             // derived state; serialization soundly drops it).
             epoch: 0,
-            cache: ViewCache::new(),
+            cache: ReadCache::new(),
         }
     }
 
@@ -260,8 +261,9 @@ impl<T: Ord + Clone> ReqSketch<T> {
 
     /// Total weight of retained items, `Σ_h 2^h·|buf_h|`.
     ///
-    /// Equals `n` exactly for a purely streamed sketch; odd-sized merge
-    /// compactions may drift it by ±1 each (`weight_drift`).
+    /// Equals `n` exactly: every compaction — streamed, merged, special or
+    /// weighted — removes an even number of items and promotes half of them
+    /// at twice the weight, and decoding rejects bytes where the two differ.
     pub fn total_weight(&self) -> u64 {
         self.levels
             .iter()
@@ -270,23 +272,23 @@ impl<T: Ord + Clone> ReqSketch<T> {
             .sum()
     }
 
-    /// `total_weight() − n`: the signed drift introduced by odd-sized
-    /// compactions during merges. Zero for purely streamed sketches.
+    /// `total_weight() − n`, the check of the invariant that weight equals
+    /// `n` (see [`Self::total_weight`]): always 0.
     pub fn weight_drift(&self) -> i64 {
         self.total_weight() as i64 - self.n as i64
     }
 
-    /// Estimated exclusive rank `|{x < y}|` (served from the cached view).
+    /// Estimated exclusive rank `|{x < y}|`, through the read cache.
     pub fn rank_exclusive(&self, y: &T) -> u64 {
-        self.cached_view().rank_exclusive(y)
+        self.read(1, |_, union| union.rank_exclusive(y)).remove(0)
     }
 
-    /// `Estimate-Rank(y)` by direct level probe, bypassing the cached view:
+    /// `Estimate-Rank(y)` by direct level probe, bypassing the read cache:
     /// `Σ_h 2^h · |{x ∈ buf_h : x ≤ y}|`. Each level's sorted run is
     /// binary-searched and only its (small) unsorted tail is scanned —
-    /// `O(Σ_h (log|buf_h| + tail_h))` per call with no allocation — the
-    /// right tool for a single probe of a sketch that is mutated between
-    /// queries (and the ground truth the cached path is tested against).
+    /// `O(Σ_h (log|buf_h| + tail_h))` per call with no allocation — what a
+    /// direct read does, and the ground truth the cached path is tested
+    /// against.
     pub fn rank_direct(&self, y: &T) -> u64 {
         self.levels
             .iter()
@@ -299,8 +301,8 @@ impl<T: Ord + Clone> ReqSketch<T> {
     /// the per-level sorted runs (`O(retained·log levels)` plus sorting only
     /// the small unsorted tails), then `O(log retained)` per query.
     ///
-    /// Prefer [`Self::cached_view`]: it memoizes this build across queries
-    /// on an unchanged sketch. `sorted_view` always rebuilds and is kept for
+    /// [`Self::cached_view`] keeps its build for later reads of an
+    /// unchanged sketch. `sorted_view` always rebuilds and is kept for
     /// callers that want a view detached from the sketch's cache (and for
     /// verifying the cache against ground truth).
     pub fn sorted_view(&self) -> SortedView<T> {
@@ -317,14 +319,25 @@ impl<T: Ord + Clone> ReqSketch<T> {
         }
     }
 
-    /// The memoized sorted view backing `rank`/`quantile`/`cdf`/`pmf`.
+    /// This sketch's cached view, built now if the read cache holds none.
     ///
-    /// Built lazily on first query and reused until the next mutation
-    /// (`update`, `update_batch`, `update_weighted`, `merge`, parameter
-    /// growth) bumps the dirty [`Self::epoch`]. Cheap to clone (`Arc`);
-    /// hold it across a probe batch to keep queries `O(log retained)`.
+    /// The view stays in the read cache, answering `rank`/`quantile`/
+    /// `cdf`/`pmf`, until the next mutation (`update`, `update_batch`,
+    /// `update_weighted`, `merge`, parameter growth) bumps the dirty
+    /// [`Self::epoch`]. Cheap to clone (`Arc`); hold it across a probe
+    /// batch to keep queries `O(log retained)`.
     pub fn cached_view(&self) -> Arc<SortedView<T>> {
-        self.cache.get_or_build(self.epoch, || self.sorted_view())
+        self.cache.view(std::slice::from_ref(&self))
+    }
+
+    /// Answer `m` points through the read cache, over the union of this one
+    /// sketch (see [`ReadCacheStats`]).
+    pub(crate) fn read<R>(
+        &self,
+        m: usize,
+        answer: impl FnMut(usize, &Union<'_, T>) -> R,
+    ) -> Vec<R> {
+        self.cache.read(std::slice::from_ref(&self), m, answer)
     }
 
     /// Monotone mutation counter; two equal epochs on the same sketch imply
@@ -333,13 +346,14 @@ impl<T: Ord + Clone> ReqSketch<T> {
         self.epoch
     }
 
-    /// Lifetime `(cache_hits, cache_builds)` of the query-view cache.
-    pub fn view_cache_stats(&self) -> (u64, u64) {
+    /// Lifetime counters of the read cache behind `rank`/`quantile`/`cdf`/
+    /// `pmf`.
+    pub fn read_cache_stats(&self) -> ReadCacheStats {
         self.cache.stats()
     }
 
-    /// Invalidate the cached query view. Every mutating path funnels
-    /// through this.
+    /// Invalidate the read cache. Every mutating path funnels through
+    /// this.
     pub(crate) fn mark_dirty(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
     }
@@ -672,26 +686,19 @@ impl<T: Ord + Clone> QuantileSketch<T> for ReqSketch<T> {
         self.n
     }
 
-    /// `Estimate-Rank(y)` from Algorithm 2, served from the cached sorted
-    /// view: `O(retained·log retained)` on the first query after a mutation,
-    /// `O(log retained)` afterwards. See [`ReqSketch::rank_direct`] for the
-    /// cache-free scan.
+    /// `Estimate-Rank(y)` from Algorithm 2, through the read cache: a direct
+    /// level probe ([`ReqSketch::rank_direct`]) until repeated reads of the
+    /// unchanged sketch have paid for a view, `O(log retained)` after.
     fn rank(&self, y: &T) -> u64 {
-        self.cached_view().rank(y)
+        self.read(1, |_, union| union.rank(y)).remove(0)
     }
 
-    /// Served from the cached view (built at most once between mutations).
-    /// The endpoints `q = 0` and `q = 1` return the exactly tracked
-    /// minimum/maximum (which may have been compacted out of the retained
-    /// set in the unprotected orientation).
+    /// Through the read cache, like [`QuantileSketch::rank`]. The endpoints
+    /// `q ≤ 0` and `q ≥ 1` return the exactly tracked minimum/maximum
+    /// (which may have been compacted out of the retained set in the
+    /// unprotected orientation); see [`Union::quantile`].
     fn quantile(&self, q: f64) -> Option<T> {
-        if q.is_nan() || q <= 0.0 {
-            return self.min_item.clone();
-        }
-        if q >= 1.0 {
-            return self.max_item.clone();
-        }
-        self.cached_view().quantile(q).cloned()
+        self.read(1, |_, union| union.quantile(q)).remove(0)
     }
 
     fn ranks(&self, items: &[T]) -> Vec<u64> {
@@ -1040,23 +1047,32 @@ mod tests {
 
     #[test]
     fn queries_on_unchanged_sketch_hit_the_cache() {
+        let stats = |direct, cached, builds| ReadCacheStats {
+            direct,
+            cached,
+            builds,
+        };
         let mut s = fixed_k_sketch(8, RankAccuracy::LowRank);
         s.update_batch(&(0..100_000u64).collect::<Vec<_>>());
-        assert_eq!(s.view_cache_stats(), (0, 0));
-        let _ = s.rank(&500); // first query builds
+        assert_eq!(s.read_cache_stats(), stats(0, 0, 0));
+        // Single reads go straight off the levels...
+        let _ = s.rank(&500);
+        let _ = s.quantile(0.5);
+        assert_eq!(s.read_cache_stats(), stats(2, 0, 0));
+        // ...until a burst pays for the view after its first point.
+        let _ = s.ranks(&[900; 1_000]);
+        assert_eq!(s.read_cache_stats(), stats(3, 999, 1));
+        // An unchanged sketch never rebuilds: every later read is cached.
         let _ = s.rank(&900);
         let _ = s.quantile(0.5);
         let _ = s.rank_exclusive(&123);
-        let (hits, builds) = s.view_cache_stats();
-        assert_eq!(builds, 1, "unchanged sketch must not rebuild the view");
-        assert_eq!(hits, 3);
-        // A mutation invalidates; the next query rebuilds exactly once.
+        assert_eq!(s.read_cache_stats(), stats(3, 1_002, 1));
+        // A mutation invalidates: the next read is direct and sees the new
+        // item, and the next burst rebuilds exactly once.
         s.update(7);
-        let _ = s.rank(&500);
-        let _ = s.quantile(0.25);
-        let (hits, builds) = s.view_cache_stats();
-        assert_eq!(builds, 2);
-        assert_eq!(hits, 4);
+        assert_eq!(s.rank(&u64::MAX), 100_001, "stale view after update");
+        let _ = s.quantiles(&[0.25; 1_000]);
+        assert_eq!(s.read_cache_stats(), stats(5, 2_001, 2));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use sketch_traits::SpaceUsage;
 
 use crate::schedule::CompactionSchedule;
 use crate::sketch::ReqSketch;
+use crate::view::ReadCacheStats;
 
 /// Snapshot of one level's structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,12 +63,11 @@ pub struct SketchStats {
     pub size_bytes: usize,
     /// Total weight `Σ 2^h·|buf_h|`.
     pub total_weight: u64,
-    /// Signed difference `total_weight − n` (odd merge compactions).
+    /// Signed difference `total_weight − n`: always 0, the check of the
+    /// invariant [`ReqSketch::total_weight`] states.
     pub weight_drift: i64,
-    /// Queries served from the memoized sorted view without a rebuild.
-    pub view_cache_hits: u64,
-    /// Times the sorted view was (re)built for a query.
-    pub view_cache_builds: u64,
+    /// The read cache's counters ([`ReqSketch::read_cache_stats`]).
+    pub read_cache: ReadCacheStats,
     /// Total items comparison-sorted across all levels (process-lifetime).
     pub items_sorted: u64,
     /// Total items placed by sorted-run merges across all levels
@@ -107,7 +107,6 @@ impl SketchStats {
                 items_merge_moved: l.items_merge_moved(),
             })
             .collect();
-        let (view_cache_hits, view_cache_builds) = sketch.view_cache_stats();
         let items_sorted = levels.iter().map(|l| l.items_sorted).sum();
         let items_merge_moved = levels.iter().map(|l| l.items_merge_moved).sum();
         SketchStats {
@@ -118,8 +117,7 @@ impl SketchStats {
             size_bytes: sketch.size_bytes(),
             total_weight: sketch.total_weight(),
             weight_drift: sketch.weight_drift(),
-            view_cache_hits,
-            view_cache_builds,
+            read_cache: sketch.read_cache_stats(),
             items_sorted,
             items_merge_moved,
             arena_bytes: sketch.arena().arena_bytes(),
@@ -149,16 +147,17 @@ impl fmt::Display for SketchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "ReqSketch: n={} N={} retained={} bytes={} weight_drift={} view_cache={}h/{}b \
-             sorted={} merge_moved={} arena_bytes={} rebalance_moved={} schedule={:?} \
-             adaptations={}",
+            "ReqSketch: n={} N={} retained={} bytes={} weight_drift={} \
+             read_cache={}d/{}c/{}b sorted={} merge_moved={} arena_bytes={} \
+             rebalance_moved={} schedule={:?} adaptations={}",
             self.n,
             self.max_n,
             self.retained,
             self.size_bytes,
             self.weight_drift,
-            self.view_cache_hits,
-            self.view_cache_builds,
+            self.read_cache.direct,
+            self.read_cache.cached,
+            self.read_cache.builds,
             self.items_sorted,
             self.items_merge_moved,
             self.arena_bytes,
@@ -261,14 +260,20 @@ mod tests {
     #[test]
     fn view_cache_counters_surface_in_stats() {
         let s = sketch_with_data(50_000);
-        assert_eq!(s.stats().view_cache_builds, 0);
-        let _ = s.rank(&100); // build
-        let _ = s.rank(&200); // hit
-        let _ = s.quantile(0.9); // hit
+        assert_eq!(s.stats().read_cache, ReadCacheStats::default());
+        let _ = s.rank(&100); // direct
+        let _ = s.ranks(&[200; 1_000]); // one direct point, then the view pays
+        let _ = s.quantile(0.9); // cached
         let stats = s.stats();
-        assert_eq!(stats.view_cache_builds, 1);
-        assert_eq!(stats.view_cache_hits, 2);
-        assert!(stats.to_string().contains("view_cache=2h/1b"));
+        assert_eq!(
+            stats.read_cache,
+            ReadCacheStats {
+                direct: 2,
+                cached: 1_000,
+                builds: 1
+            }
+        );
+        assert!(stats.to_string().contains("read_cache=2d/1000c/1b"));
     }
 
     #[test]

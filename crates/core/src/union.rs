@@ -25,10 +25,13 @@
 //! [`QuantileSketch::quantile`](sketch_traits::QuantileSketch::quantile)
 //! answers on one sketch.
 //!
-//! A read never mutates a sketch: no tail is folded in place and no cached
-//! view is touched, so serialized bytes and epochs stay put.
+//! A read never mutates a sketch: no tail is folded in place, so serialized
+//! bytes and epochs stay put. Every sketch type reads through a `Union`
+//! under its read cache ([`crate::ReadCacheStats`]), which may hand the
+//! union a cached union view to answer from.
 
 use std::cell::{Cell, OnceCell};
+use std::sync::Arc;
 
 use crate::binary::Packable;
 use crate::error::ReqError;
@@ -45,8 +48,8 @@ fn log2_ceil(len: usize) -> u64 {
 ///
 /// Building one costs nothing; raw tails are copied and sorted on the
 /// first quantile only. Every direct read adds the
-/// comparisons it made to [`Union::comparisons`], which is how
-/// [`crate::ConcurrentReqSketch`] prices its reads against a view build.
+/// comparisons it made to [`Union::comparisons`], which is how the read
+/// cache prices reads against a view build ([`crate::ReadCacheStats`]).
 ///
 /// ```
 /// use req_core::union::Union;
@@ -73,6 +76,8 @@ pub struct Union<'a, T> {
     /// Sorted copies of every raw tail, made on the first quantile.
     tails: OnceCell<Vec<(Vec<T>, u64)>>,
     comparisons: Cell<u64>,
+    /// The union view the read cache handed over; reads answer from it.
+    cached: Option<Arc<SortedView<T>>>,
 }
 
 impl<'a, T: Ord + Clone> Union<'a, T> {
@@ -86,7 +91,15 @@ impl<'a, T: Ord + Clone> Union<'a, T> {
             rank_cost: OnceCell::new(),
             tails: OnceCell::new(),
             comparisons: Cell::new(0),
+            cached: None,
         }
+    }
+
+    /// Answer every later read from `view`, the union view of these very
+    /// sketches at their current epochs.
+    pub(crate) fn answer_from(&mut self, view: Arc<SortedView<T>>) {
+        debug_assert_eq!(view.total_weight(), self.total_weight());
+        self.cached = Some(view);
     }
 
     /// `W`: the summed total weight of every retained item.
@@ -122,6 +135,23 @@ impl<'a, T: Ord + Clone> Union<'a, T> {
 
     /// `R̂(y)`: the weight of retained items `≤ y`, summed over sketches.
     pub fn rank(&self, y: &T) -> u64 {
+        self.count(y, true)
+    }
+
+    /// The weight of retained items `< y`, summed over sketches.
+    pub fn rank_exclusive(&self, y: &T) -> u64 {
+        self.count(y, false)
+    }
+
+    /// The weight of retained items `≤ y` (`inclusive`) or `< y`.
+    fn count(&self, y: &T, inclusive: bool) -> u64 {
+        if let Some(view) = &self.cached {
+            return if inclusive {
+                view.rank(y)
+            } else {
+                view.rank_exclusive(y)
+            };
+        }
         self.charge(*self.rank_cost.get_or_init(|| {
             let mut cost = 0;
             for set in self.level_sets() {
@@ -133,7 +163,16 @@ impl<'a, T: Ord + Clone> Union<'a, T> {
             }
             cost
         }));
-        self.sketches.iter().map(|s| s.rank_direct(y)).sum()
+        if inclusive {
+            return self.sketches.iter().map(|s| s.rank_direct(y)).sum();
+        }
+        let mut weight = 0;
+        for set in self.level_sets() {
+            for (h, level) in set.levels.iter().enumerate() {
+                weight += (level.count_lt_with(set.arena, y, set.accuracy) as u64) << h;
+            }
+        }
+        weight
     }
 
     /// `R̂(y) / W`, or 0 while empty — a CDF point.
@@ -151,6 +190,9 @@ impl<'a, T: Ord + Clone> Union<'a, T> {
         }
         if q >= 1.0 {
             return self.max_item().cloned();
+        }
+        if let Some(view) = &self.cached {
+            return view.quantile(q).cloned();
         }
         let total = self.total_weight();
         if total == 0 {

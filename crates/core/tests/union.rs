@@ -11,8 +11,9 @@
 //!   after a burst that builds the cached union view;
 //! * the union of decoded `encode_shards()` parts, which is what a cluster
 //!   router answers `MERGE` reads with;
-//! * the §5 growing sketch's quantiles across its closed and active
-//!   summaries.
+//! * the §5 growing sketch's ranks and quantiles across its closed and
+//!   active summaries, before and after a burst that builds its cached
+//!   union view.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -343,9 +344,25 @@ proptest! {
                 g.update_batch(chunk);
             }
             let oracle = Oracle::new(g.summaries());
-            for q in grid() {
-                prop_assert_eq!(bits(g.quantile(q)), bits(oracle.quantile(q)));
-            }
+            let probes = probes(&stream);
+            let check = |g: &GrowingReqSketch<OrdF64>| {
+                for y in &probes {
+                    assert_eq!(g.rank(y), oracle.view.rank(y), "rank {y:?}");
+                }
+                for q in grid() {
+                    assert_eq!(bits(g.quantile(q)), bits(oracle.quantile(q)), "quantile {q}");
+                }
+            };
+            check(&g);
+            // A burst that pays for the union view; the same reads again are
+            // all served from it.
+            g.ranks(&vec![OrdF64(0.0); 4_096]);
+            let burst = g.read_cache_stats();
+            prop_assert_eq!(burst.builds, 1);
+            check(&g);
+            let stats = g.read_cache_stats();
+            prop_assert_eq!((stats.direct, stats.builds), (burst.direct, burst.builds));
+            prop_assert!(stats.cached > burst.cached);
             let view = g.sorted_view();
             prop_assert_eq!(view.total_weight(), oracle.view.total_weight());
             prop_assert_eq!(view.num_entries(), oracle.view.num_entries());

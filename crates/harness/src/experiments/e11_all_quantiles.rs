@@ -67,8 +67,8 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         let geo_max = summarize(&probe_ranks(&req, &oracle, &geo, ErrorMode::RelativeLow)).max;
 
         // every rank: permutation => probe item y has rank y+1; the cached
-        // view answers all n probes off the one build the geometric probes
-        // already paid for.
+        // view (built here unless the geometric probes already paid for
+        // it) answers all n probes off one build.
         let view = req.cached_view();
         let mut all_max = 0.0f64;
         for y in 0..cfg.n {

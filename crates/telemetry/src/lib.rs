@@ -2,11 +2,11 @@
 //!
 //! The headline application of the REQ sketch is latency/percentile
 //! monitoring, so the metrics registry here *dogfoods the repository's own
-//! data structure*: every latency histogram is a sharded
-//! [`ReqSketch<u64>`] on the typed fast lane, high-rank-accurate so the
-//! p99/p999 that actually matter for tail latency carry the tight side of
-//! the relative-error guarantee. Counters and gauges are single relaxed
-//! atomics; a bounded ring-buffer event journal records structured
+//! data structure*: every latency histogram is a
+//! [`ConcurrentReqSketch<u64>`] on the typed fast lane, high-rank-accurate
+//! so the p99/p999 that actually matter for tail latency carry the tight
+//! side of the relative-error guarantee. Counters and gauges are single
+//! relaxed atomics; a bounded ring-buffer event journal records structured
 //! lifecycle events (WAL poison/heal, snapshot rotation, promote/repoint,
 //! dedup stale-rejects, backpressure parks) without unbounded growth.
 //!
@@ -28,7 +28,7 @@
 //! `EVENTS` wire verbs render that registry.
 
 use parking_lot::Mutex;
-use req_core::{QuantileSketch, RankAccuracy, ReqSketch};
+use req_core::{ConcurrentReqSketch, RankAccuracy, ReqSketch};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -36,7 +36,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Shards per histogram: concurrent writers spread across this many
-/// independently locked sketches, merged only at render time.
+/// independently locked sketches, read as their union.
 const HIST_SHARDS: usize = 8;
 
 /// Section size of every telemetry sketch. Small on purpose — a histogram
@@ -44,25 +44,15 @@ const HIST_SHARDS: usize = 8;
 /// floor of any latency measurement.
 const HIST_K: u32 = 16;
 
-/// Base RNG seed for telemetry sketches (per-shard offsets keep shards
-/// decorrelated; merging tolerates differing seeds).
+/// Base RNG seed for telemetry sketches (each shard derives its own).
 const HIST_SEED: u64 = 0x7e1e_aa5e;
 
 /// Default event-journal capacity: oldest events drop past this bound.
 const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
-/// Quantiles reported per histogram in the exposition.
-const EXPO_QUANTILES: [(f64, &str); 4] =
-    [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (0.999, "0.999")];
-
-fn telemetry_sketch(shard: usize) -> ReqSketch<u64> {
-    ReqSketch::<u64>::builder()
-        .k(HIST_K)
-        .rank_accuracy(RankAccuracy::HighRank)
-        .seed(HIST_SEED + shard as u64)
-        .build()
-        .expect("telemetry sketch parameters are static and valid")
-}
+/// Quantiles reported per histogram in the exposition, labelled by their
+/// `Display` form; `1` is the exact maximum.
+const EXPO_QUANTILES: [f64; 5] = [0.5, 0.9, 0.99, 0.999, 1.0];
 
 /// Stable per-thread shard slot. Threads get round-robin slots on first
 /// use, so up to [`HIST_SHARDS`] concurrent writers never contend.
@@ -145,7 +135,7 @@ impl Gauge {
     }
 }
 
-/// Latency/size distribution backed by sharded [`ReqSketch<u64>`] — the
+/// Latency/size distribution backed by a [`ConcurrentReqSketch<u64>`] — the
 /// repository's own summary, instrumented with itself. Cloning shares the
 /// underlying shards.
 #[derive(Clone)]
@@ -161,7 +151,7 @@ impl std::fmt::Debug for Histogram {
 }
 
 struct HistInner {
-    shards: Vec<Mutex<ReqSketch<u64>>>,
+    sketch: ConcurrentReqSketch<u64>,
     count: AtomicU64,
     sum: AtomicU64,
     enabled: Arc<AtomicBool>,
@@ -179,8 +169,7 @@ impl Histogram {
         if !self.0.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let slot = shard_slot() % self.0.shards.len();
-        self.0.shards[slot].lock().update(value);
+        self.0.sketch.update_in_shard(shard_slot(), value);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(value, Ordering::Relaxed);
     }
@@ -215,22 +204,9 @@ impl Histogram {
         self.0.sum.load(Ordering::Relaxed)
     }
 
-    /// Merge every shard into one sketch (render-time only).
-    fn merged(&self) -> ReqSketch<u64> {
-        let mut acc = telemetry_sketch(0);
-        for shard in &self.0.shards {
-            let part = shard.lock().clone();
-            // Telemetry shards share policy/orientation/schedule, so the
-            // merge cannot fail; losing a shard to a logic error must not
-            // take exposition down with it.
-            let _ = acc.try_merge(part);
-        }
-        acc
-    }
-
     /// Quantile estimate over all shards (`None` before any observation).
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        self.merged().quantile(q)
+        self.0.sketch.quantile(q).ok().flatten()
     }
 }
 
@@ -371,9 +347,14 @@ impl Registry {
         let mut metrics = self.metrics.lock();
         match metrics.entry(name.to_string()).or_insert_with(|| {
             Metric::Histogram(Histogram(Arc::new(HistInner {
-                shards: (0..HIST_SHARDS)
-                    .map(|i| Mutex::new(telemetry_sketch(i)))
-                    .collect(),
+                sketch: ConcurrentReqSketch::new(
+                    ReqSketch::<u64>::builder()
+                        .k(HIST_K)
+                        .rank_accuracy(RankAccuracy::HighRank)
+                        .seed(HIST_SEED),
+                    HIST_SHARDS,
+                )
+                .expect("telemetry sketch parameters are static and valid"),
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
                 enabled: Arc::clone(&self.enabled),
@@ -424,9 +405,10 @@ impl Registry {
     }
 
     /// Prometheus-style text exposition: counters and gauges as single
-    /// samples, histograms as quantile summaries (p50/p90/p99/p999 straight
-    /// from the merged REQ sketch) plus `_count`/`_sum`. Deterministic:
-    /// names in sorted order, journal self-metrics last.
+    /// samples, histograms as quantile summaries (p50/p90/p99/p999 and the
+    /// exact maximum, read off the REQ sketch's shards) plus
+    /// `_count`/`_sum`. Deterministic: names in sorted order, journal
+    /// self-metrics last.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let metrics = self.metrics.lock();
@@ -440,14 +422,13 @@ impl Registry {
                 }
                 Metric::Histogram(h) => {
                     let _ = writeln!(out, "# TYPE {name} summary");
-                    let merged = h.merged();
-                    for (q, label) in EXPO_QUANTILES {
-                        if let Some(v) = merged.quantile(q) {
-                            let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {v}");
+                    // One read for every quantile; it cannot fail, and an
+                    // error must not take exposition down with it.
+                    let values = h.0.sketch.quantiles(&EXPO_QUANTILES).unwrap_or_default();
+                    for (q, v) in EXPO_QUANTILES.iter().zip(values) {
+                        if let Some(v) = v {
+                            let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {v}");
                         }
-                    }
-                    if let Some(max) = merged.max_item() {
-                        let _ = writeln!(out, "{name}{{quantile=\"1\"}} {max}");
                     }
                     let _ = writeln!(out, "{name}_count {}", h.count());
                     let _ = writeln!(out, "{name}_sum {}", h.sum());
