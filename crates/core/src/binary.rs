@@ -1,14 +1,34 @@
-//! Versioned compact binary serialization.
+//! The one byte codec: [`Packable`] values, and the sketch format built
+//! from them.
 //!
-//! Layout of version 3, the only version written or read (all integers
-//! little-endian):
+//! Every binary layout in the workspace — this sketch format and the
+//! service's wire messages, WAL records and snapshot files — is a sequence
+//! of [`Packable`] values, usually inside a [`crate::frame`] frame, and
+//! follows one set of rules:
+//!
+//! * integers and `f64` bits are little-endian;
+//! * a vector is a `u32` count, then its items ([`pack_counted`]); a
+//!   string is the vector of its UTF-8 bytes;
+//! * an `Option` is a presence byte, then the value; a `bool` is a byte;
+//! * decoding is strict: a presence or bool byte other than 0/1, an
+//!   unknown tag or a nonzero reserved field is [`ReqError::CorruptBytes`],
+//!   and a declared count is checked against the remaining bytes, at
+//!   [`Packable::MIN_PACKED_LEN`] per item, before anything is allocated.
+//!
+//! So whatever decodes re-encodes to the bytes it came from. A struct that
+//! is just its fields in order declares them once with
+//! [`packable_struct!`](crate::packable_struct).
+//!
+//! ## Sketch format, version 3
+//!
+//! The only version written or read:
 //!
 //! ```text
 //! magic "REQ1" | version u8 = 3
 //! flags u8 (bit0 = high-rank accuracy, bit1 = adaptive schedule)
 //! policy tag u8 + policy payload
 //! n u64 | max_n u64 | k u32 | num_sections u32 | reseed u64
-//! min item (tag u8 + payload) | max item (tag u8 + payload)
+//! min item Option<T> | max item Option<T>
 //! num_levels u32
 //! per level: state u64 | compactions u64 | special u64
 //!            | num_sections u32 | absorbed u64
@@ -22,16 +42,18 @@
 //! each level carries its *own* section count (adaptive levels diverge from
 //! the header's floor, arXiv:2511.17396) plus its lifetime absorbed item
 //! count, which is what the adaptive schedule re-plans geometry from.
-//! Versions 1 and 2 predate the service and no deployment wrote them; their
-//! bytes fail with [`ReqError::CorruptBytes`].
+//! Each level's items go through [`Packable::pack_slice`] and
+//! [`Packable::unpack_slice`], one pass per level for the 8-byte item
+//! types. Versions 1 and 2 predate the service and no deployment wrote
+//! them; their bytes fail with [`ReqError::CorruptBytes`].
 //!
-//! Untrusted input is validated before anything is sized from it: a
-//! declared run that is not actually sorted, a header `k` other than the
-//! one the decoded policy assigns to `max_n`, a section count above 65
-//! (the most any schedule plans for a `u64` stream), or a header `n` other
-//! than the levels' weight `Σ_h 2^h·len_h` (every writer keeps the two
-//! equal) is rejected as corrupt rather than mis-answering rank queries or
-//! reserving an attacker-chosen buffer.
+//! Untrusted input is validated before anything is sized from it, and a
+//! field no writer produces is rejected as corrupt: flags bits 2–7 set; a
+//! header `k` other than the policy's `k` for `max_n`; a `max_n` other
+//! than the first estimate on the policy's ladder covering `n`; a section
+//! count outside `1..=65`; a header `n` other than the levels' weight
+//! `Σ_h 2^h·len_h`; a declared run that is not sorted; a level `state`
+//! above `max_n / k` (Observation 20) or an `absorbed · 2^h` above `n`.
 //!
 //! The RNG's in-flight state is not serialized; a fresh seed (`reseed`,
 //! drawn from the sketch's RNG at serialization time) is stored instead.
@@ -51,7 +73,7 @@ use crate::error::ReqError;
 use crate::ordf64::OrdF64;
 use crate::params::ParamPolicy;
 use crate::schedule::{CompactionSchedule, CompactionState};
-use crate::sketch::ReqSketch;
+use crate::sketch::{covering_max_n, ReqSketch};
 
 const MAGIC: &[u8; 4] = b"REQ1";
 /// The one version written and read. See the module docs.
@@ -60,15 +82,45 @@ const VERSION: u8 = 3;
 /// (what [`crate::schedule::adaptive_num_sections`] and
 /// [`ParamPolicy::params_for`] can return). A larger count is corruption.
 const MAX_SECTIONS: u32 = 65;
+/// Flags bits a writer may set: high-rank accuracy and the adaptive
+/// schedule.
+const KNOWN_FLAGS: u8 = 0b11;
 
-/// Item types that can be encoded into the binary sketch format.
+/// A value with a binary encoding. See the module docs for the rules
+/// every implementation follows.
 pub trait Packable: Sized {
-    /// Append this item's encoding to `out`.
+    /// The fewest bytes one value's encoding takes. Decoders check a
+    /// declared count of `c` values against `c · MIN_PACKED_LEN`
+    /// remaining bytes before allocating for them.
+    const MIN_PACKED_LEN: usize = 1;
+
+    /// Append this value's encoding to `out`.
     fn pack(&self, out: &mut BytesMut);
-    /// Decode one item, consuming bytes from `input`.
+
+    /// Decode one value, consuming bytes from `input`.
     fn unpack(input: &mut Bytes) -> Result<Self, ReqError>;
+
+    /// Append the encodings of `items`, in order, with no count. The
+    /// default packs one item at a time.
+    fn pack_slice(items: &[Self], out: &mut BytesMut) {
+        for item in items {
+            item.pack(out);
+        }
+    }
+
+    /// Decode `count` values. The default checks `count` against the
+    /// remaining bytes, then unpacks one item at a time.
+    fn unpack_slice(input: &mut Bytes, count: usize) -> Result<Vec<Self>, ReqError> {
+        need(input, count.saturating_mul(Self::MIN_PACKED_LEN))?;
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(Self::unpack(input)?);
+        }
+        Ok(items)
+    }
 }
 
+/// Fail unless at least `n` bytes remain in `input`.
 fn need(input: &Bytes, n: usize) -> Result<(), ReqError> {
     if input.remaining() < n {
         Err(ReqError::CorruptBytes(format!(
@@ -80,9 +132,67 @@ fn need(input: &Bytes, n: usize) -> Result<(), ReqError> {
     }
 }
 
+/// Append `items` in the `Vec<T>` layout — a `u32` count, then the items —
+/// from a borrowed slice.
+pub fn pack_counted<T: Packable>(items: &[T], out: &mut BytesMut) {
+    out.put_u32_le(items.len() as u32);
+    T::pack_slice(items, out);
+}
+
+/// Decode `input` with `decode`, which must consume all of it: trailing
+/// bytes are corrupt.
+pub fn unpack_whole<T>(
+    mut input: Bytes,
+    decode: impl FnOnce(&mut Bytes) -> Result<T, ReqError>,
+) -> Result<T, ReqError> {
+    let value = decode(&mut input)?;
+    if input.has_remaining() {
+        return Err(ReqError::CorruptBytes(format!(
+            "{} trailing bytes",
+            input.remaining()
+        )));
+    }
+    Ok(value)
+}
+
+/// Implement [`Packable`] for a struct as its fields, in the order
+/// listed — one declaration serves both directions:
+///
+/// ```
+/// # use req_core::packable_struct;
+/// #[derive(Debug, PartialEq)]
+/// struct Cursor {
+///     gen: u64,
+///     sealed: bool,
+/// }
+/// packable_struct!(Cursor { gen, sealed });
+///
+/// use req_core::binary::Packable;
+/// let mut out = bytes::BytesMut::new();
+/// Cursor { gen: 7, sealed: true }.pack(&mut out);
+/// let back = Cursor::unpack(&mut out.freeze()).unwrap();
+/// assert_eq!(back, Cursor { gen: 7, sealed: true });
+/// ```
+#[macro_export]
+macro_rules! packable_struct {
+    ($t:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::binary::Packable for $t {
+            fn pack(&self, out: &mut ::bytes::BytesMut) {
+                $($crate::binary::Packable::pack(&self.$field, out);)+
+            }
+            fn unpack(input: &mut ::bytes::Bytes) -> ::core::result::Result<Self, $crate::ReqError> {
+                ::core::result::Result::Ok(Self {
+                    $($field: $crate::binary::Packable::unpack(input)?,)+
+                })
+            }
+        }
+    };
+}
+
 macro_rules! packable_int {
     ($t:ty, $put:ident, $get:ident, $size:expr) => {
         impl Packable for $t {
+            const MIN_PACKED_LEN: usize = $size;
             fn pack(&self, out: &mut BytesMut) {
                 out.$put(*self);
             }
@@ -96,9 +206,52 @@ macro_rules! packable_int {
 
 packable_int!(u16, put_u16_le, get_u16_le, 2);
 packable_int!(u32, put_u32_le, get_u32_le, 4);
-packable_int!(u64, put_u64_le, get_u64_le, 8);
 packable_int!(i32, put_i32_le, get_i32_le, 4);
-packable_int!(i64, put_i64_le, get_i64_le, 8);
+
+/// The 8-byte types: one value is its `u64` image, little-endian. Slices
+/// encode through a stack block and decode in one pass over the input
+/// into an exact-capacity `Vec`.
+macro_rules! packable_le8 {
+    ($t:ty, $to_bits:expr, $from_bits:expr) => {
+        impl Packable for $t {
+            const MIN_PACKED_LEN: usize = 8;
+            fn pack(&self, out: &mut BytesMut) {
+                out.put_u64_le($to_bits(*self));
+            }
+            fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+                need(input, 8)?;
+                Ok($from_bits(input.get_u64_le()))
+            }
+            fn pack_slice(items: &[Self], out: &mut BytesMut) {
+                let mut block = [0u8; 8 * 64];
+                for chunk in items.chunks(64) {
+                    let bytes = &mut block[..8 * chunk.len()];
+                    for (dst, item) in bytes.chunks_exact_mut(8).zip(chunk) {
+                        dst.copy_from_slice(&$to_bits(*item).to_le_bytes());
+                    }
+                    out.put_slice(bytes);
+                }
+            }
+            fn unpack_slice(input: &mut Bytes, count: usize) -> Result<Vec<Self>, ReqError> {
+                let len = count.saturating_mul(8);
+                need(input, len)?;
+                let items = input.chunk()[..len]
+                    .chunks_exact(8)
+                    .map(|b| $from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
+                    .collect();
+                input.advance(len);
+                Ok(items)
+            }
+        }
+    };
+}
+
+packable_le8!(u64, |v: u64| v, |b: u64| b);
+packable_le8!(i64, |v: i64| v as u64, |b: u64| b as i64);
+packable_le8!(f64, f64::to_bits, f64::from_bits);
+packable_le8!(OrdF64, |v: OrdF64| v.get().to_bits(), |b: u64| OrdF64(
+    f64::from_bits(b)
+));
 
 impl Packable for u8 {
     fn pack(&self, out: &mut BytesMut) {
@@ -108,30 +261,78 @@ impl Packable for u8 {
         need(input, 1)?;
         Ok(input.get_u8())
     }
+    fn pack_slice(items: &[Self], out: &mut BytesMut) {
+        out.put_slice(items);
+    }
+    fn unpack_slice(input: &mut Bytes, count: usize) -> Result<Vec<Self>, ReqError> {
+        need(input, count)?;
+        let items = input.chunk()[..count].to_vec();
+        input.advance(count);
+        Ok(items)
+    }
 }
 
-impl Packable for OrdF64 {
+impl Packable for bool {
     fn pack(&self, out: &mut BytesMut) {
-        out.put_u64_le(self.get().to_bits());
+        out.put_u8(u8::from(*self));
     }
     fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
-        need(input, 8)?;
-        Ok(OrdF64(f64::from_bits(input.get_u64_le())))
+        match u8::unpack(input)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(ReqError::CorruptBytes(format!("bad bool byte {other}"))),
+        }
+    }
+}
+
+impl<T: Packable> Packable for Option<T> {
+    fn pack(&self, out: &mut BytesMut) {
+        match self {
+            Some(v) => {
+                out.put_u8(1);
+                v.pack(out);
+            }
+            None => out.put_u8(0),
+        }
+    }
+    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+        match u8::unpack(input)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::unpack(input)?)),
+            other => Err(ReqError::CorruptBytes(format!("bad presence byte {other}"))),
+        }
+    }
+}
+
+impl<T: Packable> Packable for Vec<T> {
+    const MIN_PACKED_LEN: usize = 4;
+    fn pack(&self, out: &mut BytesMut) {
+        pack_counted(self, out);
+    }
+    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+        let count = u32::unpack(input)? as usize;
+        T::unpack_slice(input, count)
+    }
+}
+
+impl<A: Packable, B: Packable> Packable for (A, B) {
+    const MIN_PACKED_LEN: usize = A::MIN_PACKED_LEN + B::MIN_PACKED_LEN;
+    fn pack(&self, out: &mut BytesMut) {
+        self.0.pack(out);
+        self.1.pack(out);
+    }
+    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+        Ok((A::unpack(input)?, B::unpack(input)?))
     }
 }
 
 impl Packable for String {
+    const MIN_PACKED_LEN: usize = 4;
     fn pack(&self, out: &mut BytesMut) {
-        let bytes = self.as_bytes();
-        out.put_u32_le(bytes.len() as u32);
-        out.put_slice(bytes);
+        pack_counted(self.as_bytes(), out);
     }
     fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
-        need(input, 4)?;
-        let len = input.get_u32_le() as usize;
-        need(input, len)?;
-        let raw = input.copy_to_bytes(len);
-        String::from_utf8(raw.to_vec())
+        String::from_utf8(Vec::<u8>::unpack(input)?)
             .map_err(|e| ReqError::CorruptBytes(format!("invalid utf8 string: {e}")))
     }
 }
@@ -140,95 +341,60 @@ fn pack_policy(policy: &ParamPolicy, out: &mut BytesMut) {
     match *policy {
         ParamPolicy::Mergeable { eps, delta, scale } => {
             out.put_u8(0);
-            out.put_f64_le(eps);
-            out.put_f64_le(delta);
-            out.put_f64_le(scale);
+            eps.pack(out);
+            delta.pack(out);
+            scale.pack(out);
         }
         ParamPolicy::Streaming { eps, delta, n } => {
             out.put_u8(1);
-            out.put_f64_le(eps);
-            out.put_f64_le(delta);
-            out.put_u64_le(n);
+            eps.pack(out);
+            delta.pack(out);
+            n.pack(out);
         }
         ParamPolicy::SmallDelta { eps, delta, n } => {
             out.put_u8(2);
-            out.put_f64_le(eps);
-            out.put_f64_le(delta);
-            out.put_u64_le(n);
+            eps.pack(out);
+            delta.pack(out);
+            n.pack(out);
         }
         ParamPolicy::Deterministic { eps, n } => {
             out.put_u8(3);
-            out.put_f64_le(eps);
-            out.put_u64_le(n);
+            eps.pack(out);
+            n.pack(out);
         }
         ParamPolicy::FixedK { k } => {
             out.put_u8(4);
-            out.put_u32_le(k);
+            k.pack(out);
         }
     }
-}
-
-fn unpack_f64(input: &mut Bytes) -> Result<f64, ReqError> {
-    need(input, 8)?;
-    Ok(input.get_f64_le())
 }
 
 fn unpack_policy(input: &mut Bytes) -> Result<ParamPolicy, ReqError> {
-    need(input, 1)?;
-    let tag = input.get_u8();
-    match tag {
-        0 => {
-            let eps = unpack_f64(input)?;
-            let delta = unpack_f64(input)?;
-            let scale = unpack_f64(input)?;
-            ParamPolicy::mergeable_scaled(eps, delta, scale)
-                .map_err(|e| ReqError::CorruptBytes(e.to_string()))
+    let policy = match u8::unpack(input)? {
+        0 => ParamPolicy::mergeable_scaled(
+            f64::unpack(input)?,
+            f64::unpack(input)?,
+            f64::unpack(input)?,
+        ),
+        1 => ParamPolicy::streaming(
+            f64::unpack(input)?,
+            f64::unpack(input)?,
+            u64::unpack(input)?,
+        ),
+        2 => ParamPolicy::small_delta(
+            f64::unpack(input)?,
+            f64::unpack(input)?,
+            u64::unpack(input)?,
+        ),
+        3 => ParamPolicy::deterministic(f64::unpack(input)?, u64::unpack(input)?),
+        4 => ParamPolicy::fixed_k(u32::unpack(input)?),
+        other => {
+            return Err(ReqError::CorruptBytes(format!(
+                "unknown policy tag {other}"
+            )))
         }
-        1 => {
-            let eps = unpack_f64(input)?;
-            let delta = unpack_f64(input)?;
-            let n = u64::unpack(input)?;
-            ParamPolicy::streaming(eps, delta, n).map_err(|e| ReqError::CorruptBytes(e.to_string()))
-        }
-        2 => {
-            let eps = unpack_f64(input)?;
-            let delta = unpack_f64(input)?;
-            let n = u64::unpack(input)?;
-            ParamPolicy::small_delta(eps, delta, n)
-                .map_err(|e| ReqError::CorruptBytes(e.to_string()))
-        }
-        3 => {
-            let eps = unpack_f64(input)?;
-            let n = u64::unpack(input)?;
-            ParamPolicy::deterministic(eps, n).map_err(|e| ReqError::CorruptBytes(e.to_string()))
-        }
-        4 => {
-            let k = u32::unpack(input)?;
-            ParamPolicy::fixed_k(k).map_err(|e| ReqError::CorruptBytes(e.to_string()))
-        }
-        other => Err(ReqError::CorruptBytes(format!(
-            "unknown policy tag {other}"
-        ))),
-    }
-}
-
-fn pack_option<T: Packable>(value: &Option<T>, out: &mut BytesMut) {
-    match value {
-        Some(v) => {
-            out.put_u8(1);
-            v.pack(out);
-        }
-        None => out.put_u8(0),
-    }
-}
-
-fn unpack_option<T: Packable>(input: &mut Bytes) -> Result<Option<T>, ReqError> {
-    need(input, 1)?;
-    match input.get_u8() {
-        0 => Ok(None),
-        1 => Ok(Some(T::unpack(input)?)),
-        other => Err(ReqError::CorruptBytes(format!("bad option tag {other}"))),
-    }
+    };
+    policy.map_err(|e| ReqError::CorruptBytes(e.to_string()))
 }
 
 impl<T: Ord + Clone + Packable> ReqSketch<T> {
@@ -247,46 +413,49 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
         }
         out.put_u8(flags);
         pack_policy(&self.policy, &mut out);
-        out.put_u64_le(self.n);
-        out.put_u64_le(self.max_n);
-        out.put_u32_le(self.k);
-        out.put_u32_le(self.num_sections);
+        self.n.pack(&mut out);
+        self.max_n.pack(&mut out);
+        self.k.pack(&mut out);
+        self.num_sections.pack(&mut out);
         let reseed: u64 = self.rng.gen();
-        out.put_u64_le(reseed);
-        pack_option(&self.min_item, &mut out);
-        pack_option(&self.max_item, &mut out);
-        out.put_u32_le(self.levels.len() as u32);
+        reseed.pack(&mut out);
+        self.min_item.pack(&mut out);
+        self.max_item.pack(&mut out);
+        (self.levels.len() as u32).pack(&mut out);
         for level in &self.levels {
-            out.put_u64_le(level.state().raw());
-            out.put_u64_le(level.num_compactions());
-            out.put_u64_le(level.num_special_compactions());
-            out.put_u32_le(level.num_sections());
-            out.put_u64_le(level.absorbed());
-            out.put_u32_le(level.run_len(&self.arena) as u32);
-            out.put_u32_le(level.len(&self.arena) as u32);
-            for item in level.items(&self.arena) {
-                item.pack(&mut out);
-            }
+            level.state().raw().pack(&mut out);
+            level.num_compactions().pack(&mut out);
+            level.num_special_compactions().pack(&mut out);
+            level.num_sections().pack(&mut out);
+            level.absorbed().pack(&mut out);
+            (level.run_len(&self.arena) as u32).pack(&mut out);
+            pack_counted(level.items(&self.arena), &mut out);
         }
         out.freeze()
     }
 
     /// Deserialize from [`ReqSketch::to_bytes`] output.
     pub fn from_bytes(data: &[u8]) -> Result<Self, ReqError> {
-        let mut input = Bytes::copy_from_slice(data);
-        need(&input, 6)?;
-        let mut magic = [0u8; 4];
-        input.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        unpack_whole(Bytes::copy_from_slice(data), Self::unpack_sketch)
+    }
+
+    fn unpack_sketch(input: &mut Bytes) -> Result<Self, ReqError> {
+        if input.chunk().get(..MAGIC.len()) != Some(&MAGIC[..]) {
             return Err(ReqError::CorruptBytes("bad magic".into()));
         }
-        let version = input.get_u8();
+        input.advance(MAGIC.len());
+        let version = u8::unpack(input)?;
         if version != VERSION {
             return Err(ReqError::CorruptBytes(format!(
                 "unsupported version {version}"
             )));
         }
-        let flags = input.get_u8();
+        let flags = u8::unpack(input)?;
+        if flags & !KNOWN_FLAGS != 0 {
+            return Err(ReqError::CorruptBytes(format!(
+                "unknown flags {flags:#04x}"
+            )));
+        }
         let accuracy = if flags & 1 == 1 {
             RankAccuracy::HighRank
         } else {
@@ -297,11 +466,11 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
         } else {
             CompactionSchedule::Standard
         };
-        let policy = unpack_policy(&mut input)?;
-        let n = u64::unpack(&mut input)?;
-        let max_n = u64::unpack(&mut input)?;
-        let k = u32::unpack(&mut input)?;
-        let num_sections = u32::unpack(&mut input)?;
+        let policy = unpack_policy(input)?;
+        let n = u64::unpack(input)?;
+        let max_n = u64::unpack(input)?;
+        let k = u32::unpack(input)?;
+        let num_sections = u32::unpack(input)?;
         // Every writer moves `k` together with `max_n` (construction,
         // growth, merge), so any other `k` is corruption — and would size
         // every level's reservation.
@@ -311,10 +480,19 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
                 "invalid geometry k={k} (policy gives {policy_k}) sections={num_sections}"
             )));
         }
-        let reseed = u64::unpack(&mut input)?;
-        let min_item = unpack_option::<T>(&mut input)?;
-        let max_item = unpack_option::<T>(&mut input)?;
-        let num_levels = u32::unpack(&mut input)? as usize;
+        // Every writer keeps `max_n` at the first estimate on its ladder
+        // that covers `n`; a merge relies on that ladder.
+        let ladder_max_n = covering_max_n(&policy, schedule, policy.initial_max_n(), n);
+        if max_n != ladder_max_n {
+            return Err(ReqError::CorruptBytes(format!(
+                "max_n {max_n} is not the estimate covering n={n} ({ladder_max_n})"
+            )));
+        }
+        let max_state = max_n / u64::from(k);
+        let reseed = u64::unpack(input)?;
+        let min_item = Option::<T>::unpack(input)?;
+        let max_item = Option::<T>::unpack(input)?;
+        let num_levels = u32::unpack(input)? as usize;
         if num_levels > 64 {
             return Err(ReqError::CorruptBytes(format!(
                 "implausible level count {num_levels}"
@@ -324,35 +502,31 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
         let mut levels = Vec::with_capacity(num_levels);
         let mut weight = 0u128;
         for h in 0..num_levels {
-            let state = u64::unpack(&mut input)?;
-            let compactions = u64::unpack(&mut input)?;
-            let special = u64::unpack(&mut input)?;
-            let level_sections = u32::unpack(&mut input)?;
+            let state = u64::unpack(input)?;
+            let compactions = u64::unpack(input)?;
+            let special = u64::unpack(input)?;
+            let level_sections = u32::unpack(input)?;
+            let absorbed = u64::unpack(input)?;
+            let run_len = u32::unpack(input)? as usize;
             if level_sections == 0 || level_sections > MAX_SECTIONS {
                 return Err(ReqError::CorruptBytes(format!(
                     "level declares {level_sections} sections"
                 )));
             }
-            let absorbed = u64::unpack(&mut input)?;
-            let run_len = u32::unpack(&mut input)? as usize;
-            let len = u32::unpack(&mut input)? as usize;
+            // Observation 20 bounds every schedule state by N/k, and each
+            // absorbed item at level h stands for 2^h stream items.
+            if state > max_state || u128::from(absorbed) << h > u128::from(n) {
+                return Err(ReqError::CorruptBytes(format!(
+                    "level {h} state {state} (max {max_state}) or absorbed {absorbed} \
+                     exceeds what n={n} allows"
+                )));
+            }
+            let buf = Vec::<T>::unpack(input)?;
+            let len = buf.len();
             if run_len > len {
                 return Err(ReqError::CorruptBytes(format!(
                     "run_len {run_len} exceeds level len {len}"
                 )));
-            }
-            // Every item occupies at least one byte; a length beyond the
-            // remaining input is corruption, and pre-allocating it would be
-            // an allocation-of-attacker-chosen-size hazard.
-            if len > input.remaining() {
-                return Err(ReqError::CorruptBytes(format!(
-                    "level claims {len} items but only {} bytes remain",
-                    input.remaining()
-                )));
-            }
-            let mut buf = Vec::with_capacity(len);
-            for _ in 0..len {
-                buf.push(T::unpack(&mut input)?);
             }
             let level = RelativeCompactor::from_parts(
                 &mut arena,
@@ -376,12 +550,6 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
         if weight != u128::from(n) {
             return Err(ReqError::CorruptBytes(format!(
                 "levels weigh {weight}, header n is {n}"
-            )));
-        }
-        if input.has_remaining() {
-            return Err(ReqError::CorruptBytes(format!(
-                "{} trailing bytes",
-                input.remaining()
             )));
         }
         Ok(ReqSketch::from_parts(
@@ -704,10 +872,22 @@ mod tests {
         let header_k = header_n + 8 + 8;
         assert_eq!(good[header_n..header_n + 8], 100_000u64.to_le_bytes());
         assert_eq!(good[header_k..header_k + 4], 12u32.to_le_bytes());
-        // num_levels, then the first level's state, compactions, special
-        let first_level_sections = num_levels_offset(&good) + 4 + 8 * 3;
+        // num_levels, then the first level's state, compactions, special,
+        // sections and absorbed
+        let first_level_state = num_levels_offset(&good) + 4;
+        let first_level_sections = first_level_state + 8 * 3;
+        let first_level_absorbed = first_level_sections + 4;
+        let max_state =
+            u64::from_le_bytes(good[header_n + 8..header_n + 16].try_into().unwrap()) / 12;
         let le32 = |v: u32| v.to_le_bytes().to_vec();
         for (at, value) in [
+            // Flags bits no writer sets.
+            (4 + 1, vec![good[5] | 0x04]),
+            (4 + 1, vec![good[5] | 0x80]),
+            // A schedule state above N/k (Observation 20).
+            (first_level_state, (max_state + 1).to_le_bytes().to_vec()),
+            // More absorbed weight at level 0 than the stream holds.
+            (first_level_absorbed, 100_001u64.to_le_bytes().to_vec()),
             (header_k, le32(3)),
             (header_k, le32(1 << 31)),
             (header_k + 4, le32(u32::MAX)),

@@ -615,11 +615,16 @@ impl<T: Ord> RelativeCompactor<T> {
         acc: RankAccuracy,
     ) {
         self.state.merge(other.state);
-        self.num_compactions += other.num_compactions;
-        self.num_special_compactions += other.num_special_compactions;
-        self.items_sorted += other.items_sorted;
-        self.items_merge_moved += other.items_merge_moved;
-        self.num_adaptations += other.num_adaptations;
+        // Statistics only: saturate rather than trust a decoded counter.
+        self.num_compactions = self.num_compactions.saturating_add(other.num_compactions);
+        self.num_special_compactions = self
+            .num_special_compactions
+            .saturating_add(other.num_special_compactions);
+        self.items_sorted = self.items_sorted.saturating_add(other.items_sorted);
+        self.items_merge_moved = self
+            .items_merge_moved
+            .saturating_add(other.items_merge_moved);
+        self.num_adaptations = self.num_adaptations.saturating_add(other.num_adaptations);
         // Absorbed weights are *additive* (the seamless-merge invariant):
         // the combined history is exactly the two histories, not the items
         // changing buffers now — set directly, overriding the per-run
@@ -679,7 +684,7 @@ impl<T: Ord> RelativeCompactor<T> {
         let protect = Self::even_parity_protect(arena.len(self.slot), protect);
         let outcome = self.compact_above(arena, protect, acc, coin, out, sections);
         self.state.increment();
-        self.num_compactions += 1;
+        self.num_compactions = self.num_compactions.saturating_add(1);
         outcome
     }
 
@@ -705,7 +710,7 @@ impl<T: Ord> RelativeCompactor<T> {
         }
         let outcome = self.compact_above(arena, protect, acc, coin, out, 0);
         self.state.increment();
-        self.num_special_compactions += 1;
+        self.num_special_compactions = self.num_special_compactions.saturating_add(1);
         Some(outcome)
     }
 

@@ -39,7 +39,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::binary::Packable;
+use crate::binary::{unpack_whole, Packable};
 use crate::error::ReqError;
 use crate::sketch::ReqSketch;
 
@@ -144,6 +144,70 @@ pub fn frame(payload: &[u8]) -> Bytes {
     out.freeze()
 }
 
+/// A frame's header: the payload length and the payload's stored CRC.
+///
+/// [`FrameHeader::parse`] is the one place a frame's `len` and `crc32`
+/// fields are read. Every frame reader goes through it with its own
+/// payload bound: [`MAX_FRAME_PAYLOAD`] for files, the wire codec's
+/// smaller message bound for sockets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// Payload bytes that follow the header.
+    pub len: usize,
+    crc: u32,
+}
+
+impl FrameHeader {
+    /// Parse the header at the front of `input`: `Ok(None)` when fewer
+    /// than [`FRAME_HEADER_LEN`] bytes are present, an error when the
+    /// declared payload exceeds `max_payload` — checked before anything is
+    /// allocated for it.
+    pub fn parse(input: &[u8], max_payload: usize) -> Result<Option<Self>, ReqError> {
+        let Some(head) = input.get(..FRAME_HEADER_LEN) else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(head[4..].try_into().expect("4 bytes"));
+        if len > max_payload {
+            return Err(ReqError::CorruptBytes(format!(
+                "frame claims {len} payload bytes (max {max_payload})"
+            )));
+        }
+        Ok(Some(FrameHeader { len, crc }))
+    }
+
+    /// Bytes the whole frame occupies: header plus payload.
+    pub fn frame_len(&self) -> usize {
+        FRAME_HEADER_LEN + self.len
+    }
+
+    /// Check `payload` against the stored checksum.
+    pub fn verify(&self, payload: &[u8]) -> Result<(), ReqError> {
+        let got = crc32(payload);
+        if got != self.crc {
+            return Err(ReqError::CorruptBytes(format!(
+                "frame checksum mismatch: stored {:#010x}, computed {got:#010x}",
+                self.crc
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Verify the frame at the front of `input` in place and borrow its
+/// payload: `Ok(None)` while the frame is incomplete, an error for a
+/// payload over `max_payload` or a checksum mismatch.
+pub fn try_frame(input: &[u8], max_payload: usize) -> Result<Option<&[u8]>, ReqError> {
+    let Some(header) = FrameHeader::parse(input, max_payload)? else {
+        return Ok(None);
+    };
+    let Some(payload) = input.get(FRAME_HEADER_LEN..header.frame_len()) else {
+        return Ok(None);
+    };
+    header.verify(payload)?;
+    Ok(Some(payload))
+}
+
 /// Read one frame from the front of `input`, consuming it and returning
 /// the verified payload.
 ///
@@ -163,32 +227,8 @@ pub fn read_frame(input: &mut Bytes) -> Result<Bytes, ReqError> {
 /// payload; the frame occupies `FRAME_HEADER_LEN + payload.len()` bytes.
 /// Same checks and errors as [`read_frame`], without copying.
 pub fn frame_payload(input: &[u8]) -> Result<&[u8], ReqError> {
-    let Some(head) = input.get(..FRAME_HEADER_LEN) else {
-        return Err(ReqError::CorruptBytes(format!(
-            "frame header needs {FRAME_HEADER_LEN} bytes, have {}",
-            input.len()
-        )));
-    };
-    let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
-    let want_crc = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(ReqError::CorruptBytes(format!(
-            "frame claims {len} payload bytes (max {MAX_FRAME_PAYLOAD})"
-        )));
-    }
-    let Some(payload) = input.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len) else {
-        return Err(ReqError::CorruptBytes(format!(
-            "frame claims {len} payload bytes, only {} remain",
-            input.len() - FRAME_HEADER_LEN
-        )));
-    };
-    let got_crc = crc32(payload);
-    if got_crc != want_crc {
-        return Err(ReqError::CorruptBytes(format!(
-            "frame checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
-        )));
-    }
-    Ok(payload)
+    try_frame(input, MAX_FRAME_PAYLOAD)?
+        .ok_or_else(|| ReqError::CorruptBytes(format!("truncated frame: {} bytes", input.len())))
 }
 
 impl<T: Ord + Clone + Packable> ReqSketch<T> {
@@ -203,15 +243,7 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
     /// frame are rejected; use [`read_frame`] directly to read a sketch out
     /// of a longer stream.
     pub fn from_bytes_framed(data: &[u8]) -> Result<Self, ReqError> {
-        let mut input = Bytes::copy_from_slice(data);
-        let payload = read_frame(&mut input)?;
-        if input.has_remaining() {
-            return Err(ReqError::CorruptBytes(format!(
-                "{} trailing bytes after framed sketch",
-                input.remaining()
-            )));
-        }
-        Self::from_bytes(&payload)
+        Self::from_bytes(&unpack_whole(Bytes::copy_from_slice(data), read_frame)?)
     }
 }
 

@@ -455,9 +455,7 @@ impl<T: Ord + Clone> ReqSketch<T> {
         match self.schedule {
             CompactionSchedule::Standard => {
                 self.special_compact_levels();
-                while self.max_n < target_n {
-                    self.max_n = self.policy.next_max_n(self.max_n);
-                }
+                self.max_n = covering_max_n(&self.policy, self.schedule, self.max_n, target_n);
                 let Params { k, num_sections } = self.policy.params_for(self.max_n);
                 self.k = k;
                 self.num_sections = num_sections;
@@ -468,9 +466,7 @@ impl<T: Ord + Clone> ReqSketch<T> {
                 self.merge_compaction_pass();
             }
             CompactionSchedule::Adaptive => {
-                while self.max_n < target_n {
-                    self.max_n = self.max_n.max(1).saturating_mul(2);
-                }
+                self.max_n = covering_max_n(&self.policy, self.schedule, self.max_n, target_n);
                 let Params { k, .. } = self.policy.params_for(self.max_n);
                 if k != self.k {
                     // `self.num_sections` stays at the policy's initial
@@ -595,6 +591,25 @@ impl<T: Ord + Clone> ReqSketch<T> {
             self.track_min_max(&m);
         }
     }
+}
+
+/// The first stream-length estimate at or above `n` on the ladder that
+/// climbs from `from`: squared per step under the standard schedule (§5),
+/// doubled under the adaptive one. Every sketch keeps its `max_n` at
+/// `covering_max_n(policy, schedule, policy.initial_max_n(), n)`.
+pub(crate) fn covering_max_n(
+    policy: &ParamPolicy,
+    schedule: CompactionSchedule,
+    mut from: u64,
+    n: u64,
+) -> u64 {
+    while from < n {
+        from = match schedule {
+            CompactionSchedule::Standard => policy.next_max_n(from),
+            CompactionSchedule::Adaptive => from.max(1).saturating_mul(2),
+        };
+    }
+    from
 }
 
 impl<T: Ord + Clone> QuantileSketch<T> for ReqSketch<T> {

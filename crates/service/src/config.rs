@@ -7,7 +7,7 @@
 //! the original had. The seed is what makes replay deterministic: a
 //! recovered sketch that re-applies the same batches flips the same coins.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use req_core::binary::Packable;
 use req_core::{CompactionSchedule, ConcurrentReqSketch, OrdF64, ParamPolicy, ReqError, ReqSketch};
 use std::fmt;
@@ -167,64 +167,68 @@ impl TenantConfig {
             .seed(self.seed);
         ConcurrentReqSketch::new(builder, self.shards as usize)
     }
+}
 
-    /// Encode into a WAL/snapshot payload fragment.
-    pub fn encode(&self, out: &mut BytesMut) {
+/// The WAL `Create` record, the `CREATE` message and every snapshot
+/// carry this fragment:
+///
+/// ```text
+/// 0 u8 | k u32 | reserved u64 = 0        (K form)
+/// 1 u8 | eps f64 | delta f64             (EPS/DELTA form)
+/// then: hra bool | schedule u8 (0 standard, 1 adaptive) | shards u32 | seed u64
+/// ```
+///
+/// Decoding rejects a nonzero reserved field and any configuration that
+/// does not build.
+impl Packable for TenantConfig {
+    fn pack(&self, out: &mut BytesMut) {
         match self.accuracy {
             Accuracy::K(k) => {
-                out.put_u8(0);
-                out.put_u32_le(k);
-                out.put_u64_le(0);
+                0u8.pack(out);
+                k.pack(out);
+                0u64.pack(out);
             }
             Accuracy::EpsDelta(eps, delta) => {
-                out.put_u8(1);
-                out.put_u64_le(eps.to_bits());
-                out.put_u64_le(delta.to_bits());
+                1u8.pack(out);
+                eps.pack(out);
+                delta.pack(out);
             }
         }
-        out.put_u8(self.hra as u8);
-        out.put_u8(match self.schedule {
+        self.hra.pack(out);
+        let schedule: u8 = match self.schedule {
             CompactionSchedule::Standard => 0,
             CompactionSchedule::Adaptive => 1,
-        });
-        out.put_u32_le(self.shards);
-        out.put_u64_le(self.seed);
+        };
+        schedule.pack(out);
+        self.shards.pack(out);
+        self.seed.pack(out);
     }
 
-    /// Decode a fragment produced by [`TenantConfig::encode`].
-    pub fn decode(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
         let corrupt = |what: &str| ReqError::CorruptBytes(format!("tenant config: {what}"));
         let accuracy = match u8::unpack(input)? {
             0 => {
                 let k = u32::unpack(input)?;
-                u64::unpack(input)?; // reserved
+                if u64::unpack(input)? != 0 {
+                    return Err(corrupt("nonzero reserved field"));
+                }
                 Accuracy::K(k)
             }
-            1 => {
-                let eps = f64::from_bits(u64::unpack(input)?);
-                let delta = f64::from_bits(u64::unpack(input)?);
-                Accuracy::EpsDelta(eps, delta)
-            }
+            1 => Accuracy::EpsDelta(f64::unpack(input)?, f64::unpack(input)?),
             t => return Err(corrupt(&format!("unknown accuracy tag {t}"))),
         };
-        let hra = match u8::unpack(input)? {
-            0 => false,
-            1 => true,
-            b => return Err(corrupt(&format!("bad hra byte {b}"))),
-        };
+        let hra = bool::unpack(input)?;
         let schedule = match u8::unpack(input)? {
             0 => CompactionSchedule::Standard,
             1 => CompactionSchedule::Adaptive,
             b => return Err(corrupt(&format!("bad schedule byte {b}"))),
         };
-        let shards = u32::unpack(input)?;
-        let seed = u64::unpack(input)?;
         let cfg = TenantConfig {
             accuracy,
             hra,
             schedule,
-            shards,
-            seed,
+            shards: u32::unpack(input)?,
+            seed: u64::unpack(input)?,
         };
         // A config from disk must still name a buildable sketch.
         cfg.build().map_err(|e| corrupt(&e.to_string()))?;
@@ -319,9 +323,9 @@ mod tests {
         ] {
             let cfg = TenantConfig::parse(key, tokens).unwrap();
             let mut out = BytesMut::new();
-            cfg.encode(&mut out);
+            cfg.pack(&mut out);
             let mut input = out.freeze();
-            let back = TenantConfig::decode(&mut input).unwrap();
+            let back = TenantConfig::unpack(&mut input).unwrap();
             assert_eq!(back, cfg, "roundtrip for {tokens:?}");
             assert!(!input.has_remaining());
         }
@@ -377,16 +381,25 @@ mod tests {
     fn decode_rejects_corrupt_fragments() {
         let cfg = TenantConfig::for_key("t");
         let mut out = BytesMut::new();
-        cfg.encode(&mut out);
+        cfg.pack(&mut out);
         let good = out.freeze().to_vec();
         // Truncations and a bad tag byte all reject.
         for cut in 0..good.len() {
             let mut input = Bytes::copy_from_slice(&good[..cut]);
-            assert!(TenantConfig::decode(&mut input).is_err(), "cut {cut}");
+            assert!(TenantConfig::unpack(&mut input).is_err(), "cut {cut}");
         }
         let mut bad = good.clone();
         bad[0] = 7;
         let mut input = Bytes::copy_from_slice(&bad);
-        assert!(TenantConfig::decode(&mut input).is_err());
+        assert!(TenantConfig::unpack(&mut input).is_err());
+        // The K form's reserved u64 (after tag and k) must be zero.
+        assert_eq!(cfg.accuracy, Accuracy::K(32));
+        let mut bad = good.clone();
+        bad[1 + 4] = 1;
+        let mut input = Bytes::copy_from_slice(&bad);
+        assert!(matches!(
+            TenantConfig::unpack(&mut input),
+            Err(ReqError::CorruptBytes(_))
+        ));
     }
 }

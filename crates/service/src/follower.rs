@@ -2,7 +2,7 @@
 //! (follower side). See docs/ARCHITECTURE.md "Cluster layer".
 
 use bytes::Bytes;
-use req_core::frame::FRAME_HEADER_LEN;
+use req_core::frame::{FrameHeader, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 use req_core::ReqError;
 use std::sync::atomic::Ordering;
 
@@ -101,9 +101,8 @@ impl QuantileService {
         buf.truncate(got);
         // The first frame ships whole even past the budget: read the rest
         // of it if the file holds it.
-        if let Some(head) = buf.get(..4) {
-            let first = (FRAME_HEADER_LEN as u64)
-                + u64::from(u32::from_le_bytes(head.try_into().expect("4 bytes")));
+        if let Ok(Some(header)) = FrameHeader::parse(&buf, MAX_FRAME_PAYLOAD) {
+            let first = header.frame_len() as u64;
             if first > buf.len() as u64 && first <= avail {
                 let have = buf.len();
                 buf.resize(first as usize, 0);

@@ -1,10 +1,11 @@
 //! Binary codec — tagged payloads inside [`req_core::frame`] CRC32 frames.
 //!
-//! Every message is one frame: `len u32 LE | crc32 u32 LE | payload`,
-//! where the CRC covers the payload. The payload starts with a one-byte
-//! message tag, then the fields in declaration order, all integers
-//! little-endian, `f64` as raw IEEE-754 bits (bit-exact, NaN payloads
-//! included), strings and vectors length-prefixed with a `u32` count.
+//! Every message is one frame whose payload is a one-byte message tag,
+//! then the message's fields in declaration order, each in its
+//! [`Packable`] layout (see [`req_core::binary`] for the shared rules:
+//! little-endian, `f64` as raw bits, `u32`-counted vectors and strings,
+//! 0/1 presence and bool bytes). Nothing in this module reads or writes a
+//! byte any other way.
 //!
 //! Request tags count `1..=16` in [`Request`] declaration order;
 //! response tags count `1..=17` in [`Response`] declaration order
@@ -20,14 +21,13 @@
 //! decodes to garbage is a *request* fault (the server answers with a
 //! typed [`Response::Err`] and keeps the connection).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use req_core::binary::Packable;
-use req_core::frame::{crc32, write_frame, FRAME_HEADER_LEN};
-use req_core::ReqError;
+use bytes::{Bytes, BytesMut};
+use req_core::binary::{unpack_whole, Packable};
+use req_core::frame::{try_frame, write_frame, FrameHeader, FRAME_HEADER_LEN};
+use req_core::{packable_struct, ReqError};
 use std::io::{BufRead, Read};
 
-use super::{Binary, Codec, ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment};
-use crate::config::TenantConfig;
+use super::{Binary, Codec, ErrorKind, Request, RequestKind, Response, TailSegment};
 use crate::service::TenantStats;
 
 /// Largest accepted frame payload — matches the text codec's
@@ -41,105 +41,6 @@ pub const MAX_MESSAGE_PAYLOAD: usize = 8 * 1024 * 1024;
 /// it ships: tag, `gen`, `offset`, `sealed`, `latest_gen` and the frames'
 /// length prefix.
 pub const TAIL_REPLY_ENVELOPE: usize = 1 + 8 + 8 + 1 + 8 + 4;
-
-fn need(input: &Bytes, n: usize) -> Result<(), ReqError> {
-    if input.remaining() < n {
-        Err(ReqError::CorruptBytes(format!(
-            "truncated message: need {n} more bytes, have {}",
-            input.remaining()
-        )))
-    } else {
-        Ok(())
-    }
-}
-
-fn get_u8(input: &mut Bytes) -> Result<u8, ReqError> {
-    need(input, 1)?;
-    Ok(input.get_u8())
-}
-
-fn get_u32(input: &mut Bytes) -> Result<u32, ReqError> {
-    need(input, 4)?;
-    Ok(input.get_u32_le())
-}
-
-fn get_u64(input: &mut Bytes) -> Result<u64, ReqError> {
-    need(input, 8)?;
-    Ok(input.get_u64_le())
-}
-
-fn get_f64(input: &mut Bytes) -> Result<f64, ReqError> {
-    Ok(f64::from_bits(get_u64(input)?))
-}
-
-fn put_f64s(out: &mut BytesMut, values: &[f64]) {
-    out.put_u32_le(values.len() as u32);
-    for v in values {
-        out.put_u64_le(v.to_bits());
-    }
-}
-
-fn get_f64s(input: &mut Bytes) -> Result<Vec<f64>, ReqError> {
-    let count = get_u32(input)? as usize;
-    // 8 bytes per value must already be present — a huge declared count
-    // with a short payload is corrupt, not an allocation request.
-    need(input, count.saturating_mul(8))?;
-    Ok(take_f64s(input, count, f64::from))
-}
-
-/// Read `count` little-endian `f64`s, each passed through `wrap`, in one
-/// pass over the buffer: an exact-capacity `Vec` and one cursor advance.
-///
-/// # Panics
-/// Panics if fewer than `8 * count` bytes remain; callers check first.
-pub(crate) fn take_f64s<T>(input: &mut Bytes, count: usize, wrap: impl Fn(f64) -> T) -> Vec<T> {
-    let len = count * 8;
-    let values = input.chunk()[..len]
-        .chunks_exact(8)
-        .map(|b| wrap(f64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
-        .collect();
-    input.advance(len);
-    values
-}
-
-fn put_bytes(out: &mut BytesMut, bytes: &[u8]) {
-    out.put_u32_le(bytes.len() as u32);
-    out.put_slice(bytes);
-}
-
-fn get_bytes(input: &mut Bytes) -> Result<Vec<u8>, ReqError> {
-    let count = get_u32(input)? as usize;
-    // The declared length must already be present — a huge count with a
-    // short payload is corrupt, not an allocation request.
-    need(input, count)?;
-    let mut bytes = vec![0u8; count];
-    input.copy_to_slice(&mut bytes);
-    Ok(bytes)
-}
-
-fn put_token(out: &mut BytesMut, token: &Option<IdemToken>) {
-    match token {
-        Some(t) => {
-            out.put_u8(1);
-            out.put_u64_le(t.client_id);
-            out.put_u64_le(t.seq);
-        }
-        None => out.put_u8(0),
-    }
-}
-
-fn get_token(input: &mut Bytes) -> Result<Option<IdemToken>, ReqError> {
-    match get_u8(input)? {
-        0 => Ok(None),
-        1 => Ok(Some(IdemToken {
-            client_id: get_u64(input)?,
-            seq: get_u64(input)?,
-        })),
-        other => Err(ReqError::CorruptBytes(format!(
-            "bad token presence byte {other}"
-        ))),
-    }
-}
 
 const REQ_CREATE: u8 = 1;
 const REQ_ADD: u8 = 2;
@@ -176,189 +77,180 @@ const RESP_MERGED: u8 = 15;
 const RESP_METRICS: u8 = 16;
 const RESP_EVENTS: u8 = 17;
 
-impl ErrorKind {
-    fn wire_byte(self) -> u8 {
-        match self {
-            ErrorKind::Invalid => 1,
-            ErrorKind::Incompatible => 2,
-            ErrorKind::Corrupt => 3,
-            ErrorKind::Io => 4,
-            ErrorKind::Unavailable => 5,
-            ErrorKind::Busy => 6,
-        }
+/// Error kinds on the wire: byte `i + 1` is `ERROR_KINDS[i]`.
+const ERROR_KINDS: [ErrorKind; 6] = [
+    ErrorKind::Invalid,
+    ErrorKind::Incompatible,
+    ErrorKind::Corrupt,
+    ErrorKind::Io,
+    ErrorKind::Unavailable,
+    ErrorKind::Busy,
+];
+
+impl Packable for ErrorKind {
+    fn pack(&self, out: &mut BytesMut) {
+        let at = ERROR_KINDS
+            .iter()
+            .position(|k| k == self)
+            .expect("every kind is listed");
+        (at as u8 + 1).pack(out);
     }
 
-    fn from_wire_byte(b: u8) -> Result<ErrorKind, ReqError> {
-        Ok(match b {
-            1 => ErrorKind::Invalid,
-            2 => ErrorKind::Incompatible,
-            3 => ErrorKind::Corrupt,
-            4 => ErrorKind::Io,
-            5 => ErrorKind::Unavailable,
-            6 => ErrorKind::Busy,
-            other => {
-                return Err(ReqError::CorruptBytes(format!(
-                    "unknown error kind byte {other}"
-                )))
-            }
-        })
+    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+        let byte = u8::unpack(input)?;
+        let kind = ERROR_KINDS.get(usize::from(byte).wrapping_sub(1)).copied();
+        kind.ok_or_else(|| ReqError::CorruptBytes(format!("unknown error kind byte {byte}")))
     }
 }
+
+packable_struct!(TenantStats {
+    n,
+    retained,
+    bytes,
+    k,
+    shards,
+    hra,
+    adaptive,
+    rotation,
+    snapshot_failures,
+    wal_poisoned,
+    shed,
+    read_only,
+});
+
+// See [`TAIL_REPLY_ENVELOPE`].
+packable_struct!(TailSegment {
+    gen,
+    offset,
+    sealed,
+    latest_gen,
+    frames,
+});
 
 fn encode_request_payload(req: &Request, out: &mut BytesMut) {
     match req {
         Request::Create { key, config, token } => {
-            out.put_u8(REQ_CREATE);
+            REQ_CREATE.pack(out);
             key.pack(out);
-            config.encode(out);
-            put_token(out, token);
+            config.pack(out);
+            token.pack(out);
         }
         Request::Add { key, value } => {
-            out.put_u8(REQ_ADD);
+            REQ_ADD.pack(out);
             key.pack(out);
-            out.put_u64_le(value.to_bits());
+            value.pack(out);
         }
         Request::AddBatch { key, values, token } => {
-            out.put_u8(REQ_ADD_BATCH);
+            REQ_ADD_BATCH.pack(out);
             key.pack(out);
-            put_f64s(out, values);
-            put_token(out, token);
+            values.pack(out);
+            token.pack(out);
         }
         Request::Rank { key, value } => {
-            out.put_u8(REQ_RANK);
+            REQ_RANK.pack(out);
             key.pack(out);
-            out.put_u64_le(value.to_bits());
+            value.pack(out);
         }
         Request::Quantile { key, q } => {
-            out.put_u8(REQ_QUANTILE);
+            REQ_QUANTILE.pack(out);
             key.pack(out);
-            out.put_u64_le(q.to_bits());
+            q.pack(out);
         }
         Request::Cdf { key, points } => {
-            out.put_u8(REQ_CDF);
+            REQ_CDF.pack(out);
             key.pack(out);
-            put_f64s(out, points);
+            points.pack(out);
         }
         Request::Stats { key } => {
-            out.put_u8(REQ_STATS);
+            REQ_STATS.pack(out);
             key.pack(out);
         }
-        Request::List => out.put_u8(REQ_LIST),
-        Request::Snapshot => out.put_u8(REQ_SNAPSHOT),
+        Request::List => REQ_LIST.pack(out),
+        Request::Snapshot => REQ_SNAPSHOT.pack(out),
         Request::Drop { key, token } => {
-            out.put_u8(REQ_DROP);
+            REQ_DROP.pack(out);
             key.pack(out);
-            put_token(out, token);
+            token.pack(out);
         }
-        Request::Ping => out.put_u8(REQ_PING),
-        Request::Quit => out.put_u8(REQ_QUIT),
+        Request::Ping => REQ_PING.pack(out),
+        Request::Quit => REQ_QUIT.pack(out),
         Request::Tail {
             gen,
             offset,
             max_bytes,
         } => {
-            out.put_u8(REQ_TAIL);
-            out.put_u64_le(*gen);
-            out.put_u64_le(*offset);
-            out.put_u32_le(*max_bytes);
+            REQ_TAIL.pack(out);
+            gen.pack(out);
+            offset.pack(out);
+            max_bytes.pack(out);
         }
         Request::Merge { key } => {
-            out.put_u8(REQ_MERGE);
+            REQ_MERGE.pack(out);
             key.pack(out);
         }
-        Request::Metrics => out.put_u8(REQ_METRICS),
+        Request::Metrics => REQ_METRICS.pack(out),
         Request::Events { max } => {
-            out.put_u8(REQ_EVENTS);
-            out.put_u32_le(*max);
+            REQ_EVENTS.pack(out);
+            max.pack(out);
         }
     }
 }
 
 fn encode_response_payload(resp: &Response, out: &mut BytesMut) {
     match resp {
-        Response::Created => out.put_u8(RESP_CREATED),
-        Response::Added => out.put_u8(RESP_ADDED),
+        Response::Created => RESP_CREATED.pack(out),
+        Response::Added => RESP_ADDED.pack(out),
         Response::AddedBatch(n) => {
-            out.put_u8(RESP_ADDED_BATCH);
-            out.put_u64_le(*n);
+            RESP_ADDED_BATCH.pack(out);
+            n.pack(out);
         }
         Response::Rank(r) => {
-            out.put_u8(RESP_RANK);
-            out.put_u64_le(*r);
+            RESP_RANK.pack(out);
+            r.pack(out);
         }
         Response::Quantile(q) => {
-            out.put_u8(RESP_QUANTILE);
-            match q {
-                Some(v) => {
-                    out.put_u8(1);
-                    out.put_u64_le(v.to_bits());
-                }
-                None => out.put_u8(0),
-            }
+            RESP_QUANTILE.pack(out);
+            q.pack(out);
         }
         Response::Cdf(points) => {
-            out.put_u8(RESP_CDF);
-            put_f64s(out, points);
+            RESP_CDF.pack(out);
+            points.pack(out);
         }
         Response::Stats(s) => {
-            out.put_u8(RESP_STATS);
-            out.put_u64_le(s.n);
-            out.put_u64_le(s.retained);
-            out.put_u64_le(s.bytes);
-            out.put_u32_le(s.k);
-            out.put_u32_le(s.shards);
-            out.put_u8(s.hra as u8);
-            out.put_u8(s.adaptive as u8);
-            out.put_u64_le(s.rotation);
-            out.put_u64_le(s.snapshot_failures);
-            out.put_u64_le(s.wal_poisoned);
-            out.put_u64_le(s.shed);
-            out.put_u8(s.read_only as u8);
+            RESP_STATS.pack(out);
+            s.pack(out);
         }
         Response::List(keys) => {
-            out.put_u8(RESP_LIST);
-            out.put_u32_le(keys.len() as u32);
-            for key in keys {
-                key.pack(out);
-            }
+            RESP_LIST.pack(out);
+            keys.pack(out);
         }
         Response::Snapshot(generation) => {
-            out.put_u8(RESP_SNAPSHOT);
-            out.put_u64_le(*generation);
+            RESP_SNAPSHOT.pack(out);
+            generation.pack(out);
         }
-        Response::Dropped => out.put_u8(RESP_DROPPED),
-        Response::Pong => out.put_u8(RESP_PONG),
-        Response::Bye => out.put_u8(RESP_BYE),
+        Response::Dropped => RESP_DROPPED.pack(out),
+        Response::Pong => RESP_PONG.pack(out),
+        Response::Bye => RESP_BYE.pack(out),
         Response::Err { kind, msg } => {
-            out.put_u8(RESP_ERR);
-            out.put_u8(kind.wire_byte());
+            RESP_ERR.pack(out);
+            kind.pack(out);
             msg.pack(out);
         }
         Response::Tailed(seg) => {
-            out.put_u8(RESP_TAILED);
-            out.put_u64_le(seg.gen);
-            out.put_u64_le(seg.offset);
-            out.put_u8(seg.sealed as u8);
-            out.put_u64_le(seg.latest_gen);
-            put_bytes(out, &seg.frames);
+            RESP_TAILED.pack(out);
+            seg.pack(out);
         }
         Response::Merged(parts) => {
-            out.put_u8(RESP_MERGED);
-            out.put_u32_le(parts.len() as u32);
-            for part in parts {
-                put_bytes(out, part);
-            }
+            RESP_MERGED.pack(out);
+            parts.pack(out);
         }
         Response::MetricsText(text) => {
-            out.put_u8(RESP_METRICS);
+            RESP_METRICS.pack(out);
             text.pack(out);
         }
         Response::Events(lines) => {
-            out.put_u8(RESP_EVENTS);
-            out.put_u32_le(lines.len() as u32);
-            for line in lines {
-                line.pack(out);
-            }
+            RESP_EVENTS.pack(out);
+            lines.pack(out);
         }
     }
 }
@@ -391,190 +283,113 @@ pub fn encode_response(resp: &Response) -> Bytes {
     out.freeze()
 }
 
-fn finish<T>(value: T, input: &Bytes, what: &str) -> Result<T, ReqError> {
-    if input.has_remaining() {
-        return Err(ReqError::CorruptBytes(format!(
-            "{} trailing bytes after {what}",
-            input.remaining()
-        )));
-    }
-    Ok(value)
-}
-
 /// Decode one request from a deframed payload (the bytes the frame's CRC
 /// covered). Trailing bytes are rejected.
-pub fn decode_request(mut payload: Bytes) -> Result<Request, ReqError> {
-    let tag = get_u8(&mut payload)?;
-    let req = match tag {
-        REQ_CREATE => {
-            let key = String::unpack(&mut payload)?;
-            let config = TenantConfig::decode(&mut payload)?;
-            let token = get_token(&mut payload)?;
-            Request::Create { key, config, token }
-        }
-        REQ_ADD => Request::Add {
-            key: String::unpack(&mut payload)?,
-            value: get_f64(&mut payload)?,
-        },
-        REQ_ADD_BATCH => Request::AddBatch {
-            key: String::unpack(&mut payload)?,
-            values: get_f64s(&mut payload)?,
-            token: get_token(&mut payload)?,
-        },
-        REQ_RANK => Request::Rank {
-            key: String::unpack(&mut payload)?,
-            value: get_f64(&mut payload)?,
-        },
-        REQ_QUANTILE => Request::Quantile {
-            key: String::unpack(&mut payload)?,
-            q: get_f64(&mut payload)?,
-        },
-        REQ_CDF => Request::Cdf {
-            key: String::unpack(&mut payload)?,
-            points: get_f64s(&mut payload)?,
-        },
-        REQ_STATS => Request::Stats {
-            key: String::unpack(&mut payload)?,
-        },
-        REQ_LIST => Request::List,
-        REQ_SNAPSHOT => Request::Snapshot,
-        REQ_DROP => Request::Drop {
-            key: String::unpack(&mut payload)?,
-            token: get_token(&mut payload)?,
-        },
-        REQ_PING => Request::Ping,
-        REQ_QUIT => Request::Quit,
-        REQ_TAIL => Request::Tail {
-            gen: get_u64(&mut payload)?,
-            offset: get_u64(&mut payload)?,
-            max_bytes: get_u32(&mut payload)?,
-        },
-        REQ_MERGE => Request::Merge {
-            key: String::unpack(&mut payload)?,
-        },
-        REQ_METRICS => Request::Metrics,
-        REQ_EVENTS => Request::Events {
-            max: get_u32(&mut payload)?,
-        },
-        other => {
-            return Err(ReqError::CorruptBytes(format!(
-                "unknown request tag {other}"
-            )))
-        }
-    };
-    finish(req, &payload, "request")
+pub fn decode_request(payload: Bytes) -> Result<Request, ReqError> {
+    unpack_whole(payload, |input| {
+        Ok(match u8::unpack(input)? {
+            REQ_CREATE => Request::Create {
+                key: Packable::unpack(input)?,
+                config: Packable::unpack(input)?,
+                token: Packable::unpack(input)?,
+            },
+            REQ_ADD => Request::Add {
+                key: Packable::unpack(input)?,
+                value: Packable::unpack(input)?,
+            },
+            REQ_ADD_BATCH => Request::AddBatch {
+                key: Packable::unpack(input)?,
+                values: Packable::unpack(input)?,
+                token: Packable::unpack(input)?,
+            },
+            REQ_RANK => Request::Rank {
+                key: Packable::unpack(input)?,
+                value: Packable::unpack(input)?,
+            },
+            REQ_QUANTILE => Request::Quantile {
+                key: Packable::unpack(input)?,
+                q: Packable::unpack(input)?,
+            },
+            REQ_CDF => Request::Cdf {
+                key: Packable::unpack(input)?,
+                points: Packable::unpack(input)?,
+            },
+            REQ_STATS => Request::Stats {
+                key: Packable::unpack(input)?,
+            },
+            REQ_LIST => Request::List,
+            REQ_SNAPSHOT => Request::Snapshot,
+            REQ_DROP => Request::Drop {
+                key: Packable::unpack(input)?,
+                token: Packable::unpack(input)?,
+            },
+            REQ_PING => Request::Ping,
+            REQ_QUIT => Request::Quit,
+            REQ_TAIL => Request::Tail {
+                gen: Packable::unpack(input)?,
+                offset: Packable::unpack(input)?,
+                max_bytes: Packable::unpack(input)?,
+            },
+            REQ_MERGE => Request::Merge {
+                key: Packable::unpack(input)?,
+            },
+            REQ_METRICS => Request::Metrics,
+            REQ_EVENTS => Request::Events {
+                max: Packable::unpack(input)?,
+            },
+            other => {
+                return Err(ReqError::CorruptBytes(format!(
+                    "unknown request tag {other}"
+                )))
+            }
+        })
+    })
 }
 
 /// Decode one response from a deframed payload. Trailing bytes are
 /// rejected.
-pub fn decode_response(mut payload: Bytes) -> Result<Response, ReqError> {
-    let tag = get_u8(&mut payload)?;
-    let resp = match tag {
-        RESP_CREATED => Response::Created,
-        RESP_ADDED => Response::Added,
-        RESP_ADDED_BATCH => Response::AddedBatch(get_u64(&mut payload)?),
-        RESP_RANK => Response::Rank(get_u64(&mut payload)?),
-        RESP_QUANTILE => match get_u8(&mut payload)? {
-            0 => Response::Quantile(None),
-            1 => Response::Quantile(Some(get_f64(&mut payload)?)),
+pub fn decode_response(payload: Bytes) -> Result<Response, ReqError> {
+    unpack_whole(payload, |input| {
+        Ok(match u8::unpack(input)? {
+            RESP_CREATED => Response::Created,
+            RESP_ADDED => Response::Added,
+            RESP_ADDED_BATCH => Response::AddedBatch(Packable::unpack(input)?),
+            RESP_RANK => Response::Rank(Packable::unpack(input)?),
+            RESP_QUANTILE => Response::Quantile(Packable::unpack(input)?),
+            RESP_CDF => Response::Cdf(Packable::unpack(input)?),
+            RESP_STATS => Response::Stats(Packable::unpack(input)?),
+            RESP_LIST => Response::List(Packable::unpack(input)?),
+            RESP_SNAPSHOT => Response::Snapshot(Packable::unpack(input)?),
+            RESP_DROPPED => Response::Dropped,
+            RESP_PONG => Response::Pong,
+            RESP_BYE => Response::Bye,
+            RESP_ERR => Response::Err {
+                kind: Packable::unpack(input)?,
+                msg: Packable::unpack(input)?,
+            },
+            RESP_TAILED => Response::Tailed(Packable::unpack(input)?),
+            RESP_MERGED => Response::Merged(Packable::unpack(input)?),
+            RESP_METRICS => Response::MetricsText(Packable::unpack(input)?),
+            RESP_EVENTS => Response::Events(Packable::unpack(input)?),
             other => {
                 return Err(ReqError::CorruptBytes(format!(
-                    "bad quantile presence byte {other}"
+                    "unknown response tag {other}"
                 )))
             }
-        },
-        RESP_CDF => Response::Cdf(get_f64s(&mut payload)?),
-        RESP_STATS => Response::Stats(TenantStats {
-            n: get_u64(&mut payload)?,
-            retained: get_u64(&mut payload)?,
-            bytes: get_u64(&mut payload)?,
-            k: get_u32(&mut payload)?,
-            shards: get_u32(&mut payload)?,
-            hra: get_u8(&mut payload)? != 0,
-            adaptive: get_u8(&mut payload)? != 0,
-            rotation: get_u64(&mut payload)?,
-            snapshot_failures: get_u64(&mut payload)?,
-            wal_poisoned: get_u64(&mut payload)?,
-            shed: get_u64(&mut payload)?,
-            read_only: get_u8(&mut payload)? != 0,
-        }),
-        RESP_LIST => {
-            let count = get_u32(&mut payload)? as usize;
-            // 4 bytes of length prefix per key must already be present.
-            need(&payload, count.saturating_mul(4))?;
-            Response::List(
-                (0..count)
-                    .map(|_| String::unpack(&mut payload))
-                    .collect::<Result<_, _>>()?,
-            )
-        }
-        RESP_SNAPSHOT => Response::Snapshot(get_u64(&mut payload)?),
-        RESP_DROPPED => Response::Dropped,
-        RESP_PONG => Response::Pong,
-        RESP_BYE => Response::Bye,
-        RESP_ERR => Response::Err {
-            kind: ErrorKind::from_wire_byte(get_u8(&mut payload)?)?,
-            msg: String::unpack(&mut payload)?,
-        },
-        RESP_TAILED => Response::Tailed(TailSegment {
-            gen: get_u64(&mut payload)?,
-            offset: get_u64(&mut payload)?,
-            sealed: match get_u8(&mut payload)? {
-                0 => false,
-                1 => true,
-                other => return Err(ReqError::CorruptBytes(format!("bad sealed byte {other}"))),
-            },
-            latest_gen: get_u64(&mut payload)?,
-            frames: get_bytes(&mut payload)?,
-        }),
-        RESP_MERGED => {
-            let count = get_u32(&mut payload)? as usize;
-            // 4 bytes of length prefix per part must already be present.
-            need(&payload, count.saturating_mul(4))?;
-            Response::Merged(
-                (0..count)
-                    .map(|_| get_bytes(&mut payload))
-                    .collect::<Result<_, _>>()?,
-            )
-        }
-        RESP_METRICS => Response::MetricsText(String::unpack(&mut payload)?),
-        RESP_EVENTS => {
-            let count = get_u32(&mut payload)? as usize;
-            // 4 bytes of length prefix per line must already be present.
-            need(&payload, count.saturating_mul(4))?;
-            Response::Events(
-                (0..count)
-                    .map(|_| String::unpack(&mut payload))
-                    .collect::<Result<_, _>>()?,
-            )
-        }
-        other => {
-            return Err(ReqError::CorruptBytes(format!(
-                "unknown response tag {other}"
-            )))
-        }
-    };
-    finish(resp, &payload, "response")
+        })
+    })
 }
 
 /// Blocking read of one frame from `r`, verifying length bound and CRC.
 /// Returns the deframed payload. For event loops, parse incrementally
 /// with [`try_deframe`] instead.
 pub fn read_frame_blocking<R: Read>(r: &mut R) -> Result<Bytes, ReqError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-    let want_crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_MESSAGE_PAYLOAD {
-        return Err(ReqError::CorruptBytes(format!(
-            "frame payload {len} exceeds {MAX_MESSAGE_PAYLOAD} bytes"
-        )));
-    }
-    let mut payload = vec![0u8; len];
+    let mut head = [0u8; FRAME_HEADER_LEN];
+    r.read_exact(&mut head)?;
+    let header = FrameHeader::parse(&head, MAX_MESSAGE_PAYLOAD)?.expect("a whole header");
+    let mut payload = vec![0u8; header.len];
     r.read_exact(&mut payload)?;
-    if crc32(&payload) != want_crc {
-        return Err(ReqError::CorruptBytes("frame checksum mismatch".into()));
-    }
+    header.verify(&payload)?;
     Ok(Bytes::from(payload))
 }
 
@@ -587,27 +402,14 @@ pub fn read_frame_blocking<R: Read>(r: &mut R) -> Result<Bytes, ReqError> {
 /// * `Err(_)` — the stream is unframeable (oversized length or CRC
 ///   mismatch); the connection should be torn down.
 pub fn try_deframe(buf: &[u8], offset: usize) -> Result<Option<(Bytes, usize)>, ReqError> {
-    let avail = &buf[offset..];
-    if avail.len() < FRAME_HEADER_LEN {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(avail[0..4].try_into().unwrap()) as usize;
-    let want_crc = u32::from_le_bytes(avail[4..8].try_into().unwrap());
-    if len > MAX_MESSAGE_PAYLOAD {
-        return Err(ReqError::CorruptBytes(format!(
-            "frame payload {len} exceeds {MAX_MESSAGE_PAYLOAD} bytes"
-        )));
-    }
-    let Some(payload) = avail.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len) else {
-        return Ok(None);
-    };
-    if crc32(payload) != want_crc {
-        return Err(ReqError::CorruptBytes("frame checksum mismatch".into()));
-    }
-    Ok(Some((
-        Bytes::copy_from_slice(payload),
-        FRAME_HEADER_LEN + len,
-    )))
+    Ok(
+        try_frame(&buf[offset..], MAX_MESSAGE_PAYLOAD)?.map(|payload| {
+            (
+                Bytes::copy_from_slice(payload),
+                FRAME_HEADER_LEN + payload.len(),
+            )
+        }),
+    )
 }
 
 impl Codec for Binary {
@@ -624,6 +426,9 @@ impl Codec for Binary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TenantConfig;
+    use crate::protocol::IdemToken;
+    use bytes::BufMut;
     use req_core::frame::read_frame;
 
     fn sample_requests() -> Vec<Request> {
@@ -849,6 +654,26 @@ mod tests {
             decode_request(padded.freeze()),
             Err(ReqError::CorruptBytes(_))
         ));
+        // A STATS reply's flags are bools: any byte but 0/1 is corrupt.
+        let stats = sample_responses()
+            .into_iter()
+            .find(|r| matches!(r, Response::Stats(_)))
+            .unwrap();
+        let payload = read_frame(&mut encode_response(&stats)).unwrap().to_vec();
+        // tag, n, retained, bytes, k, shards | hra, adaptive | rotation,
+        // snapshot_failures, wal_poisoned, shed | read_only
+        for at in [33, 34, 35 + 32] {
+            assert_eq!(payload[at], 1, "flag byte at {at}");
+            let mut bad = payload.clone();
+            bad[at] = 2;
+            assert!(
+                matches!(
+                    decode_response(Bytes::from(bad)),
+                    Err(ReqError::CorruptBytes(_))
+                ),
+                "STATS flag byte 2 at {at} accepted"
+            );
+        }
     }
 
     #[test]

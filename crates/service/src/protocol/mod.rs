@@ -31,7 +31,7 @@ pub mod binary;
 pub mod text;
 
 use bytes::BytesMut;
-use req_core::ReqError;
+use req_core::{packable_struct, ReqError};
 use std::io::BufRead;
 
 use crate::config::TenantConfig;
@@ -44,8 +44,9 @@ use crate::service::TenantStats;
 /// after an ambiguous failure (timeout, dropped connection, crash between
 /// append and reply) is applied **exactly once**.
 ///
-/// Text form is `TOKEN=client_id:seq`; the binary codec appends both
-/// `u64`s behind a presence byte.
+/// Text form is `TOKEN=client_id:seq`. In binary it is `client_id u64 |
+/// seq u64`, behind a presence byte on the wire and behind a tokenized
+/// record tag in the WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IdemToken {
     /// Stable identity of the issuing client (random or configured).
@@ -53,6 +54,8 @@ pub struct IdemToken {
     /// Monotonically increasing per-client mutation counter.
     pub seq: u64,
 }
+
+packable_struct!(IdemToken { client_id, seq });
 
 impl std::fmt::Display for IdemToken {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

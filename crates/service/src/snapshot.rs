@@ -32,9 +32,9 @@
 //! [`Snapshotter`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use req_core::binary::Packable;
+use req_core::binary::{pack_counted, unpack_whole, Packable};
 use req_core::frame::{read_frame, write_frame};
-use req_core::ReqError;
+use req_core::{packable_struct, ReqError};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -144,116 +144,130 @@ fn list_gens(dir: &Path, stem: &str, ext: &str) -> Result<Vec<u64>, ReqError> {
     Ok(gens)
 }
 
-fn encode_tenant(t: &TenantSnapshot) -> Bytes {
-    let mut out = BytesMut::new();
-    t.key.pack(&mut out);
-    t.config.encode(&mut out);
-    out.put_u64_le(t.rotation);
-    out.put_u32_le(t.shards.len() as u32);
-    for shard in &t.shards {
-        out.put_u32_le(shard.len() as u32);
-        out.put_slice(shard);
+/// `key | config | rotation u64 | shards Vec<Vec<u8>>`, with 1–256 shards.
+impl Packable for TenantSnapshot {
+    fn pack(&self, out: &mut BytesMut) {
+        self.key.pack(out);
+        self.config.pack(out);
+        self.rotation.pack(out);
+        self.shards.pack(out);
     }
-    out.freeze()
-}
 
-fn decode_tenant(payload: &[u8]) -> Result<TenantSnapshot, ReqError> {
-    let mut input = Bytes::copy_from_slice(payload);
-    let key = String::unpack(&mut input)?;
-    let config = TenantConfig::decode(&mut input)?;
-    let rotation = u64::unpack(&mut input)?;
-    let shard_count = u32::unpack(&mut input)? as usize;
-    if shard_count == 0 || shard_count > 256 {
-        return Err(ReqError::CorruptBytes(format!(
-            "snapshot tenant `{key}` claims {shard_count} shards"
-        )));
-    }
-    let mut shards = Vec::with_capacity(shard_count);
-    for _ in 0..shard_count {
-        let len = u32::unpack(&mut input)? as usize;
-        if len > input.remaining() {
+    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+        let t = TenantSnapshot {
+            key: Packable::unpack(input)?,
+            config: Packable::unpack(input)?,
+            rotation: Packable::unpack(input)?,
+            shards: Packable::unpack(input)?,
+        };
+        if t.shards.is_empty() || t.shards.len() > 256 {
             return Err(ReqError::CorruptBytes(format!(
-                "snapshot tenant `{key}` shard claims {len} bytes, {} remain",
-                input.remaining()
+                "snapshot tenant `{}` claims {} shards",
+                t.key,
+                t.shards.len()
             )));
         }
-        shards.push(input.copy_to_bytes(len).to_vec());
+        Ok(t)
     }
-    if input.has_remaining() {
-        return Err(ReqError::CorruptBytes(format!(
-            "{} trailing bytes in snapshot tenant `{key}`",
-            input.remaining()
-        )));
-    }
-    Ok(TenantSnapshot {
-        key,
-        config,
-        rotation,
-        shards,
-    })
 }
 
-fn encode_dedup(dedup: &[DedupClientSnapshot]) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_u8(DEDUP_FRAME_TAG);
-    out.put_u32_le(dedup.len() as u32);
-    for client in dedup {
-        out.put_u64_le(client.client_id);
-        out.put_u32_le(client.entries.len() as u32);
-        for (seq, outcome) in &client.entries {
-            out.put_u64_le(*seq);
-            match outcome {
-                AppliedOutcome::Created => {
-                    out.put_u8(1);
-                    out.put_u64_le(0);
-                }
-                AppliedOutcome::Added(n) => {
-                    out.put_u8(2);
-                    out.put_u64_le(*n);
-                }
-                AppliedOutcome::Dropped => {
-                    out.put_u8(3);
-                    out.put_u64_le(0);
-                }
-            }
+/// `tag u8 | n u64`: tag 1 `Created`, 2 `Added(n)`, 3 `Dropped`; `n` is a
+/// reserved zero for the two outcomes that carry no count.
+impl Packable for AppliedOutcome {
+    const MIN_PACKED_LEN: usize = 9;
+
+    fn pack(&self, out: &mut BytesMut) {
+        let (tag, n) = match *self {
+            AppliedOutcome::Created => (1u8, 0),
+            AppliedOutcome::Added(n) => (2, n),
+            AppliedOutcome::Dropped => (3, 0),
+        };
+        tag.pack(out);
+        n.pack(out);
+    }
+
+    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+        let corrupt =
+            |what: String| ReqError::CorruptBytes(format!("snapshot dedup table: {what}"));
+        let tag = u8::unpack(input)?;
+        let n = u64::unpack(input)?;
+        match (tag, n) {
+            (1, 0) => Ok(AppliedOutcome::Created),
+            (2, n) => Ok(AppliedOutcome::Added(n)),
+            (3, 0) => Ok(AppliedOutcome::Dropped),
+            (1 | 3, n) => Err(corrupt(format!("nonzero reserved count {n}"))),
+            (t, _) => Err(corrupt(format!("unknown outcome tag {t}"))),
         }
+    }
+}
+
+packable_struct!(DedupClientSnapshot { client_id, entries });
+
+/// A whole snapshot file's bytes: magic, header frame, one frame per
+/// tenant, and the dedup frame when `dedup` is not empty.
+pub fn encode_snapshot(
+    gen: u64,
+    tenants: &[TenantSnapshot],
+    dedup: &[DedupClientSnapshot],
+) -> Bytes {
+    let mut out = BytesMut::new();
+    out.put_slice(SNAP_MAGIC);
+    let mut header = BytesMut::new();
+    gen.pack(&mut header);
+    (tenants.len() as u32).pack(&mut header);
+    write_frame(&mut out, &header);
+    for t in tenants {
+        let mut payload = BytesMut::new();
+        t.pack(&mut payload);
+        write_frame(&mut out, &payload);
+    }
+    if !dedup.is_empty() {
+        let mut payload = BytesMut::new();
+        DEDUP_FRAME_TAG.pack(&mut payload);
+        pack_counted(dedup, &mut payload);
+        write_frame(&mut out, &payload);
     }
     out.freeze()
 }
 
-fn decode_dedup(mut input: Bytes) -> Result<Vec<DedupClientSnapshot>, ReqError> {
-    let corrupt = |what: &str| ReqError::CorruptBytes(format!("snapshot dedup table: {what}"));
-    if u8::unpack(&mut input)? != DEDUP_FRAME_TAG {
-        return Err(corrupt("bad frame tag"));
+/// Decode and fully validate a snapshot file's bytes, as written by
+/// [`encode_snapshot`].
+pub fn decode_snapshot(mut input: Bytes) -> Result<SnapshotData, ReqError> {
+    if input.chunk().get(..SNAP_MAGIC.len()) != Some(&SNAP_MAGIC[..]) {
+        return Err(ReqError::CorruptBytes("bad snapshot magic".into()));
     }
-    let client_count = u32::unpack(&mut input)? as usize;
-    let mut dedup = Vec::with_capacity(client_count.min(1 << 16));
-    for _ in 0..client_count {
-        let client_id = u64::unpack(&mut input)?;
-        let entry_count = u32::unpack(&mut input)? as usize;
-        // 17 bytes per entry must already be present.
-        if input.remaining() < entry_count.saturating_mul(17) {
-            return Err(corrupt("truncated client entries"));
-        }
-        let mut entries = Vec::with_capacity(entry_count);
-        for _ in 0..entry_count {
-            let seq = u64::unpack(&mut input)?;
-            let tag = u8::unpack(&mut input)?;
-            let n = u64::unpack(&mut input)?;
-            let outcome = match tag {
-                1 => AppliedOutcome::Created,
-                2 => AppliedOutcome::Added(n),
-                3 => AppliedOutcome::Dropped,
-                t => return Err(corrupt(&format!("unknown outcome tag {t}"))),
-            };
-            entries.push((seq, outcome));
-        }
-        dedup.push(DedupClientSnapshot { client_id, entries });
+    input.advance(SNAP_MAGIC.len());
+    let (gen, count) = unpack_whole(read_frame(&mut input)?, <(u64, u32)>::unpack)?;
+    let mut tenants = Vec::new();
+    for _ in 0..count {
+        tenants.push(unpack_whole(
+            read_frame(&mut input)?,
+            TenantSnapshot::unpack,
+        )?);
     }
+    // Anything after the tenants must be exactly one non-empty dedup
+    // frame; pre-dedup (v3) files simply end here.
+    let mut dedup = Vec::new();
     if input.has_remaining() {
-        return Err(corrupt("trailing bytes"));
+        dedup = unpack_whole(read_frame(&mut input)?, |payload| {
+            if u8::unpack(payload)? != DEDUP_FRAME_TAG {
+                return Err(ReqError::CorruptBytes(
+                    "snapshot dedup table: bad frame tag".into(),
+                ));
+            }
+            Vec::<DedupClientSnapshot>::unpack(payload)
+        })?;
+        if dedup.is_empty() || input.has_remaining() {
+            return Err(ReqError::CorruptBytes(
+                "snapshot: an empty dedup table or bytes after it".into(),
+            ));
+        }
     }
-    Ok(dedup)
+    Ok(SnapshotData {
+        gen,
+        tenants,
+        dedup,
+    })
 }
 
 /// Write `snap-<gen>.snap` atomically (tmp + rename). With `fsync`, the
@@ -269,19 +283,7 @@ pub fn write_snapshot(
     fsync: bool,
     faults: Option<&FaultPlane>,
 ) -> Result<PathBuf, ReqError> {
-    let mut out = BytesMut::new();
-    out.put_slice(SNAP_MAGIC);
-    let mut header = BytesMut::new();
-    header.put_u64_le(gen);
-    header.put_u32_le(tenants.len() as u32);
-    write_frame(&mut out, &header);
-    for t in tenants {
-        write_frame(&mut out, &encode_tenant(t));
-    }
-    if !dedup.is_empty() {
-        write_frame(&mut out, &encode_dedup(dedup));
-    }
-
+    let out = encode_snapshot(gen, tenants, dedup);
     let final_path = snapshot_path(dir, gen);
     let tmp_path = final_path.with_extension("snap.tmp");
     {
@@ -302,40 +304,7 @@ pub fn write_snapshot(
 pub fn load_snapshot(path: &Path) -> Result<SnapshotData, ReqError> {
     let mut raw = Vec::new();
     File::open(path)?.read_to_end(&mut raw)?;
-    if raw.len() < SNAP_MAGIC.len() || &raw[..SNAP_MAGIC.len()] != SNAP_MAGIC {
-        return Err(ReqError::CorruptBytes("bad snapshot magic".into()));
-    }
-    let mut input = Bytes::from(raw);
-    input.advance(SNAP_MAGIC.len());
-    let mut header = read_frame(&mut input)?;
-    let gen = u64::unpack(&mut header)?;
-    let count = u32::unpack(&mut header)? as usize;
-    if header.has_remaining() {
-        return Err(ReqError::CorruptBytes("oversized snapshot header".into()));
-    }
-    let mut tenants = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let payload = read_frame(&mut input)?;
-        tenants.push(decode_tenant(&payload)?);
-    }
-    // Anything after the tenants must be exactly one dedup frame;
-    // pre-dedup (v3) files simply end here.
-    let dedup = if input.has_remaining() {
-        decode_dedup(read_frame(&mut input)?)?
-    } else {
-        Vec::new()
-    };
-    if input.has_remaining() {
-        return Err(ReqError::CorruptBytes(format!(
-            "{} trailing bytes after snapshot tenants",
-            input.remaining()
-        )));
-    }
-    Ok(SnapshotData {
-        gen,
-        tenants,
-        dedup,
-    })
+    decode_snapshot(Bytes::from(raw))
 }
 
 /// The newest snapshot that loads in full, if any. Invalid candidates are

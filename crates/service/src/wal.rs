@@ -47,9 +47,9 @@
 //! logged only once an `fsync` covers it, and concurrent appenders share
 //! one (group commit, the only fsync path).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use parking_lot::Mutex;
-use req_core::binary::Packable;
+use req_core::binary::{pack_counted, unpack_whole, Packable};
 use req_core::frame::{frame, read_frame, FRAME_HEADER_LEN};
 use req_core::{OrdF64, ReqError};
 use std::fs::{File, OpenOptions};
@@ -58,7 +58,6 @@ use std::path::{Path, PathBuf};
 
 use crate::config::{TenantConfig, MAX_KEY_LEN};
 use crate::faults::{faulted_op, faulted_write, FaultPlane, FaultSite};
-use crate::protocol::binary::take_f64s;
 use crate::protocol::IdemToken;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -111,45 +110,25 @@ pub enum WalRecord {
     },
 }
 
-/// Key encoding shared by all records (the `String` Packable layout,
-/// without requiring an owned `String`).
-fn pack_key(key: &str, out: &mut BytesMut) {
-    out.put_u32_le(key.len() as u32);
-    out.put_slice(key.as_bytes());
-}
-
 /// Tag selection + token splice shared by all encoders: tokenless records
 /// stay byte-identical to v3; tokened ones use the v4 tag and carry the
 /// token right after it.
 fn put_tag(out: &mut BytesMut, v3_tag: u8, v4_tag: u8, token: &Option<IdemToken>) {
     match token {
-        None => out.put_u8(v3_tag),
+        None => v3_tag.pack(out),
         Some(t) => {
-            out.put_u8(v4_tag);
-            out.put_u64_le(t.client_id);
-            out.put_u64_le(t.seq);
+            v4_tag.pack(out);
+            t.pack(out);
         }
     }
-}
-
-fn get_tagged_token(input: &mut Bytes) -> Result<IdemToken, ReqError> {
-    if input.remaining() < 16 {
-        return Err(ReqError::CorruptBytes(
-            "tokenized WAL record too short for its token".into(),
-        ));
-    }
-    Ok(IdemToken {
-        client_id: input.get_u64_le(),
-        seq: input.get_u64_le(),
-    })
 }
 
 /// Encode a `Create` frame without building a [`WalRecord`].
 pub fn encode_create(key: &str, config: &TenantConfig, token: &Option<IdemToken>) -> Bytes {
     let mut out = BytesMut::new();
     put_tag(&mut out, TAG_CREATE, TAG_CREATE_T, token);
-    pack_key(key, &mut out);
-    config.encode(&mut out);
+    pack_counted(key.as_bytes(), &mut out);
+    config.pack(&mut out);
     frame(&out)
 }
 
@@ -158,11 +137,8 @@ pub fn encode_create(key: &str, config: &TenantConfig, token: &Option<IdemToken>
 pub fn encode_add_batch(key: &str, values: &[OrdF64], token: &Option<IdemToken>) -> Bytes {
     let mut out = BytesMut::with_capacity(1 + 16 + 4 + key.len() + 4 + 8 * values.len());
     put_tag(&mut out, TAG_ADD_BATCH, TAG_ADD_BATCH_T, token);
-    pack_key(key, &mut out);
-    out.put_u32_le(values.len() as u32);
-    for v in values {
-        out.put_u64_le(v.get().to_bits());
-    }
+    pack_counted(key.as_bytes(), &mut out);
+    pack_counted(values, &mut out);
     frame(&out)
 }
 
@@ -170,7 +146,7 @@ pub fn encode_add_batch(key: &str, values: &[OrdF64], token: &Option<IdemToken>)
 pub fn encode_drop(key: &str, token: &Option<IdemToken>) -> Bytes {
     let mut out = BytesMut::new();
     put_tag(&mut out, TAG_DROP, TAG_DROP_T, token);
-    pack_key(key, &mut out);
+    pack_counted(key.as_bytes(), &mut out);
     frame(&out)
 }
 
@@ -196,47 +172,35 @@ impl WalRecord {
     /// Decode one frame payload (consumed, not re-copied — recovery
     /// feeds [`read_frame`] output straight through). Accepts both the
     /// v3 tags (1–3, tokenless) and the v4 tokenized tags (4–6).
-    pub fn decode(mut input: Bytes) -> Result<Self, ReqError> {
-        let tag = u8::unpack(&mut input)?;
-        let token = match tag {
-            TAG_CREATE_T | TAG_ADD_BATCH_T | TAG_DROP_T => Some(get_tagged_token(&mut input)?),
-            _ => None,
-        };
-        let rec = match tag {
-            TAG_CREATE | TAG_CREATE_T => WalRecord::Create {
-                key: String::unpack(&mut input)?,
-                config: TenantConfig::decode(&mut input)?,
-                token,
-            },
-            TAG_ADD_BATCH | TAG_ADD_BATCH_T => {
-                let key = String::unpack(&mut input)?;
-                let count = u32::unpack(&mut input)? as usize;
-                if count * 8 != input.remaining() {
+    pub fn decode(payload: Bytes) -> Result<Self, ReqError> {
+        unpack_whole(payload, |input| {
+            let tag = u8::unpack(input)?;
+            let token = match tag {
+                TAG_CREATE_T | TAG_ADD_BATCH_T | TAG_DROP_T => Some(IdemToken::unpack(input)?),
+                _ => None,
+            };
+            Ok(match tag {
+                TAG_CREATE | TAG_CREATE_T => WalRecord::Create {
+                    key: Packable::unpack(input)?,
+                    config: Packable::unpack(input)?,
+                    token,
+                },
+                TAG_ADD_BATCH | TAG_ADD_BATCH_T => WalRecord::AddBatch {
+                    key: Packable::unpack(input)?,
+                    values: Packable::unpack(input)?,
+                    token,
+                },
+                TAG_DROP | TAG_DROP_T => WalRecord::Drop {
+                    key: Packable::unpack(input)?,
+                    token,
+                },
+                t => {
                     return Err(ReqError::CorruptBytes(format!(
-                        "add-batch claims {count} values, {} bytes remain",
-                        input.remaining()
-                    )));
+                        "unknown WAL record tag {t}"
+                    )))
                 }
-                let values = take_f64s(&mut input, count, OrdF64);
-                WalRecord::AddBatch { key, values, token }
-            }
-            TAG_DROP | TAG_DROP_T => WalRecord::Drop {
-                key: String::unpack(&mut input)?,
-                token,
-            },
-            t => {
-                return Err(ReqError::CorruptBytes(format!(
-                    "unknown WAL record tag {t}"
-                )))
-            }
-        };
-        if input.has_remaining() {
-            return Err(ReqError::CorruptBytes(format!(
-                "{} trailing bytes in WAL record",
-                input.remaining()
-            )));
-        }
-        Ok(rec)
+            })
+        })
     }
 }
 
@@ -649,6 +613,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = crate::tempdir::unique_dir("wal-unit");
