@@ -111,7 +111,7 @@ pub trait Packable: Sized {
     /// Decode `count` values. The default checks `count` against the
     /// remaining bytes, then unpacks one item at a time.
     fn unpack_slice(input: &mut Bytes, count: usize) -> Result<Vec<Self>, ReqError> {
-        need(input, count.saturating_mul(Self::MIN_PACKED_LEN))?;
+        check_remaining(input, count.saturating_mul(Self::MIN_PACKED_LEN))?;
         let mut items = Vec::with_capacity(count);
         for _ in 0..count {
             items.push(Self::unpack(input)?);
@@ -121,7 +121,7 @@ pub trait Packable: Sized {
 }
 
 /// Fail unless at least `n` bytes remain in `input`.
-fn need(input: &Bytes, n: usize) -> Result<(), ReqError> {
+fn check_remaining(input: &Bytes, n: usize) -> Result<(), ReqError> {
     if input.remaining() < n {
         Err(ReqError::CorruptBytes(format!(
             "need {n} more bytes, have {}",
@@ -156,7 +156,8 @@ pub fn unpack_whole<T>(
 }
 
 /// Implement [`Packable`] for a struct as its fields, in the order
-/// listed — one declaration serves both directions:
+/// listed — one declaration serves both directions. The calling crate
+/// must depend on `bytes`.
 ///
 /// ```
 /// # use req_core::packable_struct;
@@ -180,7 +181,9 @@ macro_rules! packable_struct {
             fn pack(&self, out: &mut ::bytes::BytesMut) {
                 $($crate::binary::Packable::pack(&self.$field, out);)+
             }
-            fn unpack(input: &mut ::bytes::Bytes) -> ::core::result::Result<Self, $crate::ReqError> {
+            fn unpack(
+                input: &mut ::bytes::Bytes,
+            ) -> ::core::result::Result<Self, $crate::ReqError> {
                 ::core::result::Result::Ok(Self {
                     $($field: $crate::binary::Packable::unpack(input)?,)+
                 })
@@ -197,7 +200,7 @@ macro_rules! packable_int {
                 out.$put(*self);
             }
             fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
-                need(input, $size)?;
+                check_remaining(input, $size)?;
                 Ok(input.$get())
             }
         }
@@ -219,7 +222,7 @@ macro_rules! packable_le8 {
                 out.put_u64_le($to_bits(*self));
             }
             fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
-                need(input, 8)?;
+                check_remaining(input, 8)?;
                 Ok($from_bits(input.get_u64_le()))
             }
             fn pack_slice(items: &[Self], out: &mut BytesMut) {
@@ -234,7 +237,7 @@ macro_rules! packable_le8 {
             }
             fn unpack_slice(input: &mut Bytes, count: usize) -> Result<Vec<Self>, ReqError> {
                 let len = count.saturating_mul(8);
-                need(input, len)?;
+                check_remaining(input, len)?;
                 let items = input.chunk()[..len]
                     .chunks_exact(8)
                     .map(|b| $from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
@@ -258,14 +261,14 @@ impl Packable for u8 {
         out.put_u8(*self);
     }
     fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
-        need(input, 1)?;
+        check_remaining(input, 1)?;
         Ok(input.get_u8())
     }
     fn pack_slice(items: &[Self], out: &mut BytesMut) {
         out.put_slice(items);
     }
     fn unpack_slice(input: &mut Bytes, count: usize) -> Result<Vec<Self>, ReqError> {
-        need(input, count)?;
+        check_remaining(input, count)?;
         let items = input.chunk()[..count].to_vec();
         input.advance(count);
         Ok(items)
@@ -926,6 +929,49 @@ mod tests {
             ReqSketch::<u64>::from_bytes(&bad),
             Err(ReqError::CorruptBytes(_))
         ));
+    }
+
+    #[test]
+    fn slice_codecs_match_the_per_item_loop() {
+        fn check<T: Packable + PartialEq + std::fmt::Debug>(items: &[T]) {
+            let mut sliced = BytesMut::new();
+            T::pack_slice(items, &mut sliced);
+            let mut looped = BytesMut::new();
+            for item in items {
+                item.pack(&mut looped);
+            }
+            assert_eq!(sliced, looped);
+            let mut input = sliced.freeze();
+            assert_eq!(T::unpack_slice(&mut input, items.len()).unwrap(), items);
+            assert!(!input.has_remaining());
+        }
+        // Longer than one 64-item encode block, and not a multiple of it.
+        let raw: Vec<u64> = (0..150u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        check(&raw);
+        check(&raw.iter().map(|&b| b as i64).collect::<Vec<_>>());
+        check(
+            &raw.iter()
+                .map(|&b| OrdF64(f64::from_bits(b)))
+                .collect::<Vec<_>>(),
+        );
+        check(&raw.iter().map(|&b| b as u8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn strict_decoding_rejects_bytes_no_writer_produces() {
+        let bytes = |raw: &[u8]| Bytes::copy_from_slice(raw);
+        assert!(bool::unpack(&mut bytes(&[2])).is_err());
+        assert!(Option::<u8>::unpack(&mut bytes(&[2, 0])).is_err());
+        assert_eq!(Option::<u8>::unpack(&mut bytes(&[1, 9])).unwrap(), Some(9));
+        // A count the remaining bytes cannot hold fails before allocating.
+        let mut huge = BytesMut::new();
+        u32::MAX.pack(&mut huge);
+        0u64.pack(&mut huge);
+        assert!(Vec::<u64>::unpack(&mut huge.freeze()).is_err());
+        assert!(unpack_whole(bytes(&[1, 0]), bool::unpack).is_err());
+        assert!(unpack_whole(bytes(&[1]), bool::unpack).unwrap());
     }
 
     #[test]

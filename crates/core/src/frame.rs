@@ -16,6 +16,14 @@
 //! stops at the first invalid frame, which is provably the write the crash
 //! interrupted (see `req-service::wal`).
 //!
+//! [`FrameHeader::parse`] is the only code that reads a header's `len`
+//! and `crc32` fields; every frame reader — [`read_frame`],
+//! [`frame_payload`], [`try_frame`], the wire codec's blocking and
+//! incremental deframers and the `TAIL` server's first-frame peek — goes
+//! through it with its own payload bound: [`MAX_FRAME_PAYLOAD`] (1 GiB)
+//! for files, 8 MiB on the wire. Payloads are [`crate::binary::Packable`]
+//! values.
+//!
 //! The CRC is CRC-32/ISO-HDLC (the zlib/IEEE 802.3 polynomial, reflected,
 //! init/xorout `0xFFFF_FFFF`) computed over the payload only; the length
 //! prefix is implicitly covered because a wrong length misaligns the
@@ -369,6 +377,34 @@ mod tests {
             // error and consume nothing.
             assert!(res.is_err(), "bit flip at byte {byte} accepted");
         }
+    }
+
+    #[test]
+    fn header_parse_is_incremental_and_bounded_per_caller() {
+        let framed = frame(b"payload");
+        for cut in 0..FRAME_HEADER_LEN {
+            assert_eq!(
+                FrameHeader::parse(&framed[..cut], MAX_FRAME_PAYLOAD).unwrap(),
+                None
+            );
+        }
+        let header = FrameHeader::parse(&framed, MAX_FRAME_PAYLOAD)
+            .unwrap()
+            .unwrap();
+        assert_eq!(header.len, 7);
+        assert_eq!(header.frame_len(), framed.len());
+        // Each caller's bound applies before the payload is read.
+        assert!(FrameHeader::parse(&framed, 6).is_err());
+        for cut in 0..framed.len() {
+            assert_eq!(try_frame(&framed[..cut], MAX_FRAME_PAYLOAD).unwrap(), None);
+        }
+        assert_eq!(
+            try_frame(&framed, MAX_FRAME_PAYLOAD).unwrap(),
+            Some(&b"payload"[..])
+        );
+        let mut bad = framed.to_vec();
+        bad[FRAME_HEADER_LEN] ^= 1;
+        assert!(try_frame(&bad, MAX_FRAME_PAYLOAD).is_err());
     }
 
     #[test]

@@ -97,8 +97,10 @@ fn same_but_reseed(a: &[u8], b: &[u8]) -> bool {
         && a[RESEED_AT + 8..] == b[RESEED_AT + 8..]
 }
 
-/// The reads a decoded sketch must answer without a panic.
+/// The reads a decoded sketch must answer without a panic, over levels
+/// that weigh exactly its `n`.
 fn read_everything(s: &ReqSketch<u64>) {
+    assert_eq!(s.len(), s.total_weight(), "n disagrees with the levels");
     let probes = [0, 1, 999, 250_000, 500_000, 999_999, 1_000_003, u64::MAX];
     for y in &probes {
         s.rank(y);

@@ -1,8 +1,9 @@
 //! Per-tenant sketch configuration and service-wide settings.
 //!
 //! A tenant's [`TenantConfig`] is decided once, at `CREATE`, and then
-//! becomes part of the durable record: it is encoded into the WAL's
-//! `Create` record and into every snapshot, so recovery rebuilds each
+//! becomes part of the durable record: its [`Packable`] layout travels in
+//! the `CREATE` message, the WAL's `Create` record and every snapshot, so
+//! recovery rebuilds each
 //! tenant's sharded sketch with exactly the parameters — **and seed** —
 //! the original had. The seed is what makes replay deterministic: a
 //! recovered sketch that re-applies the same batches flips the same coins.

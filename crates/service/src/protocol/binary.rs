@@ -118,7 +118,7 @@ packable_struct!(TenantStats {
     read_only,
 });
 
-// See [`TAIL_REPLY_ENVELOPE`].
+// `TAIL_REPLY_ENVELOPE` counts this layout around `frames`.
 packable_struct!(TailSegment {
     gen,
     offset,

@@ -10,18 +10,22 @@
 //!            | [frame(0xDD | dedup table)]
 //! ```
 //!
-//! Each tenant frame carries `key | config | rotation u64 | shard_count
-//! u32 | (len u32 | sketch bytes)*`. Frames (see [`req_core::frame`]) make
-//! a half-written or bit-rotted snapshot *detectably* invalid: the loader
-//! verifies every checksum and [`latest_valid`] falls back to the newest
-//! snapshot that loads in full.
+//! The header is `(gen u64, tenant_count u32)` and each tenant frame one
+//! [`TenantSnapshot`], both in their [`Packable`] layouts (the shared
+//! rules are in [`req_core::binary`]); [`encode_snapshot`] and
+//! [`decode_snapshot`] are the whole file codec. Frames (see
+//! [`req_core::frame`]) make a half-written or bit-rotted snapshot
+//! *detectably* invalid: the loader verifies every checksum and
+//! [`latest_valid`] falls back to the newest snapshot that loads in full.
 //!
-//! The optional trailing *dedup frame* (first payload byte `0xDD`)
-//! carries the per-client idempotency window — every applied `(client,
-//! seq)` pair with its recorded reply — so exactly-once retry semantics
-//! survive the WAL rotation a snapshot performs. A snapshot with an
-//! empty window omits the frame entirely, which keeps such files
-//! byte-identical to the pre-dedup (v3) layout; the loader accepts both.
+//! The optional trailing *dedup frame* (first payload byte `0xDD`, then a
+//! `Vec<DedupClientSnapshot>`) carries the per-client idempotency window —
+//! every applied `(client, seq)` pair with its recorded reply — so
+//! exactly-once retry semantics survive the WAL rotation a snapshot
+//! performs. A snapshot with an empty window omits the frame entirely,
+//! which keeps such files byte-identical to the pre-dedup (v3) layout; the
+//! loader accepts both, and rejects an empty dedup frame, which no writer
+//! produces.
 //!
 //! Writes go through a `*.tmp` + atomic-rename dance, so a crash mid-write
 //! never shadows the previous good snapshot.

@@ -2,9 +2,10 @@
 //!
 //! Every mutation the service accepts — `CREATE`, `ADD`/`ADDB`, `DROP` —
 //! is appended here *before* it is applied to the in-memory registry, as
-//! one [`req_core::frame`] frame (`len | crc32 | payload`). The file
-//! starts with an 8-byte magic so a stray file is never mistaken for a
-//! log.
+//! one [`req_core::frame`] frame whose payload is a record tag and the
+//! record's fields in their [`Packable`] layouts (the shared rules are in
+//! [`req_core::binary`]). The file starts with an 8-byte magic so a stray
+//! file is never mistaken for a log.
 //!
 //! ```text
 //! "REQWAL1\n" | frame | frame | frame | ...
@@ -127,6 +128,7 @@ fn put_tag(out: &mut BytesMut, v3_tag: u8, v4_tag: u8, token: &Option<IdemToken>
 pub fn encode_create(key: &str, config: &TenantConfig, token: &Option<IdemToken>) -> Bytes {
     let mut out = BytesMut::new();
     put_tag(&mut out, TAG_CREATE, TAG_CREATE_T, token);
+    // Every record's key is the `String` layout, written from a `&str`.
     pack_counted(key.as_bytes(), &mut out);
     config.pack(&mut out);
     frame(&out)

@@ -14,7 +14,7 @@
 //! (magic, frame headers) are mutated as they are.
 
 use bytes::Bytes;
-use req_core::frame::{crc32, read_frame, FRAME_HEADER_LEN};
+use req_core::frame::{crc32, read_frame, FrameHeader, FRAME_HEADER_LEN};
 use req_core::{OrdF64, ReqError};
 use req_service::protocol::binary::{
     decode_request, decode_response, encode_request, encode_response,
@@ -243,9 +243,11 @@ fn payload_ranges(file: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut ranges = Vec::new();
     let mut at = 8; // magic
     while at < file.len() {
-        let len = u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) as usize;
-        ranges.push(at + FRAME_HEADER_LEN..at + FRAME_HEADER_LEN + len);
-        at += FRAME_HEADER_LEN + len;
+        let header = FrameHeader::parse(&file[at..], usize::MAX)
+            .unwrap()
+            .unwrap();
+        ranges.push(at + FRAME_HEADER_LEN..at + header.frame_len());
+        at += header.frame_len();
     }
     ranges
 }

@@ -10,15 +10,15 @@
 # directions and bounds come from BENCHMARK.json (`end_to_end`, or
 # `per_layer` with TRACE=1); each run's last-line JSON is parsed with jq.
 #
-# Writes the workload's entry into $BENCH_OUT (other workloads already in
-# the file are kept) and prints the markdown table for BENCH.md.
+# Every run is `--seconds 40`. Writes the workload's entry into
+# $BENCH_OUT (other workloads already in the file are kept) and prints the
+# markdown table for BENCH.md.
 #
 # Environment:
 #   PAIRED_DIR  scratch root for the exports, builds and run directories
-#               (required; nothing is written under the repository)
+#               (required; nothing else is written outside BENCH_OUT)
+#   BENCH_OUT   result file, e.g. BENCH_prN.json (required)
 #   CHANGE_REV  the change's revision (default HEAD)
-#   BENCH_OUT   result file (default BENCH_paired.json)
-#   SECONDS_PER_RUN  perfbench --seconds (default 40)
 #   TRACE       perfbench --trace, 0 or 1 (default 0)
 #
 # Needs git, cargo (offline), jq and awk.
@@ -30,6 +30,7 @@ if [ "$#" -lt 3 ]; then
     exit 2
 fi
 : "${PAIRED_DIR:?set PAIRED_DIR to a scratch directory}"
+: "${BENCH_OUT:?set BENCH_OUT to the result file, e.g. BENCH_prN.json}"
 mkdir -p "$PAIRED_DIR"
 PAIRED_DIR=$(cd "$PAIRED_DIR" && pwd)
 parent_rev=$1
@@ -37,8 +38,8 @@ workload=$2
 shift 2
 seeds=("$@")
 change_rev=${CHANGE_REV:-HEAD}
-out=${BENCH_OUT:-BENCH_paired.json}
-seconds=${SECONDS_PER_RUN:-40}
+out=$BENCH_OUT
+seconds=40
 trace=${TRACE:-0}
 repo=$(git rev-parse --show-toplevel)
 if [ "$trace" = 1 ]; then
@@ -47,13 +48,18 @@ else
     metric_set=end_to_end
 fi
 
-# Export and build one side; prints the perfbench binary's path.
+# Export and build one side, reusing an earlier export of the same
+# commit; prints the perfbench binary's path.
 build_side() {
-    local side=$1 rev=$2
+    local side=$1 rev
+    rev=$(git -C "$repo" rev-parse "$2^{commit}")
     local src="$PAIRED_DIR/$side/src"
-    rm -rf "$src"
-    mkdir -p "$src"
-    git -C "$repo" archive "$rev" | tar -x -C "$src"
+    if [ "$(cat "$PAIRED_DIR/$side/rev" 2>/dev/null)" != "$rev" ]; then
+        rm -rf "$src"
+        mkdir -p "$src"
+        git -C "$repo" archive "$rev" | tar -x -C "$src"
+        echo "$rev" >"$PAIRED_DIR/$side/rev"
+    fi
     cargo build --release --quiet --offline --manifest-path "$src/perfbench/Cargo.toml" >&2
     echo "$src/perfbench/target/release/perfbench"
 }
@@ -146,17 +152,21 @@ else
 fi
 mv "$out.tmp" "$out"
 
-# The markdown table for BENCH.md.
+# The markdown table for BENCH.md: four significant digits below 1,000,
+# whole numbers above.
+fmt='function f(v) { return v == "" ? "–" : (v >= 1000 || v <= -1000 ? sprintf("%.0f", v) : sprintf("%.4g", v)) }'
 echo
 echo "\`$workload\`, trace $trace, seeds ${seeds[*]}, ${seconds}s per run (parent ${parent_rev}, change ${change_rev})"
 echo
 echo "| metric | parent median [q1, q3] | change median [q1, q3] | change/parent | pairs won | within bound |"
 echo "|---|---|---|---|---|---|"
 jq -r '.metrics | to_entries[] | .value as $v
-    | def fmt(s): if s.median == null then "–" else
-        "\(s.median | . * 1000 | round / 1000) [\(s.q1 | . * 1000 | round / 1000), \(s.q3 | . * 1000 | round / 1000)]" end;
-    "| `\(.key)` (\($v.unit), \($v.better)) | \(fmt($v.parent)) | \(fmt($v.change)) | \(if $v.ratio then ($v.ratio * 1000 | round / 1000) else "–" end) | \($v.pairs_won)/\($v.pairs) | \(if $v.within_bound == null then "–" else $v.within_bound end) |"' \
-    <<<"$entry"
+    | [.key, $v.unit, $v.better, $v.parent.median, $v.parent.q1, $v.parent.q3,
+       $v.change.median, $v.change.q1, $v.change.q3, $v.ratio, $v.pairs_won, $v.pairs,
+       (if $v.within_bound == null then "–" else $v.within_bound end)]
+    | map(if . == null then "" else tostring end) | @tsv' <<<"$entry" |
+    awk -F '\t' "$fmt"' { printf "| `%s` (%s, %s) | %s [%s, %s] | %s [%s, %s] | %s | %s/%s | %s |\n",
+        $1, $2, $3, f($4), f($5), f($6), f($7), f($8), f($9), f($10), $11, $12, $13 }'
 echo
 echo "| seed | side | correct | attempted | failed | rank_err_max | retained_items | state_bytes |"
 echo "|---|---|---|---|---|---|---|---|"
