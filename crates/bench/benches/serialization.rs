@@ -1,8 +1,10 @@
-//! Serialization throughput for the compact binary format (E7).
+//! Serialization throughput for the compact binary format (E7), and the
+//! CRC every frame carries.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use req_bench::bench_items;
+use req_core::frame::crc32;
 use req_core::{QuantileSketch, RankAccuracy, ReqSketch, SpaceUsage};
 
 fn filled(n: usize) -> ReqSketch<u64> {
@@ -45,9 +47,25 @@ fn bench_serialization(c: &mut Criterion) {
     group.finish();
 }
 
+/// `frame::crc32` at the sizes a served request checksums: an `ADDB`
+/// frame of 1,000 values (8 KiB) and one node's `MERGE` reply (75 KiB).
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("frame");
+    for kib in [8usize, 75] {
+        let data: Vec<u8> = (0..kib << 10).map(|i| (i * 167 + 13) as u8).collect();
+        group.throughput(Throughput::Bytes(data.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new("crc32", format!("{kib}KiB")),
+            &data,
+            |b, data| b.iter(|| crc32(black_box(data))),
+        );
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_serialization
+    targets = bench_serialization, bench_crc32
 }
 criterion_main!(benches);

@@ -285,14 +285,43 @@ impl Router {
         merge_wire_parts(&self.gather_parts(key)?)
     }
 
-    /// Every node's serialized shard sketches for `key` (one `MERGE` each).
+    /// Every node's serialized shard sketches for `key` (one `MERGE`
+    /// each), in member order.
+    ///
+    /// The `MERGE` goes out on every node's cached connection before any
+    /// reply is read, so all nodes build their replies at the same time;
+    /// the replies are then read in member order. A node whose send or
+    /// read fails falls back to the one-node path ([`Router::call_on`]):
+    /// the client redials under the [`RetryPolicy`], and a call that still
+    /// fails drops the connection and counts a node error. Every sent
+    /// request's reply is read before the first error is returned, so no
+    /// stale `MERGE` reply is left on a connection for the next call.
     fn gather_parts(&mut self, key: &str) -> Result<Vec<Vec<u8>>, ReqError> {
         let req = Request::Merge {
             key: key.to_string(),
         };
+        let members = self.members().to_vec();
+        let sent: Vec<bool> = members
+            .iter()
+            .map(|name| self.client(name).and_then(|conn| conn.send(&req)).is_ok())
+            .collect();
+        // Read every sent reply before acting on any, so an early return
+        // below leaves none behind.
+        let replies: Vec<Option<Response>> = members
+            .iter()
+            .zip(sent)
+            .map(|(name, sent)| match self.clients.get_mut(name) {
+                Some(conn) if sent => conn.read_response().ok(),
+                _ => None,
+            })
+            .collect();
         let mut parts: Vec<Vec<u8>> = Vec::new();
-        for name in self.members().to_vec() {
-            match self.call_on(&name, &req)?.into_result()? {
+        for (name, reply) in members.iter().zip(replies) {
+            let reply = match reply {
+                Some(reply) => reply,
+                None => self.call_on(name, &req)?,
+            };
+            match reply.into_result()? {
                 Response::Merged(node_parts) => parts.extend(node_parts),
                 other => {
                     return Err(ReqError::InvalidParameter(format!(

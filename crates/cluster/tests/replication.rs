@@ -10,11 +10,12 @@
 //! bytes, the same snapshot bytes, the same serialized sketch state.
 
 use req_cluster::{Cluster, TailShipper};
+use req_core::QuantileSketch;
 use req_evented::{serve_evented, serve_evented_with, EventedOptions};
 use req_service::snapshot::{snapshot_path, wal_path};
 use req_service::tempdir::TempDir;
 use req_service::{
-    ClientApi, FaultKind, FaultPlane, FaultSite, QuantileService, Request, RetryPolicy,
+    ClientApi, FaultKind, FaultPlane, FaultSite, QuantileService, Request, Response, RetryPolicy,
     ServiceConfig, TenantConfig,
 };
 use std::sync::Arc;
@@ -360,4 +361,74 @@ fn late_attached_standby_catches_up_from_scratch() {
         primary.sketch_parts(&key).unwrap()
     );
     assert_eq!(standby.stats(&key).unwrap().n, 3_000);
+}
+
+/// A scatter/gather read that fails on one node still reads the reply it
+/// asked every other node for: the next routed call on a surviving node's
+/// connection gets its own answer, not a leftover `MERGE` reply. Once the
+/// dead node's standby is promoted, the spread tenant reads whole again.
+#[test]
+fn failed_scatter_leaves_no_unread_reply() {
+    let mut cluster = Cluster::start(&["a", "b"], fast_policy()).unwrap();
+    let members = cluster.router().members().to_vec();
+    let (first, second) = (&members[0], &members[1]);
+
+    let spread = "spread";
+    cluster
+        .router()
+        .create_spread(spread, TenantConfig::for_key(spread))
+        .unwrap();
+    let values: Vec<f64> = (0..1_000).map(f64::from).collect();
+    assert_eq!(
+        cluster.router().spread_add_batch(spread, &values).unwrap(),
+        1_000
+    );
+    let routed = (0..)
+        .map(|i| format!("routed-{i}"))
+        .find(|k| cluster.router().node_for(k) == second.as_str())
+        .unwrap();
+    cluster
+        .router()
+        .call(&Request::Create {
+            key: routed.clone(),
+            config: TenantConfig::for_key(&routed),
+            token: None,
+        })
+        .unwrap()
+        .into_result()
+        .unwrap();
+    // Both connections are cached, so the next scatter sends on them.
+    assert!(cluster
+        .router()
+        .merged_quantile(spread, 0.5)
+        .unwrap()
+        .is_some());
+
+    // The first member dies after its standby caught up: a scatter finds
+    // out only when it reads that node, after sending to the second.
+    cluster.drain(first, Duration::from_secs(20)).unwrap();
+    cluster.kill_primary(first).unwrap();
+    assert!(cluster.router().merged_quantile(spread, 0.5).is_err());
+    match cluster
+        .router()
+        .call(&Request::Stats {
+            key: routed.clone(),
+        })
+        .unwrap()
+    {
+        Response::Stats(stats) => assert_eq!(stats.n, 0),
+        Response::Merged(parts) => panic!(
+            "routed STATS on `{second}` read a leftover MERGE reply ({} parts)",
+            parts.len()
+        ),
+        other => panic!("routed STATS on `{second}` answered {other:?}"),
+    }
+
+    cluster.promote(first).unwrap();
+    assert_eq!(cluster.router().merged_sketch(spread).unwrap().len(), 1_000);
+    assert!(cluster
+        .router()
+        .merged_quantile(spread, 0.5)
+        .unwrap()
+        .is_some());
 }

@@ -31,15 +31,30 @@
 //!
 //! Every frame user — the binary wire codec in both directions, WAL
 //! append and recovery, snapshots, `TAIL` validation and follower replay
-//! — checksums every byte it moves, so [`crc32`] runs *slicing-by-16*:
-//! sixteen 256-entry tables, built at compile time, where table `j` maps
-//! a byte to the CRC contribution it makes when `j` zero bytes follow
-//! it. One step folds the running CRC into the first four input bytes
-//! and XORs sixteen independent lookups, consuming 16 bytes per step
-//! instead of one; the sub-16-byte remainder takes the classic
-//! byte-at-a-time loop over table 0. It is plain safe Rust (no SIMD, no
-//! CPU detection) and computes exactly the same CRC-32/ISO-HDLC values,
-//! so the on-disk (WAL, snapshot) and wire formats are unchanged.
+//! — checksums every byte it moves, so [`crc32`] has two kernels that
+//! compute exactly the same CRC-32/ISO-HDLC values:
+//!
+//! * *Carry-less folding* (x86-64 only): four 128-bit lanes fold 64 bytes
+//!   per step with `pclmulqdq`, then fold into one lane together with the
+//!   remaining whole 16-byte blocks. The last 16 folded bytes and the
+//!   sub-16-byte tail finish in the table step. The fold constants are
+//!   `x^n mod P`, computed from the polynomial by a `const fn`. About
+//!   17 GB/s at 8 KiB on a 2-vCPU x86-64 VM, against 1.5 GB/s for the
+//!   table kernel (`cargo bench -p req-bench --bench serialization`).
+//! * *Slicing-by-16*: sixteen 256-entry tables, built at compile time,
+//!   where table `j` maps a byte to the CRC contribution it makes when `j`
+//!   zero bytes follow it. One step folds the running CRC into the first
+//!   four input bytes and XORs sixteen independent lookups, consuming 16
+//!   bytes per step; the sub-16-byte remainder takes the classic
+//!   byte-at-a-time loop over table 0.
+//!
+//! Dispatch: an input of 64 bytes or more (one folding step) runs the
+//! carry-less kernel when `is_x86_feature_detected!` reports `pclmulqdq`
+//! and `sse4.1`. Shorter inputs, CPUs without those features and other
+//! targets run slicing-by-16, which is also the oracle the carry-less
+//! kernel is tested against. The call into the carry-less kernel is this
+//! crate's one `unsafe` block outside the arena. The on-disk (WAL,
+//! snapshot) and wire formats do not depend on which kernel ran.
 //!
 //! [`ReqSketch::to_bytes_framed`]/[`ReqSketch::from_bytes_framed`] wrap the
 //! versioned sketch encoding in one frame — the unit both the snapshot
@@ -92,10 +107,28 @@ const CRC_TABLES: [[u32; 256]; 16] = {
     tables
 };
 
-/// CRC-32/ISO-HDLC (the zlib `crc32`) of `data`, 16 bytes per step.
+/// CRC-32/ISO-HDLC (the zlib `crc32`) of `data`.
+///
+/// Inputs of 64 bytes or more run the carry-less folding kernel when the
+/// CPU has `pclmulqdq` and `sse4.1`; everything else runs the
+/// slicing-by-16 table kernel. Both compute the same value.
 pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = clmul::crc32(data) {
+        return crc;
+    }
+    crc32_table(data)
+}
+
+/// The slicing-by-16 kernel: CRC-32/ISO-HDLC of `data`, 16 bytes per step.
+fn crc32_table(data: &[u8]) -> u32 {
+    !crc32_update(0xFFFF_FFFF, data)
+}
+
+/// Run the reflected CRC register `crc` over `data` (no initial or final
+/// XOR), 16 bytes per step, then the sub-16-byte tail byte by byte.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut blocks = data.chunks_exact(16);
     for block in &mut blocks {
         let b: &[u8; 16] = block.try_into().expect("16-byte block");
@@ -121,7 +154,118 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &byte in blocks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// `x^n mod P` for the CRC-32 polynomial `P = 0x1_04C1_1DB7`, in normal
+/// (most significant bit first) form.
+const fn xn_mod_p(n: u32) -> u32 {
+    let mut r = 1u32;
+    let mut i = 0;
+    while i < n {
+        r = if r & 0x8000_0000 != 0 {
+            (r << 1) ^ 0x04C1_1DB7
+        } else {
+            r << 1
+        };
+        i += 1;
+    }
+    r
+}
+
+/// The carry-less folding kernel on `pclmulqdq`.
+///
+/// Four 128-bit lanes each hold 16 bytes of the message, with the
+/// initial `0xFFFF_FFFF` XORed into the first four. One step folds each
+/// lane 64 bytes forward, multiplying its low and high halves by
+/// `x^n mod P` for the distance each half moves, and XORs in the next 64
+/// bytes. The four lanes then fold into one, 16 bytes at a time, and so
+/// do the remaining whole 16-byte blocks. Every fold keeps the message's
+/// residue mod P, so the last 16 folded bytes followed by the tail (under
+/// 16 bytes) run through the table step from a zero register to the same
+/// CRC as the whole message: no Barrett reduction, no other constants.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_clmulepi64_si128, _mm_extract_epi64, _mm_set_epi64x, _mm_xor_si128,
+    };
+
+    use super::{crc32_update, xn_mod_p};
+
+    /// Shortest input the kernel takes: one 64-byte step of four lanes.
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// A fold constant: `x^n mod P`, bit-reflected to match the lanes and
+    /// shifted left by one, because the carry-less product of two
+    /// bit-reflected operands comes out one bit short of the reflected
+    /// product.
+    const fn fold_constant(n: u32) -> i64 {
+        ((xn_mod_p(n).reverse_bits() as u64) << 1) as i64
+    }
+
+    /// Fold by 64 bytes: the low half moves 544 bits, the high half 480.
+    pub(super) const FOLD_64: (i64, i64) = (fold_constant(544), fold_constant(480));
+    /// Fold by 16 bytes: the low half moves 160 bits, the high half 96.
+    pub(super) const FOLD_16: (i64, i64) = (fold_constant(160), fold_constant(96));
+
+    /// CRC-32/ISO-HDLC of `data` by folding, or `None` when `data` is
+    /// shorter than [`MIN_LEN`] or the CPU lacks `pclmulqdq` or `sse4.1`.
+    #[allow(unsafe_code)]
+    pub(super) fn crc32(data: &[u8]) -> Option<u32> {
+        if data.len() < MIN_LEN
+            || !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1"))
+        {
+            return None;
+        }
+        // SAFETY: `fold` enables exactly `pclmulqdq` and `sse4.1`, and the
+        // CPU was just checked to support both.
+        Some(unsafe { fold(data) })
+    }
+
+    /// 16 message bytes as one lane: byte 0 in the lowest bit.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn lane(block: &[u8]) -> __m128i {
+        let lo = u64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
+        let hi = u64::from_le_bytes(block[8..16].try_into().expect("8 bytes"));
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    /// Move `acc` forward by the distance `k` encodes, then add `next`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_into(acc: __m128i, k: (i64, i64), next: __m128i) -> __m128i {
+        let k = _mm_set_epi64x(k.1, k.0);
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// CRC-32/ISO-HDLC of `data`, at least [`MIN_LEN`] bytes, by folding.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(data: &[u8]) -> u32 {
+        let mut steps = data.chunks_exact(64);
+        let first = steps.next().expect("at least 64 bytes");
+        let mut lanes = [0, 1, 2, 3].map(|i| lane(&first[16 * i..]));
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_set_epi64x(0, 0xFFFF_FFFF));
+        for step in &mut steps {
+            for (i, acc) in lanes.iter_mut().enumerate() {
+                *acc = fold_into(*acc, FOLD_64, lane(&step[16 * i..]));
+            }
+        }
+        let [mut acc, rest @ ..] = lanes;
+        for next in rest {
+            acc = fold_into(acc, FOLD_16, next);
+        }
+        let mut blocks = steps.remainder().chunks_exact(16);
+        for block in &mut blocks {
+            acc = fold_into(acc, FOLD_16, lane(block));
+        }
+        let lo = _mm_extract_epi64::<0>(acc) as u64;
+        let hi = _mm_extract_epi64::<1>(acc) as u64;
+        let mut folded = [0u8; 16];
+        folded[..8].copy_from_slice(&lo.to_le_bytes());
+        folded[8..].copy_from_slice(&hi.to_le_bytes());
+        !crc32_update(crc32_update(0, &folded), blocks.remainder())
+    }
 }
 
 /// Append one frame (`len | crc32 | payload`) to `out`.
@@ -284,12 +428,43 @@ mod tests {
         !crc
     }
 
+    /// Every CRC kernel this host runs on `data`, by name: the table
+    /// kernel always, the carry-less kernel when the CPU has it and
+    /// `data` is long enough for it.
+    fn kernels(data: &[u8]) -> Vec<(&'static str, u32)> {
+        let mut out = vec![("slicing-by-16", crc32_table(data))];
+        #[cfg(target_arch = "x86_64")]
+        out.extend(clmul::crc32(data).map(|crc| ("carry-less", crc)));
+        out
+    }
+
+    fn assert_kernels_match(data: &[u8], what: &str) {
+        let want = crc32_bytewise(data);
+        for (name, got) in kernels(data) {
+            assert_eq!(got, want, "{name} kernel, {what}");
+        }
+        assert_eq!(crc32(data), want, "dispatch, {what}");
+    }
+
+    /// Pseudo-random bytes from a 64-bit LCG.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Any length up to 4 KiB at any of the 16 start offsets inside a
-        /// larger buffer: whole 16-byte blocks, every remainder length and
-        /// every misalignment.
+        /// larger buffer, through every kernel: whole 64- and 16-byte
+        /// steps, every tail length and every misalignment.
         #[test]
         fn crc32_matches_bytewise_reference(
             buf in proptest::collection::vec(any::<u8>(), 4_096 + 16),
@@ -297,22 +472,80 @@ mod tests {
             start in 0usize..16,
         ) {
             let data = &buf[start..start + len];
-            prop_assert_eq!(crc32(data), crc32_bytewise(data), "len {} at {}", len, start);
+            let want = crc32_bytewise(data);
+            for (name, got) in kernels(data) {
+                prop_assert_eq!(got, want, "{} kernel, len {} at {}", name, len, start);
+            }
         }
     }
 
     #[test]
     fn crc32_matches_bytewise_reference_on_every_short_shape() {
-        // Exhaustive over the lengths where block/remainder splits differ
-        // (0..=64 covers 0–4 blocks with every remainder) at every offset.
-        let buf: Vec<u8> = (0..80u32).map(|i| (i * 167 + 13) as u8).collect();
+        // Exhaustive over 0..=320 bytes at every offset: 0–5 four-lane
+        // steps, every count of 16-byte folds after them and every tail
+        // length, plus every table-kernel block/remainder split.
+        let buf: Vec<u8> = (0..336u32).map(|i| (i * 167 + 13) as u8).collect();
         for start in 0..16 {
-            for len in 0..=64 {
+            for len in 0..=320 {
                 let data = &buf[start..start + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "len {len} at {start}");
+                for (name, got) in kernels(data) {
+                    assert_eq!(
+                        got,
+                        crc32_bytewise(data),
+                        "{name} kernel, len {len} at {start}"
+                    );
+                }
             }
         }
-        assert_eq!(crc32(&[0xFF; 4_099]), crc32_bytewise(&[0xFF; 4_099]));
+        assert_kernels_match(&[0xFF; 4_099], "4,099 × 0xFF");
+        // The sizes a served request checksums: a 1,000-value ADDB
+        // frame, one node's MERGE reply, and a long stream.
+        assert_kernels_match(&noise(8_000, 1), "8,000 bytes");
+        assert_kernels_match(&noise(75_169, 2), "75,169 bytes");
+        assert_kernels_match(&noise(1 << 20, 3), "1 MiB");
+    }
+
+    /// Carry-less product of two polynomials over GF(2).
+    fn clmul_u32(a: u32, b: u32) -> u64 {
+        (0..32)
+            .filter(|i| b >> i & 1 == 1)
+            .fold(0, |acc, i| acc ^ (u64::from(a) << i))
+    }
+
+    /// `a mod P`, one bit at a time from the top.
+    fn reduce_mod_p(mut a: u64) -> u32 {
+        const P: u64 = 0x1_04C1_1DB7;
+        for bit in (32..64).rev() {
+            if a >> bit & 1 == 1 {
+                a ^= P << (bit - 32);
+            }
+        }
+        a as u32
+    }
+
+    #[test]
+    fn fold_exponents_are_powers_of_x_mod_p() {
+        assert_eq!(xn_mod_p(0), 1);
+        assert_eq!(xn_mod_p(31), 0x8000_0000);
+        assert_eq!(xn_mod_p(32), 0x04C1_1DB7);
+        for n in [544, 480, 160, 96] {
+            for a in [0, 1, 32, 33, n / 2, n - 64] {
+                let product = clmul_u32(xn_mod_p(a), xn_mod_p(n - a));
+                assert_eq!(
+                    xn_mod_p(n),
+                    reduce_mod_p(product),
+                    "x^{n} as x^{a} · x^{}",
+                    n - a
+                );
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_constants_are_reflected_and_shifted() {
+        assert_eq!(clmul::FOLD_64, (0x1_5444_2BD4, 0x1_C6E4_1596));
+        assert_eq!(clmul::FOLD_16, (0x1_7519_97D0, 0xCCAA_009E));
     }
 
     #[test]

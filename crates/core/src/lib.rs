@@ -104,7 +104,9 @@
 // Unsafe is denied everywhere except the arena module, whose branchless
 // merge/emit kernels are the one place raw-pointer work buys the ingest
 // path its memory-bandwidth budget (each unsafe block there documents its
-// invariants and is covered by the byte-identity proptests).
+// invariants and is covered by the byte-identity proptests), and one
+// block in `frame`: the call into the carry-less CRC kernel, made right
+// after the CPU is checked for the features that kernel enables.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -67,8 +67,9 @@ build_side() {
 # One run, logged to $PAIRED_DIR/<side>/<workload>-<seed>-trace<t>.log;
 # prints one JSON line for the run. The log's last line is perfbench's
 # result JSON; the table rows rank_err_max, retained_items and
-# state_bytes are added under "info". A run that printed no result
-# counts as incorrect.
+# state_bytes are added under "info", and each `gate ok   <name>: ...` or
+# `gate FAIL <name>: ...` line under "gates" as name -> passed. A run
+# that printed no result counts as incorrect, with no gates.
 run_side() {
     local side=$1 bin=$2 seed=$3
     local dir="$PAIRED_DIR/$side/run"
@@ -80,14 +81,19 @@ run_side() {
     local info
     info=$(awk '$1 == "rank_err_max" || $1 == "retained_items" || $1 == "state_bytes" {
         printf "%s\"%s\": %s", (n++ ? ", " : "{"), $1, $2 } END { print (n ? "}" : "{}") }' "$log")
+    local gates
+    gates=$(awk '/^gate (ok  |FAIL) / { rest = substr($0, 11)
+        print substr(rest, 1, index(rest ": ", ": ") - 1) "\t" $2 }' "$log" |
+        jq -Rnc '[inputs | split("\t") | {(.[0]): (.[1] == "ok")}] | add // {}')
     if tail -n 1 "$log" | jq -e '.metrics' >/dev/null 2>&1; then
         tail -n 1 "$log" | jq -c --arg side "$side" --argjson seed "$seed" --argjson info "$info" \
+            --argjson gates "$gates" \
             '{side: $side, seed: $seed, correct, attempted, failed,
-              metrics: (.metrics | map_values(.value)), info: $info}'
+              metrics: (.metrics | map_values(.value)), gates: $gates, info: $info}'
     else
         jq -nc --arg side "$side" --argjson seed "$seed" \
             '{side: $side, seed: $seed, correct: false, attempted: 0, failed: 0,
-              metrics: {}, info: {}}'
+              metrics: {}, gates: {}, info: {}}'
     fi
 }
 
@@ -141,7 +147,7 @@ entry=$(jq -s \
                    elif $m.better == "lower" then $cs.median <= $ps.median * (1 + $m.bound)
                    else $cs.median >= $ps.median * (1 - $m.bound) end)}})
            | from_entries),
-       runs: [$runs[] | {side, seed, correct, attempted, failed, info}]}' "$runs")
+       runs: [$runs[] | {side, seed, correct, attempted, failed, gates, info}]}' "$runs")
 
 key="$workload"
 [ "$trace" = 1 ] && key="$workload-trace"
@@ -168,8 +174,10 @@ jq -r '.metrics | to_entries[] | .value as $v
     awk -F '\t' "$fmt"' { printf "| `%s` (%s, %s) | %s [%s, %s] | %s [%s, %s] | %s | %s/%s | %s |\n",
         $1, $2, $3, f($4), f($5), f($6), f($7), f($8), f($9), f($10), $11, $12, $13 }'
 echo
-echo "| seed | side | correct | attempted | failed | rank_err_max | retained_items | state_bytes |"
-echo "|---|---|---|---|---|---|---|---|"
+echo "| seed | side | correct | attempted | failed | gates | rank_err_max | retained_items | state_bytes |"
+echo "|---|---|---|---|---|---|---|---|---|"
 jq -r '.runs | sort_by(.seed, .side)[]
-    | "| \(.seed) | \(.side) | \(.correct) | \(.attempted) | \(.failed) | \(.info.rank_err_max // "–") | \(.info.retained_items // "–") | \(.info.state_bytes // "–") |"' \
+    | (.gates | length) as $n | [.gates | to_entries[] | select(.value | not) | .key] as $failed
+    | (if $n == 0 then "–" elif $failed == [] then "\($n)/\($n) ok" else $failed | join("; ") end) as $gates
+    | "| \(.seed) | \(.side) | \(.correct) | \(.attempted) | \(.failed) | \($gates) | \(.info.rank_err_max // "–") | \(.info.retained_items // "–") | \(.info.state_bytes // "–") |"' \
     <<<"$entry"
