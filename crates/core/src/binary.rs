@@ -401,8 +401,21 @@ fn unpack_policy(input: &mut Bytes) -> Result<ParamPolicy, ReqError> {
 }
 
 impl<T: Ord + Clone + Packable> ReqSketch<T> {
-    /// Serialize into the versioned binary format.
+    /// Serialize into the versioned binary format. The encoding carries a
+    /// fresh seed drawn from the sketch's RNG, so a sketch decoded from it
+    /// flips different coins than this one goes on to flip.
     pub fn to_bytes(&mut self) -> Bytes {
+        let reseed: u64 = self.rng.gen();
+        self.encode(reseed)
+    }
+
+    /// The bytes [`Self::to_bytes`] would produce now, without advancing
+    /// this sketch's RNG: the reseed is drawn from a copy of it.
+    pub(crate) fn to_bytes_unperturbed(&self) -> Bytes {
+        self.encode(self.rng.clone().gen())
+    }
+
+    fn encode(&self, reseed: u64) -> Bytes {
         let retained: usize = self.levels.iter().map(|l| l.len(&self.arena)).sum();
         let mut out = BytesMut::with_capacity(64 + 16 * retained);
         out.put_slice(MAGIC);
@@ -420,7 +433,6 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
         self.max_n.pack(&mut out);
         self.k.pack(&mut out);
         self.num_sections.pack(&mut out);
-        let reseed: u64 = self.rng.gen();
         reseed.pack(&mut out);
         self.min_item.pack(&mut out);
         self.max_item.pack(&mut out);

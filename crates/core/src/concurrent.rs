@@ -322,20 +322,21 @@ impl<T: Ord + Clone + Packable> ConcurrentReqSketch<T> {
         Ok(parts)
     }
 
-    /// Serialize every shard **read-only**: each shard is cloned under its
-    /// lock and the *clone* is encoded, so — unlike [`Self::checkpoint`] —
-    /// the live shards keep their exact RNG state and epochs. Because a
-    /// clone carries its shard's RNG, the drawn reseed (and therefore every
-    /// byte) is identical to what [`Self::checkpoint`] would produce from
-    /// the same state. That makes this the right entry point wherever the
-    /// sketch must be *observed* without being *perturbed*: serving wire
-    /// `MERGE` queries, and probing primary/follower byte-identity in the
-    /// replication tests — a probe that itself advanced the RNG would
-    /// break the very identity it is checking.
+    /// Serialize every shard **read-only**: each shard is encoded in place
+    /// under its lock, with the reseed drawn from a copy of its RNG, so —
+    /// unlike [`Self::checkpoint`] — the live shards keep their exact RNG
+    /// state and epochs, and nothing is cloned. The copy draws the seed the
+    /// live RNG would draw next, so every byte is identical to what
+    /// [`Self::checkpoint`] would produce from the same state. That makes
+    /// this the right entry point wherever the sketch must be *observed*
+    /// without being *perturbed*: serving wire `MERGE` queries, and probing
+    /// primary/follower byte-identity in the replication tests — a probe
+    /// that itself advanced the RNG would break the very identity it is
+    /// checking.
     pub fn encode_shards(&self) -> Vec<Bytes> {
         self.shards
             .iter()
-            .map(|s| s.lock().clone().to_bytes())
+            .map(|s| s.lock().to_bytes_unperturbed())
             .collect()
     }
 

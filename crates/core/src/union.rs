@@ -19,37 +19,112 @@
 //!
 //! Answers are bit-for-bit those of the union view
 //! ([`SortedView::from_levels`] over every sketch): the smallest retained
-//! `x` with `R̂(x) ≥ clamp(⌈q·W⌉, 1, W)`, where `W` is the summed
-//! [`ReqSketch::total_weight`]. At `q ≤ 0` or NaN a quantile is the exact
-//! minimum over the sketches, and at `q ≥ 1` the exact maximum, as
+//! `x` with `R̂(x) ≥ T`, the target `T = clamp(⌈q·W⌉, 1, W)`, where `W` is
+//! the summed [`ReqSketch::total_weight`]. At `q ≤ 0` or NaN a quantile is
+//! the exact minimum over the sketches, and at `q ≥ 1` the exact maximum, as
 //! [`QuantileSketch::quantile`](sketch_traits::QuantileSketch::quantile)
 //! answers on one sketch.
+//!
+//! # Warm start
+//!
+//! A monitoring reader asks the same few `q` (p50, p99, p99.9) again and
+//! again while values arrive, and a write moves each answer by a few
+//! retained items at most. So a union remembers where its last
+//! `HINTS` (8) distinct `q` landed, and the read cache keeps those hints
+//! across writes. A quantile with a hint `h` for its `q` does not select:
+//!
+//! 1. **Count.** One pass gives `R̂(h)` and `R̂⁻(h)`, the weight of the items
+//!    `< h`: a binary search per sorted run, a step back over the copies of
+//!    `h`, and a scan of each raw tail without copying or sorting it. That is
+//!    about the cost of a [`Union::rank`].
+//! 2. **Decide.** If `R̂⁻(h) < T ≤ R̂(h)`, a copy of `h` is retained and
+//!    every smaller retained item weighs in below `T`: `h` is the answer.
+//! 3. **Walk.** Otherwise the tails are sorted once (as a cold quantile
+//!    sorts them) and the walk steps outward one distinct retained item at
+//!    a time, adding (upward) or removing (downward) the weight of every copy
+//!    of it. Upward it stops at the first `y` with `R̂(y) ≥ T`; downward at
+//!    the first `y` with `R̂⁻(y) < T ≤ R̂(y)`.
+//! 4. **Fall back.** After `WALK_CAP` (16) distinct items without an answer,
+//!    the selection runs over the windows the hint and the walk have
+//!    narrowed, with the weight already below them, so no work is lost.
+//!
+//! The walk evaluates `R̂` exactly at consecutive distinct retained items,
+//! so it returns the smallest retained `x` with `R̂(x) ≥ T`, the same answer
+//! as the selection and the union view. A stale or absurd hint (below the
+//! minimum, above the maximum, never retained) costs time, never an answer.
+//! Every read is charged the comparisons it made, warm or cold.
 //!
 //! A read never mutates a sketch: no tail is folded in place, so serialized
 //! bytes and epochs stay put. Every sketch type reads through a `Union`
 //! under its read cache ([`crate::ReadCacheStats`]), which may hand the
-//! union a cached union view to answer from.
+//! union a cached union view to answer from, and lends it the hints.
 
-use std::cell::{Cell, OnceCell};
+use std::cell::{Cell, OnceCell, RefCell};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::binary::Packable;
 use crate::error::ReqError;
 use crate::sketch::ReqSketch;
-use crate::view::{runs, sorted_tails, LevelSet, Run, SortedView};
+use crate::view::{
+    raw_tails, runs, sorted_runs, sorted_tails, tail_runs, LevelSet, Run, SortedView,
+};
 use sketch_traits::SpaceUsage;
+
+/// Distinct `q` whose answers a read cache keeps as warm-start hints: p50,
+/// p99 and p99.9 with room to spare.
+pub(crate) const HINTS: usize = 8;
+
+/// Distinct retained items the warm walk steps over before it falls back
+/// to the selection over the windows it has narrowed.
+pub(crate) const WALK_CAP: usize = 16;
 
 /// Comparisons to binary-search (or sort) a span of `len` items: `⌈log₂(len + 1)⌉`.
 fn log2_ceil(len: usize) -> u64 {
     u64::from(usize::BITS - len.leading_zeros())
 }
 
+/// Where the last `HINTS` distinct quantiles landed: `(q.to_bits(),
+/// answer)` pairs, most recent last.
+#[derive(Debug, Clone)]
+pub(crate) struct Hints<T>(Vec<(u64, T)>);
+
+impl<T> Default for Hints<T> {
+    fn default() -> Self {
+        Hints(Vec::new())
+    }
+}
+
+impl<T: Clone> Hints<T> {
+    fn get(&self, q: f64) -> Option<&T> {
+        let bits = q.to_bits();
+        self.0
+            .iter()
+            .rev()
+            .find(|(b, _)| *b == bits)
+            .map(|(_, h)| h)
+    }
+
+    /// Remember `answer` for `q`, evicting the least recent `q` when full.
+    fn record(&mut self, q: f64, answer: &T) {
+        let bits = q.to_bits();
+        if let Some(i) = self.0.iter().position(|(b, _)| *b == bits) {
+            self.0.remove(i);
+        } else if self.0.len() == HINTS {
+            self.0.remove(0);
+        }
+        self.0.push((bits, answer.clone()));
+    }
+}
+
 /// A borrowed set of sketches queried as the union of their levels.
 ///
 /// Building one costs nothing; raw tails are copied and sorted on the
-/// first quantile only. Every direct read adds the
+/// first quantile that selects or walks only. Every direct read adds the
 /// comparisons it made to [`Union::comparisons`], which is how the read
 /// cache prices reads against a view build ([`crate::ReadCacheStats`]).
+/// A quantile asked again at the same `q` starts warm from the previous
+/// answer (see the module docs).
 ///
 /// ```
 /// use req_core::union::Union;
@@ -78,6 +153,8 @@ pub struct Union<'a, T> {
     comparisons: Cell<u64>,
     /// The union view the read cache handed over; reads answer from it.
     cached: Option<Arc<SortedView<T>>>,
+    /// Where recent quantiles landed, lent by the read cache.
+    hints: RefCell<Hints<T>>,
 }
 
 impl<'a, T: Ord + Clone> Union<'a, T> {
@@ -92,6 +169,7 @@ impl<'a, T: Ord + Clone> Union<'a, T> {
             tails: OnceCell::new(),
             comparisons: Cell::new(0),
             cached: None,
+            hints: RefCell::default(),
         }
     }
 
@@ -100,6 +178,16 @@ impl<'a, T: Ord + Clone> Union<'a, T> {
     pub(crate) fn answer_from(&mut self, view: Arc<SortedView<T>>) {
         debug_assert_eq!(view.total_weight(), self.total_weight());
         self.cached = Some(view);
+    }
+
+    /// Start quantiles from `hints`, which earlier reads recorded.
+    pub(crate) fn lend_hints(&mut self, hints: Hints<T>) {
+        *self.hints.get_mut() = hints;
+    }
+
+    /// The hints, with every quantile answered since [`Self::lend_hints`].
+    pub(crate) fn take_hints(&self) -> Hints<T> {
+        self.hints.take()
     }
 
     /// `W`: the summed total weight of every retained item.
@@ -191,15 +279,137 @@ impl<'a, T: Ord + Clone> Union<'a, T> {
         if q >= 1.0 {
             return self.max_item().cloned();
         }
-        if let Some(view) = &self.cached {
-            return view.quantile(q).cloned();
-        }
+        let answer = match &self.cached {
+            Some(view) => view.quantile(q).cloned(),
+            None => self.direct_quantile(q),
+        }?;
+        self.hints.borrow_mut().record(q, &answer);
+        Some(answer)
+    }
+
+    /// A quantile off the levels: warm from the hint for `q`, else by
+    /// selection.
+    fn direct_quantile(&self, q: f64) -> Option<T> {
         let total = self.total_weight();
         if total == 0 {
             return None;
         }
         let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let tails = self.tails.get_or_init(|| {
+        let sets = self.level_sets();
+        let hint = self.hints.borrow().get(q).cloned();
+        let mut comparisons = 0;
+        let answer = match hint {
+            Some(hint) => self.warm_quantile(&sets, hint, target, &mut comparisons),
+            None => {
+                let runs = runs(&sets, self.sorted_tails());
+                let hi = runs.iter().map(Run::len).collect();
+                select(&runs, target, vec![0; runs.len()], hi, 0, &mut comparisons).cloned()
+            }
+        };
+        self.charge(comparisons);
+        answer
+    }
+
+    /// The smallest retained `x` with `R̂(x) ≥ target`, searched outward from
+    /// `hint` (steps 1–4 of the module docs).
+    fn warm_quantile(
+        &self,
+        sets: &[LevelSet<'a, T>],
+        hint: T,
+        target: u64,
+        comparisons: &mut u64,
+    ) -> Option<T> {
+        // 1. Count: per sorted run, the items < hint and ≤ hint; per raw
+        // tail, their weights straight off the unsorted appends.
+        let mut runs = sorted_runs(sets);
+        let (mut lt, mut le) = (Vec::new(), Vec::new());
+        let (mut weight_lt, mut weight_le) = (0, 0);
+        for run in &runs {
+            let (l, e) = copies_of(run, &hint, comparisons);
+            weight_lt += run.weight * l as u64;
+            weight_le += run.weight * e as u64;
+            lt.push(l);
+            le.push(e);
+        }
+        for (raw, weight) in raw_tails(sets) {
+            for x in raw {
+                match x.cmp(&hint) {
+                    Ordering::Less => weight_lt += weight,
+                    Ordering::Equal => {}
+                    Ordering::Greater => continue,
+                }
+                weight_le += weight;
+            }
+            *comparisons += raw.len() as u64;
+        }
+        // 2. Decide. `weight_lt < weight_le` means a copy of the hint is
+        // retained, and everything retained below it weighs under the target.
+        if weight_lt < target && target <= weight_le {
+            return Some(hint);
+        }
+        // 3. Walk over the sorted runs and the sorted tail copies.
+        for run in tail_runs(self.sorted_tails()) {
+            let (l, e) = copies_of(&run, &hint, comparisons);
+            lt.push(l);
+            le.push(e);
+            runs.push(run);
+        }
+        if weight_le < target {
+            // Upward: `le[r]` is the first position above everything walked.
+            let mut below = weight_le;
+            for _ in 0..WALK_CAP {
+                let y = runs
+                    .iter()
+                    .zip(&le)
+                    .filter(|&(run, &p)| p < run.len())
+                    .map(|(run, &p)| run.get(p))
+                    .min()
+                    .expect("R̂ reaches W ≥ target at the maximum");
+                *comparisons += 2 * runs.len() as u64;
+                for (r, run) in runs.iter().enumerate() {
+                    while le[r] < run.len() && run.get(le[r]) == y {
+                        below += run.weight;
+                        le[r] += 1;
+                        *comparisons += 1;
+                    }
+                }
+                if below >= target {
+                    return Some(y.clone());
+                }
+            }
+            // 4. Everything walked weighs `below`, under the target.
+            let hi = runs.iter().map(Run::len).collect();
+            return select(&runs, target, le, hi, below, comparisons).cloned();
+        }
+        // Downward: `lt[r]` ends the items below everything walked, which
+        // weigh `at_or_below` = R̂ of the next item down, at least the target.
+        let mut at_or_below = weight_lt;
+        for _ in 0..WALK_CAP {
+            let y = runs
+                .iter()
+                .zip(&lt)
+                .filter_map(|(run, &p)| p.checked_sub(1).map(|p| run.get(p)))
+                .max()
+                .expect("R̂⁻ is 0 < target at the minimum");
+            *comparisons += 2 * runs.len() as u64;
+            for (r, run) in runs.iter().enumerate() {
+                while lt[r] > 0 && run.get(lt[r] - 1) == y {
+                    at_or_below -= run.weight;
+                    lt[r] -= 1;
+                    *comparisons += 1;
+                }
+            }
+            if at_or_below < target {
+                return Some(y.clone());
+            }
+        }
+        // 4. The answer lies below everything walked.
+        select(&runs, target, vec![0; runs.len()], lt, 0, comparisons).cloned()
+    }
+
+    /// Sorted copies of every raw tail, made and charged once per union.
+    fn sorted_tails(&self) -> &[(Vec<T>, u64)] {
+        self.tails.get_or_init(|| {
             let tails = sorted_tails(&self.level_sets());
             let cost = tails
                 .iter()
@@ -207,12 +417,7 @@ impl<'a, T: Ord + Clone> Union<'a, T> {
                 .sum();
             self.charge(cost);
             tails
-        });
-        let runs = runs(&self.level_sets(), tails);
-        let mut comparisons = 0;
-        let answer = select(&runs, target, &mut comparisons).cloned();
-        self.charge(comparisons);
-        answer
+        })
     }
 
     /// Build the union view: one loser tree over every sketch's runs.
@@ -225,22 +430,40 @@ impl<'a, T: Ord + Clone> Union<'a, T> {
     }
 }
 
+/// `(items < p, items ≤ p)` of `run`: a binary search for the items `≤ p`,
+/// then a step back over the copies of `p`.
+fn copies_of<T: Ord>(run: &Run<'_, T>, p: &T, comparisons: &mut u64) -> (usize, usize) {
+    let le = run.count_in(0, run.len(), p, true);
+    let mut lt = le;
+    while lt > 0 && run.get(lt - 1) == p {
+        lt -= 1;
+    }
+    *comparisons += log2_ceil(run.len()) + (le - lt) as u64 + 1;
+    (lt, le)
+}
+
 /// The smallest item `x` of `runs` with `Σ_r w_r·|{y ∈ r : y ≤ x}| ≥ target`
 /// (`1 ≤ target ≤` the runs' total weight), by multi-sequence selection.
 ///
 /// Run `r`'s window is its ascending positions `lo[r]..hi[r]`; items before
 /// a window are below the answer and `below` is their weight, items after it
-/// are above. Each round counts the items `< p` and `≤ p` inside every window
-/// for a pivot `p` drawn from the windows: either `p` is the answer, or every
-/// copy of `p` leaves the windows on the side it belongs to. Pivoting on the
-/// window-length-weighted median of the window middles removes at least a
-/// quarter of the window items per round.
-fn select<'r, T: Ord>(runs: &[Run<'r, T>], target: u64, comparisons: &mut u64) -> Option<&'r T> {
-    let mut lo = vec![0usize; runs.len()];
-    let mut hi: Vec<usize> = runs.iter().map(Run::len).collect();
+/// are above. A cold read starts from whole runs and `below = 0`; a warm
+/// walk that gave up hands over the windows it narrowed. Each round counts
+/// the items `< p` and `≤ p` inside every window for a pivot `p` drawn from
+/// the windows: either `p` is the answer, or every copy of `p` leaves the
+/// windows on the side it belongs to. Pivoting on the window-length-weighted
+/// median of the window middles removes at least a quarter of the window
+/// items per round.
+fn select<'r, T: Ord>(
+    runs: &[Run<'r, T>],
+    target: u64,
+    mut lo: Vec<usize>,
+    mut hi: Vec<usize>,
+    mut below: u64,
+    comparisons: &mut u64,
+) -> Option<&'r T> {
     let mut lt = vec![0usize; runs.len()];
     let mut le = vec![0usize; runs.len()];
-    let mut below = 0u64;
     let mut middles: Vec<(&'r T, usize)> = Vec::with_capacity(runs.len());
     loop {
         middles.clear();
@@ -369,6 +592,83 @@ mod tests {
             assert_eq!(union.quantile(0.0), Some(0));
             assert_eq!(union.quantile(f64::NAN), Some(0));
             assert_eq!(union.quantile(1.0), Some(1_002));
+        }
+    }
+
+    #[test]
+    fn warm_starts_equal_cold_selection_from_any_hint() {
+        // Even items only, so every odd value is a non-retained hint
+        // between two items, and 0 lies below the minimum.
+        let spread: Vec<u64> = (0..3_000u64).map(|i| 2 + i * 7 % 1_003 * 2).collect();
+        let dups: Vec<u64> = (0..1_234u64).map(|i| 2 + i % 17 * 2).collect();
+        for acc in [RankAccuracy::LowRank, RankAccuracy::HighRank] {
+            let a = sketch(acc, 1, &spread);
+            let b = sketch(acc, 2, &dups);
+            for parts in [vec![&a, &b], vec![&b]] {
+                let mut union = Union::new(&parts);
+                let view = union.view();
+                let items: Vec<u64> = view.iter().map(|(x, _, _)| *x).collect();
+                let total = union.total_weight();
+                // Every target at and just past a cumulative weight: where
+                // the answer changes and where it does not.
+                let targets = view
+                    .iter()
+                    .flat_map(|(_, _, cum)| [cum, cum + 1])
+                    .filter(|&t| t <= total);
+                for t in targets {
+                    let q = (t as f64 - 0.5) / total as f64;
+                    let far = (q + 0.5) % 1.0;
+                    let cold = Union::new(&parts).quantile(q).unwrap();
+                    let i = items.binary_search(&cold).unwrap();
+                    let hints = [
+                        Some(cold),
+                        i.checked_sub(1).map(|j| items[j]),
+                        items.get(i + 1).copied(),
+                        Some(0),
+                        Some(u64::MAX),
+                        Some(cold + 1),
+                        Some(cold - 1),
+                        Union::new(&parts).quantile(far),
+                    ];
+                    for hint in hints.into_iter().flatten() {
+                        union.lend_hints(Hints(vec![(q.to_bits(), hint)]));
+                        assert_eq!(
+                            union.quantile(q),
+                            Some(cold),
+                            "{acc:?} parts {} target {t} hint {hint}",
+                            parts.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hints_keep_the_most_recent_distinct_quantiles() {
+        let a = sketch(RankAccuracy::LowRank, 1, &(0..5_000u64).collect::<Vec<_>>());
+        let parts = [&a];
+        let union = Union::new(&parts);
+        let q = |i: usize| 0.1 * i as f64 + 0.05;
+        // One more distinct q than fits evicts the first; asking q(2) again
+        // makes it the most recent.
+        for i in 0..=HINTS {
+            union.quantile(q(i));
+        }
+        union.quantile(q(2));
+        // Ends and NaN answer the exact extremes without a hint.
+        union.quantile(0.0);
+        union.quantile(1.0);
+        union.quantile(f64::NAN);
+        let hints = union.take_hints().0;
+        let qs: Vec<f64> = hints.iter().map(|(b, _)| f64::from_bits(*b)).collect();
+        let want: Vec<f64> = [1].into_iter().chain(3..=HINTS).chain([2]).map(q).collect();
+        assert_eq!(qs, want);
+        for (b, answer) in hints {
+            assert_eq!(
+                Some(answer),
+                union.view().quantile(f64::from_bits(b)).copied()
+            );
         }
     }
 

@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use crate::arena::LevelArena;
 use crate::compactor::{RankAccuracy, RelativeCompactor};
 use crate::sketch::ReqSketch;
-use crate::union::Union;
+use crate::union::{Hints, Union};
 
 /// An immutable, sorted, cumulative-weight snapshot of a sketch.
 #[derive(Debug, Clone)]
@@ -195,29 +195,53 @@ pub struct LevelSet<'a, T> {
     pub accuracy: RankAccuracy,
 }
 
-/// Sorted copies of every level's raw tail (the appends after its cold and
-/// warm runs), each with its level weight. A read never sorts a tail in
-/// place: `run_len` is serialized, so folding a tail would change the
-/// sketch's bytes.
-pub(crate) fn sorted_tails<T: Ord + Clone>(sets: &[LevelSet<'_, T>]) -> Vec<(Vec<T>, u64)> {
-    let mut tails = Vec::new();
-    for set in sets {
-        for (h, level) in set.levels.iter().enumerate() {
+/// Every level's non-empty raw tail (the appends after its cold and warm
+/// runs, in arrival order), each with its level weight.
+pub(crate) fn raw_tails<'s, 'a, T>(
+    sets: &'s [LevelSet<'a, T>],
+) -> impl Iterator<Item = (&'a [T], u64)> + 's {
+    sets.iter().flat_map(|set| {
+        set.levels.iter().enumerate().filter_map(|(h, level)| {
             let raw = &level.items(set.arena)[level.run_len(set.arena) + level.warm_len()..];
-            if !raw.is_empty() {
-                let mut t = raw.to_vec();
-                t.sort_unstable();
-                tails.push((t, 1u64 << h));
-            }
-        }
-    }
-    tails
+            (!raw.is_empty()).then_some((raw, 1u64 << h))
+        })
+    })
+}
+
+/// Sorted copies of every level's raw tail ([`raw_tails`]), each with its
+/// level weight. A read never sorts a tail in place: `run_len` is
+/// serialized, so folding a tail would change the sketch's bytes.
+pub(crate) fn sorted_tails<T: Ord + Clone>(sets: &[LevelSet<'_, T>]) -> Vec<(Vec<T>, u64)> {
+    raw_tails(sets)
+        .map(|(raw, weight)| {
+            let mut t = raw.to_vec();
+            t.sort_unstable();
+            (t, weight)
+        })
+        .collect()
 }
 
 /// Every non-empty sorted run of `sets` in ascending external order: each
-/// level's cold and warm runs (read back to front under `HighRank`), then
-/// the sorted `tails` from [`sorted_tails`].
+/// level's cold and warm runs ([`sorted_runs`]), then the sorted `tails`
+/// from [`sorted_tails`].
 pub(crate) fn runs<'a, T>(sets: &[LevelSet<'a, T>], tails: &'a [(Vec<T>, u64)]) -> Vec<Run<'a, T>> {
+    let mut out = sorted_runs(sets);
+    out.extend(tail_runs(tails));
+    out
+}
+
+/// The sorted `tails` from [`sorted_tails`] as ascending runs.
+pub(crate) fn tail_runs<T>(tails: &[(Vec<T>, u64)]) -> impl Iterator<Item = Run<'_, T>> {
+    tails.iter().map(|(t, w)| Run {
+        items: t,
+        reverse: false,
+        weight: *w,
+    })
+}
+
+/// Every level's non-empty cold and warm run, read back to front under
+/// `HighRank` so that each is ascending.
+pub(crate) fn sorted_runs<'a, T>(sets: &[LevelSet<'a, T>]) -> Vec<Run<'a, T>> {
     let mut out = Vec::new();
     for set in sets {
         let reverse = set.accuracy == RankAccuracy::HighRank;
@@ -236,11 +260,6 @@ pub(crate) fn runs<'a, T>(sets: &[LevelSet<'a, T>], tails: &'a [(Vec<T>, u64)]) 
             }
         }
     }
-    out.extend(tails.iter().map(|(t, w)| Run {
-        items: t,
-        reverse: false,
-        weight: *w,
-    }));
     out
 }
 
@@ -374,10 +393,14 @@ fn kway_merge_coalesce<T: Ord + Clone>(runs: Vec<Run<'_, T>>) -> Vec<(T, u64)> {
 /// Price of building a union view, in comparisons per retained entry — the
 /// unit a direct read is charged in ([`Union::comparisons`]). Calibration:
 /// on a 4-shard tenant of 4M values (28,480 retained entries, 2-vCPU
-/// x86-64 VM) one view build took 2.4–2.7 ms, while the direct quantiles
-/// before it averaged 7,000 comparisons in 37–39 µs each. At 16 the build is
-/// priced at about 65 such quantiles (about 2.4 ms of them) or about 125
-/// direct ranks.
+/// x86-64 VM) one view build took 2.4–2.7 ms, while quantiles that select
+/// (a `q` with no warm-start hint) averaged 7,000 comparisons in 37–39 µs
+/// each. At 16 the build is priced at about 65 such quantiles (about 2.4 ms
+/// of them) or about 125 direct ranks. A quantile repeated after a write
+/// starts warm ([`crate::union`]) and is charged about a rank's worth: a
+/// median of about 1,000 comparisons in about 6 µs on the same shape
+/// (31,936 retained, view build 2.6 ms), so about 500 of them, some 3 ms of
+/// reads, pay for a view. The unit still prices time.
 const VIEW_PRICE_PER_ENTRY: u64 = 16;
 
 /// Lifetime counters of a sketch's read cache, the one path every read of a
@@ -394,6 +417,13 @@ const VIEW_PRICE_PER_ENTRY: u64 = 16;
 /// "always build" would on any read/write mix. Prices use no clock and no
 /// configuration, and direct and cached answers are bit-equal, so the
 /// policy never changes an answer.
+///
+/// The cache also keeps where its last few distinct quantiles landed, and
+/// those warm-start hints survive writes and checkpoints: a write drops the
+/// charges and the view, never the hints. A quantile repeated after a write
+/// starts from its hint and is charged what that search cost
+/// ([`crate::union`]). No counter here tells warm from cold reads; both
+/// count as `direct`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadCacheStats {
     /// Points answered straight off the levels.
@@ -405,9 +435,10 @@ pub struct ReadCacheStats {
 }
 
 /// The read cache: what direct reads spent since the sketches were last
-/// seen at their epochs, and the union view once that paid for it. The
-/// state sits behind a `Mutex` (not a `RefCell`) so a read-only sketch
-/// stays `Sync` and can be read from many threads.
+/// seen at their epochs, the union view once that paid for it, and the
+/// quantile hints, which outlive every write. The state sits behind a
+/// `Mutex` (not a `RefCell`) so a read-only sketch stays `Sync` and can be
+/// read from many threads.
 #[derive(Debug)]
 pub(crate) struct ReadCache<T> {
     state: Mutex<CacheState<T>>,
@@ -420,6 +451,9 @@ struct CacheState<T> {
     charged: u64,
     view: Option<Arc<SortedView<T>>>,
     stats: ReadCacheStats,
+    /// Where recent quantiles landed. They outlive writes and checkpoints:
+    /// a hint is only where a quantile starts its search.
+    hints: Hints<T>,
 }
 
 impl<T> ReadCache<T> {
@@ -430,6 +464,7 @@ impl<T> ReadCache<T> {
                 charged: 0,
                 view: None,
                 stats: ReadCacheStats::default(),
+                hints: Hints::default(),
             }),
         }
     }
@@ -441,14 +476,16 @@ impl<T> ReadCache<T> {
 
     /// Forget the epochs the charges and the view belong to, so the next
     /// read of one or more sketches starts over (the sketches were replaced,
-    /// and their reset epochs could collide with the stored ones).
+    /// and their reset epochs could collide with the stored ones). The
+    /// quantile hints stay.
     pub(crate) fn clear(&self) {
         self.state.lock().epochs.clear();
     }
 }
 
 impl<T: Ord + Clone> CacheState<T> {
-    /// Start over unless `sketches` are still at the stored epochs.
+    /// Start over unless `sketches` are still at the stored epochs. The
+    /// quantile hints are kept either way.
     fn sync(&mut self, sketches: &[&ReqSketch<T>]) {
         if !self
             .epochs
@@ -475,7 +512,9 @@ impl<T: Ord + Clone> ReadCache<T> {
     /// directly off their levels or from the cached union view, as the
     /// ski-rental rule of [`ReadCacheStats`] decides. `answer(i, union)`
     /// answers point `i`; the union reads from the view once it holds one.
-    /// A caller that locks its sketches takes those locks before this one.
+    /// The union borrows the quantile hints for the read and hands them
+    /// back with every answer it gave recorded. A caller that locks its
+    /// sketches takes those locks before this one.
     pub(crate) fn read<R>(
         &self,
         sketches: &[&ReqSketch<T>],
@@ -485,6 +524,7 @@ impl<T: Ord + Clone> ReadCache<T> {
         let mut union = Union::new(sketches);
         let mut state = self.state.lock();
         state.sync(sketches);
+        union.lend_hints(std::mem::take(&mut state.hints));
         let mut out = Vec::with_capacity(m);
         let mut per_point = 0;
         for i in 0..m {
@@ -499,6 +539,7 @@ impl<T: Ord + Clone> ReadCache<T> {
                 drop(state);
                 union.answer_from(view);
                 out.extend((i..m).map(|j| answer(j, &union)));
+                self.state.lock().hints = union.take_hints();
                 return out;
             }
             let before = union.comparisons();
@@ -507,6 +548,7 @@ impl<T: Ord + Clone> ReadCache<T> {
             state.charged += per_point;
             state.stats.direct += 1;
         }
+        state.hints = union.take_hints();
         out
     }
 
@@ -522,8 +564,8 @@ impl<T: Ord + Clone> ReadCache<T> {
 }
 
 impl<T: Clone> Clone for ReadCache<T> {
-    /// Clones carry the cached view (an `Arc` clone), charges and counters:
-    /// a cloned sketch keeps its epochs, so they stay valid for it.
+    /// Clones carry the cached view (an `Arc` clone), charges, counters and
+    /// hints: a cloned sketch keeps its epochs, so they stay valid for it.
     fn clone(&self) -> Self {
         ReadCache {
             state: Mutex::new(self.state.lock().clone()),
@@ -644,6 +686,42 @@ mod tests {
         assert_eq!(cache.view(&[&s]).total_weight(), 10_001);
         assert_eq!(view.total_weight(), 10_000);
         assert_eq!(cache.stats(), stats(3, 1_000, 2));
+    }
+
+    #[test]
+    fn a_repeated_quantile_after_a_write_starts_warm() {
+        use sketch_traits::QuantileSketch;
+        let mut s = ReqSketch::<u64>::builder().k(8).seed(1).build().unwrap();
+        let mut next = 0u64;
+        let mut write = |s: &mut ReqSketch<u64>| {
+            let batch: Vec<u64> = (next..next + 1_000).map(|i| i * 7_919 % 100_003).collect();
+            next += 1_000;
+            s.update_batch(&batch);
+        };
+        for _ in 0..100 {
+            write(&mut s);
+        }
+        let cache: ReadCache<u64> = ReadCache::new();
+        // What one quantile read charged, and its answer.
+        let read = |s: &ReqSketch<u64>, q: f64| {
+            let answer = cache.read(&[s], 1, |_, u| u.quantile(q)).remove(0);
+            assert_eq!(answer.as_ref(), s.sorted_view().quantile(q), "q {q}");
+            cache.state.lock().charged
+        };
+        let cold = read(&s, 0.99);
+        for checkpoint in [false, true] {
+            write(&mut s);
+            if checkpoint {
+                cache.clear();
+            }
+            // The hint for 0.99 survived the write (and the cleared epochs);
+            // a q never asked has none and selects.
+            let warm = read(&s, 0.99);
+            assert!(warm * 2 < cold, "warm {warm} vs cold {cold}");
+            write(&mut s);
+            assert!(read(&s, 0.42) > warm);
+        }
+        assert_eq!(cache.stats().builds, 0);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   router answers `MERGE` reads with;
 //! * the §5 growing sketch's ranks and quantiles across its closed and
 //!   active summaries, before and after a burst that builds its cached
-//!   union view.
+//!   union view;
+//! * the monitoring pattern: the same few quantiles asked after every
+//!   write, which start from where they landed before the write.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -325,6 +327,46 @@ proptest! {
                         for q in grid() {
                             prop_assert_eq!(bits(union.quantile(q)), bits(oracle.quantile(q)));
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_quantiles_after_writes_match_the_full_sort_oracle(
+        raw in vec(any::<u64>(), 1..3_000),
+        shape in 0usize..4,
+        ops in vec((0usize..1_000, 0.0f64..1.0), 1..12),
+        seed in any::<u64>(),
+    ) {
+        let stream = shape_stream(shape, &raw);
+        for acc in [RankAccuracy::LowRank, RankAccuracy::HighRank] {
+            for sched in [CompactionSchedule::Standard, CompactionSchedule::Adaptive] {
+                for shards in [1usize, 4] {
+                    let ctx = format!("{acc:?} {sched:?} shards {shards} n {}", stream.len());
+                    let sketch = ConcurrentReqSketch::new(builder(acc, sched, 4, seed), shards)
+                        .expect("valid params");
+                    let mut rest = &stream[..];
+                    let mut i = 0;
+                    while !rest.is_empty() {
+                        let (op, random_q) = ops[i % ops.len()];
+                        let (chunk, tail) = rest.split_at(rest.len().min(1 + op * 37 % 300));
+                        match op % 3 {
+                            0 => chunk.iter().for_each(|&x| sketch.update(x)),
+                            1 => sketch.update_batch(chunk),
+                            _ => sketch.update_batch_in_shard(op, chunk),
+                        }
+                        let oracle = Oracle::of(&sketch);
+                        for q in [0.5, 0.99, 0.999, random_q] {
+                            prop_assert_eq!(
+                                bits(sketch.quantile(q).unwrap()),
+                                bits(oracle.quantile(q)),
+                                "{} op {}: quantile {}", ctx, i, q
+                            );
+                        }
+                        rest = tail;
+                        i += 1;
                     }
                 }
             }

@@ -181,10 +181,11 @@ impl QuantileService {
     }
 
     /// The tenant's serialized per-shard sketches (binary v3), for
-    /// scatter/gather `MERGE` at a router. Encodes *clones* of the live
-    /// shards — byte-identical to what a checkpoint would write, while
-    /// the live RNGs and epochs stay untouched, so serving merge queries
-    /// never perturbs replication byte-identity.
+    /// scatter/gather `MERGE` at a router. Encodes each live shard in place
+    /// under its lock ([`req_core::ConcurrentReqSketch::encode_shards`]) —
+    /// byte-identical to what a checkpoint would write, while the live RNGs
+    /// and epochs stay untouched, so serving merge queries never perturbs
+    /// replication byte-identity.
     pub fn sketch_parts(&self, key: &str) -> Result<Vec<Vec<u8>>, ReqError> {
         Ok(self
             .tenant(key)?
