@@ -96,6 +96,10 @@ impl<T> Default for Hints<T> {
 }
 
 impl<T: Clone> Hints<T> {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
     fn get(&self, q: f64) -> Option<&T> {
         let bits = q.to_bits();
         self.0

@@ -447,24 +447,26 @@ pub(crate) struct ReadCache<T> {
 #[derive(Debug, Clone)]
 struct CacheState<T> {
     /// The sketches' epochs the charges and the view belong to.
-    epochs: Vec<u64>,
+    epochs: Box<[u64]>,
     charged: u64,
     view: Option<Arc<SortedView<T>>>,
     stats: ReadCacheStats,
-    /// Where recent quantiles landed. They outlive writes and checkpoints:
-    /// a hint is only where a quantile starts its search.
-    hints: Hints<T>,
+    /// Where recent quantiles landed, boxed on the first quantile so that
+    /// a sketch's footprint (`size_of`, which `SpaceUsage` counts) does not
+    /// grow. They outlive writes and checkpoints: a hint is only where a
+    /// quantile starts its search.
+    hints: Option<Box<Hints<T>>>,
 }
 
 impl<T> ReadCache<T> {
     pub(crate) fn new() -> Self {
         ReadCache {
             state: Mutex::new(CacheState {
-                epochs: Vec::new(),
+                epochs: Box::default(),
                 charged: 0,
                 view: None,
                 stats: ReadCacheStats::default(),
-                hints: Hints::default(),
+                hints: None,
             }),
         }
     }
@@ -479,7 +481,7 @@ impl<T> ReadCache<T> {
     /// and their reset epochs could collide with the stored ones). The
     /// quantile hints stay.
     pub(crate) fn clear(&self) {
-        self.state.lock().epochs.clear();
+        self.state.lock().epochs = Box::default();
     }
 }
 
@@ -496,6 +498,23 @@ impl<T: Ord + Clone> CacheState<T> {
             self.epochs = sketches.iter().map(|s| s.epoch()).collect();
             self.charged = 0;
             self.view = None;
+        }
+    }
+
+    /// The hints, for a read's union to borrow; their box stays, empty.
+    fn lend_hints(&mut self) -> Hints<T> {
+        self.hints
+            .as_deref_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Take back the hints a read's union borrowed, reusing their box.
+    fn keep_hints(&mut self, hints: Hints<T>) {
+        match self.hints.as_deref_mut() {
+            Some(kept) => *kept = hints,
+            None if !hints.is_empty() => self.hints = Some(Box::new(hints)),
+            None => {}
         }
     }
 
@@ -524,7 +543,7 @@ impl<T: Ord + Clone> ReadCache<T> {
         let mut union = Union::new(sketches);
         let mut state = self.state.lock();
         state.sync(sketches);
-        union.lend_hints(std::mem::take(&mut state.hints));
+        union.lend_hints(state.lend_hints());
         let mut out = Vec::with_capacity(m);
         let mut per_point = 0;
         for i in 0..m {
@@ -539,7 +558,7 @@ impl<T: Ord + Clone> ReadCache<T> {
                 drop(state);
                 union.answer_from(view);
                 out.extend((i..m).map(|j| answer(j, &union)));
-                self.state.lock().hints = union.take_hints();
+                self.state.lock().keep_hints(union.take_hints());
                 return out;
             }
             let before = union.comparisons();
@@ -548,7 +567,7 @@ impl<T: Ord + Clone> ReadCache<T> {
             state.charged += per_point;
             state.stats.direct += 1;
         }
-        state.hints = union.take_hints();
+        state.keep_hints(union.take_hints());
         out
     }
 
