@@ -102,11 +102,7 @@ impl<T: Clone> Hints<T> {
 
     fn get(&self, q: f64) -> Option<&T> {
         let bits = q.to_bits();
-        self.0
-            .iter()
-            .rev()
-            .find(|(b, _)| *b == bits)
-            .map(|(_, h)| h)
+        self.0.iter().find(|(b, _)| *b == bits).map(|(_, h)| h)
     }
 
     /// Remember `answer` for `q`, evicting the least recent `q` when full.
@@ -123,8 +119,8 @@ impl<T: Clone> Hints<T> {
 
 /// A borrowed set of sketches queried as the union of their levels.
 ///
-/// Building one costs nothing; raw tails are copied and sorted on the
-/// first quantile that selects or walks only. Every direct read adds the
+/// Building one costs nothing; raw tails are copied and sorted only on the
+/// first quantile that selects or walks. Every direct read adds the
 /// comparisons it made to [`Union::comparisons`], which is how the read
 /// cache prices reads against a view build ([`crate::ReadCacheStats`]).
 /// A quantile asked again at the same `q` starts warm from the previous
