@@ -103,11 +103,15 @@ impl<T: Ord + Clone> HalvingSketch<T> {
     /// Weighted sorted snapshot for batched queries — a k-way merge of the
     /// per-level sorted runs.
     pub fn sorted_view(&self) -> SortedView<T> {
-        SortedView::from_levels(&[LevelSet {
+        SortedView::from_levels(&[self.level_set()])
+    }
+
+    fn level_set(&self) -> LevelSet<'_, T> {
+        LevelSet {
             levels: &self.levels,
             arena: &self.arena,
             accuracy: self.accuracy,
-        }])
+        }
     }
 
     /// Total weight (equals `n`).
@@ -139,11 +143,7 @@ impl<T: Ord + Clone> QuantileSketch<T> for HalvingSketch<T> {
     }
 
     fn rank(&self, y: &T) -> u64 {
-        self.levels
-            .iter()
-            .enumerate()
-            .map(|(h, l)| (l.count_le_with(&self.arena, y, self.accuracy) as u64) << h)
-            .sum()
+        self.level_set().weight_where(|x| x <= y, &mut 0)
     }
 
     fn quantile(&self, q: f64) -> Option<T> {

@@ -366,50 +366,6 @@ impl<T: Ord> RelativeCompactor<T> {
                 .all(|w| acc.icmp(&w[0], &w[1]) != Ordering::Greater)
     }
 
-    /// Number of stored items `x` with `x ≤ y` (external order — used by rank
-    /// estimation regardless of orientation). `O(len)` scan; prefer
-    /// [`RelativeCompactor::count_le_with`] when the orientation is known.
-    pub fn count_le(&self, arena: &LevelArena<T>, y: &T) -> usize {
-        arena.items(self.slot).iter().filter(|x| *x <= y).count()
-    }
-
-    /// Number of stored items `x` with `x < y`. `O(len)` scan; see
-    /// [`RelativeCompactor::count_lt_with`].
-    pub fn count_lt(&self, arena: &LevelArena<T>, y: &T) -> usize {
-        arena.items(self.slot).iter().filter(|x| *x < y).count()
-    }
-
-    /// Number of stored items `x ≤ y`, binary-searching the cold and warm
-    /// sorted runs (`O(log run + log warm + tail)`); `acc` tells which
-    /// direction the runs are sorted.
-    pub fn count_le_with(&self, arena: &LevelArena<T>, y: &T, acc: RankAccuracy) -> usize {
-        let items = arena.items(self.slot);
-        let run_len = arena.run_len(self.slot);
-        let rw = run_len + self.warm_len;
-        let in_sorted = |s: &[T]| match acc {
-            RankAccuracy::LowRank => s.partition_point(|x| x <= y),
-            RankAccuracy::HighRank => s.len() - s.partition_point(|x| x > y),
-        };
-        in_sorted(&items[..run_len])
-            + in_sorted(&items[run_len..rw])
-            + items[rw..].iter().filter(|x| *x <= y).count()
-    }
-
-    /// Number of stored items `x < y`, binary-searching the cold and warm
-    /// sorted runs.
-    pub fn count_lt_with(&self, arena: &LevelArena<T>, y: &T, acc: RankAccuracy) -> usize {
-        let items = arena.items(self.slot);
-        let run_len = arena.run_len(self.slot);
-        let rw = run_len + self.warm_len;
-        let in_sorted = |s: &[T]| match acc {
-            RankAccuracy::LowRank => s.partition_point(|x| x < y),
-            RankAccuracy::HighRank => s.len() - s.partition_point(|x| x >= y),
-        };
-        in_sorted(&items[..run_len])
-            + in_sorted(&items[run_len..rw])
-            + items[rw..].iter().filter(|x| *x < y).count()
-    }
-
     /// Establish the full sorted-run invariant: sort the raw appends, fold
     /// them into the warm run, and merge the result into the cold run,
     /// leaving the whole buffer as one run. Cost
@@ -847,6 +803,7 @@ pub(crate) fn merge_into<T: Ord, I: Iterator<Item = T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::LevelSet;
 
     fn new_c(k: u32, s: u32) -> (LevelArena<u64>, RelativeCompactor<u64>) {
         let mut ar = LevelArena::new();
@@ -1139,6 +1096,26 @@ mod tests {
         assert!(c.items(&ar).iter().all(|&x| x < 20));
     }
 
+    /// The items of `c` for which `below` holds, by a scan of the buffer.
+    fn scan(c: &RelativeCompactor<u64>, ar: &LevelArena<u64>, below: impl Fn(&u64) -> bool) -> u64 {
+        c.items(ar).iter().filter(|x| below(x)).count() as u64
+    }
+
+    /// [`LevelSet::weight_where`] over `c` alone, a level of weight 1.
+    fn weight(
+        c: &RelativeCompactor<u64>,
+        ar: &LevelArena<u64>,
+        acc: RankAccuracy,
+        below: impl Fn(&u64) -> bool,
+    ) -> u64 {
+        let level = LevelSet {
+            levels: std::slice::from_ref(c),
+            arena: ar,
+            accuracy: acc,
+        };
+        level.weight_where(below, &mut 0)
+    }
+
     #[test]
     fn count_le_lt_use_external_order_in_both_modes() {
         for acc in [RankAccuracy::LowRank, RankAccuracy::HighRank] {
@@ -1146,11 +1123,18 @@ mod tests {
             for x in [5u64, 1, 9, 5] {
                 c.push(&mut ar, x);
             }
-            let _ = acc; // counting is orientation-independent
-            assert_eq!(c.count_le(&ar, &5), 3);
-            assert_eq!(c.count_lt(&ar, &5), 1);
-            assert_eq!(c.count_le(&ar, &0), 0);
-            assert_eq!(c.count_le(&ar, &100), 4);
+            // As raw appends, then as one run in the internal order.
+            for sorted in [false, true] {
+                if sorted {
+                    c.ensure_sorted(&mut ar, acc);
+                }
+                for (y, want) in [(5, (3, 1)), (0, (0, 0)), (100, (4, 4))] {
+                    let (le, lt) = (|x: &u64| *x <= y, |x: &u64| *x < y);
+                    assert_eq!((scan(&c, &ar, le), scan(&c, &ar, lt)), want);
+                    let got = (weight(&c, &ar, acc, le), weight(&c, &ar, acc, lt));
+                    assert_eq!(got, want, "{acc:?} sorted {sorted} y {y}");
+                }
+            }
         }
     }
 
@@ -1171,8 +1155,10 @@ mod tests {
                 // Mixed run + tail: push a few raw items too.
                 c.push(&mut ar, round % 1000);
                 for y in [0u64, 1, 250, 500, 999, 1000] {
-                    assert_eq!(c.count_le_with(&ar, &y, acc), c.count_le(&ar, &y), "le {y}");
-                    assert_eq!(c.count_lt_with(&ar, &y, acc), c.count_lt(&ar, &y), "lt {y}");
+                    let le = |x: &u64| *x <= y;
+                    let lt = |x: &u64| *x < y;
+                    assert_eq!(weight(&c, &ar, acc, le), scan(&c, &ar, le), "le {y}");
+                    assert_eq!(weight(&c, &ar, acc, lt), scan(&c, &ar, lt), "lt {y}");
                 }
             }
         }

@@ -447,7 +447,7 @@ mod tests {
         let second = c.encode_shards();
         assert_eq!(first, second);
         // And it produces the exact bytes checkpoint would have — the
-        // clone carries the shard's RNG, so the drawn reseed is the same.
+        // reseed is drawn from a copy of the shard's RNG, so it is the same.
         let checkpointed = c.checkpoint().unwrap();
         assert_eq!(first, checkpointed);
         // After the checkpoint swap, both views continue in lockstep.

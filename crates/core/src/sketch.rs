@@ -284,17 +284,12 @@ impl<T: Ord + Clone> ReqSketch<T> {
     }
 
     /// `Estimate-Rank(y)` by direct level probe, bypassing the read cache:
-    /// `Σ_h 2^h · |{x ∈ buf_h : x ≤ y}|`. Each level's sorted run is
-    /// binary-searched and only its (small) unsorted tail is scanned —
-    /// `O(Σ_h (log|buf_h| + tail_h))` per call with no allocation — what a
-    /// direct read does, and the ground truth the cached path is tested
-    /// against.
+    /// [`LevelSet::weight_where`] with `x ≤ y`, a binary search per sorted
+    /// run and a scan of each (small) raw tail, with no allocation. It is
+    /// what a direct rank read counts, and the ground truth the cached path
+    /// is tested against.
     pub fn rank_direct(&self, y: &T) -> u64 {
-        self.levels
-            .iter()
-            .enumerate()
-            .map(|(h, l)| (l.count_le_with(&self.arena, y, self.accuracy) as u64) << h)
-            .sum()
+        self.level_set().weight_where(|x| x <= y, &mut 0)
     }
 
     /// Build a fresh sorted weighted snapshot — a loser-tree k-way merge of

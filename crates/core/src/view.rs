@@ -14,7 +14,9 @@
 //! [`crate::union`] answers without building. Equal adjacent items coalesce
 //! into one entry with summed weight, shrinking the probe binary searches on
 //! duplicate-heavy streams. Whether a read builds the view at all is the
-//! read cache's call ([`ReadCacheStats`]).
+//! read cache's call ([`ReadCacheStats`]). [`LevelSet`] is the one reader of
+//! the level layout: the view build, the union's selection and every rank
+//! count go through it.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -182,9 +184,10 @@ pub(crate) fn pmf_of_ranks(ranks: &[u64], total: u64) -> Vec<f64> {
     out
 }
 
-/// One sketch's compactor levels as the view builder and the union
-/// selection ([`crate::union`]) read them: the levels, the arena backing
-/// them, and the orientation their runs are sorted in.
+/// One sketch's compactor levels as the view builder, the union selection
+/// and every rank read them: the levels, the arena backing them, and the
+/// orientation their runs are sorted in. It is the one reader of the level
+/// layout: each level holds a cold run, a warm run and a raw tail.
 #[derive(Debug)]
 pub struct LevelSet<'a, T> {
     /// The compactors, level `h` at index `h` (items weighted `2^h`).
@@ -195,24 +198,74 @@ pub struct LevelSet<'a, T> {
     pub accuracy: RankAccuracy,
 }
 
-/// Every level's non-empty raw tail (the appends after its cold and warm
-/// runs, in arrival order), each with its level weight.
-pub(crate) fn raw_tails<'s, 'a, T>(
-    sets: &'s [LevelSet<'a, T>],
-) -> impl Iterator<Item = (&'a [T], u64)> + 's {
-    sets.iter().flat_map(|set| {
-        set.levels.iter().enumerate().filter_map(|(h, level)| {
-            let raw = &level.items(set.arena)[level.run_len(set.arena) + level.warm_len()..];
-            (!raw.is_empty()).then_some((raw, 1u64 << h))
+impl<'a, T> LevelSet<'a, T> {
+    /// Each level's item weight `2^h` with its cold run, warm run and raw
+    /// tail (the appends after the runs, in arrival order).
+    fn regions(&self) -> impl Iterator<Item = (u64, [&'a [T]; 3])> + '_ {
+        self.levels.iter().enumerate().map(|(h, level)| {
+            let items = level.items(self.arena);
+            let cold = level.run_len(self.arena);
+            let warm = cold + level.warm_len();
+            (
+                1u64 << h,
+                [&items[..cold], &items[cold..warm], &items[warm..]],
+            )
         })
-    })
+    }
+
+    /// Every level's non-empty cold and warm run, read back to front under
+    /// `HighRank` so that each is ascending.
+    pub(crate) fn sorted_runs(&self) -> impl Iterator<Item = Run<'a, T>> + '_ {
+        let reverse = self.accuracy == RankAccuracy::HighRank;
+        self.regions().flat_map(move |(weight, [cold, warm, _])| {
+            [cold, warm]
+                .into_iter()
+                .filter(|run| !run.is_empty())
+                .map(move |items| Run {
+                    items,
+                    reverse,
+                    weight,
+                })
+        })
+    }
+
+    /// Every level's non-empty raw tail, with its level weight.
+    pub(crate) fn raw_tails(&self) -> impl Iterator<Item = (&'a [T], u64)> + '_ {
+        self.regions()
+            .filter_map(|(weight, [_, _, raw])| (!raw.is_empty()).then_some((raw, weight)))
+    }
+
+    /// `Σ_h 2^h·|{x ∈ B_h : below(x)}|` for a `below` that holds on a prefix
+    /// of the ascending order, such as `|x| x <= y` (Algorithm 2's `R̂(y)`)
+    /// or `|x| x < y`. A binary search per cold and warm run and a scan of
+    /// each raw tail, with no allocation; adds the comparisons to
+    /// `comparisons` (`⌈log₂(len + 1)⌉` per run plus every raw item).
+    pub fn weight_where(&self, below: impl Fn(&T) -> bool, comparisons: &mut u64) -> u64 {
+        let in_run = |run: &[T]| match self.accuracy {
+            RankAccuracy::LowRank => run.partition_point(&below),
+            RankAccuracy::HighRank => run.len() - run.partition_point(|x| !below(x)),
+        };
+        let mut weight = 0;
+        for (w, [cold, warm, raw]) in self.regions() {
+            let count = in_run(cold) + in_run(warm) + raw.iter().filter(|x| below(x)).count();
+            *comparisons += log2_ceil(cold.len()) + log2_ceil(warm.len()) + raw.len() as u64;
+            weight += w * count as u64;
+        }
+        weight
+    }
 }
 
-/// Sorted copies of every level's raw tail ([`raw_tails`]), each with its
-/// level weight. A read never sorts a tail in place: `run_len` is
-/// serialized, so folding a tail would change the sketch's bytes.
+/// Comparisons to binary-search (or sort) a span of `len` items: `⌈log₂(len + 1)⌉`.
+pub(crate) fn log2_ceil(len: usize) -> u64 {
+    u64::from(usize::BITS - len.leading_zeros())
+}
+
+/// Sorted copies of every level's raw tail, each with its level weight. A
+/// read never sorts a tail in place: `run_len` is serialized, so folding a
+/// tail would change the sketch's bytes.
 pub(crate) fn sorted_tails<T: Ord + Clone>(sets: &[LevelSet<'_, T>]) -> Vec<(Vec<T>, u64)> {
-    raw_tails(sets)
+    sets.iter()
+        .flat_map(LevelSet::raw_tails)
         .map(|(raw, weight)| {
             let mut t = raw.to_vec();
             t.sort_unstable();
@@ -222,45 +275,18 @@ pub(crate) fn sorted_tails<T: Ord + Clone>(sets: &[LevelSet<'_, T>]) -> Vec<(Vec
 }
 
 /// Every non-empty sorted run of `sets` in ascending external order: each
-/// level's cold and warm runs ([`sorted_runs`]), then the sorted `tails`
-/// from [`sorted_tails`].
+/// level's cold and warm runs, then the sorted `tails` from
+/// [`sorted_tails`].
 pub(crate) fn runs<'a, T>(sets: &[LevelSet<'a, T>], tails: &'a [(Vec<T>, u64)]) -> Vec<Run<'a, T>> {
-    let mut out = sorted_runs(sets);
-    out.extend(tail_runs(tails));
-    out
-}
-
-/// The sorted `tails` from [`sorted_tails`] as ascending runs.
-pub(crate) fn tail_runs<T>(tails: &[(Vec<T>, u64)]) -> impl Iterator<Item = Run<'_, T>> {
-    tails.iter().map(|(t, w)| Run {
+    let tails = tails.iter().map(|(t, w)| Run {
         items: t,
         reverse: false,
         weight: *w,
-    })
-}
-
-/// Every level's non-empty cold and warm run, read back to front under
-/// `HighRank` so that each is ascending.
-pub(crate) fn sorted_runs<'a, T>(sets: &[LevelSet<'a, T>]) -> Vec<Run<'a, T>> {
-    let mut out = Vec::new();
-    for set in sets {
-        let reverse = set.accuracy == RankAccuracy::HighRank;
-        for (h, level) in set.levels.iter().enumerate() {
-            let items = level.items(set.arena);
-            let cold = level.run_len(set.arena);
-            let warm = cold + level.warm_len();
-            for run in [&items[..cold], &items[cold..warm]] {
-                if !run.is_empty() {
-                    out.push(Run {
-                        items: run,
-                        reverse,
-                        weight: 1u64 << h,
-                    });
-                }
-            }
-        }
-    }
-    out
+    });
+    sets.iter()
+        .flat_map(LevelSet::sorted_runs)
+        .chain(tails)
+        .collect()
 }
 
 /// A sorted run read in ascending external order at a fixed per-item
@@ -298,6 +324,19 @@ impl<'a, T: Ord> Run<'a, T> {
         } else {
             self.items[lo..hi].partition_point(below)
         }
+    }
+
+    /// `(items < p, items ≤ p)`, the ascending positions either side of the
+    /// copies of `p`: a binary search for the items `≤ p`, then a step back
+    /// over the copies.
+    pub(crate) fn split_at(&self, p: &T, comparisons: &mut u64) -> (usize, usize) {
+        let le = self.count_in(0, self.len(), p, true);
+        let mut lt = le;
+        while lt > 0 && self.get(lt - 1) == p {
+            lt -= 1;
+        }
+        *comparisons += log2_ceil(self.len()) + (le - lt) as u64 + 1;
+        (lt, le)
     }
 }
 
@@ -397,10 +436,11 @@ fn kway_merge_coalesce<T: Ord + Clone>(runs: Vec<Run<'_, T>>) -> Vec<(T, u64)> {
 /// (a `q` with no warm-start hint) averaged 7,000 comparisons in 37–39 µs
 /// each. At 16 the build is priced at about 65 such quantiles (about 2.4 ms
 /// of them) or about 125 direct ranks. A quantile repeated after a write
-/// starts warm ([`crate::union`]) and is charged about a rank's worth: a
-/// median of about 1,000 comparisons in about 6 µs on the same shape
-/// (31,936 retained, view build 2.6 ms), so about 500 of them, some 3 ms of
-/// reads, pay for a view. The unit still prices time.
+/// starts warm ([`crate::union`]) and is charged two ranks when its hint is
+/// the answer: on the same shape (33,088 retained, view build 2.8–2.9 ms)
+/// warm reads were charged a median of 1,890 comparisons (a rank: 898) and
+/// took a median of about 7 µs, so about 280 of them, some 2 ms of reads,
+/// pay for a view. The unit still prices time.
 const VIEW_PRICE_PER_ENTRY: u64 = 16;
 
 /// Lifetime counters of a sketch's read cache, the one path every read of a
@@ -418,12 +458,13 @@ const VIEW_PRICE_PER_ENTRY: u64 = 16;
 /// configuration, and direct and cached answers are bit-equal, so the
 /// policy never changes an answer.
 ///
-/// The cache also keeps where its last few distinct quantiles landed, and
-/// those warm-start hints survive writes and checkpoints: a write drops the
-/// charges and the view, never the hints. A quantile repeated after a write
-/// starts from its hint and is charged what that search cost
-/// ([`crate::union`]). No counter here tells warm from cold reads; both
-/// count as `direct`.
+/// The cache also keeps where its last few distinct direct quantiles
+/// landed, and those warm-start hints survive writes and checkpoints: a
+/// write drops the charges and the view, never the hints. A quantile
+/// repeated after a write starts from its hint and is charged what that
+/// search cost ([`crate::union`]). Quantiles answered from the cached view
+/// record no hint. No counter here tells warm from cold reads; both count
+/// as `direct`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadCacheStats {
     /// Points answered straight off the levels.
@@ -436,9 +477,9 @@ pub struct ReadCacheStats {
 
 /// The read cache: what direct reads spent since the sketches were last
 /// seen at their epochs, the union view once that paid for it, and the
-/// quantile hints, which outlive every write. The state sits behind a
-/// `Mutex` (not a `RefCell`) so a read-only sketch stays `Sync` and can be
-/// read from many threads.
+/// direct quantiles' hints, which outlive every write. The state sits
+/// behind a `Mutex` (not a `RefCell`) so a read-only sketch stays `Sync`
+/// and can be read from many threads.
 #[derive(Debug)]
 pub(crate) struct ReadCache<T> {
     state: Mutex<CacheState<T>>,
@@ -451,7 +492,7 @@ struct CacheState<T> {
     charged: u64,
     view: Option<Arc<SortedView<T>>>,
     stats: ReadCacheStats,
-    /// Where recent quantiles landed, boxed on the first quantile so that
+    /// Where recent direct quantiles landed, boxed on the first one so that
     /// a sketch's footprint (`size_of`, which `SpaceUsage` counts) does not
     /// grow. They outlive writes and checkpoints: a hint is only where a
     /// quantile starts its search.
@@ -532,8 +573,9 @@ impl<T: Ord + Clone> ReadCache<T> {
     /// ski-rental rule of [`ReadCacheStats`] decides. `answer(i, union)`
     /// answers point `i`; the union reads from the view once it holds one.
     /// The union borrows the quantile hints for the read and hands them
-    /// back with every answer it gave recorded. A caller that locks its
-    /// sketches takes those locks before this one.
+    /// back, with every direct quantile it answered recorded, before it
+    /// answers from the view: the lock is taken once per read. A caller
+    /// that locks its sketches takes those locks before this one.
     pub(crate) fn read<R>(
         &self,
         sketches: &[&ReqSketch<T>],
@@ -555,10 +597,10 @@ impl<T: Ord + Clone> ReadCache<T> {
             }
             if let Some(view) = state.view.clone() {
                 state.stats.cached += (m - i) as u64;
+                state.keep_hints(union.take_hints());
                 drop(state);
                 union.answer_from(view);
                 out.extend((i..m).map(|j| answer(j, &union)));
-                self.state.lock().keep_hints(union.take_hints());
                 return out;
             }
             let before = union.comparisons();
@@ -741,6 +783,40 @@ mod tests {
             assert!(read(&s, 0.42) > warm);
         }
         assert_eq!(cache.stats().builds, 0);
+    }
+
+    #[test]
+    fn cached_quantiles_leave_the_hints_alone() {
+        use sketch_traits::QuantileSketch;
+        let mut s = ReqSketch::<u64>::builder().k(8).seed(1).build().unwrap();
+        let batch = |b: u64| -> Vec<u64> {
+            (b * 1_000..(b + 1) * 1_000)
+                .map(|i| i * 7_919 % 100_003)
+                .collect()
+        };
+        for b in 0..100 {
+            s.update_batch(&batch(b));
+        }
+        let cache: ReadCache<u64> = ReadCache::new();
+        let read = |s: &ReqSketch<u64>, q: f64| {
+            let answer = cache.read(&[s], 1, |_, u| u.quantile(q)).remove(0);
+            assert_eq!(answer.as_ref(), s.sorted_view().quantile(q), "q {q}");
+            cache.state.lock().charged
+        };
+        let cold = read(&s, 0.99);
+        // A burst of new q: its first point is direct, the view it pays for
+        // answers the rest. Recording those would evict the hint for 0.99.
+        let burst = |i: usize| (i as f64 + 0.5) / 1_000.0;
+        let view = s.sorted_view();
+        let answers = cache.read(&[&s], 1_000, |i, u| u.quantile(burst(i)));
+        assert!((0..1_000).all(|i| answers[i].as_ref() == view.quantile(burst(i))));
+        assert_eq!(cache.stats().builds, 1);
+        assert_eq!(cache.stats().cached, 999);
+        s.update_batch(&batch(100));
+        let warm = read(&s, 0.99);
+        assert!(warm * 2 < cold, "warm {warm} vs cold {cold}");
+        s.update_batch(&batch(101));
+        assert!(read(&s, burst(500)) > warm);
     }
 
     #[test]

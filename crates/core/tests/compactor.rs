@@ -11,6 +11,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use req_core::compactor::RelativeCompactor;
+use req_core::view::LevelSet;
 use req_core::{LevelArena, RankAccuracy};
 use support::RefCompactor;
 
@@ -102,15 +103,20 @@ impl Pair {
         assert_eq!(fast.absorbed(), reference.absorbed, "absorbed weight");
         assert_eq!(fast.capacity(), reference.capacity(), "capacity");
         assert!(fast.run_is_sorted(&self.arena, self.acc), "declared run");
+        let level = LevelSet {
+            levels: std::slice::from_ref(fast),
+            arena: &self.arena,
+            accuracy: self.acc,
+        };
         for &y in probes {
             assert_eq!(
-                fast.count_le_with(&self.arena, &y, self.acc),
-                reference.count_le(y),
+                level.weight_where(|x| *x <= y, &mut 0),
+                reference.count_le(y) as u64,
                 "count_le({y})"
             );
             assert_eq!(
-                fast.count_lt_with(&self.arena, &y, self.acc),
-                reference.count_lt(y),
+                level.weight_where(|x| *x < y, &mut 0),
+                reference.count_lt(y) as u64,
                 "count_lt({y})"
             );
         }

@@ -101,17 +101,6 @@ pub fn summarize(probes: &[ProbeError]) -> RankErrorSummary {
     RankErrorSummary { max, mean, rmse }
 }
 
-/// Max error over probes for a sketch already built on `items`.
-pub fn max_error_at_ranks<S: QuantileSketch<u64>>(
-    sketch: &S,
-    items: &[u64],
-    ranks: &[u64],
-    mode: ErrorMode,
-) -> f64 {
-    let oracle = SortOracle::new(items);
-    summarize(&probe_ranks(sketch, &oracle, ranks, mode)).max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
