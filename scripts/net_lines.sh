@@ -36,7 +36,7 @@ counts() {
         /^[[:space:]]*\/\// { c++; next }
         { k++ }
         END { print k + 0, c + 0, t + 0 }
-    ' || echo "0 0 0"
+    '
 }
 
 signed() {
