@@ -18,10 +18,11 @@
 //!   watermark — WAL files, snapshots, serialized sketch state, and the
 //!   dedup windows that make post-failover retries exactly-once.
 //! * **Scatter/gather `MERGE`** — a spread tenant ingests round-robin
-//!   across all nodes; queries gather every node's serialized shards and
-//!   combine them with `try_merge`, which the REQ sketch's full
+//!   across all nodes; queries gather every node's shard sketches and
+//!   answer over the union of their levels, which the REQ sketch's full
 //!   mergeability (paper Theorem 3) guarantees costs no accuracy beyond
-//!   the merged sketch's own ε.
+//!   the parts' own ε. The router keeps what it gathered, and a versioned
+//!   `MERGE` ships only the shards that changed since.
 //!
 //! Failover is three small moves — kill detected, standby promoted
 //! (`set_follower(false)`), name repointed — and none of them touch ring

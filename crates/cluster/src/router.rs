@@ -21,17 +21,75 @@
 //! `SNAPSHOT` touch every node. `QUIT` and `TAIL` are refused — one is
 //! connection-scoped, the other node-scoped (a replication follower
 //! tails *its* primary, not a hash ring).
+//!
+//! # Spread reads keep what they gathered
+//!
+//! A spread key is one stream sharded over every node. The merged reads
+//! ([`Router::merged_quantile`], [`Router::merged_rank`],
+//! [`Router::merged_sketch`]) answer over the union of every node's shard
+//! sketches (full mergeability, Theorem 3), and the router keeps, per
+//! spread key, the parts it gathered last: decoded, in member order, with
+//! one read cache over them ([`req_core::union::Parts`]), so a repeated
+//! read answers from the cached union view or starts warm from where the
+//! same `q` landed before. It keeps at most [`KEPT_KEYS`] keys and drops
+//! the least recently read.
+//!
+//! Every merged read still asks every node, with a versioned `MERGE`
+//! (`MERGESINCE`) naming the [`ShardVersions`] the router holds of that
+//! node's parts. A node sends back its current versions and the bytes of
+//! only the shards whose version differs, so a read of unchanged parts
+//! costs one small scattered round trip, and a read after a write decodes
+//! just the shards that changed. A version has three parts, and never
+//! names two different shard contents on one node address:
+//!
+//! * the service's incarnation, drawn each time it opens (a restart, or a
+//!   standby promoted in a primary's place, differs);
+//! * the tenant's instance, renumbered on `CREATE`, snapshot restore and
+//!   every checkpoint (a checkpoint restarts shard epochs at 0);
+//! * the shard's epoch, which every mutation bumps.
+//!
+//! The router also forgets a node's versions — so the next read fetches
+//! all of that node's parts again — when it repoints the node and after
+//! any error from it. A dead node fails the read, as it always has.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 
-use req_core::union::{decode_parts, Union};
-use req_core::{merge_wire_parts, OrdF64, ReqError, ReqSketch};
+use req_core::union::Parts;
+use req_core::{merge_linear, OrdF64, ReqError, ReqSketch};
 use req_evented::ReqBinClient;
 use req_service::client::{attach_token, fresh_client_id};
-use req_service::{check_quantile_rank, ClientApi, Request, Response, RetryPolicy, TenantConfig};
+use req_service::{
+    check_quantile_rank, ChangedShards, ClientApi, Request, Response, RetryPolicy, ShardVersions,
+    TenantConfig,
+};
 
 use crate::ring::HashRing;
+
+/// Spread keys whose gathered parts a router keeps; a read of one more
+/// drops the least recently read.
+pub const KEPT_KEYS: usize = 8;
+
+/// What a router keeps of one spread key.
+#[derive(Debug)]
+struct Kept {
+    /// Every node's parts as last gathered, in member order.
+    parts: Parts<OrdF64>,
+    /// Per member: how many of `parts` are its, and their versions while
+    /// the router may name them to the node.
+    nodes: Vec<(usize, Option<ShardVersions>)>,
+    /// The router's read count at this key's last read.
+    last_read: u64,
+}
+
+/// Lifetime counts of the parts a router's merged reads answered over.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GatherStats {
+    /// Parts a node reported unchanged, read from what the router kept.
+    pub reused: u64,
+    /// Parts a node sent, which the router decoded.
+    pub fetched: u64,
+}
 
 /// Routing front door over the cluster's current primaries.
 #[derive(Debug)]
@@ -49,6 +107,11 @@ pub struct Router {
     node_errors: req_telemetry::Counter,
     /// Failover repoints performed — `cluster_router_repoints_total`.
     repoints: req_telemetry::Counter,
+    /// Gathered parts per spread key, at most [`KEPT_KEYS`] of them.
+    kept: HashMap<String, Kept>,
+    /// Merged reads so far: the clock the kept keys age by.
+    reads: u64,
+    gathered: GatherStats,
 }
 
 impl Router {
@@ -64,6 +127,9 @@ impl Router {
             next_seq: 1,
             node_errors: req_telemetry::global().counter("cluster_router_node_errors_total"),
             repoints: req_telemetry::global().counter("cluster_router_repoints_total"),
+            kept: HashMap::new(),
+            reads: 0,
+            gathered: GatherStats::default(),
         }
     }
 
@@ -89,7 +155,9 @@ impl Router {
 
     /// Failover: point `name` at a new address (the promoted standby).
     /// Ring ownership is untouched — no keys move. The cached connection
-    /// to the old address is dropped; the next call dials fresh.
+    /// to the old address is dropped; the next call dials fresh, and the
+    /// next merged read of each kept spread key fetches all of `name`'s
+    /// parts again.
     pub fn repoint(&mut self, name: &str, addr: SocketAddr) -> Result<(), ReqError> {
         if !self.ring.contains(name) {
             return Err(ReqError::InvalidParameter(format!(
@@ -98,6 +166,7 @@ impl Router {
         }
         self.addrs.insert(name.to_string(), addr);
         self.clients.remove(name);
+        self.forget(name);
         self.repoints.inc();
         req_telemetry::global().event("router_repoint", format!("node={name} addr={addr}"));
         Ok(())
@@ -126,8 +195,19 @@ impl Router {
             // reuse a socket to the corpse.
             self.clients.remove(&name);
             self.node_errors.inc();
+            self.forget(&name);
         }
         result
+    }
+
+    /// Forget the versions of `name`'s kept parts under every spread key,
+    /// so the next merged read of each fetches all of them again.
+    fn forget(&mut self, name: &str) {
+        if let Some(member) = self.members().iter().position(|m| m == name) {
+            for kept in self.kept.values_mut() {
+                kept.nodes[member].1 = None;
+            }
+        }
     }
 
     /// Stamp a mutation with the router's next idempotency token (noop
@@ -151,7 +231,8 @@ impl Router {
             | Request::Cdf { key, .. }
             | Request::Stats { key }
             | Request::Drop { key, .. }
-            | Request::Merge { key } => {
+            | Request::Merge { key }
+            | Request::MergeSince { key, .. } => {
                 let node = self.ring.node_for(key).to_string();
                 self.call_on(&node, req)
             }
@@ -277,79 +358,169 @@ impl Router {
         Ok(total)
     }
 
-    /// Scatter/gather: fetch every node's serialized shard sketches for
-    /// `key` and merge them into one combined sketch. The result answers
-    /// rank/quantile queries over the **union** of all node-local
-    /// streams with the merged sketch's ε guarantee.
+    /// Scatter/gather: every node's shard sketches for `key`, merged in
+    /// member order into one combined sketch (a fold of clones of the kept
+    /// parts, as [`req_core::merge_wire_parts`] folds freshly decoded
+    /// ones). The result answers rank/quantile queries over the **union**
+    /// of all node-local streams with the merged sketch's ε guarantee.
     pub fn merged_sketch(&mut self, key: &str) -> Result<ReqSketch<OrdF64>, ReqError> {
-        merge_wire_parts(&self.gather_parts(key)?)
+        let parts = self.gather(key)?.sketches().to_vec();
+        Ok(merge_linear(parts)?.expect("a gather keeps at least one part"))
     }
 
-    /// Every node's serialized shard sketches for `key` (one `MERGE`
-    /// each), in member order.
+    /// Rank of `value` in the union stream: Algorithm 2's sum over every
+    /// gathered part's levels ([`req_core::union`]), with no merge, through
+    /// the kept parts' read cache. Mismatched parts fail with
+    /// [`ReqError::IncompatibleMerge`].
+    pub fn merged_rank(&mut self, key: &str, value: f64) -> Result<u64, ReqError> {
+        Ok(self.gather(key)?.rank(&OrdF64(value)))
+    }
+
+    /// Quantile of the union stream, selected across every gathered part's
+    /// levels ([`req_core::union`]) with no merge, through the kept parts'
+    /// read cache: a repeated `q` over unchanged parts answers from the
+    /// cached union view once reads have paid for it, and after a change
+    /// starts warm from where it landed before. A rank outside `[0, 1]` is
+    /// refused, as a routed `QUANTILE` is, before any `MERGE` is sent.
+    pub fn merged_quantile(&mut self, key: &str, q: f64) -> Result<Option<f64>, ReqError> {
+        check_quantile_rank(q)?;
+        Ok(self.gather(key)?.quantile(q).map(OrdF64::get))
+    }
+
+    /// Lifetime counts of the parts this router's merged reads reused and
+    /// fetched.
+    pub fn gather_stats(&self) -> GatherStats {
+        self.gathered
+    }
+
+    /// Bring the kept parts of `key` up to date on every node and return
+    /// them: one versioned `MERGE` per node ([`Router::scatter`]), then
+    /// each part a node sent replaces the kept one at its position. Parts
+    /// the router holds nothing of — a new key, or a node forgotten after a
+    /// repoint or an error — are sent whole. If a node's shard count no
+    /// longer matches what is kept, every node is asked again with nothing
+    /// held. Mismatched parts fail with [`ReqError::IncompatibleMerge`]
+    /// and drop what was kept of `key`.
+    fn gather(&mut self, key: &str) -> Result<&Parts<OrdF64>, ReqError> {
+        let nothing = vec![None; self.members().len()];
+        let mut held = match self.kept.get(key) {
+            Some(kept) => kept.nodes.iter().map(|(_, v)| v.clone()).collect(),
+            None => nothing.clone(),
+        };
+        let mut replies = self.scatter(key, &held)?;
+        let kept = self.kept.remove(key).filter(|kept| {
+            (kept.nodes.iter().zip(&replies)).all(|((count, _), reply)| *count == reply.parts.len())
+        });
+        let unchanged = |replies: &[ChangedShards]| {
+            (replies.iter()).any(|reply| reply.parts.iter().any(|(_, part)| part.is_none()))
+        };
+        if kept.is_none() && unchanged(&replies) {
+            held = nothing;
+            replies = self.scatter(key, &held)?;
+        }
+        let mut nodes = Vec::with_capacity(replies.len());
+        let mut changed = Vec::new();
+        let mut at = 0;
+        for ((reply, held), name) in replies.into_iter().zip(&held).zip(self.members()) {
+            nodes.push((reply.parts.len(), Some(reply.versions())));
+            for (_, part) in reply.parts {
+                match part {
+                    Some(bytes) => changed.push((at, bytes)),
+                    None if kept.is_some() && held.is_some() => {}
+                    None => {
+                        return Err(ReqError::CorruptBytes(format!(
+                            "node `{name}` called a part of `{key}` unchanged that this \
+                             router does not hold"
+                        )))
+                    }
+                }
+                at += 1;
+            }
+        }
+        self.gathered.reused += (at - changed.len()) as u64;
+        self.gathered.fetched += changed.len() as u64;
+        let parts = match kept {
+            Some(mut kept) => {
+                kept.parts.replace(&changed)?;
+                kept.parts
+            }
+            None => {
+                let bytes: Vec<Vec<u8>> = changed.into_iter().map(|(_, b)| b).collect();
+                Parts::decode(&bytes)?
+            }
+        };
+        if self.kept.len() == KEPT_KEYS {
+            let oldest = (self.kept.iter())
+                .min_by_key(|(_, kept)| kept.last_read)
+                .map(|(k, _)| k.clone())
+                .expect("the kept map is full");
+            self.kept.remove(&oldest);
+        }
+        self.reads += 1;
+        let kept = Kept {
+            parts,
+            nodes,
+            last_read: self.reads,
+        };
+        Ok(&self.kept.entry(key.to_string()).or_insert(kept).parts)
+    }
+
+    /// One versioned `MERGE` (`MERGESINCE`) for `key` per node, naming
+    /// `held[i]` to member `i`; the replies in member order.
     ///
-    /// The `MERGE` goes out on every node's cached connection before any
+    /// Every request goes out on its node's cached connection before any
     /// reply is read, so all nodes build their replies at the same time;
     /// the replies are then read in member order. A node whose send or
     /// read fails falls back to the one-node path ([`Router::call_on`]):
     /// the client redials under the [`RetryPolicy`], and a call that still
     /// fails drops the connection and counts a node error. Every sent
     /// request's reply is read before the first error is returned, so no
-    /// stale `MERGE` reply is left on a connection for the next call.
-    fn gather_parts(&mut self, key: &str) -> Result<Vec<Vec<u8>>, ReqError> {
-        let req = Request::Merge {
-            key: key.to_string(),
-        };
+    /// stale reply is left on a connection for the next call. Any error
+    /// from a node forgets that node's kept versions.
+    fn scatter(
+        &mut self,
+        key: &str,
+        held: &[Option<ShardVersions>],
+    ) -> Result<Vec<ChangedShards>, ReqError> {
         let members = self.members().to_vec();
-        let sent: Vec<bool> = members
-            .iter()
-            .map(|name| self.client(name).and_then(|conn| conn.send(&req)).is_ok())
+        let reqs: Vec<Request> = (held.iter())
+            .map(|held| Request::MergeSince {
+                key: key.to_string(),
+                held: held.clone(),
+            })
+            .collect();
+        let sent: Vec<bool> = (members.iter().zip(&reqs))
+            .map(|(name, req)| self.client(name).and_then(|conn| conn.send(req)).is_ok())
             .collect();
         // Read every sent reply before acting on any, so an early return
         // below leaves none behind.
-        let replies: Vec<Option<Response>> = members
-            .iter()
-            .zip(sent)
+        let replies: Vec<Option<Response>> = (members.iter().zip(sent))
             .map(|(name, sent)| match self.clients.get_mut(name) {
                 Some(conn) if sent => conn.read_response().ok(),
                 _ => None,
             })
             .collect();
-        let mut parts: Vec<Vec<u8>> = Vec::new();
-        for (name, reply) in members.iter().zip(replies) {
+        let mut out = Vec::with_capacity(members.len());
+        for ((name, req), reply) in members.iter().zip(&reqs).zip(replies) {
             let reply = match reply {
-                Some(reply) => reply,
-                None => self.call_on(name, &req)?,
+                Some(reply) => Ok(reply),
+                None => self.call_on(name, req),
             };
-            match reply.into_result()? {
-                Response::Merged(node_parts) => parts.extend(node_parts),
-                other => {
+            match reply.and_then(Response::into_result) {
+                Ok(Response::MergedSince(changed)) => out.push(changed),
+                Ok(other) => {
+                    self.forget(name);
                     return Err(ReqError::InvalidParameter(format!(
-                        "unexpected reply to MERGE: {other:?}"
-                    )))
+                        "unexpected reply to MERGESINCE: {other:?}"
+                    )));
+                }
+                Err(e) => {
+                    self.forget(name);
+                    return Err(e);
                 }
             }
         }
-        Ok(parts)
-    }
-
-    /// Rank of `value` in the union stream: Algorithm 2's sum over every
-    /// gathered part's levels ([`req_core::union`]), with no merge.
-    /// Mismatched parts fail with [`ReqError::IncompatibleMerge`].
-    pub fn merged_rank(&mut self, key: &str, value: f64) -> Result<u64, ReqError> {
-        let parts = decode_parts::<OrdF64, _>(&self.gather_parts(key)?)?;
-        let parts: Vec<&ReqSketch<OrdF64>> = parts.iter().collect();
-        Ok(Union::new(&parts).rank(&OrdF64(value)))
-    }
-
-    /// Quantile of the union stream, selected across every gathered part's
-    /// levels ([`req_core::union`]) with no merge. A rank outside `[0, 1]`
-    /// is refused, as a routed `QUANTILE` is, before any `MERGE` is sent.
-    pub fn merged_quantile(&mut self, key: &str, q: f64) -> Result<Option<f64>, ReqError> {
-        check_quantile_rank(q)?;
-        let parts = decode_parts::<OrdF64, _>(&self.gather_parts(key)?)?;
-        let parts: Vec<&ReqSketch<OrdF64>> = parts.iter().collect();
-        Ok(Union::new(&parts).quantile(q).map(OrdF64::get))
+        Ok(out)
     }
 }
 

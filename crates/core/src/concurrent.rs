@@ -322,21 +322,41 @@ impl<T: Ord + Clone + Packable> ConcurrentReqSketch<T> {
         Ok(parts)
     }
 
-    /// Serialize every shard **read-only**: each shard is encoded in place
-    /// under its lock, with the reseed drawn from a copy of its RNG, so —
-    /// unlike [`Self::checkpoint`] — the live shards keep their exact RNG
-    /// state and epochs, and nothing is cloned. The copy draws the seed the
-    /// live RNG would draw next, so every byte is identical to what
-    /// [`Self::checkpoint`] would produce from the same state. That makes
-    /// this the right entry point wherever the sketch must be *observed*
-    /// without being *perturbed*: serving wire `MERGE` queries, and probing
-    /// primary/follower byte-identity in the replication tests — a probe
-    /// that itself advanced the RNG would break the very identity it is
-    /// checking.
+    /// Serialize every shard **read-only**: [`Self::encode_since`] with
+    /// nothing held. Each shard is encoded in place under its lock, with the
+    /// reseed drawn from a copy of its RNG, so — unlike [`Self::checkpoint`]
+    /// — the live shards keep their exact RNG state and epochs, and nothing
+    /// is cloned. The copy draws the seed the live RNG would draw next, so
+    /// every byte is identical to what [`Self::checkpoint`] would produce
+    /// from the same state. That makes this the right entry point wherever
+    /// the sketch must be *observed* without being *perturbed*: serving wire
+    /// `MERGE` queries, and probing primary/follower byte-identity in the
+    /// replication tests — a probe that itself advanced the RNG would break
+    /// the very identity it is checking.
     pub fn encode_shards(&self) -> Vec<Bytes> {
+        self.encode_since(&[])
+            .into_iter()
+            .map(|(_, bytes)| bytes.expect("nothing is held"))
+            .collect()
+    }
+
+    /// Every shard's [`ReqSketch::epoch`], with its encoding (as
+    /// [`Self::encode_shards`] encodes it) unless `held[i]` is shard `i`'s
+    /// epoch. The epoch is read and the shard encoded under one hold of its
+    /// lock, so an epoch always names the bytes sent with it. Epochs name
+    /// states only within one lineage of shards: [`Self::checkpoint`] and
+    /// [`Self::from_checkpoint`] restart them at 0, so a caller that keeps
+    /// encodings must also know which lineage they came from.
+    pub fn encode_since(&self, held: &[u64]) -> Vec<(u64, Option<Bytes>)> {
         self.shards
             .iter()
-            .map(|s| s.lock().to_bytes_unperturbed())
+            .enumerate()
+            .map(|(i, s)| {
+                let shard = s.lock();
+                let epoch = shard.epoch();
+                let bytes = (held.get(i) != Some(&epoch)).then(|| shard.to_bytes_unperturbed());
+                (epoch, bytes)
+            })
             .collect()
     }
 
@@ -453,6 +473,23 @@ mod tests {
         // After the checkpoint swap, both views continue in lockstep.
         c.update(77);
         assert_eq!(c.encode_shards(), c.encode_shards());
+    }
+
+    #[test]
+    fn encode_since_sends_only_the_shards_whose_epoch_moved() {
+        let c = ConcurrentReqSketch::<u64>::new(builder(), 4).unwrap();
+        c.update_batch(&(0..10_000).collect::<Vec<_>>());
+        let all = c.encode_since(&[]);
+        let bytes: Vec<Bytes> = all.iter().map(|(_, b)| b.clone().unwrap()).collect();
+        assert_eq!(bytes, c.encode_shards());
+        let held: Vec<u64> = all.iter().map(|(epoch, _)| *epoch).collect();
+        assert!(c.encode_since(&held).iter().all(|(_, b)| b.is_none()));
+        c.update_in_shard(2, 77);
+        let since = c.encode_since(&held);
+        let sent: Vec<usize> = (0..4).filter(|&i| since[i].1.is_some()).collect();
+        assert_eq!(sent, vec![2]);
+        assert_eq!(since[2].1.as_ref(), Some(&c.encode_shards()[2]));
+        assert_ne!(since[2].0, held[2]);
     }
 
     #[test]

@@ -58,18 +58,22 @@
 //! that answers the hint is charged two ranks.
 //!
 //! A read never mutates a sketch: no tail is folded in place, so serialized
-//! bytes and epochs stay put. Every sketch type reads through a `Union`
-//! under its read cache ([`crate::ReadCacheStats`]), which may hand the
-//! union a cached union view to answer from, and lends it the hints.
-//! Answers from the cached view record none.
+//! bytes and epochs stay put. Every sketch type, and the decoded wire parts
+//! a router keeps ([`Parts`]), reads through a `Union` under its read cache
+//! ([`crate::ReadCacheStats`]), which may hand the union a cached union
+//! view to answer from, and lends it the hints. Answers from the cached
+//! view record none.
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::sync::Arc;
 
 use crate::binary::Packable;
 use crate::error::ReqError;
+use crate::merge::check_compatible;
 use crate::sketch::ReqSketch;
-use crate::view::{log2_ceil, runs, sorted_tails, LevelSet, Run, SortedView};
+use crate::view::{
+    log2_ceil, runs, sorted_tails, LevelSet, ReadCache, ReadCacheStats, Run, SortedView,
+};
 use sketch_traits::SpaceUsage;
 
 /// Distinct `q` whose answers a read cache keeps as warm-start hints: p50,
@@ -491,9 +495,114 @@ where
         .map(|p| ReqSketch::from_bytes(p.as_ref()))
         .collect::<Result<Vec<ReqSketch<T>>, ReqError>>()?;
     for other in &sketches[1..] {
-        crate::merge::check_compatible(&sketches[0], other)?;
+        check_compatible(&sketches[0], other)?;
     }
     Ok(sketches)
+}
+
+/// Decoded wire parts kept for repeated union reads, such as the parts a
+/// cluster router gathered with `MERGE`. Parts can be replaced one at a
+/// time as their sources change, and reads go through one read cache, as
+/// every sketch type's reads do ([`crate::ReadCacheStats`]): the union view
+/// once repeated reads have paid for it, and the warm-start hints.
+///
+/// Every part decoded from bytes starts at epoch 0, so epochs cannot tell
+/// an old part from its replacement. Replacing a part therefore drops the
+/// epochs the cache's charges and view belong to, as
+/// [`crate::ConcurrentReqSketch::checkpoint`] does; the hints stay, so a
+/// repeated quantile after a replacement starts warm.
+///
+/// ```
+/// use req_core::union::Parts;
+/// use req_core::{QuantileSketch, ReqSketch};
+///
+/// let mut a = ReqSketch::<u64>::builder().k(12).seed(1).build().unwrap();
+/// let mut b = ReqSketch::<u64>::builder().k(12).seed(2).build().unwrap();
+/// a.update_batch(&(0..1_000u64).collect::<Vec<_>>());
+/// b.update_batch(&(1_000..2_000u64).collect::<Vec<_>>());
+/// let mut parts = Parts::<u64>::decode(&[a.to_bytes(), b.to_bytes()]).unwrap();
+/// assert_eq!(parts.quantile(1.0), Some(1_999));
+/// b.update_batch(&(2_000..3_000u64).collect::<Vec<_>>());
+/// parts.replace(&[(1, b.to_bytes())]).unwrap();
+/// assert_eq!(parts.quantile(1.0), Some(2_999));
+/// assert_eq!(parts.rank(&999), a.rank(&999));
+/// ```
+#[derive(Debug)]
+pub struct Parts<T> {
+    sketches: Vec<ReqSketch<T>>,
+    cache: ReadCache<T>,
+}
+
+impl<T: Ord + Clone + Packable> Parts<T> {
+    /// Decode and check `parts` as [`decode_parts`] does.
+    pub fn decode<B: AsRef<[u8]>>(parts: &[B]) -> Result<Self, ReqError> {
+        Ok(Parts {
+            sketches: decode_parts(parts)?,
+            cache: ReadCache::new(),
+        })
+    }
+
+    /// Replace the part at each `(position, bytes)` with `bytes` decoded.
+    /// The new parts are checked against a part that stays, or against one
+    /// another when every part is replaced, so the set stays one that
+    /// [`decode_parts`] accepts: mismatched parts fail with
+    /// [`ReqError::IncompatibleMerge`]. On any error nothing is replaced.
+    pub fn replace<B: AsRef<[u8]>>(&mut self, changed: &[(usize, B)]) -> Result<(), ReqError> {
+        if changed.is_empty() {
+            return Ok(());
+        }
+        let mut fresh = Vec::with_capacity(changed.len());
+        for (i, bytes) in changed {
+            if *i >= self.sketches.len() {
+                return Err(ReqError::InvalidParameter(format!(
+                    "no part {i} among {}",
+                    self.sketches.len()
+                )));
+            }
+            fresh.push((*i, ReqSketch::from_bytes(bytes.as_ref())?));
+        }
+        let stays = (0..self.sketches.len()).find(|i| fresh.iter().all(|(j, _)| j != i));
+        let reference = match stays {
+            Some(i) => &self.sketches[i],
+            None => &fresh[0].1,
+        };
+        for (_, sketch) in &fresh {
+            check_compatible(reference, sketch)?;
+        }
+        for (i, sketch) in fresh {
+            self.sketches[i] = sketch;
+        }
+        self.cache.clear();
+        Ok(())
+    }
+}
+
+impl<T: Ord + Clone> Parts<T> {
+    /// The parts, in the order they were decoded.
+    pub fn sketches(&self) -> &[ReqSketch<T>] {
+        &self.sketches
+    }
+
+    /// [`Union::rank`] over the parts, through the read cache.
+    pub fn rank(&self, y: &T) -> u64 {
+        self.read(|union| union.rank(y))
+    }
+
+    /// [`Union::quantile`] over the parts, through the read cache.
+    pub fn quantile(&self, q: f64) -> Option<T> {
+        self.read(|union| union.quantile(q))
+    }
+
+    /// Lifetime counters of the read cache.
+    pub fn read_cache_stats(&self) -> ReadCacheStats {
+        self.cache.stats()
+    }
+
+    fn read<R>(&self, answer: impl Fn(&Union<'_, T>) -> R) -> R {
+        let parts: Vec<&ReqSketch<T>> = self.sketches.iter().collect();
+        let mut out = self.cache.read(&parts, 1, |_, union| answer(union));
+        out.pop().expect("one point read")
+    }
 }
 
 #[cfg(test)]
@@ -634,6 +743,66 @@ mod tests {
         assert!(after_rank > 0);
         union.quantile(0.5);
         assert!(union.comparisons() > after_rank);
+    }
+
+    #[test]
+    fn replaced_parts_read_as_a_fresh_decode() {
+        let bytes = |mut s: ReqSketch<u64>| s.to_bytes();
+        let lows: Vec<u64> = (0..3_000).map(|i| i * 7 % 1_003).collect();
+        let highs: Vec<u64> = (0..3_000).map(|i| 2_000 + i % 901).collect();
+        let a = bytes(sketch(RankAccuracy::LowRank, 1, &lows));
+        let b = bytes(sketch(RankAccuracy::LowRank, 2, &lows));
+        let c = bytes(sketch(RankAccuracy::LowRank, 3, &highs));
+        let mut parts = Parts::<u64>::decode(&[&a, &b]).unwrap();
+        let qs: Vec<f64> = (1..40).map(|i| f64::from(i) / 40.0).collect();
+        // Repeated reads pay for a view of the first set.
+        while parts.read_cache_stats().builds == 0 {
+            for &q in &qs {
+                parts.quantile(q);
+            }
+        }
+        // The replacement decodes at epoch 0, as the part it replaces did.
+        parts.replace(&[(1, &c)]).unwrap();
+        let fresh = Parts::<u64>::decode(&[&a, &c]).unwrap();
+        for &q in &qs {
+            assert_eq!(parts.quantile(q), fresh.quantile(q), "q {q}");
+        }
+        for y in (0..3_000).step_by(97) {
+            assert_eq!(parts.rank(&y), fresh.rank(&y), "y {y}");
+        }
+    }
+
+    #[test]
+    fn replacements_are_checked_against_the_set_they_join() {
+        let bytes = |acc, seed| sketch(acc, seed, &(0..500).collect::<Vec<_>>()).to_bytes();
+        let (low, high) = (RankAccuracy::LowRank, RankAccuracy::HighRank);
+        let mut parts = Parts::<u64>::decode(&[bytes(low, 1), bytes(low, 2)]).unwrap();
+        let before = parts.quantile(0.5);
+        assert!(matches!(
+            parts.replace(&[(0, bytes(high, 3))]),
+            Err(ReqError::IncompatibleMerge(_))
+        ));
+        assert!(matches!(
+            parts.replace(&[(0, bytes(low, 3)), (1, bytes(high, 4))]),
+            Err(ReqError::IncompatibleMerge(_))
+        ));
+        assert!(matches!(
+            parts.replace(&[(2, bytes(low, 3))]),
+            Err(ReqError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            parts.replace(&[(0, vec![0xFF])]),
+            Err(ReqError::CorruptBytes(_))
+        ));
+        assert_eq!(parts.quantile(0.5), before, "nothing was replaced");
+        // A whole new set may change configuration together.
+        parts
+            .replace(&[(0, bytes(high, 5)), (1, bytes(high, 6))])
+            .unwrap();
+        assert!(parts
+            .sketches()
+            .iter()
+            .all(|s| s.rank_accuracy() == RankAccuracy::HighRank));
     }
 
     #[test]

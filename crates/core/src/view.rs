@@ -444,8 +444,9 @@ fn kway_merge_coalesce<T: Ord + Clone>(runs: Vec<Run<'_, T>>) -> Vec<(T, u64)> {
 const VIEW_PRICE_PER_ENTRY: u64 = 16;
 
 /// Lifetime counters of a sketch's read cache, the one path every read of a
-/// [`ReqSketch`], [`crate::ConcurrentReqSketch`] or
-/// [`crate::GrowingReqSketch`] takes over the union of its level sets.
+/// [`ReqSketch`], [`crate::ConcurrentReqSketch`],
+/// [`crate::GrowingReqSketch`] or [`crate::union::Parts`] takes over the
+/// union of its level sets.
 ///
 /// Each direct read is charged the comparisons it made since the last
 /// mutation. A batch counts its remaining points up front: before each

@@ -8,7 +8,7 @@ use req_evented::{serve_evented, Client, ReqBinClient};
 use req_service::client::attach_token;
 use req_service::tempdir::TempDir;
 use req_service::{
-    ClientApi, QuantileService, Request, Response, ServiceConfig, TenantConfig, Text,
+    ClientApi, QuantileService, Request, Response, ServiceConfig, ShardVersions, TenantConfig, Text,
 };
 use std::sync::Arc;
 
@@ -90,6 +90,25 @@ fn script() -> Vec<Request> {
         Request::Merge {
             key: "ghost".into(), // unknown tenant: Invalid on both
         },
+        // Versioned MERGE: with nothing held, and with versions from an
+        // incarnation neither service has, every part comes back; the
+        // unknown tenant is Invalid on both.
+        Request::MergeSince {
+            key: "a".into(),
+            held: None,
+        },
+        Request::MergeSince {
+            key: "a".into(),
+            held: Some(ShardVersions {
+                incarnation: 0,
+                instance: 1,
+                epochs: vec![0; 4],
+            }),
+        },
+        Request::MergeSince {
+            key: "ghost".into(),
+            held: None,
+        },
         Request::Tail {
             gen: 99, // no such WAL generation: Invalid on both
             offset: 0,
@@ -141,6 +160,18 @@ fn text_and_binary_transports_answer_identically() {
         let via_binary = bin_client.call(req);
         match (via_text, via_binary) {
             (Ok(t), Ok(b)) => {
+                let (t, b) = match (t, b) {
+                    // Each service draws its own incarnation when it opens;
+                    // everything else in the reply must agree.
+                    (Response::MergedSince(mut t), Response::MergedSince(mut b)) => {
+                        assert_eq!(t.incarnation, text_service.incarnation());
+                        assert_eq!(b.incarnation, bin_service.incarnation());
+                        assert!(t.parts.iter().all(|(_, part)| part.is_some()));
+                        (t.incarnation, b.incarnation) = (0, 0);
+                        (Response::MergedSince(t), Response::MergedSince(b))
+                    }
+                    pair => pair,
+                };
                 if let (Response::Tailed(t), Response::Tailed(b)) = (&t, &b) {
                     assert_eq!(t.frames, b.frames, "step {i}: TAIL segments differ");
                     tailed_bytes += t.frames.len();

@@ -48,6 +48,9 @@ pub fn execute(service: &QuantileService, req: Request) -> Response {
             Request::Events { max } => {
                 Response::Events(req_telemetry::global().recent_events(max as usize))
             }
+            Request::MergeSince { key, held } => {
+                Response::MergedSince(service.changed_shards(&key, held.as_ref())?)
+            }
         })
     })();
     match result {

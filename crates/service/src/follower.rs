@@ -7,7 +7,7 @@ use req_core::ReqError;
 use std::sync::atomic::Ordering;
 
 use crate::protocol::binary::MAX_MESSAGE_PAYLOAD;
-use crate::protocol::TailSegment;
+use crate::protocol::{ChangedShards, ShardVersions, TailSegment};
 use crate::service::QuantileService;
 use crate::snapshot::wal_path;
 use crate::wal::{LogOutcome, WalRecord, WAL_MAGIC};
@@ -180,20 +180,53 @@ impl QuantileService {
         Ok(applied)
     }
 
-    /// The tenant's serialized per-shard sketches (binary v3), for
-    /// scatter/gather `MERGE` at a router. Encodes each live shard in place
-    /// under its lock ([`req_core::ConcurrentReqSketch::encode_shards`]) —
-    /// byte-identical to what a checkpoint would write, while the live RNGs
-    /// and epochs stay untouched, so serving merge queries never perturbs
-    /// replication byte-identity.
+    /// The tenant's serialized per-shard sketches (binary v3), for plain
+    /// scatter/gather `MERGE`: [`Self::changed_shards`] with nothing held.
     pub fn sketch_parts(&self, key: &str) -> Result<Vec<Vec<u8>>, ReqError> {
         Ok(self
-            .tenant(key)?
-            .sketch
-            .encode_shards()
+            .changed_shards(key, None)?
+            .parts
             .into_iter()
-            .map(|b| b.to_vec())
+            .map(|(_, part)| part.expect("nothing is held"))
             .collect())
+    }
+
+    /// A versioned `MERGE`: the tenant's current [`ShardVersions`], with
+    /// the serialized sketch of every shard whose version differs from
+    /// `held`. A held version from another incarnation or instance names
+    /// none of the current states, so then every shard is sent.
+    ///
+    /// The instance is read under the lock a checkpoint renumbers it
+    /// under, and each shard's epoch is read and the shard encoded under
+    /// one hold of its lock ([`req_core::ConcurrentReqSketch::encode_since`]),
+    /// so a version always names the bytes sent with it. Encoding leaves
+    /// the live RNGs and epochs untouched — the bytes are those a
+    /// checkpoint would write — so serving merges never perturbs
+    /// replication byte-identity.
+    pub fn changed_shards(
+        &self,
+        key: &str,
+        held: Option<&ShardVersions>,
+    ) -> Result<ChangedShards, ReqError> {
+        let tenant = self.tenant(key)?;
+        let instance = tenant.instance.read();
+        let held_epochs = match held {
+            Some(held) if held.incarnation == self.incarnation && held.instance == *instance => {
+                &held.epochs[..]
+            }
+            _ => &[],
+        };
+        let parts = tenant
+            .sketch
+            .encode_since(held_epochs)
+            .into_iter()
+            .map(|(epoch, part)| (epoch, part.map(Vec::from)))
+            .collect();
+        Ok(ChangedShards {
+            incarnation: self.incarnation,
+            instance: *instance,
+            parts,
+        })
     }
 }
 

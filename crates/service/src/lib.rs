@@ -62,7 +62,8 @@ pub use config::{stable_key_hash, Accuracy, ServiceConfig, TenantConfig};
 pub use execute::execute;
 pub use faults::{FaultKind, FaultPlane, FaultSite};
 pub use protocol::{
-    Binary, Codec, ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment, Text,
+    Binary, ChangedShards, Codec, ErrorKind, IdemToken, Request, RequestKind, Response,
+    ShardVersions, TailSegment, Text,
 };
 pub use registry::{Registry, Tenant};
 pub use service::{check_quantile_rank, QuantileService, RecoveryReport, TenantStats};

@@ -7,11 +7,13 @@
 //! 0/1 presence and bool bytes). Nothing in this module reads or writes a
 //! byte any other way.
 //!
-//! Request tags count `1..=16` in [`Request`] declaration order;
-//! response tags count `1..=17` in [`Response`] declaration order
+//! Request tags count `1..=17` in [`Request`] declaration order;
+//! response tags count `1..=18` in [`Response`] declaration order
 //! ([`Response::Err`] is tag 13, carrying an [`ErrorKind`] byte plus the
-//! message; the cluster-layer `Tailed`/`Merged` replies are 14/15 and the
-//! telemetry `MetricsText`/`Events` replies are 16/17).
+//! message; the cluster-layer `Tailed`/`Merged` replies are 14/15, the
+//! telemetry `MetricsText`/`Events` replies are 16/17, and the versioned
+//! `MergedSince` reply is 18). A new message only ever takes the next tag,
+//! so every earlier message keeps its bytes.
 //! Unlike the [`text`](super::text) codec, responses are
 //! self-describing — no request context is needed to decode them, which
 //! is what makes deep pipelining tractable.
@@ -27,7 +29,10 @@ use req_core::frame::{try_frame, write_frame, FrameHeader, FRAME_HEADER_LEN};
 use req_core::{packable_struct, ReqError};
 use std::io::{BufRead, Read};
 
-use super::{Binary, Codec, ErrorKind, Request, RequestKind, Response, TailSegment};
+use super::{
+    Binary, ChangedShards, Codec, ErrorKind, Request, RequestKind, Response, ShardVersions,
+    TailSegment,
+};
 use crate::service::TenantStats;
 
 /// Largest accepted frame payload — matches the text codec's
@@ -58,6 +63,7 @@ const REQ_TAIL: u8 = 13;
 const REQ_MERGE: u8 = 14;
 const REQ_METRICS: u8 = 15;
 const REQ_EVENTS: u8 = 16;
+const REQ_MERGE_SINCE: u8 = 17;
 
 const RESP_CREATED: u8 = 1;
 const RESP_ADDED: u8 = 2;
@@ -76,6 +82,7 @@ const RESP_TAILED: u8 = 14;
 const RESP_MERGED: u8 = 15;
 const RESP_METRICS: u8 = 16;
 const RESP_EVENTS: u8 = 17;
+const RESP_MERGED_SINCE: u8 = 18;
 
 /// Error kinds on the wire: byte `i + 1` is `ERROR_KINDS[i]`.
 const ERROR_KINDS: [ErrorKind; 6] = [
@@ -125,6 +132,18 @@ packable_struct!(TailSegment {
     sealed,
     latest_gen,
     frames,
+});
+
+packable_struct!(ShardVersions {
+    incarnation,
+    instance,
+    epochs,
+});
+
+packable_struct!(ChangedShards {
+    incarnation,
+    instance,
+    parts,
 });
 
 fn encode_request_payload(req: &Request, out: &mut BytesMut) {
@@ -193,6 +212,11 @@ fn encode_request_payload(req: &Request, out: &mut BytesMut) {
             REQ_EVENTS.pack(out);
             max.pack(out);
         }
+        Request::MergeSince { key, held } => {
+            REQ_MERGE_SINCE.pack(out);
+            key.pack(out);
+            held.pack(out);
+        }
     }
 }
 
@@ -251,6 +275,10 @@ fn encode_response_payload(resp: &Response, out: &mut BytesMut) {
         Response::Events(lines) => {
             RESP_EVENTS.pack(out);
             lines.pack(out);
+        }
+        Response::MergedSince(changed) => {
+            RESP_MERGED_SINCE.pack(out);
+            changed.pack(out);
         }
     }
 }
@@ -337,6 +365,10 @@ pub fn decode_request(payload: Bytes) -> Result<Request, ReqError> {
             REQ_EVENTS => Request::Events {
                 max: Packable::unpack(input)?,
             },
+            REQ_MERGE_SINCE => Request::MergeSince {
+                key: Packable::unpack(input)?,
+                held: Packable::unpack(input)?,
+            },
             other => {
                 return Err(ReqError::CorruptBytes(format!(
                     "unknown request tag {other}"
@@ -371,6 +403,7 @@ pub fn decode_response(payload: Bytes) -> Result<Response, ReqError> {
             RESP_MERGED => Response::Merged(Packable::unpack(input)?),
             RESP_METRICS => Response::MetricsText(Packable::unpack(input)?),
             RESP_EVENTS => Response::Events(Packable::unpack(input)?),
+            RESP_MERGED_SINCE => Response::MergedSince(Packable::unpack(input)?),
             other => {
                 return Err(ReqError::CorruptBytes(format!(
                     "unknown response tag {other}"
@@ -494,6 +527,18 @@ mod tests {
             Request::Merge { key: "k".into() },
             Request::Metrics,
             Request::Events { max: 256 },
+            Request::MergeSince {
+                key: "k".into(),
+                held: None,
+            },
+            Request::MergeSince {
+                key: "k".into(),
+                held: Some(ShardVersions {
+                    incarnation: u64::MAX,
+                    instance: 2,
+                    epochs: vec![0, 7, u64::MAX],
+                }),
+            },
         ]
     }
 
@@ -558,6 +603,20 @@ mod tests {
             Response::MetricsText(String::new()),
             Response::Events(vec!["0 +12us wal_healed gen=2".into(), String::new()]),
             Response::Events(vec![]),
+            Response::MergedSince(ChangedShards {
+                incarnation: 9,
+                instance: u64::MAX,
+                parts: vec![
+                    (3, Some(vec![1, 2, 3])),
+                    (0, None),
+                    (u64::MAX, Some(vec![])),
+                ],
+            }),
+            Response::MergedSince(ChangedShards {
+                incarnation: 0,
+                instance: 0,
+                parts: vec![],
+            }),
         ]
     }
 

@@ -179,6 +179,63 @@ pub enum Request {
         /// Most event lines to return.
         max: u32,
     },
+    /// `MERGESINCE key -` or `MERGESINCE key incarnation instance epoch…` —
+    /// a versioned `MERGE`: the tenant's shard versions, with the serialized
+    /// sketch of every shard whose version differs from the one `held`
+    /// names. Declared after `Events` so every earlier tag stays stable.
+    MergeSince {
+        /// Tenant key.
+        key: String,
+        /// The versions of the parts the asker holds; `None` holds nothing.
+        held: Option<ShardVersions>,
+    },
+}
+
+/// Which state of each shard of one tenant a node served, for a holder of
+/// the parts to name in a later [`Request::MergeSince`]. A version never
+/// names two different shard contents on one node address:
+///
+/// * `incarnation` is drawn each time a [`crate::QuantileService`] opens,
+///   so a restart, or a promoted standby behind the same name, differs;
+/// * `instance` changes whenever the tenant's shards start a new lineage:
+///   on `CREATE`, on a snapshot restore, and on every checkpoint (which
+///   restarts the shard epochs at 0);
+/// * `epochs[i]` is shard `i`'s [`req_core::ReqSketch::epoch`], which
+///   every mutation bumps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardVersions {
+    /// The serving service's incarnation.
+    pub incarnation: u64,
+    /// The tenant's shard lineage on that service.
+    pub instance: u64,
+    /// Each shard's epoch, in shard order.
+    pub epochs: Vec<u64>,
+}
+
+/// The [`Request::MergeSince`] reply: the node's current versions of every
+/// shard, and the bytes of each shard the asker's held version does not
+/// name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChangedShards {
+    /// The serving service's incarnation.
+    pub incarnation: u64,
+    /// The tenant's shard lineage on that service.
+    pub instance: u64,
+    /// Per shard, in shard order: its epoch, and its serialized sketch
+    /// (binary v3 `to_bytes`) unless the held version named that state.
+    pub parts: Vec<(u64, Option<Vec<u8>>)>,
+}
+
+impl ChangedShards {
+    /// The versions these parts are at, to hold for the next
+    /// [`Request::MergeSince`].
+    pub fn versions(&self) -> ShardVersions {
+        ShardVersions {
+            incarnation: self.incarnation,
+            instance: self.instance,
+            epochs: self.parts.iter().map(|(epoch, _)| *epoch).collect(),
+        }
+    }
 }
 
 /// One shipped slice of a primary's WAL — the [`Request::Tail`] reply.
@@ -241,6 +298,8 @@ pub enum RequestKind {
     Metrics,
     /// `EVENTS`
     Events,
+    /// `MERGESINCE`
+    MergeSince,
 }
 
 impl Request {
@@ -263,6 +322,7 @@ impl Request {
             Request::Merge { .. } => RequestKind::Merge,
             Request::Metrics => RequestKind::Metrics,
             Request::Events { .. } => RequestKind::Events,
+            Request::MergeSince { .. } => RequestKind::MergeSince,
         }
     }
 }
@@ -404,6 +464,9 @@ pub enum Response {
     MetricsText(String),
     /// `EVENTS` result: rendered journal lines, oldest first.
     Events(Vec<String>),
+    /// `MERGESINCE` result. Declared after `Events` so every earlier tag
+    /// stays stable.
+    MergedSince(ChangedShards),
 }
 
 impl Response {
@@ -518,6 +581,11 @@ mod tests {
             "RANK key one",
             "CREATE",
             "CREATE key BOGUS=1",
+            "MERGESINCE",
+            "MERGESINCE key",
+            "MERGESINCE key 1",
+            "MERGESINCE key - 2",
+            "MERGESINCE key 1 x 3",
         ] {
             assert!(text::decode_request(line).is_err(), "`{line}` accepted");
         }

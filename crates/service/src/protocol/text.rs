@@ -17,12 +17,17 @@
 //! MERGE key
 //! METRICS
 //! EVENTS max
+//! MERGESINCE key -
+//! MERGESINCE key incarnation instance epoch1 epoch2 ...
 //! ```
 //!
-//! The two cluster-layer commands carry binary payloads in their replies
-//! (`TAIL` ships raw WAL frames, `MERGE` ships serialized sketches);
-//! those cross the text wire lowercase-hex-encoded, with a lone `-` for
-//! an empty blob — still one line, still `nc`-debuggable. Production
+//! The cluster-layer commands carry binary payloads in their replies
+//! (`TAIL` ships raw WAL frames, `MERGE` and `MERGESINCE` ship serialized
+//! sketches); those cross the text wire lowercase-hex-encoded, with a lone
+//! `-` for an empty blob — still one line, still `nc`-debuggable. A
+//! `MERGESINCE` reply is `OK incarnation instance count` followed by an
+//! `epoch part` pair per shard, where the part is `=` when the held version
+//! names the shard's state. Production
 //! replication uses the binary codec; the text forms exist so every
 //! command stays reachable from either transport. The two telemetry
 //! replies (`METRICS` exposition text, `EVENTS` journal lines) are armored
@@ -51,7 +56,10 @@ use bytes::{BufMut, BytesMut};
 use req_core::ReqError;
 use std::io::BufRead;
 
-use super::{Codec, ErrorKind, IdemToken, Request, RequestKind, Response, TailSegment, Text};
+use super::{
+    ChangedShards, Codec, ErrorKind, IdemToken, Request, RequestKind, Response, ShardVersions,
+    TailSegment, Text,
+};
 use crate::config::TenantConfig;
 
 /// Longest accepted request line, newline included (an `ADDB` of ~400k
@@ -173,6 +181,17 @@ pub fn encode_request(req: &Request) -> String {
         Request::Merge { key } => format!("MERGE {key}"),
         Request::Metrics => "METRICS".to_string(),
         Request::Events { max } => format!("EVENTS {max}"),
+        Request::MergeSince { key, held: None } => format!("MERGESINCE {key} -"),
+        Request::MergeSince {
+            key,
+            held: Some(held),
+        } => {
+            let mut out = format!("MERGESINCE {key} {} {}", held.incarnation, held.instance);
+            for epoch in &held.epochs {
+                out.push_str(&format!(" {epoch}"));
+            }
+            out
+        }
     }
 }
 
@@ -269,6 +288,26 @@ pub fn decode_request(line: &str) -> Result<Request, ReqError> {
                     .unwrap_or(64),
             })
         }
+        "MERGESINCE" => {
+            let key = need_key()?;
+            let held = match args[1..] {
+                ["-"] => None,
+                [incarnation, instance, ref epochs @ ..] => Some(ShardVersions {
+                    incarnation: parse_int(incarnation)?,
+                    instance: parse_int(instance)?,
+                    epochs: epochs
+                        .iter()
+                        .map(|t| parse_int(t))
+                        .collect::<Result<_, _>>()?,
+                }),
+                _ => {
+                    return bad(
+                        "MERGESINCE needs `key -` or `key incarnation instance epoch…`".into(),
+                    )
+                }
+            };
+            Ok(Request::MergeSince { key, held })
+        }
         other => bad(format!("unknown command `{other}`")),
     }
 }
@@ -322,6 +361,19 @@ pub fn encode_response(resp: &Response) -> String {
             for line in lines {
                 out.push(' ');
                 out.push_str(&to_hex(line.as_bytes()));
+            }
+            out
+        }
+        Response::MergedSince(changed) => {
+            let mut out = format!(
+                "OK {} {} {}",
+                changed.incarnation,
+                changed.instance,
+                changed.parts.len()
+            );
+            for (epoch, part) in &changed.parts {
+                let part = part.as_deref().map_or_else(|| "=".to_string(), to_hex);
+                out.push_str(&format!(" {epoch} {part}"));
             }
             out
         }
@@ -433,6 +485,32 @@ pub fn decode_response(line: &str, kind: RequestKind) -> Result<Response, ReqErr
             }
             Response::Events(lines)
         }
+        RequestKind::MergeSince => {
+            let tokens: Vec<&str> = payload.split_whitespace().collect();
+            let [incarnation, instance, count, ref pairs @ ..] = tokens[..] else {
+                return Err(bad());
+            };
+            let count: usize = count.parse().map_err(|_| bad())?;
+            if pairs.len() % 2 != 0 || pairs.len() / 2 != count {
+                return Err(bad());
+            }
+            let parts = pairs
+                .chunks_exact(2)
+                .map(|pair| {
+                    let epoch = pair[0].parse().map_err(|_| bad())?;
+                    let part = match pair[1] {
+                        "=" => None,
+                        hex => Some(from_hex(hex).map_err(|_| bad())?),
+                    };
+                    Ok((epoch, part))
+                })
+                .collect::<Result<_, ReqError>>()?;
+            Response::MergedSince(ChangedShards {
+                incarnation: incarnation.parse().map_err(|_| bad())?,
+                instance: instance.parse().map_err(|_| bad())?,
+                parts,
+            })
+        }
     })
 }
 
@@ -534,6 +612,26 @@ mod tests {
             Request::Merge { key: "k".into() },
             Request::Metrics,
             Request::Events { max: 128 },
+            Request::MergeSince {
+                key: "k".into(),
+                held: None,
+            },
+            Request::MergeSince {
+                key: "k".into(),
+                held: Some(ShardVersions {
+                    incarnation: u64::MAX,
+                    instance: 3,
+                    epochs: vec![0, 12, 7],
+                }),
+            },
+            Request::MergeSince {
+                key: "k".into(),
+                held: Some(ShardVersions {
+                    incarnation: 1,
+                    instance: 0,
+                    epochs: vec![],
+                }),
+            },
         ];
         for req in reqs {
             let line = encode_request(&req);
@@ -614,6 +712,22 @@ mod tests {
             ),
             (RequestKind::Events, Response::Events(vec![])),
             (
+                RequestKind::MergeSince,
+                Response::MergedSince(ChangedShards {
+                    incarnation: u64::MAX,
+                    instance: 4,
+                    parts: vec![(3, Some(vec![1, 2, 3])), (0, None), (9, Some(vec![]))],
+                }),
+            ),
+            (
+                RequestKind::MergeSince,
+                Response::MergedSince(ChangedShards {
+                    incarnation: 0,
+                    instance: 0,
+                    parts: vec![],
+                }),
+            ),
+            (
                 RequestKind::Rank,
                 Response::Err {
                     kind: ErrorKind::Invalid,
@@ -676,6 +790,14 @@ mod tests {
         );
         assert!(decode_response("OK 2 aa", RequestKind::Events).is_err());
         assert!(decode_response("OK x", RequestKind::Events).is_err());
+        assert!(decode_response("OK 1 2", RequestKind::MergeSince).is_err());
+        assert!(decode_response("OK 1 2 1 5", RequestKind::MergeSince).is_err());
+        assert!(decode_response("OK 1 2 1 5 = 6 =", RequestKind::MergeSince).is_err());
+        assert!(decode_response("OK 1 2 1 x =", RequestKind::MergeSince).is_err());
+        assert!(decode_response("OK 1 2 1 5 xyz!", RequestKind::MergeSince).is_err());
+        assert!(
+            decode_response("OK 1 2 99999999999999999999 5 =", RequestKind::MergeSince).is_err()
+        );
     }
 
     #[test]

@@ -7,11 +7,15 @@
 //! immediately — ingest and queries then synchronize only on the tenant's
 //! own locks (its sketch's internal shard locks, plus the `op_lock` that
 //! keeps WAL order equal to apply order; see [`crate::service`]).
+//!
+//! The registry also numbers each tenant's shard lineage (its *instance*),
+//! the middle part of the versions a versioned `MERGE` names
+//! ([`crate::ShardVersions`]).
 
 use parking_lot::{Mutex, RwLock};
 use req_core::{ConcurrentReqSketch, OrdF64, ReqError};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::config::{stable_key_hash, TenantConfig};
@@ -36,6 +40,13 @@ pub struct Tenant {
     /// tenant's `Drop` frame in the WAL (which would make every future
     /// replay fail on an unknown key).
     pub(crate) dropped: AtomicBool,
+    /// The lineage the shards are on: the registry numbers it when the
+    /// tenant is inserted (`CREATE` or snapshot restore), and every
+    /// checkpoint renumbers it under the write lock, since a checkpoint
+    /// restarts the shard epochs at 0. A versioned `MERGE` holds the read
+    /// lock while it reads the epochs and encodes the shards, so the
+    /// versions it names always belong to the bytes it sends.
+    pub(crate) instance: RwLock<u64>,
 }
 
 impl Tenant {
@@ -47,6 +58,7 @@ impl Tenant {
             config,
             op_lock: Mutex::new(()),
             dropped: AtomicBool::new(false),
+            instance: RwLock::new(0),
         })
     }
 
@@ -62,6 +74,7 @@ impl Tenant {
             sketch,
             op_lock: Mutex::new(()),
             dropped: AtomicBool::new(false),
+            instance: RwLock::new(0),
         }
     }
 }
@@ -73,12 +86,19 @@ const LOCK_SHARDS: usize = 16;
 #[derive(Debug, Default)]
 pub struct Registry {
     shards: [RwLock<HashMap<String, Arc<Tenant>>>; LOCK_SHARDS],
+    /// The last tenant instance numbered.
+    instances: AtomicU64,
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
         Registry::default()
+    }
+
+    /// A tenant instance number never handed out before by this registry.
+    pub(crate) fn next_instance(&self) -> u64 {
+        self.instances.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     fn shard_for(&self, key: &str) -> &RwLock<HashMap<String, Arc<Tenant>>> {
@@ -108,15 +128,17 @@ impl Registry {
                 "key `{key}` already exists"
             )));
         }
-        let tenant = Arc::new(Tenant::new(key, config)?);
+        let mut tenant = Tenant::new(key, config)?;
+        *tenant.instance.get_mut() = self.next_instance();
         let out = log()?;
-        map.insert(key.to_string(), tenant);
+        map.insert(key.to_string(), Arc::new(tenant));
         Ok(out)
     }
 
     /// Insert a tenant rebuilt from a snapshot (recovery path — nothing is
     /// logged). A duplicate key means the snapshot itself is corrupt.
-    pub fn create_from_snapshot(&self, tenant: Tenant) -> Result<(), ReqError> {
+    pub fn create_from_snapshot(&self, mut tenant: Tenant) -> Result<(), ReqError> {
+        *tenant.instance.get_mut() = self.next_instance();
         let mut map = self.shard_for(&tenant.name).write();
         if map.contains_key(&tenant.name) {
             return Err(ReqError::CorruptBytes(format!(

@@ -311,6 +311,10 @@ pub struct QuantileService {
     pub(crate) follower: AtomicBool,
     recovery: RecoveryReport,
     pub(crate) telemetry: ServiceTelemetry,
+    /// Drawn at every open, so the shard versions a versioned `MERGE`
+    /// names ([`crate::ShardVersions`]) differ across restarts and between
+    /// a primary and the standby promoted in its place.
+    pub(crate) incarnation: u64,
     /// The data dir's OS lock, held while this file stays open.
     _dir_lock: std::fs::File,
 }
@@ -436,6 +440,7 @@ impl QuantileService {
                 dedup_misses: t.counter("service_dedup_misses_total"),
                 dedup_stale: t.counter("service_dedup_stale_rejects_total"),
             },
+            incarnation: crate::client::fresh_client_id(),
             cfg,
             _dir_lock: dir_lock,
         };
@@ -482,6 +487,12 @@ impl QuantileService {
     /// What recovery found when this instance opened.
     pub fn recovery_report(&self) -> &RecoveryReport {
         &self.recovery
+    }
+
+    /// This open's incarnation, the first part of every shard version it
+    /// serves ([`crate::ShardVersions`]).
+    pub fn incarnation(&self) -> u64 {
+        self.incarnation
     }
 
     /// The live WAL generation.
@@ -861,6 +872,52 @@ mod tests {
         assert_eq!(s.list(), vec!["lat".to_string()]);
         s.drop_key("lat").unwrap();
         assert!(s.rank("lat", 1.0).is_err());
+    }
+
+    #[test]
+    fn shard_versions_name_one_state_per_address() {
+        let cfg = || TenantConfig::parse("t", &["K=16", "SHARDS=2"]).unwrap();
+        let parts = |c: &crate::ChangedShards| -> Vec<bool> {
+            c.parts.iter().map(|(_, part)| part.is_some()).collect()
+        };
+        let (dir_a, dir_b) = (TempDir::new("svc").unwrap(), TempDir::new("svc").unwrap());
+        let a = svc(dir_a.path());
+        a.create("t", cfg()).unwrap();
+        a.add_batch("t", &batch(0..1_000)).unwrap();
+        let held = a.changed_shards("t", None).unwrap().versions();
+        assert_eq!(
+            parts(&a.changed_shards("t", Some(&held)).unwrap()),
+            [false, false]
+        );
+        // Plain MERGE is the nothing-held case.
+        let whole = a.changed_shards("t", None).unwrap();
+        let bytes: Vec<Vec<u8>> = whole.parts.into_iter().map(|(_, p)| p.unwrap()).collect();
+        assert_eq!(a.sketch_parts("t").unwrap(), bytes);
+
+        // Another service whose tenant took as many writes of other values
+        // sits at the same instance and epochs: only the incarnation differs.
+        let b = svc(dir_b.path());
+        b.create("t", cfg()).unwrap();
+        b.add_batch("t", &batch(5_000..6_000)).unwrap();
+        let other = b.changed_shards("t", Some(&held)).unwrap();
+        assert_eq!(
+            (other.instance, other.versions().epochs),
+            (held.instance, held.epochs.clone())
+        );
+        assert_ne!(other.incarnation, held.incarnation);
+        assert_eq!(parts(&other), [true, true]);
+
+        // One value moves one shard; a checkpoint renumbers the instance.
+        a.add("t", 1.0).unwrap();
+        let moved = a.changed_shards("t", Some(&held)).unwrap();
+        assert_eq!(parts(&moved), [true, false]);
+        a.snapshot_now().unwrap();
+        let checkpointed = a.changed_shards("t", Some(&held)).unwrap();
+        assert_ne!(checkpointed.instance, held.instance);
+        assert_eq!(parts(&checkpointed), [true, true]);
+        drop(a);
+        let reopened = svc(dir_a.path());
+        assert_ne!(reopened.incarnation(), held.incarnation);
     }
 
     #[test]

@@ -436,16 +436,15 @@ impl QuantileService {
             .tenants_sorted()
             .iter()
             .map(|t| -> Result<TenantSnapshot, ReqError> {
+                // The swap restarts every shard epoch: a new instance.
+                let mut instance = t.instance.write();
+                let shards = t.sketch.checkpoint();
+                *instance = self.registry.next_instance();
                 Ok(TenantSnapshot {
                     key: t.name.clone(),
                     config: t.config.clone(),
                     rotation: t.sketch.rotation(),
-                    shards: t
-                        .sketch
-                        .checkpoint()?
-                        .into_iter()
-                        .map(|b| b.to_vec())
-                        .collect(),
+                    shards: shards?.into_iter().map(Vec::from).collect(),
                 })
             })
             .collect::<Result<_, _>>()?;

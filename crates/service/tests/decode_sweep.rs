@@ -21,8 +21,8 @@ use req_service::protocol::binary::{
 };
 use req_service::snapshot::{decode_snapshot, encode_snapshot};
 use req_service::{
-    AppliedOutcome, DedupClientSnapshot, ErrorKind, IdemToken, Request, Response, TailSegment,
-    TenantConfig, TenantSnapshot, TenantStats, WalRecord,
+    AppliedOutcome, ChangedShards, DedupClientSnapshot, ErrorKind, IdemToken, Request, Response,
+    ShardVersions, TailSegment, TenantConfig, TenantSnapshot, TenantStats, WalRecord,
 };
 
 /// The six mutations every byte receives.
@@ -142,6 +142,18 @@ fn mutated_requests_reject_or_reencode() {
         Request::Merge { key: "k".into() },
         Request::Metrics,
         Request::Events { max: 256 },
+        Request::MergeSince {
+            key: "k".into(),
+            held: None,
+        },
+        Request::MergeSince {
+            key: "k".into(),
+            held: Some(ShardVersions {
+                incarnation: 0x0102_0304_0506_0708,
+                instance: 3,
+                epochs: vec![0, 9],
+            }),
+        },
     ];
     for req in &requests {
         let good = payload(encode_request(req));
@@ -196,6 +208,11 @@ fn mutated_responses_reject_or_reencode() {
         Response::Merged(vec![vec![1, 2, 3], vec![], vec![0xFE]]),
         Response::MetricsText("x 1\n".into()),
         Response::Events(vec!["e1".into(), String::new()]),
+        Response::MergedSince(ChangedShards {
+            incarnation: 0x0102_0304_0506_0708,
+            instance: 4,
+            parts: vec![(9, None), (1, Some(vec![0xAB, 0xCD])), (0, Some(vec![]))],
+        }),
     ];
     for (i, resp) in responses.iter().enumerate() {
         let good = payload(encode_response(resp));

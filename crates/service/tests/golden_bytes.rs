@@ -24,8 +24,8 @@ use req_service::protocol::binary::{encode_request, encode_response};
 use req_service::snapshot::write_snapshot;
 use req_service::tempdir::TempDir;
 use req_service::{
-    AppliedOutcome, DedupClientSnapshot, ErrorKind, IdemToken, Request, Response, TailSegment,
-    TenantConfig, TenantSnapshot, TenantStats, WalRecord,
+    AppliedOutcome, ChangedShards, DedupClientSnapshot, ErrorKind, IdemToken, Request, Response,
+    ShardVersions, TailSegment, TenantConfig, TenantSnapshot, TenantStats, WalRecord,
 };
 
 /// Hex up to 256 bytes; beyond that, the length and the CRC-32.
@@ -269,6 +269,67 @@ fn response_frames_are_pinned() {
         ("resp21", "090000001a78cd7e10040000007820310a"),
         ("resp22", "0f0000000f5ca90b110200000002000000653100000000"),
         ("resp23", "050000002f49a29b1100000000"),
+        ],
+    );
+}
+
+/// The versioned `MERGE` (request tag 17, response tag 18), pinned apart
+/// from the tables above so that every earlier pin stays as it was.
+#[test]
+fn versioned_merge_frames_are_pinned() {
+    let held = ShardVersions {
+        incarnation: 0x0102_0304_0506_0708,
+        instance: 3,
+        epochs: vec![0, 9],
+    };
+    let mut cases: Vec<(String, Vec<u8>)> = [
+        Request::MergeSince {
+            key: "k".into(),
+            held: None,
+        },
+        Request::MergeSince {
+            key: "k".into(),
+            held: Some(held),
+        },
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, r)| {
+        (
+            format!("req{i:02} {:?}", r.kind()),
+            encode_request(r).to_vec(),
+        )
+    })
+    .collect();
+    cases.extend(
+        [
+            Response::MergedSince(ChangedShards {
+                incarnation: 0x0102_0304_0506_0708,
+                instance: 4,
+                parts: vec![(9, None), (1, Some(vec![0xAB, 0xCD])), (0, Some(vec![]))],
+            }),
+            Response::MergedSince(ChangedShards {
+                incarnation: 0,
+                instance: 0,
+                parts: vec![],
+            }),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            (
+                format!("resp{i:02} MergedSince"),
+                encode_response(r).to_vec(),
+            )
+        }),
+    );
+    check(
+        cases,
+        &[
+        ("req00 MergeSince", "07000000cd29901111010000006b00"),
+        ("req01 MergeSince", "2b000000e3d6682e11010000006b01080706050403020103000000000000000200000000000000000000000900000000000000"),
+        ("resp00 MergedSince", "3a00000086b5968412080706050403020104000000000000000300000009000000000000000001000000000000000102000000abcd00000000000000000100000000"),
+        ("resp01 MergedSince", "150000001ad624ee120000000000000000000000000000000000000000"),
         ],
     );
 }

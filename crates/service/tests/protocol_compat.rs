@@ -16,7 +16,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use req_service::protocol::{binary, text};
 use req_service::{
-    Accuracy, ErrorKind, IdemToken, Request, RequestKind, Response, TenantConfig, TenantStats,
+    Accuracy, ChangedShards, ErrorKind, IdemToken, Request, RequestKind, Response, ShardVersions,
+    TenantConfig, TenantStats,
 };
 
 /// Key charset: a slice of the registry's legal alphabet.
@@ -100,7 +101,7 @@ fn mk_request(variant: u64, key_seed: u64, bits: &[u64], knob: f64) -> Request {
     let key = mk_key(key_seed);
     let at = |i: usize| bits.get(i).copied().unwrap_or(i as u64);
     let value = mk_f64(at(0));
-    match variant % 16 {
+    match variant % 17 {
         0 => Request::Create {
             key,
             config: mk_config(at(0), knob, at(1) as u32, at(2)),
@@ -134,7 +135,24 @@ fn mk_request(variant: u64, key_seed: u64, bits: &[u64], knob: f64) -> Request {
         },
         13 => Request::Merge { key },
         14 => Request::Metrics,
-        _ => Request::Events { max: at(0) as u32 },
+        15 => Request::Events { max: at(0) as u32 },
+        _ => Request::MergeSince {
+            key,
+            held: at(1).is_multiple_of(3).then(|| mk_versions(bits)),
+        },
+    }
+}
+
+/// Held shard versions: any incarnation, instance and epochs.
+fn mk_versions(words: &[u64]) -> ShardVersions {
+    ShardVersions {
+        incarnation: words[0].rotate_left(5),
+        instance: words[0].rotate_left(29),
+        epochs: words[1..]
+            .iter()
+            .take(words[0] as usize % 9)
+            .copied()
+            .collect(),
     }
 }
 
@@ -175,7 +193,7 @@ fn mk_text(words: &[u64]) -> String {
 }
 
 fn mk_response(variant: u64, _key_seed: u64, bits: &[u64]) -> Response {
-    match variant % 17 {
+    match variant % 18 {
         0 => Response::Created,
         1 => Response::Added,
         2 => Response::AddedBatch(bits[0]),
@@ -210,12 +228,21 @@ fn mk_response(variant: u64, _key_seed: u64, bits: &[u64]) -> Response {
                 .collect(),
         ),
         15 => Response::MetricsText(mk_text(&bits[..bits.len() % 40])),
-        _ => Response::Events(
+        16 => Response::Events(
             bits.chunks(6)
                 .take(bits[0] as usize % 5)
                 .map(mk_text)
                 .collect(),
         ),
+        _ => Response::MergedSince(ChangedShards {
+            incarnation: bits[1],
+            instance: bits[2],
+            parts: bits
+                .chunks(5)
+                .take(bits[0] as usize % 5)
+                .map(|words| (words[0], words[0].is_multiple_of(3).then(|| mk_blob(words))))
+                .collect(),
+        }),
     }
 }
 
@@ -239,6 +266,7 @@ fn kind_for(resp: &Response) -> RequestKind {
         Response::Merged(_) => RequestKind::Merge,
         Response::MetricsText(_) => RequestKind::Metrics,
         Response::Events(_) => RequestKind::Events,
+        Response::MergedSince(_) => RequestKind::MergeSince,
         // An error can answer anything; Ping exercises the strictest arm.
         Response::Err { .. } => RequestKind::Ping,
     }
