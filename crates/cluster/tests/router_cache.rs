@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use req_cluster::router::{GatherStats, KEPT_KEYS};
 use req_cluster::{Cluster, Router};
 use req_core::{OrdF64, ReqError};
-use req_evented::{serve_evented, EventedHandle};
+use req_evented::serve_evented;
 use req_service::tempdir::TempDir;
 use req_service::{
     ClientApi, QuantileService, Request, RetryPolicy, ServiceConfig, ShardVersions, TenantConfig,
@@ -105,9 +105,9 @@ fn spread_cluster(writes: usize, base: f64) -> Cluster {
     cluster
 }
 
-/// A standalone node whose spread tenant took `writes` writes from `base`,
-/// served at `addr` (an ephemeral port when `None`).
-fn other_node(writes: usize, base: f64, addr: Option<SocketAddr>) -> (EventedHandle, TempDir) {
+/// A standalone service whose spread tenant took `writes` writes from
+/// `base`, not yet served.
+fn other_service(writes: usize, base: f64) -> (Arc<QuantileService>, TempDir) {
     let dir = TempDir::new("router-cache-other").unwrap();
     let service = Arc::new(QuantileService::open(ServiceConfig::new(dir.path())).unwrap());
     service
@@ -120,8 +120,7 @@ fn other_node(writes: usize, base: f64, addr: Option<SocketAddr>) -> (EventedHan
             .collect();
         service.add_batch(SPREAD, &half).unwrap();
     }
-    let at = addr.map_or_else(|| "127.0.0.1:0".to_string(), |a| a.to_string());
-    (serve_evented(service, &at, 1).unwrap(), dir)
+    (service, dir)
 }
 
 #[test]
@@ -174,7 +173,8 @@ fn a_repointed_node_with_realigned_epochs_is_read_afresh() {
     // the same epochs, holding other values.
     let mut cluster = spread_cluster(3, 0.0);
     warm(cluster.router(), SPREAD);
-    let (other, _dir) = other_node(3, 1e6, None);
+    let (service, _dir) = other_service(3, 1e6);
+    let other = serve_evented(service, "127.0.0.1:0", 1).unwrap();
     cluster.router().repoint("a", other.addr()).unwrap();
     assert_reads_fresh(cluster.router(), SPREAD);
     other.shutdown();
@@ -189,8 +189,9 @@ fn a_node_restarted_at_its_address_is_read_afresh() {
     warm(cluster.router(), SPREAD);
     let addr = cluster.router().addr_of("a").unwrap();
     let held = versions(&cluster.primary_service("a").unwrap(), SPREAD);
+    let (service, _dir) = other_service(3, 1e6);
     cluster.kill_primary("a").unwrap();
-    let (other, _dir) = other_node(3, 1e6, Some(addr));
+    let other = serve_evented(service, &addr.to_string(), 1).unwrap();
     let before = cluster.router().gather_stats();
     assert_reads_fresh(cluster.router(), SPREAD);
     let after = cluster.router().gather_stats();

@@ -301,25 +301,27 @@ impl<T: Ord + Clone + Packable> ConcurrentReqSketch<T> {
     /// and answers value-identical queries. This is the foundation of the
     /// service layer's crash-recovery proof (experiment E16).
     ///
-    /// Each shard is swapped under its own lock; concurrent queries keep
-    /// answering (the retained multiset is unchanged). The memoized merged
-    /// snapshot and the read cache are invalidated because the swap resets
-    /// shard epochs, which would otherwise be allowed to collide with the
-    /// caches' tags.
+    /// The swap resets shard epochs, which could then realign with the
+    /// tags of the memoized merged snapshot and of the read cache, so both
+    /// caches forget their tags. That happens under the snapshot cache's
+    /// lock and every shard lock, taken in the orders
+    /// [`Self::cached_snapshot`] and the reads take them: no read or cached
+    /// snapshot can see swapped shards next to a cache that still holds
+    /// the old tags. Writers wait for the whole checkpoint.
     pub fn checkpoint(&self) -> Result<Vec<Bytes>, ReqError> {
-        let mut parts = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let mut guard = shard.lock();
-            let bytes = guard.to_bytes();
-            *guard = ReqSketch::from_bytes(&bytes)?;
-            parts.push(bytes);
-        }
-        let mut cache = self.snapshot_cache.lock();
-        cache.snapshot = None;
-        cache.epochs.clear();
-        drop(cache);
+        let mut snapshots = self.snapshot_cache.lock();
+        let mut shards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        snapshots.snapshot = None;
+        snapshots.epochs.clear();
         self.read_cache.clear();
-        Ok(parts)
+        shards
+            .iter_mut()
+            .map(|shard| {
+                let bytes = shard.to_bytes();
+                **shard = ReqSketch::from_bytes(&bytes)?;
+                Ok(bytes)
+            })
+            .collect()
     }
 
     /// Serialize every shard **read-only**: [`Self::encode_since`] with

@@ -21,7 +21,8 @@
 //! the live shards onto their own serialization*, unifying durable and
 //! in-memory state), writes `snap-<g+1>.snap` atomically, switches appends
 //! to the new WAL, and deletes older generations. Queries keep running
-//! throughout; only writers pause.
+//! throughout, except on a tenant while its own shards are swapped; only
+//! writers pause.
 //!
 //! ## Recovery = latest valid snapshot + WAL tail
 //!
