@@ -1,15 +1,24 @@
 //! The router's merged reads on the spread shape: one default tenant
-//! spread over an in-process cluster of 2 nodes × 4 shards and fed 111,111
+//! spread over 2 in-process primaries × 4 shards and fed 111,111
 //! latency-like values, read through `Router::merged_quantile` with every
 //! part unchanged, and right after a 1,000-value spread write.
+//!
+//! Each primary is a `QuantileService` served by `serve_evented`, behind a
+//! `Router::new`, with no standby attached: a `Cluster` standby polls its
+//! primary every 2 ms, and on a small host those wakeups land inside the
+//! timed reads and spread the after-write row's medians widely between
+//! runs.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
 use req_bench::bench_items;
-use req_cluster::Cluster;
-use req_service::{RetryPolicy, TenantConfig};
+use req_cluster::Router;
+use req_evented::{serve_evented, EventedHandle};
+use req_service::tempdir::TempDir;
+use req_service::{QuantileService, RetryPolicy, ServiceConfig, TenantConfig};
 
 const KEY: &str = "spread";
 /// Values fed before the first timed read.
@@ -27,9 +36,19 @@ fn latency_values(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// One primary on its own data directory, served on a loopback port.
+fn primary(name: &str) -> (EventedHandle, TempDir) {
+    let dir = TempDir::new(&format!("bench-cluster-{name}")).unwrap();
+    let service = Arc::new(QuantileService::open(ServiceConfig::new(dir.path())).unwrap());
+    (serve_evented(service, "127.0.0.1:0", 1).unwrap(), dir)
+}
+
 fn bench_router(c: &mut Criterion) {
-    let mut cluster = Cluster::start(&["a", "b"], RetryPolicy::default()).unwrap();
-    let router = cluster.router();
+    let nodes = [("a", primary("a")), ("b", primary("b"))];
+    let routes: Vec<_> = (nodes.iter())
+        .map(|(name, (server, _))| (name.to_string(), server.addr()))
+        .collect();
+    let mut router = Router::new(&routes, RetryPolicy::default());
     router
         .create_spread(KEY, TenantConfig::for_key(KEY))
         .unwrap();

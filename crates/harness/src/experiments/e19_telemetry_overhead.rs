@@ -23,8 +23,8 @@
 //!
 //! The verdict column is `overhead %` = (on − off) / off. BENCH.md
 //! records the measured numbers; the acceptance bar is ≤ 3% on both
-//! workloads (the in-tree smoke test allows more headroom because CI
-//! machines are noisy).
+//! workloads (the scaled-down test in `tests/e19_overhead.rs`, alone in
+//! its own binary, allows more headroom because CI machines are noisy).
 
 use req_evented::{serve_evented, ReqBinClient};
 use req_service::tempdir::TempDir;
@@ -199,34 +199,4 @@ pub fn run(cfg: &Config) -> Vec<Table> {
          bar is ≤ 3% (BENCH.md records the measured runs).",
     );
     vec![t]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Scaled-down A/B: the enabled path must stay within 50% of the
-    /// disabled path even on a noisy CI box (measured machines sit
-    /// under 3%; the slack here is for shared-runner scheduling jitter,
-    /// not for the instrumentation).
-    #[test]
-    fn telemetry_overhead_is_bounded() {
-        let cfg = Config {
-            pairs: 9,
-            batches: 30,
-            batch: 128,
-            roundtrips: 120,
-            k: 16,
-        };
-        let t = run(&cfg).pop().unwrap();
-        assert_eq!(t.num_rows(), 2);
-        let col = t.column("overhead %").unwrap();
-        for row in 0..t.num_rows() {
-            let pct: f64 = t.cell(row, col).parse().unwrap();
-            assert!(
-                pct < 50.0,
-                "telemetry overhead {pct}% out of bounds at row {row}"
-            );
-        }
-    }
 }

@@ -14,8 +14,14 @@ use req_core::{CompactionSchedule, ConcurrentReqSketch, OrdF64, ParamPolicy, Req
 use std::fmt;
 use std::path::PathBuf;
 
+use crate::protocol::binary::MAX_MESSAGE_PAYLOAD;
+
 /// Longest accepted tenant key (protocol tokens stay single-line friendly).
 pub const MAX_KEY_LEN: usize = 128;
+
+/// Most items a shard's level buffer may hold at the tenant's first
+/// length estimate: as many 8-byte items as fill one wire message.
+pub const MAX_LEVEL_ITEMS: usize = MAX_MESSAGE_PAYLOAD / 8;
 
 /// How a tenant's REQ sketch is parameterized. One of:
 ///
@@ -161,8 +167,19 @@ impl TenantConfig {
                 "SHARDS must be in 1..=256".into(),
             ));
         }
+        let policy = self.policy()?;
+        // A shard's level buffer at the first length estimate must fit in
+        // one wire message: a larger one could never ship in a `MERGE`
+        // reply, and a `k` near `u32::MAX` would make the first `ADDB` ask
+        // for more memory than the host has.
+        let buffer = policy.params_for(policy.initial_max_n()).capacity();
+        if buffer > MAX_LEVEL_ITEMS {
+            return Err(ReqError::InvalidParameter(format!(
+                "K or EPS sizes a level buffer of {buffer} items (max {MAX_LEVEL_ITEMS})"
+            )));
+        }
         let builder = ReqSketch::<OrdF64>::builder()
-            .policy(self.policy()?)
+            .policy(policy)
             .high_rank_accuracy(self.hra)
             .schedule(self.schedule)
             .seed(self.seed);
@@ -358,6 +375,9 @@ mod tests {
             &["K=abc"][..],
             &["DELTA=0.1"][..], // delta without eps
             &["EPS=2.0"][..],   // out of range
+            // Level buffers no wire message could carry.
+            &["K=4278190096"][..],
+            &["EPS=0.0000001"][..],
             &["SHARDS=0"][..],
             &["SCHEDULE=soon"][..],
         ] {

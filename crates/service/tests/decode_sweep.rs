@@ -12,17 +12,30 @@
 //! Snapshot payload bytes are mutated with their frame's CRC recomputed,
 //! so the decoder behind the checksum sees them; bytes outside payloads
 //! (magic, frame headers) are mutated as they are.
+//!
+//! The frames of a `TAIL` reply (`CREATE`, `ADDB` and `DROP` records, with
+//! and without tokens) are mutated the same way and fed to
+//! [`QuantileService::replicate_frames`] on a fresh follower. A rejected
+//! input must fail with [`ReqError::CorruptBytes`] and leave the follower
+//! exactly as the frames before the damaged one leave it: the same WAL
+//! bytes and the same `encode_shards` per tenant. An input whose every
+//! frame decodes must re-encode to itself and leave the follower exactly
+//! as a fresh one fed the re-encoded records, one frame per call, is left.
+
+use std::path::Path;
 
 use bytes::Bytes;
-use req_core::frame::{crc32, read_frame, FrameHeader, FRAME_HEADER_LEN};
+use req_core::frame::{crc32, frame_payload, read_frame, FrameHeader, FRAME_HEADER_LEN};
 use req_core::{OrdF64, ReqError};
 use req_service::protocol::binary::{
     decode_request, decode_response, encode_request, encode_response,
 };
-use req_service::snapshot::{decode_snapshot, encode_snapshot};
+use req_service::snapshot::{decode_snapshot, encode_snapshot, wal_path};
+use req_service::tempdir::TempDir;
 use req_service::{
-    AppliedOutcome, ChangedShards, DedupClientSnapshot, ErrorKind, IdemToken, Request, Response,
-    ShardVersions, TailSegment, TenantConfig, TenantSnapshot, TenantStats, WalRecord,
+    AppliedOutcome, ChangedShards, DedupClientSnapshot, ErrorKind, IdemToken, QuantileService,
+    Request, Response, ServiceConfig, ShardVersions, TailSegment, TenantConfig, TenantSnapshot,
+    TenantStats, WalRecord,
 };
 
 /// The six mutations every byte receives.
@@ -71,6 +84,15 @@ fn sweep(
 }
 
 fn no_fix(_: &mut [u8], _: usize) {}
+
+/// A payload byte gets its frame's checksum recomputed, so the decoder
+/// behind the checksum sees it.
+fn fix_crc(ranges: &[std::ops::Range<usize>], bad: &mut [u8], at: usize) {
+    if let Some(r) = ranges.iter().find(|r| r.contains(&at)) {
+        let crc = crc32(&bad[r.clone()]);
+        bad[r.start - 4..r.start].copy_from_slice(&crc.to_le_bytes());
+    }
+}
 
 fn payload(mut framed: Bytes) -> Vec<u8> {
     read_frame(&mut framed).unwrap().to_vec()
@@ -255,10 +277,11 @@ fn mutated_wal_records_reject_or_reencode() {
     }
 }
 
-/// Byte ranges of each frame's payload in a snapshot file.
-fn payload_ranges(file: &[u8]) -> Vec<std::ops::Range<usize>> {
+/// Byte ranges of each frame's payload in `file`, whose frames start at
+/// byte `first`.
+fn payload_ranges(file: &[u8], first: usize) -> Vec<std::ops::Range<usize>> {
     let mut ranges = Vec::new();
-    let mut at = 8; // magic
+    let mut at = first;
     while at < file.len() {
         let header = FrameHeader::parse(&file[at..], usize::MAX)
             .unwrap()
@@ -301,22 +324,143 @@ fn mutated_snapshot_files_reject_or_reencode() {
         ],
     }];
     let good = encode_snapshot(4, &tenants, &dedup).to_vec();
-    let ranges = payload_ranges(&good);
+    let ranges = payload_ranges(&good, 8); // after the magic
     assert_eq!(
         ranges.len(),
         1 + tenants.len() + 1,
         "header, tenants, dedup"
     );
-    // A payload byte gets its frame's checksum recomputed.
-    let fix = |bad: &mut [u8], at: usize| {
-        if let Some(r) = ranges.iter().find(|r| r.contains(&at)) {
-            let crc = crc32(&bad[r.clone()]);
-            bad[r.start - 4..r.start].copy_from_slice(&crc.to_le_bytes());
-        }
-    };
+    let fix = |bad: &mut [u8], at: usize| fix_crc(&ranges, bad, at);
     let decoded = sweep("snapshot", &good, fix, |bad| {
         let data = decode_snapshot(Bytes::copy_from_slice(bad))?;
         Ok(encode_snapshot(data.gen, &data.tenants, &data.dedup).to_vec())
     });
     assert!(decoded > 0, "shard and seed bytes decode");
+}
+
+/// A service on a fresh data directory; a follower when `follower`.
+fn fresh(follower: bool) -> (QuantileService, TempDir) {
+    let dir = TempDir::new("sweep-tail").unwrap();
+    let service = QuantileService::open(ServiceConfig::new(dir.path())).unwrap();
+    service.set_follower(follower);
+    (service, dir)
+}
+
+/// What a follower holds: its WAL bytes and every tenant's
+/// `encode_shards`, by key.
+type FollowerState = (Vec<u8>, Vec<(String, Vec<Vec<u8>>)>);
+
+fn state(service: &QuantileService, dir: &Path) -> FollowerState {
+    let wal = std::fs::read(wal_path(dir, service.generation())).unwrap();
+    let shards = (service.list().into_iter())
+        .map(|key| {
+            let parts = service.sketch_parts(&key).unwrap();
+            (key, parts)
+        })
+        .collect();
+    (wal, shards)
+}
+
+/// `replicate_frames(frames)` on a fresh follower: its result and state.
+fn replicate(frames: &[u8]) -> (Result<u64, ReqError>, FollowerState) {
+    let (follower, dir) = fresh(true);
+    let got = follower.replicate_frames(frames);
+    (got, state(&follower, dir.path()))
+}
+
+/// The records of `frames` if every frame deframes and decodes.
+fn decode_frames(mut frames: &[u8]) -> Result<Vec<WalRecord>, ReqError> {
+    let mut records = Vec::new();
+    while !frames.is_empty() {
+        let payload = frame_payload(frames)?;
+        records.push(WalRecord::decode(Bytes::copy_from_slice(payload))?);
+        frames = &frames[FRAME_HEADER_LEN + payload.len()..];
+    }
+    Ok(records)
+}
+
+/// The frames a `TAIL` reply ships for `CREATE`, `ADDB` and `DROP`
+/// records, each with and without a token, ending with one tenant live.
+fn tail_frames() -> Vec<u8> {
+    let (primary, _dir) = fresh(false);
+    let [k_config, eps_config] = configs();
+    let token = |seq| {
+        Some(IdemToken {
+            client_id: 0x0102_0304_0506_0708,
+            seq,
+        })
+    };
+    let values = [OrdF64(1.5), OrdF64(f64::NAN), OrdF64(-0.0)];
+    primary.create("a", k_config.clone()).unwrap();
+    primary
+        .create_with_token("b", eps_config, token(1))
+        .unwrap();
+    primary.create("c", k_config).unwrap();
+    primary.add_batch("a", &values).unwrap();
+    primary
+        .add_batch_with_token("b", &values, token(2))
+        .unwrap();
+    primary.drop_key_with_token("a", token(3)).unwrap();
+    primary.drop_key("c").unwrap();
+    let segment = primary.tail(primary.generation(), 0, u32::MAX).unwrap();
+    assert!(!segment.sealed);
+    segment.frames
+}
+
+#[test]
+fn mutated_tail_frames_reject_or_apply_as_reencoded() {
+    let good = tail_frames();
+    let ranges = payload_ranges(&good, 0);
+    assert_eq!(ranges.len(), 7, "three CREATEs, two ADDBs, two DROPs");
+    let (applied, _) = replicate(&good);
+    assert_eq!(applied.unwrap(), 7);
+    // The follower after each whole-frame prefix: `prefixes[i]` holds
+    // the frames before frame `i`.
+    let prefixes: Vec<FollowerState> = (0..ranges.len())
+        .map(|i| replicate(&good[..ranges[i].start - FRAME_HEADER_LEN]).1)
+        .collect();
+    let fix = |bad: &mut [u8], at: usize| fix_crc(&ranges, bad, at);
+    let decoded = sweep("TAIL frames", &good, fix, |bad| {
+        let (got, held) = replicate(bad);
+        let records = match decode_frames(bad) {
+            Ok(records) => records,
+            Err(e) => {
+                let at = (bad.iter().zip(&good))
+                    .position(|(b, g)| b != g)
+                    .expect("a mutated byte");
+                let damaged = ranges.partition_point(|r| r.end <= at);
+                assert!(
+                    matches!(got, Err(ReqError::CorruptBytes(_))),
+                    "byte {at}: rejected frames replicate as {got:?}"
+                );
+                assert!(
+                    held == prefixes[damaged],
+                    "byte {at}: a rejected frame {damaged} left more than the frames before it"
+                );
+                return Err(e);
+            }
+        };
+        let reencoded: Vec<Bytes> = records.iter().map(WalRecord::encode).collect();
+        let (twin, twin_dir) = fresh(true);
+        let mut want = Ok(0);
+        for frame in &reencoded {
+            match twin.replicate_frames(frame) {
+                Ok(n) => want = want.map(|total| total + n),
+                Err(e) => {
+                    want = Err(e);
+                    break;
+                }
+            }
+        }
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert!(
+            held == state(&twin, twin_dir.path()),
+            "decoded frames apply unlike their re-encoded records"
+        );
+        Ok(reencoded
+            .iter()
+            .flat_map(|frame| frame.iter().copied())
+            .collect())
+    });
+    assert!(decoded > 0, "value and token bytes decode");
 }
