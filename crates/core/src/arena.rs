@@ -117,15 +117,6 @@ impl<T> LevelArena<T> {
         self.slots.len() - 1
     }
 
-    /// Append a new level slot seeded with `items` (declaring the first
-    /// `run_len` sorted), returning its index. Used by deserialization.
-    pub fn add_level_from_vec(&mut self, items: Vec<T>, run_len: usize) -> usize {
-        let h = self.add_level(items.len());
-        let n = items.len();
-        self.restore_level(h, items, run_len.min(n));
-        h
-    }
-
     /// Items currently stored in slot `h`.
     pub fn len(&self, h: usize) -> usize {
         self.slots[h].len

@@ -19,6 +19,11 @@
 //! is just its fields in order declares them once with
 //! [`packable_struct!`](crate::packable_struct).
 //!
+//! Decoders read a borrowed cursor, `&mut &[u8]`: each read advances the
+//! slice past what it consumed, and no input is copied before it is
+//! decoded. The rule above is unchanged: a count is checked before
+//! anything is allocated for it.
+//!
 //! ## Sketch format, version 3
 //!
 //! The only version written or read:
@@ -42,10 +47,11 @@
 //! each level carries its *own* section count (adaptive levels diverge from
 //! the header's floor, arXiv:2511.17396) plus its lifetime absorbed item
 //! count, which is what the adaptive schedule re-plans geometry from.
-//! Each level's items go through [`Packable::pack_slice`] and
-//! [`Packable::unpack_slice`], one pass per level for the 8-byte item
-//! types. Versions 1 and 2 predate the service and no deployment wrote
-//! them; their bytes fail with [`ReqError::CorruptBytes`].
+//! Each level's items are encoded by [`Packable::pack_slice`] and, once
+//! their count has been checked, decoded by [`Packable::unpack_into_slot`]
+//! straight into the level's arena slot. Versions 1 and 2 predate the
+//! service and no deployment wrote them; their bytes fail with
+//! [`ReqError::CorruptBytes`].
 //!
 //! Untrusted input is validated before anything is sized from it, and a
 //! field no writer produces is rejected as corrupt: flags bits 2–7 set; a
@@ -68,6 +74,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::Rng;
 
+use crate::arena::LevelArena;
 use crate::compactor::{RankAccuracy, RelativeCompactor};
 use crate::error::ReqError;
 use crate::ordf64::OrdF64;
@@ -97,8 +104,8 @@ pub trait Packable: Sized {
     /// Append this value's encoding to `out`.
     fn pack(&self, out: &mut BytesMut);
 
-    /// Decode one value, consuming bytes from `input`.
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError>;
+    /// Decode one value, advancing `input` past the bytes it consumed.
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError>;
 
     /// Append the encodings of `items`, in order, with no count. The
     /// default packs one item at a time.
@@ -108,9 +115,25 @@ pub trait Packable: Sized {
         }
     }
 
+    /// Decode `count` values onto the end of slot `slot` of `arena`,
+    /// straight from `input`. The default unpacks and pushes one item at a
+    /// time. The caller checks `count` against the remaining bytes before
+    /// it sizes the slot.
+    fn unpack_into_slot(
+        input: &mut &[u8],
+        count: usize,
+        arena: &mut LevelArena<Self>,
+        slot: usize,
+    ) -> Result<(), ReqError> {
+        for _ in 0..count {
+            arena.push(slot, Self::unpack(input)?);
+        }
+        Ok(())
+    }
+
     /// Decode `count` values. The default checks `count` against the
     /// remaining bytes, then unpacks one item at a time.
-    fn unpack_slice(input: &mut Bytes, count: usize) -> Result<Vec<Self>, ReqError> {
+    fn unpack_slice(input: &mut &[u8], count: usize) -> Result<Vec<Self>, ReqError> {
         check_remaining(input, count.saturating_mul(Self::MIN_PACKED_LEN))?;
         let mut items = Vec::with_capacity(count);
         for _ in 0..count {
@@ -121,7 +144,7 @@ pub trait Packable: Sized {
 }
 
 /// Fail unless at least `n` bytes remain in `input`.
-fn check_remaining(input: &Bytes, n: usize) -> Result<(), ReqError> {
+fn check_remaining(input: &[u8], n: usize) -> Result<(), ReqError> {
     if input.remaining() < n {
         Err(ReqError::CorruptBytes(format!(
             "need {n} more bytes, have {}",
@@ -141,9 +164,9 @@ pub fn pack_counted<T: Packable>(items: &[T], out: &mut BytesMut) {
 
 /// Decode `input` with `decode`, which must consume all of it: trailing
 /// bytes are corrupt.
-pub fn unpack_whole<T>(
-    mut input: Bytes,
-    decode: impl FnOnce(&mut Bytes) -> Result<T, ReqError>,
+pub fn unpack_whole<'a, T>(
+    mut input: &'a [u8],
+    decode: impl FnOnce(&mut &'a [u8]) -> Result<T, ReqError>,
 ) -> Result<T, ReqError> {
     let value = decode(&mut input)?;
     if input.has_remaining() {
@@ -171,7 +194,7 @@ pub fn unpack_whole<T>(
 /// use req_core::binary::Packable;
 /// let mut out = bytes::BytesMut::new();
 /// Cursor { gen: 7, sealed: true }.pack(&mut out);
-/// let back = Cursor::unpack(&mut out.freeze()).unwrap();
+/// let back = Cursor::unpack(&mut &out[..]).unwrap();
 /// assert_eq!(back, Cursor { gen: 7, sealed: true });
 /// ```
 #[macro_export]
@@ -181,9 +204,7 @@ macro_rules! packable_struct {
             fn pack(&self, out: &mut ::bytes::BytesMut) {
                 $($crate::binary::Packable::pack(&self.$field, out);)+
             }
-            fn unpack(
-                input: &mut ::bytes::Bytes,
-            ) -> ::core::result::Result<Self, $crate::ReqError> {
+            fn unpack(input: &mut &[u8]) -> ::core::result::Result<Self, $crate::ReqError> {
                 ::core::result::Result::Ok(Self {
                     $($field: $crate::binary::Packable::unpack(input)?,)+
                 })
@@ -199,7 +220,7 @@ macro_rules! packable_int {
             fn pack(&self, out: &mut BytesMut) {
                 out.$put(*self);
             }
-            fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+            fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
                 check_remaining(input, $size)?;
                 Ok(input.$get())
             }
@@ -213,7 +234,8 @@ packable_int!(i32, put_i32_le, get_i32_le, 4);
 
 /// The 8-byte types: one value is its `u64` image, little-endian. Slices
 /// encode through a stack block and decode in one pass over the input
-/// into an exact-capacity `Vec`.
+/// into an exact-capacity `Vec`; a level's items decode through a stack
+/// block of 64 straight into its arena slot.
 macro_rules! packable_le8 {
     ($t:ty, $to_bits:expr, $from_bits:expr) => {
         impl Packable for $t {
@@ -221,7 +243,7 @@ macro_rules! packable_le8 {
             fn pack(&self, out: &mut BytesMut) {
                 out.put_u64_le($to_bits(*self));
             }
-            fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+            fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
                 check_remaining(input, 8)?;
                 Ok($from_bits(input.get_u64_le()))
             }
@@ -235,7 +257,26 @@ macro_rules! packable_le8 {
                     out.put_slice(bytes);
                 }
             }
-            fn unpack_slice(input: &mut Bytes, count: usize) -> Result<Vec<Self>, ReqError> {
+            fn unpack_into_slot(
+                input: &mut &[u8],
+                count: usize,
+                arena: &mut LevelArena<Self>,
+                slot: usize,
+            ) -> Result<(), ReqError> {
+                let len = count.saturating_mul(8);
+                check_remaining(input, len)?;
+                let mut block = [$from_bits(0); 64];
+                for bytes in input[..len].chunks(8 * 64) {
+                    let run = &mut block[..bytes.len() / 8];
+                    for (dst, b) in run.iter_mut().zip(bytes.chunks_exact(8)) {
+                        *dst = $from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk")));
+                    }
+                    arena.extend_from_slice(slot, run);
+                }
+                input.advance(len);
+                Ok(())
+            }
+            fn unpack_slice(input: &mut &[u8], count: usize) -> Result<Vec<Self>, ReqError> {
                 let len = count.saturating_mul(8);
                 check_remaining(input, len)?;
                 let items = input.chunk()[..len]
@@ -260,14 +301,14 @@ impl Packable for u8 {
     fn pack(&self, out: &mut BytesMut) {
         out.put_u8(*self);
     }
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         check_remaining(input, 1)?;
         Ok(input.get_u8())
     }
     fn pack_slice(items: &[Self], out: &mut BytesMut) {
         out.put_slice(items);
     }
-    fn unpack_slice(input: &mut Bytes, count: usize) -> Result<Vec<Self>, ReqError> {
+    fn unpack_slice(input: &mut &[u8], count: usize) -> Result<Vec<Self>, ReqError> {
         check_remaining(input, count)?;
         let items = input.chunk()[..count].to_vec();
         input.advance(count);
@@ -279,7 +320,7 @@ impl Packable for bool {
     fn pack(&self, out: &mut BytesMut) {
         out.put_u8(u8::from(*self));
     }
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         match u8::unpack(input)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -298,7 +339,7 @@ impl<T: Packable> Packable for Option<T> {
             None => out.put_u8(0),
         }
     }
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         match u8::unpack(input)? {
             0 => Ok(None),
             1 => Ok(Some(T::unpack(input)?)),
@@ -312,7 +353,7 @@ impl<T: Packable> Packable for Vec<T> {
     fn pack(&self, out: &mut BytesMut) {
         pack_counted(self, out);
     }
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         let count = u32::unpack(input)? as usize;
         T::unpack_slice(input, count)
     }
@@ -324,7 +365,7 @@ impl<A: Packable, B: Packable> Packable for (A, B) {
         self.0.pack(out);
         self.1.pack(out);
     }
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         Ok((A::unpack(input)?, B::unpack(input)?))
     }
 }
@@ -334,7 +375,7 @@ impl Packable for String {
     fn pack(&self, out: &mut BytesMut) {
         pack_counted(self.as_bytes(), out);
     }
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         String::from_utf8(Vec::<u8>::unpack(input)?)
             .map_err(|e| ReqError::CorruptBytes(format!("invalid utf8 string: {e}")))
     }
@@ -372,7 +413,7 @@ fn pack_policy(policy: &ParamPolicy, out: &mut BytesMut) {
     }
 }
 
-fn unpack_policy(input: &mut Bytes) -> Result<ParamPolicy, ReqError> {
+fn unpack_policy(input: &mut &[u8]) -> Result<ParamPolicy, ReqError> {
     let policy = match u8::unpack(input)? {
         0 => ParamPolicy::mergeable_scaled(
             f64::unpack(input)?,
@@ -451,10 +492,10 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
 
     /// Deserialize from [`ReqSketch::to_bytes`] output.
     pub fn from_bytes(data: &[u8]) -> Result<Self, ReqError> {
-        unpack_whole(Bytes::copy_from_slice(data), Self::unpack_sketch)
+        unpack_whole(data, Self::unpack_sketch)
     }
 
-    fn unpack_sketch(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack_sketch(input: &mut &[u8]) -> Result<Self, ReqError> {
         if input.chunk().get(..MAGIC.len()) != Some(&MAGIC[..]) {
             return Err(ReqError::CorruptBytes("bad magic".into()));
         }
@@ -513,7 +554,7 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
                 "implausible level count {num_levels}"
             )));
         }
-        let mut arena = crate::arena::LevelArena::new();
+        let mut arena = LevelArena::new();
         let mut levels = Vec::with_capacity(num_levels);
         let mut weight = 0u128;
         for h in 0..num_levels {
@@ -536,19 +577,23 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
                      exceeds what n={n} allows"
                 )));
             }
-            let buf = Vec::<T>::unpack(input)?;
-            let len = buf.len();
+            // The level's count is checked against the bytes left before its
+            // slot is sized from it; the items then decode straight into it.
+            let len = u32::unpack(input)? as usize;
+            check_remaining(input, len.saturating_mul(T::MIN_PACKED_LEN))?;
             if run_len > len {
                 return Err(ReqError::CorruptBytes(format!(
                     "run_len {run_len} exceeds level len {len}"
                 )));
             }
+            let slot = arena.add_level(len);
+            T::unpack_into_slot(input, len, &mut arena, slot)?;
+            arena.set_run_len(slot, run_len);
             let level = RelativeCompactor::from_parts(
                 &mut arena,
+                slot,
                 k,
                 level_sections,
-                buf,
-                run_len,
                 CompactionState::from_raw(state),
                 compactions,
                 special,
@@ -953,7 +998,7 @@ mod tests {
                 item.pack(&mut looped);
             }
             assert_eq!(sliced, looped);
-            let mut input = sliced.freeze();
+            let mut input = &sliced[..];
             assert_eq!(T::unpack_slice(&mut input, items.len()).unwrap(), items);
             assert!(!input.has_remaining());
         }
@@ -973,17 +1018,16 @@ mod tests {
 
     #[test]
     fn strict_decoding_rejects_bytes_no_writer_produces() {
-        let bytes = |raw: &[u8]| Bytes::copy_from_slice(raw);
-        assert!(bool::unpack(&mut bytes(&[2])).is_err());
-        assert!(Option::<u8>::unpack(&mut bytes(&[2, 0])).is_err());
-        assert_eq!(Option::<u8>::unpack(&mut bytes(&[1, 9])).unwrap(), Some(9));
+        assert!(bool::unpack(&mut &[2][..]).is_err());
+        assert!(Option::<u8>::unpack(&mut &[2, 0][..]).is_err());
+        assert_eq!(Option::<u8>::unpack(&mut &[1, 9][..]).unwrap(), Some(9));
         // A count the remaining bytes cannot hold fails before allocating.
         let mut huge = BytesMut::new();
         u32::MAX.pack(&mut huge);
         0u64.pack(&mut huge);
-        assert!(Vec::<u64>::unpack(&mut huge.freeze()).is_err());
-        assert!(unpack_whole(bytes(&[1, 0]), bool::unpack).is_err());
-        assert!(unpack_whole(bytes(&[1]), bool::unpack).unwrap());
+        assert!(Vec::<u64>::unpack(&mut &huge[..]).is_err());
+        assert!(unpack_whole(&[1, 0], bool::unpack).is_err());
+        assert!(unpack_whole(&[1], bool::unpack).unwrap());
     }
 
     #[test]
@@ -991,7 +1035,6 @@ mod tests {
         let mut out = BytesMut::new();
         out.put_u32_le(2);
         out.put_slice(&[0xFF, 0xFE]);
-        let mut b = out.freeze();
-        assert!(String::unpack(&mut b).is_err());
+        assert!(String::unpack(&mut &out[..]).is_err());
     }
 }

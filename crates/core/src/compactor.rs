@@ -315,24 +315,23 @@ impl<T> RelativeCompactor<T> {
         arena.reserve(self.slot, self.capacity());
     }
 
-    /// Rebuild from raw parts (deserialization), seeding a fresh slot in
-    /// `arena`. `run_len` declares the sorted-run prefix of `items`; callers
-    /// loading untrusted bytes must validate it with
-    /// [`RelativeCompactor::run_is_sorted`] (passing 0 is always safe and
+    /// Rebuild from raw parts (deserialization) around `slot`, a slot of
+    /// `arena` that already holds the level's items with its sorted-run
+    /// prefix declared ([`LevelArena::set_run_len`]). Callers loading
+    /// untrusted bytes must validate the run with
+    /// [`RelativeCompactor::run_is_sorted`] (a run of 0 is always safe and
     /// merely re-establishes the invariant on the first compaction).
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         arena: &mut LevelArena<T>,
+        slot: usize,
         section_size: u32,
         num_sections: u32,
-        items: Vec<T>,
-        run_len: usize,
         state: CompactionState,
         num_compactions: u64,
         num_special_compactions: u64,
         absorbed: u64,
     ) -> Self {
-        let slot = arena.add_level_from_vec(items, run_len);
         arena.reserve(
             slot,
             2 * section_size as usize * num_sections.max(1) as usize,
@@ -1289,12 +1288,12 @@ mod tests {
         c.compact_scheduled(&mut ar, RankAccuracy::LowRank, false, &mut out);
         let snapshot: Vec<u64> = c.items(&ar).to_vec();
         let mut ar2 = LevelArena::new();
+        let slot = filled_slot(&mut ar2, &snapshot, c.run_len(&ar));
         let rebuilt = RelativeCompactor::from_parts(
             &mut ar2,
+            slot,
             4,
             3,
-            snapshot.clone(),
-            c.run_len(&ar),
             c.state(),
             c.num_compactions(),
             c.num_special_compactions(),
@@ -1308,34 +1307,25 @@ mod tests {
         assert!(rebuilt.run_is_sorted(&ar2, RankAccuracy::LowRank));
     }
 
+    /// A fresh slot of `ar` holding `items`, with the first `run_len`
+    /// declared sorted.
+    fn filled_slot(ar: &mut LevelArena<u64>, items: &[u64], run_len: usize) -> usize {
+        let slot = ar.add_level(items.len());
+        ar.extend_from_slice(slot, items);
+        ar.set_run_len(slot, run_len);
+        slot
+    }
+
     #[test]
     fn from_parts_clamps_run_len_and_validates() {
         let mut ar = LevelArena::new();
-        let c = RelativeCompactor::from_parts(
-            &mut ar,
-            4,
-            1,
-            vec![3u64, 1, 2],
-            99, // clamped to len
-            CompactionState::new(),
-            0,
-            0,
-            0,
-        );
+        let slot = filled_slot(&mut ar, &[3, 1, 2], 99); // clamped to len
+        let c = RelativeCompactor::from_parts(&mut ar, slot, 4, 1, CompactionState::new(), 0, 0, 0);
         assert_eq!(c.run_len(&ar), 3);
         assert!(!c.run_is_sorted(&ar, RankAccuracy::LowRank));
         let mut ar = LevelArena::new();
-        let c = RelativeCompactor::from_parts(
-            &mut ar,
-            4,
-            1,
-            vec![3u64, 1, 2],
-            0,
-            CompactionState::new(),
-            0,
-            0,
-            0,
-        );
+        let slot = filled_slot(&mut ar, &[3, 1, 2], 0);
+        let c = RelativeCompactor::from_parts(&mut ar, slot, 4, 1, CompactionState::new(), 0, 0, 0);
         assert!(
             c.run_is_sorted(&ar, RankAccuracy::LowRank),
             "empty run is valid"

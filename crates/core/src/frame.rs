@@ -362,24 +362,24 @@ pub fn try_frame(input: &[u8], max_payload: usize) -> Result<Option<&[u8]>, ReqE
     Ok(Some(payload))
 }
 
-/// Read one frame from the front of `input`, consuming it and returning
-/// the verified payload.
+/// Read one frame from the front of `input`, advancing past it and
+/// returning the verified payload as a sub-slice of `input`.
 ///
 /// Errors with [`ReqError::CorruptBytes`] on a short header, an
 /// implausible length, a short payload, or a checksum mismatch — and
 /// consumes nothing if the frame is invalid, so the caller can recover
 /// the byte offset of the last *valid* frame (WAL truncation point).
-pub fn read_frame(input: &mut Bytes) -> Result<Bytes, ReqError> {
+pub fn read_frame<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], ReqError> {
     // Peek without consuming: on any failure the caller must still see
     // the stream positioned at the bad frame's start.
-    let len = frame_payload(input.chunk())?.len();
-    input.advance(FRAME_HEADER_LEN);
-    Ok(input.copy_to_bytes(len))
+    let payload = frame_payload(input)?;
+    input.advance(FRAME_HEADER_LEN + payload.len());
+    Ok(payload)
 }
 
 /// Verify the frame at the front of `input` in place and borrow its
 /// payload; the frame occupies `FRAME_HEADER_LEN + payload.len()` bytes.
-/// Same checks and errors as [`read_frame`], without copying.
+/// Same checks and errors as [`read_frame`], without advancing.
 pub fn frame_payload(input: &[u8]) -> Result<&[u8], ReqError> {
     try_frame(input, MAX_FRAME_PAYLOAD)?
         .ok_or_else(|| ReqError::CorruptBytes(format!("truncated frame: {} bytes", input.len())))
@@ -397,7 +397,7 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
     /// frame are rejected; use [`read_frame`] directly to read a sketch out
     /// of a longer stream.
     pub fn from_bytes_framed(data: &[u8]) -> Result<Self, ReqError> {
-        Self::from_bytes(&unpack_whole(Bytes::copy_from_slice(data), read_frame)?)
+        Self::from_bytes(unpack_whole(data, read_frame)?)
     }
 }
 
@@ -562,9 +562,9 @@ mod tests {
         for payload in [&b""[..], b"x", b"hello frame", &[0xFFu8; 1024][..]] {
             let framed = frame(payload);
             assert_eq!(framed.len(), FRAME_HEADER_LEN + payload.len());
-            let mut input = framed.clone();
+            let mut input = &framed[..];
             let got = read_frame(&mut input).unwrap();
-            assert_eq!(&got[..], payload);
+            assert_eq!(got, payload);
             assert!(!input.has_remaining());
         }
     }
@@ -575,10 +575,10 @@ mod tests {
         write_frame(&mut out, b"first");
         write_frame(&mut out, b"");
         write_frame(&mut out, b"third");
-        let mut input = out.freeze();
-        assert_eq!(&read_frame(&mut input).unwrap()[..], b"first");
-        assert_eq!(&read_frame(&mut input).unwrap()[..], b"");
-        assert_eq!(&read_frame(&mut input).unwrap()[..], b"third");
+        let mut input = &out[..];
+        assert_eq!(read_frame(&mut input).unwrap(), b"first");
+        assert_eq!(read_frame(&mut input).unwrap(), b"");
+        assert_eq!(read_frame(&mut input).unwrap(), b"third");
         assert!(!input.has_remaining());
     }
 
@@ -588,7 +588,7 @@ mod tests {
 
         // Every truncation fails, including a cut inside the header.
         for cut in 0..framed.len() {
-            let mut input = Bytes::copy_from_slice(&framed[..cut]);
+            let mut input = &framed[..cut];
             let before = input.remaining();
             assert!(
                 matches!(read_frame(&mut input), Err(ReqError::CorruptBytes(_))),
@@ -601,7 +601,7 @@ mod tests {
         for byte in 0..framed.len() {
             let mut bad = framed.to_vec();
             bad[byte] ^= 0x10;
-            let mut input = Bytes::from(bad);
+            let mut input = &bad[..];
             let res = read_frame(&mut input);
             // A flip in the length prefix may still "fail" as a short
             // frame rather than a checksum mismatch; either way it must
@@ -644,7 +644,7 @@ mod tests {
         out.put_u32_le(u32::MAX);
         out.put_u32_le(0);
         out.put_slice(&[0u8; 16]);
-        let mut input = out.freeze();
+        let mut input = &out[..];
         assert!(matches!(
             read_frame(&mut input),
             Err(ReqError::CorruptBytes(_))

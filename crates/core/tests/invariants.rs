@@ -174,11 +174,14 @@ proptest! {
         let acc = if hra { RankAccuracy::HighRank } else { RankAccuracy::LowRank };
         let mut ar_a = LevelArena::new();
         let mut ar_b = LevelArena::new();
+        let (slot_a, slot_b) = (ar_a.add_level(items_a.len()), ar_b.add_level(items_b.len()));
+        ar_a.extend_from_slice(slot_a, &items_a);
+        ar_b.extend_from_slice(slot_b, &items_b);
         let mut a = RelativeCompactor::<u64>::from_parts(
-            &mut ar_a, 8, 3, items_a.clone(), 0, CompactionState::from_raw(state_a), 0, 0,
+            &mut ar_a, slot_a, 8, 3, CompactionState::from_raw(state_a), 0, 0,
             items_a.len() as u64);
         let mut b = RelativeCompactor::<u64>::from_parts(
-            &mut ar_b, 8, 3, items_b.clone(), 0, CompactionState::from_raw(state_b), 0, 0,
+            &mut ar_b, slot_b, 8, 3, CompactionState::from_raw(state_b), 0, 0,
             items_b.len() as u64);
         if presort {
             // Exercise the run-merging path too, not just tail concatenation.

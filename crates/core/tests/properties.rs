@@ -11,7 +11,7 @@ mod support;
 
 use std::cmp::Ordering;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -217,7 +217,7 @@ impl Packable for RefF64 {
     fn pack(&self, out: &mut BytesMut) {
         out.put_u64_le(self.0.to_bits());
     }
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         if input.remaining() < 8 {
             return Err(ReqError::CorruptBytes("truncated f64".into()));
         }

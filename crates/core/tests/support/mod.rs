@@ -16,7 +16,7 @@
 // Each test binary uses one of the two oracles.
 #![allow(dead_code)]
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use req_core::binary::Packable;
 use req_core::compactor::CompactionOutcome;
@@ -164,7 +164,7 @@ impl Packable for Boxed {
     fn pack(&self, out: &mut BytesMut) {
         out.put_u64_le(*self.0);
     }
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         u64::unpack(input).map(Boxed::new)
     }
 }

@@ -8,7 +8,7 @@
 //! the original had. The seed is what makes replay deterministic: a
 //! recovered sketch that re-applies the same batches flips the same coins.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use req_core::binary::Packable;
 use req_core::{CompactionSchedule, ConcurrentReqSketch, OrdF64, ParamPolicy, ReqError, ReqSketch};
 use std::fmt;
@@ -222,7 +222,7 @@ impl Packable for TenantConfig {
         self.seed.pack(out);
     }
 
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         let corrupt = |what: &str| ReqError::CorruptBytes(format!("tenant config: {what}"));
         let accuracy = match u8::unpack(input)? {
             0 => {
@@ -342,7 +342,7 @@ mod tests {
             let cfg = TenantConfig::parse(key, tokens).unwrap();
             let mut out = BytesMut::new();
             cfg.pack(&mut out);
-            let mut input = out.freeze();
+            let mut input = &out[..];
             let back = TenantConfig::unpack(&mut input).unwrap();
             assert_eq!(back, cfg, "roundtrip for {tokens:?}");
             assert!(!input.has_remaining());
@@ -406,18 +406,18 @@ mod tests {
         let good = out.freeze().to_vec();
         // Truncations and a bad tag byte all reject.
         for cut in 0..good.len() {
-            let mut input = Bytes::copy_from_slice(&good[..cut]);
+            let mut input = &good[..cut];
             assert!(TenantConfig::unpack(&mut input).is_err(), "cut {cut}");
         }
         let mut bad = good.clone();
         bad[0] = 7;
-        let mut input = Bytes::copy_from_slice(&bad);
+        let mut input = &bad[..];
         assert!(TenantConfig::unpack(&mut input).is_err());
         // The K form's reserved u64 (after tag and k) must be zero.
         assert_eq!(cfg.accuracy, Accuracy::K(32));
         let mut bad = good.clone();
         bad[1 + 4] = 1;
-        let mut input = Bytes::copy_from_slice(&bad);
+        let mut input = &bad[..];
         assert!(matches!(
             TenantConfig::unpack(&mut input),
             Err(ReqError::CorruptBytes(_))

@@ -1,7 +1,6 @@
 //! Replication: WAL-tail shipping (primary side) and frame replay
 //! (follower side). See docs/ARCHITECTURE.md "Cluster layer".
 
-use bytes::Bytes;
 use req_core::frame::{FrameHeader, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 use req_core::ReqError;
 use std::sync::atomic::Ordering;
@@ -114,7 +113,7 @@ impl QuantileService {
         // Mirror recovery's stop conditions exactly: a frame must be
         // length-complete, CRC-clean, *and* decode to a record.
         while let Ok(payload) = req_core::frame::frame_payload(&buf[shipped..]) {
-            if WalRecord::decode(Bytes::copy_from_slice(payload)).is_err() {
+            if WalRecord::decode(payload).is_err() {
                 break;
             }
             let consumed = FRAME_HEADER_LEN + payload.len();
@@ -162,7 +161,7 @@ impl QuantileService {
         let mut applied = 0u64;
         while at < frames.len() {
             let payload = req_core::frame::frame_payload(&frames[at..])?;
-            let rec = WalRecord::decode(Bytes::copy_from_slice(payload))?;
+            let rec = WalRecord::decode(payload)?;
             let frame_bytes = &frames[at..at + FRAME_HEADER_LEN + payload.len()];
             at += frame_bytes.len();
             // Same contract as the primary's mutation path: even when the

@@ -103,7 +103,7 @@ impl Packable for ErrorKind {
         (at as u8 + 1).pack(out);
     }
 
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         let byte = u8::unpack(input)?;
         let kind = ERROR_KINDS.get(usize::from(byte).wrapping_sub(1)).copied();
         kind.ok_or_else(|| ReqError::CorruptBytes(format!("unknown error kind byte {byte}")))
@@ -313,8 +313,8 @@ pub fn encode_response(resp: &Response) -> Bytes {
 
 /// Decode one request from a deframed payload (the bytes the frame's CRC
 /// covered). Trailing bytes are rejected.
-pub fn decode_request(payload: Bytes) -> Result<Request, ReqError> {
-    unpack_whole(payload, |input| {
+pub fn decode_request(payload: impl AsRef<[u8]>) -> Result<Request, ReqError> {
+    unpack_whole(payload.as_ref(), |input| {
         Ok(match u8::unpack(input)? {
             REQ_CREATE => Request::Create {
                 key: Packable::unpack(input)?,
@@ -380,8 +380,8 @@ pub fn decode_request(payload: Bytes) -> Result<Request, ReqError> {
 
 /// Decode one response from a deframed payload. Trailing bytes are
 /// rejected.
-pub fn decode_response(payload: Bytes) -> Result<Response, ReqError> {
-    unpack_whole(payload, |input| {
+pub fn decode_response(payload: impl AsRef<[u8]>) -> Result<Response, ReqError> {
+    unpack_whole(payload.as_ref(), |input| {
         Ok(match u8::unpack(input)? {
             RESP_CREATED => Response::Created,
             RESP_ADDED => Response::Added,
@@ -430,19 +430,13 @@ pub fn read_frame_blocking<R: Read>(r: &mut R) -> Result<Bytes, ReqError> {
 /// complete frame.
 ///
 /// * `Ok(None)` — not enough bytes yet; read more and retry.
-/// * `Ok(Some((payload, consumed)))` — one verified payload; advance the
-///   buffer cursor by `consumed` bytes.
+/// * `Ok(Some((payload, consumed)))` — one verified payload, borrowed from
+///   `buf`; advance the buffer cursor by `consumed` bytes.
 /// * `Err(_)` — the stream is unframeable (oversized length or CRC
 ///   mismatch); the connection should be torn down.
-pub fn try_deframe(buf: &[u8], offset: usize) -> Result<Option<(Bytes, usize)>, ReqError> {
-    Ok(
-        try_frame(&buf[offset..], MAX_MESSAGE_PAYLOAD)?.map(|payload| {
-            (
-                Bytes::copy_from_slice(payload),
-                FRAME_HEADER_LEN + payload.len(),
-            )
-        }),
-    )
+pub fn try_deframe(buf: &[u8], offset: usize) -> Result<Option<(&[u8], usize)>, ReqError> {
+    Ok(try_frame(&buf[offset..], MAX_MESSAGE_PAYLOAD)?
+        .map(|payload| (payload, FRAME_HEADER_LEN + payload.len())))
 }
 
 impl Codec for Binary {
@@ -628,7 +622,8 @@ mod tests {
     #[test]
     fn requests_roundtrip_through_frames() {
         for req in sample_requests() {
-            let mut framed = encode_request(&req);
+            let framed = encode_request(&req);
+            let mut framed = &framed[..];
             let payload = read_frame(&mut framed).unwrap();
             assert!(framed.is_empty(), "frame fully consumed");
             let back = decode_request(payload).unwrap();
@@ -639,8 +634,8 @@ mod tests {
     #[test]
     fn responses_roundtrip_through_frames() {
         for resp in sample_responses() {
-            let mut framed = encode_response(&resp);
-            let payload = read_frame(&mut framed).unwrap();
+            let framed = encode_response(&resp);
+            let payload = read_frame(&mut &framed[..]).unwrap();
             let back = decode_response(payload).unwrap();
             assert_eq!(encode_response(&back), encode_response(&resp));
         }
@@ -648,14 +643,14 @@ mod tests {
 
     #[test]
     fn tail_reply_envelope_matches_the_encoding() {
-        let mut framed = encode_response(&Response::Tailed(TailSegment {
+        let framed = encode_response(&Response::Tailed(TailSegment {
             gen: 1,
             offset: 8,
             sealed: false,
             latest_gen: 1,
             frames: vec![7; 5],
         }));
-        let payload = read_frame(&mut framed).unwrap();
+        let payload = read_frame(&mut &framed[..]).unwrap();
         assert_eq!(payload.len(), TAIL_REPLY_ENVELOPE + 5);
     }
 
@@ -699,8 +694,7 @@ mod tests {
         assert!(try_deframe(&huge, 0).is_err());
         // Valid frame, garbage payload: decode-level corrupt error.
         let framed = req_core::frame::frame(&[0xEE, 0xEE]);
-        let mut framed_bytes = framed.clone();
-        let payload = read_frame(&mut framed_bytes).unwrap();
+        let payload = read_frame(&mut &framed[..]).unwrap();
         assert!(matches!(
             decode_request(payload),
             Err(ReqError::CorruptBytes(_))
@@ -718,7 +712,9 @@ mod tests {
             .into_iter()
             .find(|r| matches!(r, Response::Stats(_)))
             .unwrap();
-        let payload = read_frame(&mut encode_response(&stats)).unwrap().to_vec();
+        let payload = read_frame(&mut &encode_response(&stats)[..])
+            .unwrap()
+            .to_vec();
         // tag, n, retained, bytes, k, shards | hra, adaptive | rotation,
         // snapshot_failures, wal_poisoned, shed | read_only
         for at in [33, 34, 35 + 32] {
@@ -740,16 +736,16 @@ mod tests {
         // Every strict prefix of every encoded payload must decode to a
         // clean error (not a panic, not a bogus success).
         for req in sample_requests() {
-            let mut framed = encode_request(&req);
-            let payload = read_frame(&mut framed).unwrap();
+            let framed = encode_request(&req);
+            let payload = read_frame(&mut &framed[..]).unwrap();
             for cut in 0..payload.len() {
                 let prefix = Bytes::copy_from_slice(&payload[..cut]);
                 assert!(decode_request(prefix).is_err(), "{req:?} cut at {cut}");
             }
         }
         for resp in sample_responses() {
-            let mut framed = encode_response(&resp);
-            let payload = read_frame(&mut framed).unwrap();
+            let framed = encode_response(&resp);
+            let payload = read_frame(&mut &framed[..]).unwrap();
             for cut in 0..payload.len() {
                 let prefix = Bytes::copy_from_slice(&payload[..cut]);
                 assert!(decode_response(prefix).is_err(), "{resp:?} cut at {cut}");

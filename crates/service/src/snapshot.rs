@@ -157,7 +157,7 @@ impl Packable for TenantSnapshot {
         self.shards.pack(out);
     }
 
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         let t = TenantSnapshot {
             key: Packable::unpack(input)?,
             config: Packable::unpack(input)?,
@@ -190,7 +190,7 @@ impl Packable for AppliedOutcome {
         n.pack(out);
     }
 
-    fn unpack(input: &mut Bytes) -> Result<Self, ReqError> {
+    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
         let corrupt =
             |what: String| ReqError::CorruptBytes(format!("snapshot dedup table: {what}"));
         let tag = u8::unpack(input)?;
@@ -236,7 +236,8 @@ pub fn encode_snapshot(
 
 /// Decode and fully validate a snapshot file's bytes, as written by
 /// [`encode_snapshot`].
-pub fn decode_snapshot(mut input: Bytes) -> Result<SnapshotData, ReqError> {
+pub fn decode_snapshot(file: impl AsRef<[u8]>) -> Result<SnapshotData, ReqError> {
+    let mut input = file.as_ref();
     if input.chunk().get(..SNAP_MAGIC.len()) != Some(&SNAP_MAGIC[..]) {
         return Err(ReqError::CorruptBytes("bad snapshot magic".into()));
     }
@@ -308,7 +309,7 @@ pub fn write_snapshot(
 pub fn load_snapshot(path: &Path) -> Result<SnapshotData, ReqError> {
     let mut raw = Vec::new();
     File::open(path)?.read_to_end(&mut raw)?;
-    decode_snapshot(Bytes::from(raw))
+    decode_snapshot(raw)
 }
 
 /// The newest snapshot that loads in full, if any. Invalid candidates are

@@ -171,11 +171,11 @@ impl WalRecord {
         }
     }
 
-    /// Decode one frame payload (consumed, not re-copied — recovery
-    /// feeds [`read_frame`] output straight through). Accepts both the
-    /// v3 tags (1–3, tokenless) and the v4 tokenized tags (4–6).
-    pub fn decode(payload: Bytes) -> Result<Self, ReqError> {
-        unpack_whole(payload, |input| {
+    /// Decode one frame payload, borrowed — recovery feeds [`read_frame`]
+    /// output straight through. Accepts both the v3 tags (1–3, tokenless)
+    /// and the v4 tokenized tags (4–6).
+    pub fn decode(payload: impl AsRef<[u8]>) -> Result<Self, ReqError> {
+        unpack_whole(payload.as_ref(), |input| {
             let tag = u8::unpack(input)?;
             let token = match tag {
                 TAG_CREATE_T | TAG_ADD_BATCH_T | TAG_DROP_T => Some(IdemToken::unpack(input)?),
@@ -249,10 +249,9 @@ pub fn read_wal(path: &Path) -> Result<WalReplay, ReqError> {
         });
     }
     let total = raw.len() as u64;
-    // Move the file buffer into the cursor (no second full copy — a WAL
-    // can be the entire post-snapshot history).
-    let mut input = Bytes::from(raw);
-    input.advance(WAL_MAGIC.len());
+    // Frames are read in place: a WAL can be the entire post-snapshot
+    // history, and no payload is copied before it is decoded.
+    let mut input = &raw[WAL_MAGIC.len()..];
     let mut records = Vec::new();
     let mut valid_len = WAL_MAGIC.len() as u64;
     while input.has_remaining() {
@@ -655,7 +654,7 @@ mod tests {
     fn records_roundtrip_bit_exactly() {
         for rec in sample_records() {
             let encoded = rec.encode();
-            let mut input = encoded.clone();
+            let mut input = &encoded[..];
             let payload = read_frame(&mut input).unwrap();
             let back = WalRecord::decode(payload).unwrap();
             // OrdF64 equality is total-order equality, so NaN and -0.0
@@ -673,15 +672,15 @@ mod tests {
             values: vec![OrdF64(1.5)],
             token: None,
         };
-        let mut framed = rec.encode();
-        let payload = read_frame(&mut framed).unwrap();
+        let framed = rec.encode();
+        let payload = read_frame(&mut &framed[..]).unwrap();
         let mut want = BytesMut::new();
         want.put_u8(2); // v3 TAG_ADD_BATCH
         want.put_u32_le(1);
         want.put_slice(b"k");
         want.put_u32_le(1);
         want.put_u64_le(1.5f64.to_bits());
-        assert_eq!(&payload[..], &want[..]);
+        assert_eq!(payload, &want[..]);
         // And a tokenized record is the same payload behind tag 5 + token.
         let rec_t = WalRecord::AddBatch {
             key: "k".into(),
@@ -691,8 +690,8 @@ mod tests {
                 seq: 2,
             }),
         };
-        let mut framed = rec_t.encode();
-        let payload_t = read_frame(&mut framed).unwrap();
+        let framed = rec_t.encode();
+        let payload_t = read_frame(&mut &framed[..]).unwrap();
         assert_eq!(payload_t[0], 5);
         assert_eq!(&payload_t[17..], &want[1..]);
     }
@@ -720,8 +719,8 @@ mod tests {
                 seq: 2,
             }),
         };
-        let mut framed = rec.encode();
-        let payload = read_frame(&mut framed).unwrap();
+        let framed = rec.encode();
+        let payload = read_frame(&mut &framed[..]).unwrap();
         for cut in 0..payload.len() {
             let prefix = Bytes::copy_from_slice(&payload[..cut]);
             assert!(WalRecord::decode(prefix).is_err(), "cut at {cut}");

@@ -94,8 +94,8 @@ fn fix_crc(ranges: &[std::ops::Range<usize>], bad: &mut [u8], at: usize) {
     }
 }
 
-fn payload(mut framed: Bytes) -> Vec<u8> {
-    read_frame(&mut framed).unwrap().to_vec()
+fn payload(framed: Bytes) -> Vec<u8> {
+    read_frame(&mut &framed[..]).unwrap().to_vec()
 }
 
 fn token() -> Option<IdemToken> {
@@ -373,7 +373,7 @@ fn decode_frames(mut frames: &[u8]) -> Result<Vec<WalRecord>, ReqError> {
     let mut records = Vec::new();
     while !frames.is_empty() {
         let payload = frame_payload(frames)?;
-        records.push(WalRecord::decode(Bytes::copy_from_slice(payload))?);
+        records.push(WalRecord::decode(payload)?);
         frames = &frames[FRAME_HEADER_LEN + payload.len()..];
     }
     Ok(records)

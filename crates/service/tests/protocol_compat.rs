@@ -272,12 +272,12 @@ fn kind_for(resp: &Response) -> RequestKind {
     }
 }
 
-fn deframe(framed: bytes::Bytes) -> bytes::Bytes {
+fn deframe(framed: bytes::Bytes) -> Vec<u8> {
     let (payload, used) = binary::try_deframe(&framed, 0)
         .expect("self-produced frame must verify")
         .expect("self-produced frame must be complete");
     assert_eq!(used, framed.len(), "no trailing bytes in one frame");
-    payload
+    payload.to_vec()
 }
 
 proptest! {

@@ -17,7 +17,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::Path;
 
-use bytes::{Buf, Bytes};
+use bytes::Buf;
 use req_core::frame::read_frame;
 use req_core::{OrdF64, ReqError};
 use req_service::config::MAX_KEY_LEN;
@@ -63,7 +63,7 @@ fn tail_whole_file(
             raw.len()
         )));
     }
-    let mut input = Bytes::copy_from_slice(&raw[start as usize..]);
+    let mut input = &raw[start as usize..];
     let budget = (max_bytes as usize).min(binary::MAX_MESSAGE_PAYLOAD - 4096);
     let mut shipped = 0usize;
     loop {
@@ -120,7 +120,7 @@ fn log_mixed_records(s: &QuantileService) {
 /// the end of the last one.
 fn frame_boundaries(dir: &Path, gen: u64) -> Vec<u64> {
     let raw = std::fs::read(wal_path(dir, gen)).unwrap();
-    let mut input = Bytes::copy_from_slice(&raw[WAL_MAGIC.len()..]);
+    let mut input = &raw[WAL_MAGIC.len()..];
     let mut out = vec![WAL_MAGIC.len() as u64];
     while read_frame(&mut input).is_ok() {
         out.push((raw.len() - input.remaining()) as u64);
