@@ -21,7 +21,7 @@ pub const MAX_KEY_LEN: usize = 128;
 
 /// Most items a shard's level buffer may hold at the tenant's first
 /// length estimate: as many 8-byte items as fill one wire message.
-pub const MAX_LEVEL_ITEMS: usize = MAX_MESSAGE_PAYLOAD / 8;
+const MAX_LEVEL_ITEMS: usize = MAX_MESSAGE_PAYLOAD / 8;
 
 /// How a tenant's REQ sketch is parameterized. One of:
 ///
