@@ -234,8 +234,10 @@ packable_int!(i32, put_i32_le, get_i32_le, 4);
 
 /// The 8-byte types: one value is its `u64` image, little-endian. Slices
 /// encode through a stack block and decode in one pass over the input
-/// into an exact-capacity `Vec`; a level's items decode through a stack
-/// block of 64 straight into its arena slot.
+/// into an exact-capacity `Vec`. A level's items decode into its arena
+/// slot through a stack block of 256: each block costs one append, and at
+/// 64 items a block the appends made a 15,000-item sketch's decode about
+/// 10% slower.
 macro_rules! packable_le8 {
     ($t:ty, $to_bits:expr, $from_bits:expr) => {
         impl Packable for $t {
@@ -265,8 +267,8 @@ macro_rules! packable_le8 {
             ) -> Result<(), ReqError> {
                 let len = count.saturating_mul(8);
                 check_remaining(input, len)?;
-                let mut block = [$from_bits(0); 64];
-                for bytes in input[..len].chunks(8 * 64) {
+                let mut block = [$from_bits(0); 256];
+                for bytes in input[..len].chunks(8 * 256) {
                     let run = &mut block[..bytes.len() / 8];
                     for (dst, b) in run.iter_mut().zip(bytes.chunks_exact(8)) {
                         *dst = $from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk")));
