@@ -65,6 +65,12 @@ use std::marker::PhantomData;
 use crate::arena::LevelArena;
 use crate::schedule::{adaptive_num_sections, CompactionState};
 
+/// Most item positions a level reserves before its items arrive. A level
+/// whose capacity is larger (a `k` in the tens of thousands) grows its slot
+/// by doubling as items come, so a huge `k` costs memory for what a level
+/// holds rather than for what it could hold.
+const MAX_PRESIZE: usize = 1 << 16;
+
 /// Which end of the rank axis gets the multiplicative guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RankAccuracy {
@@ -154,7 +160,7 @@ impl<T> RelativeCompactor<T> {
         debug_assert!(section_size >= 4 && section_size.is_multiple_of(2));
         debug_assert!(num_sections >= 1);
         let cap = 2 * section_size as usize * num_sections as usize;
-        let slot = arena.add_level(cap);
+        let slot = arena.add_level(cap.min(MAX_PRESIZE));
         RelativeCompactor {
             slot,
             state: CompactionState::new(),
@@ -248,7 +254,7 @@ impl<T> RelativeCompactor<T> {
         }
         self.num_sections = target;
         self.num_adaptations += 1;
-        arena.reserve(self.slot, self.capacity());
+        arena.reserve(self.slot, self.capacity().min(MAX_PRESIZE));
         true
     }
 
@@ -312,7 +318,7 @@ impl<T> RelativeCompactor<T> {
         debug_assert!(section_size >= 4 && section_size.is_multiple_of(2));
         self.section_size = section_size;
         self.num_sections = num_sections.max(1);
-        arena.reserve(self.slot, self.capacity());
+        arena.reserve(self.slot, self.capacity().min(MAX_PRESIZE));
     }
 
     /// Rebuild from raw parts (deserialization) around `slot`, a slot of
@@ -334,7 +340,7 @@ impl<T> RelativeCompactor<T> {
     ) -> Self {
         arena.reserve(
             slot,
-            2 * section_size as usize * num_sections.max(1) as usize,
+            (2 * section_size as usize * num_sections.max(1) as usize).min(MAX_PRESIZE),
         );
         RelativeCompactor {
             slot,

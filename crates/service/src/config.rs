@@ -19,7 +19,7 @@ use crate::protocol::binary::MAX_MESSAGE_PAYLOAD;
 /// Longest accepted tenant key (protocol tokens stay single-line friendly).
 pub const MAX_KEY_LEN: usize = 128;
 
-/// Most items a shard's level buffer may hold at the tenant's first
+/// Most items a shard's level buffer may hold at a new tenant's first
 /// length estimate: as many 8-byte items as fill one wire message.
 const MAX_LEVEL_ITEMS: usize = MAX_MESSAGE_PAYLOAD / 8;
 
@@ -110,7 +110,8 @@ impl TenantConfig {
 
     /// Parse `CREATE` option tokens (`EPS=0.01`, `DELTA=0.05`, `K=32`,
     /// `HRA`, `LRA`, `SCHEDULE=standard|adaptive`, `SHARDS=4`, `SEED=7`)
-    /// on top of [`TenantConfig::for_key`] defaults.
+    /// on top of [`TenantConfig::for_key`] defaults. The result meets
+    /// [`TenantConfig::check_new`].
     pub fn parse(key: &str, tokens: &[&str]) -> Result<Self, ReqError> {
         let mut cfg = TenantConfig::for_key(key);
         let mut eps: Option<f64> = None;
@@ -148,8 +149,28 @@ impl TenantConfig {
                 "DELTA requires EPS to be given too".into(),
             ));
         }
-        cfg.build()?; // validate parameters eagerly, before anything is logged
+        // Validate eagerly, before anything is logged.
+        cfg.check_new()?;
+        cfg.build()?;
         Ok(cfg)
+    }
+
+    /// The limit a new `CREATE` meets on top of building: a shard's level
+    /// buffer at the first length estimate fits in one wire message, at
+    /// most `MAX_MESSAGE_PAYLOAD / 8` items (`K` up to 174,762, or `EPS`
+    /// down to about 0.00023 at the default `DELTA`). A larger buffer could
+    /// never ship in a `MERGE` reply. Configurations already in a WAL, a
+    /// snapshot or a `TAIL` reply are not held to it, so state written
+    /// before the limit existed still loads.
+    pub fn check_new(&self) -> Result<(), ReqError> {
+        let policy = self.policy()?;
+        let buffer = policy.params_for(policy.initial_max_n()).capacity();
+        if buffer > MAX_LEVEL_ITEMS {
+            return Err(ReqError::InvalidParameter(format!(
+                "K or EPS sizes a level buffer of {buffer} items (max {MAX_LEVEL_ITEMS})"
+            )));
+        }
+        Ok(())
     }
 
     /// Resolve into the sketch policy this configuration names.
@@ -167,19 +188,8 @@ impl TenantConfig {
                 "SHARDS must be in 1..=256".into(),
             ));
         }
-        let policy = self.policy()?;
-        // A shard's level buffer at the first length estimate must fit in
-        // one wire message: a larger one could never ship in a `MERGE`
-        // reply, and a `k` near `u32::MAX` would make the first `ADDB` ask
-        // for more memory than the host has.
-        let buffer = policy.params_for(policy.initial_max_n()).capacity();
-        if buffer > MAX_LEVEL_ITEMS {
-            return Err(ReqError::InvalidParameter(format!(
-                "K or EPS sizes a level buffer of {buffer} items (max {MAX_LEVEL_ITEMS})"
-            )));
-        }
         let builder = ReqSketch::<OrdF64>::builder()
-            .policy(policy)
+            .policy(self.policy()?)
             .high_rank_accuracy(self.hra)
             .schedule(self.schedule)
             .seed(self.seed);
@@ -386,6 +396,22 @@ mod tests {
                 "{tokens:?} accepted"
             );
         }
+    }
+
+    #[test]
+    fn create_limit_is_one_wire_message_of_level_buffer() {
+        assert!(TenantConfig::parse("k", &["K=174762"]).is_ok());
+        assert!(TenantConfig::parse("k", &["K=174764"]).is_err());
+        assert!(TenantConfig::parse("k", &["EPS=0.0003"]).is_ok());
+        assert!(TenantConfig::parse("k", &["EPS=0.0001"]).is_err());
+        // Decoding holds logged configurations only to building.
+        let cfg = TenantConfig {
+            accuracy: Accuracy::K(174_764),
+            ..TenantConfig::for_key("k")
+        };
+        let mut out = BytesMut::new();
+        cfg.pack(&mut out);
+        assert_eq!(TenantConfig::unpack(&mut &out[..]).unwrap(), cfg);
     }
 
     #[test]

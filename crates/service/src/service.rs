@@ -666,7 +666,8 @@ impl QuantileService {
     }
 
     /// Create tenant `key`. Fails if it exists; the configuration is
-    /// validated, logged, and only then applied.
+    /// validated (it must build and meet [`TenantConfig::check_new`]),
+    /// logged, and only then applied.
     pub fn create(&self, key: &str, config: TenantConfig) -> Result<(), ReqError> {
         self.create_with_token(key, config, None).map(|_| ())
     }
@@ -682,6 +683,7 @@ impl QuantileService {
     ) -> Result<AppliedOutcome, ReqError> {
         validate_key(key)?;
         self.exactly_once(token, AppliedOutcome::Created, || {
+            config.check_new()?;
             let frame = encode_create(key, &config, &token);
             self.registry
                 .create_with(key, config, || self.append_wal(&frame))
@@ -1303,6 +1305,61 @@ mod tests {
         let f = svc(fdir.path());
         f.set_follower(true);
         assert_eq!(f.replicate_frames(&seg.frames).unwrap(), 1);
+    }
+
+    #[test]
+    fn configs_past_the_create_limit_still_replicate_and_recover() {
+        // A new `CREATE` refuses these, but state written before the limit
+        // existed may hold them: a standby applies them, and WAL replay and
+        // snapshot load bring them back. The last one's `k` would size a
+        // level buffer of tens of billions of items up front.
+        let accuracies = [
+            Accuracy::K(200_000),
+            Accuracy::EpsDelta(0.0001, 0.05),
+            Accuracy::K(4_278_190_096),
+        ];
+        let dir = TempDir::new("svc").unwrap();
+        let mut keys = Vec::new();
+        let mut frames = Vec::new();
+        for (i, accuracy) in accuracies.into_iter().enumerate() {
+            let key = format!("big{i}");
+            let config = TenantConfig {
+                accuracy,
+                ..TenantConfig::for_key(&key)
+            };
+            assert!(config.check_new().is_err(), "{accuracy:?} is admitted");
+            frames.extend_from_slice(&encode_create(&key, &config, &None));
+            frames.extend_from_slice(&encode_add_batch(&key, &batch(0..1_000), &None));
+            keys.push(key);
+        }
+        let ranks = |s: &QuantileService| -> Vec<u64> {
+            keys.iter().map(|k| s.rank(k, 499.0).unwrap()).collect()
+        };
+        {
+            let f = svc(dir.path());
+            let config = TenantConfig {
+                accuracy: accuracies[0],
+                ..TenantConfig::for_key("big0")
+            };
+            assert!(matches!(
+                f.create("big0", config),
+                Err(ReqError::InvalidParameter(_))
+            ));
+            f.set_follower(true);
+            assert_eq!(f.replicate_frames(&frames).unwrap(), 6);
+            assert_eq!(ranks(&f), vec![500; 3]);
+        }
+        {
+            let s = svc(dir.path());
+            assert_eq!(s.recovery_report().records_replayed, 6);
+            assert_eq!(s.recovery_report().damaged_bytes, 0);
+            assert_eq!(ranks(&s), vec![500; 3]);
+            assert_eq!(s.snapshot_now().unwrap(), 1);
+        }
+        let s = svc(dir.path());
+        assert_eq!(s.recovery_report().snapshot_gen, Some(1));
+        assert!(s.recovery_report().skipped_snapshots.is_empty());
+        assert_eq!(ranks(&s), vec![500; 3]);
     }
 
     #[test]
