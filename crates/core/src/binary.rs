@@ -48,7 +48,7 @@
 //! the header's floor, arXiv:2511.17396) plus its lifetime absorbed item
 //! count, which is what the adaptive schedule re-plans geometry from.
 //! Each level's items are encoded by [`Packable::pack_slice`] and, once
-//! their count has been checked, decoded by [`Packable::unpack_into_slot`]
+//! their count has been checked, decoded by [`Packable::unpack_runs`]
 //! straight into the level's arena slot. Versions 1 and 2 predate the
 //! service and no deployment wrote them; their bytes fail with
 //! [`ReqError::CorruptBytes`].
@@ -74,7 +74,6 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rand::Rng;
 
-use crate::arena::LevelArena;
 use crate::compactor::{RankAccuracy, RelativeCompactor};
 use crate::error::ReqError;
 use crate::ordf64::OrdF64;
@@ -115,18 +114,17 @@ pub trait Packable: Sized {
         }
     }
 
-    /// Decode `count` values onto the end of slot `slot` of `arena`,
-    /// straight from `input`. The default unpacks and pushes one item at a
-    /// time. The caller checks `count` against the remaining bytes before
-    /// it sizes the slot.
-    fn unpack_into_slot(
+    /// Decode `count` values, handing them to `sink` in order, a run of
+    /// consecutive values at a time. The default hands over one value at a
+    /// time. A caller that allocates for the values checks `count` against
+    /// the remaining bytes first.
+    fn unpack_runs(
         input: &mut &[u8],
         count: usize,
-        arena: &mut LevelArena<Self>,
-        slot: usize,
+        mut sink: impl FnMut(&[Self]),
     ) -> Result<(), ReqError> {
         for _ in 0..count {
-            arena.push(slot, Self::unpack(input)?);
+            sink(&[Self::unpack(input)?]);
         }
         Ok(())
     }
@@ -233,11 +231,11 @@ packable_int!(u32, put_u32_le, get_u32_le, 4);
 packable_int!(i32, put_i32_le, get_i32_le, 4);
 
 /// The 8-byte types: one value is its `u64` image, little-endian. Slices
-/// encode through a stack block and decode in one pass over the input
-/// into an exact-capacity `Vec`. A level's items decode into its arena
-/// slot through a stack block of 256: each block costs one append, and at
-/// 64 items a block the appends made a 15,000-item sketch's decode about
-/// 10% slower.
+/// encode through a stack block of 64 and decode through a stack block of
+/// 256, each block handed on in one append: to an exact-capacity `Vec`
+/// ([`Packable::unpack_slice`]) or to a level's arena slot (the sketch
+/// decode). At 64 items a block, the appends made a 15,000-item sketch's
+/// decode about 10% slower.
 macro_rules! packable_le8 {
     ($t:ty, $to_bits:expr, $from_bits:expr) => {
         impl Packable for $t {
@@ -259,11 +257,10 @@ macro_rules! packable_le8 {
                     out.put_slice(bytes);
                 }
             }
-            fn unpack_into_slot(
+            fn unpack_runs(
                 input: &mut &[u8],
                 count: usize,
-                arena: &mut LevelArena<Self>,
-                slot: usize,
+                mut sink: impl FnMut(&[Self]),
             ) -> Result<(), ReqError> {
                 let len = count.saturating_mul(8);
                 check_remaining(input, len)?;
@@ -273,19 +270,15 @@ macro_rules! packable_le8 {
                     for (dst, b) in run.iter_mut().zip(bytes.chunks_exact(8)) {
                         *dst = $from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk")));
                     }
-                    arena.extend_from_slice(slot, run);
+                    sink(run);
                 }
                 input.advance(len);
                 Ok(())
             }
             fn unpack_slice(input: &mut &[u8], count: usize) -> Result<Vec<Self>, ReqError> {
-                let len = count.saturating_mul(8);
-                check_remaining(input, len)?;
-                let items = input.chunk()[..len]
-                    .chunks_exact(8)
-                    .map(|b| $from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
-                    .collect();
-                input.advance(len);
+                check_remaining(input, count.saturating_mul(8))?;
+                let mut items = Vec::with_capacity(count);
+                Self::unpack_runs(input, count, |run| items.extend_from_slice(run))?;
                 Ok(items)
             }
         }
@@ -556,7 +549,7 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
                 "implausible level count {num_levels}"
             )));
         }
-        let mut arena = LevelArena::new();
+        let mut arena = crate::arena::LevelArena::new();
         let mut levels = Vec::with_capacity(num_levels);
         let mut weight = 0u128;
         for h in 0..num_levels {
@@ -589,7 +582,7 @@ impl<T: Ord + Clone + Packable> ReqSketch<T> {
                 )));
             }
             let slot = arena.add_level(len);
-            T::unpack_into_slot(input, len, &mut arena, slot)?;
+            T::unpack_runs(input, len, |run| arena.extend_from_slice(slot, run))?;
             arena.set_run_len(slot, run_len);
             let level = RelativeCompactor::from_parts(
                 &mut arena,
@@ -992,7 +985,7 @@ mod tests {
 
     #[test]
     fn slice_codecs_match_the_per_item_loop() {
-        fn check<T: Packable + PartialEq + std::fmt::Debug>(items: &[T]) {
+        fn check<T: Packable + Clone + PartialEq + std::fmt::Debug>(items: &[T]) {
             let mut sliced = BytesMut::new();
             T::pack_slice(items, &mut sliced);
             let mut looped = BytesMut::new();
@@ -1003,19 +996,32 @@ mod tests {
             let mut input = &sliced[..];
             assert_eq!(T::unpack_slice(&mut input, items.len()).unwrap(), items);
             assert!(!input.has_remaining());
+            // The sketch decode: runs appended to a level's arena slot.
+            let mut arena = crate::arena::LevelArena::new();
+            let slot = arena.add_level(items.len());
+            let mut input = &sliced[..];
+            T::unpack_runs(&mut input, items.len(), |run| {
+                arena.extend_from_slice(slot, run)
+            })
+            .unwrap();
+            assert_eq!(arena.items(slot), items);
+            assert!(!input.has_remaining());
         }
-        // Longer than one 64-item encode block, and not a multiple of it.
-        let raw: Vec<u64> = (0..150u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        check(&raw);
-        check(&raw.iter().map(|&b| b as i64).collect::<Vec<_>>());
-        check(
-            &raw.iter()
-                .map(|&b| OrdF64(f64::from_bits(b)))
-                .collect::<Vec<_>>(),
-        );
-        check(&raw.iter().map(|&b| b as u8).collect::<Vec<_>>());
+        // Empty, one item, either side of one 256-item decode block, and a
+        // count that is a multiple of neither block (64 items encode).
+        for count in [0u64, 1, 255, 256, 257, 600] {
+            let raw: Vec<u64> = (0..count)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            check(&raw);
+            check(&raw.iter().map(|&b| b as i64).collect::<Vec<_>>());
+            check(
+                &raw.iter()
+                    .map(|&b| OrdF64(f64::from_bits(b)))
+                    .collect::<Vec<_>>(),
+            );
+            check(&raw.iter().map(|&b| b as u8).collect::<Vec<_>>());
+        }
     }
 
     #[test]
