@@ -4,10 +4,11 @@
 //! part unchanged, and right after a 1,000-value spread write.
 //!
 //! Each primary is a `QuantileService` served by `serve_evented`, behind a
-//! `Router::new`, with no standby attached: a `Cluster` standby polls its
-//! primary every 2 ms, and on a small host those wakeups land inside the
-//! timed reads and spread the after-write row's medians widely between
-//! runs.
+//! `Router::new`, with no standby attached, so no standby poll (every
+//! 2 ms) wakes during the timed reads. On a 2-vCPU host, over 20 runs each
+//! way, that lowered the after-write row's median by about 43 µs, but its
+//! run medians still spread from 290 to 506 µs, in two groups near 300 and
+//! 420 µs; what spreads them is not known.
 
 use std::cell::RefCell;
 use std::sync::Arc;
