@@ -363,6 +363,56 @@ fn late_attached_standby_catches_up_from_scratch() {
     assert_eq!(standby.stats(&key).unwrap().n, 3_000);
 }
 
+/// A standby attached after two rotations pruned generation 0 starts from
+/// its primary's newest snapshot and tails that generation's WAL: it
+/// catches up, and its snapshot and WAL of that generation are the
+/// primary's bytes.
+#[test]
+fn standby_attached_after_two_rotations_catches_up() {
+    let mut cluster = Cluster::start(&["a", "b"], fast_policy()).unwrap();
+    let spread = "spread";
+    cluster
+        .router()
+        .create_spread(spread, TenantConfig::for_key(spread))
+        .unwrap();
+    let write = |cluster: &mut Cluster, i: u32| {
+        let values: Vec<f64> = (0..1_000).map(|j| f64::from(i * 1_000 + j)).collect();
+        assert_eq!(
+            cluster.router().spread_add_batch(spread, &values).unwrap(),
+            1_000
+        );
+    };
+    for i in 0..2 {
+        write(&mut cluster, i);
+        cluster.router().call(&Request::Snapshot).unwrap();
+    }
+    write(&mut cluster, 2);
+    cluster.drain("a", Duration::from_secs(20)).unwrap();
+    cluster.kill_primary("a").unwrap();
+    cluster.promote("a").unwrap();
+    cluster.attach_standby("a").unwrap();
+    write(&mut cluster, 3);
+    cluster.drain("a", Duration::from_secs(20)).unwrap();
+
+    let primary = cluster.primary_service("a").unwrap();
+    let standby = cluster.standby_service("a").unwrap();
+    let g = primary.generation();
+    assert_eq!(g, 2, "two rotations");
+    assert_eq!(standby.generation(), g);
+    for path in [snapshot_path, wal_path] {
+        assert_eq!(
+            std::fs::read(path(standby.data_dir(), g)).unwrap(),
+            std::fs::read(path(primary.data_dir(), g)).unwrap(),
+            "{:?} diverged",
+            path(standby.data_dir(), g).file_name()
+        );
+    }
+    assert_eq!(
+        standby.sketch_parts(spread).unwrap(),
+        primary.sketch_parts(spread).unwrap()
+    );
+}
+
 /// A scatter/gather read that fails on one node still reads the reply it
 /// asked every other node for: the next routed call on a surviving node's
 /// connection gets its own answer, not a leftover `MERGE` reply. Once the

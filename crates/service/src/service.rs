@@ -496,6 +496,11 @@ impl QuantileService {
         self.incarnation
     }
 
+    /// The directory holding this service's WAL and snapshot files.
+    pub fn data_dir(&self) -> &std::path::Path {
+        &self.cfg.data_dir
+    }
+
     /// The live WAL generation.
     pub fn generation(&self) -> u64 {
         self.gen.load(Ordering::Relaxed)
