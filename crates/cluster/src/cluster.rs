@@ -17,11 +17,13 @@
 //! byte-identical durable state at every shipped watermark.
 
 use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use req_core::ReqError;
 use req_evented::{serve_evented, EventedHandle};
+use req_service::snapshot::{snapshot_gens, snapshot_path};
 use req_service::tempdir::TempDir;
 use req_service::{QuantileService, RetryPolicy, ServiceConfig};
 
@@ -42,11 +44,18 @@ pub struct Replica {
 }
 
 impl Replica {
-    fn start(tag: &str, snapshot_every: u64) -> Result<Replica, ReqError> {
+    /// Open and serve a service on a fresh directory. With `seed`, the
+    /// directory first gets a copy of the newest snapshot under `seed`, so
+    /// the service recovers that generation and a follower tails its WAL.
+    /// The service never snapshots on its own.
+    fn start(tag: &str, seed: Option<&Path>) -> Result<Replica, ReqError> {
         let dir = TempDir::new(tag)?;
-        let mut cfg = ServiceConfig::new(dir.path());
-        cfg.snapshot_every_records = snapshot_every;
-        let service = Arc::new(QuantileService::open(cfg)?);
+        if let Some(from) = seed {
+            if let Some(&g) = snapshot_gens(from)?.last() {
+                std::fs::copy(snapshot_path(from, g), snapshot_path(dir.path(), g))?;
+            }
+        }
+        let service = Arc::new(QuantileService::open(ServiceConfig::new(dir.path()))?);
         let server = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1)?;
         Ok(Replica {
             service,
@@ -90,8 +99,8 @@ impl Cluster {
         let mut nodes = Vec::with_capacity(names.len());
         let mut routes = Vec::with_capacity(names.len());
         for name in names {
-            let primary = Replica::start(&format!("cl-{name}-p"), 0)?;
-            let standby = Replica::start(&format!("cl-{name}-s"), 0)?;
+            let primary = Replica::start(&format!("cl-{name}-p"), None)?;
+            let standby = Replica::start(&format!("cl-{name}-s"), None)?;
             standby.service.set_follower(true);
             let shipper = TailShipper::start(
                 Arc::clone(&standby.service),
@@ -227,20 +236,21 @@ impl Cluster {
 
     /// Attach a fresh warm standby to `name`'s current primary (e.g.
     /// after a promotion consumed the old one). The new standby starts
-    /// empty and catches up by tailing from generation 0.
+    /// from a copy of the primary's newest snapshot, `snap-<g>` (empty if
+    /// the primary never rotated), and catches up by tailing `wal-<g>`
+    /// from its start: older generations may already be pruned.
     pub fn attach_standby(&mut self, name: &str) -> Result<(), ReqError> {
         let policy = self.policy.clone();
         let node = self.node_mut(name)?;
-        let primary_addr = node
+        let primary = node
             .primary
             .as_ref()
-            .map(Replica::addr)
             .ok_or_else(|| ReqError::Unavailable(format!("node `{name}` primary is dead")))?;
-        let standby = Replica::start(&format!("cl-{name}-s"), 0)?;
+        let standby = Replica::start(&format!("cl-{name}-s"), Some(primary.service.data_dir()))?;
         standby.service.set_follower(true);
         let shipper = TailShipper::start(
             Arc::clone(&standby.service),
-            primary_addr,
+            primary.addr(),
             policy,
             SHIP_POLL,
         );

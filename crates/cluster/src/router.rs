@@ -231,7 +231,6 @@ impl Router {
             | Request::Cdf { key, .. }
             | Request::Stats { key }
             | Request::Drop { key, .. }
-            | Request::Merge { key }
             | Request::MergeSince { key, .. } => {
                 let node = self.ring.node_for(key).to_string();
                 self.call_on(&node, req)
@@ -381,7 +380,7 @@ impl Router {
     /// read cache: a repeated `q` over unchanged parts answers from the
     /// cached union view once reads have paid for it, and after a change
     /// starts warm from where it landed before. A rank outside `[0, 1]` is
-    /// refused, as a routed `QUANTILE` is, before any `MERGE` is sent.
+    /// refused, as a routed `QUANTILE` is, before any `MERGESINCE` is sent.
     pub fn merged_quantile(&mut self, key: &str, q: f64) -> Result<Option<f64>, ReqError> {
         check_quantile_rank(q)?;
         Ok(self.gather(key)?.quantile(q).map(OrdF64::get))

@@ -384,6 +384,11 @@ fn standby_attached_after_two_rotations_catches_up() {
     };
     for i in 0..2 {
         write(&mut cluster, i);
+        // The first standby must hold a generation before the next
+        // rotation prunes the one before it.
+        for name in ["a", "b"] {
+            cluster.drain(name, Duration::from_secs(20)).unwrap();
+        }
         cluster.router().call(&Request::Snapshot).unwrap();
     }
     write(&mut cluster, 2);
@@ -467,9 +472,9 @@ fn failed_scatter_leaves_no_unread_reply() {
         .unwrap()
     {
         Response::Stats(stats) => assert_eq!(stats.n, 0),
-        Response::Merged(parts) => panic!(
-            "routed STATS on `{second}` read a leftover MERGE reply ({} parts)",
-            parts.len()
+        Response::MergedSince(changed) => panic!(
+            "routed STATS on `{second}` read a leftover MERGESINCE reply ({} parts)",
+            changed.parts.len()
         ),
         other => panic!("routed STATS on `{second}` answered {other:?}"),
     }

@@ -1,7 +1,10 @@
 //! Checksummed, length-prefixed record framing.
 //!
 //! The durability layer (WAL + snapshot files in `req-service`) stores a
-//! sequence of records on disk. A raw [`crate::binary`] payload cannot
+//! sequence of records on disk: a WAL holds one frame per record, and a
+//! snapshot file one frame for its header, one per tenant (its
+//! configuration and raw [`crate::ReqSketch::to_bytes`] shards) and one
+//! for the dedup table. A raw [`crate::binary`] payload cannot
 //! stand alone in such a sequence: a crash can truncate the last record
 //! mid-write, and bit rot silently corrupts old ones. Frames make both
 //! failure modes *detectable*:
@@ -56,15 +59,15 @@
 //! crate's one `unsafe` block outside the arena. The on-disk (WAL,
 //! snapshot) and wire formats do not depend on which kernel ran.
 //!
-//! [`ReqSketch::to_bytes_framed`]/[`ReqSketch::from_bytes_framed`] wrap the
-//! versioned sketch encoding in one frame — the unit both the snapshot
-//! store and any file-backed sketch cache persist.
+//! [`write_frame`] is the one frame writer. It takes the payload's encoder
+//! rather than finished bytes: the encoder appends the payload straight
+//! after a placeholder header in the caller's buffer, and the header is
+//! filled in afterwards, so no payload is built in a scratch buffer and
+//! copied into its frame.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
-use crate::binary::{unpack_whole, Packable};
 use crate::error::ReqError;
-use crate::sketch::ReqSketch;
 
 /// Frame header size: `len u32 + crc32 u32`.
 pub const FRAME_HEADER_LEN: usize = 8;
@@ -270,32 +273,32 @@ mod clmul {
     }
 }
 
-/// Append one frame (`len | crc32 | payload`) to `out`.
+/// Append one frame (`len | crc32 | payload`) to `out`, with `encode`
+/// appending the payload in place: a zeroed header goes first, then
+/// `encode` runs on `out`, then the header is filled in with the length
+/// and CRC of what `encode` appended. Bytes already in `out` stay as they
+/// are.
 ///
 /// # Panics
-/// If `payload` exceeds [`MAX_FRAME_PAYLOAD`]. A frame beyond that limit
-/// (or beyond `u32::MAX`, which the length prefix would silently
-/// truncate) would be *written* but categorically rejected by
-/// [`read_frame`] — an acknowledged record that can never be read back
-/// is strictly worse than a loud writer-side failure, so callers must
-/// chunk their payloads below the limit (the service layer bounds its
-/// batch sizes accordingly).
-pub fn write_frame(out: &mut BytesMut, payload: &[u8]) {
+/// If the payload exceeds [`MAX_FRAME_PAYLOAD`], checked once `encode`
+/// has run. A frame beyond that limit (or beyond `u32::MAX`, which the
+/// length prefix would silently truncate) would be *written* but
+/// categorically rejected by [`read_frame`] — an acknowledged record that
+/// can never be read back is strictly worse than a loud writer-side
+/// failure, so callers must chunk their payloads below the limit (the
+/// service layer bounds its batch sizes accordingly).
+pub fn write_frame(out: &mut BytesMut, encode: impl FnOnce(&mut BytesMut)) {
+    let start = out.len();
+    out.put_slice(&[0; FRAME_HEADER_LEN]);
+    encode(out);
+    let (header, payload) = out[start..].split_at_mut(FRAME_HEADER_LEN);
     assert!(
         payload.len() <= MAX_FRAME_PAYLOAD,
         "frame payload of {} bytes exceeds MAX_FRAME_PAYLOAD ({MAX_FRAME_PAYLOAD})",
         payload.len()
     );
-    out.put_u32_le(payload.len() as u32);
-    out.put_u32_le(crc32(payload));
-    out.put_slice(payload);
-}
-
-/// Encode one standalone frame around `payload`.
-pub fn frame(payload: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(FRAME_HEADER_LEN + payload.len());
-    write_frame(&mut out, payload);
-    out.freeze()
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// A frame's header: the payload length and the payload's stored CRC.
@@ -385,29 +388,17 @@ pub fn frame_payload(input: &[u8]) -> Result<&[u8], ReqError> {
         .ok_or_else(|| ReqError::CorruptBytes(format!("truncated frame: {} bytes", input.len())))
 }
 
-impl<T: Ord + Clone + Packable> ReqSketch<T> {
-    /// [`ReqSketch::to_bytes`] wrapped in one checksummed frame — the unit
-    /// the snapshot store persists.
-    pub fn to_bytes_framed(&mut self) -> Bytes {
-        frame(&self.to_bytes())
-    }
-
-    /// Decode a [`ReqSketch::to_bytes_framed`] frame: verify length and
-    /// checksum, then deserialize the payload. Trailing bytes after the
-    /// frame are rejected; use [`read_frame`] directly to read a sketch out
-    /// of a longer stream.
-    pub fn from_bytes_framed(data: &[u8]) -> Result<Self, ReqError> {
-        Self::from_bytes(unpack_whole(data, read_frame)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ParamPolicy;
-    use crate::RankAccuracy;
     use proptest::prelude::*;
-    use sketch_traits::QuantileSketch;
+
+    /// One frame around `payload`.
+    fn frame(payload: &[u8]) -> BytesMut {
+        let mut out = BytesMut::new();
+        write_frame(&mut out, |out| out.put_slice(payload));
+        out
+    }
 
     /// The byte-at-a-time kernel [`crc32`] ran before slicing-by-16, with
     /// its table rebuilt bit by bit: the oracle the fast kernel must match.
@@ -572,9 +563,9 @@ mod tests {
     #[test]
     fn consecutive_frames_read_in_order() {
         let mut out = BytesMut::new();
-        write_frame(&mut out, b"first");
-        write_frame(&mut out, b"");
-        write_frame(&mut out, b"third");
+        for payload in [&b"first"[..], b"", b"third"] {
+            write_frame(&mut out, |out| out.put_slice(payload));
+        }
         let mut input = &out[..];
         assert_eq!(read_frame(&mut input).unwrap(), b"first");
         assert_eq!(read_frame(&mut input).unwrap(), b"");
@@ -652,35 +643,22 @@ mod tests {
     }
 
     #[test]
-    fn sketch_frames_roundtrip_and_reject_corruption() {
-        let mut s = ReqSketch::<u64>::with_policy(
-            ParamPolicy::fixed_k(12).unwrap(),
-            RankAccuracy::HighRank,
-            9,
-        );
-        for i in 0..50_000u64 {
-            s.update(i.wrapping_mul(2654435761) % 65_537);
-        }
-        let framed = s.to_bytes_framed();
-        let t = ReqSketch::<u64>::from_bytes_framed(&framed).unwrap();
-        assert_eq!(t.len(), s.len());
-        for y in (0..65_537u64).step_by(4_099) {
-            assert_eq!(t.rank(&y), s.rank(&y), "rank mismatch at {y}");
-        }
-
-        // Truncated tail and flipped payload bit both reject.
-        assert!(ReqSketch::<u64>::from_bytes_framed(&framed[..framed.len() - 1]).is_err());
-        let mut bad = framed.to_vec();
-        let mid = FRAME_HEADER_LEN + (framed.len() - FRAME_HEADER_LEN) / 2;
-        bad[mid] ^= 1;
-        assert!(matches!(
-            ReqSketch::<u64>::from_bytes_framed(&bad),
-            Err(ReqError::CorruptBytes(_))
-        ));
-
-        // Trailing bytes after the frame reject.
-        let mut bad = framed.to_vec();
-        bad.push(0);
-        assert!(ReqSketch::<u64>::from_bytes_framed(&bad).is_err());
+    fn write_frame_appends_after_what_the_buffer_holds() {
+        let payload = |out: &mut BytesMut| {
+            out.put_u8(7);
+            out.put_slice(&[0xAB; 100]);
+        };
+        let mut alone = BytesMut::new();
+        write_frame(&mut alone, payload);
+        assert_eq!(alone.len(), FRAME_HEADER_LEN + 101);
+        let held = [0xEE, 0x00, 0xFF, 0x42, 0x01];
+        let mut out = BytesMut::new();
+        out.put_slice(&held);
+        write_frame(&mut out, payload);
+        assert_eq!(&out[..held.len()], &held, "earlier bytes untouched");
+        assert_eq!(&out[held.len()..], &alone[..], "the same frame appended");
+        let mut input = &out[held.len()..];
+        let got = read_frame(&mut input).unwrap();
+        assert_eq!((got[0], got.len()), (7, 101));
     }
 }

@@ -7,7 +7,10 @@
 //! written. One readiness wake-up drains the socket, parses every
 //! complete message (that is the pipelining — many requests per
 //! wake-up), executes them through [`req_service::execute()`], appends the
-//! responses, and flushes until the socket pushes back.
+//! responses, and flushes until the socket pushes back. A binary reply is
+//! encoded straight into the write buffer ([`binary::write_response`]),
+//! so a shipped sketch part or WAL slice is copied once after it is
+//! encoded: into the frame the socket reads from.
 //!
 //! Both codecs share one port. A connection picks its codec once, from
 //! its fourth byte: a binary frame's little-endian length is capped at
@@ -34,6 +37,7 @@
 //! that pipelines faster than it drains responses throttles itself
 //! instead of ballooning server memory.
 
+use bytes::{Buf, BufMut, BytesMut};
 use polling::{Event, Events, Poller};
 use req_core::ReqError;
 use req_service::faults::{Fault, FaultPlane, FaultSite};
@@ -133,7 +137,7 @@ struct Conn {
     /// pieces costs linear time, not quadratic.
     scanned: usize,
     /// Response bytes not yet accepted by the socket.
-    write_buf: Vec<u8>,
+    write_buf: BytesMut,
     /// Offset of the first unwritten byte in `write_buf`.
     written: usize,
     /// Close once `write_buf` drains (after `QUIT`, a transport fault,
@@ -155,7 +159,7 @@ impl Conn {
             read_buf: Vec::new(),
             parsed: 0,
             scanned: 0,
-            write_buf: Vec::new(),
+            write_buf: BytesMut::new(),
             written: 0,
             close_after_flush: false,
             last_progress: Instant::now(),
@@ -222,12 +226,10 @@ impl Conn {
         match self.wire {
             Some(Wire::Text) => {
                 self.write_buf
-                    .extend_from_slice(text::encode_response(resp).as_bytes());
-                self.write_buf.push(b'\n');
+                    .put_slice(text::encode_response(resp).as_bytes());
+                self.write_buf.put_u8(b'\n');
             }
-            _ => self
-                .write_buf
-                .extend_from_slice(&binary::encode_response(resp)),
+            _ => binary::write_response(&mut self.write_buf, resp),
         }
     }
 }
@@ -609,7 +611,7 @@ fn flush(conn: &mut Conn, faults: Option<&FaultPlane>) -> bool {
         conn.written = 0;
         conn.last_progress = Instant::now();
     } else if conn.written > 4096 && conn.written * 2 >= conn.write_buf.len() {
-        conn.write_buf.drain(..conn.written);
+        conn.write_buf.advance(conn.written);
         conn.written = 0;
     }
     true

@@ -2,15 +2,22 @@
 //! the text codec and over the binary codec, each through its own
 //! `serve_evented` server, must produce response-for-response identical
 //! results. Both codecs funnel into `req_service::execute`, and this test
-//! pins that the codecs on either side of it are lossless.
+//! pins that the codecs on either side of it are lossless. The same script
+//! pipelined in one write over a raw socket gets binary replies whose
+//! bytes are exactly what `encode_response` writes for each.
 
+use bytes::BytesMut;
 use req_evented::{serve_evented, Client, ReqBinClient};
 use req_service::client::attach_token;
+use req_service::protocol::binary;
 use req_service::tempdir::TempDir;
 use req_service::{
     ClientApi, QuantileService, Request, Response, ServiceConfig, ShardVersions, TenantConfig, Text,
 };
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A script touching every command, including deliberate failures. Every
 /// mutation is pre-stamped with a fixed-client-id idempotency token:
@@ -82,17 +89,12 @@ fn script() -> Vec<Request> {
         },
         Request::Stats { key: "a".into() },
         Request::Stats { key: "b".into() },
-        // Scatter/gather MERGE: serialized shard parts. Tenant seeds
-        // derive from the key and the script is deterministic, so the
-        // two services' parts must be byte-identical, not merely
-        // equivalent.
-        Request::Merge { key: "a".into() },
-        Request::Merge {
-            key: "ghost".into(), // unknown tenant: Invalid on both
-        },
-        // Versioned MERGE: with nothing held, and with versions from an
-        // incarnation neither service has, every part comes back; the
-        // unknown tenant is Invalid on both.
+        // Scatter/gather MERGESINCE: with nothing held, and with versions
+        // from an incarnation neither service has, every serialized shard
+        // part comes back. Tenant seeds derive from the key and the script
+        // is deterministic, so the two services' parts must be
+        // byte-identical, not merely equivalent. The unknown tenant is
+        // Invalid on both.
         Request::MergeSince {
             key: "a".into(),
             held: None,
@@ -155,6 +157,7 @@ fn text_and_binary_transports_answer_identically() {
     let mut bin_client = ReqBinClient::connect(bin_handle.addr()).unwrap();
 
     let mut tailed_bytes = 0;
+    let mut binary_replies = Vec::new();
     for (i, req) in script.iter().enumerate() {
         let via_text = text_client.call(req);
         let via_binary = bin_client.call(req);
@@ -176,7 +179,8 @@ fn text_and_binary_transports_answer_identically() {
                     assert_eq!(t.frames, b.frames, "step {i}: TAIL segments differ");
                     tailed_bytes += t.frames.len();
                 }
-                assert_eq!(t, b, "step {i} ({req:?}) diverged")
+                assert_eq!(t, b, "step {i} ({req:?}) diverged");
+                binary_replies.push(b);
             }
             (t, b) => panic!("step {i} ({req:?}): transport-level failure {t:?} vs {b:?}"),
         }
@@ -193,6 +197,40 @@ fn text_and_binary_transports_answer_identically() {
     );
     text_handle.shutdown();
     bin_handle.shutdown();
+
+    // The whole script in one write, its replies read raw: each reply
+    // frame is byte for byte the `encode_response` of what it decodes to,
+    // and answers as the binary client's call did.
+    let raw_dir = TempDir::new("cross-raw").unwrap();
+    let raw_service = Arc::new(QuantileService::open(ServiceConfig::new(raw_dir.path())).unwrap());
+    let raw_handle = serve_evented(Arc::clone(&raw_service), "127.0.0.1:0", 1).unwrap();
+    let mut raw = TcpStream::connect(raw_handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut requests = BytesMut::new();
+    for req in &script {
+        binary::write_request(&mut requests, req);
+    }
+    raw.write_all(&requests).unwrap();
+    let mut wire = Vec::new();
+    raw.read_to_end(&mut wire).unwrap(); // QUIT closes the connection
+    let mut at = 0;
+    for (i, want) in binary_replies.iter().enumerate() {
+        let (payload, used) = binary::try_deframe(&wire, at).unwrap().unwrap();
+        let mut got = binary::decode_response(payload).unwrap();
+        assert_eq!(
+            &wire[at..at + used],
+            &binary::encode_response(&got)[..],
+            "step {i}: reply bytes"
+        );
+        at += used;
+        if let Response::MergedSince(changed) = &mut got {
+            assert_eq!(changed.incarnation, raw_service.incarnation());
+            changed.incarnation = 0;
+        }
+        assert_eq!(&got, want, "step {i}: pipelined reply");
+    }
+    assert_eq!(at, wire.len(), "one reply per request");
+    raw_handle.shutdown();
 }
 
 /// Err responses never collapse into strings anywhere on either path:

@@ -206,6 +206,45 @@ fn undecodable_text_lines_get_an_error_and_the_connection_lives() {
     assert_eq!(next(), "OK pong");
 }
 
+/// The retired unversioned `MERGE` is an unknown message on both codecs:
+/// its binary request tag 14 gets a typed `corrupt` error and the text
+/// verb `ERR invalid`, and each connection goes on to answer the next
+/// request.
+#[test]
+fn retired_merge_gets_an_error_and_the_connection_lives() {
+    let dir = TempDir::new("evented").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    // The frame `MERGE k` was pinned to before it retired.
+    let merge = [
+        0x06, 0x00, 0x00, 0x00, 0xb3, 0x51, 0xc8, 0x6c, 0x0e, 0x01, 0x00, 0x00, 0x00, 0x6b,
+    ];
+    raw.write_all(&merge).unwrap();
+    raw.write_all(&binary::encode_request(&Request::Ping))
+        .unwrap();
+    let reply = binary::decode_response(binary::read_frame_blocking(&mut raw).unwrap());
+    match reply.unwrap() {
+        Response::Err { kind, msg } => {
+            assert_eq!(kind, req_service::ErrorKind::Corrupt);
+            assert!(msg.contains("unknown request tag 14"), "{msg}");
+        }
+        other => panic!("expected a corrupt error, got {other:?}"),
+    }
+    let reply = binary::decode_response(binary::read_frame_blocking(&mut raw).unwrap());
+    assert_eq!(reply.unwrap(), Response::Pong);
+
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.write_all(b"MERGE k\nPING\n").unwrap();
+    let mut replies = BufReader::new(raw).lines();
+    let reply = replies.next().unwrap().unwrap();
+    assert!(
+        reply.starts_with("ERR invalid") && reply.contains("unknown command"),
+        "got `{reply}`"
+    );
+    assert_eq!(replies.next().unwrap().unwrap(), "OK pong");
+}
+
 #[test]
 fn corrupt_frames_get_a_typed_error_then_eof() {
     let dir = TempDir::new("evented").unwrap();

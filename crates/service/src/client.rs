@@ -304,19 +304,6 @@ pub trait ClientApi {
         }
     }
 
-    /// `MERGE key` — the tenant's serialized per-shard sketches, for a
-    /// scatter/gather router to answer over ([`req_core::union`]) or merge
-    /// ([`req_core::merge_wire_parts`]).
-    fn merge_parts(&mut self, key: &str) -> Result<Vec<Vec<u8>>, ReqError> {
-        let req = Request::Merge {
-            key: key.to_string(),
-        };
-        match self.call(&req)?.into_result()? {
-            Response::Merged(parts) => Ok(parts),
-            other => Err(unexpected(&other)),
-        }
-    }
-
     /// `METRICS` — the server's telemetry registry as Prometheus-style
     /// text exposition (multi-line).
     fn metrics(&mut self) -> Result<String, ReqError> {

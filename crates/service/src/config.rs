@@ -159,7 +159,7 @@ impl TenantConfig {
     /// buffer at the first length estimate fits in one wire message, at
     /// most `MAX_MESSAGE_PAYLOAD / 8` items (`K` up to 174,762, or `EPS`
     /// down to about 0.00023 at the default `DELTA`). A larger buffer could
-    /// never ship in a `MERGE` reply. Configurations already in a WAL, a
+    /// never ship in a `MERGESINCE` reply. Configurations already in a WAL, a
     /// snapshot or a `TAIL` reply are not held to it, so state written
     /// before the limit existed still loads.
     pub fn check_new(&self) -> Result<(), ReqError> {

@@ -43,7 +43,6 @@ pub fn execute(service: &QuantileService, req: Request) -> Response {
                 offset,
                 max_bytes,
             } => Response::Tailed(service.tail(gen, offset, max_bytes)?),
-            Request::Merge { key } => Response::Merged(service.sketch_parts(&key)?),
             Request::Metrics => Response::MetricsText(req_telemetry::global().render()),
             Request::Events { max } => {
                 Response::Events(req_telemetry::global().recent_events(max as usize))

@@ -179,8 +179,9 @@ impl QuantileService {
         Ok(applied)
     }
 
-    /// The tenant's serialized per-shard sketches (binary v3), for plain
-    /// scatter/gather `MERGE`: [`Self::changed_shards`] with nothing held.
+    /// The tenant's serialized per-shard sketches (binary v3):
+    /// [`Self::changed_shards`] with nothing held, the parts a
+    /// `MERGESINCE key -` reply carries.
     pub fn sketch_parts(&self, key: &str) -> Result<Vec<Vec<u8>>, ReqError> {
         Ok(self
             .changed_shards(key, None)?

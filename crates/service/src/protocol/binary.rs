@@ -7,13 +7,15 @@
 //! 0/1 presence and bool bytes). Nothing in this module reads or writes a
 //! byte any other way.
 //!
-//! Request tags count `1..=17` in [`Request`] declaration order;
-//! response tags count `1..=18` in [`Response`] declaration order
-//! ([`Response::Err`] is tag 13, carrying an [`ErrorKind`] byte plus the
-//! message; the cluster-layer `Tailed`/`Merged` replies are 14/15, the
-//! telemetry `MetricsText`/`Events` replies are 16/17, and the versioned
-//! `MergedSince` reply is 18). A new message only ever takes the next tag,
-//! so every earlier message keeps its bytes.
+//! Request tags: `CREATE` 1 … `QUIT` 12 in [`Request`] declaration order,
+//! then `TAIL` 13, `METRICS` 15, `EVENTS` 16 and `MERGESINCE` 17.
+//! Response tags: `Created` 1 … `Err` 13 in [`Response`] declaration
+//! order ([`Response::Err`] carries an [`ErrorKind`] byte plus the
+//! message), then `Tailed` 14, `MetricsText` 16, `Events` 17 and
+//! `MergedSince` 18. Request tag 14 and response tag 15 were the retired
+//! unversioned `MERGE` and its reply: they decode as unknown tags and are
+//! never reused. A new message only ever takes the next unused tag, so
+//! every earlier message keeps its bytes.
 //! Unlike the [`text`](super::text) codec, responses are
 //! self-describing — no request context is needed to decode them, which
 //! is what makes deep pipelining tractable.
@@ -60,7 +62,6 @@ const REQ_DROP: u8 = 10;
 const REQ_PING: u8 = 11;
 const REQ_QUIT: u8 = 12;
 const REQ_TAIL: u8 = 13;
-const REQ_MERGE: u8 = 14;
 const REQ_METRICS: u8 = 15;
 const REQ_EVENTS: u8 = 16;
 const REQ_MERGE_SINCE: u8 = 17;
@@ -79,7 +80,6 @@ const RESP_PONG: u8 = 11;
 const RESP_BYE: u8 = 12;
 const RESP_ERR: u8 = 13;
 const RESP_TAILED: u8 = 14;
-const RESP_MERGED: u8 = 15;
 const RESP_METRICS: u8 = 16;
 const RESP_EVENTS: u8 = 17;
 const RESP_MERGED_SINCE: u8 = 18;
@@ -203,10 +203,6 @@ fn encode_request_payload(req: &Request, out: &mut BytesMut) {
             offset.pack(out);
             max_bytes.pack(out);
         }
-        Request::Merge { key } => {
-            REQ_MERGE.pack(out);
-            key.pack(out);
-        }
         Request::Metrics => REQ_METRICS.pack(out),
         Request::Events { max } => {
             REQ_EVENTS.pack(out);
@@ -264,10 +260,6 @@ fn encode_response_payload(resp: &Response, out: &mut BytesMut) {
             RESP_TAILED.pack(out);
             seg.pack(out);
         }
-        Response::Merged(parts) => {
-            RESP_MERGED.pack(out);
-            parts.pack(out);
-        }
         Response::MetricsText(text) => {
             RESP_METRICS.pack(out);
             text.pack(out);
@@ -283,11 +275,10 @@ fn encode_response_payload(resp: &Response, out: &mut BytesMut) {
     }
 }
 
-/// Append one request as a complete CRC32 frame.
+/// Append one request to `out` as a complete CRC32 frame, encoded in
+/// place.
 pub fn write_request(out: &mut BytesMut, req: &Request) {
-    let mut payload = BytesMut::new();
-    encode_request_payload(req, &mut payload);
-    write_frame(out, &payload);
+    write_frame(out, |out| encode_request_payload(req, out));
 }
 
 /// One request as a complete CRC32 frame.
@@ -297,11 +288,10 @@ pub fn encode_request(req: &Request) -> Bytes {
     out.freeze()
 }
 
-/// Append one response as a complete CRC32 frame.
+/// Append one response to `out` as a complete CRC32 frame, encoded in
+/// place.
 pub fn write_response(out: &mut BytesMut, resp: &Response) {
-    let mut payload = BytesMut::new();
-    encode_response_payload(resp, &mut payload);
-    write_frame(out, &payload);
+    write_frame(out, |out| encode_response_payload(resp, out));
 }
 
 /// One response as a complete CRC32 frame.
@@ -358,9 +348,6 @@ pub fn decode_request(payload: impl AsRef<[u8]>) -> Result<Request, ReqError> {
                 offset: Packable::unpack(input)?,
                 max_bytes: Packable::unpack(input)?,
             },
-            REQ_MERGE => Request::Merge {
-                key: Packable::unpack(input)?,
-            },
             REQ_METRICS => Request::Metrics,
             REQ_EVENTS => Request::Events {
                 max: Packable::unpack(input)?,
@@ -400,7 +387,6 @@ pub fn decode_response(payload: impl AsRef<[u8]>) -> Result<Response, ReqError> 
                 msg: Packable::unpack(input)?,
             },
             RESP_TAILED => Response::Tailed(Packable::unpack(input)?),
-            RESP_MERGED => Response::Merged(Packable::unpack(input)?),
             RESP_METRICS => Response::MetricsText(Packable::unpack(input)?),
             RESP_EVENTS => Response::Events(Packable::unpack(input)?),
             RESP_MERGED_SINCE => Response::MergedSince(Packable::unpack(input)?),
@@ -518,7 +504,6 @@ mod tests {
                 offset: u64::MAX,
                 max_bytes: 65_536,
             },
-            Request::Merge { key: "k".into() },
             Request::Metrics,
             Request::Events { max: 256 },
             Request::MergeSince {
@@ -591,8 +576,6 @@ mod tests {
                 latest_gen: 0,
                 frames: vec![],
             }),
-            Response::Merged(vec![vec![1, 2, 3], vec![], vec![0xFE]]),
-            Response::Merged(vec![]),
             Response::MetricsText("# TYPE x counter\nx 1\n".into()),
             Response::MetricsText(String::new()),
             Response::Events(vec!["0 +12us wal_healed gen=2".into(), String::new()]),
@@ -693,7 +676,8 @@ mod tests {
         huge.extend_from_slice(&[0u8; 4]);
         assert!(try_deframe(&huge, 0).is_err());
         // Valid frame, garbage payload: decode-level corrupt error.
-        let framed = req_core::frame::frame(&[0xEE, 0xEE]);
+        let mut framed = BytesMut::new();
+        write_frame(&mut framed, |out| out.put_slice(&[0xEE, 0xEE]));
         let payload = read_frame(&mut &framed[..]).unwrap();
         assert!(matches!(
             decode_request(payload),
@@ -729,6 +713,34 @@ mod tests {
                 "STATS flag byte 2 at {at} accepted"
             );
         }
+    }
+
+    #[test]
+    fn retired_merge_tags_decode_as_unknown() {
+        // The frames the unversioned `MERGE k` and its reply of parts
+        // `[1, 2, 3]`, `[]`, `[0xFE]` were pinned to before they retired.
+        let unhex = |hex: &str| -> Vec<u8> {
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        let request = unhex("06000000b351c86c0e010000006b");
+        let response = unhex("150000009b0bebc40f03000000030000000102030000000001000000fe");
+        for (framed, tag) in [(&request, 14), (&response, 15)] {
+            let (payload, used) = try_deframe(framed, 0).unwrap().unwrap();
+            assert_eq!((payload[0], used), (tag, framed.len()));
+        }
+        let (request, _) = try_deframe(&request, 0).unwrap().unwrap();
+        assert!(matches!(
+            decode_request(request),
+            Err(ReqError::CorruptBytes(msg)) if msg == "unknown request tag 14"
+        ));
+        let (response, _) = try_deframe(&response, 0).unwrap().unwrap();
+        assert!(matches!(
+            decode_response(response),
+            Err(ReqError::CorruptBytes(msg)) if msg == "unknown response tag 15"
+        ));
     }
 
     #[test]

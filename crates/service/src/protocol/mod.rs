@@ -162,16 +162,9 @@ pub enum Request {
         /// Most frame bytes to ship in one reply.
         max_bytes: u32,
     },
-    /// `MERGE key` — scatter/gather: the tenant's serialized per-shard
-    /// sketches (binary v3 `to_bytes`), for a router to answer over
-    /// ([`req_core::union`]) or merge ([`req_core::merge_wire_parts`]).
-    Merge {
-        /// Tenant key.
-        key: String,
-    },
     /// `METRICS` — render the process-wide telemetry registry as
-    /// Prometheus-style text exposition. Declared after `Merge` so the
-    /// binary tags of the first fourteen commands stay stable.
+    /// Prometheus-style text exposition. Binary tag 15: tag 14, the
+    /// retired unversioned `MERGE`, stays unused.
     Metrics,
     /// `EVENTS max` — the newest `max` lines of the structured lifecycle
     /// event journal, oldest first.
@@ -180,9 +173,12 @@ pub enum Request {
         max: u32,
     },
     /// `MERGESINCE key -` or `MERGESINCE key incarnation instance epoch…` —
-    /// a versioned `MERGE`: the tenant's shard versions, with the serialized
-    /// sketch of every shard whose version differs from the one `held`
-    /// names. Declared after `Events` so every earlier tag stays stable.
+    /// scatter/gather: the tenant's shard versions, with the serialized
+    /// sketch (binary v3 `to_bytes`) of every shard whose version differs
+    /// from the one `held` names, for a router to answer over
+    /// ([`req_core::union`]) or merge ([`req_core::merge_wire_parts`]).
+    /// With nothing held (`-`), every shard is sent. Declared after
+    /// `Events` so every earlier tag stays stable.
     MergeSince {
         /// Tenant key.
         key: String,
@@ -292,8 +288,6 @@ pub enum RequestKind {
     Quit,
     /// `TAIL`
     Tail,
-    /// `MERGE`
-    Merge,
     /// `METRICS`
     Metrics,
     /// `EVENTS`
@@ -319,7 +313,6 @@ impl Request {
             Request::Ping => RequestKind::Ping,
             Request::Quit => RequestKind::Quit,
             Request::Tail { .. } => RequestKind::Tail,
-            Request::Merge { .. } => RequestKind::Merge,
             Request::Metrics => RequestKind::Metrics,
             Request::Events { .. } => RequestKind::Events,
             Request::MergeSince { .. } => RequestKind::MergeSince,
@@ -457,10 +450,10 @@ pub enum Response {
     },
     /// `TAIL` result. Declared after `Err` so `Err` keeps binary tag 13.
     Tailed(TailSegment),
-    /// `MERGE` result: one serialized sketch per shard.
-    Merged(Vec<Vec<u8>>),
     /// `METRICS` result: the full Prometheus-style exposition text
-    /// (multi-line; the text codec hex-armors it onto one line).
+    /// (multi-line; the text codec hex-armors it onto one line). Binary
+    /// tag 16: tag 15, the retired unversioned `MERGE` reply, stays
+    /// unused.
     MetricsText(String),
     /// `EVENTS` result: rendered journal lines, oldest first.
     Events(Vec<String>),
@@ -581,6 +574,7 @@ mod tests {
             "RANK key one",
             "CREATE",
             "CREATE key BOGUS=1",
+            "MERGE key",
             "MERGESINCE",
             "MERGESINCE key",
             "MERGESINCE key 1",

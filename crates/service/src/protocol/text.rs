@@ -14,7 +14,6 @@
 //! PING
 //! QUIT
 //! TAIL gen offset max_bytes
-//! MERGE key
 //! METRICS
 //! EVENTS max
 //! MERGESINCE key -
@@ -22,12 +21,13 @@
 //! ```
 //!
 //! The cluster-layer commands carry binary payloads in their replies
-//! (`TAIL` ships raw WAL frames, `MERGE` and `MERGESINCE` ship serialized
-//! sketches); those cross the text wire lowercase-hex-encoded, with a lone
-//! `-` for an empty blob — still one line, still `nc`-debuggable. A
-//! `MERGESINCE` reply is `OK incarnation instance count` followed by an
-//! `epoch part` pair per shard, where the part is `=` when the held version
-//! names the shard's state. Production
+//! (`TAIL` ships raw WAL frames, `MERGESINCE` serialized sketches); those
+//! cross the text wire lowercase-hex-encoded, with a lone `-` for an empty
+//! blob — still one line, still `nc`-debuggable. A `MERGESINCE` reply is
+//! `OK incarnation instance count` followed by an `epoch part` pair per
+//! shard, where the part is `=` when the held version names the shard's
+//! state. The unversioned `MERGE key` is retired: the line is an unknown
+//! command, and `MERGESINCE key -` returns the same parts. Production
 //! replication uses the binary codec; the text forms exist so every
 //! command stays reachable from either transport. The two telemetry
 //! replies (`METRICS` exposition text, `EVENTS` journal lines) are armored
@@ -139,7 +139,11 @@ fn split_token<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, Option<IdemToken>)
     let mut token = None;
     let mut rest = Vec::with_capacity(args.len());
     for arg in args {
-        let is_token = arg.len() >= 6 && arg[..6].eq_ignore_ascii_case("TOKEN=");
+        // `get`, not indexing: byte 6 of a non-ASCII argument may fall
+        // inside a character.
+        let is_token = arg
+            .get(..6)
+            .is_some_and(|head| head.eq_ignore_ascii_case("TOKEN="));
         if is_token {
             if token.is_some() {
                 return Err(ReqError::InvalidParameter(
@@ -178,7 +182,6 @@ pub fn encode_request(req: &Request) -> String {
             offset,
             max_bytes,
         } => format!("TAIL {gen} {offset} {max_bytes}"),
-        Request::Merge { key } => format!("MERGE {key}"),
         Request::Metrics => "METRICS".to_string(),
         Request::Events { max } => format!("EVENTS {max}"),
         Request::MergeSince { key, held: None } => format!("MERGESINCE {key} -"),
@@ -252,7 +255,10 @@ pub fn decode_request(line: &str) -> Result<Request, ReqError> {
         "STATS" => Ok(Request::Stats { key: need_key()? }),
         "DROP" => {
             let key = need_key()?;
-            let (_, token) = split_token(&args[1..])?;
+            let (rest, token) = split_token(&args[1..])?;
+            if !rest.is_empty() {
+                return bad("DROP takes only `key [TOKEN=cid:seq]`".into());
+            }
             Ok(Request::Drop { key, token })
         }
         "LIST" => Ok(Request::List),
@@ -268,12 +274,6 @@ pub fn decode_request(line: &str) -> Result<Request, ReqError> {
                 offset: parse_int(args[1])?,
                 max_bytes: parse_int(args[2])?,
             })
-        }
-        "MERGE" => {
-            if args.len() != 1 {
-                return bad("MERGE needs exactly `key`".into());
-            }
-            Ok(Request::Merge { key: need_key()? })
         }
         "METRICS" => Ok(Request::Metrics),
         "EVENTS" => {
@@ -347,14 +347,6 @@ pub fn encode_response(resp: &Response) -> String {
             seg.latest_gen,
             to_hex(&seg.frames)
         ),
-        Response::Merged(parts) => {
-            let mut out = format!("OK {}", parts.len());
-            for part in parts {
-                out.push(' ');
-                out.push_str(&to_hex(part));
-            }
-            out
-        }
         Response::MetricsText(text) => format!("OK {}", to_hex(text.as_bytes())),
         Response::Events(lines) => {
             let mut out = format!("OK {}", lines.len());
@@ -452,17 +444,6 @@ pub fn decode_response(line: &str, kind: RequestKind) -> Result<Response, ReqErr
                 latest_gen: latest_gen.parse().map_err(|_| bad())?,
                 frames: from_hex(frames).map_err(|_| bad())?,
             })
-        }
-        RequestKind::Merge => {
-            let mut tokens = payload.split_whitespace();
-            let count: usize = tokens.next().and_then(|t| t.parse().ok()).ok_or_else(bad)?;
-            let parts: Vec<Vec<u8>> = tokens
-                .map(|t| from_hex(t).map_err(|_| bad()))
-                .collect::<Result<_, _>>()?;
-            if parts.len() != count {
-                return Err(bad());
-            }
-            Response::Merged(parts)
         }
         RequestKind::Metrics => {
             if payload.split_whitespace().count() != 1 {
@@ -609,7 +590,6 @@ mod tests {
                 offset: 8,
                 max_bytes: 4096,
             },
-            Request::Merge { key: "k".into() },
             Request::Metrics,
             Request::Events { max: 128 },
             Request::MergeSince {
@@ -697,11 +677,6 @@ mod tests {
                 }),
             ),
             (
-                RequestKind::Merge,
-                Response::Merged(vec![vec![1, 2, 3], vec![], vec![0xFE]]),
-            ),
-            (RequestKind::Merge, Response::Merged(vec![])),
-            (
                 RequestKind::Metrics,
                 Response::MetricsText("# TYPE a counter\na 1\n".into()),
             ),
@@ -779,8 +754,6 @@ mod tests {
         assert!(decode_response("OK 1 2 1", RequestKind::Tail).is_err());
         assert!(decode_response("OK 1 2 5 3 -", RequestKind::Tail).is_err());
         assert!(decode_response("OK 1 2 1 3 abc", RequestKind::Tail).is_err());
-        assert!(decode_response("OK 2 aa", RequestKind::Merge).is_err());
-        assert!(decode_response("OK 1 xyz!", RequestKind::Merge).is_err());
         assert!(decode_response("OK", RequestKind::Metrics).is_err());
         assert!(decode_response("OK aa bb", RequestKind::Metrics).is_err());
         assert!(decode_response("OK zz", RequestKind::Metrics).is_err());
@@ -837,6 +810,12 @@ mod tests {
             "ADDB k 1 TOKEN=1:2 TOKEN=1:3",
             "ADDB k TOKEN=1:2",
             "DROP k TOKEN=1:-2",
+            // A damaged token must not drop silently off a DROP.
+            "DROP k TOKEM=1:2",
+            "DROP k 1:2",
+            // Byte 6 of these arguments falls inside a character.
+            "ADDB k 12345é",
+            "DROP k TOKENé",
         ] {
             assert!(decode_request(line).is_err(), "`{line}` accepted");
         }

@@ -897,7 +897,7 @@ mod tests {
             parts(&a.changed_shards("t", Some(&held)).unwrap()),
             [false, false]
         );
-        // Plain MERGE is the nothing-held case.
+        // `sketch_parts` is the nothing-held case.
         let whole = a.changed_shards("t", None).unwrap();
         let bytes: Vec<Vec<u8>> = whole.parts.into_iter().map(|(_, p)| p.unwrap()).collect();
         assert_eq!(a.sketch_parts("t").unwrap(), bytes);

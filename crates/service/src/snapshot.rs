@@ -216,20 +216,15 @@ pub fn encode_snapshot(
 ) -> Bytes {
     let mut out = BytesMut::new();
     out.put_slice(SNAP_MAGIC);
-    let mut header = BytesMut::new();
-    gen.pack(&mut header);
-    (tenants.len() as u32).pack(&mut header);
-    write_frame(&mut out, &header);
+    write_frame(&mut out, |out| (gen, tenants.len() as u32).pack(out));
     for t in tenants {
-        let mut payload = BytesMut::new();
-        t.pack(&mut payload);
-        write_frame(&mut out, &payload);
+        write_frame(&mut out, |out| t.pack(out));
     }
     if !dedup.is_empty() {
-        let mut payload = BytesMut::new();
-        DEDUP_FRAME_TAG.pack(&mut payload);
-        pack_counted(dedup, &mut payload);
-        write_frame(&mut out, &payload);
+        write_frame(&mut out, |out| {
+            DEDUP_FRAME_TAG.pack(out);
+            pack_counted(dedup, out);
+        });
     }
     out.freeze()
 }

@@ -51,7 +51,7 @@
 use bytes::{Buf, Bytes, BytesMut};
 use parking_lot::Mutex;
 use req_core::binary::{pack_counted, unpack_whole, Packable};
-use req_core::frame::{frame, read_frame, FRAME_HEADER_LEN};
+use req_core::frame::{read_frame, write_frame, FRAME_HEADER_LEN};
 use req_core::{OrdF64, ReqError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -111,45 +111,56 @@ pub enum WalRecord {
     },
 }
 
-/// Tag selection + token splice shared by all encoders: tokenless records
-/// stay byte-identical to v3; tokened ones use the v4 tag and carry the
+/// One record frame, `capacity` bytes reserved: the tag, the key, then
+/// what `rest` appends. A tokenless record takes the v3 tag and stays
+/// byte-identical to v3; a tokened one takes the v4 tag and carries the
 /// token right after it.
-fn put_tag(out: &mut BytesMut, v3_tag: u8, v4_tag: u8, token: &Option<IdemToken>) {
-    match token {
-        None => v3_tag.pack(out),
-        Some(t) => {
-            v4_tag.pack(out);
-            t.pack(out);
+fn record(
+    (v3_tag, v4_tag): (u8, u8),
+    token: &Option<IdemToken>,
+    key: &str,
+    capacity: usize,
+    rest: impl FnOnce(&mut BytesMut),
+) -> Bytes {
+    let mut out = BytesMut::with_capacity(capacity);
+    write_frame(&mut out, |out| {
+        match token {
+            None => v3_tag.pack(out),
+            Some(t) => {
+                v4_tag.pack(out);
+                t.pack(out);
+            }
         }
-    }
+        // Every record's key is the `String` layout, written from a `&str`.
+        pack_counted(key.as_bytes(), out);
+        rest(out);
+    });
+    out.freeze()
 }
 
 /// Encode a `Create` frame without building a [`WalRecord`].
 pub fn encode_create(key: &str, config: &TenantConfig, token: &Option<IdemToken>) -> Bytes {
-    let mut out = BytesMut::new();
-    put_tag(&mut out, TAG_CREATE, TAG_CREATE_T, token);
-    // Every record's key is the `String` layout, written from a `&str`.
-    pack_counted(key.as_bytes(), &mut out);
-    config.pack(&mut out);
-    frame(&out)
+    record((TAG_CREATE, TAG_CREATE_T), token, key, 0, |out| {
+        config.pack(out)
+    })
 }
 
 /// Encode an `AddBatch` frame straight off the caller's slice — the hot
 /// path appends without cloning the batch into an owned record.
 pub fn encode_add_batch(key: &str, values: &[OrdF64], token: &Option<IdemToken>) -> Bytes {
-    let mut out = BytesMut::with_capacity(1 + 16 + 4 + key.len() + 4 + 8 * values.len());
-    put_tag(&mut out, TAG_ADD_BATCH, TAG_ADD_BATCH_T, token);
-    pack_counted(key.as_bytes(), &mut out);
-    pack_counted(values, &mut out);
-    frame(&out)
+    let capacity = ADD_BATCH_MAX_OVERHEAD - MAX_KEY_LEN + key.len() + 8 * values.len();
+    record(
+        (TAG_ADD_BATCH, TAG_ADD_BATCH_T),
+        token,
+        key,
+        capacity,
+        |out| pack_counted(values, out),
+    )
 }
 
 /// Encode a `Drop` frame.
 pub fn encode_drop(key: &str, token: &Option<IdemToken>) -> Bytes {
-    let mut out = BytesMut::new();
-    put_tag(&mut out, TAG_DROP, TAG_DROP_T, token);
-    pack_counted(key.as_bytes(), &mut out);
-    frame(&out)
+    record((TAG_DROP, TAG_DROP_T), token, key, 0, |_| {})
 }
 
 impl WalRecord {

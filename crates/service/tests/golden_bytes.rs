@@ -137,7 +137,6 @@ fn request_frames_are_pinned() {
             offset: 8,
             max_bytes: 65_536,
         },
-        Request::Merge { key: "k".into() },
         Request::Metrics,
         Request::Events { max: 256 },
     ];
@@ -170,9 +169,8 @@ fn request_frames_are_pinned() {
         ("req13 Ping", "010000000536d0450b"),
         ("req14 Quit", "01000000a6a3b4db0c"),
         ("req15 Tail", "15000000ad416b590d0300000000000000080000000000000000000100"),
-        ("req16 Merge", "06000000b351c86c0e010000006b"),
-        ("req17 Metrics", "010000001cf2bd420f"),
-        ("req18 Events", "05000000a80a00a71000010000"),
+        ("req16 Metrics", "010000001cf2bd420f"),
+        ("req17 Events", "05000000a80a00a71000010000"),
         ],
     );
 }
@@ -231,8 +229,6 @@ fn response_frames_are_pinned() {
             latest_gen: 0,
             frames: vec![],
         }),
-        Response::Merged(vec![vec![1, 2, 3], vec![], vec![0xFE]]),
-        Response::Merged(vec![]),
         Response::MetricsText("x 1\n".into()),
         Response::Events(vec!["e1".into(), String::new()]),
         Response::Events(vec![]),
@@ -264,11 +260,9 @@ fn response_frames_are_pinned() {
         ("resp16", "06000000dd471c820d0600000000"),
         ("resp17", "21000000b65bada70e0200000000000000080000000000000001040000000000000003000000ab00ff"),
         ("resp18", "1e000000846a30b10e0000000000000000000000000000000000000000000000000000000000"),
-        ("resp19", "150000009b0bebc40f03000000030000000102030000000001000000fe"),
-        ("resp20", "05000000cc6072440f00000000"),
-        ("resp21", "090000001a78cd7e10040000007820310a"),
-        ("resp22", "0f0000000f5ca90b110200000002000000653100000000"),
-        ("resp23", "050000002f49a29b1100000000"),
+        ("resp19", "090000001a78cd7e10040000007820310a"),
+        ("resp20", "0f0000000f5ca90b110200000002000000653100000000"),
+        ("resp21", "050000002f49a29b1100000000"),
         ],
     );
 }

@@ -101,7 +101,7 @@ fn mk_request(variant: u64, key_seed: u64, bits: &[u64], knob: f64) -> Request {
     let key = mk_key(key_seed);
     let at = |i: usize| bits.get(i).copied().unwrap_or(i as u64);
     let value = mk_f64(at(0));
-    match variant % 17 {
+    match variant % 16 {
         0 => Request::Create {
             key,
             config: mk_config(at(0), knob, at(1) as u32, at(2)),
@@ -133,9 +133,8 @@ fn mk_request(variant: u64, key_seed: u64, bits: &[u64], knob: f64) -> Request {
             offset: at(1),
             max_bytes: at(2) as u32,
         },
-        13 => Request::Merge { key },
-        14 => Request::Metrics,
-        15 => Request::Events { max: at(0) as u32 },
+        13 => Request::Metrics,
+        14 => Request::Events { max: at(0) as u32 },
         _ => Request::MergeSince {
             key,
             held: at(1).is_multiple_of(3).then(|| mk_versions(bits)),
@@ -193,7 +192,7 @@ fn mk_text(words: &[u64]) -> String {
 }
 
 fn mk_response(variant: u64, _key_seed: u64, bits: &[u64]) -> Response {
-    match variant % 18 {
+    match variant % 17 {
         0 => Response::Created,
         1 => Response::Added,
         2 => Response::AddedBatch(bits[0]),
@@ -221,14 +220,8 @@ fn mk_response(variant: u64, _key_seed: u64, bits: &[u64]) -> Response {
             latest_gen: bits[0].rotate_left(37),
             frames: mk_blob(&bits[..bits.len() % 24]),
         }),
-        14 => Response::Merged(
-            bits.chunks(5)
-                .take(bits[0] as usize % 4)
-                .map(mk_blob)
-                .collect(),
-        ),
-        15 => Response::MetricsText(mk_text(&bits[..bits.len() % 40])),
-        16 => Response::Events(
+        14 => Response::MetricsText(mk_text(&bits[..bits.len() % 40])),
+        15 => Response::Events(
             bits.chunks(6)
                 .take(bits[0] as usize % 5)
                 .map(mk_text)
@@ -263,7 +256,6 @@ fn kind_for(resp: &Response) -> RequestKind {
         Response::Pong => RequestKind::Ping,
         Response::Bye => RequestKind::Quit,
         Response::Tailed(_) => RequestKind::Tail,
-        Response::Merged(_) => RequestKind::Merge,
         Response::MetricsText(_) => RequestKind::Metrics,
         Response::Events(_) => RequestKind::Events,
         Response::MergedSince(_) => RequestKind::MergeSince,
