@@ -1,11 +1,14 @@
-//! Golden bytes: every binary format this workspace writes, pinned.
+//! Golden bytes: every binary format this workspace writes, pinned, and
+//! the text lines the server reads and writes.
 //!
 //! Each case encodes a fixed value through public API only and compares
 //! the result with a pinned string: the encoding as hex, or — above 256
-//! bytes — its length plus its [`frame::crc32`]. Covered formats:
+//! bytes — its length plus its [`frame::crc32`]; a text line as itself.
+//! Covered formats:
 //!
 //! * the binary wire frame of every [`Request`] and [`Response`] variant,
 //!   including both [`TenantConfig`] forms inside `CREATE`;
+//! * the text line of each of those requests and responses;
 //! * every [`WalRecord`] variant, with and without an idempotency token;
 //! * a [`write_snapshot`] file with two tenants (one per schedule) and a
 //!   dedup table;
@@ -21,6 +24,7 @@ use req_core::frame::crc32;
 use req_core::{CompactionSchedule, ConcurrentReqSketch, OrdF64, ParamPolicy, RankAccuracy};
 use req_core::{QuantileSketch, ReqSketch};
 use req_service::protocol::binary::{encode_request, encode_response};
+use req_service::protocol::text;
 use req_service::snapshot::write_snapshot;
 use req_service::tempdir::TempDir;
 use req_service::{
@@ -37,23 +41,34 @@ fn pin(bytes: &[u8]) -> String {
     }
 }
 
-/// Compare every case with its pin; on any mismatch, print the whole
-/// table as it stands and fail.
+/// Compare every case's encoding with its pin.
 fn check(cases: Vec<(String, Vec<u8>)>, golden: &[(&str, &str)]) {
-    let got: Vec<(String, String)> = cases
+    let got = cases
         .into_iter()
         .map(|(name, bytes)| (name, pin(&bytes)))
         .collect();
+    check_pins(got, golden);
+}
+
+/// Compare every case with its pin; on any mismatch, print the whole
+/// table as it stands and fail.
+fn check_pins(got: Vec<(String, String)>, golden: &[(&str, &str)]) {
     let want: Vec<(String, String)> = golden
         .iter()
         .map(|(n, p)| (n.to_string(), p.to_string()))
         .collect();
     if got != want {
         for (name, p) in &got {
-            println!("    (\"{name}\", \"{p}\"),");
+            println!("    ({name:?}, {p:?}),");
         }
         panic!("encodings differ from the golden table (current table printed above)");
     }
+}
+
+/// A message's variant name, as `Debug` prints it.
+fn variant(message: &impl std::fmt::Debug) -> String {
+    let debug = format!("{message:?}");
+    debug.split([' ', '(']).next().unwrap().to_string()
 }
 
 fn token() -> Option<IdemToken> {
@@ -80,9 +95,10 @@ fn stream(n: u64, salt: u64) -> impl Iterator<Item = u64> {
     (0..n).map(move |i| (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20)
 }
 
-#[test]
-fn request_frames_are_pinned() {
-    let requests = vec![
+/// One request of every variant but `MergeSince`, with both
+/// [`TenantConfig`] forms and with and without tokens.
+fn sample_requests() -> Vec<Request> {
+    vec![
         Request::Create {
             key: "golden.k".into(),
             config: k_config(),
@@ -139,13 +155,17 @@ fn request_frames_are_pinned() {
         },
         Request::Metrics,
         Request::Events { max: 256 },
-    ];
-    let cases = requests
+    ]
+}
+
+#[test]
+fn request_frames_are_pinned() {
+    let cases = sample_requests()
         .iter()
         .enumerate()
         .map(|(i, r)| {
             (
-                format!("req{i:02} {:?}", r.kind()),
+                format!("req{i:02} {}", variant(r)),
                 encode_request(r).to_vec(),
             )
         })
@@ -175,8 +195,8 @@ fn request_frames_are_pinned() {
     );
 }
 
-#[test]
-fn response_frames_are_pinned() {
+/// One response of every variant but `MergedSince`.
+fn sample_responses() -> Vec<Response> {
     let stats = |flag: bool| TenantStats {
         n: 1,
         retained: 2,
@@ -191,7 +211,7 @@ fn response_frames_are_pinned() {
         shed: 9,
         read_only: flag,
     };
-    let responses = vec![
+    vec![
         Response::Created,
         Response::Added,
         Response::AddedBatch(1_000),
@@ -232,8 +252,12 @@ fn response_frames_are_pinned() {
         Response::MetricsText("x 1\n".into()),
         Response::Events(vec!["e1".into(), String::new()]),
         Response::Events(vec![]),
-    ];
-    let cases = responses
+    ]
+}
+
+#[test]
+fn response_frames_are_pinned() {
+    let cases = sample_responses()
         .iter()
         .enumerate()
         .map(|(i, r)| (format!("resp{i:02}"), encode_response(r).to_vec()))
@@ -267,16 +291,13 @@ fn response_frames_are_pinned() {
     );
 }
 
-/// The versioned `MERGE` (request tag 17, response tag 18), pinned apart
-/// from the tables above so that every earlier pin stays as it was.
-#[test]
-fn versioned_merge_frames_are_pinned() {
+fn merge_since_requests() -> [Request; 2] {
     let held = ShardVersions {
         incarnation: 0x0102_0304_0506_0708,
         instance: 3,
         epochs: vec![0, 9],
     };
-    let mut cases: Vec<(String, Vec<u8>)> = [
+    [
         Request::MergeSince {
             key: "k".into(),
             held: None,
@@ -286,37 +307,43 @@ fn versioned_merge_frames_are_pinned() {
             held: Some(held),
         },
     ]
-    .iter()
-    .enumerate()
-    .map(|(i, r)| {
-        (
-            format!("req{i:02} {:?}", r.kind()),
-            encode_request(r).to_vec(),
-        )
-    })
-    .collect();
-    cases.extend(
-        [
-            Response::MergedSince(ChangedShards {
-                incarnation: 0x0102_0304_0506_0708,
-                instance: 4,
-                parts: vec![(9, None), (1, Some(vec![0xAB, 0xCD])), (0, Some(vec![]))],
-            }),
-            Response::MergedSince(ChangedShards {
-                incarnation: 0,
-                instance: 0,
-                parts: vec![],
-            }),
-        ]
+}
+
+fn merged_since_responses() -> [Response; 2] {
+    [
+        Response::MergedSince(ChangedShards {
+            incarnation: 0x0102_0304_0506_0708,
+            instance: 4,
+            parts: vec![(9, None), (1, Some(vec![0xAB, 0xCD])), (0, Some(vec![]))],
+        }),
+        Response::MergedSince(ChangedShards {
+            incarnation: 0,
+            instance: 0,
+            parts: vec![],
+        }),
+    ]
+}
+
+/// The versioned `MERGE` (request tag 17, response tag 18), pinned apart
+/// from the tables above so that every earlier pin stays as it was.
+#[test]
+fn versioned_merge_frames_are_pinned() {
+    let mut cases: Vec<(String, Vec<u8>)> = merge_since_requests()
         .iter()
         .enumerate()
         .map(|(i, r)| {
             (
-                format!("resp{i:02} MergedSince"),
-                encode_response(r).to_vec(),
+                format!("req{i:02} {}", variant(r)),
+                encode_request(r).to_vec(),
             )
-        }),
-    );
+        })
+        .collect();
+    cases.extend(merged_since_responses().iter().enumerate().map(|(i, r)| {
+        (
+            format!("resp{i:02} MergedSince"),
+            encode_response(r).to_vec(),
+        )
+    }));
     check(
         cases,
         &[
@@ -324,6 +351,80 @@ fn versioned_merge_frames_are_pinned() {
         ("req01 MergeSince", "2b000000e3d6682e11010000006b01080706050403020103000000000000000200000000000000000000000900000000000000"),
         ("resp00 MergedSince", "3a00000086b5968412080706050403020104000000000000000300000009000000000000000001000000000000000102000000abcd00000000000000000100000000"),
         ("resp01 MergedSince", "150000001ad624ee120000000000000000000000000000000000000000"),
+        ],
+    );
+}
+
+/// The text lines of the same samples: what a text request carries, and
+/// what the server answers on a text connection.
+#[test]
+fn text_lines_are_pinned() {
+    let requests = sample_requests().into_iter().chain(merge_since_requests());
+    let mut cases: Vec<(String, String)> = requests
+        .enumerate()
+        .map(|(i, r)| {
+            (
+                format!("req{i:02} {}", variant(&r)),
+                text::encode_request(&r),
+            )
+        })
+        .collect();
+    let responses = sample_responses()
+        .into_iter()
+        .chain(merged_since_responses());
+    cases.extend(responses.enumerate().map(|(i, r)| {
+        (
+            format!("resp{i:02} {}", variant(&r)),
+            text::encode_response(&r),
+        )
+    }));
+    check_pins(
+        cases,
+        &[
+        ("req00 Create", "CREATE golden.k K=16 LRA SCHEDULE=standard SHARDS=2 SEED=7"),
+        ("req01 Create", "CREATE golden.eps EPS=0.02 DELTA=0.1 HRA SCHEDULE=adaptive SHARDS=3 SEED=4181807507115074768 TOKEN=72623859790382856:42"),
+        ("req02 Add", "ADD k NaN"),
+        ("req03 AddBatch", "ADDB k 1.5 -0 inf 0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001"),
+        ("req04 AddBatch", "ADDB k 2.25 TOKEN=72623859790382856:42"),
+        ("req05 Rank", "RANK k 0.5"),
+        ("req06 Quantile", "QUANTILE k 0.99"),
+        ("req07 Cdf", "CDF k 1 2"),
+        ("req08 Stats", "STATS k"),
+        ("req09 List", "LIST"),
+        ("req10 Snapshot", "SNAPSHOT"),
+        ("req11 Drop", "DROP k"),
+        ("req12 Drop", "DROP k TOKEN=72623859790382856:42"),
+        ("req13 Ping", "PING"),
+        ("req14 Quit", "QUIT"),
+        ("req15 Tail", "TAIL 3 8 65536"),
+        ("req16 Metrics", "METRICS"),
+        ("req17 Events", "EVENTS 256"),
+        ("req18 MergeSince", "MERGESINCE k -"),
+        ("req19 MergeSince", "MERGESINCE k 72623859790382856 3 0 9"),
+        ("resp00 Created", "OK created"),
+        ("resp01 Added", "OK"),
+        ("resp02 AddedBatch", "OK 1000"),
+        ("resp03 Rank", "OK 77"),
+        ("resp04 Quantile", "OK -0"),
+        ("resp05 Quantile", "OK none"),
+        ("resp06 Cdf", "OK 0.25 1"),
+        ("resp07 Stats", "OK n=1 retained=2 bytes=3 k=4 shards=5 orient=hra schedule=standard rotation=6 snapshot_failures=7 wal_poisoned=8 shed=9 mode=ro"),
+        ("resp08 Stats", "OK n=1 retained=2 bytes=3 k=4 shards=5 orient=lra schedule=adaptive rotation=6 snapshot_failures=7 wal_poisoned=8 shed=9 mode=rw"),
+        ("resp09 List", "OK a bc"),
+        ("resp10 List", "OK"),
+        ("resp11 Snapshot", "OK snapshot 9"),
+        ("resp12 Dropped", "OK dropped"),
+        ("resp13 Pong", "OK pong"),
+        ("resp14 Bye", "OK bye"),
+        ("resp15 Err", "ERR invalid bad"),
+        ("resp16 Err", "ERR busy "),
+        ("resp17 Tailed", "OK 2 8 1 4 ab00ff"),
+        ("resp18 Tailed", "OK 0 0 0 0 -"),
+        ("resp19 MetricsText", "OK 7820310a"),
+        ("resp20 Events", "OK 2 6531 -"),
+        ("resp21 Events", "OK 0"),
+        ("resp22 MergedSince", "OK 72623859790382856 4 3 9 = 1 abcd 0 -"),
+        ("resp23 MergedSince", "OK 0 0 0"),
         ],
     );
 }
