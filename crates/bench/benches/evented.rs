@@ -3,12 +3,13 @@
 //! Three cuts:
 //!
 //! * `evented_pipeline` — 512 commands per measurement against one
-//!   `serve_evented` port: the text client paying one blocking round-trip
-//!   each (`text_sequential`), then writing all 512 in one send and
-//!   draining 512 replies (`text_pipelined`), and the binary client doing
-//!   the same (`binary_pipelined`). `ping_512` isolates pure transport
-//!   cost; `rank_512` carries a real query, whose execution (identical on
-//!   every arm) dilutes the ratios.
+//!   `serve_evented` port: raw text lines paying one blocking round-trip
+//!   each (`text_sequential`), then all 512 lines in one send and 512
+//!   reply lines drained (`text_pipelined`), and the binary client
+//!   pipelining the same (`binary_pipelined`). The text rows read reply
+//!   lines without decoding them; the binary rows decode every reply.
+//!   `ping_512` isolates pure transport cost; `rank_512` carries a real
+//!   query, whose execution (identical on every arm) dilutes the ratios.
 //! * `evented_density` — one `PING` round-trip while 512 idle connections
 //!   sit parked on the same single-loop server.
 //! * `group_commit` — 16 writers × 16 `ADDB` each against an
@@ -17,14 +18,58 @@
 //!   timing.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use req_bench::bench_items;
 use req_core::OrdF64;
-use req_evented::{serve_evented, Client, ReqBinClient};
-use req_service::{ClientApi, QuantileService, Request, ServiceConfig, TenantConfig, Text};
+use req_evented::{serve_evented, ReqBinClient};
+use req_service::protocol::text;
+use req_service::{ClientApi, QuantileService, Request, ServiceConfig, TenantConfig};
 
 const PIPELINE_DEPTH: usize = 512;
+
+/// A text connection: writes request lines and reads one reply line per
+/// request, leaving the line undecoded.
+struct TextConn {
+    conn: BufReader<TcpStream>,
+    line: String,
+}
+
+impl TextConn {
+    fn connect(addr: std::net::SocketAddr) -> TextConn {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        TextConn {
+            conn: BufReader::new(stream),
+            line: String::new(),
+        }
+    }
+
+    /// Write `wire` (whole lines) in one send, then read `replies` lines;
+    /// returns the bytes read.
+    fn exchange(&mut self, wire: &[u8], replies: usize) -> usize {
+        self.conn.get_mut().write_all(wire).unwrap();
+        let mut read = 0;
+        for _ in 0..replies {
+            self.line.clear();
+            read += self.conn.read_line(&mut self.line).unwrap();
+            assert!(self.line.starts_with("OK"), "reply `{}`", self.line);
+        }
+        read
+    }
+}
+
+/// Each request as its text line, and all of them as one buffer.
+fn text_lines(reqs: &[Request]) -> (Vec<String>, String) {
+    let lines: Vec<String> = reqs
+        .iter()
+        .map(|r| text::encode_request(r) + "\n")
+        .collect();
+    let all = lines.concat();
+    (lines, all)
+}
 
 fn open_service(dir: &std::path::Path) -> Arc<QuantileService> {
     Arc::new(QuantileService::open(ServiceConfig::new(dir)).unwrap())
@@ -60,28 +105,28 @@ fn bench_pipeline(c: &mut Criterion) {
         .collect();
     let pings: Vec<Request> = (0..PIPELINE_DEPTH).map(|_| Request::Ping).collect();
 
-    let mut text_client = Client::<Text>::connect(handle.addr()).unwrap();
+    let (rank_lines, rank_wire) = text_lines(&ranks);
+    let (ping_lines, ping_wire) = text_lines(&pings);
+    let mut text_conn = TextConn::connect(handle.addr());
     group.bench_function("ping_512/text_sequential", |b| {
         b.iter(|| {
-            for _ in 0..PIPELINE_DEPTH {
-                text_client.ping().unwrap();
+            for line in &ping_lines {
+                black_box(text_conn.exchange(line.as_bytes(), 1));
             }
         })
     });
     group.bench_function("rank_512/text_sequential", |b| {
         b.iter(|| {
-            let mut last = 0;
-            for i in 0..PIPELINE_DEPTH {
-                last = text_client.rank("t", black_box(i as f64 * 39.0)).unwrap();
+            for line in &rank_lines {
+                black_box(text_conn.exchange(black_box(line.as_bytes()), 1));
             }
-            black_box(last)
         })
     });
     group.bench_function("rank_512/text_pipelined", |b| {
-        b.iter(|| black_box(text_client.call_pipelined(black_box(&ranks)).unwrap()))
+        b.iter(|| black_box(text_conn.exchange(black_box(rank_wire.as_bytes()), PIPELINE_DEPTH)))
     });
     group.bench_function("ping_512/text_pipelined", |b| {
-        b.iter(|| black_box(text_client.call_pipelined(black_box(&pings)).unwrap()))
+        b.iter(|| black_box(text_conn.exchange(black_box(ping_wire.as_bytes()), PIPELINE_DEPTH)))
     });
 
     let mut bin_client = ReqBinClient::connect(handle.addr()).unwrap();
@@ -93,7 +138,7 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 
     group.finish();
-    drop((text_client, bin_client));
+    drop((text_conn, bin_client));
     handle.shutdown();
 }
 

@@ -10,8 +10,8 @@
 //!   sketch (the service path adds registry lookup + cached merged
 //!   snapshot).
 //! * `service_tcp` — full loopback round-trips (`RANK`, 1k-value `ADDB`)
-//!   from a text client against a live `serve_evented` server, measuring
-//!   the wire + parse + execute overhead per request.
+//!   from the binary client against a live `serve_evented` server,
+//!   measuring the wire + parse + execute overhead per request.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,9 +19,9 @@ use std::sync::Arc;
 
 use req_bench::bench_items;
 use req_core::{OrdF64, QuantileSketch, RankAccuracy, ReqSketch};
-use req_evented::{serve_evented, Client};
+use req_evented::{serve_evented, ReqBinClient};
 use req_service::tempdir::TempDir;
-use req_service::{ClientApi, QuantileService, ServiceConfig, TenantConfig, Text};
+use req_service::{ClientApi, QuantileService, ServiceConfig, TenantConfig};
 
 const N: usize = 100_000;
 const BATCH: usize = 1_000;
@@ -122,13 +122,13 @@ fn bench_tcp(c: &mut Criterion) {
     let key = fresh_key(&service);
     let items: Vec<f64> = bench_items(N, 13).into_iter().map(|v| v as f64).collect();
     {
-        let mut c = Client::<Text>::connect(handle.addr()).unwrap();
+        let mut c = ReqBinClient::connect(handle.addr()).unwrap();
         for chunk in items.chunks(BATCH) {
             c.add_batch(&key, chunk).unwrap();
         }
     }
 
-    let mut client = Client::<Text>::connect(handle.addr()).unwrap();
+    let mut client = ReqBinClient::connect(handle.addr()).unwrap();
     group.bench_function("roundtrip/rank", |b| {
         b.iter(|| black_box(client.rank(&key, black_box(1e18)).unwrap()))
     });

@@ -10,11 +10,12 @@
 //!
 //! against one victim service whose WAL writes are deterministically torn
 //! by a [`FaultPlane`] and whose one listener additionally suffers socket
-//! read/write faults. Half the clients speak the text codec, half the
-//! binary one, all to the same faulted server; all carry idempotency
-//! tokens and a [`RetryPolicy`], so every transport error — torn
-//! response, dropped connection, failed append — is retried until the
-//! batch is acknowledged exactly once.
+//! read/write faults. The clients share the faulted server; all carry
+//! idempotency tokens and a [`RetryPolicy`], so every transport error —
+//! torn response, dropped connection, failed append — is retried until
+//! the batch is acknowledged exactly once. (The same exactly-once rule
+//! over raw text lines is `req-evented`'s
+//! `injected_socket_faults_never_duplicate_or_lose_acked_batches_over_text`.)
 //!
 //! Each client owns its own tenant, which makes per-tenant ingest order
 //! deterministic even though clients interleave freely on the shared WAL.
@@ -31,11 +32,11 @@
 //!   it back to read-write.
 
 use req_core::OrdF64;
-use req_evented::{serve_evented_with, Client, EventedOptions, ReqBinClient};
+use req_evented::{serve_evented_with, EventedOptions, ReqBinClient};
 use req_service::tempdir::TempDir;
 use req_service::{
     ClientApi, FaultKind, FaultPlane, FaultSite, QuantileService, RetryPolicy, ServiceConfig,
-    TenantConfig, Text,
+    TenantConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,8 +50,7 @@ pub struct Config {
     pub seeds: Vec<u64>,
     /// Crash/recover rounds per seed.
     pub rounds: usize,
-    /// Concurrent clients (and tenants) per round; even indices speak
-    /// text, odd ones binary.
+    /// Concurrent clients (and tenants) per round.
     pub clients: usize,
     /// Acknowledged batches per client per round.
     pub batches_per_client: usize,
@@ -114,8 +114,8 @@ fn chaos_policy(seed: u64) -> RetryPolicy {
     }
 }
 
-/// One client's work for one round: ingest every batch through either
-/// codec, retrying until acknowledged. Returns the values acked.
+/// One client's work for one round: ingest every batch, retrying until
+/// acknowledged. Returns the values acked.
 fn run_client(
     cfg: &Config,
     seed: u64,
@@ -124,16 +124,7 @@ fn run_client(
     addr: std::net::SocketAddr,
 ) -> u64 {
     let policy = chaos_policy(seed ^ (client as u64) << 8 ^ round as u64);
-    if client.is_multiple_of(2) {
-        let c = Client::<Text>::connect_with(addr, policy).expect("text connect");
-        ingest_round(cfg, c, client, round)
-    } else {
-        let c = ReqBinClient::connect_with(addr, policy).expect("bin connect");
-        ingest_round(cfg, c, client, round)
-    }
-}
-
-fn ingest_round(cfg: &Config, mut c: impl ClientApi, client: usize, round: usize) -> u64 {
+    let mut c = ReqBinClient::connect_with(addr, policy).expect("connect");
     let key = tenant_name(client);
     (0..cfg.batches_per_client)
         .map(|b| {
@@ -178,8 +169,8 @@ fn degraded_pass(dir: &std::path::Path) -> (bool, bool) {
 pub fn run(cfg: &Config) -> Vec<Table> {
     let mut t = Table::new(
         format!(
-            "E17 chaos plane: {} rounds of inject→crash→recover→retry, {} clients \
-             (text+binary), {} batches × {} values each (k={})",
+            "E17 chaos plane: {} rounds of inject→crash→recover→retry, {} clients, \
+             {} batches × {} values each (k={})",
             cfg.rounds, cfg.clients, cfg.batches_per_client, cfg.batch, cfg.k
         ),
         &[
@@ -302,7 +293,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     }
     t.note(
         "`n err` = acknowledged values − recovered count: 0 means no acked batch was lost and \
-         no retried batch double-ingested, across crashes and both codecs; `mismatches` = \
+         no retried batch double-ingested, across crashes; `mismatches` = \
          rank/quantile probes where the recovered victim differs from an unfaulted twin fed the \
          identical per-tenant batches (value-identity ⇒ 0); `poisoned`/`healed` = the degraded \
          read-only mode engaged on a poisoned WAL writer and cleared after the next snapshot \

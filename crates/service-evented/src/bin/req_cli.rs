@@ -24,14 +24,14 @@
 //! ```
 //!
 //! Each command line is parsed locally with the text codec and sent as a
-//! typed request. A reply prints as its text payload without the `OK`
+//! binary request. A reply prints as its text payload without the `OK`
 //! (`METRICS` and `EVENTS` print their decoded lines); a failure prints
 //! `error: …` to stderr and, for a one-shot command, exits 1.
 
 use req_core::ReqError;
-use req_evented::Client;
+use req_evented::ReqBinClient;
 use req_service::protocol::text;
-use req_service::{ClientApi, Response, RetryPolicy, Text};
+use req_service::{ClientApi, Response, RetryPolicy};
 use std::io::BufRead;
 use std::time::Duration;
 
@@ -47,7 +47,7 @@ fn usage() -> ! {
 }
 
 /// Parse one command line, send it, and print the reply.
-fn run(client: &mut Client<Text>, line: &str) -> Result<(), ReqError> {
+fn run(client: &mut ReqBinClient, line: &str) -> Result<(), ReqError> {
     let req = text::decode_request(line)?;
     match client.call(&req)?.into_result()? {
         Response::MetricsText(exposition) => print!("{exposition}"),
@@ -96,7 +96,7 @@ fn main() {
         usage();
     }
 
-    let mut client = match Client::<Text>::connect_with(&addr, policy) {
+    let mut client = match ReqBinClient::connect_with(&addr, policy) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("req-cli: cannot connect to {addr}: {e}");

@@ -1,51 +1,41 @@
-//! The one client: [`Client<C>`] speaks either codec to the server.
+//! The one client: [`ReqBinClient`] speaks the binary codec to the server.
 //!
 //! Dialing and reconnecting, the [`RetryPolicy`] loop, `(client_id, seq)`
-//! idempotency stamping and request pipelining are written once here; the
-//! codec parameter ([`Text`](req_service::Text) or [`Binary`]) only
-//! decides the bytes. [`ReqBinClient`] names the binary instance. Either
-//! instance implements [`ClientApi`], so the typed method surface —
-//! `create`, `add_batch`, `rank`, … — is the same on both.
+//! idempotency stamping and request pipelining are written once here. It
+//! implements [`ClientApi`], so the typed method surface — `create`,
+//! `add_batch`, `rank`, … — comes with it.
 //!
-//! [`Client::call_pipelined`] writes a whole batch of requests in one
-//! send, then collects the responses in order. The server answers every
-//! complete message it finds per wake-up, so a pipelined batch costs
-//! ~one round-trip instead of one per command, over either codec.
+//! [`ReqBinClient::call_pipelined`] writes a whole batch of requests in
+//! one send, then collects the responses in order. The server answers
+//! every complete message it finds per wake-up, so a pipelined batch costs
+//! ~one round-trip instead of one per command.
 
 use bytes::BytesMut;
 use req_core::ReqError;
 use req_service::client::{attach_token, fresh_client_id, is_retryable};
-use req_service::{
-    Binary, ClientApi, Codec, ErrorKind, Request, RequestKind, Response, RetryPolicy,
-};
-use std::collections::VecDeque;
+use req_service::protocol::binary;
+use req_service::{ClientApi, ErrorKind, Request, Response, RetryPolicy};
 use std::io::{BufReader, Write};
-use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
-/// The binary-codec client.
-pub type ReqBinClient = Client<Binary>;
-
-/// A blocking client over codec `C`, with [`RetryPolicy`]-driven
+/// A blocking binary-codec client with [`RetryPolicy`]-driven
 /// resilience: connect/read/write timeouts, reconnect-and-retry with
 /// deterministic jittered backoff, and idempotency tokens auto-stamped
 /// onto mutations so an ambiguous retry applies exactly once server-side.
 #[derive(Debug)]
-pub struct Client<C: Codec> {
+pub struct ReqBinClient {
     /// Reads are buffered; writes go straight to the socket. `None` after
     /// a transport failure, until the next send redials.
     conn: Option<BufReader<TcpStream>>,
-    /// Kinds of the requests sent but not yet answered, oldest first
-    /// (a text reply decodes by the kind of request it answers).
-    in_flight: VecDeque<RequestKind>,
+    /// Requests sent but not yet answered.
+    in_flight: usize,
     addr: SocketAddr,
     policy: RetryPolicy,
     client_id: u64,
     next_seq: u64,
-    codec: PhantomData<C>,
 }
 
-impl<C: Codec> Client<C> {
+impl ReqBinClient {
     /// Connect to the server at `addr` (e.g. `"127.0.0.1:7878"`) with the
     /// default [`RetryPolicy`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ReqError> {
@@ -59,14 +49,13 @@ impl<C: Codec> Client<C> {
             .next()
             .ok_or_else(|| ReqError::InvalidParameter("address resolved to nothing".into()))?;
         let conn = Self::dial(&addr, &policy)?;
-        Ok(Client {
+        Ok(ReqBinClient {
             conn: Some(conn),
-            in_flight: VecDeque::new(),
+            in_flight: 0,
             addr,
             policy,
             client_id: fresh_client_id(),
             next_seq: 1,
-            codec: PhantomData,
         })
     }
 
@@ -89,19 +78,23 @@ impl<C: Codec> Client<C> {
     }
 
     /// Send one request without waiting for the response, exactly as
-    /// given (no token is stamped). Pair with [`Client::read_response`].
+    /// given (no token is stamped). Pair with
+    /// [`ReqBinClient::read_response`].
     pub fn send(&mut self, req: &Request) -> Result<(), ReqError> {
         self.send_all(std::slice::from_ref(req))
     }
 
     /// Block until the response to the oldest unanswered request arrives.
+    /// A reply cut short by the server closing is a [`ReqError::Io`],
+    /// never a decoded answer.
     pub fn read_response(&mut self) -> Result<Response, ReqError> {
-        let (Some(kind), Some(conn)) = (self.in_flight.pop_front(), self.conn.as_mut()) else {
+        let (true, Some(conn)) = (self.in_flight > 0, self.conn.as_mut()) else {
             return Err(ReqError::InvalidParameter(
                 "no request is awaiting a response".into(),
             ));
         };
-        let result = C::read_response(conn, kind);
+        self.in_flight -= 1;
+        let result = binary::read_frame_blocking(conn).and_then(binary::decode_response);
         if result.is_err() {
             self.disconnect();
         }
@@ -128,7 +121,7 @@ impl<C: Codec> Client<C> {
     fn send_all(&mut self, reqs: &[Request]) -> Result<(), ReqError> {
         let mut out = BytesMut::new();
         for req in reqs {
-            C::write_request(&mut out, req)?;
+            binary::write_request(&mut out, req);
         }
         if self.conn.is_none() {
             self.conn = Some(Self::dial(&self.addr, &self.policy)?);
@@ -138,17 +131,17 @@ impl<C: Codec> Client<C> {
             self.disconnect();
             return Err(e.into());
         }
-        self.in_flight.extend(reqs.iter().map(Request::kind));
+        self.in_flight += reqs.len();
         Ok(())
     }
 
     fn disconnect(&mut self) {
         self.conn = None;
-        self.in_flight.clear();
+        self.in_flight = 0;
     }
 }
 
-impl<C: Codec> ClientApi for Client<C> {
+impl ClientApi for ReqBinClient {
     fn call(&mut self, req: &Request) -> Result<Response, ReqError> {
         let mut req = req.clone();
         attach_token(&mut req, self.client_id, &mut self.next_seq);

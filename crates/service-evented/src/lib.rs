@@ -11,13 +11,14 @@
 //!   [`req_service::execute()`] → flush loop, so either codec gets request
 //!   **pipelining** and fd-limit-bound connection density. A parked
 //!   connection costs a registry entry and two buffers, not an OS thread.
-//! * **[`client`]** — [`Client<C>`] over either codec
-//!   ([`req_service::Text`], [`req_service::Binary`]): dial and redial,
-//!   the [`req_service::RetryPolicy`] loop, idempotency-token stamping and
-//!   pipelined calls, written once. [`ReqBinClient`] is the binary one.
+//! * **[`client`]** — [`ReqBinClient`], over the binary codec: dial and
+//!   redial, the [`req_service::RetryPolicy`] loop, idempotency-token
+//!   stamping and pipelined calls. Programs speak binary; the text codec
+//!   is served for people at a terminal (`nc`).
 //!
 //! The crate also ships the `req-server` binary (this server over a data
-//! directory) and `req-cli` (a text [`Client`] for the shell).
+//! directory) and `req-cli` (the shell's text commands, carried by a
+//! [`ReqBinClient`]).
 //!
 //! Every request on either codec funnels through
 //! [`req_service::execute()`], so a command behaves identically whichever
@@ -29,5 +30,5 @@
 pub mod client;
 pub mod server;
 
-pub use client::{Client, ReqBinClient};
+pub use client::ReqBinClient;
 pub use server::{serve_evented, serve_evented_with, EventedHandle, EventedOptions};

@@ -1,13 +1,14 @@
 //! The shipped binaries, end to end: `req-server` serves both codecs on
-//! one port, `req-cli` drives it over text, a [`ReqBinClient`] drives the
-//! same port over binary, and a server killed with SIGKILL comes back on
-//! the same data directory with identical answers.
+//! one port, `req-cli` takes text commands and prints text replies, a
+//! [`ReqBinClient`] drives the same port, a raw `PING` line is answered in
+//! text, and a server killed with SIGKILL comes back on the same data
+//! directory with identical answers.
 
 use req_evented::ReqBinClient;
 use req_service::tempdir::TempDir;
 use req_service::ClientApi;
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 
@@ -76,7 +77,14 @@ fn shipped_server_serves_both_codecs_and_recovers_from_sigkill() {
     let dir = TempDir::new("bins").unwrap();
     let server = Server::start(dir.path());
 
-    // Text, through the CLI: payloads print without the `OK`.
+    // The text codec, straight from a socket.
+    let mut raw = TcpStream::connect(server.addr).unwrap();
+    raw.write_all(b"PING\n").unwrap();
+    let mut pong = String::new();
+    BufReader::new(raw).read_line(&mut pong).unwrap();
+    assert_eq!(pong, "OK pong\n");
+
+    // The CLI: payloads print without the `OK`.
     assert_eq!(
         ok(server.addr, &["CREATE", "lat", "K=16", "HRA"]),
         "created\n"

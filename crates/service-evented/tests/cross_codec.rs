@@ -1,29 +1,30 @@
 //! Cross-codec equivalence, live: the same request script driven over
-//! the text codec and over the binary codec, each through its own
-//! `serve_evented` server, must produce response-for-response identical
-//! results. Both codecs funnel into `req_service::execute`, and this test
-//! pins that the codecs on either side of it are lossless. The same script
-//! pipelined in one write over a raw socket gets binary replies whose
-//! bytes are exactly what `encode_response` writes for each.
+//! the binary client, and as text lines on a raw socket, each through its
+//! own `serve_evented` server, must produce identical answers. Both codecs
+//! funnel into `req_service::execute`; each text reply line must be, byte
+//! for byte, `text::encode_response` of the binary client's reply for the
+//! same step. The same script pipelined in one write over a raw socket
+//! gets binary replies whose bytes are exactly what `encode_response`
+//! writes for each.
 
 use bytes::BytesMut;
-use req_evented::{serve_evented, Client, ReqBinClient};
+use req_evented::{serve_evented, ReqBinClient};
 use req_service::client::attach_token;
-use req_service::protocol::binary;
+use req_service::protocol::{binary, text};
 use req_service::tempdir::TempDir;
 use req_service::{
-    ClientApi, QuantileService, Request, Response, ServiceConfig, ShardVersions, TenantConfig, Text,
+    ClientApi, QuantileService, Request, Response, ServiceConfig, ShardVersions, TenantConfig,
 };
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// A script touching every command, including deliberate failures. Every
 /// mutation is pre-stamped with a fixed-client-id idempotency token:
-/// otherwise each transport's client stamps its own random `client_id`,
-/// the tokens land in the WAL records, and the byte-level `TAIL`
-/// comparison below would (correctly!) flag the two WALs as different.
+/// otherwise the binary client stamps its own random `client_id`, the
+/// tokens land in the WAL records, and the byte-level `TAIL` comparison
+/// below would (correctly!) flag the two WALs as different.
 fn script() -> Vec<Request> {
     let mut reqs = vec![
         Request::Ping,
@@ -145,50 +146,56 @@ fn script() -> Vec<Request> {
 fn text_and_binary_transports_answer_identically() {
     let script = script();
 
-    let text_dir = TempDir::new("cross-text").unwrap();
-    let text_service =
-        Arc::new(QuantileService::open(ServiceConfig::new(text_dir.path())).unwrap());
-    let text_handle = serve_evented(Arc::clone(&text_service), "127.0.0.1:0", 1).unwrap();
-    let mut text_client = Client::<Text>::connect(text_handle.addr()).unwrap();
-
     let bin_dir = TempDir::new("cross-bin").unwrap();
     let bin_service = Arc::new(QuantileService::open(ServiceConfig::new(bin_dir.path())).unwrap());
     let bin_handle = serve_evented(Arc::clone(&bin_service), "127.0.0.1:0", 1).unwrap();
     let mut bin_client = ReqBinClient::connect(bin_handle.addr()).unwrap();
-
     let mut tailed_bytes = 0;
     let mut binary_replies = Vec::new();
     for (i, req) in script.iter().enumerate() {
-        let via_text = text_client.call(req);
-        let via_binary = bin_client.call(req);
-        match (via_text, via_binary) {
-            (Ok(t), Ok(b)) => {
-                let (t, b) = match (t, b) {
-                    // Each service draws its own incarnation when it opens;
-                    // everything else in the reply must agree.
-                    (Response::MergedSince(mut t), Response::MergedSince(mut b)) => {
-                        assert_eq!(t.incarnation, text_service.incarnation());
-                        assert_eq!(b.incarnation, bin_service.incarnation());
-                        assert!(t.parts.iter().all(|(_, part)| part.is_some()));
-                        (t.incarnation, b.incarnation) = (0, 0);
-                        (Response::MergedSince(t), Response::MergedSince(b))
-                    }
-                    pair => pair,
-                };
-                if let (Response::Tailed(t), Response::Tailed(b)) = (&t, &b) {
-                    assert_eq!(t.frames, b.frames, "step {i}: TAIL segments differ");
-                    tailed_bytes += t.frames.len();
-                }
-                assert_eq!(t, b, "step {i} ({req:?}) diverged");
-                binary_replies.push(b);
+        let reply = bin_client
+            .call(req)
+            .unwrap_or_else(|e| panic!("step {i} ({req:?}): transport failure {e:?}"));
+        match &reply {
+            Response::Tailed(seg) => tailed_bytes += seg.frames.len(),
+            Response::MergedSince(changed) => {
+                assert_eq!(changed.incarnation, bin_service.incarnation());
+                assert!(changed.parts.iter().all(|(_, part)| part.is_some()));
             }
-            (t, b) => panic!("step {i} ({req:?}): transport-level failure {t:?} vs {b:?}"),
+            _ => {}
         }
-        if matches!(req, Request::Quit) {
-            break;
-        }
+        binary_replies.push(reply);
     }
     assert!(tailed_bytes > 0, "the script never shipped a WAL frame");
+    bin_handle.shutdown();
+
+    // The script as text lines in one write; QUIT closes the connection
+    // after the last reply line.
+    let text_dir = TempDir::new("cross-text").unwrap();
+    let text_service =
+        Arc::new(QuantileService::open(ServiceConfig::new(text_dir.path())).unwrap());
+    let text_handle = serve_evented(Arc::clone(&text_service), "127.0.0.1:0", 1).unwrap();
+    let mut raw = TcpStream::connect(text_handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let lines: String = script
+        .iter()
+        .map(|req| text::encode_request(req) + "\n")
+        .collect();
+    raw.write_all(lines.as_bytes()).unwrap();
+    let mut replies = String::new();
+    raw.read_to_string(&mut replies).unwrap();
+    let replies: Vec<&str> = replies.split_terminator('\n').collect();
+    assert_eq!(replies.len(), script.len(), "one reply line per request");
+    for (i, (line, want)) in replies.iter().zip(&binary_replies).enumerate() {
+        let mut want = want.clone();
+        // Each service draws its own incarnation when it opens; everything
+        // else in the reply must agree.
+        if let Response::MergedSince(changed) = &mut want {
+            changed.incarnation = text_service.incarnation();
+        }
+        let req = &script[i];
+        assert_eq!(*line, text::encode_response(&want), "step {i} ({req:?})");
+    }
 
     // Beyond the wire: the two services hold identical durable state.
     assert_eq!(
@@ -196,7 +203,6 @@ fn text_and_binary_transports_answer_identically() {
         bin_service.stats("a").unwrap().n
     );
     text_handle.shutdown();
-    bin_handle.shutdown();
 
     // The whole script in one write, its replies read raw: each reply
     // frame is byte for byte the `encode_response` of what it decodes to,
@@ -225,7 +231,7 @@ fn text_and_binary_transports_answer_identically() {
         at += used;
         if let Response::MergedSince(changed) = &mut got {
             assert_eq!(changed.incarnation, raw_service.incarnation());
-            changed.incarnation = 0;
+            changed.incarnation = bin_service.incarnation();
         }
         assert_eq!(&got, want, "step {i}: pipelined reply");
     }
@@ -233,31 +239,31 @@ fn text_and_binary_transports_answer_identically() {
     raw_handle.shutdown();
 }
 
-/// Err responses never collapse into strings anywhere on either path:
-/// the kind survives to the client as the right `ReqError` variant. Both
-/// codecs dial the same address.
+/// Err responses never collapse into strings on the binary path: the kind
+/// survives to the client as the right `ReqError` variant. On a text
+/// connection to the same address the reply is the raw `ERR invalid …`
+/// line.
 #[test]
 fn error_kinds_survive_both_transports() {
     let dir = TempDir::new("cross-err").unwrap();
     let service = Arc::new(QuantileService::open(ServiceConfig::new(dir.path())).unwrap());
     let handle = serve_evented(Arc::clone(&service), "127.0.0.1:0", 1).unwrap();
-    let mut tc = Client::<Text>::connect(handle.addr()).unwrap();
     let mut bc = ReqBinClient::connect(handle.addr()).unwrap();
 
     let req = Request::Rank {
         key: "missing".into(),
         value: 1.0,
     };
-    let (t, b) = (
-        tc.call(&req).unwrap().into_result().unwrap_err(),
-        bc.call(&req).unwrap().into_result().unwrap_err(),
-    );
-    for e in [&t, &b] {
-        match e {
-            req_core::ReqError::InvalidParameter(msg) => {
-                assert!(msg.contains("missing"), "{msg}")
-            }
-            other => panic!("expected InvalidParameter, got {other:?}"),
-        }
+    let reply = bc.call(&req).unwrap();
+    match reply.clone().into_result().unwrap_err() {
+        req_core::ReqError::InvalidParameter(msg) => assert!(msg.contains("missing"), "{msg}"),
+        other => panic!("expected InvalidParameter, got {other:?}"),
     }
+
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.write_all(b"RANK missing 1\n").unwrap();
+    let mut line = String::new();
+    BufReader::new(raw).read_line(&mut line).unwrap();
+    assert!(line.starts_with("ERR invalid "), "{line}");
+    assert_eq!(line, text::encode_response(&reply) + "\n");
 }

@@ -1,20 +1,22 @@
-//! End-to-end tests for the one server: the full typed command surface
-//! over both codecs, deep pipelining on one connection, durability across
-//! restarts, idle-connection density, per-connection codec sniffing, and
-//! fault handling at both protocol layers of both codecs.
+//! End-to-end tests for the one server: the full typed command surface,
+//! deep pipelining on one connection, durability across restarts,
+//! idle-connection density, per-connection codec sniffing, and fault
+//! handling at both protocol layers of both codecs.
 //!
-//! A codec-independent test is one generic body, run once per codec.
+//! The binary tests drive a [`ReqBinClient`]. Their `_over_text` twins
+//! write request lines on a raw socket and read the reply lines back, as
+//! `nc` would: there is no text client.
 
 use req_core::ReqError;
-use req_evented::{serve_evented, Client, EventedHandle, ReqBinClient};
+use req_evented::{serve_evented, serve_evented_with, EventedHandle, EventedOptions, ReqBinClient};
 use req_service::protocol::{binary, text};
 use req_service::tempdir::TempDir;
 use req_service::{
-    Binary, ClientApi, Codec, CreateOptions, QuantileService, Request, Response, RetryPolicy,
-    ServiceConfig, Text,
+    ClientApi, CreateOptions, FaultKind, FaultPlane, FaultSite, IdemToken, QuantileService,
+    Request, Response, RetryPolicy, ServiceConfig,
 };
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,26 +26,47 @@ fn start(dir: &std::path::Path, loops: usize) -> (Arc<QuantileService>, EventedH
     (service, handle)
 }
 
-/// Instantiate a codec-generic test body once per codec, under its
-/// binary and text test names.
-macro_rules! per_codec {
-    ($body:ident: $binary:ident, $text:ident) => {
-        #[test]
-        fn $binary() {
-            $body::<Binary>();
-        }
+/// One text connection: request lines out, reply lines back.
+struct TextConn(BufReader<TcpStream>);
 
-        #[test]
-        fn $text() {
-            $body::<Text>();
-        }
-    };
+impl TextConn {
+    fn connect(addr: SocketAddr) -> TextConn {
+        TextConn(BufReader::new(TcpStream::connect(addr).unwrap()))
+    }
+
+    /// Write every line, each with its `\n`, in one send.
+    fn send(&mut self, lines: &[impl AsRef<str>]) {
+        let wire: String = lines.iter().map(|l| format!("{}\n", l.as_ref())).collect();
+        self.0.get_mut().write_all(wire.as_bytes()).unwrap();
+    }
+
+    /// The next reply line without its `\n`; `None` once the server closed.
+    fn reply(&mut self) -> Option<String> {
+        let mut line = String::new();
+        self.0.read_line(&mut line).unwrap();
+        line.strip_suffix('\n').map(str::to_string)
+    }
+
+    fn call(&mut self, line: &str) -> String {
+        self.send(&[line]);
+        self.reply().expect("a reply line")
+    }
 }
 
-fn full_command_surface<C: Codec>() {
+/// The text line of an `ADDB` of `values` without a token.
+fn addb(key: &str, values: &[f64]) -> String {
+    text::encode_request(&Request::AddBatch {
+        key: key.into(),
+        values: values.to_vec(),
+        token: None,
+    })
+}
+
+#[test]
+fn full_command_surface_roundtrips_over_binary() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
-    let mut c = Client::<C>::connect(handle.addr()).unwrap();
+    let mut c = ReqBinClient::connect(handle.addr()).unwrap();
 
     c.ping().unwrap();
     c.create(
@@ -85,17 +108,53 @@ fn full_command_surface<C: Codec>() {
     handle.shutdown();
 }
 
-per_codec!(
-    full_command_surface: full_command_surface_roundtrips_over_binary,
-    full_command_surface_roundtrips_over_text
-);
+/// The same surface in text lines. Mutations answer fixed lines; each
+/// read must answer the text line of what a binary client on the same
+/// server is answered.
+#[test]
+fn full_command_surface_roundtrips_over_text() {
+    let dir = TempDir::new("evented").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut c = TextConn::connect(handle.addr());
+    let mut bin = ReqBinClient::connect(handle.addr()).unwrap();
+    let mut read = |c: &mut TextConn, line: &str| {
+        let want = bin.call(&text::decode_request(line).unwrap()).unwrap();
+        assert_eq!(c.call(line), text::encode_response(&want), "`{line}`");
+    };
+
+    assert_eq!(c.call("PING"), "OK pong");
+    assert_eq!(c.call("CREATE lat K=16 HRA SHARDS=2"), "OK created");
+    let values: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
+    for chunk in values.chunks(1_000) {
+        assert_eq!(c.call(&addb("lat", chunk)), "OK 1000");
+    }
+    assert_eq!(c.call("ADD lat 10000"), "OK");
+    for line in [
+        "RANK lat 5000",
+        "QUANTILE lat 0.5",
+        "CDF lat 1000 5000 9000",
+        "STATS lat",
+        "LIST",
+    ] {
+        read(&mut c, line);
+    }
+    assert!(c.call("STATS lat").starts_with("OK n=10001 "));
+    assert_eq!(c.call("SNAPSHOT"), "OK snapshot 1");
+    assert_eq!(c.call("DROP lat"), "OK dropped");
+    read(&mut c, "RANK lat 1");
+    assert_eq!(c.call("LIST"), "OK");
+    assert_eq!(c.call("QUIT"), "OK bye");
+    assert_eq!(c.reply(), None, "QUIT closes the connection");
+    handle.shutdown();
+}
 
 /// 1 000 commands in flight on ONE connection, written before any
 /// response is read, answered in order.
-fn thousand_pipelined<C: Codec>() {
+#[test]
+fn thousand_pipelined_commands_on_one_connection() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
-    let mut c = Client::<C>::connect(handle.addr()).unwrap();
+    let mut c = ReqBinClient::connect(handle.addr()).unwrap();
     c.create("p", &CreateOptions::default()).unwrap();
 
     let mut reqs = Vec::with_capacity(1_000);
@@ -144,15 +203,38 @@ fn thousand_pipelined<C: Codec>() {
     assert!(matches!(resps[999], Response::Pong));
 }
 
-per_codec!(
-    thousand_pipelined: thousand_pipelined_commands_on_one_connection,
-    thousand_pipelined_commands_on_one_connection_over_text
-);
-
-fn errors_keep_their_kind<C: Codec>() {
+/// The same 1 000 commands as text lines in one write.
+#[test]
+fn thousand_pipelined_commands_on_one_connection_over_text() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
-    let mut c = Client::<C>::connect(handle.addr()).unwrap();
+    let mut c = TextConn::connect(handle.addr());
+    assert_eq!(c.call("CREATE p"), "OK created");
+
+    let mut lines: Vec<String> = (0..499).map(|i| format!("ADD p {i}")).collect();
+    lines.push("STATS p".into());
+    lines.extend((0..499).map(|i| format!("RANK p {i}")));
+    lines.push("PING".into());
+    c.send(&lines);
+    let replies: Vec<String> = (0..1_000).map(|_| c.reply().unwrap()).collect();
+    assert!(replies[..499].iter().all(|r| r == "OK"));
+    assert!(replies[499].starts_with("OK n=499 "), "{}", replies[499]);
+    let mut prev = 0u64;
+    for (i, reply) in replies[500..999].iter().enumerate() {
+        let r: u64 = reply.strip_prefix("OK ").unwrap().parse().unwrap();
+        let want = i as u64 + 1;
+        assert!(r.abs_diff(want) <= 2 + want / 5, "rank({i}) = {r}");
+        assert!(r >= prev, "rank sequence regressed at {i}: {r} < {prev}");
+        prev = r;
+    }
+    assert_eq!(replies[999], "OK pong");
+}
+
+#[test]
+fn errors_keep_their_kind_and_the_connection_survives() {
+    let dir = TempDir::new("evented").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut c = ReqBinClient::connect(handle.addr()).unwrap();
 
     let err = c.rank("ghost", 1.0).unwrap_err();
     match err {
@@ -179,10 +261,24 @@ fn errors_keep_their_kind<C: Codec>() {
     c.ping().unwrap();
 }
 
-per_codec!(
-    errors_keep_their_kind: errors_keep_their_kind_and_the_connection_survives,
-    errors_keep_their_kind_and_the_connection_survives_over_text
-);
+#[test]
+fn errors_keep_their_kind_and_the_connection_survives_over_text() {
+    let dir = TempDir::new("evented").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut c = TextConn::connect(handle.addr());
+
+    let reply = c.call("RANK ghost 1");
+    assert!(
+        reply.starts_with("ERR invalid ") && reply.contains("ghost"),
+        "{reply}"
+    );
+    assert_eq!(c.call("CREATE t"), "OK created");
+    assert!(c.call("CREATE t").starts_with("ERR invalid "));
+    c.send(&["RANK nope 0", "PING"]);
+    assert!(c.reply().unwrap().starts_with("ERR invalid "));
+    assert_eq!(c.reply().unwrap(), "OK pong");
+    assert_eq!(c.call("PING"), "OK pong");
+}
 
 /// The text twin of a bad payload in a valid frame: a whole line that
 /// fails to decode gets `ERR …` and the connection lives; blank lines get
@@ -283,10 +379,10 @@ fn oversized_text_lines_get_a_typed_error_then_eof() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
     // A legitimate large-but-bounded batch works.
-    let mut c = Client::<Text>::connect(handle.addr()).unwrap();
-    c.create("t", &CreateOptions::default()).unwrap();
+    let mut c = TextConn::connect(handle.addr());
+    assert_eq!(c.call("CREATE t"), "OK created");
     let big: Vec<f64> = (0..100_000).map(|i| i as f64).collect();
-    assert_eq!(c.add_batch("t", &big).unwrap(), 100_000);
+    assert_eq!(c.call(&addb("t", &big)), "OK 100000");
 
     // Exactly MAX_LINE_BYTES with no newline: the server consumes every
     // byte before it gives up, so its close is a clean FIN after the
@@ -308,16 +404,17 @@ fn oversized_text_lines_get_a_typed_error_then_eof() {
     );
 
     // The server keeps serving other clients.
-    c.ping().unwrap();
-    assert_eq!(c.stats("t").unwrap().n, 100_000);
+    assert_eq!(c.call("PING"), "OK pong");
+    assert!(c.call("STATS t").starts_with("OK n=100000 "));
 }
 
-fn state_survives_a_restart<C: Codec>() {
+#[test]
+fn state_survives_a_server_restart() {
     let dir = TempDir::new("evented").unwrap();
     let probes: Vec<f64> = (0..50).map(|i| i as f64 * 199.0).collect();
     let want: Vec<u64> = {
         let (_service, handle) = start(dir.path(), 1);
-        let mut c = Client::<C>::connect(handle.addr()).unwrap();
+        let mut c = ReqBinClient::connect(handle.addr()).unwrap();
         c.create(
             "t",
             &CreateOptions {
@@ -335,16 +432,33 @@ fn state_survives_a_restart<C: Codec>() {
     };
     let (service, handle) = start(dir.path(), 1);
     assert!(service.recovery_report().records_replayed > 0);
-    let mut c = Client::<C>::connect(handle.addr()).unwrap();
+    let mut c = ReqBinClient::connect(handle.addr()).unwrap();
     let got: Vec<u64> = probes.iter().map(|&p| c.rank("t", p).unwrap()).collect();
     assert_eq!(got, want, "recovered server must answer identically");
     assert_eq!(c.stats("t").unwrap().n, 8_000);
 }
 
-per_codec!(
-    state_survives_a_restart: state_survives_a_server_restart,
-    state_survives_a_server_restart_over_text
-);
+#[test]
+fn state_survives_a_server_restart_over_text() {
+    let dir = TempDir::new("evented").unwrap();
+    let probes: Vec<String> = (0..50).map(|i| format!("RANK t {}", i * 199)).collect();
+    let want: Vec<String> = {
+        let (_service, handle) = start(dir.path(), 1);
+        let mut c = TextConn::connect(handle.addr());
+        assert_eq!(c.call("CREATE t K=32"), "OK created");
+        let values: Vec<f64> = (0..8_000).map(|i| (i * 37 % 10_007) as f64).collect();
+        for chunk in values.chunks(500) {
+            assert_eq!(c.call(&addb("t", chunk)), "OK 500");
+        }
+        probes.iter().map(|p| c.call(p)).collect()
+    };
+    let (service, handle) = start(dir.path(), 1);
+    assert!(service.recovery_report().records_replayed > 0);
+    let mut c = TextConn::connect(handle.addr());
+    let got: Vec<String> = probes.iter().map(|p| c.call(p)).collect();
+    assert_eq!(got, want, "recovered server must answer identically");
+    assert!(c.call("STATS t").starts_with("OK n=8000 "));
+}
 
 /// The density claim: one loop thread holds hundreds of idle connections
 /// — each costs two buffers, not an OS thread — and every one still
@@ -379,11 +493,12 @@ fn holds_640_plus_idle_connections_on_one_thread() {
     handle.shutdown();
 }
 
-fn quit_closes_only_its_connection<C: Codec>() {
+#[test]
+fn quit_closes_only_that_connection() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
-    let mut a = Client::<C>::connect(handle.addr()).unwrap();
-    let b = Client::<C>::connect(handle.addr()).unwrap();
+    let mut a = ReqBinClient::connect(handle.addr()).unwrap();
+    let b = ReqBinClient::connect(handle.addr()).unwrap();
     a.ping().unwrap();
     b.quit().unwrap();
     a.ping().unwrap();
@@ -396,10 +511,23 @@ fn quit_closes_only_its_connection<C: Codec>() {
     assert!(matches!(resps[2], Response::Bye));
 }
 
-per_codec!(
-    quit_closes_only_its_connection: quit_closes_only_that_connection,
-    quit_closes_only_that_connection_over_text
-);
+#[test]
+fn quit_closes_only_that_connection_over_text() {
+    let dir = TempDir::new("evented").unwrap();
+    let (_service, handle) = start(dir.path(), 1);
+    let mut a = TextConn::connect(handle.addr());
+    let mut b = TextConn::connect(handle.addr());
+    assert_eq!(a.call("PING"), "OK pong");
+    assert_eq!(b.call("QUIT"), "OK bye");
+    assert_eq!(b.reply(), None);
+    assert_eq!(a.call("PING"), "OK pong");
+    // A pipeline that ends in QUIT still answers everything first.
+    a.send(&["PING", "LIST", "QUIT"]);
+    for want in ["OK pong", "OK", "OK bye"] {
+        assert_eq!(a.reply().unwrap(), want);
+    }
+    assert_eq!(a.reply(), None);
+}
 
 /// One port, both codecs: each connection sniffs its own codec from its
 /// fourth byte, and waits while it has sent fewer than four.
@@ -407,20 +535,25 @@ per_codec!(
 fn text_and_binary_connections_share_one_port() {
     let dir = TempDir::new("evented-sniff").unwrap();
     let (_service, handle) = start(dir.path(), 1);
-    let mut t = Client::<Text>::connect(handle.addr()).unwrap();
+    let mut t = TextConn::connect(handle.addr());
     let mut b = ReqBinClient::connect(handle.addr()).unwrap();
-    t.create("s", &CreateOptions::default()).unwrap();
+    assert_eq!(t.call("CREATE s"), "OK created");
     for i in 0..10 {
         let batch = [i as f64, i as f64 + 0.5];
         if i % 2 == 0 {
-            t.add_batch("s", &batch).unwrap();
+            assert_eq!(t.call(&addb("s", &batch)), "OK 2");
         } else {
             b.add_batch("s", &batch).unwrap();
         }
     }
-    assert_eq!(t.stats("s").unwrap().n, 20);
-    assert_eq!(b.stats("s").unwrap(), t.stats("s").unwrap());
-    assert_eq!(b.quantile("s", 0.5).unwrap(), t.quantile("s", 0.5).unwrap());
+    let stats = b.stats("s").unwrap();
+    assert_eq!(stats.n, 20);
+    assert_eq!(
+        t.call("STATS s"),
+        text::encode_response(&Response::Stats(stats))
+    );
+    let median = Response::Quantile(b.quantile("s", 0.5).unwrap());
+    assert_eq!(t.call("QUANTILE s 0.5"), text::encode_response(&median));
 
     // A text verb split before its fourth byte.
     let mut raw = TcpStream::connect(handle.addr()).unwrap();
@@ -441,28 +574,7 @@ fn text_and_binary_connections_share_one_port() {
     assert_eq!(binary::decode_response(payload).unwrap(), Response::Pong);
 }
 
-/// A reply exists only with its newline. A server that writes `OK 6` and
-/// closes has not answered a 64-value `ADDB` with 6: the client must
-/// report a transport error (retried only under a token), not `Ok(6)`.
-#[test]
-fn torn_text_reply_is_a_transport_error_not_an_answer() {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream);
-        let mut request = String::new();
-        reader.read_line(&mut request).unwrap();
-        reader.get_mut().write_all(b"OK 6").unwrap();
-        request
-    });
-    let mut c = Client::<Text>::connect_with(addr, RetryPolicy::no_retries()).unwrap();
-    let got = c.add_batch("t", &[1.5; 64]);
-    assert!(matches!(got, Err(ReqError::Io(_))), "got {got:?}");
-    assert!(server.join().unwrap().starts_with("ADDB t 1.5"));
-}
-
-/// The server side of the same rule: an unterminated final line is
+/// A request exists only with its newline: an unterminated final line is
 /// discarded at EOF, never executed. `TOKEN=` is the *last* field of a
 /// text `ADDB`, so a torn prefix would apply without its token and the
 /// retry would double-ingest.
@@ -488,7 +600,6 @@ fn torn_text_request_at_eof_is_discarded_not_applied() {
 #[test]
 fn never_draining_reader_is_evicted_after_the_stall_timeout() {
     use req_evented::server::MAX_WRITE_BACKLOG;
-    use req_evented::{serve_evented_with, EventedOptions};
     use std::time::Instant;
 
     let dir = TempDir::new("evented-stall").unwrap();
@@ -554,34 +665,40 @@ fn never_draining_reader_is_evicted_after_the_stall_timeout() {
     handle.shutdown();
 }
 
+/// A server whose socket reads and writes fail on `seed`'s schedule.
+fn faulted_server(
+    dir: &std::path::Path,
+    seed: u64,
+) -> (Arc<QuantileService>, EventedHandle, Arc<FaultPlane>) {
+    let plane = Arc::new(
+        FaultPlane::new(seed)
+            .with(FaultSite::SockWrite, FaultKind::Torn, 1, 5)
+            .with(FaultSite::SockRead, FaultKind::Error, 1, 7),
+    );
+    let service = Arc::new(QuantileService::open(ServiceConfig::new(dir)).unwrap());
+    let handle = serve_evented_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        EventedOptions {
+            loops: 1,
+            faults: Some(Arc::clone(&plane)),
+            write_stall_timeout: Some(Duration::from_secs(5)),
+        },
+    )
+    .unwrap();
+    (service, handle, plane)
+}
+
 /// Socket-level chaos: with deterministic read/write faults injected at
 /// the server's socket edges, a retrying client with idempotency tokens
 /// still lands every batch exactly once — torn responses and dropped
 /// connections surface as transport errors, never as duplicated or lost
 /// ingest.
-fn socket_faults_are_exactly_once<C: Codec>() {
-    use req_evented::{serve_evented_with, EventedOptions};
-    use req_service::{FaultKind, FaultPlane, FaultSite};
-
+#[test]
+fn injected_socket_faults_never_duplicate_or_lose_acked_batches() {
     for seed in [1u64, 2, 3] {
         let dir = TempDir::new("evented-chaos").unwrap();
-        let plane = Arc::new(
-            FaultPlane::new(seed)
-                .with(FaultSite::SockWrite, FaultKind::Torn, 1, 5)
-                .with(FaultSite::SockRead, FaultKind::Error, 1, 7),
-        );
-        let service = Arc::new(QuantileService::open(ServiceConfig::new(dir.path())).unwrap());
-        let handle = serve_evented_with(
-            Arc::clone(&service),
-            "127.0.0.1:0",
-            EventedOptions {
-                loops: 1,
-                faults: Some(Arc::clone(&plane)),
-                write_stall_timeout: Some(Duration::from_secs(5)),
-            },
-        )
-        .unwrap();
-
+        let (service, handle, plane) = faulted_server(dir.path(), seed);
         let policy = RetryPolicy {
             max_retries: 32,
             base_backoff: Duration::from_micros(200),
@@ -590,12 +707,10 @@ fn socket_faults_are_exactly_once<C: Codec>() {
             seed,
             ..RetryPolicy::default()
         };
-        let mut c = Client::<C>::connect_with(handle.addr(), policy).unwrap();
+        let mut c = ReqBinClient::connect_with(handle.addr(), policy).unwrap();
         c.create("t", &CreateOptions::default()).unwrap();
         let mut expected = 0u64;
         for i in 0..60u64 {
-            // Up to 16 values, so a torn text count (`OK 1` of `OK 12`)
-            // would show as a wrong answer rather than pass unnoticed.
             let batch: Vec<f64> = (0..1 + i % 16).map(|j| (i * 10 + j) as f64).collect();
             assert_eq!(
                 c.add_batch("t", &batch).unwrap(),
@@ -615,31 +730,90 @@ fn socket_faults_are_exactly_once<C: Codec>() {
     }
 }
 
-per_codec!(
-    socket_faults_are_exactly_once: injected_socket_faults_never_duplicate_or_lose_acked_batches,
-    injected_socket_faults_never_duplicate_or_lose_acked_batches_over_text
-);
+/// The same chaos over raw text lines. Each tokened line is re-sent
+/// verbatim, on a fresh connection, until a whole reply line arrives: a
+/// torn reply (`OK 1` of `OK 12`) has no `\n` and counts as no answer.
+/// Up to 16 values per batch, so a wrong count would show.
+#[test]
+fn injected_socket_faults_never_duplicate_or_lose_acked_batches_over_text() {
+    fn until_answered(addr: SocketAddr, line: &str) -> String {
+        for _ in 0..32 {
+            let Ok(mut conn) = TcpStream::connect(addr) else {
+                continue;
+            };
+            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            if conn.write_all(format!("{line}\n").as_bytes()).is_err() {
+                continue;
+            }
+            let mut reply = String::new();
+            let _ = BufReader::new(conn).read_line(&mut reply);
+            if let Some(reply) = reply.strip_suffix('\n') {
+                return reply.to_string();
+            }
+        }
+        panic!("`{line:.40}` unanswered after 32 attempts");
+    }
 
-fn concurrent_clients_share_a_tenant<C: Codec>() {
+    for seed in [1u64, 2, 3] {
+        let dir = TempDir::new("evented-chaos-text").unwrap();
+        let (service, handle, plane) = faulted_server(dir.path(), seed);
+        let addr = handle.addr();
+        assert_eq!(
+            until_answered(addr, &format!("CREATE t TOKEN={seed}:0")),
+            "OK created"
+        );
+        let mut acked = 0u64;
+        for i in 0..60u64 {
+            let line = text::encode_request(&Request::AddBatch {
+                key: "t".into(),
+                values: (0..1 + i % 16).map(|j| (i * 10 + j) as f64).collect(),
+                token: Some(IdemToken {
+                    client_id: seed,
+                    seq: i + 1,
+                }),
+            });
+            let want = 1 + i % 16;
+            assert_eq!(
+                until_answered(addr, &line),
+                format!("OK {want}"),
+                "seed {seed}, batch {i}"
+            );
+            acked += want;
+        }
+        assert!(
+            plane.injected() > 0,
+            "seed {seed} injected nothing — chaos test is vacuous"
+        );
+        assert_eq!(service.stats("t").unwrap().n, acked, "seed {seed}");
+        let stats = until_answered(addr, "STATS t");
+        assert!(
+            stats.starts_with(&format!("OK n={acked} ")),
+            "seed {seed}: {stats}"
+        );
+        handle.shutdown();
+    }
+}
+
+/// Four clients ingest into one tenant at once, each through `ingest`,
+/// and every value lands, durably.
+fn concurrent_clients_share_a_tenant(ingest: fn(SocketAddr, &[f64])) {
     let dir = TempDir::new("evented").unwrap();
     let (service, handle) = start(dir.path(), 2);
     let addr = handle.addr();
-    let mut c = Client::<C>::connect(addr).unwrap();
-    c.create("shared", &CreateOptions::default()).unwrap();
+    service
+        .create("shared", req_service::TenantConfig::for_key("shared"))
+        .unwrap();
 
     std::thread::scope(|scope| {
         for t in 0..4u64 {
             scope.spawn(move || {
-                let mut c = Client::<C>::connect(addr).unwrap();
                 let values: Vec<f64> = (0..5_000).map(|i| (t * 5_000 + i) as f64).collect();
-                for chunk in values.chunks(250) {
-                    c.add_batch("shared", chunk).unwrap();
-                }
+                ingest(addr, &values);
             });
         }
     });
-    assert_eq!(c.stats("shared").unwrap().n, 20_000);
-    let r = c.rank("shared", 10_000.0).unwrap();
+    assert_eq!(service.stats("shared").unwrap().n, 20_000);
+    let r = service.rank("shared", 10_000.0).unwrap();
     assert!((r as f64 - 10_001.0).abs() / 10_001.0 < 0.2, "rank {r}");
     handle.shutdown();
     drop(service);
@@ -649,7 +823,22 @@ fn concurrent_clients_share_a_tenant<C: Codec>() {
     assert_eq!(service.stats("shared").unwrap().n, 20_000);
 }
 
-per_codec!(
-    concurrent_clients_share_a_tenant: concurrent_binary_clients_share_one_tenant,
-    concurrent_text_clients_share_one_tenant
-);
+#[test]
+fn concurrent_binary_clients_share_one_tenant() {
+    concurrent_clients_share_a_tenant(|addr, values| {
+        let mut c = ReqBinClient::connect(addr).unwrap();
+        for chunk in values.chunks(250) {
+            c.add_batch("shared", chunk).unwrap();
+        }
+    });
+}
+
+#[test]
+fn concurrent_text_clients_share_one_tenant() {
+    concurrent_clients_share_a_tenant(|addr, values| {
+        let mut c = TextConn::connect(addr);
+        for chunk in values.chunks(250) {
+            assert_eq!(c.call(&addb("shared", chunk)), "OK 250");
+        }
+    });
+}

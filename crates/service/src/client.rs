@@ -4,7 +4,7 @@
 //! method ([`ClientApi::call`]) sends a typed [`Request`] and returns the
 //! typed [`Response`]; every command gets a typed convenience method
 //! (`rank()`, `quantile()`, `add_batch()`, …) as a default on the trait.
-//! `req_evented::Client` implements it once for both codecs, and the
+//! `req_evented::ReqBinClient` implements it over one connection, and the
 //! cluster router implements it over a ring of nodes — callers swap
 //! transports without touching call sites.
 //!

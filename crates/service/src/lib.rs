@@ -16,11 +16,12 @@
 //!   [`Request`]/[`Response`] enums with two codecs (one-line text,
 //!   CRC32-framed binary), the [`execute()`] funnel that answers one
 //!   request, and the transport-independent [`ClientApi`] with its
-//!   [`RetryPolicy`].
+//!   [`RetryPolicy`]. The server reads and writes both codecs; clients
+//!   speak binary.
 //!
 //! This crate has no socket code. The `req-evented` crate serves both
-//! codecs on one port from an event loop, holds the one client type, and
-//! ships the `req-server` and `req-cli` binaries.
+//! codecs on one port from an event loop, holds the one client type (a
+//! binary one), and ships the `req-server` and `req-cli` binaries.
 //!
 //! The recovery guarantee is deliberately stronger than "within the
 //! sketch's ε": because snapshots checkpoint each tenant *onto its own
@@ -62,8 +63,7 @@ pub use config::{stable_key_hash, Accuracy, ServiceConfig, TenantConfig};
 pub use execute::execute;
 pub use faults::{FaultKind, FaultPlane, FaultSite};
 pub use protocol::{
-    Binary, ChangedShards, Codec, ErrorKind, IdemToken, Request, RequestKind, Response,
-    ShardVersions, TailSegment, Text,
+    ChangedShards, ErrorKind, IdemToken, Request, Response, ShardVersions, TailSegment,
 };
 pub use registry::{Registry, Tenant};
 pub use service::{check_quantile_rank, QuantileService, RecoveryReport, TenantStats};

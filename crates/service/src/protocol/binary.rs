@@ -29,12 +29,9 @@ use bytes::{Bytes, BytesMut};
 use req_core::binary::{unpack_whole, Packable};
 use req_core::frame::{try_frame, write_frame, FrameHeader, FRAME_HEADER_LEN};
 use req_core::{packable_struct, ReqError};
-use std::io::{BufRead, Read};
+use std::io::Read;
 
-use super::{
-    Binary, ChangedShards, Codec, ErrorKind, Request, RequestKind, Response, ShardVersions,
-    TailSegment,
-};
+use super::{ChangedShards, ErrorKind, Request, Response, ShardVersions, TailSegment};
 use crate::service::TenantStats;
 
 /// Largest accepted frame payload — matches the text codec's
@@ -423,17 +420,6 @@ pub fn read_frame_blocking<R: Read>(r: &mut R) -> Result<Bytes, ReqError> {
 pub fn try_deframe(buf: &[u8], offset: usize) -> Result<Option<(&[u8], usize)>, ReqError> {
     Ok(try_frame(&buf[offset..], MAX_MESSAGE_PAYLOAD)?
         .map(|payload| (payload, FRAME_HEADER_LEN + payload.len())))
-}
-
-impl Codec for Binary {
-    fn write_request(out: &mut BytesMut, req: &Request) -> Result<(), ReqError> {
-        write_request(out, req);
-        Ok(())
-    }
-
-    fn read_response<R: BufRead>(r: &mut R, _kind: RequestKind) -> Result<Response, ReqError> {
-        decode_response(read_frame_blocking(r)?)
-    }
 }
 
 #[cfg(test)]

@@ -14,25 +14,24 @@
 //!   to parse that the evented server pipelines thousands of frames per
 //!   connection without the string tax.
 //!
-//! Both codecs round-trip every request and response (proptested in
-//! `tests/protocol_compat.rs`), and a command handled through either codec
-//! produces the same typed [`Response`] — the text protocol is one
-//! *encoding* of the API, no longer the API itself.
+//! The server decodes requests and encodes responses in both codecs; a
+//! command handled through either produces the same typed [`Response`]
+//! (`tests/protocol_compat.rs` proptests both request codecs and every
+//! reply's encodings). Programs speak binary: the one client,
+//! `req_evented::ReqBinClient`, writes binary requests and decodes binary
+//! replies, so the text side of this crate is the server's half only —
+//! [`text::decode_request`] and [`text::encode_response`], with
+//! [`text::encode_request`] kept as the reference its tests compare
+//! against.
 //!
 //! Errors cross the wire with their kind: [`Response::Err`] carries an
 //! [`ErrorKind`] that maps 1:1 onto [`ReqError`] variants, so clients
 //! match on the variant instead of sniffing string prefixes.
-//!
-//! [`Codec`] is the part of each codec a client needs — write a request,
-//! read the reply to it — implemented by the marker types [`Text`] and
-//! [`Binary`], so one generic client serves both.
 
 pub mod binary;
 pub mod text;
 
-use bytes::BytesMut;
 use req_core::{packable_struct, ReqError};
-use std::io::BufRead;
 
 use crate::config::TenantConfig;
 use crate::service::TenantStats;
@@ -257,90 +256,6 @@ pub struct TailSegment {
     pub frames: Vec<u8>,
 }
 
-/// The command a [`Request`] names, without its arguments. Text responses
-/// are not self-describing (`OK 42` answers both `RANK` and `ADDB`), so
-/// [`text::decode_response`] needs the kind of the request it answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestKind {
-    /// `CREATE`
-    Create,
-    /// `ADD`
-    Add,
-    /// `ADDB`
-    AddBatch,
-    /// `RANK`
-    Rank,
-    /// `QUANTILE`
-    Quantile,
-    /// `CDF`
-    Cdf,
-    /// `STATS`
-    Stats,
-    /// `LIST`
-    List,
-    /// `SNAPSHOT`
-    Snapshot,
-    /// `DROP`
-    Drop,
-    /// `PING`
-    Ping,
-    /// `QUIT`
-    Quit,
-    /// `TAIL`
-    Tail,
-    /// `METRICS`
-    Metrics,
-    /// `EVENTS`
-    Events,
-    /// `MERGESINCE`
-    MergeSince,
-}
-
-impl Request {
-    /// The command this request names.
-    pub fn kind(&self) -> RequestKind {
-        match self {
-            Request::Create { .. } => RequestKind::Create,
-            Request::Add { .. } => RequestKind::Add,
-            Request::AddBatch { .. } => RequestKind::AddBatch,
-            Request::Rank { .. } => RequestKind::Rank,
-            Request::Quantile { .. } => RequestKind::Quantile,
-            Request::Cdf { .. } => RequestKind::Cdf,
-            Request::Stats { .. } => RequestKind::Stats,
-            Request::List => RequestKind::List,
-            Request::Snapshot => RequestKind::Snapshot,
-            Request::Drop { .. } => RequestKind::Drop,
-            Request::Ping => RequestKind::Ping,
-            Request::Quit => RequestKind::Quit,
-            Request::Tail { .. } => RequestKind::Tail,
-            Request::Metrics => RequestKind::Metrics,
-            Request::Events { .. } => RequestKind::Events,
-            Request::MergeSince { .. } => RequestKind::MergeSince,
-        }
-    }
-}
-
-/// One codec as a client drives it over a byte stream. [`Text`] and
-/// [`Binary`] are the two implementations.
-pub trait Codec {
-    /// Append `req` as one whole message: a frame, or a `\n`-terminated
-    /// line. Fails only when the request cannot be encoded as one message.
-    fn write_request(out: &mut BytesMut, req: &Request) -> Result<(), ReqError>;
-
-    /// Read one whole reply from `r`; `kind` names the request it answers
-    /// (text replies are positional). A reply cut short by the peer
-    /// closing is a [`ReqError::Io`], never a decoded answer.
-    fn read_response<R: BufRead>(r: &mut R, kind: RequestKind) -> Result<Response, ReqError>;
-}
-
-/// The line codec ([`text`]) as a [`Codec`].
-#[derive(Debug, Clone, Copy)]
-pub struct Text;
-
-/// The framed codec ([`binary`]) as a [`Codec`].
-#[derive(Debug, Clone, Copy)]
-pub struct Binary;
-
 /// The [`ReqError`] variant an error response carries — round-tripped
 /// through both codecs so a remote failure is indistinguishable (by type)
 /// from a local one.
@@ -374,19 +289,6 @@ impl ErrorKind {
         }
     }
 
-    /// Parse a wire token back; `None` for unknown tokens.
-    pub fn from_token(token: &str) -> Option<ErrorKind> {
-        Some(match token {
-            "invalid" => ErrorKind::Invalid,
-            "incompatible" => ErrorKind::Incompatible,
-            "corrupt" => ErrorKind::Corrupt,
-            "io" => ErrorKind::Io,
-            "unavailable" => ErrorKind::Unavailable,
-            "busy" => ErrorKind::Busy,
-            _ => return None,
-        })
-    }
-
     /// Rebuild the matching [`ReqError`] around `msg`.
     pub fn into_error(self, msg: String) -> ReqError {
         match self {
@@ -414,7 +316,7 @@ impl From<&ReqError> for ErrorKind {
 }
 
 /// One typed response. Every success variant answers exactly one
-/// [`RequestKind`]; [`Response::Err`] can answer any of them.
+/// [`Request`] variant; [`Response::Err`] can answer any of them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// `CREATE` succeeded.
@@ -588,16 +490,7 @@ mod tests {
     #[test]
     fn newlines_in_error_messages_are_flattened() {
         let resp = Response::from_error(&ReqError::Io("two\nlines".into()));
-        let line = text::encode_response(&resp);
-        assert!(!line.contains('\n'));
-        let back = text::decode_response(&line, RequestKind::Ping).unwrap();
-        assert_eq!(
-            back,
-            Response::Err {
-                kind: ErrorKind::Io,
-                msg: "two lines".into()
-            }
-        );
+        assert_eq!(text::encode_response(&resp), "ERR io two lines");
     }
 
     #[test]

@@ -37,29 +37,26 @@
 //! an [`IdemToken`]; see its docs for the exactly-once retry contract.
 //!
 //! Responses are `OK[ payload]` or `ERR <kind> <message>`, where `kind`
-//! is an [`ErrorKind`] token (`invalid`, `incompatible`, `corrupt`,
-//! `io`). This is byte-for-byte the PR 5 wire format — pre-typed-API
-//! clients and servers interoperate with this codec unchanged.
+//! is an [`ErrorKind`](super::ErrorKind) token (`invalid`,
+//! `incompatible`, `corrupt`, `io`, `unavailable`, `busy`). A reply is
+//! not self-describing (`OK 42` answers both `RANK` and `ADDB`), so a
+//! reader must know which request it answers.
 //!
-//! Text responses are not self-describing: `OK 42` answers both `RANK`
-//! and `ADDB`. [`decode_response`] therefore takes the [`RequestKind`] of
-//! the request being answered. (The [`binary`](super::binary) codec tags
-//! every response and needs no such context.)
+//! This module is the server's half of the codec: it decodes request
+//! lines ([`decode_request`]) and encodes replies ([`encode_response`]).
+//! Programs talk to the server in [`binary`](super::binary);
+//! [`encode_request`] is the reference the request decoder's tests compare
+//! against.
 //!
 //! A message exists only with its `\n`. An unterminated tail — the
 //! prefix a peer leaves when it closes mid-message — is never decoded:
-//! the server discards it and the client reports a transport error. A
-//! torn `ADDB` line would otherwise apply a prefix of its values without
-//! the trailing `TOKEN=` that makes the retry safe.
+//! the server discards it. A torn `ADDB` line would otherwise apply a
+//! prefix of its values without the trailing `TOKEN=` that makes the
+//! retry safe.
 
-use bytes::{BufMut, BytesMut};
 use req_core::ReqError;
-use std::io::BufRead;
 
-use super::{
-    ChangedShards, Codec, ErrorKind, IdemToken, Request, RequestKind, Response, ShardVersions,
-    TailSegment, Text,
-};
+use super::{IdemToken, Request, Response, ShardVersions};
 use crate::config::TenantConfig;
 
 /// Longest accepted request line, newline included (an `ADDB` of ~400k
@@ -78,25 +75,6 @@ fn to_hex(bytes: &[u8]) -> String {
         out.push(HEX[(b & 0xF) as usize] as char);
     }
     out
-}
-
-fn from_hex(s: &str) -> Result<Vec<u8>, ReqError> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    let bad = || ReqError::InvalidParameter(format!("bad hex blob `{s}`"));
-    let digits = s.as_bytes();
-    if digits.is_empty() || !digits.len().is_multiple_of(2) {
-        return Err(bad());
-    }
-    digits
-        .chunks_exact(2)
-        .map(|pair| {
-            let hi = (pair[0] as char).to_digit(16).ok_or_else(bad)?;
-            let lo = (pair[1] as char).to_digit(16).ok_or_else(bad)?;
-            Ok((hi * 16 + lo) as u8)
-        })
-        .collect()
 }
 
 fn parse_int<T: std::str::FromStr>(token: &str) -> Result<T, ReqError> {
@@ -372,162 +350,10 @@ pub fn encode_response(resp: &Response) -> String {
     }
 }
 
-/// Parse an `ERR kind msg` line into its typed parts; `None` when the
-/// line is not a well-formed error response.
-fn decode_error_line(line: &str) -> Option<(ErrorKind, String)> {
-    let rest = line.strip_prefix("ERR ")?;
-    let (kind, msg) = rest.split_once(' ').unwrap_or((rest, ""));
-    Some((ErrorKind::from_token(kind)?, msg.to_string()))
-}
-
-/// Parse one response line. `kind` is the request the line answers —
-/// text payloads are positional, so the response type is context-bound.
-pub fn decode_response(line: &str, kind: RequestKind) -> Result<Response, ReqError> {
-    if line.starts_with("ERR") {
-        return match decode_error_line(line) {
-            Some((kind, msg)) => Ok(Response::Err { kind, msg }),
-            None => Err(ReqError::Io(format!("unparseable error response: {line}"))),
-        };
-    }
-    let Some(payload) = line.strip_prefix("OK") else {
-        return Err(ReqError::Io(format!("unparseable response: {line}")));
-    };
-    let payload = payload.strip_prefix(' ').unwrap_or(payload);
-    let bad = || ReqError::Io(format!("bad {kind:?} reply `{payload}`"));
-    Ok(match kind {
-        RequestKind::Create => Response::Created,
-        RequestKind::Add => Response::Added,
-        RequestKind::AddBatch => Response::AddedBatch(payload.parse().map_err(|_| bad())?),
-        RequestKind::Rank => Response::Rank(payload.parse().map_err(|_| bad())?),
-        RequestKind::Quantile => Response::Quantile(if payload == "none" {
-            None
-        } else {
-            Some(payload.parse().map_err(|_| bad())?)
-        }),
-        RequestKind::Cdf => Response::Cdf(
-            payload
-                .split_whitespace()
-                .map(|t| t.parse().map_err(|_| bad()))
-                .collect::<Result<_, _>>()?,
-        ),
-        RequestKind::Stats => Response::Stats(payload.parse()?),
-        RequestKind::List => {
-            Response::List(payload.split_whitespace().map(str::to_string).collect())
-        }
-        RequestKind::Snapshot => Response::Snapshot(
-            payload
-                .strip_prefix("snapshot ")
-                .and_then(|g| g.parse().ok())
-                .ok_or_else(bad)?,
-        ),
-        RequestKind::Drop => Response::Dropped,
-        RequestKind::Ping => {
-            if payload != "pong" {
-                return Err(bad());
-            }
-            Response::Pong
-        }
-        RequestKind::Quit => Response::Bye,
-        RequestKind::Tail => {
-            let tokens: Vec<&str> = payload.split_whitespace().collect();
-            let [gen, offset, sealed, latest_gen, frames] = tokens[..] else {
-                return Err(bad());
-            };
-            Response::Tailed(TailSegment {
-                gen: gen.parse().map_err(|_| bad())?,
-                offset: offset.parse().map_err(|_| bad())?,
-                sealed: match sealed {
-                    "0" => false,
-                    "1" => true,
-                    _ => return Err(bad()),
-                },
-                latest_gen: latest_gen.parse().map_err(|_| bad())?,
-                frames: from_hex(frames).map_err(|_| bad())?,
-            })
-        }
-        RequestKind::Metrics => {
-            if payload.split_whitespace().count() != 1 {
-                return Err(bad());
-            }
-            let bytes = from_hex(payload.trim()).map_err(|_| bad())?;
-            Response::MetricsText(String::from_utf8(bytes).map_err(|_| bad())?)
-        }
-        RequestKind::Events => {
-            let mut tokens = payload.split_whitespace();
-            let count: usize = tokens.next().and_then(|t| t.parse().ok()).ok_or_else(bad)?;
-            let lines: Vec<String> = tokens
-                .map(|t| {
-                    let bytes = from_hex(t).map_err(|_| bad())?;
-                    String::from_utf8(bytes).map_err(|_| bad())
-                })
-                .collect::<Result<_, _>>()?;
-            if lines.len() != count {
-                return Err(bad());
-            }
-            Response::Events(lines)
-        }
-        RequestKind::MergeSince => {
-            let tokens: Vec<&str> = payload.split_whitespace().collect();
-            let [incarnation, instance, count, ref pairs @ ..] = tokens[..] else {
-                return Err(bad());
-            };
-            let count: usize = count.parse().map_err(|_| bad())?;
-            if pairs.len() % 2 != 0 || pairs.len() / 2 != count {
-                return Err(bad());
-            }
-            let parts = pairs
-                .chunks_exact(2)
-                .map(|pair| {
-                    let epoch = pair[0].parse().map_err(|_| bad())?;
-                    let part = match pair[1] {
-                        "=" => None,
-                        hex => Some(from_hex(hex).map_err(|_| bad())?),
-                    };
-                    Ok((epoch, part))
-                })
-                .collect::<Result<_, ReqError>>()?;
-            Response::MergedSince(ChangedShards {
-                incarnation: incarnation.parse().map_err(|_| bad())?,
-                instance: instance.parse().map_err(|_| bad())?,
-                parts,
-            })
-        }
-    })
-}
-
-impl Codec for Text {
-    fn write_request(out: &mut BytesMut, req: &Request) -> Result<(), ReqError> {
-        let line = encode_request(req);
-        // A key carrying a line break would split into two requests.
-        if line.contains(['\n', '\r']) {
-            return Err(ReqError::InvalidParameter(
-                "request must be a single line".into(),
-            ));
-        }
-        out.put_slice(line.as_bytes());
-        out.put_u8(b'\n');
-        Ok(())
-    }
-
-    fn read_response<R: BufRead>(r: &mut R, kind: RequestKind) -> Result<Response, ReqError> {
-        let mut line = Vec::new();
-        let n = r.read_until(b'\n', &mut line)?;
-        if line.last() != Some(&b'\n') {
-            return Err(ReqError::Io(if n == 0 {
-                "server closed the connection".into()
-            } else {
-                format!("server closed the connection after {n} bytes of a reply")
-            }));
-        }
-        let line =
-            String::from_utf8(line).map_err(|_| ReqError::Io("reply is not UTF-8".into()))?;
-        decode_response(line.trim_end_matches(['\r', '\n']), kind)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ErrorKind;
 
     #[test]
     fn requests_roundtrip_through_lines() {
@@ -620,108 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn responses_roundtrip_with_request_context() {
-        use crate::service::TenantStats;
-        let cases = [
-            (RequestKind::Create, Response::Created),
-            (RequestKind::Add, Response::Added),
-            (RequestKind::AddBatch, Response::AddedBatch(4096)),
-            (RequestKind::Rank, Response::Rank(17)),
-            (RequestKind::Quantile, Response::Quantile(Some(0.125))),
-            (RequestKind::Quantile, Response::Quantile(None)),
-            (RequestKind::Cdf, Response::Cdf(vec![0.25, 0.5, 1.0])),
-            (
-                RequestKind::Stats,
-                Response::Stats(TenantStats {
-                    n: 10,
-                    retained: 10,
-                    bytes: 320,
-                    k: 32,
-                    shards: 2,
-                    hra: true,
-                    adaptive: false,
-                    rotation: 3,
-                    snapshot_failures: 1,
-                    wal_poisoned: 0,
-                    shed: 2,
-                    read_only: true,
-                }),
-            ),
-            (
-                RequestKind::List,
-                Response::List(vec!["a".into(), "b".into()]),
-            ),
-            (RequestKind::List, Response::List(vec![])),
-            (RequestKind::Snapshot, Response::Snapshot(7)),
-            (RequestKind::Drop, Response::Dropped),
-            (RequestKind::Ping, Response::Pong),
-            (RequestKind::Quit, Response::Bye),
-            (
-                RequestKind::Tail,
-                Response::Tailed(TailSegment {
-                    gen: 2,
-                    offset: 8,
-                    sealed: true,
-                    latest_gen: 3,
-                    frames: vec![0x00, 0xAB, 0xFF],
-                }),
-            ),
-            (
-                RequestKind::Tail,
-                Response::Tailed(TailSegment {
-                    gen: 0,
-                    offset: 0,
-                    sealed: false,
-                    latest_gen: 0,
-                    frames: vec![],
-                }),
-            ),
-            (
-                RequestKind::Metrics,
-                Response::MetricsText("# TYPE a counter\na 1\n".into()),
-            ),
-            (RequestKind::Metrics, Response::MetricsText(String::new())),
-            (
-                RequestKind::Events,
-                Response::Events(vec!["0 +5us wal_poisoned err=oops".into(), String::new()]),
-            ),
-            (RequestKind::Events, Response::Events(vec![])),
-            (
-                RequestKind::MergeSince,
-                Response::MergedSince(ChangedShards {
-                    incarnation: u64::MAX,
-                    instance: 4,
-                    parts: vec![(3, Some(vec![1, 2, 3])), (0, None), (9, Some(vec![]))],
-                }),
-            ),
-            (
-                RequestKind::MergeSince,
-                Response::MergedSince(ChangedShards {
-                    incarnation: 0,
-                    instance: 0,
-                    parts: vec![],
-                }),
-            ),
-            (
-                RequestKind::Rank,
-                Response::Err {
-                    kind: ErrorKind::Invalid,
-                    msg: "no such key `x`".into(),
-                },
-            ),
-        ];
-        for (kind, resp) in cases {
-            let line = encode_response(&resp);
-            assert!(!line.contains('\n'));
-            assert_eq!(
-                decode_response(&line, kind).unwrap(),
-                resp,
-                "through `{line}`"
-            );
-        }
-    }
-
-    #[test]
     fn wire_lines_match_the_pr5_format() {
         // Old clients parse these exact bytes; don't drift.
         assert_eq!(encode_response(&Response::Added), "OK");
@@ -743,62 +467,6 @@ mod tests {
             }),
             "ADD lat 3.25"
         );
-    }
-
-    #[test]
-    fn garbage_responses_are_io_errors() {
-        assert!(decode_response("NOPE", RequestKind::Ping).is_err());
-        assert!(decode_response("ERR weird x", RequestKind::Ping).is_err());
-        assert!(decode_response("OK not-a-number", RequestKind::Rank).is_err());
-        assert!(decode_response("OK", RequestKind::Snapshot).is_err());
-        assert!(decode_response("OK 1 2 1", RequestKind::Tail).is_err());
-        assert!(decode_response("OK 1 2 5 3 -", RequestKind::Tail).is_err());
-        assert!(decode_response("OK 1 2 1 3 abc", RequestKind::Tail).is_err());
-        assert!(decode_response("OK", RequestKind::Metrics).is_err());
-        assert!(decode_response("OK aa bb", RequestKind::Metrics).is_err());
-        assert!(decode_response("OK zz", RequestKind::Metrics).is_err());
-        assert!(
-            decode_response("OK ff", RequestKind::Metrics).is_err(),
-            "not utf8"
-        );
-        assert!(decode_response("OK 2 aa", RequestKind::Events).is_err());
-        assert!(decode_response("OK x", RequestKind::Events).is_err());
-        assert!(decode_response("OK 1 2", RequestKind::MergeSince).is_err());
-        assert!(decode_response("OK 1 2 1 5", RequestKind::MergeSince).is_err());
-        assert!(decode_response("OK 1 2 1 5 = 6 =", RequestKind::MergeSince).is_err());
-        assert!(decode_response("OK 1 2 1 x =", RequestKind::MergeSince).is_err());
-        assert!(decode_response("OK 1 2 1 5 xyz!", RequestKind::MergeSince).is_err());
-        assert!(
-            decode_response("OK 1 2 99999999999999999999 5 =", RequestKind::MergeSince).is_err()
-        );
-    }
-
-    #[test]
-    fn hex_blobs_roundtrip() {
-        for blob in [
-            vec![],
-            vec![0u8],
-            vec![0xFF, 0x00, 0x7E],
-            (0..=255).collect(),
-        ] {
-            let hex = to_hex(&blob);
-            assert!(!hex.contains(' '));
-            assert_eq!(from_hex(&hex).unwrap(), blob, "through `{hex}`");
-        }
-        assert_eq!(to_hex(&[]), "-");
-        for bad in ["", "a", "g0", "0G", "--"] {
-            assert!(from_hex(bad).is_err(), "`{bad}` accepted");
-        }
-    }
-
-    #[test]
-    fn multi_line_requests_are_refused() {
-        let req = Request::Stats {
-            key: "a\nPING".into(),
-        };
-        let mut out = BytesMut::new();
-        assert!(Text::write_request(&mut out, &req).is_err());
-        assert!(out.is_empty());
     }
 
     #[test]

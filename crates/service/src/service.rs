@@ -52,7 +52,6 @@ use parking_lot::RwLock;
 use req_core::{ConcurrentReqSketch, OrdF64, ReqError};
 use sketch_traits::SpaceUsage;
 use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -182,67 +181,6 @@ impl fmt::Display for TenantStats {
             self.shed,
             if self.read_only { "ro" } else { "rw" },
         )
-    }
-}
-
-impl FromStr for TenantStats {
-    type Err = ReqError;
-
-    fn from_str(s: &str) -> Result<Self, ReqError> {
-        let mut stats = TenantStats {
-            n: 0,
-            retained: 0,
-            bytes: 0,
-            k: 0,
-            shards: 0,
-            hra: true,
-            adaptive: true,
-            rotation: 0,
-            snapshot_failures: 0,
-            wal_poisoned: 0,
-            shed: 0,
-            read_only: false,
-        };
-        let bad = |what: &str| ReqError::CorruptBytes(format!("bad STATS field `{what}`"));
-        for pair in s.split_whitespace() {
-            let (name, value) = pair.split_once('=').ok_or_else(|| bad(pair))?;
-            match name {
-                "n" => stats.n = value.parse().map_err(|_| bad(pair))?,
-                "retained" => stats.retained = value.parse().map_err(|_| bad(pair))?,
-                "bytes" => stats.bytes = value.parse().map_err(|_| bad(pair))?,
-                "k" => stats.k = value.parse().map_err(|_| bad(pair))?,
-                "shards" => stats.shards = value.parse().map_err(|_| bad(pair))?,
-                "orient" => {
-                    stats.hra = match value {
-                        "hra" => true,
-                        "lra" => false,
-                        _ => return Err(bad(pair)),
-                    }
-                }
-                "schedule" => {
-                    stats.adaptive = match value {
-                        "adaptive" => true,
-                        "standard" => false,
-                        _ => return Err(bad(pair)),
-                    }
-                }
-                "rotation" => stats.rotation = value.parse().map_err(|_| bad(pair))?,
-                "snapshot_failures" => {
-                    stats.snapshot_failures = value.parse().map_err(|_| bad(pair))?
-                }
-                "wal_poisoned" => stats.wal_poisoned = value.parse().map_err(|_| bad(pair))?,
-                "shed" => stats.shed = value.parse().map_err(|_| bad(pair))?,
-                "mode" => {
-                    stats.read_only = match value {
-                        "ro" => true,
-                        "rw" => false,
-                        _ => return Err(bad(pair)),
-                    }
-                }
-                _ => return Err(bad(pair)),
-            }
-        }
-        Ok(stats)
     }
 }
 
@@ -845,6 +783,7 @@ pub fn accuracy_epsilon(config: &TenantConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{binary, Response};
     use crate::snapshot::snapshot_path;
     use crate::tempdir::TempDir;
     use std::time::Duration;
@@ -1151,7 +1090,11 @@ mod tests {
         .unwrap();
         s.add_batch("t", &batch(0..1_000)).unwrap();
         let stats = s.stats("t").unwrap();
-        let parsed: TenantStats = stats.to_string().parse().unwrap();
+        let framed = binary::encode_response(&Response::Stats(stats.clone()));
+        let (payload, _) = binary::try_deframe(&framed, 0).unwrap().unwrap();
+        let Response::Stats(parsed) = binary::decode_response(payload).unwrap() else {
+            panic!("not a STATS reply");
+        };
         assert_eq!(parsed, stats);
         assert!(!parsed.hra);
         assert_eq!(parsed.shards, 3);

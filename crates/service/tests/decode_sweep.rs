@@ -22,8 +22,8 @@
 //! frame decodes must re-encode to itself and leave the follower exactly
 //! as a fresh one fed the re-encoded records, one frame per call, is left.
 //!
-//! The text codec's request and response lines are swept the same six ways
-//! in [`mutated_text_lines_reject_or_reencode`].
+//! The text codec's request lines, which the server decodes, are swept
+//! the same six ways in [`mutated_text_lines_reject_or_reencode`].
 
 use std::path::Path;
 
@@ -37,9 +37,9 @@ use req_service::protocol::text;
 use req_service::snapshot::{decode_snapshot, encode_snapshot, wal_path};
 use req_service::tempdir::TempDir;
 use req_service::{
-    AppliedOutcome, ChangedShards, Codec, DedupClientSnapshot, ErrorKind, IdemToken,
-    QuantileService, Request, RequestKind, Response, ServiceConfig, ShardVersions, TailSegment,
-    TenantConfig, TenantSnapshot, TenantStats, Text, WalRecord,
+    AppliedOutcome, ChangedShards, DedupClientSnapshot, ErrorKind, IdemToken, QuantileService,
+    Request, Response, ServiceConfig, ShardVersions, TailSegment, TenantConfig, TenantSnapshot,
+    TenantStats, WalRecord,
 };
 
 /// The six mutations every byte receives.
@@ -182,11 +182,17 @@ fn sample_requests() -> Vec<Request> {
     ]
 }
 
+/// A request's variant name, as `Debug` prints it.
+fn variant(req: &Request) -> String {
+    let debug = format!("{req:?}");
+    debug.split([' ', '(']).next().unwrap().to_string()
+}
+
 #[test]
 fn mutated_requests_reject_or_reencode() {
     for req in &sample_requests() {
         let good = payload(encode_request(req));
-        sweep(&format!("{:?}", req.kind()), &good, no_fix, |bad| {
+        sweep(&variant(req), &good, no_fix, |bad| {
             Ok(payload(encode_request(&decode_request(
                 Bytes::copy_from_slice(bad),
             )?)))
@@ -502,17 +508,12 @@ fn respelled(mutated: &str, canonical: &str) -> bool {
         })
 }
 
-/// Mutate every byte of `line` six ways. `decode` must fail with an error
-/// `rejects` accepts, or return the message's canonical line, which must
-/// be the mutated line itself or, where `respelled_ok`, another spelling
-/// of it. Returns how many mutated lines decoded.
-fn sweep_lines(
-    what: &str,
-    line: &str,
-    rejects: fn(&ReqError) -> bool,
-    respelled_ok: impl Fn(&str, &str) -> bool,
-    decode: impl Fn(&[u8]) -> Result<String, ReqError>,
-) -> usize {
+/// Mutate every byte of the request `line` six ways and decode each
+/// mutated line as the server does: a line that is not UTF-8 is `invalid`
+/// there. It must fail with an `invalid` error, or decode to a request
+/// whose line is the mutated line itself or [`respelled`] from it. Returns
+/// how many mutated lines decoded.
+fn sweep_lines(what: &str, line: &str) -> usize {
     let mut decoded = 0;
     for at in 0..line.len() {
         for mutate in MUTATIONS {
@@ -521,46 +522,43 @@ fn sweep_lines(
             if bad[at] == line.as_bytes()[at] {
                 continue;
             }
-            match decode(&bad) {
-                Ok(again) => {
+            let request = std::str::from_utf8(&bad)
+                .map_err(|_| ReqError::InvalidParameter("request line is not UTF-8".into()))
+                .and_then(text::decode_request);
+            match request {
+                Ok(req) => {
                     decoded += 1;
                     let bad = std::str::from_utf8(&bad).expect("a decoded line is UTF-8");
+                    let again = text::encode_request(&req);
                     assert!(
-                        again == bad || respelled_ok(bad, &again),
+                        again == bad || respelled(bad, &again),
                         "{what}: `{bad}` decodes, but re-encodes as `{again}`"
                     );
                 }
-                Err(e) => assert!(rejects(&e), "{what}: byte {at}: untyped failure {e:?}"),
+                Err(e) => assert!(
+                    matches!(e, ReqError::InvalidParameter(_)),
+                    "{what}: byte {at}: untyped failure {e:?}"
+                ),
             }
         }
     }
     decoded
 }
 
-/// The text codec's lines, swept like the binary payloads above: each
-/// sample request line and each sample response line, per [`RequestKind`],
-/// has every byte mutated six ways. A request line goes where the server
-/// sends it (a line that is not UTF-8 gets `ERR invalid` there, which is
-/// modelled here), a response line through the client's
-/// [`Codec::read_response`]. Each mutated line must fail with a typed
-/// error (`invalid` for a request; a transport or corrupt error for a
-/// reply) or decode to a message that re-encodes to the same line, up to
-/// the non-canonical forms below.
+/// The text codec's request lines, swept like the binary payloads above
+/// ([`sweep_lines`]): each mutated line must fail with an `invalid` error
+/// or decode to a request that re-encodes to the same line, up to the
+/// non-canonical forms below.
 ///
-/// The text decoder accepts these non-canonical forms. Each is harmless
-/// because it names the same message, or one that carries nothing the
-/// receiver reads:
+/// The request decoder accepts these non-canonical forms. Each is harmless
+/// because it names the same request, or one that carries nothing the
+/// server reads:
 ///
 /// * *Number spellings* (the six mutations reach these): every spelling
 ///   Rust's `u64`/`u32`/`f64` parsers accept for the same value, such as
 ///   leading zeros (`K=06`, `TAIL 3 8 05536`), `.0`, a leading `+`,
 ///   exponents, `inf`/`infinity`/`NaN` in any case, and decimal digits
 ///   beyond `f64` precision. A number is read as the value it spells.
-/// * *Valueless replies* (reached): the replies to `CREATE`, `ADD`,
-///   `DROP` and `QUIT` are read as `OK` alone, so `OK createe` is
-///   `Created`. They carry no value, and `OK` is still read strictly; a
-///   damaged reply that carries a value is no more detectable, as text
-///   lines have no checksum.
 /// * *Verb, option and token case*: `add`, `k=16`, `lra`,
 ///   `schedule=ADAPTIVE`, `token=1:2`. Case carries no data here.
 /// * *Whitespace*: runs of spaces, tabs and other Unicode whitespace
@@ -580,125 +578,11 @@ fn sweep_lines(
 ///   `EVENTS 64`. None of these commands reads more. (`DROP` refuses
 ///   anything but its key and one token: a damaged `TOKEN=` there would
 ///   otherwise drop the token, and with it the exactly-once retry.)
-/// * *Reply layout*: `OK` directly followed by its value (reached:
-///   `OK!a bc` is the `LIST` reply `!a bc`) reads as if a space followed
-///   `OK`; an error line without the space before an empty message
-///   (`ERR busy`), `STATS` fields in any order, repeated or missing (zero),
-///   and hex digits in either case. Each reads the same fields.
 #[test]
 fn mutated_text_lines_reject_or_reencode() {
-    let mut decoded = 0;
-    for req in sample_requests() {
-        decoded += sweep_lines(
-            &format!("{:?} line", req.kind()),
-            &text::encode_request(&req),
-            |e| matches!(e, ReqError::InvalidParameter(_)),
-            respelled,
-            |bad| {
-                let line = std::str::from_utf8(bad)
-                    .map_err(|_| ReqError::InvalidParameter("request line is not UTF-8".into()))?;
-                Ok(text::encode_request(&text::decode_request(line)?))
-            },
-        );
-    }
+    let decoded: usize = sample_requests()
+        .iter()
+        .map(|req| sweep_lines(&variant(req), &text::encode_request(req)))
+        .sum();
     assert!(decoded > 0, "key and number bytes decode");
-    let valueless = [
-        RequestKind::Create,
-        RequestKind::Add,
-        RequestKind::Drop,
-        RequestKind::Quit,
-    ];
-    let mut decoded = 0;
-    for (kind, resp) in sample_text_responses() {
-        decoded += sweep_lines(
-            &format!("{kind:?} reply"),
-            &text::encode_response(&resp),
-            |e| matches!(e, ReqError::Io(_) | ReqError::CorruptBytes(_)),
-            |bad, again| match bad.strip_prefix("OK") {
-                Some(_) if valueless.contains(&kind) => true,
-                Some(value) => respelled(&format!("OK {value}"), again),
-                None => respelled(bad, again),
-            },
-            |bad| {
-                let mut wire = bad.to_vec();
-                wire.push(b'\n');
-                let resp = Text::read_response(&mut &wire[..], kind)?;
-                Ok(text::encode_response(&resp))
-            },
-        );
-    }
-    assert!(decoded > 0, "number and hex bytes decode");
-}
-
-/// A reply of every [`RequestKind`], and an error, with the kind each
-/// answers.
-fn sample_text_responses() -> Vec<(RequestKind, Response)> {
-    vec![
-        (RequestKind::Create, Response::Created),
-        (RequestKind::Add, Response::Added),
-        (RequestKind::AddBatch, Response::AddedBatch(1_000)),
-        (RequestKind::Rank, Response::Rank(77)),
-        (RequestKind::Quantile, Response::Quantile(Some(-0.0))),
-        (
-            RequestKind::Quantile,
-            Response::Quantile(Some(0.1 + 0.2)), // 17 significant digits
-        ),
-        (RequestKind::Quantile, Response::Quantile(None)),
-        (RequestKind::Cdf, Response::Cdf(vec![0.25, 1.0])),
-        (
-            RequestKind::Stats,
-            Response::Stats(TenantStats {
-                n: 1,
-                retained: 2,
-                bytes: 3,
-                k: 4,
-                shards: 5,
-                hra: true,
-                adaptive: false,
-                rotation: 6,
-                snapshot_failures: 7,
-                wal_poisoned: 8,
-                shed: 9,
-                read_only: true,
-            }),
-        ),
-        (
-            RequestKind::List,
-            Response::List(vec!["a".into(), "bc".into()]),
-        ),
-        (RequestKind::Snapshot, Response::Snapshot(9)),
-        (RequestKind::Drop, Response::Dropped),
-        (RequestKind::Ping, Response::Pong),
-        (RequestKind::Quit, Response::Bye),
-        (
-            RequestKind::Tail,
-            Response::Tailed(TailSegment {
-                gen: 2,
-                offset: 8,
-                sealed: true,
-                latest_gen: 4,
-                frames: vec![0xAB, 0x00, 0xFF],
-            }),
-        ),
-        (RequestKind::Metrics, Response::MetricsText("x 1\n".into())),
-        (
-            RequestKind::Events,
-            Response::Events(vec!["e1".into(), String::new()]),
-        ),
-        (
-            RequestKind::MergeSince,
-            Response::MergedSince(ChangedShards {
-                incarnation: 0x0102_0304_0506_0708,
-                instance: 4,
-                parts: vec![(9, None), (1, Some(vec![0xAB, 0xCD])), (0, Some(vec![]))],
-            }),
-        ),
-        (
-            RequestKind::Rank,
-            Response::Err {
-                kind: ErrorKind::Busy,
-                msg: "shed".into(),
-            },
-        ),
-    ]
 }
