@@ -2,7 +2,7 @@
 //!
 //! The protocol is the *enums*, not any one byte layout. A request names a
 //! command and its arguments; a response carries that command's typed
-//! result (or a typed error). Two interchangeable codecs encode them:
+//! result (or a typed error). Two codecs encode them:
 //!
 //! * [`text`] — one line per message, debuggable with `nc`. Rust's `f64`
 //!   Display/FromStr round-trip exactly (shortest-repr printing), so no
@@ -14,15 +14,12 @@
 //!   to parse that the evented server pipelines thousands of frames per
 //!   connection without the string tax.
 //!
-//! The server decodes requests and encodes responses in both codecs; a
-//! command handled through either produces the same typed [`Response`]
-//! (`tests/protocol_compat.rs` proptests both request codecs and every
-//! reply's encodings). Programs speak binary: the one client,
-//! `req_evented::ReqBinClient`, writes binary requests and decodes binary
-//! replies, so the text side of this crate is the server's half only —
-//! [`text::decode_request`] and [`text::encode_response`], with
-//! [`text::encode_request`] kept as the reference its tests compare
-//! against.
+//! The server decodes requests and encodes responses in both codecs, and
+//! a command handled through either produces the same typed [`Response`]
+//! (proptested in `tests/protocol_compat.rs`). Clients speak binary
+//! (`req_evented::ReqBinClient`); the text codec is the server's half
+//! only: [`text::decode_request`] and [`text::encode_response`], with
+//! [`text::encode_request`] as the reference its tests compare against.
 //!
 //! Errors cross the wire with their kind: [`Response::Err`] carries an
 //! [`ErrorKind`] that maps 1:1 onto [`ReqError`] variants, so clients
