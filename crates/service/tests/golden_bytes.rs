@@ -8,6 +8,8 @@
 //!
 //! * the binary wire frame of every [`Request`] and [`Response`] variant,
 //!   including both [`TenantConfig`] forms inside `CREATE`;
+//! * every tag byte of [`Request`], [`Response`] and [`ErrorKind`]: the
+//!   tag of a pinned frame or an unknown one;
 //! * the text line of each of those requests and responses;
 //! * every [`WalRecord`] variant, with and without an idempotency token;
 //! * a [`write_snapshot`] file with two tenants (one per schedule) and a
@@ -20,10 +22,13 @@
 //! in-flight messages must stay readable. On a mismatch the test prints
 //! every case's current pin, so an intended format change is one paste.
 
+use req_core::binary::{unpack_whole, Packable};
 use req_core::frame::crc32;
 use req_core::{CompactionSchedule, ConcurrentReqSketch, OrdF64, ParamPolicy, RankAccuracy};
-use req_core::{QuantileSketch, ReqSketch};
-use req_service::protocol::binary::{encode_request, encode_response};
+use req_core::{QuantileSketch, ReqError, ReqSketch};
+use req_service::protocol::binary::{
+    decode_request, decode_response, encode_request, encode_response, try_deframe,
+};
 use req_service::protocol::text;
 use req_service::snapshot::write_snapshot;
 use req_service::tempdir::TempDir;
@@ -158,6 +163,28 @@ fn sample_requests() -> Vec<Request> {
     ]
 }
 
+/// The frames [`sample_requests`] encode to.
+const REQUEST_PINS: &[(&str, &str)] = &[
+    ("req00 Create", "2900000018c24cdd0108000000676f6c64656e2e6b00100000000000000000000000000002000000070000000000000000"),
+    ("req01 Create", "3f00000074220115010a000000676f6c64656e2e657073017b14ae47e17a943f9a9999999999b93f010103000000d0e4a784c5c3083a0108070605040302012a00000000000000"),
+    ("req02 Add", "0e000000f0394b7e02010000006b0100efbeaddef8ff"),
+    ("req03 AddBatch", "2b000000fc8c5ac003010000006b04000000000000000000f83f0000000000000080000000000000f07f59f3f8c21f6ea50100"),
+    ("req04 AddBatch", "23000000d466dce503010000006b0100000000000000000002400108070605040302012a00000000000000"),
+    ("req05 Rank", "0e000000f1eeaf2304010000006b000000000000e03f"),
+    ("req06 Quantile", "0e000000ea2db46505010000006bae47e17a14aeef3f"),
+    ("req07 Cdf", "1a000000b7a4aa5506010000006b02000000000000000000f03f0000000000000040"),
+    ("req08 Stats", "060000007b00c74b07010000006b"),
+    ("req09 List", "01000000bf67d9dc08"),
+    ("req10 Snapshot", "010000002957deab09"),
+    ("req11 Drop", "07000000f9e149740a010000006b00"),
+    ("req12 Drop", "17000000582f3ef90a010000006b0108070605040302012a00000000000000"),
+    ("req13 Ping", "010000000536d0450b"),
+    ("req14 Quit", "01000000a6a3b4db0c"),
+    ("req15 Tail", "15000000ad416b590d0300000000000000080000000000000000000100"),
+    ("req16 Metrics", "010000001cf2bd420f"),
+    ("req17 Events", "05000000a80a00a71000010000"),
+];
+
 #[test]
 fn request_frames_are_pinned() {
     let cases = sample_requests()
@@ -170,29 +197,7 @@ fn request_frames_are_pinned() {
             )
         })
         .collect();
-    check(
-        cases,
-        &[
-        ("req00 Create", "2900000018c24cdd0108000000676f6c64656e2e6b00100000000000000000000000000002000000070000000000000000"),
-        ("req01 Create", "3f00000074220115010a000000676f6c64656e2e657073017b14ae47e17a943f9a9999999999b93f010103000000d0e4a784c5c3083a0108070605040302012a00000000000000"),
-        ("req02 Add", "0e000000f0394b7e02010000006b0100efbeaddef8ff"),
-        ("req03 AddBatch", "2b000000fc8c5ac003010000006b04000000000000000000f83f0000000000000080000000000000f07f59f3f8c21f6ea50100"),
-        ("req04 AddBatch", "23000000d466dce503010000006b0100000000000000000002400108070605040302012a00000000000000"),
-        ("req05 Rank", "0e000000f1eeaf2304010000006b000000000000e03f"),
-        ("req06 Quantile", "0e000000ea2db46505010000006bae47e17a14aeef3f"),
-        ("req07 Cdf", "1a000000b7a4aa5506010000006b02000000000000000000f03f0000000000000040"),
-        ("req08 Stats", "060000007b00c74b07010000006b"),
-        ("req09 List", "01000000bf67d9dc08"),
-        ("req10 Snapshot", "010000002957deab09"),
-        ("req11 Drop", "07000000f9e149740a010000006b00"),
-        ("req12 Drop", "17000000582f3ef90a010000006b0108070605040302012a00000000000000"),
-        ("req13 Ping", "010000000536d0450b"),
-        ("req14 Quit", "01000000a6a3b4db0c"),
-        ("req15 Tail", "15000000ad416b590d0300000000000000080000000000000000000100"),
-        ("req16 Metrics", "010000001cf2bd420f"),
-        ("req17 Events", "05000000a80a00a71000010000"),
-        ],
-    );
+    check(cases, REQUEST_PINS);
 }
 
 /// One response of every variant but `MergedSince`.
@@ -255,6 +260,32 @@ fn sample_responses() -> Vec<Response> {
     ]
 }
 
+/// The frames [`sample_responses`] encode to.
+const RESPONSE_PINS: &[(&str, &str)] = &[
+    ("resp00", "010000001bdf05a501"),
+    ("resp01", "01000000a18e0c3c02"),
+    ("resp02", "09000000220c59be03e803000000000000"),
+    ("resp03", "090000009e927d09044d00000000000000"),
+    ("resp04", "0a000000513460ff05010000000000000080"),
+    ("resp05", "02000000bae6ae3c0500"),
+    ("resp06", "150000000bfab4710602000000000000000000d03f000000000000f03f"),
+    ("resp07", "44000000b4e34ac80701000000000000000200000000000000030000000000000004000000050000000100060000000000000007000000000000000800000000000000090000000000000001"),
+    ("resp08", "44000000dc9551540701000000000000000200000000000000030000000000000004000000050000000001060000000000000007000000000000000800000000000000090000000000000000"),
+    ("resp09", "10000000d665d91508020000000100000061020000006263"),
+    ("resp10", "05000000dcbc52f60800000000"),
+    ("resp11", "09000000deb9e555090900000000000000"),
+    ("resp12", "010000009306d7320a"),
+    ("resp13", "010000000536d0450b"),
+    ("resp14", "01000000a6a3b4db0c"),
+    ("resp15", "0900000013096e970d0103000000626164"),
+    ("resp16", "06000000dd471c820d0600000000"),
+    ("resp17", "21000000b65bada70e0200000000000000080000000000000001040000000000000003000000ab00ff"),
+    ("resp18", "1e000000846a30b10e0000000000000000000000000000000000000000000000000000000000"),
+    ("resp19", "090000001a78cd7e10040000007820310a"),
+    ("resp20", "0f0000000f5ca90b110200000002000000653100000000"),
+    ("resp21", "050000002f49a29b1100000000"),
+];
+
 #[test]
 fn response_frames_are_pinned() {
     let cases = sample_responses()
@@ -262,33 +293,7 @@ fn response_frames_are_pinned() {
         .enumerate()
         .map(|(i, r)| (format!("resp{i:02}"), encode_response(r).to_vec()))
         .collect();
-    check(
-        cases,
-        &[
-        ("resp00", "010000001bdf05a501"),
-        ("resp01", "01000000a18e0c3c02"),
-        ("resp02", "09000000220c59be03e803000000000000"),
-        ("resp03", "090000009e927d09044d00000000000000"),
-        ("resp04", "0a000000513460ff05010000000000000080"),
-        ("resp05", "02000000bae6ae3c0500"),
-        ("resp06", "150000000bfab4710602000000000000000000d03f000000000000f03f"),
-        ("resp07", "44000000b4e34ac80701000000000000000200000000000000030000000000000004000000050000000100060000000000000007000000000000000800000000000000090000000000000001"),
-        ("resp08", "44000000dc9551540701000000000000000200000000000000030000000000000004000000050000000001060000000000000007000000000000000800000000000000090000000000000000"),
-        ("resp09", "10000000d665d91508020000000100000061020000006263"),
-        ("resp10", "05000000dcbc52f60800000000"),
-        ("resp11", "09000000deb9e555090900000000000000"),
-        ("resp12", "010000009306d7320a"),
-        ("resp13", "010000000536d0450b"),
-        ("resp14", "01000000a6a3b4db0c"),
-        ("resp15", "0900000013096e970d0103000000626164"),
-        ("resp16", "06000000dd471c820d0600000000"),
-        ("resp17", "21000000b65bada70e0200000000000000080000000000000001040000000000000003000000ab00ff"),
-        ("resp18", "1e000000846a30b10e0000000000000000000000000000000000000000000000000000000000"),
-        ("resp19", "090000001a78cd7e10040000007820310a"),
-        ("resp20", "0f0000000f5ca90b110200000002000000653100000000"),
-        ("resp21", "050000002f49a29b1100000000"),
-        ],
-    );
+    check(cases, RESPONSE_PINS);
 }
 
 fn merge_since_requests() -> [Request; 2] {
@@ -324,6 +329,18 @@ fn merged_since_responses() -> [Response; 2] {
     ]
 }
 
+/// The frames [`merge_since_requests`] encode to.
+const MERGE_SINCE_PINS: &[(&str, &str)] = &[
+    ("req00 MergeSince", "07000000cd29901111010000006b00"),
+    ("req01 MergeSince", "2b000000e3d6682e11010000006b01080706050403020103000000000000000200000000000000000000000900000000000000"),
+];
+
+/// The frames [`merged_since_responses`] encode to.
+const MERGED_SINCE_PINS: &[(&str, &str)] = &[
+    ("resp00 MergedSince", "3a00000086b5968412080706050403020104000000000000000300000009000000000000000001000000000000000102000000abcd00000000000000000100000000"),
+    ("resp01 MergedSince", "150000001ad624ee120000000000000000000000000000000000000000"),
+];
+
 /// The versioned `MERGE` (request tag 17, response tag 18), pinned apart
 /// from the tables above so that every earlier pin stays as it was.
 #[test]
@@ -344,15 +361,86 @@ fn versioned_merge_frames_are_pinned() {
             encode_response(r).to_vec(),
         )
     }));
-    check(
-        cases,
-        &[
-        ("req00 MergeSince", "07000000cd29901111010000006b00"),
-        ("req01 MergeSince", "2b000000e3d6682e11010000006b01080706050403020103000000000000000200000000000000000000000900000000000000"),
-        ("resp00 MergedSince", "3a00000086b5968412080706050403020104000000000000000300000009000000000000000001000000000000000102000000abcd00000000000000000100000000"),
-        ("resp01 MergedSince", "150000001ad624ee120000000000000000000000000000000000000000"),
-        ],
+    check(cases, &[MERGE_SINCE_PINS, MERGED_SINCE_PINS].concat());
+}
+
+/// The payload of one whole frame.
+fn payload(framed: &[u8]) -> Vec<u8> {
+    let (payload, used) = try_deframe(framed, 0).unwrap().unwrap();
+    assert_eq!(used, framed.len(), "one whole frame");
+    payload.to_vec()
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// Every `what` tag byte is accounted for: it leads one of the pinned
+/// frames in `pins`, each of which decodes to a message that encodes back
+/// to that frame, or it decodes as an unknown tag.
+fn check_tags<T: std::fmt::Debug>(
+    what: &str,
+    pins: &[(&str, &str)],
+    decode: impl Fn(&[u8]) -> Result<T, ReqError>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    let mut pinned = [false; 256];
+    for (name, hex) in pins {
+        let payload = payload(&unhex(hex));
+        let message = decode(&payload).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        assert_eq!(encode(&message), payload, "{name} decodes to {message:?}");
+        pinned[usize::from(payload[0])] = true;
+    }
+    for tag in (0..=255u8).filter(|&t| !pinned[usize::from(t)]) {
+        match decode(&[tag]) {
+            Err(ReqError::CorruptBytes(msg)) if msg == format!("unknown {what} tag {tag}") => {}
+            other => panic!("unpinned {what} tag {tag} decodes to {other:?}"),
+        }
+    }
+}
+
+/// Each tag byte of [`Request`], [`Response`] and [`ErrorKind`] either
+/// leads a pinned frame, which decodes back to itself, or is unknown. The
+/// frame pins above cover two of the six error kinds, so all six bytes
+/// are pinned here.
+#[test]
+fn every_tag_is_pinned_or_unknown() {
+    check_tags(
+        "request",
+        &[REQUEST_PINS, MERGE_SINCE_PINS].concat(),
+        |p| decode_request(p),
+        |r| payload(&encode_request(r)),
     );
+    check_tags(
+        "response",
+        &[RESPONSE_PINS, MERGED_SINCE_PINS].concat(),
+        |p| decode_response(p),
+        |r| payload(&encode_response(r)),
+    );
+    let kinds = [
+        ErrorKind::Invalid,
+        ErrorKind::Incompatible,
+        ErrorKind::Corrupt,
+        ErrorKind::Io,
+        ErrorKind::Unavailable,
+        ErrorKind::Busy,
+    ];
+    for byte in 0..=255u8 {
+        let want = usize::from(byte).checked_sub(1).and_then(|i| kinds.get(i));
+        match (unpack_whole(&[byte], ErrorKind::unpack), want) {
+            (Ok(kind), Some(&want)) => {
+                assert_eq!(kind, want, "error kind byte {byte}");
+                let mut out = bytes::BytesMut::new();
+                kind.pack(&mut out);
+                assert_eq!(out[..], [byte], "{kind:?} encodes");
+            }
+            (Err(ReqError::CorruptBytes(_)), None) => {}
+            (got, want) => panic!("error kind byte {byte}: {got:?}, want {want:?}"),
+        }
+    }
 }
 
 /// The text lines of the same samples: what a text request carries, and
