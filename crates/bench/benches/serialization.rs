@@ -48,7 +48,8 @@ fn bench_serialization(c: &mut Criterion) {
 }
 
 /// `frame::crc32` at the sizes a served request checksums: an `ADDB`
-/// frame of 1,000 values (8 KiB) and one node's `MERGE` reply (75 KiB).
+/// frame of 1,000 values (8 KiB) and one node's `MERGESINCE` reply
+/// (75 KiB).
 fn bench_crc32(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame");
     for kib in [8usize, 75] {

@@ -224,7 +224,6 @@ impl Router {
     pub fn call_stamped(&mut self, req: &Request) -> Result<Response, ReqError> {
         match req {
             Request::Create { key, .. }
-            | Request::Add { key, .. }
             | Request::AddBatch { key, .. }
             | Request::Rank { key, .. }
             | Request::Quantile { key, .. }

@@ -118,9 +118,10 @@ fn script(ops: &[(u8, u8, u64)]) -> Vec<Request> {
                 config: TenantConfig::for_key(&key),
                 token: None,
             },
-            1 => Request::Add {
+            1 => Request::AddBatch {
                 key,
-                value: (bits % 10_000) as f64,
+                values: vec![(bits % 10_000) as f64],
+                token: None,
             },
             2 => Request::AddBatch {
                 key,

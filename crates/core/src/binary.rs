@@ -17,7 +17,9 @@
 //!
 //! So whatever decodes re-encodes to the bytes it came from. A struct that
 //! is just its fields in order declares them once with
-//! [`packable_struct!`](crate::packable_struct).
+//! [`packable_struct!`](crate::packable_struct); an enum that is a tag
+//! byte, then its variant's fields in order, declares its tags once with
+//! [`packable_enum!`](crate::packable_enum).
 //!
 //! Decoders read a borrowed cursor, `&mut &[u8]`: each read advances the
 //! slice past what it consumed, and no input is copied before it is
@@ -206,6 +208,76 @@ macro_rules! packable_struct {
                 ::core::result::Result::Ok(Self {
                     $($field: $crate::binary::Packable::unpack(input)?,)+
                 })
+            }
+        }
+    };
+}
+
+/// Implement [`Packable`] for an enum from one table of its tags: each
+/// row names a tag byte, a variant and the variant's fields. `pack` writes
+/// the tag, then the fields in the order listed; `unpack` reads them back,
+/// and a tag the table does not list is
+/// `CorruptBytes("unknown <what> tag <N>")`. A tuple variant's fields are
+/// listed as names to bind them to. The calling crate must depend on
+/// `bytes`.
+///
+/// ```
+/// # use req_core::{packable_enum, ReqError};
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Circle { r: u32 },
+///     Pair(u8, u8),
+/// }
+/// packable_enum!(Shape, "shape" {
+///     1 => Dot,
+///     2 => Circle { r },
+///     4 => Pair(a, b),
+/// });
+///
+/// use req_core::binary::{unpack_whole, Packable};
+/// let mut out = bytes::BytesMut::new();
+/// Shape::Pair(5, 6).pack(&mut out);
+/// assert_eq!(out[..], [4, 5, 6]);
+/// assert_eq!(unpack_whole(&out, Shape::unpack).unwrap(), Shape::Pair(5, 6));
+/// // Tag 3 is not in the table.
+/// assert!(matches!(
+///     unpack_whole(&[3, 0, 0, 0, 0], Shape::unpack),
+///     Err(ReqError::CorruptBytes(msg)) if msg == "unknown shape tag 3"
+/// ));
+/// ```
+#[macro_export]
+macro_rules! packable_enum {
+    ($t:ty, $what:literal {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident),+ $(,)? })?
+            $(( $($pos:ident),+ $(,)? ))?),+ $(,)?
+    }) => {
+        impl $crate::binary::Packable for $t {
+            #[inline]
+            fn pack(&self, out: &mut ::bytes::BytesMut) {
+                match self {
+                    $(Self::$variant $({ $($field),+ })? $(( $($pos),+ ))? => {
+                        <u8 as $crate::binary::Packable>::pack(&$tag, out);
+                        $($($crate::binary::Packable::pack($field, out);)+)?
+                        $($($crate::binary::Packable::pack($pos, out);)+)?
+                    })+
+                }
+            }
+            #[inline]
+            fn unpack(input: &mut &[u8]) -> ::core::result::Result<Self, $crate::ReqError> {
+                match <u8 as $crate::binary::Packable>::unpack(input)? {
+                    $($tag => {
+                        $($(let $field = $crate::binary::Packable::unpack(input)?;)+)?
+                        $($(let $pos = $crate::binary::Packable::unpack(input)?;)+)?
+                        ::core::result::Result::Ok(
+                            Self::$variant $({ $($field),+ })? $(( $($pos),+ ))?
+                        )
+                    })+
+                    other => ::core::result::Result::Err($crate::ReqError::CorruptBytes(
+                        ::std::format!(::core::concat!("unknown ", $what, " tag {}"), other),
+                    )),
+                }
             }
         }
     };

@@ -9,8 +9,8 @@
 //!   --connect-timeout SECS  dial timeout        (default 5)
 //!   --timeout SECS          read/write timeout  (default 30)
 //!   --retries N             max automatic retries of a failed command
-//!                           (default 4; mutations retry only with their
-//!                           idempotency token attached)
+//!                           (default 4; a mutation is re-sent with its
+//!                           idempotency token, so it applies once)
 //! ```
 //!
 //! Examples:
@@ -40,7 +40,7 @@ fn usage() -> ! {
         "usage: req-cli [--addr HOST:PORT] [--connect-timeout SECS] [--timeout SECS]\n\
          \x20              [--retries N] CMD [ARGS...]\n\
          \x20      req-cli [same options] repl\n\
-         commands: CREATE ADD ADDB RANK QUANTILE CDF STATS LIST SNAPSHOT DROP PING\n\
+         commands: CREATE ADDB RANK QUANTILE CDF STATS LIST SNAPSHOT DROP PING\n\
          \x20         METRICS EVENTS [N]"
     );
     std::process::exit(2);

@@ -14,12 +14,19 @@
 //! recent per-client idempotency tokens the service remembers for
 //! exactly-once retries (default 64); `--no-telemetry` turns off metric
 //! and event recording (`METRICS`/`EVENTS` still answer, with frozen
-//! values).
+//! values). A connection whose pending replies make no progress for 30 s
+//! is closed.
 
-use req_evented::serve_evented;
+use req_evented::{serve_evented_with, EventedOptions};
 use req_service::{QuantileService, ServiceConfig};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How long a connection's pending replies may make no progress before
+/// the server closes it. A client that pipelines without reading would
+/// otherwise pin up to `MAX_WRITE_BACKLOG` (16 MiB) for as long as it
+/// stays connected. The same 30 s as a client's default read timeout.
+const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn usage() -> ! {
     eprintln!(
@@ -101,7 +108,12 @@ fn main() {
     let _snapshotter =
         (interval_secs > 0).then(|| service.spawn_snapshotter(Duration::from_secs(interval_secs)));
 
-    match serve_evented(Arc::clone(&service), &addr, threads) {
+    let opts = EventedOptions {
+        loops: threads,
+        faults: None,
+        write_stall_timeout: Some(WRITE_STALL_TIMEOUT),
+    };
+    match serve_evented_with(Arc::clone(&service), &addr, opts) {
         Ok(handle) => {
             println!("req-server: listening on {}", handle.addr());
             // Serve until killed; durability is the whole point — state is

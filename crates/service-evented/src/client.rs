@@ -12,7 +12,7 @@
 
 use bytes::BytesMut;
 use req_core::ReqError;
-use req_service::client::{attach_token, fresh_client_id, is_retryable};
+use req_service::client::{attach_token, fresh_client_id};
 use req_service::protocol::binary;
 use req_service::{ClientApi, ErrorKind, Request, Response, RetryPolicy};
 use std::io::{BufReader, Write};
@@ -145,31 +145,24 @@ impl ClientApi for ReqBinClient {
     fn call(&mut self, req: &Request) -> Result<Response, ReqError> {
         let mut req = req.clone();
         attach_token(&mut req, self.client_id, &mut self.next_seq);
-        let retryable = is_retryable(&req);
         let mut attempt = 0u32;
         loop {
             let result = self.send(&req).and_then(|()| self.read_response());
-            let give_up = attempt >= self.policy.max_retries;
             match result {
                 // `Busy` (shed) and `Unavailable` (read-only) replies had
-                // no side effect — back off and retry even without a
-                // token; read-only heals on the next snapshot rotation.
+                // no side effect; read-only heals on the next snapshot
+                // rotation. An `Io` reply or a transport failure is
+                // ambiguous (the record may or may not have reached the
+                // WAL), but every mutation carries a token by now, so the
+                // dedup window applies a re-send once; queries are
+                // naturally idempotent.
                 Ok(Response::Err {
-                    kind: ErrorKind::Busy | ErrorKind::Unavailable,
+                    kind: ErrorKind::Busy | ErrorKind::Unavailable | ErrorKind::Io,
                     msg: _,
-                }) if !give_up => {}
-                // A server-side Io reply is ambiguous (the record may or
-                // may not have reached the WAL) — only the token's dedup
-                // window makes re-sending safe.
-                Ok(Response::Err {
-                    kind: ErrorKind::Io,
-                    msg: _,
-                }) if retryable && !give_up => {}
-                Ok(resp) => return Ok(resp),
-                // Transport-level Io failures are equally ambiguous; the
-                // token (or natural idempotence) makes the re-send safe.
-                Err(ReqError::Io(_)) if retryable && !give_up => {}
-                Err(e) => return Err(e),
+                })
+                | Err(ReqError::Io(_))
+                    if attempt < self.policy.max_retries => {}
+                result => return result,
             }
             std::thread::sleep(self.policy.backoff(attempt));
             attempt += 1;

@@ -98,8 +98,9 @@ pub struct EventedOptions {
     pub faults: Option<Arc<FaultPlane>>,
     /// Close a connection whose pending responses made no progress for
     /// this long (a never-draining reader would otherwise pin its
-    /// [`MAX_WRITE_BACKLOG`] of memory forever). Swept on the loop's 1 s
-    /// heartbeat, so sub-second values still take up to ~1 s to act.
+    /// [`MAX_WRITE_BACKLOG`] of memory forever). Swept after every
+    /// wake-up; the loop's 1 s heartbeat only bounds how late the sweep
+    /// can act.
     pub write_stall_timeout: Option<Duration>,
 }
 

@@ -96,7 +96,7 @@ fn shipped_server_serves_both_codecs_and_recovers_from_sigkill() {
         ),
         "5\n"
     );
-    assert_eq!(ok(server.addr, &["ADD", "lat", "50"]), "OK\n");
+    assert_eq!(ok(server.addr, &["ADDB", "lat", "50"]), "1\n");
     assert_eq!(ok(server.addr, &["PING"]), "pong\n");
 
     // Binary, on the same port.

@@ -65,9 +65,10 @@ fn script() -> Vec<Request> {
                 .collect(),
             token: None,
         });
-        reqs.push(Request::Add {
+        reqs.push(Request::AddBatch {
             key: "a".into(),
-            value: i as f64,
+            values: vec![i as f64],
+            token: None,
         });
     }
     for p in [0.0, 250.0, 5_000.0, 9_999.0, f64::INFINITY] {

@@ -12,8 +12,8 @@ use req_evented::{serve_evented, serve_evented_with, EventedHandle, EventedOptio
 use req_service::protocol::{binary, text};
 use req_service::tempdir::TempDir;
 use req_service::{
-    ClientApi, CreateOptions, FaultKind, FaultPlane, FaultSite, IdemToken, QuantileService,
-    Request, Response, RetryPolicy, ServiceConfig,
+    Accuracy, ClientApi, FaultKind, FaultPlane, FaultSite, IdemToken, QuantileService, Request,
+    Response, RetryPolicy, ServiceConfig, TenantConfig,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -69,22 +69,19 @@ fn full_command_surface_roundtrips_over_binary() {
     let mut c = ReqBinClient::connect(handle.addr()).unwrap();
 
     c.ping().unwrap();
-    c.create(
-        "lat",
-        &CreateOptions {
-            k: Some(16),
-            hra: Some(true),
-            shards: Some(2),
-            ..CreateOptions::default()
-        },
-    )
-    .unwrap();
+    let config = TenantConfig {
+        accuracy: Accuracy::K(16),
+        hra: true,
+        shards: 2,
+        ..TenantConfig::for_key("lat")
+    };
+    c.create("lat", config).unwrap();
 
     let values: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
     for chunk in values.chunks(1_000) {
         assert_eq!(c.add_batch("lat", chunk).unwrap(), chunk.len() as u64);
     }
-    c.add("lat", 10_000.0).unwrap();
+    assert_eq!(c.add_batch("lat", &[10_000.0]).unwrap(), 1);
 
     let r = c.rank("lat", 5_000.0).unwrap();
     assert!((r as f64 - 5_001.0).abs() / 5_001.0 < 0.2, "rank {r}");
@@ -128,7 +125,7 @@ fn full_command_surface_roundtrips_over_text() {
     for chunk in values.chunks(1_000) {
         assert_eq!(c.call(&addb("lat", chunk)), "OK 1000");
     }
-    assert_eq!(c.call("ADD lat 10000"), "OK");
+    assert_eq!(c.call("ADDB lat 10000"), "OK 1");
     for line in [
         "RANK lat 5000",
         "QUANTILE lat 0.5",
@@ -155,13 +152,14 @@ fn thousand_pipelined_commands_on_one_connection() {
     let dir = TempDir::new("evented").unwrap();
     let (_service, handle) = start(dir.path(), 1);
     let mut c = ReqBinClient::connect(handle.addr()).unwrap();
-    c.create("p", &CreateOptions::default()).unwrap();
+    c.create("p", TenantConfig::for_key("p")).unwrap();
 
     let mut reqs = Vec::with_capacity(1_000);
     for i in 0..499 {
-        reqs.push(Request::Add {
+        reqs.push(Request::AddBatch {
             key: "p".into(),
-            value: i as f64,
+            values: vec![i as f64],
+            token: None,
         });
     }
     reqs.push(Request::Stats { key: "p".into() });
@@ -177,7 +175,7 @@ fn thousand_pipelined_commands_on_one_connection() {
     let resps = c.call_pipelined(&reqs).unwrap();
     assert_eq!(resps.len(), 1_000);
     for resp in &resps[..499] {
-        assert!(matches!(resp, Response::Added), "got {resp:?}");
+        assert!(matches!(resp, Response::AddedBatch(1)), "got {resp:?}");
     }
     // Ordering proof: the mid-stream STATS sees exactly the 499 adds that
     // preceded it — no more, no fewer.
@@ -211,13 +209,13 @@ fn thousand_pipelined_commands_on_one_connection_over_text() {
     let mut c = TextConn::connect(handle.addr());
     assert_eq!(c.call("CREATE p"), "OK created");
 
-    let mut lines: Vec<String> = (0..499).map(|i| format!("ADD p {i}")).collect();
+    let mut lines: Vec<String> = (0..499).map(|i| format!("ADDB p {i}")).collect();
     lines.push("STATS p".into());
     lines.extend((0..499).map(|i| format!("RANK p {i}")));
     lines.push("PING".into());
     c.send(&lines);
     let replies: Vec<String> = (0..1_000).map(|_| c.reply().unwrap()).collect();
-    assert!(replies[..499].iter().all(|r| r == "OK"));
+    assert!(replies[..499].iter().all(|r| r == "OK 1"));
     assert!(replies[499].starts_with("OK n=499 "), "{}", replies[499]);
     let mut prev = 0u64;
     for (i, reply) in replies[500..999].iter().enumerate() {
@@ -241,9 +239,9 @@ fn errors_keep_their_kind_and_the_connection_survives() {
         ReqError::InvalidParameter(msg) => assert!(msg.contains("ghost"), "{msg}"),
         other => panic!("wrong kind: {other:?}"),
     }
-    c.create("t", &CreateOptions::default()).unwrap();
+    c.create("t", TenantConfig::for_key("t")).unwrap();
     assert!(matches!(
-        c.create("t", &CreateOptions::default()),
+        c.create("t", TenantConfig::for_key("t")),
         Err(ReqError::InvalidParameter(_))
     ));
     // Request-level faults answered mid-pipeline leave the stream usable.
@@ -415,14 +413,11 @@ fn state_survives_a_server_restart() {
     let want: Vec<u64> = {
         let (_service, handle) = start(dir.path(), 1);
         let mut c = ReqBinClient::connect(handle.addr()).unwrap();
-        c.create(
-            "t",
-            &CreateOptions {
-                k: Some(32),
-                ..CreateOptions::default()
-            },
-        )
-        .unwrap();
+        let config = TenantConfig {
+            accuracy: Accuracy::K(32),
+            ..TenantConfig::for_key("t")
+        };
+        c.create("t", config).unwrap();
         let values: Vec<f64> = (0..8_000).map(|i| (i * 37 % 10_007) as f64).collect();
         for chunk in values.chunks(500) {
             c.add_batch("t", chunk).unwrap();
@@ -483,9 +478,9 @@ fn holds_640_plus_idle_connections_on_one_thread() {
         handle.live_connections()
     );
     // Idle connections stay serviceable: spot-check across the herd.
-    clients[0].create("d", &CreateOptions::default()).unwrap();
+    clients[0].create("d", TenantConfig::for_key("d")).unwrap();
     for c in clients.iter_mut().step_by(97) {
-        c.add("d", 1.0).unwrap();
+        c.add_batch("d", &[1.0]).unwrap();
     }
     let n = clients[CONNS - 1].stats("d").unwrap().n;
     assert_eq!(n, (CONNS).div_ceil(97) as u64);
@@ -617,7 +612,7 @@ fn never_draining_reader_is_evicted_after_the_stall_timeout() {
 
     {
         let mut c = ReqBinClient::connect(handle.addr()).unwrap();
-        c.create("t", &CreateOptions::default()).unwrap();
+        c.create("t", TenantConfig::for_key("t")).unwrap();
         c.add_batch("t", &[1.0, 2.0, 3.0]).unwrap();
     }
 
@@ -708,7 +703,7 @@ fn injected_socket_faults_never_duplicate_or_lose_acked_batches() {
             ..RetryPolicy::default()
         };
         let mut c = ReqBinClient::connect_with(handle.addr(), policy).unwrap();
-        c.create("t", &CreateOptions::default()).unwrap();
+        c.create("t", TenantConfig::for_key("t")).unwrap();
         let mut expected = 0u64;
         for i in 0..60u64 {
             let batch: Vec<f64> = (0..1 + i % 16).map(|j| (i * 10 + j) as f64).collect();

@@ -20,9 +20,7 @@
 //! (`client_id:seq`, see [`attach_token`]) before the first send, so a
 //! retry after an ambiguous timeout re-sends the *same* token and the
 //! server's dedup window applies it exactly once — even across a server
-//! crash and recovery. Queries are naturally idempotent and retry freely;
-//! a plain `ADD` carries no token and is never auto-retried
-//! ([`is_retryable`]).
+//! crash and recovery. Queries are naturally idempotent and retry freely.
 
 use req_core::ReqError;
 use std::time::Duration;
@@ -94,64 +92,6 @@ impl RetryPolicy {
     }
 }
 
-/// Options for [`ClientApi::create`] — the typed form of the `CREATE`
-/// option tokens. `None` fields take server defaults.
-#[derive(Debug, Clone, Default)]
-pub struct CreateOptions {
-    /// Relative-error target (switches the tenant to `(ε, δ)` sizing).
-    pub eps: Option<f64>,
-    /// Failure probability (requires `eps`).
-    pub delta: Option<f64>,
-    /// Direct section size (ignored when `eps` is set).
-    pub k: Option<u32>,
-    /// Rank-accuracy orientation: `Some(true)` = HRA, `Some(false)` = LRA.
-    pub hra: Option<bool>,
-    /// `true` = adaptive schedule, `false` = standard.
-    pub adaptive: Option<bool>,
-    /// Ingest shard count.
-    pub shards: Option<u32>,
-    /// Explicit RNG seed.
-    pub seed: Option<u64>,
-}
-
-impl CreateOptions {
-    fn tokens(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if let Some(eps) = self.eps {
-            out.push(format!("EPS={eps}"));
-        }
-        if let Some(delta) = self.delta {
-            out.push(format!("DELTA={delta}"));
-        }
-        if let Some(k) = self.k {
-            out.push(format!("K={k}"));
-        }
-        if let Some(hra) = self.hra {
-            out.push(if hra { "HRA" } else { "LRA" }.to_string());
-        }
-        if let Some(adaptive) = self.adaptive {
-            out.push(format!(
-                "SCHEDULE={}",
-                if adaptive { "adaptive" } else { "standard" }
-            ));
-        }
-        if let Some(shards) = self.shards {
-            out.push(format!("SHARDS={shards}"));
-        }
-        if let Some(seed) = self.seed {
-            out.push(format!("SEED={seed}"));
-        }
-        out
-    }
-
-    /// Resolve into the [`TenantConfig`] the server would build.
-    pub fn to_config(&self, key: &str) -> Result<TenantConfig, ReqError> {
-        let tokens = self.tokens();
-        let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-        TenantConfig::parse(key, &refs)
-    }
-}
-
 fn unexpected(resp: &Response) -> ReqError {
     ReqError::Io(format!("unexpected response {resp:?}"))
 }
@@ -167,27 +107,15 @@ pub trait ClientApi {
     /// surface as [`ReqError::Io`].
     fn call(&mut self, req: &Request) -> Result<Response, ReqError>;
 
-    /// `CREATE key` with options.
-    fn create(&mut self, key: &str, opts: &CreateOptions) -> Result<(), ReqError> {
+    /// `CREATE key` with `config`, e.g. [`TenantConfig::for_key`].
+    fn create(&mut self, key: &str, config: TenantConfig) -> Result<(), ReqError> {
         let req = Request::Create {
             key: key.to_string(),
-            config: opts.to_config(key)?,
+            config,
             token: None,
         };
         match self.call(&req)?.into_result()? {
             Response::Created => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// `ADD key value`.
-    fn add(&mut self, key: &str, value: f64) -> Result<(), ReqError> {
-        let req = Request::Add {
-            key: key.to_string(),
-            value,
-        };
-        match self.call(&req)?.into_result()? {
-            Response::Added => Ok(()),
             other => Err(unexpected(&other)),
         }
     }
@@ -359,18 +287,6 @@ pub fn attach_token(req: &mut Request, client_id: u64, next_seq: &mut u64) {
             seq: *next_seq,
         });
         *next_seq += 1;
-    }
-}
-
-/// May this request be re-sent after an ambiguous transport failure?
-/// Queries always; mutations only when carrying an idempotency token.
-pub fn is_retryable(req: &Request) -> bool {
-    match req {
-        Request::Create { token, .. }
-        | Request::AddBatch { token, .. }
-        | Request::Drop { token, .. } => token.is_some(),
-        Request::Add { .. } => false,
-        _ => true,
     }
 }
 

@@ -17,10 +17,6 @@ pub fn execute(service: &QuantileService, req: Request) -> Response {
                 service.create_with_token(&key, config, token)?;
                 Response::Created
             }
-            Request::Add { key, value } => {
-                service.add(&key, value)?;
-                Response::Added
-            }
             Request::AddBatch { key, values, token } => {
                 let values: Vec<req_core::OrdF64> =
                     values.into_iter().map(req_core::OrdF64).collect();

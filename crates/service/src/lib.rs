@@ -32,11 +32,12 @@
 //! `recovery` proptests, verify it end to end).
 //!
 //! ```no_run
+//! use req_core::OrdF64;
 //! use req_service::{QuantileService, ServiceConfig, TenantConfig};
 //!
 //! let service = QuantileService::open(ServiceConfig::new("/var/lib/req"))?;
 //! service.create("api.latency", TenantConfig::for_key("api.latency"))?;
-//! service.add("api.latency", 12.5)?;
+//! service.add_batch("api.latency", &[OrdF64(12.5)])?;
 //! let p99 = service.quantile("api.latency", 0.99)?;
 //! # let _ = p99;
 //! # Ok::<(), req_core::ReqError>(())
@@ -58,7 +59,7 @@ pub mod snapshot;
 pub mod tempdir;
 pub mod wal;
 
-pub use client::{ClientApi, CreateOptions, RetryPolicy};
+pub use client::{ClientApi, RetryPolicy};
 pub use config::{stable_key_hash, Accuracy, ServiceConfig, TenantConfig};
 pub use execute::execute;
 pub use faults::{FaultKind, FaultPlane, FaultSite};

@@ -1,21 +1,18 @@
 //! Binary codec — tagged payloads inside [`req_core::frame`] CRC32 frames.
 //!
 //! Every message is one frame whose payload is a one-byte message tag,
-//! then the message's fields in declaration order, each in its
-//! [`Packable`] layout (see [`req_core::binary`] for the shared rules:
-//! little-endian, `f64` as raw bits, `u32`-counted vectors and strings,
-//! 0/1 presence and bool bytes). Nothing in this module reads or writes a
-//! byte any other way.
+//! then the message's fields, each in its [`Packable`] layout (see
+//! [`req_core::binary`] for the shared rules: little-endian, `f64` as raw
+//! bits, `u32`-counted vectors and strings, 0/1 presence and bool bytes).
+//! The [`packable_enum!`] tables below give every tag of [`Request`],
+//! [`Response`] and [`ErrorKind`] with its variant and the order of its
+//! fields; nothing in this module reads or writes a byte any other way.
 //!
-//! Request tags: `CREATE` 1 … `QUIT` 12 in [`Request`] declaration order,
-//! then `TAIL` 13, `METRICS` 15, `EVENTS` 16 and `MERGESINCE` 17.
-//! Response tags: `Created` 1 … `Err` 13 in [`Response`] declaration
-//! order ([`Response::Err`] carries an [`ErrorKind`] byte plus the
-//! message), then `Tailed` 14, `MetricsText` 16, `Events` 17 and
-//! `MergedSince` 18. Request tag 14 and response tag 15 were the retired
-//! unversioned `MERGE` and its reply: they decode as unknown tags and are
-//! never reused. A new message only ever takes the next unused tag, so
-//! every earlier message keeps its bytes.
+//! A new message takes a tag no table has used, so every other message
+//! keeps its bytes. A retired message's tag decodes as unknown and is
+//! never reused: 2 (`ADD` and its reply), request 14 and response 15 (the
+//! unversioned `MERGE` and its reply).
+//!
 //! Unlike the [`text`](super::text) codec, responses are
 //! self-describing — no request context is needed to decode them, which
 //! is what makes deep pipelining tractable.
@@ -28,7 +25,7 @@
 use bytes::{Bytes, BytesMut};
 use req_core::binary::{unpack_whole, Packable};
 use req_core::frame::{try_frame, write_frame, FrameHeader, FRAME_HEADER_LEN};
-use req_core::{packable_struct, ReqError};
+use req_core::{packable_enum, packable_struct, ReqError};
 use std::io::Read;
 
 use super::{ChangedShards, ErrorKind, Request, Response, ShardVersions, TailSegment};
@@ -46,66 +43,14 @@ pub const MAX_MESSAGE_PAYLOAD: usize = 8 * 1024 * 1024;
 /// length prefix.
 pub const TAIL_REPLY_ENVELOPE: usize = 1 + 8 + 8 + 1 + 8 + 4;
 
-const REQ_CREATE: u8 = 1;
-const REQ_ADD: u8 = 2;
-const REQ_ADD_BATCH: u8 = 3;
-const REQ_RANK: u8 = 4;
-const REQ_QUANTILE: u8 = 5;
-const REQ_CDF: u8 = 6;
-const REQ_STATS: u8 = 7;
-const REQ_LIST: u8 = 8;
-const REQ_SNAPSHOT: u8 = 9;
-const REQ_DROP: u8 = 10;
-const REQ_PING: u8 = 11;
-const REQ_QUIT: u8 = 12;
-const REQ_TAIL: u8 = 13;
-const REQ_METRICS: u8 = 15;
-const REQ_EVENTS: u8 = 16;
-const REQ_MERGE_SINCE: u8 = 17;
-
-const RESP_CREATED: u8 = 1;
-const RESP_ADDED: u8 = 2;
-const RESP_ADDED_BATCH: u8 = 3;
-const RESP_RANK: u8 = 4;
-const RESP_QUANTILE: u8 = 5;
-const RESP_CDF: u8 = 6;
-const RESP_STATS: u8 = 7;
-const RESP_LIST: u8 = 8;
-const RESP_SNAPSHOT: u8 = 9;
-const RESP_DROPPED: u8 = 10;
-const RESP_PONG: u8 = 11;
-const RESP_BYE: u8 = 12;
-const RESP_ERR: u8 = 13;
-const RESP_TAILED: u8 = 14;
-const RESP_METRICS: u8 = 16;
-const RESP_EVENTS: u8 = 17;
-const RESP_MERGED_SINCE: u8 = 18;
-
-/// Error kinds on the wire: byte `i + 1` is `ERROR_KINDS[i]`.
-const ERROR_KINDS: [ErrorKind; 6] = [
-    ErrorKind::Invalid,
-    ErrorKind::Incompatible,
-    ErrorKind::Corrupt,
-    ErrorKind::Io,
-    ErrorKind::Unavailable,
-    ErrorKind::Busy,
-];
-
-impl Packable for ErrorKind {
-    fn pack(&self, out: &mut BytesMut) {
-        let at = ERROR_KINDS
-            .iter()
-            .position(|k| k == self)
-            .expect("every kind is listed");
-        (at as u8 + 1).pack(out);
-    }
-
-    fn unpack(input: &mut &[u8]) -> Result<Self, ReqError> {
-        let byte = u8::unpack(input)?;
-        let kind = ERROR_KINDS.get(usize::from(byte).wrapping_sub(1)).copied();
-        kind.ok_or_else(|| ReqError::CorruptBytes(format!("unknown error kind byte {byte}")))
-    }
-}
+packable_enum!(ErrorKind, "error kind" {
+    1 => Invalid,
+    2 => Incompatible,
+    3 => Corrupt,
+    4 => Io,
+    5 => Unavailable,
+    6 => Busy,
+});
 
 packable_struct!(TenantStats {
     n,
@@ -143,139 +88,47 @@ packable_struct!(ChangedShards {
     parts,
 });
 
-fn encode_request_payload(req: &Request, out: &mut BytesMut) {
-    match req {
-        Request::Create { key, config, token } => {
-            REQ_CREATE.pack(out);
-            key.pack(out);
-            config.pack(out);
-            token.pack(out);
-        }
-        Request::Add { key, value } => {
-            REQ_ADD.pack(out);
-            key.pack(out);
-            value.pack(out);
-        }
-        Request::AddBatch { key, values, token } => {
-            REQ_ADD_BATCH.pack(out);
-            key.pack(out);
-            values.pack(out);
-            token.pack(out);
-        }
-        Request::Rank { key, value } => {
-            REQ_RANK.pack(out);
-            key.pack(out);
-            value.pack(out);
-        }
-        Request::Quantile { key, q } => {
-            REQ_QUANTILE.pack(out);
-            key.pack(out);
-            q.pack(out);
-        }
-        Request::Cdf { key, points } => {
-            REQ_CDF.pack(out);
-            key.pack(out);
-            points.pack(out);
-        }
-        Request::Stats { key } => {
-            REQ_STATS.pack(out);
-            key.pack(out);
-        }
-        Request::List => REQ_LIST.pack(out),
-        Request::Snapshot => REQ_SNAPSHOT.pack(out),
-        Request::Drop { key, token } => {
-            REQ_DROP.pack(out);
-            key.pack(out);
-            token.pack(out);
-        }
-        Request::Ping => REQ_PING.pack(out),
-        Request::Quit => REQ_QUIT.pack(out),
-        Request::Tail {
-            gen,
-            offset,
-            max_bytes,
-        } => {
-            REQ_TAIL.pack(out);
-            gen.pack(out);
-            offset.pack(out);
-            max_bytes.pack(out);
-        }
-        Request::Metrics => REQ_METRICS.pack(out),
-        Request::Events { max } => {
-            REQ_EVENTS.pack(out);
-            max.pack(out);
-        }
-        Request::MergeSince { key, held } => {
-            REQ_MERGE_SINCE.pack(out);
-            key.pack(out);
-            held.pack(out);
-        }
-    }
-}
+packable_enum!(Request, "request" {
+    1 => Create { key, config, token },
+    3 => AddBatch { key, values, token },
+    4 => Rank { key, value },
+    5 => Quantile { key, q },
+    6 => Cdf { key, points },
+    7 => Stats { key },
+    8 => List,
+    9 => Snapshot,
+    10 => Drop { key, token },
+    11 => Ping,
+    12 => Quit,
+    13 => Tail { gen, offset, max_bytes },
+    15 => Metrics,
+    16 => Events { max },
+    17 => MergeSince { key, held },
+});
 
-fn encode_response_payload(resp: &Response, out: &mut BytesMut) {
-    match resp {
-        Response::Created => RESP_CREATED.pack(out),
-        Response::Added => RESP_ADDED.pack(out),
-        Response::AddedBatch(n) => {
-            RESP_ADDED_BATCH.pack(out);
-            n.pack(out);
-        }
-        Response::Rank(r) => {
-            RESP_RANK.pack(out);
-            r.pack(out);
-        }
-        Response::Quantile(q) => {
-            RESP_QUANTILE.pack(out);
-            q.pack(out);
-        }
-        Response::Cdf(points) => {
-            RESP_CDF.pack(out);
-            points.pack(out);
-        }
-        Response::Stats(s) => {
-            RESP_STATS.pack(out);
-            s.pack(out);
-        }
-        Response::List(keys) => {
-            RESP_LIST.pack(out);
-            keys.pack(out);
-        }
-        Response::Snapshot(generation) => {
-            RESP_SNAPSHOT.pack(out);
-            generation.pack(out);
-        }
-        Response::Dropped => RESP_DROPPED.pack(out),
-        Response::Pong => RESP_PONG.pack(out),
-        Response::Bye => RESP_BYE.pack(out),
-        Response::Err { kind, msg } => {
-            RESP_ERR.pack(out);
-            kind.pack(out);
-            msg.pack(out);
-        }
-        Response::Tailed(seg) => {
-            RESP_TAILED.pack(out);
-            seg.pack(out);
-        }
-        Response::MetricsText(text) => {
-            RESP_METRICS.pack(out);
-            text.pack(out);
-        }
-        Response::Events(lines) => {
-            RESP_EVENTS.pack(out);
-            lines.pack(out);
-        }
-        Response::MergedSince(changed) => {
-            RESP_MERGED_SINCE.pack(out);
-            changed.pack(out);
-        }
-    }
-}
+packable_enum!(Response, "response" {
+    1 => Created,
+    3 => AddedBatch(n),
+    4 => Rank(rank),
+    5 => Quantile(q),
+    6 => Cdf(ranks),
+    7 => Stats(stats),
+    8 => List(keys),
+    9 => Snapshot(gen),
+    10 => Dropped,
+    11 => Pong,
+    12 => Bye,
+    13 => Err { kind, msg },
+    14 => Tailed(segment),
+    16 => MetricsText(text),
+    17 => Events(lines),
+    18 => MergedSince(changed),
+});
 
 /// Append one request to `out` as a complete CRC32 frame, encoded in
 /// place.
 pub fn write_request(out: &mut BytesMut, req: &Request) {
-    write_frame(out, |out| encode_request_payload(req, out));
+    write_frame(out, |out| req.pack(out));
 }
 
 /// One request as a complete CRC32 frame.
@@ -288,7 +141,7 @@ pub fn encode_request(req: &Request) -> Bytes {
 /// Append one response to `out` as a complete CRC32 frame, encoded in
 /// place.
 pub fn write_response(out: &mut BytesMut, resp: &Response) {
-    write_frame(out, |out| encode_response_payload(resp, out));
+    write_frame(out, |out| resp.pack(out));
 }
 
 /// One response as a complete CRC32 frame.
@@ -301,99 +154,13 @@ pub fn encode_response(resp: &Response) -> Bytes {
 /// Decode one request from a deframed payload (the bytes the frame's CRC
 /// covered). Trailing bytes are rejected.
 pub fn decode_request(payload: impl AsRef<[u8]>) -> Result<Request, ReqError> {
-    unpack_whole(payload.as_ref(), |input| {
-        Ok(match u8::unpack(input)? {
-            REQ_CREATE => Request::Create {
-                key: Packable::unpack(input)?,
-                config: Packable::unpack(input)?,
-                token: Packable::unpack(input)?,
-            },
-            REQ_ADD => Request::Add {
-                key: Packable::unpack(input)?,
-                value: Packable::unpack(input)?,
-            },
-            REQ_ADD_BATCH => Request::AddBatch {
-                key: Packable::unpack(input)?,
-                values: Packable::unpack(input)?,
-                token: Packable::unpack(input)?,
-            },
-            REQ_RANK => Request::Rank {
-                key: Packable::unpack(input)?,
-                value: Packable::unpack(input)?,
-            },
-            REQ_QUANTILE => Request::Quantile {
-                key: Packable::unpack(input)?,
-                q: Packable::unpack(input)?,
-            },
-            REQ_CDF => Request::Cdf {
-                key: Packable::unpack(input)?,
-                points: Packable::unpack(input)?,
-            },
-            REQ_STATS => Request::Stats {
-                key: Packable::unpack(input)?,
-            },
-            REQ_LIST => Request::List,
-            REQ_SNAPSHOT => Request::Snapshot,
-            REQ_DROP => Request::Drop {
-                key: Packable::unpack(input)?,
-                token: Packable::unpack(input)?,
-            },
-            REQ_PING => Request::Ping,
-            REQ_QUIT => Request::Quit,
-            REQ_TAIL => Request::Tail {
-                gen: Packable::unpack(input)?,
-                offset: Packable::unpack(input)?,
-                max_bytes: Packable::unpack(input)?,
-            },
-            REQ_METRICS => Request::Metrics,
-            REQ_EVENTS => Request::Events {
-                max: Packable::unpack(input)?,
-            },
-            REQ_MERGE_SINCE => Request::MergeSince {
-                key: Packable::unpack(input)?,
-                held: Packable::unpack(input)?,
-            },
-            other => {
-                return Err(ReqError::CorruptBytes(format!(
-                    "unknown request tag {other}"
-                )))
-            }
-        })
-    })
+    unpack_whole(payload.as_ref(), Request::unpack)
 }
 
 /// Decode one response from a deframed payload. Trailing bytes are
 /// rejected.
 pub fn decode_response(payload: impl AsRef<[u8]>) -> Result<Response, ReqError> {
-    unpack_whole(payload.as_ref(), |input| {
-        Ok(match u8::unpack(input)? {
-            RESP_CREATED => Response::Created,
-            RESP_ADDED => Response::Added,
-            RESP_ADDED_BATCH => Response::AddedBatch(Packable::unpack(input)?),
-            RESP_RANK => Response::Rank(Packable::unpack(input)?),
-            RESP_QUANTILE => Response::Quantile(Packable::unpack(input)?),
-            RESP_CDF => Response::Cdf(Packable::unpack(input)?),
-            RESP_STATS => Response::Stats(Packable::unpack(input)?),
-            RESP_LIST => Response::List(Packable::unpack(input)?),
-            RESP_SNAPSHOT => Response::Snapshot(Packable::unpack(input)?),
-            RESP_DROPPED => Response::Dropped,
-            RESP_PONG => Response::Pong,
-            RESP_BYE => Response::Bye,
-            RESP_ERR => Response::Err {
-                kind: Packable::unpack(input)?,
-                msg: Packable::unpack(input)?,
-            },
-            RESP_TAILED => Response::Tailed(Packable::unpack(input)?),
-            RESP_METRICS => Response::MetricsText(Packable::unpack(input)?),
-            RESP_EVENTS => Response::Events(Packable::unpack(input)?),
-            RESP_MERGED_SINCE => Response::MergedSince(Packable::unpack(input)?),
-            other => {
-                return Err(ReqError::CorruptBytes(format!(
-                    "unknown response tag {other}"
-                )))
-            }
-        })
-    })
+    unpack_whole(payload.as_ref(), Response::unpack)
 }
 
 /// Blocking read of one frame from `r`, verifying length bound and CRC.
@@ -446,13 +213,10 @@ mod tests {
                 config: TenantConfig::parse("api.p99", &["K=16"]).unwrap(),
                 token,
             },
-            Request::Add {
-                key: "k".into(),
-                value: f64::NAN, // bit-exact: text can't do this
-            },
             Request::AddBatch {
                 key: "k".into(),
-                values: vec![1.0, -0.0, 1e-300],
+                // NaN is bit-exact: text can't do this.
+                values: vec![1.0, -0.0, 1e-300, f64::NAN],
                 token: None,
             },
             Request::AddBatch {
@@ -510,7 +274,6 @@ mod tests {
     fn sample_responses() -> Vec<Response> {
         vec![
             Response::Created,
-            Response::Added,
             Response::AddedBatch(u64::MAX),
             Response::Rank(0),
             Response::Quantile(Some(-0.0)),
@@ -671,7 +434,7 @@ mod tests {
         ));
         // Trailing bytes after a valid message: rejected.
         let mut padded = BytesMut::new();
-        padded.put_u8(11); // REQ_PING
+        padded.put_u8(11); // PING
         padded.put_u8(0xFF);
         assert!(matches!(
             decode_request(padded.freeze()),
@@ -703,30 +466,44 @@ mod tests {
 
     #[test]
     fn retired_merge_tags_decode_as_unknown() {
-        // The frames the unversioned `MERGE k` and its reply of parts
-        // `[1, 2, 3]`, `[]`, `[0xFE]` were pinned to before they retired.
+        // The frames the retired messages were pinned to: the unversioned
+        // `MERGE k` and its reply of parts `[1, 2, 3]`, `[]`, `[0xFE]`;
+        // `ADD k` of a NaN and its reply.
         let unhex = |hex: &str| -> Vec<u8> {
             (0..hex.len())
                 .step_by(2)
                 .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
                 .collect()
         };
-        let request = unhex("06000000b351c86c0e010000006b");
-        let response = unhex("150000009b0bebc40f03000000030000000102030000000001000000fe");
-        for (framed, tag) in [(&request, 14), (&response, 15)] {
-            let (payload, used) = try_deframe(framed, 0).unwrap().unwrap();
+        let requests = [
+            ("06000000b351c86c0e010000006b", 14),
+            ("0e000000f0394b7e02010000006b0100efbeaddef8ff", 2),
+        ];
+        let responses = [
+            (
+                "150000009b0bebc40f03000000030000000102030000000001000000fe",
+                15,
+            ),
+            ("01000000a18e0c3c02", 2),
+        ];
+        let payload = |hex: &str, tag: u8| {
+            let framed = unhex(hex);
+            let (payload, used) = try_deframe(&framed, 0).unwrap().unwrap();
             assert_eq!((payload[0], used), (tag, framed.len()));
+            payload.to_vec()
+        };
+        for (hex, tag) in requests {
+            assert!(matches!(
+                decode_request(payload(hex, tag)),
+                Err(ReqError::CorruptBytes(msg)) if msg == format!("unknown request tag {tag}")
+            ));
         }
-        let (request, _) = try_deframe(&request, 0).unwrap().unwrap();
-        assert!(matches!(
-            decode_request(request),
-            Err(ReqError::CorruptBytes(msg)) if msg == "unknown request tag 14"
-        ));
-        let (response, _) = try_deframe(&response, 0).unwrap().unwrap();
-        assert!(matches!(
-            decode_response(response),
-            Err(ReqError::CorruptBytes(msg)) if msg == "unknown response tag 15"
-        ));
+        for (hex, tag) in responses {
+            assert!(matches!(
+                decode_response(payload(hex, tag)),
+                Err(ReqError::CorruptBytes(msg)) if msg == format!("unknown response tag {tag}")
+            ));
+        }
     }
 
     #[test]

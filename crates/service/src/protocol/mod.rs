@@ -89,13 +89,6 @@ pub enum Request {
         /// Optional idempotency token.
         token: Option<IdemToken>,
     },
-    /// `ADD key value`
-    Add {
-        /// Tenant key.
-        key: String,
-        /// Value to ingest.
-        value: f64,
-    },
     /// `ADDB key v1 v2 … [TOKEN=cid:seq]`
     AddBatch {
         /// Tenant key.
@@ -148,8 +141,7 @@ pub enum Request {
     Quit,
     /// `TAIL gen offset max_bytes` — replication: ship a slice of the
     /// server's WAL generation `gen` starting at byte `offset`, as whole
-    /// CRC-valid frames (never a torn tail). Declared after `Quit` so the
-    /// binary tags of the original twelve commands stay stable.
+    /// CRC-valid frames (never a torn tail).
     Tail {
         /// WAL generation to read.
         gen: u64,
@@ -159,8 +151,7 @@ pub enum Request {
         max_bytes: u32,
     },
     /// `METRICS` — render the process-wide telemetry registry as
-    /// Prometheus-style text exposition. Binary tag 15: tag 14, the
-    /// retired unversioned `MERGE`, stays unused.
+    /// Prometheus-style text exposition.
     Metrics,
     /// `EVENTS max` — the newest `max` lines of the structured lifecycle
     /// event journal, oldest first.
@@ -173,8 +164,7 @@ pub enum Request {
     /// sketch (binary v3 `to_bytes`) of every shard whose version differs
     /// from the one `held` names, for a router to answer over
     /// ([`req_core::union`]) or merge ([`req_core::merge_wire_parts`]).
-    /// With nothing held (`-`), every shard is sent. Declared after
-    /// `Events` so every earlier tag stays stable.
+    /// With nothing held (`-`), every shard is sent.
     MergeSince {
         /// Tenant key.
         key: String,
@@ -318,8 +308,6 @@ impl From<&ReqError> for ErrorKind {
 pub enum Response {
     /// `CREATE` succeeded.
     Created,
-    /// `ADD` succeeded.
-    Added,
     /// `ADDB` succeeded; how many values landed.
     AddedBatch(u64),
     /// `RANK` result.
@@ -347,17 +335,14 @@ pub enum Response {
         /// The error message.
         msg: String,
     },
-    /// `TAIL` result. Declared after `Err` so `Err` keeps binary tag 13.
+    /// `TAIL` result.
     Tailed(TailSegment),
     /// `METRICS` result: the full Prometheus-style exposition text
-    /// (multi-line; the text codec hex-armors it onto one line). Binary
-    /// tag 16: tag 15, the retired unversioned `MERGE` reply, stays
-    /// unused.
+    /// (multi-line; the text codec hex-armors it onto one line).
     MetricsText(String),
     /// `EVENTS` result: rendered journal lines, oldest first.
     Events(Vec<String>),
-    /// `MERGESINCE` result. Declared after `Events` so every earlier tag
-    /// stays stable.
+    /// `MERGESINCE` result.
     MergedSince(ChangedShards),
 }
 
@@ -395,13 +380,6 @@ mod tests {
 
     #[test]
     fn commands_parse() {
-        assert_eq!(
-            text::decode_request("ADD lat 3.25").unwrap(),
-            Request::Add {
-                key: "lat".into(),
-                value: 3.25
-            }
-        );
         assert_eq!(
             text::decode_request("addb k 1 2.5 -3e4").unwrap(),
             Request::AddBatch {
@@ -464,11 +442,10 @@ mod tests {
             "",
             "   ",
             "NOPE",
-            "ADD",
-            "ADD key",
-            "ADD key x",
-            "ADD key 1 2",
+            "ADD key 1",
             "ADDB key",
+            "RANK key",
+            "RANK key 1 2",
             "CDF key",
             "RANK key one",
             "CREATE",

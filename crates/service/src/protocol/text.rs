@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! CREATE key [EPS=f] [DELTA=f] [K=n] [HRA|LRA] [SCHEDULE=s] [SHARDS=n] [SEED=n] [TOKEN=cid:seq]
-//! ADD key value
 //! ADDB key v1 v2 v3 ... [TOKEN=cid:seq]
 //! RANK key value
 //! QUANTILE key q
@@ -142,7 +141,6 @@ pub fn encode_request(req: &Request) -> String {
         Request::Create { key, config, token } => {
             push_token(format!("CREATE {key} {config}"), token)
         }
-        Request::Add { key, value } => format!("ADD {key} {value}"),
         Request::AddBatch { key, values, token } => {
             push_token(join_f64s(format!("ADDB {key}"), values), token)
         }
@@ -196,14 +194,13 @@ pub fn decode_request(line: &str) -> Result<Request, ReqError> {
             let config = TenantConfig::parse(&key, &opts)?;
             Ok(Request::Create { key, config, token })
         }
-        "ADD" | "RANK" | "QUANTILE" => {
+        "RANK" | "QUANTILE" => {
             let key = need_key()?;
             if args.len() != 2 {
                 return bad(format!("{verb} needs exactly `key value`"));
             }
             let value = parse_f64(args[1])?;
             Ok(match verb.to_ascii_uppercase().as_str() {
-                "ADD" => Request::Add { key, value },
                 "RANK" => Request::Rank { key, value },
                 _ => Request::Quantile { key, q: value },
             })
@@ -294,7 +291,6 @@ pub fn decode_request(line: &str) -> Result<Request, ReqError> {
 pub fn encode_response(resp: &Response) -> String {
     match resp {
         Response::Created => "OK created".to_string(),
-        Response::Added => "OK".to_string(),
         Response::AddedBatch(n) => format!("OK {n}"),
         Response::Rank(r) => format!("OK {r}"),
         Response::Quantile(Some(v)) => format!("OK {v}"),
@@ -372,10 +368,6 @@ mod tests {
                 config: TenantConfig::parse("k", &["K=16"]).unwrap(),
                 token,
             },
-            Request::Add {
-                key: "k".into(),
-                value: 3.25,
-            },
             Request::AddBatch {
                 key: "k".into(),
                 values: vec![1.0, -2.5, 1e300],
@@ -448,7 +440,6 @@ mod tests {
     #[test]
     fn wire_lines_match_the_pr5_format() {
         // Old clients parse these exact bytes; don't drift.
-        assert_eq!(encode_response(&Response::Added), "OK");
         assert_eq!(encode_response(&Response::AddedBatch(3)), "OK 3");
         assert_eq!(encode_response(&Response::Quantile(None)), "OK none");
         assert_eq!(encode_response(&Response::Snapshot(2)), "OK snapshot 2");
@@ -461,11 +452,12 @@ mod tests {
             "ERR corrupt checksum"
         );
         assert_eq!(
-            encode_request(&Request::Add {
+            encode_request(&Request::AddBatch {
                 key: "lat".into(),
-                value: 3.25
+                values: vec![3.25],
+                token: None,
             }),
-            "ADD lat 3.25"
+            "ADDB lat 3.25"
         );
     }
 

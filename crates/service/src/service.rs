@@ -681,12 +681,6 @@ impl QuantileService {
         Ok(n)
     }
 
-    /// Ingest one value (logged as a one-element batch; the sketch's batch
-    /// path is bit-identical to per-item ingest).
-    pub fn add(&self, key: &str, value: f64) -> Result<(), ReqError> {
-        self.add_batch(key, &[OrdF64(value)]).map(|_| ())
-    }
-
     /// Drop tenant `key` and its data.
     pub fn drop_key(&self, key: &str) -> Result<(), ReqError> {
         self.drop_key_with_token(key, None).map(|_| ())
@@ -806,7 +800,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.add_batch("lat", &batch(0..10_000)).unwrap(), 10_000);
-        s.add("lat", 424_242.0).unwrap();
+        s.add_batch("lat", &[OrdF64(424_242.0)]).unwrap();
         let stats = s.stats("lat").unwrap();
         assert_eq!(stats.n, 10_001);
         assert!(stats.retained > 0 && stats.retained <= 10_001);
@@ -855,7 +849,7 @@ mod tests {
         assert_eq!(parts(&other), [true, true]);
 
         // One value moves one shard; a checkpoint renumbers the instance.
-        a.add("t", 1.0).unwrap();
+        a.add_batch("t", &batch(1..2)).unwrap();
         let moved = a.changed_shards("t", Some(&held)).unwrap();
         assert_eq!(parts(&moved), [true, false]);
         a.snapshot_now().unwrap();
@@ -1143,13 +1137,13 @@ mod tests {
         s.create("t", TenantConfig::for_key("t")).unwrap();
         s.set_follower(true);
         assert!(s.is_follower());
-        let err = s.add("t", 1.0).unwrap_err();
+        let err = s.add_batch("t", &batch(1..2)).unwrap_err();
         assert!(matches!(err, ReqError::Unavailable(_)), "got {err:?}");
         assert!(s.create("u", TenantConfig::for_key("u")).is_err());
         // Bounded-lag reads keep answering on a follower.
         assert_eq!(s.rank("t", 1.0).unwrap(), 0);
         s.set_follower(false); // promotion
-        s.add("t", 1.0).unwrap();
+        s.add_batch("t", &batch(1..2)).unwrap();
         assert_eq!(s.stats("t").unwrap().n, 1);
     }
 

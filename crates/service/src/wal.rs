@@ -1,6 +1,6 @@
 //! Append-only write-ahead log of checksummed record frames.
 //!
-//! Every mutation the service accepts — `CREATE`, `ADD`/`ADDB`, `DROP` —
+//! Every mutation the service accepts — `CREATE`, `ADDB`, `DROP` —
 //! is appended here *before* it is applied to the in-memory registry, as
 //! one [`req_core::frame`] frame whose payload is a record tag and the
 //! record's fields in their [`Packable`] layouts (the shared rules are in
@@ -91,8 +91,8 @@ pub enum WalRecord {
         /// The idempotency token the mutation arrived with, if any.
         token: Option<IdemToken>,
     },
-    /// A batch of values was ingested into `key` (single `ADD`s are
-    /// one-element batches — the sketch's batch path is bit-identical to
+    /// A batch of values was ingested into `key` (a single value is a
+    /// one-element batch — the sketch's batch path is bit-identical to
     /// per-item ingest).
     AddBatch {
         /// Tenant key.

@@ -130,10 +130,6 @@ fn sample_requests() -> Vec<Request> {
             config: eps_config,
             token: token(),
         },
-        Request::Add {
-            key: "k".into(),
-            value: 2.5,
-        },
         Request::AddBatch {
             key: "k".into(),
             values: vec![1.5, -0.0, f64::INFINITY],
@@ -204,7 +200,6 @@ fn mutated_requests_reject_or_reencode() {
 fn mutated_responses_reject_or_reencode() {
     let responses = [
         Response::Created,
-        Response::Added,
         Response::AddedBatch(1_000),
         Response::Rank(77),
         Response::Quantile(Some(-0.0)),

@@ -114,10 +114,6 @@ fn sample_requests() -> Vec<Request> {
             config: eps_config(),
             token: token(),
         },
-        Request::Add {
-            key: "k".into(),
-            value: f64::from_bits(0xfff8_dead_beef_0001),
-        },
         Request::AddBatch {
             key: "k".into(),
             values: vec![1.5, -0.0, f64::INFINITY, 1e-300],
@@ -167,22 +163,21 @@ fn sample_requests() -> Vec<Request> {
 const REQUEST_PINS: &[(&str, &str)] = &[
     ("req00 Create", "2900000018c24cdd0108000000676f6c64656e2e6b00100000000000000000000000000002000000070000000000000000"),
     ("req01 Create", "3f00000074220115010a000000676f6c64656e2e657073017b14ae47e17a943f9a9999999999b93f010103000000d0e4a784c5c3083a0108070605040302012a00000000000000"),
-    ("req02 Add", "0e000000f0394b7e02010000006b0100efbeaddef8ff"),
-    ("req03 AddBatch", "2b000000fc8c5ac003010000006b04000000000000000000f83f0000000000000080000000000000f07f59f3f8c21f6ea50100"),
-    ("req04 AddBatch", "23000000d466dce503010000006b0100000000000000000002400108070605040302012a00000000000000"),
-    ("req05 Rank", "0e000000f1eeaf2304010000006b000000000000e03f"),
-    ("req06 Quantile", "0e000000ea2db46505010000006bae47e17a14aeef3f"),
-    ("req07 Cdf", "1a000000b7a4aa5506010000006b02000000000000000000f03f0000000000000040"),
-    ("req08 Stats", "060000007b00c74b07010000006b"),
-    ("req09 List", "01000000bf67d9dc08"),
-    ("req10 Snapshot", "010000002957deab09"),
-    ("req11 Drop", "07000000f9e149740a010000006b00"),
-    ("req12 Drop", "17000000582f3ef90a010000006b0108070605040302012a00000000000000"),
-    ("req13 Ping", "010000000536d0450b"),
-    ("req14 Quit", "01000000a6a3b4db0c"),
-    ("req15 Tail", "15000000ad416b590d0300000000000000080000000000000000000100"),
-    ("req16 Metrics", "010000001cf2bd420f"),
-    ("req17 Events", "05000000a80a00a71000010000"),
+    ("req02 AddBatch", "2b000000fc8c5ac003010000006b04000000000000000000f83f0000000000000080000000000000f07f59f3f8c21f6ea50100"),
+    ("req03 AddBatch", "23000000d466dce503010000006b0100000000000000000002400108070605040302012a00000000000000"),
+    ("req04 Rank", "0e000000f1eeaf2304010000006b000000000000e03f"),
+    ("req05 Quantile", "0e000000ea2db46505010000006bae47e17a14aeef3f"),
+    ("req06 Cdf", "1a000000b7a4aa5506010000006b02000000000000000000f03f0000000000000040"),
+    ("req07 Stats", "060000007b00c74b07010000006b"),
+    ("req08 List", "01000000bf67d9dc08"),
+    ("req09 Snapshot", "010000002957deab09"),
+    ("req10 Drop", "07000000f9e149740a010000006b00"),
+    ("req11 Drop", "17000000582f3ef90a010000006b0108070605040302012a00000000000000"),
+    ("req12 Ping", "010000000536d0450b"),
+    ("req13 Quit", "01000000a6a3b4db0c"),
+    ("req14 Tail", "15000000ad416b590d0300000000000000080000000000000000000100"),
+    ("req15 Metrics", "010000001cf2bd420f"),
+    ("req16 Events", "05000000a80a00a71000010000"),
 ];
 
 #[test]
@@ -218,7 +213,6 @@ fn sample_responses() -> Vec<Response> {
     };
     vec![
         Response::Created,
-        Response::Added,
         Response::AddedBatch(1_000),
         Response::Rank(77),
         Response::Quantile(Some(-0.0)),
@@ -263,27 +257,26 @@ fn sample_responses() -> Vec<Response> {
 /// The frames [`sample_responses`] encode to.
 const RESPONSE_PINS: &[(&str, &str)] = &[
     ("resp00", "010000001bdf05a501"),
-    ("resp01", "01000000a18e0c3c02"),
-    ("resp02", "09000000220c59be03e803000000000000"),
-    ("resp03", "090000009e927d09044d00000000000000"),
-    ("resp04", "0a000000513460ff05010000000000000080"),
-    ("resp05", "02000000bae6ae3c0500"),
-    ("resp06", "150000000bfab4710602000000000000000000d03f000000000000f03f"),
-    ("resp07", "44000000b4e34ac80701000000000000000200000000000000030000000000000004000000050000000100060000000000000007000000000000000800000000000000090000000000000001"),
-    ("resp08", "44000000dc9551540701000000000000000200000000000000030000000000000004000000050000000001060000000000000007000000000000000800000000000000090000000000000000"),
-    ("resp09", "10000000d665d91508020000000100000061020000006263"),
-    ("resp10", "05000000dcbc52f60800000000"),
-    ("resp11", "09000000deb9e555090900000000000000"),
-    ("resp12", "010000009306d7320a"),
-    ("resp13", "010000000536d0450b"),
-    ("resp14", "01000000a6a3b4db0c"),
-    ("resp15", "0900000013096e970d0103000000626164"),
-    ("resp16", "06000000dd471c820d0600000000"),
-    ("resp17", "21000000b65bada70e0200000000000000080000000000000001040000000000000003000000ab00ff"),
-    ("resp18", "1e000000846a30b10e0000000000000000000000000000000000000000000000000000000000"),
-    ("resp19", "090000001a78cd7e10040000007820310a"),
-    ("resp20", "0f0000000f5ca90b110200000002000000653100000000"),
-    ("resp21", "050000002f49a29b1100000000"),
+    ("resp01", "09000000220c59be03e803000000000000"),
+    ("resp02", "090000009e927d09044d00000000000000"),
+    ("resp03", "0a000000513460ff05010000000000000080"),
+    ("resp04", "02000000bae6ae3c0500"),
+    ("resp05", "150000000bfab4710602000000000000000000d03f000000000000f03f"),
+    ("resp06", "44000000b4e34ac80701000000000000000200000000000000030000000000000004000000050000000100060000000000000007000000000000000800000000000000090000000000000001"),
+    ("resp07", "44000000dc9551540701000000000000000200000000000000030000000000000004000000050000000001060000000000000007000000000000000800000000000000090000000000000000"),
+    ("resp08", "10000000d665d91508020000000100000061020000006263"),
+    ("resp09", "05000000dcbc52f60800000000"),
+    ("resp10", "09000000deb9e555090900000000000000"),
+    ("resp11", "010000009306d7320a"),
+    ("resp12", "010000000536d0450b"),
+    ("resp13", "01000000a6a3b4db0c"),
+    ("resp14", "0900000013096e970d0103000000626164"),
+    ("resp15", "06000000dd471c820d0600000000"),
+    ("resp16", "21000000b65bada70e0200000000000000080000000000000001040000000000000003000000ab00ff"),
+    ("resp17", "1e000000846a30b10e0000000000000000000000000000000000000000000000000000000000"),
+    ("resp18", "090000001a78cd7e10040000007820310a"),
+    ("resp19", "0f0000000f5ca90b110200000002000000653100000000"),
+    ("resp20", "050000002f49a29b1100000000"),
 ];
 
 #[test]
@@ -471,48 +464,46 @@ fn text_lines_are_pinned() {
         &[
         ("req00 Create", "CREATE golden.k K=16 LRA SCHEDULE=standard SHARDS=2 SEED=7"),
         ("req01 Create", "CREATE golden.eps EPS=0.02 DELTA=0.1 HRA SCHEDULE=adaptive SHARDS=3 SEED=4181807507115074768 TOKEN=72623859790382856:42"),
-        ("req02 Add", "ADD k NaN"),
-        ("req03 AddBatch", "ADDB k 1.5 -0 inf 0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001"),
-        ("req04 AddBatch", "ADDB k 2.25 TOKEN=72623859790382856:42"),
-        ("req05 Rank", "RANK k 0.5"),
-        ("req06 Quantile", "QUANTILE k 0.99"),
-        ("req07 Cdf", "CDF k 1 2"),
-        ("req08 Stats", "STATS k"),
-        ("req09 List", "LIST"),
-        ("req10 Snapshot", "SNAPSHOT"),
-        ("req11 Drop", "DROP k"),
-        ("req12 Drop", "DROP k TOKEN=72623859790382856:42"),
-        ("req13 Ping", "PING"),
-        ("req14 Quit", "QUIT"),
-        ("req15 Tail", "TAIL 3 8 65536"),
-        ("req16 Metrics", "METRICS"),
-        ("req17 Events", "EVENTS 256"),
-        ("req18 MergeSince", "MERGESINCE k -"),
-        ("req19 MergeSince", "MERGESINCE k 72623859790382856 3 0 9"),
+        ("req02 AddBatch", "ADDB k 1.5 -0 inf 0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001"),
+        ("req03 AddBatch", "ADDB k 2.25 TOKEN=72623859790382856:42"),
+        ("req04 Rank", "RANK k 0.5"),
+        ("req05 Quantile", "QUANTILE k 0.99"),
+        ("req06 Cdf", "CDF k 1 2"),
+        ("req07 Stats", "STATS k"),
+        ("req08 List", "LIST"),
+        ("req09 Snapshot", "SNAPSHOT"),
+        ("req10 Drop", "DROP k"),
+        ("req11 Drop", "DROP k TOKEN=72623859790382856:42"),
+        ("req12 Ping", "PING"),
+        ("req13 Quit", "QUIT"),
+        ("req14 Tail", "TAIL 3 8 65536"),
+        ("req15 Metrics", "METRICS"),
+        ("req16 Events", "EVENTS 256"),
+        ("req17 MergeSince", "MERGESINCE k -"),
+        ("req18 MergeSince", "MERGESINCE k 72623859790382856 3 0 9"),
         ("resp00 Created", "OK created"),
-        ("resp01 Added", "OK"),
-        ("resp02 AddedBatch", "OK 1000"),
-        ("resp03 Rank", "OK 77"),
-        ("resp04 Quantile", "OK -0"),
-        ("resp05 Quantile", "OK none"),
-        ("resp06 Cdf", "OK 0.25 1"),
-        ("resp07 Stats", "OK n=1 retained=2 bytes=3 k=4 shards=5 orient=hra schedule=standard rotation=6 snapshot_failures=7 wal_poisoned=8 shed=9 mode=ro"),
-        ("resp08 Stats", "OK n=1 retained=2 bytes=3 k=4 shards=5 orient=lra schedule=adaptive rotation=6 snapshot_failures=7 wal_poisoned=8 shed=9 mode=rw"),
-        ("resp09 List", "OK a bc"),
-        ("resp10 List", "OK"),
-        ("resp11 Snapshot", "OK snapshot 9"),
-        ("resp12 Dropped", "OK dropped"),
-        ("resp13 Pong", "OK pong"),
-        ("resp14 Bye", "OK bye"),
-        ("resp15 Err", "ERR invalid bad"),
-        ("resp16 Err", "ERR busy "),
-        ("resp17 Tailed", "OK 2 8 1 4 ab00ff"),
-        ("resp18 Tailed", "OK 0 0 0 0 -"),
-        ("resp19 MetricsText", "OK 7820310a"),
-        ("resp20 Events", "OK 2 6531 -"),
-        ("resp21 Events", "OK 0"),
-        ("resp22 MergedSince", "OK 72623859790382856 4 3 9 = 1 abcd 0 -"),
-        ("resp23 MergedSince", "OK 0 0 0"),
+        ("resp01 AddedBatch", "OK 1000"),
+        ("resp02 Rank", "OK 77"),
+        ("resp03 Quantile", "OK -0"),
+        ("resp04 Quantile", "OK none"),
+        ("resp05 Cdf", "OK 0.25 1"),
+        ("resp06 Stats", "OK n=1 retained=2 bytes=3 k=4 shards=5 orient=hra schedule=standard rotation=6 snapshot_failures=7 wal_poisoned=8 shed=9 mode=ro"),
+        ("resp07 Stats", "OK n=1 retained=2 bytes=3 k=4 shards=5 orient=lra schedule=adaptive rotation=6 snapshot_failures=7 wal_poisoned=8 shed=9 mode=rw"),
+        ("resp08 List", "OK a bc"),
+        ("resp09 List", "OK"),
+        ("resp10 Snapshot", "OK snapshot 9"),
+        ("resp11 Dropped", "OK dropped"),
+        ("resp12 Pong", "OK pong"),
+        ("resp13 Bye", "OK bye"),
+        ("resp14 Err", "ERR invalid bad"),
+        ("resp15 Err", "ERR busy "),
+        ("resp16 Tailed", "OK 2 8 1 4 ab00ff"),
+        ("resp17 Tailed", "OK 0 0 0 0 -"),
+        ("resp18 MetricsText", "OK 7820310a"),
+        ("resp19 Events", "OK 2 6531 -"),
+        ("resp20 Events", "OK 0"),
+        ("resp21 MergedSince", "OK 72623859790382856 4 3 9 = 1 abcd 0 -"),
+        ("resp22 MergedSince", "OK 0 0 0"),
         ],
     );
 }

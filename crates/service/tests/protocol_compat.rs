@@ -101,40 +101,39 @@ fn mk_request(variant: u64, key_seed: u64, bits: &[u64], knob: f64) -> Request {
     let key = mk_key(key_seed);
     let at = |i: usize| bits.get(i).copied().unwrap_or(i as u64);
     let value = mk_f64(at(0));
-    match variant % 16 {
+    match variant % 15 {
         0 => Request::Create {
             key,
             config: mk_config(at(0), knob, at(1) as u32, at(2)),
             token: mk_token(at(3)),
         },
-        1 => Request::Add { key, value },
-        2 => Request::AddBatch {
+        1 => Request::AddBatch {
             key,
             values: mk_f64s(bits),
             token: mk_token(at(1).rotate_left(7)),
         },
-        3 => Request::Rank { key, value },
-        4 => Request::Quantile { key, q: knob },
-        5 => Request::Cdf {
+        2 => Request::Rank { key, value },
+        3 => Request::Quantile { key, q: knob },
+        4 => Request::Cdf {
             key,
             points: mk_f64s(bits),
         },
-        6 => Request::Stats { key },
-        7 => Request::List,
-        8 => Request::Snapshot,
-        9 => Request::Drop {
+        5 => Request::Stats { key },
+        6 => Request::List,
+        7 => Request::Snapshot,
+        8 => Request::Drop {
             key,
             token: mk_token(at(2).rotate_left(31)),
         },
-        10 => Request::Ping,
-        11 => Request::Quit,
-        12 => Request::Tail {
+        9 => Request::Ping,
+        10 => Request::Quit,
+        11 => Request::Tail {
             gen: at(0),
             offset: at(1),
             max_bytes: at(2) as u32,
         },
-        13 => Request::Metrics,
-        14 => Request::Events { max: at(0) as u32 },
+        12 => Request::Metrics,
+        13 => Request::Events { max: at(0) as u32 },
         _ => Request::MergeSince {
             key,
             held: at(1).is_multiple_of(3).then(|| mk_versions(bits)),
@@ -192,36 +191,35 @@ fn mk_text(words: &[u64]) -> String {
 }
 
 fn mk_response(variant: u64, _key_seed: u64, bits: &[u64]) -> Response {
-    match variant % 17 {
+    match variant % 16 {
         0 => Response::Created,
-        1 => Response::Added,
-        2 => Response::AddedBatch(bits[0]),
-        3 => Response::Rank(bits[0]),
-        4 => Response::Quantile(if bits[0].is_multiple_of(4) {
+        1 => Response::AddedBatch(bits[0]),
+        2 => Response::Rank(bits[0]),
+        3 => Response::Quantile(if bits[0].is_multiple_of(4) {
             None
         } else {
             Some(mk_f64(bits[1]))
         }),
-        5 => Response::Cdf(mk_f64s(&bits[..bits.len() % 8])),
-        6 => Response::Stats(mk_stats(bits)),
-        7 => Response::List((0..bits[0] % 8).map(|i| mk_key(bits[i as usize])).collect()),
-        8 => Response::Snapshot(bits[0]),
-        9 => Response::Dropped,
-        10 => Response::Pong,
-        11 => Response::Bye,
-        12 => Response::Err {
+        4 => Response::Cdf(mk_f64s(&bits[..bits.len() % 8])),
+        5 => Response::Stats(mk_stats(bits)),
+        6 => Response::List((0..bits[0] % 8).map(|i| mk_key(bits[i as usize])).collect()),
+        7 => Response::Snapshot(bits[0]),
+        8 => Response::Dropped,
+        9 => Response::Pong,
+        10 => Response::Bye,
+        11 => Response::Err {
             kind: mk_kind(bits[0]),
             msg: mk_msg(&bits[..bits.len() % 40]),
         },
-        13 => Response::Tailed(req_service::TailSegment {
+        12 => Response::Tailed(req_service::TailSegment {
             gen: bits[0],
             offset: bits[0].rotate_left(19),
             sealed: bits[0].is_multiple_of(2),
             latest_gen: bits[0].rotate_left(37),
             frames: mk_blob(&bits[..bits.len() % 24]),
         }),
-        14 => Response::MetricsText(mk_text(&bits[..bits.len() % 40])),
-        15 => Response::Events(
+        13 => Response::MetricsText(mk_text(&bits[..bits.len() % 40])),
+        14 => Response::Events(
             bits.chunks(6)
                 .take(bits[0] as usize % 5)
                 .map(mk_text)
